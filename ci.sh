@@ -57,6 +57,14 @@ echo "== tier 1: tests (offline) =="
 # fidelity tests are load-sensitive; everything else runs.
 cargo test -q --offline
 
+echo "== tier 1: benchmark package (offline) =="
+# benchmark/ is a package of its own (empty [workspace]), so nothing
+# above compiles it: a workspace API change that breaks
+# benchmark/benches/adapter.rs would otherwise first be seen by the
+# pipeline that runs BENCHMARK.json. Its tests include the --smoke runs
+# that hold the printed metric names to that file.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "== tier 1: live load-gen smoke (offline) =="
 # ~1500 requests through the executor-backed live host and the
 # simulator side by side: exits non-zero on dropped requests, a missed
@@ -118,7 +126,7 @@ echo "== bench lane: live load serving (offline) =="
 # into BENCH_results.json for bench_guard to ratchet.
 cargo run -q --release --offline -p cidre-bench --bin live_load -- --smoke
 
-echo "== bench guard: large-N throughput + sharded scaling + live lanes =="
+echo "== bench guard: large-N throughput + sharded scaling + live lanes + CSS window scaling =="
 # Fails on a >20% events/sec regression of replay/large_n vs the
 # committed baseline, if the indexed scan drops below 2x the retained
 # reference scan, or if the sharded scaling lane (scaling/shards_4 vs
@@ -132,6 +140,10 @@ echo "== bench guard: large-N throughput + sharded scaling + live lanes =="
 # The recorder-off gate holds replay/large_n (which runs with the
 # NoopRecorder) within 2% of the committed baseline, best sample vs
 # median, proving the disabled recorder is free (DESIGN.md §12).
+# The CSS scaling gate compares two lanes of the current run: the
+# Algorithm 1 decision at 16384 retained observations may cost at most
+# 16x the decision at 256 (bench_guard.rs records the measurements the
+# limit sits between).
 cargo run -q --release --offline -p cidre-bench --bin bench_guard -- \
   "$baseline" BENCH_results.json
 

@@ -13,7 +13,7 @@ use faas_sim::{
     ClusterState, ContainerInfo, KeepAlive, PolicyCtx, RequestId, RequestInfo, Scaler, StartClass,
     WorkerId,
 };
-use faas_testkit::Harness;
+use faas_testkit::{Harness, Rng};
 use faas_trace::{FunctionId, FunctionProfile, TimeDelta, TimePoint};
 
 fn harness() -> ClusterState {
@@ -67,6 +67,41 @@ fn bench_css_decision(h: &mut Harness) {
     });
 }
 
+/// Algorithm 1 as a loaded function sees it: `retained` execution times
+/// in `Te`'s 15-minute window, and between any two decisions one request
+/// starts (a record, and once the window is full an expiry) — the
+/// steady state of `seq_pressure`, whose mean window is ≈270. The lane
+/// above primes 100 observations and never records again, so it cannot
+/// see a cost that grows with the window.
+fn bench_css_decision_at(h: &mut Harness, retained: u64) {
+    let cl = harness();
+    let busy = HashMap::new();
+    let config = CidreConfig::default();
+    let mut css = CssScaler::new(config);
+    let window = config.window.expect("default window is bounded");
+    let step_us = window.as_micros() / retained;
+    let mut rng = Rng::seed_from_u64(retained);
+    let mut now_us = 0;
+    let mut step = |css: &mut CssScaler| {
+        now_us += step_us;
+        let ctx = PolicyCtx::new(TimePoint::from_micros(now_us), &cl, &busy);
+        let req = RequestInfo {
+            id: RequestId(0),
+            func: FunctionId(0),
+            arrival: ctx.now,
+        };
+        let exec = TimeDelta::from_micros(rng.range_u64(1_000, 1_000_000));
+        css.on_start(&req, StartClass::Warm, TimeDelta::ZERO, exec, &ctx);
+        css.on_blocked(&req, &ctx)
+    };
+    for _ in 0..retained {
+        step(&mut css);
+    }
+    h.bench(&format!("css_on_blocked/window_{retained}"), || {
+        black_box(step(&mut css));
+    });
+}
+
 fn bench_cip_priority(h: &mut Harness) {
     let cl = harness();
     let busy = HashMap::new();
@@ -81,6 +116,8 @@ fn bench_cip_priority(h: &mut Harness) {
 fn main() {
     let mut h = Harness::new("policy_overhead");
     bench_css_decision(&mut h);
+    bench_css_decision_at(&mut h, 256);
+    bench_css_decision_at(&mut h, 16_384);
     bench_cip_priority(&mut h);
     h.finish();
 }

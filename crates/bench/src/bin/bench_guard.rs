@@ -38,7 +38,15 @@
 //!   the committed baseline median. Comparing best-vs-median keeps the
 //!   deliberately tight threshold immune to ordinary wall-clock noise:
 //!   a real recording-cost leak into the hot loop shifts every sample,
-//!   including the best one.
+//!   including the best one, or
+//! * Algorithm 1's decision cost grows with the function's window:
+//!   within the current run, `policy_overhead` /
+//!   `css_on_blocked/window_16384` may cost at most 16x
+//!   `css_on_blocked/window_256`. Measured on the gate host: 6x for the
+//!   incremental order statistic (one shift of a third of the sorted
+//!   mirror), 29x with one copy of the window per decision, 115x with
+//!   the copy-and-sort it replaced. The two lanes run back to back in
+//!   one process; six smoke runs gave 6.0x to 7.8x.
 //!
 //! Both files use the testkit harness schema; comparisons are on
 //! `throughput_elems_per_sec`, which is scenario-invariant between
@@ -79,6 +87,11 @@ const LIVE_MAX_REGRESSION: f64 = 0.35;
 /// on the large-N replay — the zero-cost-when-off contract of
 /// DESIGN.md §12, enforced on the best sample vs the baseline median.
 const MAX_RECORDER_OVERHEAD: f64 = 0.02;
+
+/// Maximum ratio of the CSS decision's cost at 16 384 retained
+/// observations to its cost at 256 (see the module docs for what each
+/// side of it measured).
+const MAX_CSS_WINDOW_SCALING: f64 = 16.0;
 
 /// Extracts field `key` for `bench` under `target`.
 fn bench_field(doc: &Value, target: &str, bench: &str, key: &str) -> Option<f64> {
@@ -354,6 +367,46 @@ fn main() -> ExitCode {
         }
         _ => {
             eprintln!("bench_guard: current run lacks replay/large_n timing fields");
+            ok = false;
+        }
+    }
+
+    // Gate 7: the CSS decision may not scale with the window the way a
+    // per-decision sort or copy of it would.
+    match (
+        bench_field(
+            &current,
+            "policy_overhead",
+            "css_on_blocked/window_256",
+            "median_ns",
+        ),
+        bench_field(
+            &current,
+            "policy_overhead",
+            "css_on_blocked/window_16384",
+            "median_ns",
+        ),
+    ) {
+        (Some(small), Some(large)) if small > 0.0 => {
+            let scaling = large / small;
+            if scaling > MAX_CSS_WINDOW_SCALING {
+                eprintln!(
+                    "bench_guard: css_on_blocked scales with its window: {large:.0} ns at \
+                     16384 observations is {scaling:.1}x the {small:.0} ns at 256 \
+                     (limit {MAX_CSS_WINDOW_SCALING}x)"
+                );
+                ok = false;
+            } else {
+                println!(
+                    "bench_guard: css_on_blocked window scaling {scaling:.1}x \
+                     (limit {MAX_CSS_WINDOW_SCALING}x, ok)"
+                );
+            }
+        }
+        _ => {
+            eprintln!(
+                "bench_guard: current run lacks the css_on_blocked/window_{{256,16384}} lanes"
+            );
             ok = false;
         }
     }

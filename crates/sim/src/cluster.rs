@@ -449,15 +449,16 @@ impl ClusterState {
         now: TimePoint,
         speculative: bool,
     ) -> ContainerId {
-        let profile = self.profile(func).clone();
+        let profile = self.profile(func);
+        let (mem_mb, cold_start) = (profile.mem_mb, profile.cold_start);
         let w = &mut self.workers[worker.0 as usize];
         assert!(
-            w.free_mb() >= u64::from(profile.mem_mb),
+            w.free_mb() >= u64::from(mem_mb),
             "begin_provision without room: need {} MB, free {} MB",
-            profile.mem_mb,
+            mem_mb,
             w.free_mb()
         );
-        w.used_mb += u64::from(profile.mem_mb);
+        w.used_mb += u64::from(mem_mb);
         self.sync_worker(worker);
         self.touch_ledger(now);
         let id = ContainerId(self.next_container);
@@ -467,8 +468,8 @@ impl ClusterState {
             id,
             func,
             worker,
-            mem_mb: profile.mem_mb,
-            cold_start: profile.cold_start,
+            mem_mb,
+            cold_start,
             state: ContainerState::Provisioning,
             created_at: now,
             warm_at: now,

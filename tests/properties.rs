@@ -310,14 +310,111 @@ fn sliding_window_matches_naive_median() {
             Some(m) => {
                 assert!(!naive.is_empty());
                 let expected = cidre::metrics::median(&naive);
-                assert!(
-                    (m - expected).abs() < 1e-9,
+                assert_eq!(
+                    m.to_bits(),
+                    expected.to_bits(),
                     "window {m} vs naive {expected}"
                 );
             }
             None => assert!(naive.is_empty()),
         }
     });
+}
+
+/// The window's incremental order statistic against the definition:
+/// after any interleaving of records (out of order, duplicated, signed
+/// zeros), expiries, clones and queries, a percentile is bit for bit
+/// what `metrics::percentile` computes from the retained values, and
+/// the retained entries are what the cutoff rule says.
+#[test]
+fn sliding_window_percentile_matches_sort_of_retained() {
+    checker("sliding_window_percentile_matches_sort_of_retained").run(|g| {
+        let span = if g.bool(0.25) {
+            None
+        } else {
+            Some(g.u64(1..2_000))
+        };
+        let mut window = SlidingWindow::new(span);
+        let mut model: Vec<(u64, f64)> = Vec::new();
+        let expire = |model: &mut Vec<(u64, f64)>, now: u64| {
+            if let Some(span) = span {
+                model.retain(|&(t, _)| t >= now.saturating_sub(span));
+            }
+        };
+        let mut now = 0u64;
+        for _ in 0..g.usize(1..300) {
+            match g.usize(0..10) {
+                0..=5 => {
+                    // From 20 before to 60 after the latest time seen.
+                    let t = (now + g.u64(0..80)).saturating_sub(20);
+                    let v = if g.bool(0.5) {
+                        *g.choose(&[0.0, -0.0, 1.0, 2.5, -3.0, 1e3])
+                    } else {
+                        g.f64(-1e3..1e3)
+                    };
+                    window.record(t, v);
+                    let at = model.last().map_or(t, |&(last, _)| t.max(last));
+                    model.push((at, v));
+                    expire(&mut model, at);
+                    now = now.max(at);
+                }
+                6 => {
+                    now += g.u64(0..300);
+                    window.expire(now);
+                    expire(&mut model, now);
+                }
+                7 => {
+                    let copy = window.clone();
+                    assert_eq!(copy, window);
+                    window = copy;
+                }
+                _ => {
+                    now += g.u64(0..40);
+                    let p = *g.choose(&[0.0, 12.5, 50.0, 99.0, 100.0]);
+                    let got = window.percentile(now, p);
+                    let retained: Vec<f64> = window.iter().map(|(_, v)| v).collect();
+                    let want =
+                        (!retained.is_empty()).then(|| cidre::metrics::percentile(&retained, p));
+                    assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "p{p}");
+                    expire(&mut model, now);
+                }
+            }
+            let retained: Vec<(u64, u64)> = window.iter().map(|(t, v)| (t, v.to_bits())).collect();
+            let expected: Vec<(u64, u64)> = model.iter().map(|&(t, v)| (t, v.to_bits())).collect();
+            assert_eq!(retained, expected);
+        }
+    });
+}
+
+#[test]
+#[should_panic(expected = "NaN in percentile input")]
+fn sliding_window_nan_recorded_after_a_query_fails_the_next() {
+    let mut window = SlidingWindow::new(None);
+    for t in 0..20 {
+        window.record(t, t as f64);
+    }
+    assert_eq!(window.median(20), Some(9.5));
+    window.record(21, f64::NAN);
+    window.median(21);
+}
+
+#[test]
+fn sliding_window_equality_ignores_whether_it_was_queried() {
+    let mut queried = SlidingWindow::new(Some(100));
+    let mut fresh = SlidingWindow::new(Some(100));
+    for t in 0..50 {
+        queried.record(t, (t % 7) as f64);
+        fresh.record(t, (t % 7) as f64);
+        queried.median(t);
+    }
+    assert_eq!(queried, fresh);
+    // Past t = 100 the two differ in what is expired but not yet patched
+    // out of the queried one's sorted mirror.
+    queried.record(120, 1.0);
+    fresh.record(120, 1.0);
+    assert_eq!(queried, fresh);
+    fresh.record(121, 1.0);
+    assert_ne!(queried, fresh);
 }
 
 #[test]
