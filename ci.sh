@@ -57,6 +57,24 @@ echo "== tier 1: tests (offline) =="
 # fidelity tests are load-sensitive; everything else runs.
 cargo test -q --offline
 
+echo "== tier 1: live drivers (offline) =="
+# faas-live's unit tests (executor, replay driver) and the FaasHost
+# integration tests: ~1 s after the build, and they assert orderings and
+# counts, not timings. tests/fidelity.rs stays opt-in
+# (`cargo test -p faas-live`): it compares live class ratios and p99
+# waits against the simulator within statistical tolerances, which a
+# loaded CI host can miss without anything being wrong.
+cargo test -q --offline -p faas-live --lib --test host
+
+echo "== guard: one orchestration state machine =="
+# crates/live drives faas_sim::Orchestrator (DESIGN.md §4) and must not
+# grow mechanics of its own again: no policy calls, no PolicyCtx, no
+# eviction index outside the core.
+if grep -rnE 'policies\.(scaler|keepalive|prewarm)|PolicyCtx::new|evict_index' crates/live/src; then
+  echo "crates/live/src re-implements orchestration; it belongs in crates/sim/src/orchestrator.rs" >&2
+  exit 1
+fi
+
 echo "== tier 1: benchmark package (offline) =="
 # benchmark/ is a package of its own (empty [workspace]), so nothing
 # above compiles it: a workspace API change that breaks

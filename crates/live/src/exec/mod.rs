@@ -9,10 +9,10 @@
 //! * [`task`](self) — a slab arena of spawned futures addressed by
 //!   `(slot, generation)`; wakers are `Arc<impl Wake>` handles into it,
 //!   and a fixed pool of worker threads drains the run queue.
-//! * [`reactor`](self) — one thread over a deadline heap (shared with
-//!   [`crate::timer`]'s [`crate::heap::DeadlineHeap`]); [`Sleep`]
-//!   futures register `(deadline, waker-slot)` entries and the reactor
-//!   fires them as deadlines pass.
+//! * [`reactor`](self) — one thread over a deadline heap
+//!   ([`crate::heap::DeadlineHeap`]); [`Sleep`] futures register
+//!   `(deadline, waker-slot)` entries and the reactor fires them as
+//!   deadlines pass.
 //! * [`blocking`](self) — a cached thread pool for genuinely blocking
 //!   work (real handler bodies), sized by *concurrently running*
 //!   handlers instead of in-flight requests.

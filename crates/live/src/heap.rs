@@ -1,13 +1,10 @@
-//! The deadline heap shared by the message [`crate::Timer`] and the
-//! async executor's reactor ([`crate::exec`]).
+//! The deadline heap of the async executor's reactor ([`crate::exec`]).
 //!
 //! A [`DeadlineHeap`] orders entries by wall-clock deadline and breaks
 //! ties by **insertion order** via a monotonically increasing sequence
 //! number. Simultaneous deadlines therefore fire deterministically —
 //! first scheduled, first fired — instead of in whatever order the
-//! binary heap happens to surface them. Both wall-clock substrates
-//! (the timer thread and the reactor thread) pop from this structure,
-//! so the tie-break discipline is enforced in exactly one place.
+//! binary heap happens to surface them.
 
 use std::collections::BinaryHeap;
 use std::time::Instant;
@@ -84,10 +81,6 @@ impl<T> DeadlineHeap<T> {
         self.heap.peek().map(|e| e.deadline)
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.heap.len()
@@ -119,7 +112,7 @@ mod tests {
         assert_eq!(h.pop_due(t), Some("a"));
         assert_eq!(h.pop_due(t), Some("b"));
         assert_eq!(h.pop_due(t), None);
-        assert!(h.is_empty());
+        assert_eq!(h.len(), 0);
     }
 
     #[test]

@@ -15,12 +15,15 @@
 //! start a host cannot execute for you — is realised as a timed delay
 //! of `profile.cold_start` scaled by [`crate::LiveConfig::time_scale`].
 //!
-//! Fault injection ([`faas_sim::FaultPlan`]) applies only to trace
-//! replay ([`crate::run_live`]): replay owns every request's lifecycle,
-//! so crashed executions can be voided and re-queued. The interactive
-//! host hands outputs to external callers the moment handlers return
-//! and therefore cannot un-deliver them; its fault counters are always
-//! zero.
+//! The host is a driver of [`faas_sim::Orchestrator`] (DESIGN.md §4)
+//! and forwards whatever the core schedules, so the provision failures
+//! and stragglers of [`crate::LiveConfig`]`.sim.faults` apply here as
+//! they do in trace replay: failed provisions back off and retry, and
+//! the report counts them. Worker crashes do not: replay owns every
+//! request's lifecycle and can void and re-queue a crashed execution,
+//! but the host hands outputs to external callers the moment handlers
+//! return and cannot un-deliver them — [`FaasHost::start`] rejects a
+//! plan that schedules any.
 //!
 //! ```
 //! use faas_live::{FaasHost, LiveConfig};
@@ -40,22 +43,17 @@
 //! assert_eq!(report.requests.len(), 1);
 //! ```
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use faas_core::{EvictionIndex, RoundHeap};
-use faas_metrics::TimeSeries;
-use faas_obs::{EvictReason, NoopRecorder, ObsEvent, Recorder, RingRecorder, TraceLog};
-use faas_sim::{
-    ClusterState, ContainerId, ContainerInfo, PolicyCtx, PolicyStack, PriorityDeps, RequestId,
-    RequestRecord, ScaleDecision, ScanMode, SimReport, StartClass, WorkerId,
-};
+use faas_obs::{NoopRecorder, Recorder, RingRecorder, TraceLog};
+use faas_sim::{ContainerId, Event, Orchestrator, PolicyStack, RequestId, SimReport, StartClass};
 use faas_trace::{FunctionId, FunctionProfile, TimeDelta, TimePoint};
 
 use crate::exec;
-use crate::runtime::LiveConfig;
+use crate::runtime::{LiveConfig, WallClock};
 
 /// A deployed function's handler: bytes in, bytes out. Runs on a
 /// blocking-pool thread for every invocation.
@@ -90,9 +88,12 @@ impl InvokeHandle {
 
 enum Msg {
     Invoke(FunctionId, Vec<u8>, mpsc::Sender<InvokeOutcome>),
-    ProvisionDone(ContainerId),
-    ExecDone(ContainerId, RequestId, Vec<u8>, Duration),
-    Tick,
+    /// A timed event the core scheduled: a provision ending, a retry's
+    /// backoff expiring, a tick.
+    Timed(Event),
+    /// A handler returned: where it ran, for whom, its output, and how
+    /// long it really took.
+    Returned(ContainerId, RequestId, Vec<u8>, Duration),
     Shutdown(mpsc::Sender<(SimReport, TraceLog)>),
 }
 
@@ -115,8 +116,9 @@ impl FaasHost {
     /// # Panics
     ///
     /// Panics if a deployed function's memory footprint exceeds every
-    /// worker, if two deployments share a [`FunctionId`], or if
-    /// `config` fails [`LiveConfig`] validation.
+    /// worker, if two deployments share a [`FunctionId`], if
+    /// `config.sim.faults` schedules worker crashes (see the module
+    /// docs), or if `config` fails [`LiveConfig`] validation.
     pub fn start(
         config: LiveConfig,
         stack: PolicyStack,
@@ -150,18 +152,32 @@ impl FaasHost {
         rec: R,
     ) -> Self {
         config.validate();
+        assert!(
+            config.sim.faults.worker_crashes.is_empty(),
+            "FaasHost cannot replay worker crashes: a crashed execution's output may already \
+             be with its caller; use run_live for crash plans"
+        );
+        let mut handlers = HashMap::new();
+        let mut profiles = Vec::new();
+        for (profile, handler) in deployments {
+            assert!(
+                handlers.insert(profile.id, handler).is_none(),
+                "duplicate deployment of {}",
+                profile.id
+            );
+            profiles.push(profile);
+        }
+        let core = Orchestrator::new(profiles, &config.sim, stack, rec);
         let executor = exec::Executor::new(config.exec_threads);
         let (tx, rx) = exec::channel::channel();
-        let orchestrator = Orchestrator::new(
-            config,
-            stack,
-            deployments,
-            executor.handle(),
-            tx.clone(),
-            rx,
-            rec,
-        );
-        drop(executor.spawn(orchestrator.run()));
+        let io = Dispatcher {
+            handlers,
+            exec: executor.handle(),
+            tx: tx.clone(),
+            clock: WallClock::start(config.time_scale),
+            flights: HashMap::new(),
+        };
+        drop(executor.spawn(serve(core, io, rx, config.sim.tick)));
         Self {
             tx,
             executor: Some(executor),
@@ -204,681 +220,106 @@ impl FaasHost {
     }
 }
 
-struct InFlight {
+/// An invocation between `invoke` and its reply.
+struct Flight {
+    func: FunctionId,
     payload: Vec<u8>,
     reply: mpsc::Sender<InvokeOutcome>,
-    arrival: TimePoint,
-    func: FunctionId,
 }
 
-struct Orchestrator<R: Recorder> {
-    cluster: ClusterState,
-    policies: PolicyStack,
-    config: LiveConfig,
+/// The host's sink: everything needed to act on "deliver this event at
+/// time T". Timed events become sleeping executor tasks, as in trace
+/// replay; an `ExecDone` is not a timer here but a handler to run, and
+/// is delivered (as [`Msg::Returned`]) whenever that handler returns.
+struct Dispatcher {
     handlers: HashMap<FunctionId, Handler>,
-    start: Instant,
     exec: exec::Handle,
-    self_tx: exec::channel::Sender<Msg>,
-    rx: exec::channel::Receiver<Msg>,
-    next_request: u64,
-    inflight: HashMap<RequestId, InFlight>,
-    /// Wait and class stamped when each request started executing.
-    started: HashMap<RequestId, (TimeDelta, StartClass)>,
-    busy_until: HashMap<ContainerId, Vec<TimePoint>>,
-    deferred: VecDeque<(FunctionId, bool)>,
-    records: Vec<RequestRecord>,
-    memory: TimeSeries,
-    running: u64,
-    finished_at: TimePoint,
-    shutdown_reply: Option<mpsc::Sender<(SimReport, TraceLog)>>,
-    last_memory_us: u64,
-    /// Per-worker lazy-deletion heap of eviction candidates, kept warm
-    /// across REPLACE rounds when `use_evict_index` is set.
-    evict_index: EvictionIndex<WorkerId, ContainerId>,
-    /// Whether cached priorities in `evict_index` are sound for the
-    /// configured keep-alive policy (see [`PriorityDeps`]).
-    use_evict_index: bool,
-    /// Provenance event sink; [`NoopRecorder`] for untraced hosts.
-    rec: R,
+    tx: exec::channel::Sender<Msg>,
+    clock: WallClock,
+    flights: HashMap<RequestId, Flight>,
 }
 
-impl<R: Recorder> Orchestrator<R> {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        config: LiveConfig,
-        policies: PolicyStack,
-        deployments: Vec<(FunctionProfile, Handler)>,
-        exec: exec::Handle,
-        self_tx: exec::channel::Sender<Msg>,
-        rx: exec::channel::Receiver<Msg>,
-        rec: R,
-    ) -> Self {
-        let max_worker = config.sim.workers_mb.iter().copied().max().unwrap_or(0);
-        let mut handlers = HashMap::new();
-        let mut profiles = Vec::new();
-        for (profile, handler) in deployments {
-            assert!(
-                (profile.mem_mb as u64) <= max_worker,
-                "function {} ({} MB) exceeds the largest worker ({} MB)",
-                profile.id,
-                profile.mem_mb,
-                max_worker
-            );
-            assert!(
-                handlers.insert(profile.id, handler).is_none(),
-                "duplicate deployment of {}",
-                profile.id
-            );
-            profiles.push(profile);
-        }
-        let mut cluster = ClusterState::with_placement(
-            &config.sim.workers_mb,
-            profiles,
-            config.sim.threads,
-            config.sim.placement,
-        );
-        cluster.set_scan(config.sim.scan);
-        let use_evict_index = config.sim.scan == ScanMode::Indexed
-            && policies.keepalive.priority_deps() != PriorityDeps::Volatile;
-        let start = Instant::now();
-        exec::send_at(
-            &exec,
-            &self_tx,
-            start + scale(config.sim.tick, config.time_scale),
-            Msg::Tick,
-        );
-        Self {
-            cluster,
-            policies,
-            config,
-            handlers,
-            start,
-            exec,
-            self_tx,
-            rx,
-            next_request: 0,
-            inflight: HashMap::new(),
-            started: HashMap::new(),
-            busy_until: HashMap::new(),
-            deferred: VecDeque::new(),
-            records: Vec::new(),
-            memory: TimeSeries::new(),
-            running: 0,
-            finished_at: TimePoint::ZERO,
-            shutdown_reply: None,
-            last_memory_us: 0,
-            evict_index: EvictionIndex::new(),
-            use_evict_index,
-            rec,
-        }
-    }
-
-    fn now(&self) -> TimePoint {
-        let real = self.start.elapsed().as_secs_f64();
-        TimePoint::from_micros((real / self.config.time_scale * 1e6) as u64)
-    }
-
-    /// Schedules `msg` for wall-clock delivery; see [`exec::send_at`].
-    fn schedule(&self, deadline: Instant, msg: Msg) {
-        exec::send_at(&self.exec, &self.self_tx, deadline, msg);
-    }
-
-    async fn run(mut self) {
-        loop {
-            let Some(msg) = self.rx.recv().await else {
-                return;
-            };
-            match msg {
-                Msg::Invoke(func, payload, reply) => self.on_invoke(func, payload, reply),
-                Msg::ProvisionDone(cid) => self.on_provision_done(cid),
-                Msg::ExecDone(cid, rid, output, real_exec) => {
-                    self.on_exec_done(cid, rid, output, real_exec)
-                }
-                Msg::Tick => self.on_tick(),
-                Msg::Shutdown(reply) => {
-                    self.shutdown_reply = Some(reply);
-                }
-            }
-            if let Some(reply) = self.shutdown_reply.take() {
-                if self.running == 0 && self.inflight.is_empty() {
-                    // Settle the ledger at its own virtual-time
-                    // high-water mark before reporting.
-                    let settle_at = self.cluster.ledger_hwm();
-                    self.cluster.settle_ledger_at(settle_at);
-                    let report = SimReport {
-                        requests: std::mem::take(&mut self.records),
-                        memory: std::mem::take(&mut self.memory),
-                        containers_created: self.cluster.containers_created,
-                        containers_evicted: self.cluster.containers_evicted,
-                        wasted_cold_starts: self.cluster.wasted_cold_starts,
-                        // Fault injection applies to trace replay
-                        // (`run_live`), not to the ad-hoc invocation host.
-                        provision_failures: 0,
-                        crash_evictions: 0,
-                        finished_at: self.finished_at,
-                        ledger: self.cluster.ledger,
-                        ledger_settled_at: settle_at,
-                    };
-                    let _ = reply.send((report, self.rec.take_log()));
-                    return;
-                }
-                self.shutdown_reply = Some(reply);
-            }
-        }
-    }
-
-    fn on_invoke(
-        &mut self,
-        func: FunctionId,
-        payload: Vec<u8>,
-        reply: mpsc::Sender<InvokeOutcome>,
-    ) {
-        assert!(
-            self.handlers.contains_key(&func),
-            "invoke of undeployed function {func}"
-        );
-        let now = self.now();
-        let rid = RequestId(self.next_request);
-        self.next_request += 1;
-        self.cluster.note_arrival(func, now);
-        self.inflight.insert(
-            rid,
-            InFlight {
-                payload,
-                reply,
-                arrival: now,
-                func,
-            },
-        );
-        if let Some(cid) = self.cluster.pick_available(func) {
-            self.start_exec(cid, rid, StartClass::Warm, now);
-            return;
-        }
-        let info = faas_sim::RequestInfo {
-            id: rid,
-            func,
-            arrival: now,
+impl Dispatcher {
+    fn deliver(&mut self, at: TimePoint, event: Event) {
+        let Event::ExecDone(cid, rid) = event else {
+            let deadline = self.clock.deadline(at);
+            return exec::send_at(&self.exec, &self.tx, deadline, Msg::Timed(event));
         };
-        let mut decision = {
-            let ctx = PolicyCtx::new(now, &self.cluster, &self.busy_until);
-            let d = self.policies.scaler.on_blocked(&info, &ctx);
-            if d == ScaleDecision::WaitWarm
-                && ctx.warm_count(func) == 0
-                && ctx.provisioning_count(func) == 0
-            {
-                ScaleDecision::Race
-            } else {
-                d
-            }
-        };
-        if let ScaleDecision::EnqueueOn(cid) = decision {
-            let valid = self
-                .cluster
-                .container(cid)
-                .map(|c| c.func == func && c.is_saturated())
-                .unwrap_or(false);
-            if !valid {
-                decision = ScaleDecision::ColdStart;
-            }
-        }
-        obs!(
-            self.rec,
-            ObsEvent::Admit {
-                at: now,
-                rid: rid.0,
-                func,
-                decision: decision.into(),
-                note: self.policies.scaler.explain(),
-            }
-        );
-        match decision {
-            ScaleDecision::ColdStart => {
-                self.cluster.fn_runtime_mut(func).pending.push(rid, true);
-                self.request_provision(func, false, now);
-            }
-            ScaleDecision::WaitWarm => {
-                self.cluster.fn_runtime_mut(func).pending.push(rid, false);
-            }
-            ScaleDecision::Race => {
-                self.cluster.fn_runtime_mut(func).pending.push(rid, false);
-                self.request_provision(func, true, now);
-            }
-            ScaleDecision::EnqueueOn(cid) => {
-                self.cluster.enqueue_local(cid, rid);
-            }
-        }
-    }
-
-    fn on_provision_done(&mut self, cid: ContainerId) {
-        let now = self.now();
-        self.cluster.finish_provision(cid, now);
-        obs!(
-            self.rec,
-            ObsEvent::ProvisionEnd {
-                at: now,
-                cid: cid.0,
-                ok: true,
-            }
-        );
-        let func = self.cluster.container(cid).expect("just provisioned").func;
-        if let Some(rid) = self.pop_pending(func, true) {
-            self.start_exec(cid, rid, StartClass::Cold, now);
-        } else {
-            self.index_candidate(cid, now);
-            self.retry_deferred(now);
-        }
-    }
-
-    fn on_exec_done(
-        &mut self,
-        cid: ContainerId,
-        rid: RequestId,
-        output: Vec<u8>,
-        real_exec: Duration,
-    ) {
-        let now = self.now();
-        self.finished_at = self.finished_at.max(now);
-        self.running -= 1;
-        obs!(
-            self.rec,
-            ObsEvent::Finish {
-                at: now,
-                rid: rid.0,
-                cid: cid.0,
-            }
-        );
-        let flight = self.inflight.remove(&rid).expect("in-flight request");
-        self.cluster.note_completion(flight.func);
-        if let Some(ends) = self.busy_until.get_mut(&cid) {
-            if !ends.is_empty() {
-                ends.remove(0);
-            }
-            if ends.is_empty() {
-                self.busy_until.remove(&cid);
-            }
-        }
-        self.cluster.release_thread(cid, now);
-
-        // Record in simulated units: the exec is the measured wall time
-        // mapped back through the compression factor.
-        let exec =
-            TimeDelta::from_micros((real_exec.as_secs_f64() / self.config.time_scale * 1e6) as u64);
-        let (wait, class) = self.started.remove(&rid).expect("request was started");
-        let record = RequestRecord {
-            func: flight.func,
-            arrival: flight.arrival,
-            wait,
-            exec,
-            class,
-        };
-        self.records.push(record);
-        let _ = flight.reply.send(InvokeOutcome {
-            output,
-            class,
-            wait,
-        });
-
-        if let Some(next) = self.cluster.dequeue_local(cid) {
-            self.start_exec(cid, next, StartClass::DelayedWarm, now);
-            return;
-        }
-        if let Some(next) = self.pop_pending(flight.func, false) {
-            self.start_exec(cid, next, StartClass::DelayedWarm, now);
-            return;
-        }
-        self.index_candidate(cid, now);
-        self.retry_deferred(now);
-    }
-
-    fn on_tick(&mut self) {
-        let now = self.now();
-        let expired = {
-            let ctx = PolicyCtx::new(now, &self.cluster, &self.busy_until);
-            self.policies.keepalive.expirations(&ctx)
-        };
-        for cid in expired {
-            let still_idle = self
-                .cluster
-                .container(cid)
-                .map(|c| c.is_idle() && c.local_queue.is_empty())
-                .unwrap_or(false);
-            if still_idle {
-                self.evict_container(cid, now, EvictReason::Expire);
-            }
-        }
-        if self.policies.prewarm.is_some() {
-            let wants = {
-                let ctx = PolicyCtx::new(now, &self.cluster, &self.busy_until);
-                self.policies
-                    .prewarm
-                    .as_mut()
-                    .expect("checked")
-                    .on_tick(&ctx)
-            };
-            for func in wants {
-                let mem = self.cluster.profile(func).mem_mb;
-                if self.cluster.pick_worker(mem).is_some() {
-                    self.request_provision(func, false, now);
-                }
-            }
-        }
-        self.schedule(
-            Instant::now() + scale(self.config.sim.tick, self.config.time_scale),
-            Msg::Tick,
-        );
-    }
-
-    fn start_exec(&mut self, cid: ContainerId, rid: RequestId, class: StartClass, now: TimePoint) {
-        let (was_speculative, warm_at) = {
-            let c = self.cluster.container(cid).expect("live container");
-            (c.speculative_unused, c.warm_at)
-        };
-        self.cluster.occupy_thread(cid, now);
-        self.evict_index.leave(cid);
-        self.running += 1;
-        let flight = self.inflight.get(&rid).expect("in-flight request");
-        let (func, arrival, payload) = (flight.func, flight.arrival, flight.payload.clone());
-        let wait = now.saturating_since(arrival);
-        self.started.insert(rid, (wait, class));
-        obs!(
-            self.rec,
-            ObsEvent::Start {
-                at: now,
-                rid: rid.0,
-                cid: cid.0,
-                func,
-                class: class.into(),
-                wait,
-            }
-        );
-        // We do not know the handler's duration ahead of time; busy_until
-        // gets a far-future placeholder so oracle queries stay sane.
-        self.busy_until
-            .entry(cid)
-            .or_default()
-            .push(now + TimeDelta::from_secs(3600));
-
-        let handler = Arc::clone(self.handlers.get(&func).expect("deployed"));
-        let done_tx = self.self_tx.clone();
+        // `at` is the core's far-future placeholder for an execution of
+        // unknown length; the handler decides when it really ends.
+        let flight = self.flights.get_mut(&rid).expect("in-flight request");
+        let payload = std::mem::take(&mut flight.payload);
+        let handler = Arc::clone(&self.handlers[&flight.func]);
+        let done = self.tx.clone();
         // The handler runs on the executor's cached blocking pool: one
         // pool thread per *running* invocation, reused across bursts,
         // instead of a fresh OS thread per request.
         drop(self.exec.spawn_blocking(move || {
             let begun = Instant::now();
             let output = handler(payload);
-            let _ = done_tx.send(Msg::ExecDone(cid, rid, output, begun.elapsed()));
+            let _ = done.send(Msg::Returned(cid, rid, output, begun.elapsed()));
         }));
-
-        let info = faas_sim::RequestInfo {
-            id: rid,
-            func,
-            arrival,
-        };
-        let cinfo = ContainerInfo::from(self.cluster.container(cid).expect("live container"));
-        let ctx = PolicyCtx::new(now, &self.cluster, &self.busy_until);
-        if class != StartClass::Cold {
-            self.policies.keepalive.on_reuse(&cinfo, &ctx);
-        }
-        self.policies
-            .scaler
-            .on_start(&info, class, wait, TimeDelta::ZERO, &ctx);
-        if was_speculative {
-            let idle = now.saturating_since(warm_at);
-            self.policies.scaler.on_cold_outcome(func, Some(idle), &ctx);
-        }
-    }
-
-    fn request_provision(&mut self, func: FunctionId, speculative: bool, now: TimePoint) {
-        let mem = self.cluster.profile(func).mem_mb;
-        let Some(worker) = self.cluster.pick_worker(mem) else {
-            obs!(
-                self.rec,
-                ObsEvent::Defer {
-                    at: now,
-                    func,
-                    speculative,
-                }
-            );
-            self.deferred.push_back((func, speculative));
-            return;
-        };
-        let mut evicted = Vec::new();
-        if self.cluster.workers()[worker.0 as usize].free_mb() < mem as u64 {
-            // Victim-selection provenance, snapshotted before the
-            // REPLACE round mutates the idle set (recording path only).
-            if self.rec.enabled() {
-                let candidates = self.eviction_snapshot(worker, now);
-                self.rec.record(ObsEvent::EvictCandidates {
-                    at: now,
-                    worker: worker.0,
-                    incoming: func,
-                    candidates,
-                });
-            }
-            // REPLACE mirror of the trace-replay runtime (see
-            // `crate::runtime`): cached cross-round heap when priorities
-            // allow it, otherwise a per-round snapshot of the idle set.
-            if self.use_evict_index {
-                while self.cluster.workers()[worker.0 as usize].free_mb() < mem as u64 {
-                    let popped = {
-                        let cluster = &self.cluster;
-                        let busy = &self.busy_until;
-                        let ka = &self.policies.keepalive;
-                        let ctx = PolicyCtx::new(now, cluster, busy);
-                        self.evict_index.pop_min(worker, |cid| {
-                            let c = cluster.container(cid)?;
-                            if !c.is_idle() {
-                                return None;
-                            }
-                            Some(ka.priority(&ContainerInfo::from(c), &ctx))
-                        })
-                    };
-                    let Some((_, victim)) = popped else {
-                        obs!(
-                            self.rec,
-                            ObsEvent::Defer {
-                                at: now,
-                                func,
-                                speculative,
-                            }
-                        );
-                        self.deferred.push_back((func, speculative));
-                        return;
-                    };
-                    evicted.push(self.evict_container(victim, now, EvictReason::Replace));
-                }
-            } else {
-                let candidates: Vec<(f64, ContainerId)> = {
-                    let ctx = PolicyCtx::new(now, &self.cluster, &self.busy_until);
-                    let ka = &self.policies.keepalive;
-                    self.cluster.workers()[worker.0 as usize]
-                        .idle
-                        .iter()
-                        .map(|&cid| {
-                            let cinfo = ctx.container(cid).expect("idle containers are live");
-                            (ka.priority(&cinfo, &ctx), cid)
-                        })
-                        .collect()
-                };
-                match self.cluster.scan() {
-                    ScanMode::Indexed => {
-                        let mut heap = RoundHeap::from_entries(candidates);
-                        while self.cluster.workers()[worker.0 as usize].free_mb() < mem as u64 {
-                            let Some((_, victim)) = heap.pop() else {
-                                obs!(
-                                    self.rec,
-                                    ObsEvent::Defer {
-                                        at: now,
-                                        func,
-                                        speculative,
-                                    }
-                                );
-                                self.deferred.push_back((func, speculative));
-                                return;
-                            };
-                            evicted.push(self.evict_container(victim, now, EvictReason::Replace));
-                        }
-                    }
-                    ScanMode::Reference => {
-                        let sorted = faas_sim::reference::sorted_eviction_candidates(candidates);
-                        let mut victims = sorted.into_iter();
-                        while self.cluster.workers()[worker.0 as usize].free_mb() < mem as u64 {
-                            let Some((_, victim)) = victims.next() else {
-                                obs!(
-                                    self.rec,
-                                    ObsEvent::Defer {
-                                        at: now,
-                                        func,
-                                        speculative,
-                                    }
-                                );
-                                self.deferred.push_back((func, speculative));
-                                return;
-                            };
-                            evicted.push(self.evict_container(victim, now, EvictReason::Replace));
-                        }
-                    }
-                }
-            }
-        }
-        if !evicted.is_empty() {
-            self.cluster.note_replace_round();
-        }
-        let cid = self.cluster.begin_provision(func, worker, now, speculative);
-        self.note_memory(now);
-        obs!(
-            self.rec,
-            ObsEvent::ProvisionBegin {
-                at: now,
-                cid: cid.0,
-                func,
-                worker: worker.0,
-                speculative,
-                // The interactive host has no fault model, hence no
-                // retries: every provision is a first attempt.
-                attempt: 0,
-            }
-        );
-        let cinfo = ContainerInfo::from(self.cluster.container(cid).expect("just created"));
-        let cold = {
-            let ctx = PolicyCtx::new(now, &self.cluster, &self.busy_until);
-            self.policies.keepalive.on_admit(&cinfo, &evicted, &ctx);
-            self.policies
-                .keepalive
-                .provision_latency(func, &ctx)
-                .unwrap_or_else(|| self.cluster.profile(func).cold_start)
-        };
-        self.schedule(
-            Instant::now() + scale(cold, self.config.time_scale),
-            Msg::ProvisionDone(cid),
-        );
-    }
-
-    fn evict_container(
-        &mut self,
-        cid: ContainerId,
-        now: TimePoint,
-        reason: EvictReason,
-    ) -> ContainerInfo {
-        let was_unused = self
-            .cluster
-            .container(cid)
-            .map(|c| c.speculative_unused)
-            .unwrap_or(false);
-        self.evict_index.leave(cid);
-        let info = self.cluster.evict(cid, now);
-        self.note_memory(now);
-        obs!(
-            self.rec,
-            ObsEvent::Evict {
-                at: now,
-                cid: cid.0,
-                func: info.func,
-                worker: info.worker.0,
-                reason,
-                note: self.policies.keepalive.explain(),
-            }
-        );
-        let ctx = PolicyCtx::new(now, &self.cluster, &self.busy_until);
-        self.policies.keepalive.on_evict(&info, &ctx);
-        if was_unused {
-            self.policies.scaler.on_cold_outcome(info.func, None, &ctx);
-        }
-        info
-    }
-
-    /// Idle containers on `worker` with their keep-alive priorities, in
-    /// eviction order — the [`ObsEvent::EvictCandidates`] provenance
-    /// snapshot. Only called on the recording path.
-    fn eviction_snapshot(&self, worker: WorkerId, now: TimePoint) -> Vec<(u64, f64)> {
-        let ctx = PolicyCtx::new(now, &self.cluster, &self.busy_until);
-        let ka = &self.policies.keepalive;
-        let candidates: Vec<(f64, ContainerId)> = self.cluster.workers()[worker.0 as usize]
-            .idle
-            .iter()
-            .map(|&cid| {
-                let cinfo = ctx.container(cid).expect("idle containers are live");
-                (ka.priority(&cinfo, &ctx), cid)
-            })
-            .collect();
-        faas_sim::reference::sorted_eviction_candidates(candidates)
-            .into_iter()
-            .map(|(p, cid)| (cid.0, p))
-            .collect()
-    }
-
-    /// Enters `cid` into the eviction index if it just became idle,
-    /// caching its current priority. No-op unless cross-round caching
-    /// is enabled.
-    fn index_candidate(&mut self, cid: ContainerId, now: TimePoint) {
-        if !self.use_evict_index {
-            return;
-        }
-        let Some(c) = self.cluster.container(cid) else {
-            return;
-        };
-        if !c.is_idle() {
-            return;
-        }
-        let worker = c.worker;
-        let priority = {
-            let ctx = PolicyCtx::new(now, &self.cluster, &self.busy_until);
-            self.policies
-                .keepalive
-                .priority(&ContainerInfo::from(c), &ctx)
-        };
-        self.evict_index.enter(worker, cid, priority);
-    }
-
-    fn pop_pending(&mut self, func: FunctionId, any: bool) -> Option<RequestId> {
-        let rt = self.cluster.fn_runtime_mut(func);
-        if any {
-            rt.pending.pop_any().map(|(rid, _)| rid)
-        } else {
-            rt.pending.pop_flexible()
-        }
-    }
-
-    fn retry_deferred(&mut self, now: TimePoint) {
-        while let Some(&(func, speculative)) = self.deferred.front() {
-            let mem = self.cluster.profile(func).mem_mb;
-            if self.cluster.pick_worker(mem).is_none() {
-                break;
-            }
-            self.deferred.pop_front();
-            self.request_provision(func, speculative, now);
-        }
-    }
-
-    fn note_memory(&mut self, now: TimePoint) {
-        if self.config.sim.record_memory {
-            let us = now.as_micros().max(self.last_memory_us);
-            self.last_memory_us = us;
-            self.memory.push(us, self.cluster.used_mb() as f64);
-        }
     }
 }
 
-fn scale(d: TimeDelta, time_scale: f64) -> Duration {
-    Duration::from_secs_f64(d.as_secs_f64() * time_scale)
+/// The host driver: feeds invocations, timed events and handler returns
+/// to the [`Orchestrator`] core, stamped with the wall clock; answers
+/// callers; and after `Shutdown` drains until nothing is in flight.
+async fn serve<R: Recorder>(
+    mut core: Orchestrator<R>,
+    mut io: Dispatcher,
+    mut rx: exec::channel::Receiver<Msg>,
+    tick: TimeDelta,
+) {
+    let mut shutdown_reply = None;
+    io.deliver(TimePoint::ZERO + tick, Event::Tick);
+    while let Some(msg) = rx.recv().await {
+        let now = io.clock.now();
+        match msg {
+            Msg::Invoke(func, payload, reply) => {
+                assert!(
+                    io.handlers.contains_key(&func),
+                    "invoke of undeployed function {func}"
+                );
+                // Execution time unknown: the handler's run is measured.
+                let rid = core.admit(func, now, None);
+                let flight = Flight {
+                    func,
+                    payload,
+                    reply,
+                };
+                io.flights.insert(rid, flight);
+                core.step(now, Event::Arrival(rid), &mut |at, ev| io.deliver(at, ev));
+            }
+            Msg::Timed(event) => {
+                core.step(now, event, &mut |at, ev| io.deliver(at, ev));
+                if event == Event::Tick {
+                    io.deliver(now + tick, Event::Tick);
+                }
+            }
+            Msg::Returned(cid, rid, output, real_exec) => {
+                // Record in simulated units: the measured wall time
+                // mapped back through the compression factor.
+                let record = core
+                    .record_exec(cid, rid, io.clock.to_sim(real_exec))
+                    .expect("no crash plan on the host: containers outlive their executions");
+                let flight = io.flights.remove(&rid).expect("in-flight request");
+                let _ = flight.reply.send(InvokeOutcome {
+                    output,
+                    class: record.class,
+                    wait: record.wait,
+                });
+                core.step(now, Event::ExecDone(cid, rid), &mut |at, ev| {
+                    io.deliver(at, ev)
+                });
+            }
+            Msg::Shutdown(reply) => shutdown_reply = Some(reply),
+        }
+        if core.incomplete() == 0 {
+            if let Some(reply) = shutdown_reply.take() {
+                let _ = reply.send(core.finish());
+                return;
+            }
+        }
+    }
 }

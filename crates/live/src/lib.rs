@@ -6,14 +6,21 @@
 //! the bridge between the two: it executes a trace against the **wall
 //! clock** — arrivals injected by a real-time driver, provisioning and
 //! execution latencies realised as actual timed delays, and an
-//! orchestrator thread that reacts to events in whatever order the OS
+//! orchestrator task that reacts to events in whatever order the OS
 //! delivers them.
 //!
-//! The same [`faas_sim::PolicyStack`] drives both hosts, so live runs
-//! double as a fidelity check for the simulator: policy decisions here
-//! race against genuine asynchrony instead of a deterministic virtual
-//! clock, and the resulting class ratios should (and do — see the
-//! integration tests) agree with simulation up to timing noise.
+//! There is no second copy of the mechanics here. Both modes below are
+//! *drivers* of [`faas_sim::Orchestrator`], the same sans-IO state
+//! machine the simulator steps on a virtual clock (DESIGN.md §4): this
+//! crate reads the wall clock, turns "deliver this event at simulated
+//! time T" into a sleeping task on its own executor ([`exec`]), and —
+//! in the host — runs real handlers and answers callers. Dispatch,
+//! queueing, REPLACE, deferral, fault handling and recording are the
+//! core's, so live runs double as a fidelity check for the simulator:
+//! identical policy code and identical mechanics race against genuine
+//! asynchrony instead of a deterministic virtual clock, and the
+//! resulting class ratios should (and do — see the integration tests)
+//! agree with simulation up to timing noise.
 //!
 //! Two modes are provided:
 //!
@@ -49,25 +56,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// Emits a provenance event iff the recorder is enabled: the event
-/// expression (and anything cloned to build it) is only evaluated when
-/// recording, so `NoopRecorder` monomorphizations compile every
-/// emission site to nothing. Same macro as the simulator's.
-macro_rules! obs {
-    ($rec:expr, $ev:expr) => {
-        if $rec.enabled() {
-            let ev = $ev;
-            $rec.record(ev);
-        }
-    };
-}
-
 pub mod exec;
 mod heap;
 mod host;
 mod runtime;
-mod timer;
 
 pub use host::{FaasHost, Handler, InvokeHandle, InvokeOutcome};
 pub use runtime::{run_live, run_live_stats, run_live_traced, LiveConfig, LiveStats};
-pub use timer::Timer;

@@ -1,17 +1,15 @@
-//! The live orchestrator: real-time replay of a trace under a policy
-//! stack, mirroring the simulator's mechanics on the wall clock.
+//! Live trace replay: the [`Orchestrator`] core driven by the wall clock.
+//!
+//! This file owns what is particular to replaying in real time —
+//! [`LiveConfig`], [`LiveStats`], the compressed [`WallClock`], and the
+//! loop that turns "deliver at simulated time T" into a sleeping
+//! executor task. The mechanics themselves are `faas-sim`'s.
 
-use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
-use faas_core::{EvictionIndex, RoundHeap};
-use faas_metrics::TimeSeries;
-use faas_obs::{EvictReason, NoopRecorder, ObsEvent, Recorder, RingRecorder, TraceLog};
-use faas_sim::{
-    ClusterState, ContainerId, ContainerInfo, FaultState, PolicyCtx, PolicyStack, PriorityDeps,
-    RequestId, RequestRecord, ScaleDecision, ScanMode, SimConfig, SimReport, StartClass, WorkerId,
-};
-use faas_trace::{FunctionId, TimeDelta, TimePoint, Trace};
+use faas_obs::{NoopRecorder, Recorder, RingRecorder, TraceLog};
+use faas_sim::{Event, Orchestrator, PolicyStack, SimConfig, SimReport};
+use faas_trace::{TimeDelta, TimePoint, Trace};
 
 use crate::exec;
 
@@ -106,21 +104,6 @@ pub struct LiveStats {
     pub wall: Duration,
 }
 
-/// Internal events delivered to the orchestrator in real time.
-enum Msg {
-    Arrival(RequestId),
-    ProvisionDone(ContainerId),
-    ExecDone(ContainerId, RequestId),
-    Tick,
-    /// Fault injection: a provision failed after its full latency.
-    ProvisionFailed(ContainerId),
-    /// Fault injection: a failed provision's backoff expired
-    /// (attempt number, speculative flag).
-    RetryProvision(FunctionId, u32, bool),
-    /// Fault injection: a worker crashes, killing its containers.
-    WorkerDown(WorkerId),
-}
-
 /// Replays `trace` on the live host under `stack`, returning the same
 /// report shape as [`faas_sim::run`] (waits in simulated time units).
 ///
@@ -173,8 +156,8 @@ fn run_live_with<R: Recorder>(
     config.validate();
     let executor = exec::Executor::new(config.exec_threads);
     let wall_start = Instant::now();
-    let runtime = Runtime::new(trace, config, stack, executor.handle(), rec);
-    let (report, peak_inflight, log) = executor.block_on(runtime.run());
+    let (report, peak_inflight, log) =
+        executor.block_on(replay(trace, config, stack, executor.handle(), rec));
     let wall = wall_start.elapsed();
     let stats = executor.stats();
     // Cancels leftover event tasks (e.g. a pending tick) and re-raises
@@ -195,919 +178,99 @@ fn run_live_with<R: Recorder>(
     )
 }
 
-struct Runtime<'a, R: Recorder> {
-    cluster: ClusterState,
-    policies: PolicyStack,
-    config: &'a LiveConfig,
-    start: Instant,
+/// The replay driver: the [`Orchestrator`] core on the wall clock.
+/// Every event the core schedules — and, up front, every arrival and
+/// crash of the trace — is one suspended executor task
+/// (`sleep_until(deadline); send(event)`), so the whole trace sits in
+/// the reactor's deadline heap, not in OS threads; this loop feeds them
+/// back in whatever order they fire, stamped with the clock's reading.
+async fn replay<R: Recorder>(
+    trace: &Trace,
+    config: &LiveConfig,
+    stack: PolicyStack,
     exec: exec::Handle,
-    tx: exec::channel::Sender<Msg>,
-    rx: exec::channel::Receiver<Msg>,
-    requests: Vec<(FunctionId, TimePoint, TimeDelta)>,
-    started: Vec<Option<(TimePoint, StartClass)>>,
-    busy_until: HashMap<ContainerId, Vec<TimePoint>>,
-    deferred: VecDeque<(FunctionId, bool, u32)>,
-    records: Vec<RequestRecord>,
-    memory: TimeSeries,
-    incomplete: u64,
-    finished_at: TimePoint,
-    last_memory_us: u64,
-    faults: FaultState,
-    /// Whether the configured `FaultPlan` injects anything; when false the
-    /// fault bookkeeping is skipped, exactly as in the simulator.
-    fault_active: bool,
-    /// Retry attempt per provisioning container (fault runs only).
-    attempts: HashMap<ContainerId, u32>,
-    /// In-flight requests per container as `(rid, record index)` (fault
-    /// runs only), so a worker crash can void and re-queue them.
-    running: HashMap<ContainerId, Vec<(RequestId, usize)>>,
-    /// Arrival messages processed (request-conservation invariant).
-    arrived: u64,
-    /// Arrived-but-unserved requests right now, and the run's
-    /// high-water mark (the "concurrent in-flight requests" statistic).
-    inflight: u64,
-    peak_inflight: u64,
-    /// Per-worker lazy-deletion heap of eviction candidates, kept warm
-    /// across REPLACE rounds when `use_evict_index` is set.
-    evict_index: EvictionIndex<WorkerId, ContainerId>,
-    /// Whether cached priorities in `evict_index` are sound for the
-    /// configured keep-alive policy (see [`PriorityDeps`]).
-    use_evict_index: bool,
-    /// Provenance event sink; [`NoopRecorder`] for untraced runs.
     rec: R,
+) -> (SimReport, u64, TraceLog) {
+    let mut core = Orchestrator::new(trace.functions().iter().cloned(), &config.sim, stack, rec);
+    let (tx, mut rx) = exec::channel::channel();
+    let mut clock = WallClock::start(config.time_scale);
+    {
+        let mut out = |at: TimePoint, ev: Event| exec::send_at(&exec, &tx, clock.deadline(at), ev);
+        core.admit_trace(trace, &mut out);
+        if !trace.is_empty() {
+            out(TimePoint::ZERO + config.sim.tick, Event::Tick);
+        }
+        core.schedule_crashes(&mut out);
+    }
+    let total = core.incomplete();
+    let mut peak_inflight = 0;
+    while core.incomplete() > 0 {
+        let Some(ev) = rx.recv().await else {
+            break;
+        };
+        let now = clock.now();
+        let mut out = |at: TimePoint, ev: Event| exec::send_at(&exec, &tx, clock.deadline(at), ev);
+        core.step(now, ev, &mut out);
+        if ev == Event::Tick && core.incomplete() > 0 {
+            out(now + config.sim.tick, Event::Tick);
+        }
+        // Arrived but not finished: the "concurrent in-flight" statistic.
+        let finished = total - core.incomplete();
+        peak_inflight = peak_inflight.max(core.arrived() - finished);
+    }
+    assert_eq!(
+        core.incomplete(),
+        0,
+        "live host stopped with unserved requests"
+    );
+    let (report, log) = core.finish();
+    (report, peak_inflight, log)
 }
 
-impl<'a, R: Recorder> Runtime<'a, R> {
-    fn new(
-        trace: &Trace,
-        config: &'a LiveConfig,
-        policies: PolicyStack,
-        exec: exec::Handle,
-        rec: R,
-    ) -> Self {
-        let max_worker = config.sim.workers_mb.iter().copied().max().unwrap_or(0);
-        for f in trace.functions() {
-            assert!(
-                (f.mem_mb as u64) <= max_worker,
-                "function {} ({} MB) exceeds the largest worker ({} MB)",
-                f.id,
-                f.mem_mb,
-                max_worker
-            );
-        }
-        let mut cluster = ClusterState::with_placement(
-            &config.sim.workers_mb,
-            trace.functions().iter().cloned(),
-            config.sim.threads,
-            config.sim.placement,
-        );
-        cluster.set_scan(config.sim.scan);
-        let use_evict_index = config.sim.scan == ScanMode::Indexed
-            && policies.keepalive.priority_deps() != PriorityDeps::Volatile;
-        let (tx, rx) = exec::channel::channel();
-        let start = Instant::now();
-        // Schedule every arrival and the first tick on the wall clock.
-        // Each scheduled event is one suspended executor task
-        // (`sleep_until(deadline); send(msg)`), so the whole trace sits
-        // in the reactor's deadline heap, not in OS threads.
-        let requests: Vec<(FunctionId, TimePoint, TimeDelta)> = trace
-            .invocations()
-            .iter()
-            .map(|i| (i.func, i.arrival, i.exec))
-            .collect();
-        for (i, inv) in trace.invocations().iter().enumerate() {
-            schedule_msg(
-                &exec,
-                &tx,
-                start
-                    + scale(
-                        inv.arrival.saturating_since(TimePoint::ZERO),
-                        config.time_scale,
-                    ),
-                Msg::Arrival(RequestId(i as u64)),
-            );
-        }
-        if !requests.is_empty() {
-            schedule_msg(
-                &exec,
-                &tx,
-                start + scale(config.sim.tick, config.time_scale),
-                Msg::Tick,
-            );
-        }
-        for &(at, worker) in &config.sim.faults.worker_crashes {
-            assert!(
-                (worker.0 as usize) < config.sim.workers_mb.len(),
-                "fault plan crashes unknown worker {worker:?}"
-            );
-            schedule_msg(
-                &exec,
-                &tx,
-                start + scale(at.saturating_since(TimePoint::ZERO), config.time_scale),
-                Msg::WorkerDown(worker),
-            );
-        }
-        let fault_active = !config.sim.faults.is_none();
-        let incomplete = requests.len() as u64;
-        let started = vec![None; requests.len()];
+/// The wall clock read in simulated time: real time since `start`,
+/// stretched by `1 / time_scale`. The one place live time is made
+/// monotone for the core.
+pub(crate) struct WallClock {
+    start: Instant,
+    time_scale: f64,
+    last: TimePoint,
+}
+
+impl WallClock {
+    pub(crate) fn start(time_scale: f64) -> Self {
         Self {
-            cluster,
-            policies,
-            config,
-            start,
-            exec,
-            tx,
-            rx,
-            requests,
-            started,
-            busy_until: HashMap::new(),
-            deferred: VecDeque::new(),
-            records: Vec::new(),
-            memory: TimeSeries::new(),
-            incomplete,
-            finished_at: TimePoint::ZERO,
-            last_memory_us: 0,
-            faults: FaultState::new(config.sim.faults.clone()),
-            fault_active,
-            attempts: HashMap::new(),
-            running: HashMap::new(),
-            arrived: 0,
-            inflight: 0,
-            peak_inflight: 0,
-            evict_index: EvictionIndex::new(),
-            use_evict_index,
-            rec,
+            start: Instant::now(),
+            time_scale,
+            last: TimePoint::ZERO,
         }
     }
 
-    /// Current simulated time from the wall clock.
-    fn now(&self) -> TimePoint {
-        let real = self.start.elapsed().as_secs_f64();
-        TimePoint::from_micros((real / self.config.time_scale * 1e6) as u64)
+    /// Current simulated time, never below an earlier reading.
+    pub(crate) fn now(&mut self) -> TimePoint {
+        self.last = self
+            .last
+            .max(TimePoint::ZERO + self.to_sim(self.start.elapsed()));
+        self.last
     }
 
-    /// Schedules `msg` to arrive at `deadline` (a detached event task).
-    fn schedule(&self, deadline: Instant, msg: Msg) {
-        schedule_msg(&self.exec, &self.tx, deadline, msg);
+    /// The real instant at which simulated time reaches `at`.
+    pub(crate) fn deadline(&self, at: TimePoint) -> Instant {
+        let since_start = at.saturating_since(TimePoint::ZERO).as_secs_f64();
+        self.start + Duration::from_secs_f64(since_start * self.time_scale)
     }
 
-    async fn run(mut self) -> (SimReport, u64, TraceLog) {
-        while self.incomplete > 0 {
-            let Some(msg) = self.rx.recv().await else {
-                break;
-            };
-            match msg {
-                Msg::Arrival(rid) => self.on_arrival(rid),
-                Msg::ProvisionDone(cid) => self.on_provision_done(cid),
-                Msg::ExecDone(cid, rid) => self.on_exec_done(cid, rid),
-                Msg::Tick => self.on_tick(),
-                Msg::ProvisionFailed(cid) => self.on_provision_failed(cid),
-                Msg::RetryProvision(func, attempt, spec) => {
-                    self.on_retry_provision(func, attempt, spec)
-                }
-                Msg::WorkerDown(worker) => self.on_worker_down(worker),
-            }
-            #[cfg(debug_assertions)]
-            faas_sim::InvariantChecker::check(&self.cluster, self.arrived, self.records.len());
-        }
-        assert_eq!(
-            self.incomplete, 0,
-            "live host stopped with unserved requests"
-        );
-        // Settle the ledger at its own high-water mark: the last
-        // charging mutation in virtual time, wall-clock-free.
-        let settle_at = self.cluster.ledger_hwm();
-        self.cluster.settle_ledger_at(settle_at);
-        let report = SimReport {
-            requests: self.records,
-            memory: self.memory,
-            containers_created: self.cluster.containers_created,
-            containers_evicted: self.cluster.containers_evicted,
-            wasted_cold_starts: self.cluster.wasted_cold_starts,
-            provision_failures: self.cluster.provision_failures,
-            crash_evictions: self.cluster.crash_evictions,
-            finished_at: self.finished_at,
-            ledger: self.cluster.ledger,
-            ledger_settled_at: settle_at,
-        };
-        (report, self.peak_inflight, self.rec.take_log())
+    /// A measured real duration in simulated time units.
+    pub(crate) fn to_sim(&self, real: Duration) -> TimeDelta {
+        TimeDelta::from_micros((real.as_secs_f64() / self.time_scale * 1e6) as u64)
     }
-
-    fn on_arrival(&mut self, rid: RequestId) {
-        self.arrived += 1;
-        self.inflight += 1;
-        self.peak_inflight = self.peak_inflight.max(self.inflight);
-        let now = self.now();
-        let func = self.requests[rid.0 as usize].0;
-        self.cluster.note_arrival(func, now);
-        if let Some(cid) = self.cluster.pick_available(func) {
-            self.start_exec(cid, rid, StartClass::Warm, now);
-            return;
-        }
-        let info = faas_sim::RequestInfo {
-            id: rid,
-            func,
-            arrival: self.requests[rid.0 as usize].1,
-        };
-        let mut decision = {
-            let ctx = PolicyCtx::new(now, &self.cluster, &self.busy_until);
-            let d = self.policies.scaler.on_blocked(&info, &ctx);
-            if d == ScaleDecision::WaitWarm
-                && ctx.warm_count(func) == 0
-                && ctx.provisioning_count(func) == 0
-            {
-                ScaleDecision::Race
-            } else {
-                d
-            }
-        };
-        if let ScaleDecision::EnqueueOn(cid) = decision {
-            let valid = self
-                .cluster
-                .container(cid)
-                .map(|c| c.func == func && c.is_saturated())
-                .unwrap_or(false);
-            if !valid {
-                decision = ScaleDecision::ColdStart;
-            }
-        }
-        obs!(
-            self.rec,
-            ObsEvent::Admit {
-                at: now,
-                rid: rid.0,
-                func,
-                decision: decision.into(),
-                note: self.policies.scaler.explain(),
-            }
-        );
-        match decision {
-            ScaleDecision::ColdStart => {
-                self.cluster.fn_runtime_mut(func).pending.push(rid, true);
-                self.request_provision(func, false, now, 0);
-            }
-            ScaleDecision::WaitWarm => {
-                self.cluster.fn_runtime_mut(func).pending.push(rid, false);
-            }
-            ScaleDecision::Race => {
-                self.cluster.fn_runtime_mut(func).pending.push(rid, false);
-                self.request_provision(func, true, now, 0);
-            }
-            ScaleDecision::EnqueueOn(cid) => {
-                self.cluster.enqueue_local(cid, rid);
-            }
-        }
-    }
-
-    fn on_provision_done(&mut self, cid: ContainerId) {
-        if self.cluster.container(cid).is_none() {
-            // Stale message: the container's worker crashed while it was
-            // provisioning. Ids are never reused, so this is the only way
-            // the container can be gone; fault-free runs never hit this.
-            return;
-        }
-        let now = self.now();
-        self.attempts.remove(&cid);
-        self.cluster.finish_provision(cid, now);
-        obs!(
-            self.rec,
-            ObsEvent::ProvisionEnd {
-                at: now,
-                cid: cid.0,
-                ok: true,
-            }
-        );
-        let func = self.cluster.container(cid).expect("just provisioned").func;
-        if let Some(rid) = self.pop_pending(func, true) {
-            self.start_exec(cid, rid, StartClass::Cold, now);
-        } else {
-            self.index_candidate(cid, now);
-            self.retry_deferred(now);
-        }
-    }
-
-    fn on_exec_done(&mut self, cid: ContainerId, rid: RequestId) {
-        if self.cluster.container(cid).is_none() {
-            // Stale message: the worker crashed mid-execution and the
-            // request was re-queued; a fresh ExecDone fires when it
-            // re-executes elsewhere.
-            return;
-        }
-        let now = self.now();
-        self.finished_at = self.finished_at.max(now);
-        self.incomplete -= 1;
-        self.inflight -= 1;
-        obs!(
-            self.rec,
-            ObsEvent::Finish {
-                at: now,
-                rid: rid.0,
-                cid: cid.0,
-            }
-        );
-        if self.fault_active {
-            if let Some(runs) = self.running.get_mut(&cid) {
-                if let Some(pos) = runs.iter().position(|&(r, _)| r == rid) {
-                    runs.swap_remove(pos);
-                }
-                if runs.is_empty() {
-                    self.running.remove(&cid);
-                }
-            }
-        }
-        let func = self.requests[rid.0 as usize].0;
-        self.cluster.note_completion(func);
-        if let Some(ends) = self.busy_until.get_mut(&cid) {
-            if !ends.is_empty() {
-                ends.remove(0);
-            }
-            if ends.is_empty() {
-                self.busy_until.remove(&cid);
-            }
-        }
-        self.cluster.release_thread(cid, now);
-        if let Some(next) = self.cluster.dequeue_local(cid) {
-            self.start_exec(cid, next, StartClass::DelayedWarm, now);
-            return;
-        }
-        if let Some(next) = self.pop_pending(func, false) {
-            self.start_exec(cid, next, StartClass::DelayedWarm, now);
-            return;
-        }
-        self.index_candidate(cid, now);
-        self.retry_deferred(now);
-    }
-
-    fn on_tick(&mut self) {
-        let now = self.now();
-        let expired = {
-            let ctx = PolicyCtx::new(now, &self.cluster, &self.busy_until);
-            self.policies.keepalive.expirations(&ctx)
-        };
-        for cid in expired {
-            let still_idle = self
-                .cluster
-                .container(cid)
-                .map(|c| c.is_idle() && c.local_queue.is_empty())
-                .unwrap_or(false);
-            if still_idle {
-                self.evict_container(cid, now, EvictReason::Expire);
-            }
-        }
-        if self.policies.prewarm.is_some() {
-            let wants = {
-                let ctx = PolicyCtx::new(now, &self.cluster, &self.busy_until);
-                self.policies
-                    .prewarm
-                    .as_mut()
-                    .expect("checked")
-                    .on_tick(&ctx)
-            };
-            for func in wants {
-                let mem = self.cluster.profile(func).mem_mb;
-                if self.cluster.pick_worker(mem).is_some() {
-                    self.request_provision(func, false, now, 0);
-                }
-            }
-        }
-        if self.incomplete > 0 {
-            self.schedule(
-                Instant::now() + scale(self.config.sim.tick, self.config.time_scale),
-                Msg::Tick,
-            );
-        }
-    }
-
-    /// A provision failed (fault injection): abandon the container,
-    /// signal the policies, and schedule a retry with capped exponential
-    /// backoff — mirroring the simulator's handler on the wall clock.
-    fn on_provision_failed(&mut self, cid: ContainerId) {
-        let Some(c) = self.cluster.container(cid) else {
-            // The worker crashed before the failure fired; the crash
-            // handler already re-provisioned for the backlog.
-            return;
-        };
-        let now = self.now();
-        let func = c.func;
-        let speculative = c.speculative_unused;
-        let attempt = self.attempts.remove(&cid).unwrap_or(0);
-        let info = self.cluster.fail_provision(cid, now);
-        self.note_memory(now);
-        obs!(
-            self.rec,
-            ObsEvent::ProvisionEnd {
-                at: now,
-                cid: cid.0,
-                ok: false,
-            }
-        );
-        {
-            let ctx = PolicyCtx::new(now, &self.cluster, &self.busy_until);
-            self.policies.keepalive.on_evict(&info, &ctx);
-            if speculative {
-                // A failed speculative cold start burned a provision and
-                // served nobody (Ti = ∞ for CSS).
-                self.policies.scaler.on_cold_outcome(func, None, &ctx);
-            }
-        }
-        let next = attempt + 1;
-        let backoff = self.faults.plan().backoff(next);
-        obs!(
-            self.rec,
-            ObsEvent::RetryScheduled {
-                at: now,
-                func,
-                attempt: next,
-                backoff,
-                speculative,
-            }
-        );
-        self.schedule(
-            Instant::now() + scale(backoff, self.config.time_scale),
-            Msg::RetryProvision(func, next, speculative),
-        );
-        self.retry_deferred(now);
-    }
-
-    /// A failed provision's backoff expired: retry unless the backlog
-    /// drained during the wait (cold-only waiters keep the channel
-    /// non-empty until a provision serves them, so skipping is safe).
-    fn on_retry_provision(&mut self, func: FunctionId, attempt: u32, speculative: bool) {
-        let backlog = self
-            .cluster
-            .fn_runtime(func)
-            .map(|rt| !rt.pending.is_empty())
-            .unwrap_or(false);
-        if backlog {
-            let now = self.now();
-            self.request_provision(func, speculative, now, attempt);
-        }
-    }
-
-    /// A worker crashes: its containers die, in-flight requests and
-    /// local queues are re-queued (records voided), and affected
-    /// functions are re-provisioned so cold-only waiters are not
-    /// stranded. Mirrors the simulator's handler.
-    fn on_worker_down(&mut self, worker: WorkerId) {
-        if !self.cluster.worker_is_alive(worker) {
-            return; // duplicate crash message
-        }
-        let now = self.now();
-        self.cluster.mark_worker_down(worker);
-        self.evict_index.drop_worker(worker);
-        obs!(
-            self.rec,
-            ObsEvent::WorkerDown {
-                at: now,
-                worker: worker.0,
-            }
-        );
-        let victims = self.cluster.containers_on(worker);
-        let mut voided: Vec<usize> = Vec::new();
-        let mut requeue: Vec<(FunctionId, RequestId)> = Vec::new();
-        let mut affected: Vec<FunctionId> = Vec::new();
-        for cid in victims {
-            self.attempts.remove(&cid);
-            if let Some(runs) = self.running.remove(&cid) {
-                for (rid, rec_idx) in runs {
-                    voided.push(rec_idx);
-                    self.started[rid.0 as usize] = None;
-                    requeue.push((self.requests[rid.0 as usize].0, rid));
-                }
-            }
-            self.busy_until.remove(&cid);
-            let (info, local_queued) = self.cluster.crash_evict(cid, now);
-            obs!(
-                self.rec,
-                ObsEvent::Evict {
-                    at: now,
-                    cid: cid.0,
-                    func: info.func,
-                    worker: worker.0,
-                    reason: EvictReason::Crash,
-                    note: None,
-                }
-            );
-            affected.push(info.func);
-            for rid in local_queued {
-                requeue.push((info.func, rid));
-            }
-            let ctx = PolicyCtx::new(now, &self.cluster, &self.busy_until);
-            self.policies.keepalive.on_evict(&info, &ctx);
-            // No `on_cold_outcome`: a crash says nothing about whether
-            // speculation was wasteful.
-        }
-        self.note_memory(now);
-        self.remove_records(voided);
-        requeue.sort_by_key(|&(_, rid)| rid);
-        for &(func, rid) in &requeue {
-            self.cluster.fn_runtime_mut(func).pending.push(rid, false);
-        }
-        affected.extend(requeue.iter().map(|&(f, _)| f));
-        affected.sort_unstable();
-        affected.dedup();
-        for func in affected {
-            let Some(rt) = self.cluster.fn_runtime(func) else {
-                continue;
-            };
-            let pending = rt.pending.len();
-            let cold_only = rt.pending.cold_only_len();
-            let provisioning = rt.provisioning.len();
-            let warm = rt.warm.len();
-            let mut need = cold_only.saturating_sub(provisioning);
-            if need == 0 && pending > 0 && warm == 0 && provisioning == 0 {
-                need = 1;
-            }
-            for _ in 0..need {
-                self.request_provision(func, false, now, 0);
-            }
-        }
-        self.retry_deferred(now);
-    }
-
-    /// Voids crash-killed record indices and remaps the surviving
-    /// in-flight records' indices.
-    fn remove_records(&mut self, mut voided: Vec<usize>) {
-        if voided.is_empty() {
-            return;
-        }
-        voided.sort_unstable();
-        let old = std::mem::take(&mut self.records);
-        let mut vi = 0;
-        for (i, r) in old.into_iter().enumerate() {
-            if vi < voided.len() && voided[vi] == i {
-                vi += 1;
-            } else {
-                self.records.push(r);
-            }
-        }
-        for runs in self.running.values_mut() {
-            for (_, idx) in runs.iter_mut() {
-                *idx -= voided.partition_point(|&v| v < *idx);
-            }
-        }
-    }
-
-    fn start_exec(&mut self, cid: ContainerId, rid: RequestId, class: StartClass, now: TimePoint) {
-        let (was_speculative, warm_at) = {
-            let c = self.cluster.container(cid).expect("live container");
-            (c.speculative_unused, c.warm_at)
-        };
-        self.cluster.occupy_thread(cid, now);
-        self.evict_index.leave(cid);
-        let (func, arrival, exec) = self.requests[rid.0 as usize];
-        self.started[rid.0 as usize] = Some((now, class));
-        let wait = now.saturating_since(arrival);
-        self.busy_until.entry(cid).or_default().push(now + exec);
-        self.schedule(
-            Instant::now() + scale(exec, self.config.time_scale),
-            Msg::ExecDone(cid, rid),
-        );
-        self.records.push(RequestRecord {
-            func,
-            arrival,
-            wait,
-            exec,
-            class,
-        });
-        obs!(
-            self.rec,
-            ObsEvent::Start {
-                at: now,
-                rid: rid.0,
-                cid: cid.0,
-                func,
-                class: class.into(),
-                wait,
-            }
-        );
-        if self.fault_active {
-            // Track in-flight work so a worker crash can void the record
-            // and re-queue the request.
-            self.running
-                .entry(cid)
-                .or_default()
-                .push((rid, self.records.len() - 1));
-        }
-
-        let info = faas_sim::RequestInfo {
-            id: rid,
-            func,
-            arrival,
-        };
-        let cinfo = ContainerInfo::from(self.cluster.container(cid).expect("live container"));
-        let ctx = PolicyCtx::new(now, &self.cluster, &self.busy_until);
-        if class != StartClass::Cold {
-            self.policies.keepalive.on_reuse(&cinfo, &ctx);
-        }
-        self.policies
-            .scaler
-            .on_start(&info, class, wait, exec, &ctx);
-        if was_speculative {
-            let idle = now.saturating_since(warm_at);
-            self.policies.scaler.on_cold_outcome(func, Some(idle), &ctx);
-        }
-    }
-
-    fn request_provision(
-        &mut self,
-        func: FunctionId,
-        speculative: bool,
-        now: TimePoint,
-        attempt: u32,
-    ) {
-        let mem = self.cluster.profile(func).mem_mb;
-        let Some(worker) = self.cluster.pick_worker(mem) else {
-            obs!(
-                self.rec,
-                ObsEvent::Defer {
-                    at: now,
-                    func,
-                    speculative,
-                }
-            );
-            self.deferred.push_back((func, speculative, attempt));
-            return;
-        };
-        let mut evicted = Vec::new();
-        if self.cluster.workers()[worker.0 as usize].free_mb() < mem as u64 {
-            // Victim-selection provenance: the recording path snapshots
-            // the idle set before the REPLACE round mutates it. Live
-            // candidates are the full idle set (no local-queue filter),
-            // matching the live REPLACE semantics below.
-            if self.rec.enabled() {
-                let candidates = self.eviction_snapshot(worker, now);
-                self.rec.record(ObsEvent::EvictCandidates {
-                    at: now,
-                    worker: worker.0,
-                    incoming: func,
-                    candidates,
-                });
-            }
-            // REPLACE mirror of the simulator: cached cross-round heap
-            // when priorities allow it, otherwise a per-round snapshot.
-            // Unlike the simulator, live candidates are the full idle
-            // set (no local-queue filter) — the historical live
-            // behaviour, preserved bit-for-bit by the reference scan.
-            if self.use_evict_index {
-                while self.cluster.workers()[worker.0 as usize].free_mb() < mem as u64 {
-                    let popped = {
-                        let cluster = &self.cluster;
-                        let busy = &self.busy_until;
-                        let ka = &self.policies.keepalive;
-                        let ctx = PolicyCtx::new(now, cluster, busy);
-                        self.evict_index.pop_min(worker, |cid| {
-                            let c = cluster.container(cid)?;
-                            if !c.is_idle() {
-                                return None;
-                            }
-                            Some(ka.priority(&ContainerInfo::from(c), &ctx))
-                        })
-                    };
-                    let Some((_, victim)) = popped else {
-                        obs!(
-                            self.rec,
-                            ObsEvent::Defer {
-                                at: now,
-                                func,
-                                speculative,
-                            }
-                        );
-                        self.deferred.push_back((func, speculative, attempt));
-                        return;
-                    };
-                    evicted.push(self.evict_container(victim, now, EvictReason::Replace));
-                }
-            } else {
-                let candidates: Vec<(f64, ContainerId)> = {
-                    let ctx = PolicyCtx::new(now, &self.cluster, &self.busy_until);
-                    let ka = &self.policies.keepalive;
-                    self.cluster.workers()[worker.0 as usize]
-                        .idle
-                        .iter()
-                        .map(|&cid| {
-                            let cinfo = ctx.container(cid).expect("idle containers are live");
-                            (ka.priority(&cinfo, &ctx), cid)
-                        })
-                        .collect()
-                };
-                match self.cluster.scan() {
-                    ScanMode::Indexed => {
-                        let mut heap = RoundHeap::from_entries(candidates);
-                        while self.cluster.workers()[worker.0 as usize].free_mb() < mem as u64 {
-                            let Some((_, victim)) = heap.pop() else {
-                                obs!(
-                                    self.rec,
-                                    ObsEvent::Defer {
-                                        at: now,
-                                        func,
-                                        speculative,
-                                    }
-                                );
-                                self.deferred.push_back((func, speculative, attempt));
-                                return;
-                            };
-                            evicted.push(self.evict_container(victim, now, EvictReason::Replace));
-                        }
-                    }
-                    ScanMode::Reference => {
-                        let sorted = faas_sim::reference::sorted_eviction_candidates(candidates);
-                        let mut victims = sorted.into_iter();
-                        while self.cluster.workers()[worker.0 as usize].free_mb() < mem as u64 {
-                            let Some((_, victim)) = victims.next() else {
-                                obs!(
-                                    self.rec,
-                                    ObsEvent::Defer {
-                                        at: now,
-                                        func,
-                                        speculative,
-                                    }
-                                );
-                                self.deferred.push_back((func, speculative, attempt));
-                                return;
-                            };
-                            evicted.push(self.evict_container(victim, now, EvictReason::Replace));
-                        }
-                    }
-                }
-            }
-        }
-        if !evicted.is_empty() {
-            self.cluster.note_replace_round();
-        }
-        let cid = self.cluster.begin_provision(func, worker, now, speculative);
-        self.note_memory(now);
-        obs!(
-            self.rec,
-            ObsEvent::ProvisionBegin {
-                at: now,
-                cid: cid.0,
-                func,
-                worker: worker.0,
-                speculative,
-                attempt,
-            }
-        );
-        let cinfo = ContainerInfo::from(self.cluster.container(cid).expect("just created"));
-        let cold = {
-            let ctx = PolicyCtx::new(now, &self.cluster, &self.busy_until);
-            self.policies.keepalive.on_admit(&cinfo, &evicted, &ctx);
-            self.policies
-                .keepalive
-                .provision_latency(func, &ctx)
-                .unwrap_or_else(|| self.cluster.profile(func).cold_start)
-        };
-        if self.fault_active {
-            self.attempts.insert(cid, attempt);
-            if self.faults.provision_fails() {
-                // The failure surfaces only after the full provisioning
-                // latency was spent — like a real timed-out cold start.
-                self.schedule(
-                    Instant::now() + scale(cold, self.config.time_scale),
-                    Msg::ProvisionFailed(cid),
-                );
-                return;
-            }
-            let factor = self.faults.straggler_factor();
-            let cold = if factor > 1.0 {
-                cold.scale(factor)
-            } else {
-                cold
-            };
-            self.schedule(
-                Instant::now() + scale(cold, self.config.time_scale),
-                Msg::ProvisionDone(cid),
-            );
-            return;
-        }
-        self.schedule(
-            Instant::now() + scale(cold, self.config.time_scale),
-            Msg::ProvisionDone(cid),
-        );
-    }
-
-    fn evict_container(
-        &mut self,
-        cid: ContainerId,
-        now: TimePoint,
-        reason: EvictReason,
-    ) -> ContainerInfo {
-        let was_unused = self
-            .cluster
-            .container(cid)
-            .map(|c| c.speculative_unused)
-            .unwrap_or(false);
-        self.evict_index.leave(cid);
-        let info = self.cluster.evict(cid, now);
-        self.note_memory(now);
-        obs!(
-            self.rec,
-            ObsEvent::Evict {
-                at: now,
-                cid: cid.0,
-                func: info.func,
-                worker: info.worker.0,
-                reason,
-                note: self.policies.keepalive.explain(),
-            }
-        );
-        let ctx = PolicyCtx::new(now, &self.cluster, &self.busy_until);
-        self.policies.keepalive.on_evict(&info, &ctx);
-        if was_unused {
-            self.policies.scaler.on_cold_outcome(info.func, None, &ctx);
-        }
-        info
-    }
-
-    /// Idle containers on `worker` with their keep-alive priorities, in
-    /// eviction order — the [`ObsEvent::EvictCandidates`] provenance
-    /// snapshot. Only called on the recording path.
-    fn eviction_snapshot(&self, worker: WorkerId, now: TimePoint) -> Vec<(u64, f64)> {
-        let ctx = PolicyCtx::new(now, &self.cluster, &self.busy_until);
-        let ka = &self.policies.keepalive;
-        let candidates: Vec<(f64, ContainerId)> = self.cluster.workers()[worker.0 as usize]
-            .idle
-            .iter()
-            .map(|&cid| {
-                let cinfo = ctx.container(cid).expect("idle containers are live");
-                (ka.priority(&cinfo, &ctx), cid)
-            })
-            .collect();
-        faas_sim::reference::sorted_eviction_candidates(candidates)
-            .into_iter()
-            .map(|(p, cid)| (cid.0, p))
-            .collect()
-    }
-
-    /// Enters `cid` into the eviction index if it just became idle,
-    /// caching its current priority. No-op unless cross-round caching
-    /// is enabled.
-    fn index_candidate(&mut self, cid: ContainerId, now: TimePoint) {
-        if !self.use_evict_index {
-            return;
-        }
-        let Some(c) = self.cluster.container(cid) else {
-            return;
-        };
-        if !c.is_idle() {
-            return;
-        }
-        let worker = c.worker;
-        let priority = {
-            let ctx = PolicyCtx::new(now, &self.cluster, &self.busy_until);
-            self.policies
-                .keepalive
-                .priority(&ContainerInfo::from(c), &ctx)
-        };
-        self.evict_index.enter(worker, cid, priority);
-    }
-
-    fn pop_pending(&mut self, func: FunctionId, any: bool) -> Option<RequestId> {
-        let rt = self.cluster.fn_runtime_mut(func);
-        if any {
-            rt.pending.pop_any().map(|(rid, _)| rid)
-        } else {
-            rt.pending.pop_flexible()
-        }
-    }
-
-    fn retry_deferred(&mut self, now: TimePoint) {
-        while let Some(&(func, speculative, attempt)) = self.deferred.front() {
-            let mem = self.cluster.profile(func).mem_mb;
-            if self.cluster.pick_worker(mem).is_none() {
-                break;
-            }
-            self.deferred.pop_front();
-            self.request_provision(func, speculative, now, attempt);
-        }
-    }
-
-    fn note_memory(&mut self, now: TimePoint) {
-        if self.config.sim.record_memory {
-            // Real-time clocks can regress below an already-recorded
-            // point within the same microsecond; clamp monotone.
-            let us = now.as_micros().max(self.last_memory_us);
-            self.last_memory_us = us;
-            self.memory.push(us, self.cluster.used_mb() as f64);
-        }
-    }
-}
-
-/// Converts a simulated span into a real sleep duration.
-fn scale(d: TimeDelta, time_scale: f64) -> Duration {
-    Duration::from_secs_f64(d.as_secs_f64() * time_scale)
-}
-
-/// Schedules `msg` for wall-clock delivery; see [`exec::send_at`].
-fn schedule_msg(exec: &exec::Handle, tx: &exec::channel::Sender<Msg>, deadline: Instant, msg: Msg) {
-    exec::send_at(exec, tx, deadline, msg);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faas_sim::baseline_lru_stack;
-    use faas_trace::{gen, FunctionProfile, Invocation};
+    use faas_obs::ObsEvent;
+    use faas_sim::{baseline_lru_stack, FaultPlan, StartClass, WorkerId};
+    use faas_trace::{gen, FunctionId, FunctionProfile, Invocation};
 
     fn tiny_trace() -> Trace {
         let f = FunctionProfile::new(FunctionId(0), "f", 128, TimeDelta::from_millis(100));
@@ -1195,12 +358,15 @@ mod tests {
     #[test]
     fn stats_count_concurrent_inflight_requests() {
         // 200 simultaneous arrivals: every request is in flight at once
-        // before any is served, and each scheduled event is a task.
+        // before any is served, and each scheduled event is a task. They
+        // arrive 2 simulated seconds (40 real ms) in, so that all 200
+        // sleepers exist before the first fires — at t = 0 the executor
+        // would start retiring them while `replay` is still spawning.
         let f = FunctionProfile::new(FunctionId(0), "f", 128, TimeDelta::from_millis(20));
         let invs = (0..200)
             .map(|_| Invocation {
                 func: FunctionId(0),
-                arrival: TimePoint::ZERO,
+                arrival: TimePoint::from_secs(2),
                 exec: TimeDelta::from_millis(10),
             })
             .collect();
@@ -1236,7 +402,6 @@ mod tests {
 
     #[test]
     fn provision_failures_retry_on_live_host() {
-        use faas_sim::FaultPlan;
         let sim = SimConfig::default().workers_mb(vec![1024]).faults(
             FaultPlan::none()
                 .seed(3)
@@ -1257,7 +422,6 @@ mod tests {
 
     #[test]
     fn worker_crash_reexecutes_on_live_host() {
-        use faas_sim::FaultPlan;
         // One long request on worker 0 of 2; the crash at simulated
         // t = 500 ms hits mid-execution, and the request re-executes.
         let f = FunctionProfile::new(FunctionId(0), "f", 128, TimeDelta::from_millis(100));
@@ -1282,5 +446,33 @@ mod tests {
             "wait {:?} should include the crashed attempt",
             report.requests[0].wait
         );
+    }
+    #[test]
+    fn cold_only_waiter_behind_a_crash_refugee_is_served() {
+        // The starvation `repair_cold_only` exists for, on the wall
+        // clock (the replay used to hang here, ticking forever). X runs
+        // long on worker 0; A cold-starts on worker 1, which crashes at
+        // 1 s: A becomes a flexible refugee with X's busy container to
+        // wait for, so no provision is started for it. B arrives at
+        // 1.5 s, is cold-only under the always-cold scaler, and starts a
+        // provision — which, once up, serves the *head* of the channel:
+        // A. Nothing is left that may serve a cold-only B unless the
+        // core notices and starts a fresh chain.
+        let f = FunctionProfile::new(FunctionId(0), "f", 128, TimeDelta::from_millis(100));
+        let at = |ms| Invocation {
+            func: FunctionId(0),
+            arrival: TimePoint::from_millis(ms),
+            exec: TimeDelta::from_millis(5_000),
+        };
+        let trace = Trace::new(vec![f], vec![at(0), at(200), at(1_500)]).expect("valid");
+        let sim = SimConfig::default()
+            .workers_mb(vec![1024, 1024])
+            .faults(FaultPlan::none().crash_worker(TimePoint::from_secs(1), WorkerId(1)));
+        let config = LiveConfig::default().sim(sim).time_scale(0.02);
+        let report = run_live(&trace, &config, baseline_lru_stack());
+        assert_eq!(report.requests.len(), 3);
+        assert_eq!(report.crash_evictions, 1);
+        assert_eq!(report.count(StartClass::Cold), 3);
+        assert_eq!(report.containers_created, 4);
     }
 }

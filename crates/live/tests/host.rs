@@ -4,8 +4,8 @@ use std::sync::Mutex;
 
 use cidre_core::{cidre_stack, CidreConfig};
 use faas_live::{FaasHost, Handler, LiveConfig};
-use faas_sim::{baseline_lru_stack, SimConfig, StartClass};
-use faas_trace::{FunctionId, FunctionProfile, TimeDelta};
+use faas_sim::{baseline_lru_stack, FaultPlan, SimConfig, StartClass, WorkerId};
+use faas_trace::{FunctionId, FunctionProfile, TimeDelta, TimePoint};
 
 /// Serialise host tests: they race the wall clock.
 static LIVE_HOST: Mutex<()> = Mutex::new(());
@@ -199,4 +199,49 @@ fn memory_pressure_evicts_on_live_host() {
         report.containers_evicted
     );
     assert_eq!(report.count(StartClass::Cold), 3);
+}
+
+#[test]
+fn provision_failures_retry_on_the_host() {
+    let _guard = LIVE_HOST.lock().expect("live-host lock");
+    // The host forwards whatever the core schedules, so the fault plan's
+    // provision failures apply: each burns a cold start, backs off and
+    // retries, and the report counts it (it used to hard-code 0).
+    let sim = SimConfig::default().workers_mb(vec![1024]).faults(
+        FaultPlan::none()
+            .seed(3)
+            .provision_failures(0.8)
+            .retry_backoff(TimeDelta::from_millis(10), TimeDelta::from_millis(80)),
+    );
+    let host = FaasHost::start(
+        LiveConfig::default().sim(sim).time_scale(0.01),
+        baseline_lru_stack(),
+        vec![(profile(0, 100), sum_handler())],
+    );
+    let first = host.invoke(FunctionId(0), vec![1]).wait().expect("served");
+    assert_eq!(first.class, StartClass::Cold);
+    assert!(
+        first.wait > TimeDelta::from_millis(200),
+        "wait {} should include a failed attempt",
+        first.wait
+    );
+    let report = host.shutdown();
+    assert_eq!(report.requests.len(), 1);
+    assert!(report.provision_failures > 0, "seed 3 at p=0.8 must fail");
+    assert_eq!(report.containers_created, report.provision_failures + 1);
+}
+
+#[test]
+#[should_panic(expected = "FaasHost cannot replay worker crashes")]
+fn crash_plans_are_rejected_at_start() {
+    // No LIVE_HOST guard: the panic precedes any host thread, and must
+    // not poison the lock for the other tests.
+    let sim = SimConfig::default()
+        .workers_mb(vec![1024, 1024])
+        .faults(FaultPlan::none().crash_worker(TimePoint::from_millis(500), WorkerId(0)));
+    let _ = FaasHost::start(
+        LiveConfig::default().sim(sim),
+        baseline_lru_stack(),
+        vec![(profile(0, 100), sum_handler())],
+    );
 }

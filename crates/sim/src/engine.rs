@@ -1,41 +1,23 @@
-//! The discrete-event simulation engine.
+//! The sequential discrete-event driver: the [`Orchestrator`] core under
+//! a virtual clock.
 //!
-//! The engine owns all FaaS mechanics described in §3.1 of the paper:
-//!
-//! * **Dispatch**: an arriving request runs immediately on a warm
-//!   container with a free thread (true warm start). Otherwise the
-//!   request's fate is decided by the [`Scaler`] policy.
-//! * **Per-function channel**: blocked requests join a FIFO channel.
-//!   The first resource to become available — a busy container finishing
-//!   (delayed warm start) or a fresh container completing provisioning
-//!   (cold start) — serves the head of the channel. This
-//!   first-available-wins mechanic *is* the speculative-scaling race.
-//! * **Memory pressure**: provisioning charges the hosting worker's
-//!   memory; when no worker fits, the engine evicts idle containers in
-//!   ascending [`KeepAlive::priority`] order (the paper's REPLACE
-//!   subroutine). If even eviction cannot make room (everything is busy),
-//!   the provision is deferred and retried as memory frees.
-//! * **Classification**: a request's class is determined by the event
-//!   that dispatched it — arrival onto an idle container → warm start,
-//!   a container freeing a thread → delayed warm start, provisioning
-//!   completing → cold start.
+//! Everything the core asks to have delivered goes onto one
+//! time-ordered [`EventQueue`] (FIFO within a timestamp) and comes back
+//! at exactly the requested time, which is what makes runs
+//! deterministic and the goldens possible. Beyond the queue this driver
+//! owns two decisions: it re-arms [`Event::Tick`] while requests are
+//! unserved, and it knows when the tick chain is the only event left —
+//! the one moment deferred placements need an explicit retry, and the
+//! one moment "no progress possible" can be asserted.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use faas_obs::{NoopRecorder, Recorder, RingRecorder, TraceLog};
+use faas_trace::{TimePoint, Trace};
 
-use faas_core::{EvictionIndex, RoundHeap};
-use faas_metrics::TimeSeries;
-use faas_obs::{EvictReason, NoopRecorder, ObsEvent, Recorder, RingRecorder, TraceLog};
-use faas_trace::{FunctionId, TimePoint, Trace};
-
-use crate::cluster::{ClusterState, PolicyCtx};
-use crate::config::{ScanMode, SimConfig};
-use crate::container::ContainerInfo;
+use crate::config::SimConfig;
 use crate::event::{Event, EventQueue};
-use crate::fault::FaultState;
-use crate::ids::{ContainerId, RequestId, WorkerId};
-use crate::policy::{PolicyStack, PriorityDeps, ScaleDecision, StartClass};
-use crate::report::{RequestRecord, SimReport};
-use crate::request::RequestState;
+use crate::orchestrator::Orchestrator;
+use crate::policy::PolicyStack;
+use crate::report::SimReport;
 
 /// Runs `trace` through the simulated cluster under `stack`'s policies.
 ///
@@ -62,7 +44,7 @@ pub fn run(trace: &Trace, config: &SimConfig, stack: PolicyStack) -> SimReport {
     if config.shards > 1 {
         return crate::shard::run_sharded(trace, config, stack);
     }
-    Simulation::new(trace, config, stack, NoopRecorder).run().0
+    drive(trace, config, stack, NoopRecorder).0
 }
 
 /// Runs `trace` like [`run`] while recording the structured trace:
@@ -89,1257 +71,44 @@ pub fn run_traced(trace: &Trace, config: &SimConfig, stack: PolicyStack) -> (Sim
     if config.shards > 1 {
         return crate::shard::run_sharded_traced(trace, config, stack);
     }
-    let (report, rec) = Simulation::new(trace, config, stack, RingRecorder::unbounded()).run();
-    (report, rec.into_log())
+    drive(trace, config, stack, RingRecorder::unbounded())
 }
 
-struct Simulation<'a, R: Recorder> {
-    cluster: ClusterState,
-    events: EventQueue,
-    requests: Vec<RequestState>,
-    busy_until: HashMap<ContainerId, Vec<TimePoint>>,
-    deferred: VecDeque<(FunctionId, bool, u32)>,
-    policies: PolicyStack,
-    config: &'a SimConfig,
-    now: TimePoint,
-    incomplete: u64,
-    records: Vec<RequestRecord>,
-    memory: TimeSeries,
-    finished_at: TimePoint,
-    faults: FaultState,
-    /// Whether the configured `FaultPlan` injects anything. When false,
-    /// all fault bookkeeping (attempt counters, running-request tracking)
-    /// is skipped so fault-free runs take the exact pre-fault code path.
-    fault_active: bool,
-    /// Retry attempt number per provisioning container (fault runs only).
-    attempts: HashMap<ContainerId, u32>,
-    /// Outstanding `RetryProvision` events per function (fault runs
-    /// only): these are provision chains in backoff, invisible in
-    /// `FnRuntime::provisioning`, that `repair_cold_only` must count.
-    retrying: HashMap<FunctionId, u32>,
-    /// In-flight requests per container as `(rid, record index)` (fault
-    /// runs only) — a worker crash voids those records and re-queues the
-    /// requests. `BTreeMap` so the crash-repair walk re-queues them in
-    /// container order, not hash order (cidre-lint rule O1).
-    running: BTreeMap<ContainerId, Vec<(RequestId, usize)>>,
-    /// Arrival events processed so far (request-conservation invariant).
-    arrived: u64,
-    /// Lazy-deletion heap of eviction candidates per worker, maintained
-    /// across rounds when `use_evict_index` is set.
-    evict_index: EvictionIndex<WorkerId, ContainerId>,
-    /// Whether cached priorities in `evict_index` are sound for the
-    /// configured keep-alive policy: requires [`ScanMode::Indexed`] and
-    /// a non-[`PriorityDeps::Volatile`] policy. Volatile policies fall
-    /// back to a per-round heapify of fresh priorities.
-    use_evict_index: bool,
-    /// Structured trace sink (DESIGN.md §12). [`NoopRecorder`] in
-    /// untraced runs, where monomorphization folds every emission
-    /// site to nothing.
+fn drive<R: Recorder>(
+    trace: &Trace,
+    config: &SimConfig,
+    stack: PolicyStack,
     rec: R,
-}
-
-impl<'a, R: Recorder> Simulation<'a, R> {
-    fn new(trace: &Trace, config: &'a SimConfig, policies: PolicyStack, rec: R) -> Self {
-        let max_worker = config.workers_mb.iter().copied().max().unwrap_or(0);
-        for f in trace.functions() {
-            assert!(
-                u64::from(f.mem_mb) <= max_worker,
-                "function {} ({} MB) exceeds the largest worker ({} MB)",
-                f.id,
-                f.mem_mb,
-                max_worker
-            );
-        }
-        let mut cluster = ClusterState::with_placement(
-            &config.workers_mb,
-            trace.functions().iter().cloned(),
-            config.threads,
-            config.placement,
-        );
-        cluster.set_scan(config.scan);
-        let use_evict_index = config.scan == ScanMode::Indexed
-            && policies.keepalive.priority_deps() != PriorityDeps::Volatile;
-        let mut events = EventQueue::new();
-        let mut requests = Vec::with_capacity(trace.len());
-        for (i, inv) in trace.invocations().iter().enumerate() {
-            events.push(inv.arrival, Event::Arrival(RequestId(i as u64)));
-            requests.push(RequestState {
-                func: inv.func,
-                arrival: inv.arrival,
-                exec: inv.exec,
-                started: None,
-                class: None,
-            });
-        }
-        if !requests.is_empty() {
-            events.push(TimePoint::ZERO + config.tick, Event::Tick);
-        }
-        for &(at, worker) in &config.faults.worker_crashes {
-            assert!(
-                (worker.0 as usize) < config.workers_mb.len(),
-                "fault plan crashes unknown worker {worker:?}"
-            );
-            events.push(at, Event::WorkerDown(worker));
-        }
-        let fault_active = !config.faults.is_none();
-        let incomplete = requests.len() as u64;
-        Self {
-            cluster,
-            events,
-            requests,
-            busy_until: HashMap::new(),
-            deferred: VecDeque::new(),
-            policies,
-            config,
-            now: TimePoint::ZERO,
-            incomplete,
-            records: Vec::new(),
-            memory: TimeSeries::new(),
-            finished_at: TimePoint::ZERO,
-            faults: FaultState::new(config.faults.clone()),
-            fault_active,
-            attempts: HashMap::new(),
-            retrying: HashMap::new(),
-            running: BTreeMap::new(),
-            arrived: 0,
-            evict_index: EvictionIndex::new(),
-            use_evict_index,
-            rec,
-        }
+) -> (SimReport, TraceLog) {
+    let mut core = Orchestrator::new(trace.functions().iter().cloned(), config, stack, rec);
+    let mut events = EventQueue::new();
+    core.admit_trace(trace, &mut |at, ev| events.push(at, ev));
+    if !trace.is_empty() {
+        events.push(TimePoint::ZERO + config.tick, Event::Tick);
     }
-
-    fn run(mut self) -> (SimReport, R) {
-        while let Some((t, ev)) = self.events.pop() {
-            self.now = t;
-            match ev {
-                Event::Arrival(rid) => self.on_arrival(rid),
-                Event::ProvisionDone(cid) => self.on_provision_done(cid),
-                Event::ExecDone(cid, rid) => self.on_exec_done(cid, rid),
-                Event::Tick => self.on_tick(),
-                Event::ProvisionFailed(cid) => self.on_provision_failed(cid),
-                Event::RetryProvision(func, attempt, spec) => {
-                    self.on_retry_provision(func, attempt, spec)
-                }
-                Event::WorkerDown(worker) => self.on_worker_down(worker),
-            }
-            #[cfg(debug_assertions)]
-            crate::invariant::InvariantChecker::check(
-                &self.cluster,
-                self.arrived,
-                self.records.len(),
-            );
-        }
-        assert_eq!(
-            self.incomplete, 0,
-            "simulation drained events with unserved requests"
-        );
-        // Charge still-resident containers up to the ledger's high-water
-        // mark (the last charging mutation), which is identical across
-        // the sequential and sharded engines.
-        let settle_at = self.cluster.ledger_hwm();
-        self.cluster.settle_ledger_at(settle_at);
-        let report = SimReport {
-            requests: self.records,
-            memory: self.memory,
-            containers_created: self.cluster.containers_created,
-            containers_evicted: self.cluster.containers_evicted,
-            wasted_cold_starts: self.cluster.wasted_cold_starts,
-            provision_failures: self.cluster.provision_failures,
-            crash_evictions: self.cluster.crash_evictions,
-            finished_at: self.finished_at,
-            ledger: self.cluster.ledger,
-            ledger_settled_at: settle_at,
-        };
-        (report, self.rec)
-    }
-
-    // -- event handlers --------------------------------------------------
-
-    fn on_arrival(&mut self, rid: RequestId) {
-        self.arrived += 1;
-        let func = self.requests[rid.0 as usize].func;
-        self.cluster.note_arrival(func, self.now);
-        if let Some(cid) = self.cluster.pick_available(func) {
-            self.start_exec(cid, rid, StartClass::Warm);
-            return;
-        }
-        let info = self.requests[rid.0 as usize].info(rid);
-        let ctx = PolicyCtx::new(self.now, &self.cluster, &self.busy_until);
-        let mut decision = self.policies.scaler.on_blocked(&info, &ctx);
-
-        // A pure wait is only meaningful if some container of the function
-        // exists (busy or provisioning) to wait for; otherwise escalate.
-        if decision == ScaleDecision::WaitWarm
-            && ctx.warm_count(func) == 0
-            && ctx.provisioning_count(func) == 0
-        {
-            decision = ScaleDecision::Race;
-        }
-        // An EnqueueOn target must still be a live saturated container.
-        if let ScaleDecision::EnqueueOn(cid) = decision {
-            let valid = self
-                .cluster
-                .container(cid)
-                .map(|c| c.func == func && c.is_saturated())
-                .unwrap_or(false);
-            if !valid {
-                decision = ScaleDecision::ColdStart;
-            }
-        }
-
-        // Decision provenance: the *final* decision, after escalation
-        // and validation — what the engine will actually do. Warm hits
-        // above emit no Admit record (there was no choice to make).
-        obs!(
-            self.rec,
-            ObsEvent::Admit {
-                at: self.now,
-                rid: rid.0,
-                func,
-                decision: decision.into(),
-                note: self.policies.scaler.explain(),
-            }
-        );
-
-        match decision {
-            ScaleDecision::ColdStart => {
-                self.cluster.fn_runtime_mut(func).pending.push(rid, true);
-                self.request_provision(func, false, 0);
-            }
-            ScaleDecision::WaitWarm => {
-                self.cluster.fn_runtime_mut(func).pending.push(rid, false);
-            }
-            ScaleDecision::Race => {
-                self.cluster.fn_runtime_mut(func).pending.push(rid, false);
-                self.request_provision(func, true, 0);
-            }
-            ScaleDecision::EnqueueOn(cid) => {
-                let ok = self.cluster.enqueue_local(cid, rid);
-                debug_assert!(ok, "validated above");
-            }
-        }
-    }
-
-    fn on_provision_done(&mut self, cid: ContainerId) {
-        if self.cluster.container(cid).is_none() {
-            // Stale event: the container's worker crashed while it was
-            // provisioning. Ids are never reused, so this is the only way
-            // the container can be gone; fault-free runs never hit this.
-            return;
-        }
-        self.attempts.remove(&cid);
-        self.cluster.finish_provision(cid, self.now);
-        obs!(
-            self.rec,
-            ObsEvent::ProvisionEnd {
-                at: self.now,
-                cid: cid.0,
-                ok: true,
-            }
-        );
-        let func = self.cluster.container(cid).expect("just provisioned").func;
-        if let Some(rid) = self.pop_pending(func, true) {
-            self.start_exec(cid, rid, StartClass::Cold);
-        } else {
-            // Idle immediately: if speculative, the container may turn out
-            // wasted; either way it is now evictable, so deferred
-            // provisions may fit.
-            self.index_candidate(cid);
-            self.retry_deferred();
-        }
-        self.repair_cold_only(func);
-    }
-
-    /// A provision chain for `func` just ended: its container came up
-    /// and served the head of the queue via `pop_any`, which may have
-    /// been a *flexible* request (e.g. a crash refugee queued earlier)
-    /// rather than the cold-only waiter the chain was started for.
-    /// Cold-only entries can only ever be popped by a future
-    /// `ProvisionDone` — `pop_flexible` skips them — so if the chains
-    /// still outstanding (provisioning containers, retries in backoff,
-    /// deferred placements) no longer cover the cold-only backlog,
-    /// start a fresh one. Without this the waiter is stranded and only
-    /// the tick chain remains (the liveness assert in `on_tick`).
-    fn repair_cold_only(&mut self, func: FunctionId) {
-        let Some(rt) = self.cluster.fn_runtime(func) else {
-            return;
-        };
-        let cold_only = rt.pending.cold_only_len();
-        if cold_only == 0 {
-            return;
-        }
-        let chains = rt.provisioning.len()
-            + self.retrying.get(&func).map_or(0, |&n| n as usize)
-            + self.deferred.iter().filter(|&&(f, _, _)| f == func).count();
-        for _ in chains..cold_only {
-            self.request_provision(func, false, 0);
-        }
-    }
-
-    fn on_exec_done(&mut self, cid: ContainerId, rid: RequestId) {
-        if self.cluster.container(cid).is_none() {
-            // Stale event: the container's worker crashed mid-execution
-            // and the request was re-queued; a fresh ExecDone will fire
-            // when it re-executes elsewhere.
-            return;
-        }
-        self.finished_at = self.finished_at.max(self.now);
-        self.incomplete -= 1;
-        obs!(
-            self.rec,
-            ObsEvent::Finish {
-                at: self.now,
-                rid: rid.0,
-                cid: cid.0,
-            }
-        );
-        if self.fault_active {
-            if let Some(runs) = self.running.get_mut(&cid) {
-                if let Some(pos) = runs.iter().position(|&(r, _)| r == rid) {
-                    runs.swap_remove(pos);
-                }
-                if runs.is_empty() {
-                    self.running.remove(&cid);
-                }
-            }
-        }
-        let func = self.requests[rid.0 as usize].func;
-        self.cluster.note_completion(func);
-        if let Some(ends) = self.busy_until.get_mut(&cid) {
-            let end = self.now;
-            if let Some(pos) = ends.iter().position(|&t| t == end) {
-                ends.swap_remove(pos);
-            }
-            if ends.is_empty() {
-                self.busy_until.remove(&cid);
-            }
-        }
-        self.cluster.release_thread(cid, self.now);
-
-        // Work conservation: the freed thread serves the container-local
-        // queue first, then the function channel.
-        if let Some(next) = self.cluster.dequeue_local(cid) {
-            self.start_exec(cid, next, StartClass::DelayedWarm);
-            return;
-        }
-        if let Some(next) = self.pop_pending(func, false) {
-            self.start_exec(cid, next, StartClass::DelayedWarm);
-            return;
-        }
-        // The container (or one of its threads) idles; idle memory is
-        // evictable, so deferred provisions may now fit.
-        self.index_candidate(cid);
-        self.retry_deferred();
-    }
-
-    fn on_tick(&mut self) {
-        // TTL-style expirations.
-        let expired = {
-            let ctx = PolicyCtx::new(self.now, &self.cluster, &self.busy_until);
-            self.policies.keepalive.expirations(&ctx)
-        };
-        for cid in expired {
-            let still_idle = self
-                .cluster
-                .container(cid)
-                .map(|c| c.is_idle() && c.local_queue.is_empty())
-                .unwrap_or(false);
-            if still_idle {
-                self.evict_container(cid, EvictReason::Expire);
-            }
-        }
-        // Prewarming.
-        if self.policies.prewarm.is_some() {
-            let wants = {
-                let ctx = PolicyCtx::new(self.now, &self.cluster, &self.busy_until);
-                self.policies
-                    .prewarm
-                    .as_mut()
-                    .expect("prewarm is Some: guarded by the is_some check above")
-                    .on_tick(&ctx)
-            };
-            for func in wants {
-                let mem = self.cluster.profile(func).mem_mb;
-                // Prewarms are best-effort: skip rather than defer.
-                if self.cluster.pick_worker(mem).is_some() {
-                    self.request_provision(func, false, 0);
-                }
-            }
-        }
-        if self.incomplete > 0 {
-            if self.events.is_empty() {
+    core.schedule_crashes(&mut |at, ev| events.push(at, ev));
+    while let Some((now, ev)) = events.pop() {
+        core.step(now, ev, &mut |at, ev| events.push(at, ev));
+        if ev == Event::Tick && core.incomplete() > 0 {
+            if events.is_empty() {
                 // The tick chain is all that's left: nothing in flight
                 // can complete, so deferred placements are the last
                 // possible source of progress (tick evictions may have
                 // freed room with no other event to notice it).
-                self.retry_deferred();
+                core.retry_deferred(&mut |at, ev| events.push(at, ev));
             }
             assert!(
-                !self.events.is_empty(),
+                !events.is_empty(),
                 "simulation is stuck: {} unserved request(s) but no actionable events remain",
-                self.incomplete
+                core.incomplete()
             );
-            self.events.push(self.now + self.config.tick, Event::Tick);
+            events.push(now + config.tick, Event::Tick);
         }
     }
-
-    /// A provision failed (fault injection): abandon the container,
-    /// signal the policies, and schedule a retry with capped exponential
-    /// backoff.
-    fn on_provision_failed(&mut self, cid: ContainerId) {
-        let Some(c) = self.cluster.container(cid) else {
-            // The container's worker crashed before the failure fired.
-            // The crash handler already re-provisioned for the backlog.
-            return;
-        };
-        let func = c.func;
-        let speculative = c.speculative_unused;
-        let attempt = self.attempts.remove(&cid).unwrap_or(0);
-        let info = self.cluster.fail_provision(cid, self.now);
-        self.note_memory();
-        obs!(
-            self.rec,
-            ObsEvent::ProvisionEnd {
-                at: self.now,
-                cid: cid.0,
-                ok: false,
-            }
-        );
-        {
-            let ctx = PolicyCtx::new(self.now, &self.cluster, &self.busy_until);
-            // Drop any policy state keyed on the dead container (e.g.
-            // CIP's logical clock).
-            self.policies.keepalive.on_evict(&info, &ctx);
-            if speculative {
-                // A failed speculative cold start is the strongest
-                // "wasted" signal: it burned a provision and served
-                // nobody (Ti = ∞ for CSS).
-                self.policies.scaler.on_cold_outcome(func, None, &ctx);
-            }
-        }
-        let next = attempt + 1;
-        let backoff = self.faults.plan().backoff(next);
-        obs!(
-            self.rec,
-            ObsEvent::RetryScheduled {
-                at: self.now,
-                func,
-                attempt: next,
-                backoff,
-                speculative,
-            }
-        );
-        self.events.push(
-            self.now + backoff,
-            Event::RetryProvision(func, next, speculative),
-        );
-        *self.retrying.entry(func).or_default() += 1;
-        // The failure released memory a deferred provision may want.
-        self.retry_deferred();
-    }
-
-    /// A failed provision's backoff expired: retry, unless the backlog
-    /// drained during the wait (every cold-only request keeps the
-    /// function's channel non-empty until a provision serves it, so
-    /// skipping on an empty channel never strands anyone).
-    fn on_retry_provision(&mut self, func: FunctionId, attempt: u32, speculative: bool) {
-        if let Some(n) = self.retrying.get_mut(&func) {
-            *n -= 1;
-            if *n == 0 {
-                self.retrying.remove(&func);
-            }
-        }
-        let backlog = self
-            .cluster
-            .fn_runtime(func)
-            .map(|rt| !rt.pending.is_empty())
-            .unwrap_or(false);
-        if backlog {
-            self.request_provision(func, speculative, attempt);
-        }
-    }
-
-    /// A worker crashes: every container on it dies. In-flight requests
-    /// and container-local queues are re-queued on their function
-    /// channels (their records are voided — they will re-execute), and
-    /// affected functions are re-provisioned as needed so cold-only
-    /// waiters are not stranded.
-    fn on_worker_down(&mut self, worker: WorkerId) {
-        if !self.cluster.worker_is_alive(worker) {
-            return; // duplicate crash event
-        }
-        self.cluster.mark_worker_down(worker);
-        self.evict_index.drop_worker(worker);
-        obs!(
-            self.rec,
-            ObsEvent::WorkerDown {
-                at: self.now,
-                worker: worker.0,
-            }
-        );
-        let victims = self.cluster.containers_on(worker);
-        let mut voided: Vec<usize> = Vec::new();
-        let mut requeue: Vec<(FunctionId, RequestId)> = Vec::new();
-        let mut affected: Vec<FunctionId> = Vec::new();
-        for cid in victims {
-            self.attempts.remove(&cid);
-            if let Some(runs) = self.running.remove(&cid) {
-                for (rid, rec_idx) in runs {
-                    voided.push(rec_idx);
-                    let req = &mut self.requests[rid.0 as usize];
-                    req.started = None;
-                    req.class = None;
-                    requeue.push((req.func, rid));
-                }
-            }
-            self.busy_until.remove(&cid);
-            let (info, local_queued) = self.cluster.crash_evict(cid, self.now);
-            obs!(
-                self.rec,
-                ObsEvent::Evict {
-                    at: self.now,
-                    cid: cid.0,
-                    func: info.func,
-                    worker: info.worker.0,
-                    reason: EvictReason::Crash,
-                    // No policy note: a crash is the fault plan's
-                    // doing, not a keep-alive decision.
-                    note: None,
-                }
-            );
-            affected.push(info.func);
-            for rid in local_queued {
-                requeue.push((info.func, rid));
-            }
-            let ctx = PolicyCtx::new(self.now, &self.cluster, &self.busy_until);
-            self.policies.keepalive.on_evict(&info, &ctx);
-            // Deliberately no `on_cold_outcome` here: a crash says
-            // nothing about whether speculation was wasteful, unlike a
-            // provision failure or an idle eviction.
-        }
-        self.note_memory();
-        self.remove_records(voided);
-        // Re-queue in deterministic request order, never cold-only: any
-        // resource may serve a crash refugee.
-        requeue.sort_by_key(|&(_, rid)| rid);
-        for &(func, rid) in &requeue {
-            self.cluster.fn_runtime_mut(func).pending.push(rid, false);
-        }
-        affected.extend(requeue.iter().map(|&(f, _)| f));
-        affected.sort_unstable();
-        affected.dedup();
-        // Repair provisioning for affected functions: cold-only waiters
-        // can only be served by a future ProvisionDone, and refugees may
-        // have nothing left to wait for. (Retry chains in backoff are not
-        // visible in `provisioning`, so this may over-provision — a
-        // progress-over-parsimony tradeoff on the failure path.)
-        for func in affected {
-            let Some(rt) = self.cluster.fn_runtime(func) else {
-                continue;
-            };
-            let pending = rt.pending.len();
-            let cold_only = rt.pending.cold_only_len();
-            let provisioning = rt.provisioning.len();
-            let warm = rt.warm.len();
-            let mut need = cold_only.saturating_sub(provisioning);
-            if need == 0 && pending > 0 && warm == 0 && provisioning == 0 {
-                need = 1;
-            }
-            for _ in 0..need {
-                self.request_provision(func, false, 0);
-            }
-        }
-        self.retry_deferred();
-    }
-
-    /// Voids the given record indices (crash-killed executions) and
-    /// remaps the surviving in-flight records' indices.
-    fn remove_records(&mut self, mut voided: Vec<usize>) {
-        if voided.is_empty() {
-            return;
-        }
-        voided.sort_unstable();
-        let old = std::mem::take(&mut self.records);
-        let mut vi = 0;
-        for (i, r) in old.into_iter().enumerate() {
-            if vi < voided.len() && voided[vi] == i {
-                vi += 1;
-            } else {
-                self.records.push(r);
-            }
-        }
-        for runs in self.running.values_mut() {
-            for (_, idx) in runs.iter_mut() {
-                *idx -= voided.partition_point(|&v| v < *idx);
-            }
-        }
-    }
-
-    // -- mechanics ---------------------------------------------------------
-
-    /// Starts `rid` on container `cid`, recording its outcome and firing
-    /// policy hooks.
-    fn start_exec(&mut self, cid: ContainerId, rid: RequestId, class: StartClass) {
-        let (was_speculative, warm_at) = {
-            let c = self.cluster.container(cid).expect("live container");
-            (c.speculative_unused, c.warm_at)
-        };
-        self.cluster.occupy_thread(cid, self.now);
-        // A busy container is no longer an eviction candidate.
-        self.evict_index.leave(cid);
-        let req = &mut self.requests[rid.0 as usize];
-        req.started = Some(self.now);
-        req.class = Some(class);
-        let (func, arrival, exec) = (req.func, req.arrival, req.exec);
-        let wait = self.now.saturating_since(arrival);
-        let end = self.now + exec;
-        self.busy_until.entry(cid).or_default().push(end);
-        self.events.push(end, Event::ExecDone(cid, rid));
-        self.records.push(RequestRecord {
-            func,
-            arrival,
-            wait,
-            exec,
-            class,
-        });
-        obs!(
-            self.rec,
-            ObsEvent::Start {
-                at: self.now,
-                rid: rid.0,
-                cid: cid.0,
-                func,
-                class: class.into(),
-                wait,
-            }
-        );
-        if self.fault_active {
-            // Track in-flight work so a worker crash can void the record
-            // and re-queue the request.
-            self.running
-                .entry(cid)
-                .or_default()
-                .push((rid, self.records.len() - 1));
-        }
-
-        let info = self.requests[rid.0 as usize].info(rid);
-        let cinfo = self
-            .cluster
-            .container(cid)
-            .map(crate::container::ContainerInfo::from)
-            .expect("live container");
-        let ctx = PolicyCtx::new(self.now, &self.cluster, &self.busy_until);
-        if class != StartClass::Cold {
-            self.policies.keepalive.on_reuse(&cinfo, &ctx);
-        }
-        self.policies
-            .scaler
-            .on_start(&info, class, wait, exec, &ctx);
-        if was_speculative {
-            let idle = self.now.saturating_since(warm_at);
-            self.policies.scaler.on_cold_outcome(func, Some(idle), &ctx);
-        }
-    }
-
-    /// Provisions a container for `func`, evicting idle containers if
-    /// necessary, or defers when no worker can make room. `attempt` is
-    /// the retry attempt carried through fault-injected failures (0 for
-    /// first tries).
-    fn request_provision(&mut self, func: FunctionId, speculative: bool, attempt: u32) {
-        let mem = self.cluster.profile(func).mem_mb;
-        let Some(worker) = self.cluster.pick_worker(mem) else {
-            obs!(
-                self.rec,
-                ObsEvent::Defer {
-                    at: self.now,
-                    func,
-                    speculative,
-                }
-            );
-            self.deferred.push_back((func, speculative, attempt));
-            return;
-        };
-        // REPLACE (Algorithm 2): evict the lowest-priority idle containers
-        // on the chosen worker until the new container fits. Priorities
-        // are computed once per replacement (the paper's lazily resorted
-        // priority queue), not once per victim.
-        if self.cluster.workers()[worker.0 as usize].free_mb() < u64::from(mem) {
-            // Victim-selection provenance: snapshot every candidate and
-            // its priority before popping. Computed fresh only when
-            // recording (`priority` is `&self` and side-effect-free),
-            // and sorted in the eviction order all scan modes follow,
-            // so the record is identical across engines and scan modes.
-            if self.rec.enabled() {
-                let candidates = self.eviction_snapshot(worker);
-                self.rec.record(ObsEvent::EvictCandidates {
-                    at: self.now,
-                    worker: worker.0,
-                    incoming: func,
-                    candidates,
-                });
-            }
-            let mut evicted = Vec::new();
-            if self.use_evict_index {
-                // Cross-round cached candidates: pop victims straight off
-                // the worker's lazy-deletion heap, re-validating each
-                // cached priority against a fresh evaluation at pop time
-                // (exact for non-volatile policies, see `PriorityDeps`).
-                while self.cluster.workers()[worker.0 as usize].free_mb() < u64::from(mem) {
-                    let popped = {
-                        let cluster = &self.cluster;
-                        let busy = &self.busy_until;
-                        let ka = &self.policies.keepalive;
-                        let ctx = PolicyCtx::new(self.now, cluster, busy);
-                        self.evict_index.pop_min(worker, |cid| {
-                            let c = cluster.container(cid)?;
-                            if !(c.is_idle() && c.local_queue.is_empty()) {
-                                return None;
-                            }
-                            Some(ka.priority(&ContainerInfo::from(c), &ctx))
-                        })
-                    };
-                    let Some((_, victim)) = popped else {
-                        // Raced with our own accounting: pick_worker said
-                        // this fits, so there must be victims. Defensive
-                        // fallback.
-                        obs!(
-                            self.rec,
-                            ObsEvent::Defer {
-                                at: self.now,
-                                func,
-                                speculative,
-                            }
-                        );
-                        self.deferred.push_back((func, speculative, attempt));
-                        return;
-                    };
-                    evicted.push(self.evict_container(victim, EvictReason::Replace));
-                }
-                return self.finish_admission(func, worker, speculative, evicted, attempt);
-            }
-            // Per-round candidate snapshot (reference scan, or volatile
-            // priorities that cannot be cached across rounds).
-            let candidates: Vec<(f64, ContainerId)> = {
-                let ctx = PolicyCtx::new(self.now, &self.cluster, &self.busy_until);
-                let ka = &self.policies.keepalive;
-                self.cluster.workers()[worker.0 as usize]
-                    .idle
-                    .iter()
-                    .filter(|cid| {
-                        self.cluster
-                            .container(**cid)
-                            .map(|c| c.local_queue.is_empty())
-                            .unwrap_or(false)
-                    })
-                    .map(|&cid| {
-                        let cinfo = ctx.container(cid).expect("idle containers are live");
-                        (ka.priority(&cinfo, &ctx), cid)
-                    })
-                    .collect()
-            };
-            match self.cluster.scan() {
-                ScanMode::Indexed => {
-                    // O(n) heapify + O(victims log n) pops, identical
-                    // order to the reference full sort.
-                    let mut heap = RoundHeap::from_entries(candidates);
-                    while self.cluster.workers()[worker.0 as usize].free_mb() < u64::from(mem) {
-                        let Some((_, victim)) = heap.pop() else {
-                            obs!(
-                                self.rec,
-                                ObsEvent::Defer {
-                                    at: self.now,
-                                    func,
-                                    speculative,
-                                }
-                            );
-                            self.deferred.push_back((func, speculative, attempt));
-                            return;
-                        };
-                        evicted.push(self.evict_container(victim, EvictReason::Replace));
-                    }
-                }
-                ScanMode::Reference => {
-                    let sorted = crate::reference::sorted_eviction_candidates(candidates);
-                    let mut victims = sorted.into_iter();
-                    while self.cluster.workers()[worker.0 as usize].free_mb() < u64::from(mem) {
-                        let Some((_, victim)) = victims.next() else {
-                            obs!(
-                                self.rec,
-                                ObsEvent::Defer {
-                                    at: self.now,
-                                    func,
-                                    speculative,
-                                }
-                            );
-                            self.deferred.push_back((func, speculative, attempt));
-                            return;
-                        };
-                        evicted.push(self.evict_container(victim, EvictReason::Replace));
-                    }
-                }
-            }
-            return self.finish_admission(func, worker, speculative, evicted, attempt);
-        }
-        let evicted = Vec::new();
-        self.finish_admission(func, worker, speculative, evicted, attempt);
-    }
-
-    /// Charges memory, registers the container, and fires admission
-    /// hooks after room has been made on `worker`.
-    fn finish_admission(
-        &mut self,
-        func: FunctionId,
-        worker: crate::ids::WorkerId,
-        speculative: bool,
-        evicted: Vec<crate::container::ContainerInfo>,
-        attempt: u32,
-    ) {
-        if !evicted.is_empty() {
-            self.cluster.note_replace_round();
-        }
-        let cid = self
-            .cluster
-            .begin_provision(func, worker, self.now, speculative);
-        self.note_memory();
-        obs!(
-            self.rec,
-            ObsEvent::ProvisionBegin {
-                at: self.now,
-                cid: cid.0,
-                func,
-                worker: worker.0,
-                speculative,
-                attempt,
-            }
-        );
-        let cinfo = self
-            .cluster
-            .container(cid)
-            .map(crate::container::ContainerInfo::from)
-            .expect("just created");
-        let cold = {
-            let ctx = PolicyCtx::new(self.now, &self.cluster, &self.busy_until);
-            self.policies.keepalive.on_admit(&cinfo, &evicted, &ctx);
-            self.policies
-                .keepalive
-                .provision_latency(func, &ctx)
-                .unwrap_or_else(|| self.cluster.profile(func).cold_start)
-        };
-        if self.fault_active {
-            self.attempts.insert(cid, attempt);
-            if self.faults.provision_fails() {
-                // The failure surfaces only after the full provisioning
-                // latency was spent — like a real timed-out cold start.
-                self.events
-                    .push(self.now + cold, Event::ProvisionFailed(cid));
-                return;
-            }
-            let factor = self.faults.straggler_factor();
-            let cold = if factor > 1.0 {
-                cold.scale(factor)
-            } else {
-                cold
-            };
-            self.events.push(self.now + cold, Event::ProvisionDone(cid));
-            return;
-        }
-        self.events.push(self.now + cold, Event::ProvisionDone(cid));
-    }
-
-    /// Fresh, sorted snapshot of every eviction candidate on `worker`
-    /// with its keep-alive priority, for [`ObsEvent::EvictCandidates`]
-    /// provenance records. Only called when recording is enabled;
-    /// `priority` is `&self` and side-effect-free, so the snapshot
-    /// cannot perturb the run. Sorted (priority, then id) — the
-    /// eviction order every scan mode follows, so the record is
-    /// engine- and scan-mode-independent.
-    fn eviction_snapshot(&self, worker: WorkerId) -> Vec<(u64, f64)> {
-        let ctx = PolicyCtx::new(self.now, &self.cluster, &self.busy_until);
-        let ka = &self.policies.keepalive;
-        let candidates: Vec<(f64, ContainerId)> = self.cluster.workers()[worker.0 as usize]
-            .idle
-            .iter()
-            .filter(|cid| {
-                self.cluster
-                    .container(**cid)
-                    .map(|c| c.local_queue.is_empty())
-                    .unwrap_or(false)
-            })
-            .map(|&cid| {
-                let cinfo = ctx.container(cid).expect("idle containers are live");
-                (ka.priority(&cinfo, &ctx), cid)
-            })
-            .collect();
-        crate::reference::sorted_eviction_candidates(candidates)
-            .into_iter()
-            .map(|(p, cid)| (cid.0, p))
-            .collect()
-    }
-
-    /// Enters `cid` into the eviction index if it just became a
-    /// candidate (fully idle, empty local queue), caching its current
-    /// priority. No-op unless cross-round caching is enabled.
-    fn index_candidate(&mut self, cid: ContainerId) {
-        if !self.use_evict_index {
-            return;
-        }
-        let Some(c) = self.cluster.container(cid) else {
-            return;
-        };
-        if !(c.is_idle() && c.local_queue.is_empty()) {
-            return;
-        }
-        let worker = c.worker;
-        let priority = {
-            let ctx = PolicyCtx::new(self.now, &self.cluster, &self.busy_until);
-            self.policies
-                .keepalive
-                .priority(&ContainerInfo::from(c), &ctx)
-        };
-        self.evict_index.enter(worker, cid, priority);
-    }
-
-    /// Evicts one idle container, firing policy hooks.
-    fn evict_container(
-        &mut self,
-        cid: ContainerId,
-        reason: EvictReason,
-    ) -> crate::container::ContainerInfo {
-        let was_unused = self
-            .cluster
-            .container(cid)
-            .map(|c| c.speculative_unused)
-            .unwrap_or(false);
-        self.evict_index.leave(cid);
-        let info = self.cluster.evict(cid, self.now);
-        self.note_memory();
-        // Provenance note reflects the keep-alive state that drove the
-        // choice, so it is taken before `on_evict` mutates it.
-        obs!(
-            self.rec,
-            ObsEvent::Evict {
-                at: self.now,
-                cid: cid.0,
-                func: info.func,
-                worker: info.worker.0,
-                reason,
-                note: self.policies.keepalive.explain(),
-            }
-        );
-        let ctx = PolicyCtx::new(self.now, &self.cluster, &self.busy_until);
-        self.policies.keepalive.on_evict(&info, &ctx);
-        if was_unused {
-            // A speculative cold start died without serving anyone: the
-            // strongest "that cold start was wasted" signal for CSS.
-            self.policies.scaler.on_cold_outcome(info.func, None, &ctx);
-        }
-        info
-    }
-
-    /// Pops the next servable request from the function channel.
-    /// `any` allows cold-only requests (a fresh container can serve
-    /// anyone); freed busy containers skip cold-only entries.
-    fn pop_pending(&mut self, func: FunctionId, any: bool) -> Option<RequestId> {
-        let rt = self.cluster.fn_runtime_mut(func);
-        if any {
-            rt.pending.pop_any().map(|(rid, _)| rid)
-        } else {
-            rt.pending.pop_flexible()
-        }
-    }
-
-    /// Retries deferred provisions after memory was freed or became
-    /// evictable. The queue is FIFO with head blocking: placements are
-    /// issued in order until the head no longer fits, which keeps the
-    /// retry cost amortised O(1) per successful placement instead of
-    /// rescanning the whole backlog on every event.
-    fn retry_deferred(&mut self) {
-        while let Some(&(func, speculative, attempt)) = self.deferred.front() {
-            let mem = self.cluster.profile(func).mem_mb;
-            if self.cluster.pick_worker(mem).is_none() {
-                break;
-            }
-            self.deferred.pop_front();
-            self.request_provision(func, speculative, attempt);
-        }
-    }
-
-    fn note_memory(&mut self) {
-        if self.config.record_memory {
-            self.memory
-                // lint:allow(C1): whole-MB totals sit far below 2^53 — exact in f64
-                .push(self.now.as_micros(), self.cluster.used_mb() as f64);
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::container::ContainerInfo;
-    use crate::policy::{AlwaysCold, KeepAlive, Scaler};
-    use crate::request::RequestInfo;
-    use faas_trace::{FunctionProfile, Invocation, TimeDelta};
-
-    /// LRU keep-alive used as the test harness policy.
-    #[derive(Debug, Default)]
-    struct TestLru;
-
-    impl KeepAlive for TestLru {
-        fn name(&self) -> &str {
-            "test-lru"
-        }
-        fn priority(&self, c: &ContainerInfo, _ctx: &PolicyCtx<'_>) -> f64 {
-            c.last_used.as_micros() as f64
-        }
-    }
-
-    /// Scaler that always races (basic speculative scaling).
-    #[derive(Debug, Default)]
-    struct AlwaysRace;
-
-    impl Scaler for AlwaysRace {
-        fn name(&self) -> &str {
-            "race"
-        }
-        fn on_blocked(&mut self, _r: &RequestInfo, _c: &PolicyCtx<'_>) -> ScaleDecision {
-            ScaleDecision::Race
-        }
-    }
-
-    /// Scaler that always waits for a busy container.
-    #[derive(Debug, Default)]
-    struct AlwaysWait;
-
-    impl Scaler for AlwaysWait {
-        fn name(&self) -> &str {
-            "wait"
-        }
-        fn on_blocked(&mut self, _r: &RequestInfo, _c: &PolicyCtx<'_>) -> ScaleDecision {
-            ScaleDecision::WaitWarm
-        }
-    }
-
-    fn stack(scaler: Box<dyn Scaler + Send>) -> PolicyStack {
-        PolicyStack::new(Box::new(TestLru), scaler)
-    }
-
-    fn one_fn_trace(arrivals_ms: &[u64], exec_ms: u64, cold_ms: u64, mem: u32) -> Trace {
-        let f = FunctionProfile::new(FunctionId(0), "f", mem, TimeDelta::from_millis(cold_ms));
-        let invs = arrivals_ms
-            .iter()
-            .map(|&ms| Invocation {
-                func: FunctionId(0),
-                arrival: TimePoint::from_millis(ms),
-                exec: TimeDelta::from_millis(exec_ms),
-            })
-            .collect();
-        Trace::new(vec![f], invs).expect("valid")
-    }
-
-    fn cfg(mb: u64) -> SimConfig {
-        SimConfig::default().workers_mb(vec![mb])
-    }
-
-    #[test]
-    fn sequential_requests_warm_start() {
-        // Req0 at 0 (cold, waits 100ms), req1 at 500ms reuses warm idle.
-        let trace = one_fn_trace(&[0, 500], 50, 100, 128);
-        let report = run(&trace, &cfg(1024), stack(Box::new(AlwaysCold)));
-        assert_eq!(report.requests.len(), 2);
-        let r0 = &report.requests[0];
-        let r1 = &report.requests[1];
-        assert_eq!(r0.class, StartClass::Cold);
-        assert_eq!(r0.wait, TimeDelta::from_millis(100));
-        assert_eq!(r1.class, StartClass::Warm);
-        assert_eq!(r1.wait, TimeDelta::ZERO);
-        assert_eq!(report.containers_created, 1);
-    }
-
-    #[test]
-    fn concurrent_requests_vanilla_double_cold() {
-        let trace = one_fn_trace(&[0, 0], 50, 100, 128);
-        let report = run(&trace, &cfg(1024), stack(Box::new(AlwaysCold)));
-        assert_eq!(report.count(StartClass::Cold), 2);
-        assert!(report
-            .requests
-            .iter()
-            .all(|r| r.wait == TimeDelta::from_millis(100)));
-        assert_eq!(report.containers_created, 2);
-    }
-
-    #[test]
-    fn race_prefers_freed_busy_container_when_faster() {
-        // Exec 50ms << cold 500ms: the second request should win the race
-        // via the busy container freeing at t=550 (cold start at t=0 took
-        // 500ms; first exec runs 500..550; second waits 0->550? No:
-        // req1 arrives at t=0 too; req0 cold starts, runs 500..550.
-        // req1 races: provision (done at 500) vs busy. Provision handles
-        // req1 at t=500 as Cold -- both pending served FIFO by provisions.
-        // Use arrivals 0 and 510 instead: req1 arrives while c0 busy
-        // (500..560); race provision would finish at 1010; c0 frees at 560.
-        let trace = one_fn_trace(&[0, 510], 60, 500, 128);
-        let report = run(&trace, &cfg(1024), stack(Box::new(AlwaysRace)));
-        let r1 = &report.requests[1];
-        assert_eq!(r1.class, StartClass::DelayedWarm);
-        assert_eq!(r1.wait, TimeDelta::from_millis(50)); // 560 - 510
-                                                         // The raced container was still created and ends up unused.
-        assert_eq!(report.containers_created, 2);
-    }
-
-    #[test]
-    fn race_falls_back_to_cold_when_faster() {
-        // Exec 10s >> cold 100ms: the raced provision wins.
-        let trace = one_fn_trace(&[0, 10], 10_000, 100, 128);
-        let report = run(&trace, &cfg(1024), stack(Box::new(AlwaysRace)));
-        let r1 = &report.requests[1];
-        assert_eq!(r1.class, StartClass::Cold);
-        assert_eq!(r1.wait, TimeDelta::from_millis(100));
-    }
-
-    #[test]
-    fn wait_warm_escalates_without_containers() {
-        // First-ever request with a WaitWarm scaler must still provision.
-        let trace = one_fn_trace(&[0], 10, 100, 128);
-        let report = run(&trace, &cfg(1024), stack(Box::new(AlwaysWait)));
-        assert_eq!(report.requests[0].class, StartClass::Cold);
-    }
-
-    #[test]
-    fn wait_warm_queues_on_busy() {
-        let trace = one_fn_trace(&[0, 10, 20], 100, 50, 128);
-        let report = run(&trace, &cfg(1024), stack(Box::new(AlwaysWait)));
-        // r0 cold (50ms), runs 50..150. r1 waits -> 150 (140ms wait).
-        // r2 waits -> 250.
-        assert_eq!(report.requests[1].class, StartClass::DelayedWarm);
-        assert_eq!(report.requests[1].wait, TimeDelta::from_millis(140));
-        assert_eq!(report.requests[2].class, StartClass::DelayedWarm);
-        assert_eq!(report.requests[2].wait, TimeDelta::from_millis(230));
-        assert_eq!(report.containers_created, 1);
-    }
-
-    #[test]
-    fn eviction_makes_room_for_new_function() {
-        // Worker fits one 600 MB container; two functions alternate.
-        let f0 = FunctionProfile::new(FunctionId(0), "a", 600, TimeDelta::from_millis(100));
-        let f1 = FunctionProfile::new(FunctionId(1), "b", 600, TimeDelta::from_millis(100));
-        let invs = vec![
-            Invocation {
-                func: FunctionId(0),
-                arrival: TimePoint::ZERO,
-                exec: TimeDelta::from_millis(10),
-            },
-            Invocation {
-                func: FunctionId(1),
-                arrival: TimePoint::from_millis(500),
-                exec: TimeDelta::from_millis(10),
-            },
-        ];
-        let trace = Trace::new(vec![f0, f1], invs).expect("valid");
-        let report = run(&trace, &cfg(1000), stack(Box::new(AlwaysCold)));
-        assert_eq!(report.count(StartClass::Cold), 2);
-        assert_eq!(report.containers_evicted, 1);
-    }
-
-    #[test]
-    fn provision_defers_until_memory_frees() {
-        // Worker fits one container; both requests concurrent: second
-        // provision must wait for the first container to go idle & be
-        // evicted... but an idle container can serve fn0 request directly.
-        // Use two functions so reuse is impossible.
-        let f0 = FunctionProfile::new(FunctionId(0), "a", 600, TimeDelta::from_millis(100));
-        let f1 = FunctionProfile::new(FunctionId(1), "b", 600, TimeDelta::from_millis(100));
-        let invs = vec![
-            Invocation {
-                func: FunctionId(0),
-                arrival: TimePoint::ZERO,
-                exec: TimeDelta::from_millis(300),
-            },
-            Invocation {
-                func: FunctionId(1),
-                arrival: TimePoint::from_millis(10),
-                exec: TimeDelta::from_millis(10),
-            },
-        ];
-        let trace = Trace::new(vec![f0, f1], invs).expect("valid");
-        let report = run(&trace, &cfg(1000), stack(Box::new(AlwaysCold)));
-        // fn1's provision can only start once fn0's container idles at
-        // t=400 (100 cold + 300 exec) and is evicted; provision done 500.
-        let r1 = &report.requests[1];
-        assert_eq!(r1.class, StartClass::Cold);
-        assert_eq!(r1.wait, TimeDelta::from_millis(490));
-        assert_eq!(report.requests.len(), 2);
-    }
-
-    #[test]
-    fn multithread_container_serves_concurrently() {
-        let trace = one_fn_trace(&[0, 110], 1_000, 100, 128);
-        let config = cfg(1024).container_threads(2);
-        let report = run(&trace, &config, stack(Box::new(AlwaysCold)));
-        // r0 cold; container warm at 100 with 2 threads; r1 at 110 takes
-        // the free thread -> warm.
-        assert_eq!(report.requests[1].class, StartClass::Warm);
-        assert_eq!(report.requests[1].wait, TimeDelta::ZERO);
-        assert_eq!(report.containers_created, 1);
-    }
-
-    #[test]
-    fn all_requests_complete_and_classified() {
-        let trace = one_fn_trace(&[0, 1, 2, 3, 4, 100, 200, 1000], 20, 50, 128);
-        let report = run(&trace, &cfg(512), stack(Box::new(AlwaysRace)));
-        assert_eq!(report.requests.len(), 8);
-        let sum = report.count(StartClass::Warm)
-            + report.count(StartClass::Cold)
-            + report.count(StartClass::DelayedWarm);
-        assert_eq!(sum, 8);
-    }
-
-    #[test]
-    fn wasted_cold_start_counted() {
-        // Race triggers a provision, busy container wins, extra container
-        // idles unused; force its eviction via a third function's demand.
-        let f0 = FunctionProfile::new(FunctionId(0), "a", 400, TimeDelta::from_millis(500));
-        let f1 = FunctionProfile::new(FunctionId(1), "b", 400, TimeDelta::from_millis(100));
-        let invs = vec![
-            Invocation {
-                func: FunctionId(0),
-                arrival: TimePoint::ZERO,
-                exec: TimeDelta::from_millis(50),
-            },
-            Invocation {
-                func: FunctionId(0),
-                arrival: TimePoint::from_millis(510),
-                exec: TimeDelta::from_millis(50),
-            },
-            // fn1 demand evicts the unused speculative container.
-            Invocation {
-                func: FunctionId(1),
-                arrival: TimePoint::from_secs(5),
-                exec: TimeDelta::from_millis(10),
-            },
-        ];
-        let trace = Trace::new(vec![f0, f1], invs).expect("valid");
-        // 1000 MB: fn0 warm (400) + speculative fn0 (400) = 800; fn1 needs
-        // 400 -> evicts one fn0 container (LRU = the unused one, which has
-        // the older last_used timestamp... the unused one's last_used is
-        // its creation time 510 < reused one's 560). Victim = speculative.
-        let report = run(&trace, &cfg(1000), stack(Box::new(AlwaysRace)));
-        assert_eq!(report.wasted_cold_starts, 1);
-    }
-
-    #[test]
-    fn deterministic_runs() {
-        let trace = faas_trace::gen::fc(3).functions(10).minutes(1).build();
-        let a = run(&trace, &cfg(2048), stack(Box::new(AlwaysRace)));
-        let b = run(&trace, &cfg(2048), stack(Box::new(AlwaysRace)));
-        assert_eq!(a.requests, b.requests);
-        assert_eq!(a.containers_created, b.containers_created);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds the largest worker")]
-    fn oversized_function_rejected() {
-        let trace = one_fn_trace(&[0], 10, 10, 4096);
-        let _ = run(&trace, &cfg(1000), stack(Box::new(AlwaysCold)));
-    }
+    assert_eq!(
+        core.incomplete(),
+        0,
+        "simulation drained events with unserved requests"
+    );
+    core.finish()
 }

@@ -52,6 +52,7 @@ mod fault;
 mod ids;
 mod invariant;
 mod ledger;
+mod orchestrator;
 mod policy;
 pub mod reference;
 mod report;
@@ -67,6 +68,7 @@ pub use fault::{FaultPlan, FaultState};
 pub use ids::{ContainerId, RequestId, WorkerId};
 pub use invariant::InvariantChecker;
 pub use ledger::CostLedger;
+pub use orchestrator::Orchestrator;
 pub use policy::{
     AlwaysCold, KeepAlive, PolicyStack, Prewarm, PriorityDeps, ScaleDecision, Scaler, StartClass,
 };

@@ -43,7 +43,8 @@ impl RequestRecord {
 /// Result of one simulation run.
 #[derive(Debug, Clone, Default)]
 pub struct SimReport {
-    /// One record per completed request, in completion order.
+    /// One record per completed request, in the order executions
+    /// started (crash-voided executions leave no record).
     pub requests: Vec<RequestRecord>,
     /// Cluster memory usage over time (MB).
     pub memory: TimeSeries,

@@ -23,18 +23,29 @@ pub struct RequestState {
     pub func: FunctionId,
     /// Arrival time.
     pub arrival: TimePoint,
-    /// Pure execution duration from the trace.
+    /// Pure execution duration: from the trace, or zero when `measured`.
     pub exec: TimeDelta,
-    /// When the request started executing, once dispatched.
-    pub started: Option<TimePoint>,
-    /// How the request started, once dispatched.
+    /// Whether the driver measures the execution time as the execution
+    /// ends (a live host) instead of announcing it up front.
+    pub measured: bool,
+    /// How the request started, once dispatched (`None` again while a
+    /// crash has it re-queued).
     pub class: Option<StartClass>,
+    /// Whether the request's execution has finished.
+    pub finished: bool,
+    /// When the request started executing; meaningful while `class` is
+    /// `Some`.
+    pub started: TimePoint,
+    /// Index of the request's record in the report; meaningful while
+    /// `class` is `Some`.
+    pub record: usize,
 }
 
 impl RequestState {
     /// The invocation overhead (wait before execution), if started.
     pub fn wait(&self) -> Option<TimeDelta> {
-        self.started.map(|s| s.saturating_since(self.arrival))
+        self.class
+            .map(|_| self.started.saturating_since(self.arrival))
     }
 
     /// Request facts for policy callbacks.
@@ -57,11 +68,15 @@ mod tests {
             func: FunctionId(0),
             arrival: TimePoint::from_millis(10),
             exec: TimeDelta::from_millis(5),
-            started: None,
+            measured: false,
             class: None,
+            finished: false,
+            started: TimePoint::ZERO,
+            record: 0,
         };
         assert_eq!(r.wait(), None);
-        r.started = Some(TimePoint::from_millis(25));
+        r.class = Some(StartClass::Cold);
+        r.started = TimePoint::from_millis(25);
         assert_eq!(r.wait(), Some(TimeDelta::from_millis(15)));
     }
 
@@ -71,8 +86,11 @@ mod tests {
             func: FunctionId(3),
             arrival: TimePoint::from_millis(1),
             exec: TimeDelta::ZERO,
-            started: None,
+            measured: true,
             class: None,
+            finished: false,
+            started: TimePoint::ZERO,
+            record: 0,
         };
         let info = r.info(RequestId(7));
         assert_eq!(info.id, RequestId(7));
