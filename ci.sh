@@ -75,6 +75,21 @@ if grep -rnE 'policies\.(scaler|keepalive|prewarm)|PolicyCtx::new|evict_index' c
   exit 1
 fi
 
+echo "== guard: the live drivers own their timers =="
+# A timed event is an entry in the driver's own deadline heap
+# (crates/live/src/mailbox.rs, DESIGN.md §10), not a task: `send_at` is
+# gone, replay spawns nothing, and the host spawns exactly one task, its
+# `serve` loop.
+if grep -rn 'send_at' crates/live/src; then
+  echo "crates/live/src: send_at is back; schedule on the driver's TimedMailbox instead" >&2
+  exit 1
+fi
+if grep -n '\.spawn(' crates/live/src/runtime.rs \
+  || grep -n '\.spawn(' crates/live/src/host.rs | grep -v 'executor\.spawn(serve('; then
+  echo "crates/live/src: a live driver spawns a task besides the host's serve loop" >&2
+  exit 1
+fi
+
 echo "== tier 1: benchmark package (offline) =="
 # benchmark/ is a package of its own (empty [workspace]), so nothing
 # above compiles it: a workspace API change that breaks

@@ -266,12 +266,11 @@ fn main() -> ExitCode {
     let rps = live.requests.len() as f64 / stats.wall.as_secs_f64();
     println!(
         "  live: {} requests in {:.2} s wall = {:.0} req/s sustained; \
-         peak in-flight {}, peak tasks {}, {} workers",
+         peak in-flight {}, {} workers",
         live.requests.len(),
         stats.wall.as_secs_f64(),
         rps,
         stats.peak_inflight,
-        stats.peak_tasks,
         stats.workers,
     );
     println!(
@@ -363,8 +362,9 @@ fn main() -> ExitCode {
         // Executor concurrency counters, stored as plain scalars in
         // `median_ns`: the blocking-pool high-water mark tracks
         // concurrently *running* handlers (a thread-per-request
-        // regression shows up here first), and timer fires count every
-        // scheduled event the reactor actually delivered.
+        // regression shows up here first), and timer fires count the
+        // reactor's wake-ups of the replay loop — events that fall due
+        // together share one, so it sits below the event count.
         harness.record(external_stat(
             format!("{}/peak_blocking", scenario.lane),
             stats.peak_blocking_threads as f64,

@@ -1,10 +1,12 @@
 //! A minimal hermetic async executor: reactor + wakers + task arena +
-//! fixed worker pool, in ~1k lines of safe std-only Rust.
+//! fixed worker pool, in safe std-only Rust.
 //!
 //! The live stack used to spend one OS thread per in-flight request,
-//! which capped realistic load-serving experiments at a few hundred
-//! concurrent requests. This executor multiplexes tens of thousands of
-//! suspended requests onto a handful of threads:
+//! then one suspended task per timed event. Today a live driver is one
+//! future — the orchestrator loop — that keeps its own schedule
+//! (`crate::mailbox`), and what it needs from an executor is small:
+//! somewhere to be polled, one timer for its earliest deadline, threads
+//! for handler bodies, and a channel callers can reach it through:
 //!
 //! * [`task`](self) — a slab arena of spawned futures addressed by
 //!   `(slot, generation)`; wakers are `Arc<impl Wake>` handles into it,
@@ -15,7 +17,8 @@
 //!   deadlines pass.
 //! * [`blocking`](self) — a cached thread pool for genuinely blocking
 //!   work (real handler bodies), sized by *concurrently running*
-//!   handlers instead of in-flight requests.
+//!   handlers instead of in-flight requests, with one thread wake in
+//!   flight at a time.
 //! * [`channel`] — an unbounded MPSC with sync senders and an async
 //!   receiver, for orchestrator event loops.
 //!
@@ -54,9 +57,10 @@ pub use task::JoinHandle;
 
 /// Default cap on blocking-pool threads. Blocking jobs model handlers
 /// *running* on provisioned container threads, so cluster capacity —
-/// not in-flight request count — bounds real concurrency; 1024 covers
-/// every configuration the experiments use while still catching a
-/// runaway thread-per-request regression.
+/// not in-flight request count — bounds real concurrency. The cap is a
+/// backstop against a runaway thread-per-request regression, not a
+/// size the pool is expected to reach: DESIGN.md §10 records the peak
+/// it does reach under the benchmark's closed loop.
 const DEFAULT_BLOCKING_CAP: usize = 1024;
 
 /// The executor: owns the worker threads, the reactor, and the blocking
@@ -266,24 +270,6 @@ impl std::fmt::Debug for Handle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Handle").finish_non_exhaustive()
     }
-}
-
-/// Spawns a detached event task that sleeps until `deadline`, then
-/// sends `value` on `tx`. The building block of the live hosts' event
-/// scheduling: every timed event is one suspended task. Send errors are
-/// ignored — the receiver leaving means nobody wants the event.
-pub fn send_at<T: Send + 'static>(
-    handle: &Handle,
-    tx: &channel::Sender<T>,
-    deadline: Instant,
-    value: T,
-) {
-    let tx = tx.clone();
-    let sleep = handle.sleep_until(deadline);
-    drop(handle.spawn(async move {
-        sleep.await;
-        let _ = tx.send(value);
-    }));
 }
 
 /// Executor statistics, read via [`Executor::stats`].

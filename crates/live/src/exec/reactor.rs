@@ -12,6 +12,7 @@
 
 use std::future::Future;
 use std::pin::Pin;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::task::{Context, Poll, Waker};
 use std::time::Instant;
@@ -45,6 +46,10 @@ impl TimerSlot {
 pub(crate) struct ReactorShared {
     state: Mutex<ReactorState>,
     cvar: Condvar,
+    /// Total timers actually fired (cancelled registrations that popped
+    /// without waking anything are not counted). A statistic, counted
+    /// before the wake so that whoever the timer wakes already sees it.
+    fires: AtomicU64,
 }
 
 struct ReactorState {
@@ -54,9 +59,6 @@ struct ReactorState {
     live: usize,
     /// High-water mark of `live` — the "concurrent timers" statistic.
     peak: usize,
-    /// Total timers actually fired (cancelled registrations that popped
-    /// without waking anything are not counted).
-    fires: u64,
     shutdown: bool,
 }
 
@@ -82,7 +84,7 @@ impl ReactorShared {
     }
 
     pub(crate) fn timer_fires(&self) -> u64 {
-        self.state.lock().expect("reactor state lock").fires
+        self.fires.load(Ordering::Relaxed)
     }
 }
 
@@ -99,10 +101,10 @@ impl Reactor {
                 heap: DeadlineHeap::new(),
                 live: 0,
                 peak: 0,
-                fires: 0,
                 shutdown: false,
             }),
             cvar: Condvar::new(),
+            fires: AtomicU64::new(0),
         });
         let thread_shared = Arc::clone(&shared);
         let thread = std::thread::Builder::new()
@@ -157,7 +159,6 @@ fn run_reactor(shared: &ReactorShared) {
             // run-queue lock, and lock nesting here would order the two
             // locks against every registration site.
             drop(st);
-            let mut fired: u64 = 0;
             for slot in due {
                 let waker = {
                     let mut cell = slot.cell.lock().expect("timer cell lock");
@@ -165,7 +166,7 @@ fn run_reactor(shared: &ReactorShared) {
                         None
                     } else {
                         cell.fired = true;
-                        fired += 1;
+                        shared.fires.fetch_add(1, Ordering::Relaxed);
                         cell.waker.take()
                     }
                 };
@@ -174,7 +175,6 @@ fn run_reactor(shared: &ReactorShared) {
                 }
             }
             st = shared.state.lock().expect("reactor state lock");
-            st.fires += fired;
             continue;
         }
         st = match st.heap.next_deadline() {

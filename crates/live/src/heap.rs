@@ -1,4 +1,5 @@
-//! The deadline heap of the async executor's reactor ([`crate::exec`]).
+//! The deadline heap of the async executor's reactor ([`crate::exec`])
+//! and of the live drivers' own timers ([`crate::mailbox`]).
 //!
 //! A [`DeadlineHeap`] orders entries by wall-clock deadline and breaks
 //! ties by **insertion order** via a monotonically increasing sequence
@@ -79,6 +80,10 @@ impl<T> DeadlineHeap<T> {
     /// The earliest pending deadline, if any.
     pub(crate) fn next_deadline(&self) -> Option<Instant> {
         self.heap.peek().map(|e| e.deadline)
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.heap.is_empty()
     }
 
     #[cfg(test)]

@@ -10,10 +10,14 @@
 //!
 //! Handler execution is real: each *running* invocation occupies a
 //! thread of the executor's cached blocking pool for as long as the
-//! handler runs (waiting invocations are suspended tasks, not threads —
-//! see [`crate::exec`]). Provisioning latency — the part of a cold
-//! start a host cannot execute for you — is realised as a timed delay
-//! of `profile.cold_start` scaled by [`crate::LiveConfig::time_scale`].
+//! handler runs (waiting invocations are entries in the orchestrator's
+//! queues, not threads or tasks). Provisioning latency — the part of a
+//! cold start a host cannot execute for you — is realised as a timed
+//! delay of `profile.cold_start` scaled by
+//! [`crate::LiveConfig::time_scale`]. The whole host is one task: the
+//! orchestrator loop, which owns its timers
+//! (`crate::mailbox::TimedMailbox`) and wakes for whichever comes
+//! first, a caller's message or the earliest deadline.
 //!
 //! The host is a driver of [`faas_sim::Orchestrator`] (DESIGN.md §4)
 //! and forwards whatever the core schedules, so the provision failures
@@ -53,6 +57,7 @@ use faas_sim::{ContainerId, Event, Orchestrator, PolicyStack, RequestId, SimRepo
 use faas_trace::{FunctionId, FunctionProfile, TimeDelta, TimePoint};
 
 use crate::exec;
+use crate::mailbox::{Next, TimedMailbox};
 use crate::runtime::{LiveConfig, WallClock};
 
 /// A deployed function's handler: bytes in, bytes out. Runs on a
@@ -88,9 +93,6 @@ impl InvokeHandle {
 
 enum Msg {
     Invoke(FunctionId, Vec<u8>, mpsc::Sender<InvokeOutcome>),
-    /// A timed event the core scheduled: a provision ending, a retry's
-    /// backoff expiring, a tick.
-    Timed(Event),
     /// A handler returned: where it ran, for whom, its output, and how
     /// long it really took.
     Returned(ContainerId, RequestId, Vec<u8>, Duration),
@@ -175,7 +177,9 @@ impl FaasHost {
             exec: executor.handle(),
             tx: tx.clone(),
             clock: WallClock::start(config.time_scale),
+            timers: TimedMailbox::new(executor.handle()),
             flights: HashMap::new(),
+            running: 0,
         };
         drop(executor.spawn(serve(core, io, rx, config.sim.tick)));
         Self {
@@ -228,22 +232,25 @@ struct Flight {
 }
 
 /// The host's sink: everything needed to act on "deliver this event at
-/// time T". Timed events become sleeping executor tasks, as in trace
-/// replay; an `ExecDone` is not a timer here but a handler to run, and
-/// is delivered (as [`Msg::Returned`]) whenever that handler returns.
+/// time T". Timed events go into the driver's own [`TimedMailbox`], as
+/// in trace replay; an `ExecDone` is not a timer here but a handler to
+/// run, and is delivered (as [`Msg::Returned`]) whenever that handler
+/// returns.
 struct Dispatcher {
     handlers: HashMap<FunctionId, Handler>,
     exec: exec::Handle,
     tx: exec::channel::Sender<Msg>,
     clock: WallClock,
+    timers: TimedMailbox<Event>,
     flights: HashMap<RequestId, Flight>,
+    /// Handlers out on the blocking pool.
+    running: usize,
 }
 
 impl Dispatcher {
     fn deliver(&mut self, at: TimePoint, event: Event) {
         let Event::ExecDone(cid, rid) = event else {
-            let deadline = self.clock.deadline(at);
-            return exec::send_at(&self.exec, &self.tx, deadline, Msg::Timed(event));
+            return self.timers.schedule(self.clock.deadline(at), event);
         };
         // `at` is the core's far-future placeholder for an execution of
         // unknown length; the handler decides when it really ends.
@@ -251,6 +258,7 @@ impl Dispatcher {
         let payload = std::mem::take(&mut flight.payload);
         let handler = Arc::clone(&self.handlers[&flight.func]);
         let done = self.tx.clone();
+        self.running += 1;
         // The handler runs on the executor's cached blocking pool: one
         // pool thread per *running* invocation, reused across bursts,
         // instead of a fresh OS thread per request.
@@ -273,10 +281,10 @@ async fn serve<R: Recorder>(
 ) {
     let mut shutdown_reply = None;
     io.deliver(TimePoint::ZERO + tick, Event::Tick);
-    while let Some(msg) = rx.recv().await {
+    while let Some(next) = io.timers.next(&mut rx).await {
         let now = io.clock.now();
-        match msg {
-            Msg::Invoke(func, payload, reply) => {
+        match next {
+            Next::Message(Msg::Invoke(func, payload, reply)) => {
                 assert!(
                     io.handlers.contains_key(&func),
                     "invoke of undeployed function {func}"
@@ -291,13 +299,21 @@ async fn serve<R: Recorder>(
                 io.flights.insert(rid, flight);
                 core.step(now, Event::Arrival(rid), &mut |at, ev| io.deliver(at, ev));
             }
-            Msg::Timed(event) => {
+            Next::Due(event) => {
                 core.step(now, event, &mut |at, ev| io.deliver(at, ev));
                 if event == Event::Tick {
+                    if core.incomplete() > 0 && io.timers.is_empty() && io.running == 0 {
+                        // As in the simulator's loop: the tick chain is
+                        // all that is left and no handler can return,
+                        // so deferred placements are the last possible
+                        // source of progress.
+                        core.retry_deferred(&mut |at, ev| io.deliver(at, ev));
+                    }
                     io.deliver(now + tick, Event::Tick);
                 }
             }
-            Msg::Returned(cid, rid, output, real_exec) => {
+            Next::Message(Msg::Returned(cid, rid, output, real_exec)) => {
+                io.running -= 1;
                 // Record in simulated units: the measured wall time
                 // mapped back through the compression factor.
                 let record = core
@@ -313,7 +329,7 @@ async fn serve<R: Recorder>(
                     io.deliver(at, ev)
                 });
             }
-            Msg::Shutdown(reply) => shutdown_reply = Some(reply),
+            Next::Message(Msg::Shutdown(reply)) => shutdown_reply = Some(reply),
         }
         if core.incomplete() == 0 {
             if let Some(reply) = shutdown_reply.take() {

@@ -13,8 +13,9 @@
 //! *drivers* of [`faas_sim::Orchestrator`], the same sans-IO state
 //! machine the simulator steps on a virtual clock (DESIGN.md §4): this
 //! crate reads the wall clock, turns "deliver this event at simulated
-//! time T" into a sleeping task on its own executor ([`exec`]), and —
-//! in the host — runs real handlers and answers callers. Dispatch,
+//! time T" into an entry of the driver's own deadline heap, woken by
+//! one timer on its own executor ([`exec`]), and — in the host — runs
+//! real handlers and answers callers. Dispatch,
 //! queueing, REPLACE, deferral, fault handling and recording are the
 //! core's, so live runs double as a fidelity check for the simulator:
 //! identical policy code and identical mechanics race against genuine
@@ -59,6 +60,7 @@
 pub mod exec;
 mod heap;
 mod host;
+mod mailbox;
 mod runtime;
 
 pub use host::{FaasHost, Handler, InvokeHandle, InvokeOutcome};

@@ -2,8 +2,8 @@
 //!
 //! This file owns what is particular to replaying in real time —
 //! [`LiveConfig`], [`LiveStats`], the compressed [`WallClock`], and the
-//! loop that turns "deliver at simulated time T" into a sleeping
-//! executor task. The mechanics themselves are `faas-sim`'s.
+//! loop that turns "deliver at simulated time T" into an entry of its
+//! own deadline heap. The mechanics themselves are `faas-sim`'s.
 
 use std::time::{Duration, Instant};
 
@@ -12,6 +12,7 @@ use faas_sim::{Event, Orchestrator, PolicyStack, SimConfig, SimReport};
 use faas_trace::{TimeDelta, TimePoint, Trace};
 
 use crate::exec;
+use crate::mailbox::TimedMailbox;
 
 /// Configuration of a live run: the cluster shape (reusing
 /// [`SimConfig`]) plus the real-seconds-per-simulated-second scale.
@@ -22,9 +23,10 @@ pub struct LiveConfig {
     /// Real seconds per simulated second. `0.001` replays a simulated
     /// minute in 60 real milliseconds.
     pub time_scale: f64,
-    /// Poll threads for the async executor driving timed events. Every
-    /// in-flight request is a suspended task, so a handful of threads
-    /// serves tens of thousands of concurrent requests.
+    /// Poll threads of the async executor. In-flight requests are
+    /// entries in the orchestrator loop's queues, and that loop is the
+    /// executor's only task ([`run_live`] runs it on the caller's thread
+    /// instead), so at most one of these threads is busy at a time.
     pub exec_threads: usize,
 }
 
@@ -88,13 +90,17 @@ impl LiveConfig {
 pub struct LiveStats {
     /// High-water mark of arrived-but-unserved requests.
     pub peak_inflight: u64,
-    /// High-water mark of live executor tasks (each scheduled event —
-    /// arrival, completion, tick, retry — is one task).
+    /// High-water mark of live executor tasks. Scheduled events are
+    /// entries in the driver's own heap, not tasks, and the replay loop
+    /// runs under `block_on`: 0 for a replay, however long the trace.
     pub peak_tasks: usize,
-    /// High-water mark of concurrently registered reactor timers.
+    /// High-water mark of concurrently registered reactor timers: the
+    /// driver registers only its earliest deadline, so 1 for a replay.
     pub peak_timers: usize,
-    /// Total reactor timers fired over the run (every scheduled event —
-    /// arrival, completion, tick, retry — fires exactly one).
+    /// Times the reactor woke the driver over the run. Events that fall
+    /// due together, or while the driver is already awake, share a
+    /// wake-up, so this is at most — and under load well below — the
+    /// number of scheduled events.
     pub timer_fires: u64,
     /// High-water mark of blocking-pool threads.
     pub peak_blocking_threads: usize,
@@ -160,8 +166,6 @@ fn run_live_with<R: Recorder>(
         executor.block_on(replay(trace, config, stack, executor.handle(), rec));
     let wall = wall_start.elapsed();
     let stats = executor.stats();
-    // Cancels leftover event tasks (e.g. a pending tick) and re-raises
-    // the first panic any event task hit.
     executor.shutdown();
     (
         report,
@@ -180,10 +184,10 @@ fn run_live_with<R: Recorder>(
 
 /// The replay driver: the [`Orchestrator`] core on the wall clock.
 /// Every event the core schedules — and, up front, every arrival and
-/// crash of the trace — is one suspended executor task
-/// (`sleep_until(deadline); send(event)`), so the whole trace sits in
-/// the reactor's deadline heap, not in OS threads; this loop feeds them
-/// back in whatever order they fire, stamped with the clock's reading.
+/// crash of the trace — goes into this loop's own [`TimedMailbox`], so
+/// the whole trace sits in one heap behind one reactor registration,
+/// not in tasks or OS threads; the loop steps each event when its
+/// deadline passes, stamped with the clock's reading.
 async fn replay<R: Recorder>(
     trace: &Trace,
     config: &LiveConfig,
@@ -192,10 +196,10 @@ async fn replay<R: Recorder>(
     rec: R,
 ) -> (SimReport, u64, TraceLog) {
     let mut core = Orchestrator::new(trace.functions().iter().cloned(), &config.sim, stack, rec);
-    let (tx, mut rx) = exec::channel::channel();
     let mut clock = WallClock::start(config.time_scale);
+    let mut timers = TimedMailbox::new(exec);
     {
-        let mut out = |at: TimePoint, ev: Event| exec::send_at(&exec, &tx, clock.deadline(at), ev);
+        let mut out = |at: TimePoint, ev: Event| timers.schedule(clock.deadline(at), ev);
         core.admit_trace(trace, &mut out);
         if !trace.is_empty() {
             out(TimePoint::ZERO + config.sim.tick, Event::Tick);
@@ -205,24 +209,30 @@ async fn replay<R: Recorder>(
     let total = core.incomplete();
     let mut peak_inflight = 0;
     while core.incomplete() > 0 {
-        let Some(ev) = rx.recv().await else {
-            break;
-        };
+        // Never empty here: the tick chain outlives the last request.
+        let ev = timers.next_timed().await;
         let now = clock.now();
-        let mut out = |at: TimePoint, ev: Event| exec::send_at(&exec, &tx, clock.deadline(at), ev);
-        core.step(now, ev, &mut out);
+        core.step(now, ev, &mut |at, ev| {
+            timers.schedule(clock.deadline(at), ev)
+        });
         if ev == Event::Tick && core.incomplete() > 0 {
-            out(now + config.sim.tick, Event::Tick);
+            if timers.is_empty() {
+                // As in the simulator's loop: with only the tick chain
+                // left, deferred placements are the last possible
+                // source of progress.
+                core.retry_deferred(&mut |at, ev| timers.schedule(clock.deadline(at), ev));
+            }
+            assert!(
+                !timers.is_empty(),
+                "live replay is stuck: {} unserved request(s) but no actionable events remain",
+                core.incomplete()
+            );
+            timers.schedule(clock.deadline(now + config.sim.tick), Event::Tick);
         }
         // Arrived but not finished: the "concurrent in-flight" statistic.
         let finished = total - core.incomplete();
         peak_inflight = peak_inflight.max(core.arrived() - finished);
     }
-    assert_eq!(
-        core.incomplete(),
-        0,
-        "live host stopped with unserved requests"
-    );
     let (report, log) = core.finish();
     (report, peak_inflight, log)
 }
@@ -291,9 +301,10 @@ mod tests {
 
     #[test]
     fn cold_then_warm_on_live_host() {
-        // 1 simulated ms = 20 real µs: the 550 ms trace replays in ~11 ms
-        // of real time with wide margins between events.
-        let config = LiveConfig::default().time_scale(0.02);
+        // 1 simulated ms = 100 real µs: the 550 ms trace replays in
+        // ~55 ms of real time, and the second arrival comes 35 ms after
+        // the first request is done — room enough on a loaded test host.
+        let config = LiveConfig::default().time_scale(0.1);
         let report = run_live(&tiny_trace(), &config, baseline_lru_stack());
         assert_eq!(report.requests.len(), 2);
         assert_eq!(report.requests[0].class, StartClass::Cold);
@@ -358,10 +369,9 @@ mod tests {
     #[test]
     fn stats_count_concurrent_inflight_requests() {
         // 200 simultaneous arrivals: every request is in flight at once
-        // before any is served, and each scheduled event is a task. They
-        // arrive 2 simulated seconds (40 real ms) in, so that all 200
-        // sleepers exist before the first fires — at t = 0 the executor
-        // would start retiring them while `replay` is still spawning.
+        // before any is served — and all 200 wait in the driver's own
+        // heap, so the executor sees no task and the reactor one
+        // registration at a time, however many arrivals are pending.
         let f = FunctionProfile::new(FunctionId(0), "f", 128, TimeDelta::from_millis(20));
         let invs = (0..200)
             .map(|_| Invocation {
@@ -376,9 +386,11 @@ mod tests {
         assert_eq!(report.requests.len(), 200);
         assert_eq!(stats.peak_inflight, 200);
         assert!(
-            stats.peak_tasks >= 200,
-            "each pending arrival is a task: peak_tasks {}",
-            stats.peak_tasks
+            stats.peak_tasks <= 2 && stats.peak_timers <= 2,
+            "a pending arrival is a heap entry, not a task or a timer: \
+             peak_tasks {}, peak_timers {}",
+            stats.peak_tasks,
+            stats.peak_timers
         );
         assert_eq!(stats.workers, 2);
         assert!(stats.wall > Duration::ZERO);
@@ -386,7 +398,7 @@ mod tests {
 
     #[test]
     fn traced_run_records_request_lifecycle() {
-        let config = LiveConfig::default().time_scale(0.02);
+        let config = LiveConfig::default().time_scale(0.1);
         let (report, stats, log) = run_live_traced(&tiny_trace(), &config, baseline_lru_stack());
         assert_eq!(report.requests.len(), 2);
         assert!(stats.timer_fires > 0, "scheduled events fire via timers");
@@ -447,6 +459,30 @@ mod tests {
             report.requests[0].wait
         );
     }
+
+    #[test]
+    #[should_panic(expected = "live replay is stuck: 1 unserved request(s)")]
+    fn a_request_nothing_can_ever_serve_stops_the_replay() {
+        // The only worker crashes before the request arrives: its
+        // provision is deferred for good. The replay owns its schedule,
+        // so after the next tick it can see that the tick chain is all
+        // that is left and say so (as the simulator does) instead of
+        // ticking forever.
+        let f = FunctionProfile::new(FunctionId(0), "f", 128, TimeDelta::from_millis(100));
+        let invs = vec![Invocation {
+            func: FunctionId(0),
+            arrival: TimePoint::from_millis(200),
+            exec: TimeDelta::from_millis(50),
+        }];
+        let trace = Trace::new(vec![f], invs).expect("valid");
+        let sim = SimConfig::default()
+            .workers_mb(vec![1024])
+            .tick(TimeDelta::from_millis(500))
+            .faults(FaultPlan::none().crash_worker(TimePoint::from_millis(100), WorkerId(0)));
+        let config = LiveConfig::default().sim(sim).time_scale(0.02);
+        let _ = run_live(&trace, &config, baseline_lru_stack());
+    }
+
     #[test]
     fn cold_only_waiter_behind_a_crash_refugee_is_served() {
         // The starvation `repair_cold_only` exists for, on the wall
