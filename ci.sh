@@ -98,6 +98,12 @@ echo "== tier 1: benchmark package (offline) =="
 # that hold the printed metric names to that file.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
+echo "== tooling: the A/B pair script byte-compiles =="
+# tools/ab_pairs.py is the ten-pair parent-vs-change recipe of
+# .claude/skills/verify/SKILL.md. It takes the better part of an hour,
+# so nothing here runs it; this keeps it at least parseable.
+python3 -m py_compile tools/ab_pairs.py
+
 echo "== tier 1: live load-gen smoke (offline) =="
 # ~1500 requests through the executor-backed live host and the
 # simulator side by side: exits non-zero on dropped requests, a missed

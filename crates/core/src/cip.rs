@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use faas_sim::{ContainerId, ContainerInfo, KeepAlive, PolicyCtx};
+use faas_sim::{ContainerId, ContainerInfo, IdBuildHasher, KeepAlive, PolicyCtx};
 
 /// CIDRE's keep-alive policy. Each warm container's priority is
 ///
@@ -33,13 +33,13 @@ use faas_sim::{ContainerId, ContainerInfo, KeepAlive, PolicyCtx};
 /// ```
 #[derive(Debug, Default)]
 pub struct CipKeepAlive {
-    clocks: HashMap<ContainerId, f64>,
+    clocks: HashMap<ContainerId, f64, IdBuildHasher>,
     /// Final priorities of recently evicted containers, keyed by id.
     /// Admissions look up *their own* victims (the `evicted` slice the
     /// engine reports) here; evictions that happen outside an admission
     /// — crash evictions, TTL-style expirations — also land here but are
     /// never mixed into an unrelated admission's inherited clock.
-    evicted_prio: HashMap<ContainerId, f64>,
+    evicted_prio: HashMap<ContainerId, f64, IdBuildHasher>,
 }
 
 impl CipKeepAlive {

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 
 use faas_metrics::SlidingWindow;
-use faas_sim::{PolicyCtx, RequestInfo, ScaleDecision, Scaler, StartClass};
+use faas_sim::{IdBuildHasher, PolicyCtx, RequestInfo, ScaleDecision, Scaler, StartClass};
 use faas_trace::{FunctionId, TimeDelta};
 
 use crate::config::{CidreConfig, TeEstimator};
@@ -98,7 +98,7 @@ impl FnCssState {
 #[derive(Debug)]
 pub struct CssScaler {
     config: CidreConfig,
-    fns: HashMap<FunctionId, FnCssState>,
+    fns: HashMap<FunctionId, FnCssState, IdBuildHasher>,
 }
 
 impl CssScaler {
@@ -106,7 +106,7 @@ impl CssScaler {
     pub fn new(config: CidreConfig) -> Self {
         Self {
             config,
-            fns: HashMap::new(),
+            fns: HashMap::default(),
         }
     }
 

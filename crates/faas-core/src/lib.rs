@@ -16,6 +16,9 @@
 //!   candidates with per-entry versions, so a memory-pressure round is
 //!   O(victims · log n) instead of a full recompute-and-sort.
 //! * [`pool::OrdF64`] — a total order over non-NaN `f64` priorities.
+//! * [`hash::IdHasher`] — the one-multiply hasher of every map keyed by a
+//!   container, worker or function id on a per-event path, these pools'
+//!   own key maps included.
 //!
 //! The structures are generic over the id types so both substrates (the
 //! discrete-event simulator and the wall-clock live runtime) share one
@@ -25,8 +28,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod hash;
 pub mod pool;
 
+pub use hash::{IdBuildHasher, IdHasher};
 pub use pool::{
     kmerge_by_key, EvictionIndex, FreeThreadPool, OrdF64, PendingQueue, RoundHeap, WorkerFreeList,
 };

@@ -16,6 +16,8 @@ use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
 use std::hash::Hash;
 
+use crate::hash::IdBuildHasher;
+
 /// A totally ordered `f64` for use as a heap/set key.
 ///
 /// Construction panics on NaN with the same message the reference
@@ -191,14 +193,14 @@ impl<T> PendingQueue<T> {
 /// `free_threads.iter().max_by_key(|c| (threads_in_use(c), Reverse(c)))`.
 #[derive(Debug, Clone)]
 pub struct FreeThreadPool<C: Ord + Copy + Hash> {
-    keys: HashMap<C, u32>,
+    keys: HashMap<C, u32, IdBuildHasher>,
     set: BTreeSet<(u32, Reverse<C>)>,
 }
 
 impl<C: Ord + Copy + Hash> Default for FreeThreadPool<C> {
     fn default() -> Self {
         FreeThreadPool {
-            keys: HashMap::new(),
+            keys: HashMap::default(),
             set: BTreeSet::new(),
         }
     }
@@ -261,7 +263,7 @@ impl<C: Ord + Copy + Hash> FreeThreadPool<C> {
 /// failure. The reference did two linear `max_by_key` passes.
 #[derive(Debug, Clone)]
 pub struct WorkerFreeList<W: Ord + Copy + Hash> {
-    keys: HashMap<W, (u64, u64)>,
+    keys: HashMap<W, (u64, u64), IdBuildHasher>,
     by_free: BTreeSet<(u64, Reverse<W>)>,
     by_reclaimable: BTreeSet<(u64, Reverse<W>)>,
 }
@@ -269,7 +271,7 @@ pub struct WorkerFreeList<W: Ord + Copy + Hash> {
 impl<W: Ord + Copy + Hash> Default for WorkerFreeList<W> {
     fn default() -> Self {
         WorkerFreeList {
-            keys: HashMap::new(),
+            keys: HashMap::default(),
             by_free: BTreeSet::new(),
             by_reclaimable: BTreeSet::new(),
         }
@@ -339,7 +341,8 @@ impl<W: Ord + Copy + Hash> WorkerFreeList<W> {
 /// Each idle container *enters* the index with a cached priority and a
 /// fresh version number; leaving (reuse, eviction, crash) just bumps
 /// the container out of the `live` map — stale heap entries are
-/// discarded when popped. A memory-pressure round pops victims in
+/// discarded when popped, or in bulk once they outnumber the live
+/// candidates (`COMPACT_SLACK`). A memory-pressure round pops victims in
 /// ascending `(priority, container-id)` order in
 /// O(victims · log n) instead of recomputing and sorting every
 /// candidate.
@@ -358,13 +361,21 @@ where
     W: Copy + Eq + Hash,
     C: Ord + Copy + Eq + Hash,
 {
-    heaps: HashMap<W, MinHeap<C>>,
-    live: HashMap<C, (W, u64)>,
+    heaps: HashMap<W, MinHeap<C>, IdBuildHasher>,
+    live: HashMap<C, (W, u64), IdBuildHasher>,
     next_version: u64,
 }
 
 /// Min-heap of `(cached priority, container, version)` entries.
 type MinHeap<C> = BinaryHeap<Reverse<(OrdF64, C, u64)>>;
+
+/// A worker's heap is compacted once it holds more than twice the live
+/// candidates plus this many entries. Only `pop_min` removes entries, so
+/// without compaction a cluster that reuses containers but never evicts
+/// (a keep-alive with memory to spare, a long-lived host) would keep one
+/// dead entry per reuse forever; with it, a compaction always drops more
+/// entries than it keeps, so the cost stays amortised O(1) per `enter`.
+const COMPACT_SLACK: usize = 32;
 
 impl<W, C> Default for EvictionIndex<W, C>
 where
@@ -373,8 +384,8 @@ where
 {
     fn default() -> Self {
         EvictionIndex {
-            heaps: HashMap::new(),
-            live: HashMap::new(),
+            heaps: HashMap::default(),
+            live: HashMap::default(),
             next_version: 0,
         }
     }
@@ -397,10 +408,15 @@ where
         let ver = self.next_version;
         self.next_version += 1;
         self.live.insert(c, (w, ver));
-        self.heaps
-            .entry(w)
-            .or_default()
-            .push(Reverse((OrdF64::new(priority), c, ver)));
+        let heap = self.heaps.entry(w).or_default();
+        heap.push(Reverse((OrdF64::new(priority), c, ver)));
+        if heap.len() > 2 * self.live.len() + COMPACT_SLACK {
+            // Entries are distinct under their total order, so the pop
+            // order does not depend on the layout the rebuild produces —
+            // and `pop_min` skipped the dropped entries anyway.
+            let live = &self.live;
+            heap.retain(|&Reverse((_, c, ver))| live.get(&c) == Some(&(w, ver)));
+        }
     }
 
     /// Container `c` stopped being a candidate (reused, evicted,
@@ -764,6 +780,101 @@ mod tests {
         while let Some(v) = idx.pop_min(0, |c| fresh.get(&c).copied()) {
             got.push(v);
         }
+        assert_eq!(got, want);
+    }
+
+    /// `enter` without the compaction step: the index as it was before
+    /// heaps were ever compacted.
+    fn enter_uncompacted(idx: &mut EvictionIndex<u8, u64>, w: u8, c: u64, priority: f64) {
+        let ver = idx.next_version;
+        idx.next_version += 1;
+        idx.live.insert(c, (w, ver));
+        let entry = Reverse((OrdF64::new(priority), c, ver));
+        idx.heaps.entry(w).or_default().push(entry);
+    }
+
+    #[test]
+    fn eviction_index_compaction_never_changes_a_pop() {
+        // Random enter / leave / refresh / pop_min on a compacting index
+        // and on an uncompacted copy: every pop returns the same victim.
+        // Fresh priorities only grow (the exactness contract), and many
+        // more enters than pops, so compactions do happen.
+        let mut seed = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |below: u64| {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 33) % below
+        };
+        let mut compacting: EvictionIndex<u8, u64> = EvictionIndex::new();
+        let mut plain: EvictionIndex<u8, u64> = EvictionIndex::new();
+        let mut prio: HashMap<u64, f64> = HashMap::new();
+        let (mut pops, mut largest_plain) = (0, 0);
+        for _ in 0..60_000 {
+            let c = next(40);
+            let w = (c % 3) as u8;
+            match next(16) {
+                0..=7 => {
+                    let p = next(1_000) as f64;
+                    prio.insert(c, p);
+                    compacting.enter(w, c, p);
+                    enter_uncompacted(&mut plain, w, c, p);
+                }
+                8..=12 => assert_eq!(compacting.leave(c), plain.leave(c)),
+                13 | 14 => {
+                    // A hook dirtied the priority: upwards only.
+                    let p = prio.get(&c).copied().unwrap_or(0.0) + next(50) as f64;
+                    prio.insert(c, p);
+                    compacting.refresh(c, p);
+                    if let Some(&(lw, _)) = plain.live.get(&c) {
+                        enter_uncompacted(&mut plain, lw, c, p);
+                    }
+                }
+                _ => {
+                    // Drift some priorities up behind the index's back,
+                    // then pop: stale-low entries get re-keyed.
+                    for _ in 0..3 {
+                        *prio.entry(next(40)).or_insert(0.0) += next(20) as f64;
+                    }
+                    let fresh = |c: u64| prio.get(&c).copied();
+                    let got = compacting.pop_min(w, fresh);
+                    assert_eq!(got, plain.pop_min(w, fresh));
+                    pops += usize::from(got.is_some());
+                }
+            }
+            assert_eq!(compacting.len_live(), plain.len_live());
+            largest_plain = largest_plain.max(plain.heaps.values().map(|h| h.len()).sum());
+        }
+        assert!(pops > 1_000, "only {pops} pops compared");
+        let bound = 3 * (2 * 40 + COMPACT_SLACK);
+        assert!(
+            largest_plain > 2 * bound,
+            "the uncompacted copy peaked at {largest_plain} entries: nothing to compact"
+        );
+    }
+
+    #[test]
+    fn eviction_index_heap_stays_bounded_without_evictions() {
+        // Ten containers reused a million times and never evicted: the
+        // heap used to keep one dead entry per reuse.
+        let mut idx: EvictionIndex<u8, u64> = EvictionIndex::new();
+        for round in 0..1_000_000u64 {
+            let c = round % 10;
+            idx.leave(c);
+            idx.enter(0, c, round as f64);
+            assert!(
+                idx.heaps[&0].len() <= 2 * idx.len_live() + COMPACT_SLACK,
+                "round {round}: {} entries for {} live candidates",
+                idx.heaps[&0].len(),
+                idx.len_live()
+            );
+        }
+        // Still exact: the survivors pop in (priority, id) order.
+        let mut got = Vec::new();
+        while let Some((p, c)) = idx.pop_min(0, |c| Some((999_990 + c) as f64)) {
+            got.push((p, c));
+        }
+        let want: Vec<(f64, u64)> = (0..10).map(|c| ((999_990 + c) as f64, c)).collect();
         assert_eq!(got, want);
     }
 

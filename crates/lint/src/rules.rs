@@ -764,6 +764,45 @@ mod tests {
     }
 
     #[test]
+    fn o1_still_sees_a_map_with_the_id_hasher() {
+        // A fixed hasher makes iteration order repeat from run to run,
+        // so a dependence on it no longer shows up as flakiness: the
+        // third type parameter must not hide the map from the rule.
+        let src = "
+            use std::collections::HashMap;
+            use faas_core::IdBuildHasher;
+            struct S { clocks: HashMap<ContainerId, f64, IdBuildHasher> }
+            fn f(s: &S) -> Vec<f64> {
+                let mut seen: HashMap<u32, u32, IdBuildHasher> = HashMap::default();
+                for (k, v) in seen.drain() {}
+                let fresh = HashMap::<u32, u32, IdBuildHasher>::default();
+                for k in fresh.keys() {}
+                s.clocks.values().copied().collect()
+            }
+        ";
+        let v = analyze_file(
+            &ctx("policies", "crates/policies/src/x.rs", FileKind::Source),
+            src,
+        );
+        assert_eq!(
+            rules_of(&v),
+            vec![Rule::O1, Rule::O1, Rule::O1],
+            "got {v:?}"
+        );
+        // Lookups stay free.
+        let lookups = "
+            use std::collections::HashMap;
+            struct S { clocks: HashMap<ContainerId, f64, IdBuildHasher> }
+            fn f(s: &mut S, c: ContainerId) { s.clocks.insert(c, 0.0); s.clocks.remove(&c); }
+        ";
+        let v = analyze_file(
+            &ctx("policies", "crates/policies/src/x.rs", FileKind::Source),
+            lookups,
+        );
+        assert!(v.is_empty(), "{v:?}");
+    }
+
+    #[test]
     fn o1_ignores_membership_and_other_crates() {
         let src = "
             use std::collections::HashSet;

@@ -4,7 +4,7 @@
 
 use std::collections::HashMap;
 
-use faas_sim::{ContainerId, ContainerInfo, KeepAlive, PolicyCtx, PriorityDeps};
+use faas_sim::{ContainerId, ContainerInfo, IdBuildHasher, KeepAlive, PolicyCtx, PriorityDeps};
 
 /// Least-frequently-used keep-alive: priority is the function's total
 /// invocation count. Frequency without recency or cost awareness — the
@@ -51,7 +51,7 @@ impl KeepAlive for LfuKeepAlive {
 #[derive(Debug, Default)]
 pub struct GreedyDualKeepAlive {
     clock: f64,
-    base: HashMap<ContainerId, f64>,
+    base: HashMap<ContainerId, f64, IdBuildHasher>,
 }
 
 impl GreedyDualKeepAlive {

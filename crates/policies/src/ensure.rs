@@ -11,7 +11,7 @@
 
 use std::collections::HashMap;
 
-use faas_sim::{ContainerId, ContainerInfo, KeepAlive, PolicyCtx, Prewarm};
+use faas_sim::{ContainerId, ContainerInfo, IdBuildHasher, KeepAlive, PolicyCtx, Prewarm};
 use faas_trace::{FunctionId, TimeDelta};
 
 /// Idle timeout after which ENSURE deactivates a container.
@@ -68,7 +68,7 @@ impl KeepAlive for EnsureKeepAlive {
 /// ```
 #[derive(Debug, Default)]
 pub struct EnsurePrewarm {
-    last_counts: HashMap<FunctionId, u64>,
+    last_counts: HashMap<FunctionId, u64, IdBuildHasher>,
 }
 
 impl EnsurePrewarm {

@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use faas_sim::{ContainerId, ContainerInfo, KeepAlive, PolicyCtx, PriorityDeps};
+use faas_sim::{ContainerId, ContainerInfo, IdBuildHasher, KeepAlive, PolicyCtx, PriorityDeps};
 
 /// Greedy-Dual-Size-Frequency keep-alive as used by FaasCache:
 ///
@@ -34,7 +34,7 @@ use faas_sim::{ContainerId, ContainerInfo, KeepAlive, PolicyCtx, PriorityDeps};
 pub struct GdsfKeepAlive {
     concurrency_aware: bool,
     clock: f64,
-    base: HashMap<ContainerId, f64>,
+    base: HashMap<ContainerId, f64, IdBuildHasher>,
 }
 
 impl GdsfKeepAlive {
@@ -43,7 +43,7 @@ impl GdsfKeepAlive {
         Self {
             concurrency_aware: false,
             clock: 0.0,
-            base: HashMap::new(),
+            base: HashMap::default(),
         }
     }
 
@@ -53,7 +53,7 @@ impl GdsfKeepAlive {
         Self {
             concurrency_aware: true,
             clock: 0.0,
-            base: HashMap::new(),
+            base: HashMap::default(),
         }
     }
 

@@ -16,7 +16,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use faas_sim::{ContainerInfo, KeepAlive, PolicyCtx, Prewarm};
+use faas_sim::{ContainerInfo, IdBuildHasher, KeepAlive, PolicyCtx, Prewarm};
 use faas_trace::FunctionId;
 
 /// Ticks of history the rate predictor keeps.
@@ -55,8 +55,8 @@ impl KeepAlive for IceBreakerKeepAlive {
 /// ```
 #[derive(Debug, Default)]
 pub struct IceBreakerPrewarm {
-    last_counts: HashMap<FunctionId, u64>,
-    history: HashMap<FunctionId, VecDeque<u64>>,
+    last_counts: HashMap<FunctionId, u64, IdBuildHasher>,
+    history: HashMap<FunctionId, VecDeque<u64>, IdBuildHasher>,
 }
 
 impl IceBreakerPrewarm {

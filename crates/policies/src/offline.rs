@@ -3,7 +3,9 @@
 
 use std::collections::HashMap;
 
-use faas_sim::{ContainerInfo, KeepAlive, PolicyCtx, RequestInfo, ScaleDecision, Scaler};
+use faas_sim::{
+    ContainerInfo, IdBuildHasher, KeepAlive, PolicyCtx, RequestInfo, ScaleDecision, Scaler,
+};
 use faas_trace::{FunctionId, Trace};
 
 /// Belady's MIN keep-alive: evict the container whose function will be
@@ -23,13 +25,13 @@ use faas_trace::{FunctionId, Trace};
 #[derive(Debug)]
 pub struct OfflineKeepAlive {
     /// Sorted arrival times (µs) per function.
-    arrivals: HashMap<FunctionId, Vec<u64>>,
+    arrivals: HashMap<FunctionId, Vec<u64>, IdBuildHasher>,
 }
 
 impl OfflineKeepAlive {
     /// Builds the oracle from the trace the simulation will replay.
     pub fn new(trace: &Trace) -> Self {
-        let mut arrivals: HashMap<FunctionId, Vec<u64>> = HashMap::new();
+        let mut arrivals: HashMap<FunctionId, Vec<u64>, IdBuildHasher> = HashMap::default();
         for inv in trace.invocations() {
             arrivals
                 .entry(inv.func)

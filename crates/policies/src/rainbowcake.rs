@@ -17,7 +17,7 @@
 
 use std::collections::HashMap;
 
-use faas_sim::{ContainerId, ContainerInfo, KeepAlive, PolicyCtx};
+use faas_sim::{ContainerId, ContainerInfo, IdBuildHasher, KeepAlive, PolicyCtx};
 use faas_trace::{FunctionId, TimeDelta, TimePoint};
 
 /// Number of distinct language-runtime classes functions hash into.
@@ -61,9 +61,9 @@ pub struct RainbowCakeKeepAlive {
     lang_ttl: TimeDelta,
     /// Cached user layers: function -> expiry times (one per evicted
     /// container, consumed on reuse).
-    user_layers: HashMap<FunctionId, Vec<TimePoint>>,
+    user_layers: HashMap<FunctionId, Vec<TimePoint>, IdBuildHasher>,
     /// Cached language layers: runtime class -> expiry times.
-    lang_layers: HashMap<u32, Vec<TimePoint>>,
+    lang_layers: HashMap<u32, Vec<TimePoint>, IdBuildHasher>,
 }
 
 impl RainbowCakeKeepAlive {
@@ -74,8 +74,8 @@ impl RainbowCakeKeepAlive {
             container_ttl,
             user_ttl,
             lang_ttl,
-            user_layers: HashMap::new(),
-            lang_layers: HashMap::new(),
+            user_layers: HashMap::default(),
+            lang_layers: HashMap::default(),
         }
     }
 

@@ -4,7 +4,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
-use faas_core::{FreeThreadPool, PendingQueue, WorkerFreeList};
+use faas_core::{FreeThreadPool, IdBuildHasher, PendingQueue, WorkerFreeList};
 use faas_trace::{FunctionId, FunctionProfile, TimeDelta, TimePoint};
 
 use crate::config::{Placement, ScanMode};
@@ -86,8 +86,8 @@ pub struct FnRuntime {
 pub struct ClusterState {
     workers: Vec<Worker>,
     containers: BTreeMap<ContainerId, Container>,
-    fns: HashMap<FunctionId, FnRuntime>,
-    profiles: HashMap<FunctionId, FunctionProfile>,
+    fns: HashMap<FunctionId, FnRuntime, IdBuildHasher>,
+    profiles: HashMap<FunctionId, FunctionProfile, IdBuildHasher>,
     /// All deployed function ids, sorted once at construction (profiles
     /// are fixed for the lifetime of the run).
     function_ids: Vec<FunctionId>,
@@ -170,7 +170,7 @@ impl ClusterState {
                 alive: true,
             })
             .collect::<Vec<_>>();
-        let profiles: HashMap<FunctionId, FunctionProfile> =
+        let profiles: HashMap<FunctionId, FunctionProfile, IdBuildHasher> =
             profile_src.into_iter().map(|p| (p.id, p)).collect();
         // lint:allow(O1): the keys are sorted immediately below.
         let mut function_ids: Vec<FunctionId> = profiles.keys().copied().collect();
@@ -182,7 +182,7 @@ impl ClusterState {
         Self {
             workers,
             containers: BTreeMap::new(),
-            fns: HashMap::new(),
+            fns: HashMap::default(),
             profiles,
             function_ids,
             free_list,

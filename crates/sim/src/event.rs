@@ -3,9 +3,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use faas_trace::TimePoint;
-
-use faas_trace::FunctionId;
+use faas_trace::{FunctionId, TimePoint};
 
 use crate::ids::{ContainerId, RequestId, WorkerId};
 
@@ -46,47 +44,42 @@ pub enum Event {
 /// ```
 #[derive(Debug, Default)]
 pub struct EventQueue {
-    heap: BinaryHeap<Reverse<(TimePoint, u64, EventKey)>>,
+    heap: BinaryHeap<Reverse<Scheduled>>,
     seq: u64,
 }
 
-/// Internal ordered mirror of [`Event`] (keeps the heap key `Ord`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum EventKey {
-    Arrival(RequestId),
-    ProvisionDone(ContainerId),
-    ExecDone(ContainerId, RequestId),
-    Tick,
-    ProvisionFailed(ContainerId),
-    RetryProvision(FunctionId, u32, bool),
-    WorkerDown(WorkerId),
+/// A heap entry. `(at, seq)` is unique — `seq` counts pushes — so it
+/// alone orders entries and the event rides along uncompared.
+#[derive(Debug, Clone, Copy)]
+struct Scheduled {
+    at: TimePoint,
+    seq: u64,
+    event: Event,
 }
 
-impl From<Event> for EventKey {
-    fn from(e: Event) -> Self {
-        match e {
-            Event::Arrival(r) => EventKey::Arrival(r),
-            Event::ProvisionDone(c) => EventKey::ProvisionDone(c),
-            Event::ExecDone(c, r) => EventKey::ExecDone(c, r),
-            Event::Tick => EventKey::Tick,
-            Event::ProvisionFailed(c) => EventKey::ProvisionFailed(c),
-            Event::RetryProvision(f, n, s) => EventKey::RetryProvision(f, n, s),
-            Event::WorkerDown(w) => EventKey::WorkerDown(w),
-        }
+impl Scheduled {
+    fn key(&self) -> (TimePoint, u64) {
+        (self.at, self.seq)
     }
 }
 
-impl From<EventKey> for Event {
-    fn from(e: EventKey) -> Self {
-        match e {
-            EventKey::Arrival(r) => Event::Arrival(r),
-            EventKey::ProvisionDone(c) => Event::ProvisionDone(c),
-            EventKey::ExecDone(c, r) => Event::ExecDone(c, r),
-            EventKey::Tick => Event::Tick,
-            EventKey::ProvisionFailed(c) => Event::ProvisionFailed(c),
-            EventKey::RetryProvision(f, n, s) => Event::RetryProvision(f, n, s),
-            EventKey::WorkerDown(w) => Event::WorkerDown(w),
-        }
+impl PartialEq for Scheduled {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for Scheduled {}
+
+impl PartialOrd for Scheduled {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Scheduled {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.key().cmp(&other.key())
     }
 }
 
@@ -99,17 +92,18 @@ impl EventQueue {
     /// Schedules `event` at absolute time `at`.
     pub fn push(&mut self, at: TimePoint, event: Event) {
         self.seq += 1;
-        self.heap.push(Reverse((at, self.seq, event.into())));
+        let seq = self.seq;
+        self.heap.push(Reverse(Scheduled { at, seq, event }));
     }
 
     /// Removes and returns the earliest event, FIFO within a timestamp.
     pub fn pop(&mut self) -> Option<(TimePoint, Event)> {
-        self.heap.pop().map(|Reverse((t, _, e))| (t, e.into()))
+        self.heap.pop().map(|Reverse(s)| (s.at, s.event))
     }
 
     /// Timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<TimePoint> {
-        self.heap.peek().map(|Reverse((t, _, _))| *t)
+        self.heap.peek().map(|Reverse(s)| s.at)
     }
 
     /// Number of pending events.

@@ -64,6 +64,9 @@ pub use config::{Placement, ScanMode, SimConfig};
 pub use container::{Container, ContainerInfo, ContainerState};
 pub use engine::{run, run_traced};
 pub use event::{Event, EventQueue};
+/// The hasher of every id-keyed map on a per-event path, re-exported so
+/// policy crates need no dependency on `faas-core` to name it.
+pub use faas_core::{IdBuildHasher, IdHasher};
 pub use fault::{FaultPlan, FaultState};
 pub use ids::{ContainerId, RequestId, WorkerId};
 pub use invariant::InvariantChecker;

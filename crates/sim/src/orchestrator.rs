@@ -34,7 +34,7 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-use faas_core::{EvictionIndex, RoundHeap};
+use faas_core::{EvictionIndex, IdBuildHasher, RoundHeap};
 use faas_metrics::TimeSeries;
 use faas_obs::{EvictReason, ObsEvent, Recorder, TraceLog};
 use faas_trace::{FunctionId, FunctionProfile, TimeDelta, TimePoint, Trace};
@@ -76,16 +76,20 @@ enum RoundVictims {
 /// (DESIGN.md §12): with [`faas_obs::NoopRecorder`] monomorphization
 /// folds every emission site to nothing.
 ///
-/// A driver admits requests ([`Orchestrator::admit`] /
-/// [`Orchestrator::admit_trace`]), feeds events in whatever order and at
-/// whatever (non-decreasing) times its clock produces them
-/// ([`Orchestrator::step`]), re-arms [`Event::Tick`] itself, and takes
-/// the report when [`Orchestrator::incomplete`] reaches zero
-/// ([`Orchestrator::finish`]).
+/// A driver admits requests ([`Orchestrator::admit`] as they arrive, or
+/// [`Orchestrator::admit_trace`] for a whole trace up front), feeds
+/// events in whatever order and at whatever (non-decreasing) times its
+/// clock produces them ([`Orchestrator::step`]), re-arms [`Event::Tick`]
+/// itself, and takes the report when [`Orchestrator::incomplete`]
+/// reaches zero ([`Orchestrator::finish`]).
 ///
 /// # Examples
 ///
-/// A minimal virtual-time driver (what [`crate::run`] does):
+/// A minimal virtual-time driver. It queues every arrival before the
+/// first step, which is the simplest correct thing to do; [`crate::run`]
+/// gives the same result while holding only what is in flight, by
+/// merging arrivals from the trace and admitting each as it arrives
+/// (`engine.rs`):
 ///
 /// ```
 /// use faas_obs::NoopRecorder;
@@ -118,6 +122,10 @@ pub struct Orchestrator<R: Recorder> {
     /// `requests[0]`.
     retired: u64,
     busy_until: HashMap<ContainerId, Vec<TimePoint>>,
+    /// Emptied `busy_until` vectors, handed back out when a container
+    /// next turns busy: an entry exists exactly while its container is
+    /// busy, so without these every warm start would allocate one.
+    spare_ends: Vec<Vec<TimePoint>>,
     deferred: VecDeque<(FunctionId, bool, u32)>,
     policies: PolicyStack,
     record_memory: bool,
@@ -133,11 +141,11 @@ pub struct Orchestrator<R: Recorder> {
     /// is skipped so fault-free runs take the exact pre-fault code path.
     fault_active: bool,
     /// Retry attempt number per provisioning container (fault runs only).
-    attempts: HashMap<ContainerId, u32>,
+    attempts: HashMap<ContainerId, u32, IdBuildHasher>,
     /// Outstanding `RetryProvision` events per function (fault runs
     /// only): these are provision chains in backoff, invisible in
     /// `FnRuntime::provisioning`, that `repair_cold_only` must count.
-    retrying: HashMap<FunctionId, u32>,
+    retrying: HashMap<FunctionId, u32, IdBuildHasher>,
     /// In-flight requests per container (fault runs only) — a worker
     /// crash voids their records and re-queues them. `BTreeMap` so the
     /// crash-repair walk re-queues them in container order, not hash
@@ -197,6 +205,7 @@ impl<R: Recorder> Orchestrator<R> {
             requests: VecDeque::new(),
             retired: 0,
             busy_until: HashMap::new(),
+            spare_ends: Vec::new(),
             deferred: VecDeque::new(),
             policies,
             record_memory: config.record_memory,
@@ -207,8 +216,8 @@ impl<R: Recorder> Orchestrator<R> {
             finished_at: TimePoint::ZERO,
             faults: FaultState::new(config.faults.clone()),
             fault_active: !config.faults.is_none(),
-            attempts: HashMap::new(),
-            retrying: HashMap::new(),
+            attempts: HashMap::default(),
+            retrying: HashMap::default(),
             running: BTreeMap::new(),
             arrived: 0,
             evict_index: EvictionIndex::new(),
@@ -245,7 +254,10 @@ impl<R: Recorder> Orchestrator<R> {
     }
 
     /// Admits every invocation of `trace` in trace order and schedules
-    /// its arrival through `out`.
+    /// its arrival through `out`: for a driver that wants all arrivals on
+    /// its own queue (the wall-clock replay paces them from there; the
+    /// reference driver of `tests/orchestrator_drivers.rs` is defined by
+    /// it). The request window then starts at the length of the trace.
     pub fn admit_trace(&mut self, trace: &Trace, out: &mut impl FnMut(TimePoint, Event)) {
         self.requests.reserve(trace.len());
         for inv in trace.invocations() {
@@ -559,7 +571,7 @@ impl<R: Recorder> Orchestrator<R> {
                 ends.swap_remove(pos);
             }
             if ends.is_empty() {
-                self.busy_until.remove(&cid);
+                self.spare_ends.extend(self.busy_until.remove(&cid));
             }
         }
         self.cluster.release_thread(cid, self.now);
@@ -842,7 +854,10 @@ impl<R: Recorder> Orchestrator<R> {
         let (func, arrival, exec) = (req.func, req.arrival, req.exec);
         let wait = self.now.saturating_since(arrival);
         let end = busy_end(req);
-        self.busy_until.entry(cid).or_default().push(end);
+        self.busy_until
+            .entry(cid)
+            .or_insert_with(|| self.spare_ends.pop().unwrap_or_default())
+            .push(end);
         out(end, Event::ExecDone(cid, rid));
         self.records.push(RequestRecord {
             func,

@@ -11,14 +11,20 @@
 //! * The **sans-IO property**: the core's behaviour is a function of its
 //!   input sequence alone, so replaying a logged run into a fresh core
 //!   whose sink discards everything reproduces report and trace exactly.
+//! * The **reference driver** ([`reference_run`]): every request admitted
+//!   and every arrival on the `EventQueue` before the first step. The
+//!   engine streams arrivals past the queue instead; the property above
+//!   and the directed cases at the end of this file hold it to this
+//!   driver byte for byte, with arrivals placed on the very microsecond
+//!   of each kind of scheduled event.
 
 use std::collections::{BTreeMap, HashMap};
 
-use faas_obs::{NoopRecorder, RingRecorder};
+use faas_obs::{NoopRecorder, RingRecorder, TraceLog};
 use faas_sim::{
-    baseline_lru_stack, run_traced, ContainerId, Event, EventQueue, FaultPlan, KeepAlive,
-    LruKeepAlive, Orchestrator, PolicyCtx, PolicyStack, RequestId, RequestInfo, ScaleDecision,
-    Scaler, SimConfig, WorkerId,
+    baseline_lru_stack, run_traced, ContainerId, ContainerInfo, Event, EventQueue, FaultPlan,
+    KeepAlive, LruKeepAlive, Orchestrator, PolicyCtx, PolicyStack, RequestId, RequestInfo,
+    ScaleDecision, Scaler, SimConfig, SimReport, WorkerId,
 };
 use faas_testkit::{Checker, Gen, Rng};
 use faas_trace::{FunctionId, FunctionProfile, Invocation, TimeDelta, TimePoint, Trace};
@@ -295,6 +301,48 @@ enum Input {
     RetryDeferred,
 }
 
+/// A fresh recording core for `trace` on `config`'s cluster.
+fn fresh_core(
+    trace: &Trace,
+    config: &SimConfig,
+    policies: PolicyStack,
+) -> Orchestrator<RingRecorder> {
+    let functions = trace.functions().iter().cloned();
+    Orchestrator::new(functions, config, policies, RingRecorder::unbounded())
+}
+
+/// The **reference driver** the streamed `run_traced` must equal byte
+/// for byte: the sequential driver as it was before arrivals streamed —
+/// `admit_trace` up front, every arrival on the `EventQueue` ahead of
+/// anything the core schedules — logging every input it feeds.
+fn reference_run(
+    label: &str,
+    trace: &Trace,
+    config: &SimConfig,
+    policies: PolicyStack,
+) -> (SimReport, TraceLog, Vec<Input>) {
+    let mut log = Vec::new();
+    let mut core = fresh_core(trace, config, policies);
+    let mut events = EventQueue::new();
+    core.admit_trace(trace, &mut |at, ev| events.push(at, ev));
+    events.push(TimePoint::ZERO + config.tick, Event::Tick);
+    core.schedule_crashes(&mut |at, ev| events.push(at, ev));
+    while let Some((now, ev)) = events.pop() {
+        log.push(Input::Step(now, ev));
+        core.step(now, ev, &mut |at, ev| events.push(at, ev));
+        if ev == Event::Tick && core.incomplete() > 0 {
+            if events.is_empty() {
+                log.push(Input::RetryDeferred);
+                core.retry_deferred(&mut |at, ev| events.push(at, ev));
+            }
+            assert!(!events.is_empty(), "{label}: stuck");
+            events.push(now + config.tick, Event::Tick);
+        }
+    }
+    let (report, obs) = core.finish();
+    (report, obs, log)
+}
+
 #[test]
 fn replaying_the_input_log_reproduces_report_and_trace() {
     checker("replaying_the_input_log_reproduces_report_and_trace").run(|g| {
@@ -308,31 +356,9 @@ fn replaying_the_input_log_reproduces_report_and_trace() {
                     .expect("listed")
                     .1
             };
-            let fresh = |policies| {
-                let functions = trace.functions().iter().cloned();
-                Orchestrator::new(functions, &config, policies, RingRecorder::unbounded())
-            };
 
             // The sequential driver, logging every input it feeds.
-            let mut log = Vec::new();
-            let mut core = fresh(stack(label));
-            let mut events = EventQueue::new();
-            core.admit_trace(&trace, &mut |at, ev| events.push(at, ev));
-            events.push(TimePoint::ZERO + config.tick, Event::Tick);
-            core.schedule_crashes(&mut |at, ev| events.push(at, ev));
-            while let Some((now, ev)) = events.pop() {
-                log.push(Input::Step(now, ev));
-                core.step(now, ev, &mut |at, ev| events.push(at, ev));
-                if ev == Event::Tick && core.incomplete() > 0 {
-                    if events.is_empty() {
-                        log.push(Input::RetryDeferred);
-                        core.retry_deferred(&mut |at, ev| events.push(at, ev));
-                    }
-                    assert!(!events.is_empty(), "{label}: stuck");
-                    events.push(now + config.tick, Event::Tick);
-                }
-            }
-            let (report, obs) = core.finish();
+            let (report, obs, log) = reference_run(label, &trace, &config, stack(label));
 
             // It is the engine: `run_traced` agrees to the byte.
             let (engine_report, engine_obs) = run_traced(&trace, &config, stack(label));
@@ -344,7 +370,7 @@ fn replaying_the_input_log_reproduces_report_and_trace() {
             assert_eq!(obs, engine_obs, "{label}: trace log vs engine");
 
             // Replay: same inputs, every output discarded.
-            let mut replay = fresh(stack(label));
+            let mut replay = fresh_core(&trace, &config, stack(label));
             replay.admit_trace(&trace, &mut |_, _| {});
             for input in log {
                 match input {
@@ -357,4 +383,241 @@ fn replaying_the_input_log_reproduces_report_and_trace() {
             assert_eq!(replayed_obs, obs, "{label}: trace log vs replay");
         }
     });
+}
+
+// -- the streamed engine against the reference driver, directed cases ------
+
+/// LRU that also expires, at the tick, every container idle for two
+/// seconds or more: with it the order of a tick and an arrival at the
+/// same microsecond decides between a warm start and a cold one.
+#[derive(Debug)]
+struct ExpiringLru;
+
+impl KeepAlive for ExpiringLru {
+    fn name(&self) -> &str {
+        "expiring-lru"
+    }
+    fn priority(&self, c: &ContainerInfo, ctx: &PolicyCtx<'_>) -> f64 {
+        LruKeepAlive.priority(c, ctx)
+    }
+    fn expirations(&mut self, ctx: &PolicyCtx<'_>) -> Vec<ContainerId> {
+        ctx.all_containers()
+            .into_iter()
+            .filter(|c| ctx.now.saturating_since(c.last_used) >= TimeDelta::from_secs(2))
+            .map(|c| c.id)
+            .collect()
+    }
+}
+
+/// Builds a fresh policy stack (a `PolicyStack` cannot be cloned).
+type MakeStack = fn() -> PolicyStack;
+/// Per function: memory in MB and cold-start latency in ms.
+type Functions = Vec<(u32, u64)>;
+/// Per invocation: function index, arrival in µs, execution in ms.
+type Invocations = Vec<(u32, u64, u64)>;
+/// Whether an event is of the kind a case is about.
+type IsKind = fn(&Event) -> bool;
+
+/// The three scalers of [`stacks`] over [`ExpiringLru`].
+fn expiring_stacks() -> Vec<(&'static str, MakeStack)> {
+    vec![
+        ("expiring+cold", || {
+            PolicyStack::new(Box::new(ExpiringLru), Box::new(faas_sim::AlwaysCold))
+        }),
+        ("expiring+race", || {
+            PolicyStack::new(Box::new(ExpiringLru), Box::new(AlwaysRace))
+        }),
+        ("expiring+queue", || {
+            PolicyStack::new(Box::new(ExpiringLru), Box::new(QueueOnBusy))
+        }),
+    ]
+}
+
+fn trace_of(functions: &[(u32, u64)], invocations: &[(u32, u64, u64)]) -> Trace {
+    let profiles = functions
+        .iter()
+        .enumerate()
+        .map(|(i, &(mem, cold_ms))| {
+            let cold = TimeDelta::from_millis(cold_ms);
+            FunctionProfile::new(FunctionId(i as u32), format!("f{i}"), mem, cold)
+        })
+        .collect();
+    let invocations = invocations
+        .iter()
+        .map(|&(func, arrival_us, exec_ms)| Invocation {
+            func: FunctionId(func),
+            arrival: TimePoint::from_micros(arrival_us),
+            exec: TimeDelta::from_millis(exec_ms),
+        })
+        .collect();
+    Trace::new(profiles, invocations).expect("constructed consistently")
+}
+
+/// Runs `trace` through the reference driver and through `run_traced`
+/// and compares the full `Debug` of report and trace log. Returns the
+/// reference driver's input log.
+fn assert_streamed_equals_reference(
+    label: &str,
+    trace: &Trace,
+    config: &SimConfig,
+    stack: MakeStack,
+) -> Vec<Input> {
+    let (report, obs, log) = reference_run(label, trace, config, stack());
+    let (engine_report, engine_obs) = run_traced(trace, config, stack());
+    assert_eq!(
+        format!("{engine_report:?}"),
+        format!("{report:?}"),
+        "{label}: report"
+    );
+    assert_eq!(
+        format!("{engine_obs:?}"),
+        format!("{obs:?}"),
+        "{label}: trace log"
+    );
+    log
+}
+
+/// Two functions on two tight workers under provision failures and one
+/// crash: a run in which every kind of scheduled event occurs.
+fn eventful() -> (Functions, Invocations, SimConfig) {
+    let functions = vec![(300, 100), (500, 250)];
+    let invocations = vec![
+        (0, 0, 400),
+        (1, 0, 900),
+        (0, 150_000, 300),
+        (1, 700_000, 50),
+        (0, 3_200_000, 700),
+        (1, 9_999_000, 1_200),
+        (0, 11_000_000, 2_500),
+        (1, 11_400_000, 800),
+        (0, 12_100_000, 40),
+        (1, 19_000_000, 2_000),
+        (0, 23_500_000, 10),
+    ];
+    let plan = FaultPlan::none()
+        .seed(7)
+        .provision_failures(0.35)
+        .retry_backoff(TimeDelta::from_millis(20), TimeDelta::from_millis(500))
+        .crash_worker(TimePoint::from_micros(12_345_678), WorkerId(0));
+    let config = SimConfig::default()
+        .workers_mb(vec![1_200, 1_200])
+        .faults(plan);
+    (functions, invocations, config)
+}
+
+#[test]
+fn an_arrival_on_the_microsecond_of_each_scheduled_event_kind() {
+    let kinds: [(&str, IsKind); 5] = [
+        ("Tick", |e| matches!(e, Event::Tick)),
+        ("ExecDone", |e| matches!(e, Event::ExecDone(..))),
+        ("ProvisionDone", |e| matches!(e, Event::ProvisionDone(_))),
+        ("WorkerDown", |e| matches!(e, Event::WorkerDown(_))),
+        ("RetryProvision", |e| matches!(e, Event::RetryProvision(..))),
+    ];
+    let (functions, base, config) = eventful();
+    for (stack_label, stack) in expiring_stacks() {
+        let base_log = reference_run(stack_label, &trace_of(&functions, &base), &config, stack()).2;
+        for (kind, is_kind) in kinds {
+            let label = format!("{stack_label}, arrival on a {kind}");
+            // Where the base run has such an event, every function now
+            // also has an arrival. Nothing before that instant changes,
+            // so the event still fires there.
+            let at = base_log
+                .iter()
+                .find_map(|input| match input {
+                    Input::Step(at, ev) if is_kind(ev) => Some(*at),
+                    _ => None,
+                })
+                .unwrap_or_else(|| panic!("{label}: the base run has no {kind}"));
+            let mut invocations = base.clone();
+            invocations.extend((0..functions.len() as u32).map(|f| (f, at.as_micros(), 120)));
+            let trace = trace_of(&functions, &invocations);
+            let log = assert_streamed_equals_reference(&label, &trace, &config, stack);
+            let at_that_instant = |wanted: IsKind| {
+                log.iter()
+                    .any(|input| matches!(input, Input::Step(t, ev) if *t == at && wanted(ev)))
+            };
+            assert!(
+                at_that_instant(is_kind) && at_that_instant(|e| matches!(e, Event::Arrival(_))),
+                "{label}: the coincidence at {at:?} did not happen"
+            );
+        }
+    }
+}
+
+#[test]
+fn functions_arriving_at_the_same_instant_keep_trace_order() {
+    // Three functions, four instants on which two or all of them arrive,
+    // listed out of function order: the trace sorts by (arrival, func).
+    let functions = [(200, 80), (200, 120), (200, 60)];
+    let invocations = [
+        (2, 0, 300),
+        (0, 0, 300),
+        (1, 0, 300),
+        (1, 250_000, 40),
+        (0, 250_000, 40),
+        (2, 1_000_000, 700),
+        (2, 1_000_000, 700),
+        (0, 1_000_000, 10),
+        (1, 4_000_000, 5),
+        (2, 4_000_000, 5),
+    ];
+    let config = SimConfig::default().workers_mb(vec![500, 500]);
+    for (label, stack) in expiring_stacks() {
+        let trace = trace_of(&functions, &invocations);
+        assert_streamed_equals_reference(label, &trace, &config, stack);
+    }
+}
+
+#[test]
+fn a_quiet_gap_of_several_ticks_between_two_bursts() {
+    // Everything of the first burst has finished by 3 s and the second
+    // starts at 47 s: for four ticks the tick is the only scheduled
+    // event while arrivals remain. The engine must neither call that
+    // "stuck" nor take it for the idle tick and retry deferred
+    // placements early; the ticks in between expire the warm containers.
+    let functions = [(600, 100), (600, 150)];
+    let mut invocations = vec![];
+    for burst_us in [0u64, 47_000_000] {
+        for i in 0..6 {
+            invocations.push((i % 2, burst_us + u64::from(i) * 90_000, 500));
+        }
+    }
+    let config = SimConfig::default().workers_mb(vec![1_000]);
+    for (label, stack) in expiring_stacks() {
+        let trace = trace_of(&functions, &invocations);
+        let log = assert_streamed_equals_reference(label, &trace, &config, stack);
+        let lone_ticks = log
+            .windows(2)
+            .filter(|pair| {
+                matches!(
+                    pair,
+                    [Input::Step(_, Event::Tick), Input::Step(_, Event::Tick)]
+                )
+            })
+            .count();
+        assert!(lone_ticks >= 3, "{label}: {lone_ticks} back-to-back ticks");
+    }
+}
+
+#[test]
+fn an_empty_trace_and_a_straggling_last_arrival() {
+    let functions = [(300, 100)];
+    for (label, stack) in expiring_stacks() {
+        let config = SimConfig::default().workers_mb(vec![1_000]);
+        let empty = trace_of(&functions, &[]);
+        assert_streamed_equals_reference(label, &empty, &config, stack);
+        // The same with a crash scheduled: events, but no request.
+        let crash = FaultPlan::none().crash_worker(TimePoint::from_millis(5), WorkerId(0));
+        let crashing = config.clone().faults(crash);
+        assert_streamed_equals_reference(label, &empty, &crashing, stack);
+
+        // The last request arrives long after every earlier one finished
+        // (between two ticks, the tick chain alone leading up to it).
+        let straggler = trace_of(
+            &functions,
+            &[(0, 0, 200), (0, 50_000, 200), (0, 34_567_891, 9)],
+        );
+        assert_streamed_equals_reference(label, &straggler, &config, stack);
+    }
 }
