@@ -90,6 +90,21 @@ if grep -n '\.spawn(' crates/live/src/runtime.rs \
   exit 1
 fi
 
+echo "== guard: containers found by hash, workers placed by scan =="
+# DESIGN.md §7: the per-event path looks containers up and never walks
+# them, so the table is a hash map and only the three views whose order
+# is observable sort; MaxFree placement is two passes over the workers,
+# not an ordered index re-sorted on every idle transition. Neither
+# structure comes back beside what replaced it.
+if grep -rnE 'WorkerFreeList|free_list' crates; then
+  echo "crates/: the worker free-list is back; ClusterState::pick_worker scans the workers" >&2
+  exit 1
+fi
+if grep -nE 'BTreeMap<ContainerId, *Container>' crates/sim/src/cluster.rs; then
+  echo "crates/sim/src/cluster.rs: the container table is ordered again; sort in the view that needs order" >&2
+  exit 1
+fi
+
 echo "== tier 1: benchmark package (offline) =="
 # benchmark/ is a package of its own (empty [workspace]), so nothing
 # above compiles it: a workspace API change that breaks

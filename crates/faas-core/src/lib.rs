@@ -10,8 +10,6 @@
 //! * [`pool::FreeThreadPool`] — per-function set of containers with free
 //!   threads, ordered so the "most-loaded non-saturated container, oldest
 //!   id wins ties" pick is O(log n).
-//! * [`pool::WorkerFreeList`] — workers ordered by free (and reclaimable)
-//!   memory for O(log n) `MaxFree` placement.
 //! * [`pool::EvictionIndex`] — a lazy-deletion binary min-heap of eviction
 //!   candidates with per-entry versions, so a memory-pressure round is
 //!   O(victims · log n) instead of a full recompute-and-sort.
@@ -32,6 +30,4 @@ pub mod hash;
 pub mod pool;
 
 pub use hash::{IdBuildHasher, IdHasher};
-pub use pool::{
-    kmerge_by_key, EvictionIndex, FreeThreadPool, OrdF64, PendingQueue, RoundHeap, WorkerFreeList,
-};
+pub use pool::{kmerge_by_key, EvictionIndex, FreeThreadPool, OrdF64, PendingQueue, RoundHeap};

@@ -8,9 +8,13 @@
 //! |--------------------|---------------------------------------------|-----|-----|
 //! | [`PendingQueue`]   | `iter().position(\|p\| !p.cold_only)`       | O(n) | O(1) |
 //! | [`FreeThreadPool`] | `max_by_key` over `free_threads`            | O(n) | O(log n) |
-//! | [`WorkerFreeList`] | `max_by_key` over all workers (`MaxFree`)   | O(n) | O(log n) |
 //! | [`EvictionIndex`]  | recompute + full sort per pressure round    | O(n log n) | O(victims · log n) |
 //! | [`RoundHeap`]      | full sort when priorities are not cacheable | O(n log n) | O(n + victims · log n) |
+//!
+//! `MaxFree` worker placement is deliberately not in this table: a
+//! worker's free and reclaimable memory change twice per request and are
+//! asked for once per provision, over the handful of workers a cluster
+//! has, so `ClusterState::pick_worker` scans them (DESIGN.md §7).
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
@@ -255,87 +259,6 @@ impl<C: Ord + Copy + Hash> FreeThreadPool<C> {
     }
 }
 
-/// Workers ordered by free memory (and by reclaimable-if-evicting
-/// memory), so the `MaxFree` placement pick — "most free memory,
-/// lowest worker id on ties" — is the last element of an ordered set.
-///
-/// Only alive workers should be members; callers remove a worker on
-/// failure. The reference did two linear `max_by_key` passes.
-#[derive(Debug, Clone)]
-pub struct WorkerFreeList<W: Ord + Copy + Hash> {
-    keys: HashMap<W, (u64, u64), IdBuildHasher>,
-    by_free: BTreeSet<(u64, Reverse<W>)>,
-    by_reclaimable: BTreeSet<(u64, Reverse<W>)>,
-}
-
-impl<W: Ord + Copy + Hash> Default for WorkerFreeList<W> {
-    fn default() -> Self {
-        WorkerFreeList {
-            keys: HashMap::default(),
-            by_free: BTreeSet::new(),
-            by_reclaimable: BTreeSet::new(),
-        }
-    }
-}
-
-impl<W: Ord + Copy + Hash> WorkerFreeList<W> {
-    /// An empty free-list.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Insert `w` or update its keys. `reclaimable_mb` is free memory
-    /// plus memory held by idle (evictable) containers.
-    pub fn set(&mut self, w: W, free_mb: u64, reclaimable_mb: u64) {
-        if let Some((of, or)) = self.keys.insert(w, (free_mb, reclaimable_mb)) {
-            self.by_free.remove(&(of, Reverse(w)));
-            self.by_reclaimable.remove(&(or, Reverse(w)));
-        }
-        self.by_free.insert((free_mb, Reverse(w)));
-        self.by_reclaimable.insert((reclaimable_mb, Reverse(w)));
-    }
-
-    /// Remove `w` (worker died). Returns true if it was present.
-    pub fn remove(&mut self, w: W) -> bool {
-        match self.keys.remove(&w) {
-            Some((of, or)) => {
-                self.by_free.remove(&(of, Reverse(w)));
-                self.by_reclaimable.remove(&(or, Reverse(w)));
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// The worker with the most free memory (lowest id on ties) and
-    /// that amount. O(log n).
-    pub fn best_by_free(&self) -> Option<(u64, W)> {
-        self.by_free.last().map(|&(f, Reverse(w))| (f, w))
-    }
-
-    /// The worker with the most reclaimable memory (lowest id on
-    /// ties) and that amount. O(log n).
-    pub fn best_by_reclaimable(&self) -> Option<(u64, W)> {
-        self.by_reclaimable.last().map(|&(r, Reverse(w))| (r, w))
-    }
-
-    /// The stored `(free_mb, reclaimable_mb)` keys for `w`, if tracked
-    /// (for invariant checks).
-    pub fn key_of(&self, w: W) -> Option<(u64, u64)> {
-        self.keys.get(&w).copied()
-    }
-
-    /// Number of tracked workers.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// True when no workers are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-}
-
 /// Lazy-deletion min-heap of eviction candidates, grouped per worker.
 ///
 /// Each idle container *enters* the index with a cached priority and a
@@ -487,7 +410,7 @@ where
     }
 }
 
-/// One-shot min-heap for policies whose priorities are not cacheable
+/// Per-round min-heap for policies whose priorities are not cacheable
 /// (they depend on clock state or other containers and can move in
 /// either direction mid-idle).
 ///
@@ -496,19 +419,34 @@ where
 /// reference's unconditional O(n log n) full sort. Pop order —
 /// ascending `(priority, id)` — is identical to the reference sort
 /// because ids are unique (no stability concerns).
+///
+/// One heap serves every round: [`RoundHeap::refill`] keeps the buffer,
+/// so a round allocates only when it is the largest so far.
 #[derive(Debug, Clone)]
 pub struct RoundHeap<C: Ord + Copy> {
     heap: BinaryHeap<Reverse<(OrdF64, C)>>,
 }
 
+impl<C: Ord + Copy> Default for RoundHeap<C> {
+    fn default() -> Self {
+        RoundHeap {
+            heap: BinaryHeap::new(),
+        }
+    }
+}
+
 impl<C: Ord + Copy> RoundHeap<C> {
-    /// Heapify a frozen snapshot of `(priority, id)` candidates.
-    pub fn from_entries(entries: Vec<(f64, C)>) -> Self {
-        let heap: BinaryHeap<_> = entries
-            .into_iter()
-            .map(|(p, c)| Reverse((OrdF64::new(p), c)))
-            .collect();
-        RoundHeap { heap }
+    /// Drops whatever the last round left and heapifies a frozen
+    /// snapshot of `(priority, id)` candidates in its place.
+    pub fn refill(&mut self, entries: impl IntoIterator<Item = (f64, C)>) {
+        let mut buf = std::mem::take(&mut self.heap).into_vec();
+        buf.clear();
+        buf.extend(
+            entries
+                .into_iter()
+                .map(|(p, c)| Reverse((OrdF64::new(p), c))),
+        );
+        self.heap = BinaryHeap::from(buf);
     }
 
     /// Pop the minimum-(priority, id) candidate.
@@ -677,42 +615,6 @@ mod tests {
                 .map(|(&cid, _)| cid);
             assert_eq!(p.pick(), want);
             assert_eq!(p.len(), model.len());
-        }
-    }
-
-    #[test]
-    fn worker_free_list_matches_two_pass_scan() {
-        let mut l: WorkerFreeList<usize> = WorkerFreeList::new();
-        let mut model: HashMap<usize, (u64, u64)> = HashMap::new();
-        let mut seed = 7u64;
-        let mut next = || {
-            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-            (seed >> 33) as u64
-        };
-        for _ in 0..2000 {
-            let w = (next() % 8) as usize;
-            match next() % 4 {
-                0 | 1 => {
-                    let free = next() % 1000;
-                    let rec = free + next() % 1000;
-                    l.set(w, free, rec);
-                    model.insert(w, (free, rec));
-                }
-                2 => {
-                    assert_eq!(l.remove(w), model.remove(&w).is_some());
-                }
-                _ => {}
-            }
-            let want_free = model
-                .iter()
-                .max_by_key(|(&wid, &(f, _))| (f, Reverse(wid)))
-                .map(|(&wid, &(f, _))| (f, wid));
-            let want_rec = model
-                .iter()
-                .max_by_key(|(&wid, &(_, r))| (r, Reverse(wid)))
-                .map(|(&wid, &(_, r))| (r, wid));
-            assert_eq!(l.best_by_free(), want_free);
-            assert_eq!(l.best_by_reclaimable(), want_rec);
         }
     }
 
@@ -933,7 +835,11 @@ mod tests {
         let entries: Vec<(f64, u64)> = vec![(3.0, 2), (3.0, 1), (-1.0, 5), (0.0, 0), (2.0, 4)];
         let mut want = entries.clone();
         want.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let mut heap = RoundHeap::from_entries(entries);
+        let mut heap = RoundHeap::default();
+        // A refill replaces what the round before left behind.
+        heap.refill([(9.0, 9), (8.0, 8)]);
+        assert_eq!(heap.pop(), Some((8.0, 8)));
+        heap.refill(entries);
         let mut got = Vec::new();
         while let Some(v) = heap.pop() {
             got.push(v);

@@ -2,9 +2,10 @@
 //! bookkeeping. All state transitions preserving invariants live here;
 //! the engine sequences them.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, HashMap, VecDeque};
 
-use faas_core::{FreeThreadPool, IdBuildHasher, PendingQueue, WorkerFreeList};
+use faas_core::{FreeThreadPool, IdBuildHasher, PendingQueue};
 use faas_trace::{FunctionId, FunctionProfile, TimeDelta, TimePoint};
 
 use crate::config::{Placement, ScanMode};
@@ -24,7 +25,7 @@ pub struct Worker {
     /// Fully idle (evictable) containers on this worker.
     pub idle: BTreeSet<ContainerId>,
     /// Aggregate memory of the containers in `idle`, in MB (kept
-    /// incrementally so placement checks are O(1)).
+    /// incrementally: placement reads it per worker on every pick).
     pub idle_mb: u64,
     /// Whether the worker is up. Crashed workers (fault injection) stay
     /// down for the rest of the run and host no new containers.
@@ -84,16 +85,21 @@ pub struct FnRuntime {
 /// invariants and panic on misuse (they are internal to the engine).
 #[derive(Debug, Clone)]
 pub struct ClusterState {
+    /// The workers, indexed by id. `MaxFree` placement scans them: their
+    /// free and reclaimable memory change twice per request and are
+    /// asked for once per provision (DESIGN.md §7).
     workers: Vec<Worker>,
-    containers: BTreeMap<ContainerId, Container>,
+    /// Every live (warm or provisioning) container, found by hash: the
+    /// per-event path looks ids up and never walks the table. Ids are
+    /// still handed out sequentially; the three views whose order is
+    /// observable — [`ClusterState::all_iter`], `all_containers`,
+    /// `containers_on` — sort on demand (DESIGN.md §7).
+    containers: HashMap<ContainerId, Container, IdBuildHasher>,
     fns: HashMap<FunctionId, FnRuntime, IdBuildHasher>,
     profiles: HashMap<FunctionId, FunctionProfile, IdBuildHasher>,
     /// All deployed function ids, sorted once at construction (profiles
     /// are fixed for the lifetime of the run).
     function_ids: Vec<FunctionId>,
-    /// Alive workers ordered by free / reclaimable memory for O(log n)
-    /// `MaxFree` placement; resynced after every memory mutation.
-    free_list: WorkerFreeList<WorkerId>,
     next_container: u64,
     thread_capacity: u32,
     placement: Placement,
@@ -175,17 +181,12 @@ impl ClusterState {
         // lint:allow(O1): the keys are sorted immediately below.
         let mut function_ids: Vec<FunctionId> = profiles.keys().copied().collect();
         function_ids.sort_unstable();
-        let mut free_list = WorkerFreeList::new();
-        for w in &workers {
-            free_list.set(w.id, w.free_mb(), w.reclaimable_mb());
-        }
         Self {
             workers,
-            containers: BTreeMap::new(),
+            containers: HashMap::default(),
             fns: HashMap::default(),
             profiles,
             function_ids,
-            free_list,
             next_container: 0,
             thread_capacity,
             placement,
@@ -244,6 +245,7 @@ impl ClusterState {
         );
         self.settled = true;
         let mut tail = CostLedger::default();
+        // lint:allow(O1): integer sums per cost class; iteration order is moot.
         for c in self.containers.values() {
             match c.state {
                 ContainerState::Provisioning => {
@@ -288,18 +290,6 @@ impl ClusterState {
             "container id counter may only move forward"
         );
         self.next_container = id;
-    }
-
-    /// Resyncs the free-list entry for `worker` after a memory or
-    /// liveness mutation. Dead workers are dropped from the list so
-    /// placement never considers them.
-    fn sync_worker(&mut self, worker: WorkerId) {
-        let w = &self.workers[worker.0 as usize];
-        if w.alive {
-            self.free_list.set(worker, w.free_mb(), w.reclaimable_mb());
-        } else {
-            self.free_list.remove(worker);
-        }
     }
 
     /// The function profile for `func`.
@@ -383,24 +373,23 @@ impl ClusterState {
     pub fn pick_worker(&mut self, mem_mb: u32) -> Option<WorkerId> {
         let need = u64::from(mem_mb);
         match self.placement {
-            Placement::MaxFree => match self.scan {
-                // The free-list holds exactly the alive workers, so the
-                // global max passing the `>= need` filter is the same
-                // worker the reference filter-then-max scan picks (and
-                // both break ties toward the lowest worker id).
-                ScanMode::Indexed => {
-                    if let Some((free, w)) = self.free_list.best_by_free() {
-                        if free >= need {
-                            return Some(w);
-                        }
-                    }
-                    self.free_list
-                        .best_by_reclaimable()
-                        .filter(|&(reclaimable, _)| reclaimable >= need)
-                        .map(|(_, w)| w)
+            // Two filter-then-max passes: the alive worker with the most
+            // free memory that already fits, else (under pressure) the
+            // one with the most free-plus-idle reclaimable memory. Ties
+            // break toward the lowest worker id.
+            Placement::MaxFree => {
+                let alive = || self.workers.iter().filter(|w| w.alive);
+                if let Some(w) = alive()
+                    .filter(|w| w.free_mb() >= need)
+                    .max_by_key(|w| (w.free_mb(), Reverse(w.id)))
+                {
+                    return Some(w.id);
                 }
-                ScanMode::Reference => crate::reference::pick_worker_max_free(self, need),
-            },
+                alive()
+                    .filter(|w| w.reclaimable_mb() >= need)
+                    .max_by_key(|w| (w.reclaimable_mb(), Reverse(w.id)))
+                    .map(|w| w.id)
+            }
             Placement::FirstFit => {
                 if let Some(w) = self.workers.iter().find(|w| w.alive && w.free_mb() >= need) {
                     return Some(w.id);
@@ -459,7 +448,6 @@ impl ClusterState {
             w.free_mb()
         );
         w.used_mb += u64::from(mem_mb);
-        self.sync_worker(worker);
         self.touch_ledger(now);
         let id = ContainerId(self.next_container);
         self.next_container += 1;
@@ -503,7 +491,7 @@ impl ClusterState {
         let cold_charge = Self::residency(c.mem_mb, c.created_at, now);
         c.warm_at = now;
         c.idle_from = now;
-        let (func, worker) = (c.func, c.worker);
+        let (func, worker, mem) = (c.func, c.worker, u64::from(c.mem_mb));
         self.ledger.cold_start_mb_us += cold_charge;
         self.touch_ledger(now);
         let rt = self.fn_runtime_mut(func);
@@ -511,12 +499,10 @@ impl ClusterState {
         rt.free_threads.insert(id);
         rt.free_pool.set(id, 0);
         rt.warm.insert(id);
-        let mem = u64::from(self.containers[&id].mem_mb);
         let w = &mut self.workers[worker.0 as usize];
         if w.idle.insert(id) {
             w.idle_mb += mem;
         }
-        self.sync_worker(worker);
     }
 
     /// Occupies one execution thread on a warm container.
@@ -566,7 +552,6 @@ impl ClusterState {
             if w.idle.remove(&id) {
                 w.idle_mb -= mem;
             }
-            self.sync_worker(worker);
         }
     }
 
@@ -602,7 +587,6 @@ impl ClusterState {
             if w.idle.insert(id) {
                 w.idle_mb += mem;
             }
-            self.sync_worker(worker);
         }
     }
 
@@ -641,7 +625,6 @@ impl ClusterState {
             w.idle_mb -= u64::from(c.mem_mb);
         }
         w.used_mb -= u64::from(c.mem_mb);
-        self.sync_worker(c.worker);
         info
     }
 
@@ -655,18 +638,17 @@ impl ClusterState {
     /// new ones for the rest of the run.
     pub fn mark_worker_down(&mut self, worker: WorkerId) {
         self.workers[worker.0 as usize].alive = false;
-        self.free_list.remove(worker);
     }
 
     /// Ids of every live (warm or provisioning) container hosted on
-    /// `worker`, sorted for deterministic iteration.
+    /// `worker`, ascending: crash repair evicts, voids and re-queues in
+    /// this order, and the trace shows it.
     pub fn containers_on(&self, worker: WorkerId) -> Vec<ContainerId> {
-        // The container map is id-ordered, so no sort is needed.
-        self.containers
-            .values()
-            .filter(|c| c.worker == worker)
-            .map(|c| c.id)
-            .collect()
+        // lint:allow(O1): collected in table order, sorted right below.
+        let hosted = self.containers.values().filter(|c| c.worker == worker);
+        let mut ids: Vec<ContainerId> = hosted.map(|c| c.id).collect();
+        ids.sort_unstable();
+        ids
     }
 
     /// Abandons a provisioning container whose provision failed (fault
@@ -698,7 +680,6 @@ impl ClusterState {
         self.provision_failures += 1;
         self.fn_runtime_mut(c.func).provisioning.remove(&id);
         self.workers[c.worker.0 as usize].used_mb -= u64::from(c.mem_mb);
-        self.sync_worker(c.worker);
         info
     }
 
@@ -752,7 +733,6 @@ impl ClusterState {
             w.idle_mb -= u64::from(c.mem_mb);
         }
         w.used_mb -= u64::from(c.mem_mb);
-        self.sync_worker(c.worker);
         (info, queued)
     }
 
@@ -764,25 +744,49 @@ impl ClusterState {
 
     /// Requests waiting across every container-local queue.
     pub fn total_local_queued(&self) -> usize {
+        // lint:allow(O1): an order-independent sum; iteration order is moot.
         self.containers.values().map(|c| c.local_queue.len()).sum()
     }
 
     /// Checks every internal bookkeeping invariant: per-worker memory
     /// accounting matches the hosted containers and stays within
     /// capacity, idle sets hold exactly the fully idle containers, and
-    /// the per-function state sets agree with container states.
+    /// the per-function state sets agree with container states — in both
+    /// directions: every index entry names a container in that state
+    /// (the indexes are sound), and every container sits in each index
+    /// its state calls for (they are complete).
     ///
     /// # Panics
     ///
     /// Panics on any violated invariant (a bug in the engine or cluster).
     pub fn validate(&self) {
-        for w in &self.workers {
-            let sum: u64 = self
-                .containers
-                .values()
-                .filter(|c| c.worker == w.id)
-                .map(|c| u64::from(c.mem_mb))
-                .sum();
+        // Completeness, in one pass over the table. A warm idle container
+        // missing from its worker's idle set is never evictable and
+        // leaves `reclaimable_mb` — what placement reads — too low; one
+        // with a free thread missing from the pool is never picked.
+        let mut hosted_mb = vec![0u64; self.workers.len()];
+        // lint:allow(O1): integer sums and asserts; order only picks which panic fires.
+        for c in self.containers.values() {
+            let w = &self.workers[usize::from(c.worker.0)];
+            hosted_mb[usize::from(c.worker.0)] += u64::from(c.mem_mb);
+            let rt = self.fns.get(&c.func).expect("container without fn runtime");
+            match c.state {
+                ContainerState::Provisioning => assert!(rt.provisioning.contains(&c.id)),
+                ContainerState::Warm => assert!(rt.warm.contains(&c.id)),
+            }
+            assert!(
+                !c.is_idle() || w.idle.contains(&c.id),
+                "idle container {:?} missing from the idle set of {:?}",
+                c.id,
+                w.id
+            );
+            assert!(
+                !c.has_free_thread() || rt.free_threads.contains(&c.id),
+                "container {:?} has a free thread but is missing from free_threads",
+                c.id
+            );
+        }
+        for (w, &sum) in self.workers.iter().zip(&hosted_mb) {
             assert_eq!(
                 w.used_mb, sum,
                 "worker {:?}: charged {} MB but containers hold {} MB",
@@ -795,41 +799,20 @@ impl ClusterState {
                 w.used_mb,
                 w.capacity_mb
             );
-            let idle_sum: u64 = w
-                .idle
-                .iter()
-                .map(|id| u64::from(self.containers[id].mem_mb))
-                .sum();
-            assert_eq!(w.idle_mb, idle_sum, "worker {:?} idle_mb drifted", w.id);
+            let mut idle_sum = 0;
             for id in &w.idle {
                 let c = self
                     .containers
                     .get(id)
                     .expect("idle set references dead container");
                 assert!(
-                    c.state == ContainerState::Warm && c.is_idle(),
+                    c.worker == w.id && c.is_idle(),
                     "non-idle container {id:?} in idle set"
                 );
+                idle_sum += u64::from(c.mem_mb);
             }
+            assert_eq!(w.idle_mb, idle_sum, "worker {:?} idle_mb drifted", w.id);
         }
-        for w in &self.workers {
-            let want = if w.alive {
-                Some((w.free_mb(), w.reclaimable_mb()))
-            } else {
-                None
-            };
-            assert_eq!(
-                self.free_list.key_of(w.id),
-                want,
-                "worker {:?} free-list entry drifted",
-                w.id
-            );
-        }
-        assert_eq!(
-            self.free_list.len(),
-            self.workers.iter().filter(|w| w.alive).count(),
-            "free-list tracks a worker that is not alive"
-        );
         // lint:allow(O1): invariant checks; order only picks which panic fires.
         for (func, rt) in &self.fns {
             assert_eq!(
@@ -837,14 +820,6 @@ impl ClusterState {
                 rt.free_threads.len(),
                 "free pool and free_threads set disagree for {func:?}"
             );
-            for id in &rt.free_threads {
-                let c = &self.containers[id];
-                assert_eq!(
-                    rt.free_pool.key_of(*id),
-                    Some(c.threads_in_use),
-                    "free pool key drifted for {id:?}"
-                );
-            }
             for id in &rt.provisioning {
                 let c = self
                     .containers
@@ -865,13 +840,11 @@ impl ClusterState {
                     .get(id)
                     .expect("free_threads set references dead container");
                 assert!(c.func == *func && c.has_free_thread());
-            }
-        }
-        for c in self.containers.values() {
-            let rt = self.fns.get(&c.func).expect("container without fn runtime");
-            match c.state {
-                ContainerState::Provisioning => assert!(rt.provisioning.contains(&c.id)),
-                ContainerState::Warm => assert!(rt.warm.contains(&c.id)),
+                assert_eq!(
+                    rt.free_pool.key_of(*id),
+                    Some(c.threads_in_use),
+                    "free pool key drifted for {id:?}"
+                );
             }
         }
     }
@@ -942,17 +915,23 @@ impl ClusterState {
             .filter(|c| c.is_saturated())
     }
 
-    /// Snapshot of every live (warm or provisioning) container.
+    /// Snapshot of every live (warm or provisioning) container, in id
+    /// order.
     pub fn all_containers(&self) -> Vec<ContainerInfo> {
-        // The container map is id-ordered, so no sort is needed.
-        self.containers.values().map(ContainerInfo::from).collect()
+        self.all_iter().map(ContainerInfo::from).collect()
     }
 
-    /// Iterates over every live container in id order without
-    /// allocating (the borrow-based flavor of
-    /// [`ClusterState::all_containers`]).
+    /// Iterates over every live container in id order (the borrow-based
+    /// flavor of [`ClusterState::all_containers`]). The order is
+    /// observable — tick-time `expirations` evict in the order this
+    /// yields, and the sharded view k-merges per-shard streams by id —
+    /// so the table is sorted here, once per call: callers sit on tick,
+    /// crash and end-of-run paths, never on a per-request one.
     pub fn all_iter(&self) -> impl Iterator<Item = &Container> + '_ {
-        self.containers.values()
+        // lint:allow(O1): collected in table order, sorted right below.
+        let mut live: Vec<&Container> = self.containers.values().collect();
+        live.sort_unstable_by_key(|c| c.id);
+        live.into_iter()
     }
 
     /// All deployed function ids, sorted (fixed at construction).
@@ -1150,8 +1129,9 @@ impl<'a> PolicyCtx<'a> {
         self.all_iter().map(ContainerInfo::from).collect()
     }
 
-    /// Iterates every live container in id order without allocating a
-    /// snapshot vector (preferred on hot decision paths).
+    /// Iterates every live container in id order, borrowing instead of
+    /// snapshotting. The order is sorted per call: this is for tick-time
+    /// walks (`expirations`, prewarming), not per-request decisions.
     pub fn all_iter(&self) -> Box<dyn Iterator<Item = &'a Container> + 'a> {
         match self.scope {
             CtxScope::Seq { cluster, .. } => Box::new(cluster.all_iter()),
@@ -1373,6 +1353,36 @@ mod tests {
     fn overcommitting_worker_panics() {
         let mut cl = cluster(&[100]);
         let _ = cl.begin_provision(FunctionId(1), WorkerId(0), TimePoint::ZERO, false);
+    }
+
+    /// A cluster whose one container is warm and idle, and which passes
+    /// `validate`: the two tests below each make one index forget it.
+    fn one_idle() -> (ClusterState, ContainerId) {
+        let mut cl = cluster(&[1000]);
+        let id = cl.begin_provision(FunctionId(0), WorkerId(0), TimePoint::ZERO, false);
+        cl.finish_provision(id, TimePoint::ZERO);
+        cl.validate();
+        (cl, id)
+    }
+
+    #[test]
+    #[should_panic(expected = "missing from the idle set")]
+    fn validate_catches_an_idle_container_its_worker_forgot() {
+        let (mut cl, id) = one_idle();
+        // Sound but incomplete: the set and its running total still agree
+        // with each other, and nothing that is in the set is wrong.
+        assert!(cl.workers[0].idle.remove(&id));
+        cl.workers[0].idle_mb -= 100;
+        cl.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "missing from free_threads")]
+    fn validate_catches_a_free_thread_the_pool_forgot() {
+        let (mut cl, id) = one_idle();
+        let rt = cl.fn_runtime_mut(FunctionId(0));
+        assert!(rt.free_threads.remove(&id) && rt.free_pool.remove(id));
+        cl.validate();
     }
 
     #[test]

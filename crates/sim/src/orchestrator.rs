@@ -32,6 +32,7 @@
 //! closure, so each driver's sink is inlined into the handlers — no
 //! boxing, no per-step buffer.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use faas_core::{EvictionIndex, IdBuildHasher, RoundHeap};
@@ -161,6 +162,11 @@ pub struct Orchestrator<R: Recorder> {
     /// a non-[`PriorityDeps::Volatile`] policy. Volatile policies fall
     /// back to a per-round heapify of fresh priorities.
     use_evict_index: bool,
+    /// Scratch of a REPLACE round, kept between rounds so that a round
+    /// allocates nothing: the heap of fresh priorities (volatile
+    /// policies) and the victims handed to `KeepAlive::on_admit`.
+    round_heap: RoundHeap<ContainerId>,
+    evicted: Vec<ContainerInfo>,
     /// Structured trace sink (DESIGN.md §12).
     rec: R,
 }
@@ -222,6 +228,8 @@ impl<R: Recorder> Orchestrator<R> {
             arrived: 0,
             evict_index: EvictionIndex::new(),
             use_evict_index,
+            round_heap: RoundHeap::default(),
+            evicted: Vec::new(),
             rec,
         }
     }
@@ -566,12 +574,13 @@ impl<R: Recorder> Orchestrator<R> {
         // Retire the request's *own* expected end: the virtual clock
         // delivers ExecDone exactly then (`end == now`), a wall clock
         // delivers it late, and a measured execution never knew it.
-        if let Some(ends) = self.busy_until.get_mut(&cid) {
+        if let Entry::Occupied(mut entry) = self.busy_until.entry(cid) {
+            let ends = entry.get_mut();
             if let Some(pos) = ends.iter().position(|&t| t == end) {
                 ends.swap_remove(pos);
             }
             if ends.is_empty() {
-                self.spare_ends.extend(self.busy_until.remove(&cid));
+                self.spare_ends.push(entry.remove());
             }
         }
         self.cluster.release_thread(cid, self.now);
@@ -922,7 +931,8 @@ impl<R: Recorder> Orchestrator<R> {
         // on the chosen worker until the new container fits. Priorities
         // are computed once per replacement (the paper's lazily resorted
         // priority queue), not once per victim.
-        let mut evicted = Vec::new();
+        let mut evicted = std::mem::take(&mut self.evicted);
+        evicted.clear();
         if self.free_mb(worker) < mem {
             // Victim-selection provenance: snapshot every candidate and
             // its priority before popping. Computed fresh only when
@@ -931,7 +941,7 @@ impl<R: Recorder> Orchestrator<R> {
             // so the record is identical across engines and scan modes.
             if self.rec.enabled() {
                 let candidates =
-                    crate::reference::sorted_eviction_candidates(self.candidates(worker))
+                    crate::reference::sorted_eviction_candidates(self.candidates(worker).collect())
                         .into_iter()
                         .map(|(p, cid)| (cid.0, p))
                         .collect();
@@ -950,10 +960,12 @@ impl<R: Recorder> Orchestrator<R> {
             // fully sorted.
             let mut round = (!self.use_evict_index).then(|| match self.cluster.scan() {
                 ScanMode::Indexed => {
-                    RoundVictims::Heap(RoundHeap::from_entries(self.candidates(worker)))
+                    let mut heap = std::mem::take(&mut self.round_heap);
+                    heap.refill(self.candidates(worker));
+                    RoundVictims::Heap(heap)
                 }
                 ScanMode::Reference => RoundVictims::Sorted(
-                    crate::reference::sorted_eviction_candidates(self.candidates(worker))
+                    crate::reference::sorted_eviction_candidates(self.candidates(worker).collect())
                         .into_iter(),
                 ),
             });
@@ -963,16 +975,22 @@ impl<R: Recorder> Orchestrator<R> {
                     Some(RoundVictims::Heap(heap)) => heap.pop(),
                     Some(RoundVictims::Sorted(sorted)) => sorted.next(),
                 };
-                let Some((_, victim)) = victim else {
-                    // Raced with our own accounting: pick_worker said
-                    // this fits, so there must be victims. Defensive
-                    // fallback.
-                    return self.defer(func, speculative, attempt);
-                };
+                // Raced with our own accounting: pick_worker said this
+                // fits, so there must be victims. Defensive fallback:
+                // the provision is deferred below.
+                let Some((_, victim)) = victim else { break };
                 evicted.push(self.evict_container(victim, EvictReason::Replace));
             }
+            if let Some(RoundVictims::Heap(heap)) = round {
+                self.round_heap = heap;
+            }
         }
-        self.finish_admission(func, worker, speculative, evicted, attempt, out);
+        if self.free_mb(worker) >= mem {
+            self.finish_admission(func, worker, speculative, &evicted, attempt, out);
+        } else {
+            self.defer(func, speculative, attempt);
+        }
+        self.evicted = evicted;
     }
 
     fn free_mb(&self, worker: WorkerId) -> u64 {
@@ -1013,27 +1031,16 @@ impl<R: Recorder> Orchestrator<R> {
     /// fully idle containers with an empty local queue. `priority` is
     /// `&self` and side-effect-free, so taking this snapshot (for a
     /// REPLACE round or for provenance) cannot perturb the run.
-    fn candidates(&self, worker: WorkerId) -> Vec<(f64, ContainerId)> {
+    fn candidates(&self, worker: WorkerId) -> impl Iterator<Item = (f64, ContainerId)> + '_ {
         let ctx = PolicyCtx::new(self.now, &self.cluster, &self.busy_until);
         let ka = &self.policies.keepalive;
         let idle = &self.cluster.workers()[usize::from(worker.0)].idle;
-        // Sized up front: the filter hides the length from `collect`,
-        // and nearly every idle container passes it.
-        let mut candidates = Vec::with_capacity(idle.len());
-        candidates.extend(
-            idle.iter()
-                .filter(|cid| {
-                    self.cluster
-                        .container(**cid)
-                        .map(|c| c.local_queue.is_empty())
-                        .unwrap_or(false)
-                })
-                .map(|&cid| {
-                    let cinfo = ctx.container(cid).expect("idle containers are live");
-                    (ka.priority(&cinfo, &ctx), cid)
-                }),
-        );
-        candidates
+        idle.iter().filter_map(move |&cid| {
+            let c = self.cluster.container(cid)?;
+            c.local_queue
+                .is_empty()
+                .then(|| (ka.priority(&ContainerInfo::from(c), &ctx), cid))
+        })
     }
 
     /// Charges memory, registers the container, and fires admission
@@ -1043,7 +1050,7 @@ impl<R: Recorder> Orchestrator<R> {
         func: FunctionId,
         worker: WorkerId,
         speculative: bool,
-        evicted: Vec<ContainerInfo>,
+        evicted: &[ContainerInfo],
         attempt: u32,
         out: &mut impl FnMut(TimePoint, Event),
     ) {
@@ -1072,7 +1079,7 @@ impl<R: Recorder> Orchestrator<R> {
             .expect("just created");
         let mut cold = {
             let ctx = PolicyCtx::new(self.now, &self.cluster, &self.busy_until);
-            self.policies.keepalive.on_admit(&cinfo, &evicted, &ctx);
+            self.policies.keepalive.on_admit(&cinfo, evicted, &ctx);
             self.policies
                 .keepalive
                 .provision_latency(func, &ctx)

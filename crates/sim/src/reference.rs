@@ -7,34 +7,20 @@
 //! workloads produce byte-identical reports either way. Keep these scans
 //! dumb and obviously correct — their value is that they are too simple
 //! to be wrong in the same way an index-maintenance bug would be.
+//!
+//! `MaxFree` placement has no scan here: `ClusterState::pick_worker`
+//! is the two filter-then-max passes in both modes (an ordered index
+//! over the workers costs more to keep in step, twice a request, than
+//! the scan costs once a provision — DESIGN.md §7), and an oracle
+//! identical to what it checks would check nothing.
+//! `crates/sim/tests/placement.rs` pins the tie rules directly.
 
 use std::cmp::Reverse;
 
 use faas_trace::FunctionId;
 
 use crate::cluster::ClusterState;
-use crate::ids::{ContainerId, WorkerId};
-
-/// `MaxFree` placement by two linear filter-then-max passes: first the
-/// alive worker with the most free memory that already fits `need` MB,
-/// then (under pressure) the one with the most free-plus-idle
-/// reclaimable memory. Ties break toward the lowest worker id.
-pub fn pick_worker_max_free(cluster: &ClusterState, need: u64) -> Option<WorkerId> {
-    if let Some(w) = cluster
-        .workers()
-        .iter()
-        .filter(|w| w.alive && w.free_mb() >= need)
-        .max_by_key(|w| (w.free_mb(), Reverse(w.id)))
-    {
-        return Some(w.id);
-    }
-    cluster
-        .workers()
-        .iter()
-        .filter(|w| w.alive && w.reclaimable_mb() >= need)
-        .max_by_key(|w| (w.reclaimable_mb(), Reverse(w.id)))
-        .map(|w| w.id)
-}
+use crate::ids::ContainerId;
 
 /// Dispatch pick by a linear max-scan over the function's free-thread
 /// set: the most-loaded non-saturated container, oldest id on ties.

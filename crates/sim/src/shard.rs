@@ -1655,7 +1655,8 @@ impl<'a, R: Recorder> ShardedSim<'a, R> {
             );
             match self.config.scan {
                 ScanMode::Indexed => {
-                    let mut heap = RoundHeap::from_entries(candidates);
+                    let mut heap = RoundHeap::default();
+                    heap.refill(candidates);
                     while self.merged_free_mb(worker) < u64::from(mem) {
                         let Some((_, victim)) = heap.pop() else {
                             obs!(

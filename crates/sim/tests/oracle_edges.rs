@@ -1,11 +1,13 @@
 //! Edge cases of the policy-facing cluster queries that the indexed
 //! refactor must not disturb: `oracle_earliest_free` and the
 //! saturated-container views, across dead workers, provisioning-only
-//! functions, and the exact saturation boundary.
+//! functions, and the exact saturation boundary — and the three views
+//! of the hashed container table whose order is observable.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
-use faas_sim::{ClusterState, ContainerId, PolicyCtx, WorkerId};
+use faas_sim::{ClusterState, Container, ContainerId, ContainerState, PolicyCtx, WorkerId};
+use faas_testkit::{Checker, Gen};
 use faas_trace::{FunctionId, FunctionProfile, TimeDelta, TimePoint};
 
 fn profiles(n: u32) -> Vec<FunctionProfile> {
@@ -143,4 +145,89 @@ fn saturated_views_agree_between_vec_and_iter_flavors() {
     // A function with no containers at all yields empty views.
     assert!(ctx.saturated_containers(FunctionId(1)).is_empty());
     assert_eq!(ctx.saturated_iter(FunctionId(1)).count(), 0);
+}
+
+/// One of the model's containers for which `wanted` holds, if any.
+fn pick(
+    g: &mut Gen,
+    cl: &ClusterState,
+    model: &BTreeMap<ContainerId, WorkerId>,
+    wanted: impl Fn(&Container) -> bool,
+) -> Option<ContainerId> {
+    let fitting: Vec<ContainerId> = model
+        .keys()
+        .copied()
+        .filter(|&id| wanted(cl.container(id).expect("the model tracks live containers")))
+        .collect();
+    (!fitting.is_empty()).then(|| *g.choose(&fitting))
+}
+
+/// The container table is found by hash, so nothing about its layout
+/// orders `all_iter`, `all_containers` or `containers_on`: each sorts.
+/// Random lifecycles over 1–5 workers, a `BTreeMap` model beside the
+/// cluster; after every step the views equal the model's ascending ids
+/// and every bookkeeping invariant holds.
+#[test]
+fn ordered_views_match_a_btreemap_model_through_random_lifecycles() {
+    Checker::new("ordered_views_match_a_btreemap_model").run(|g| {
+        let workers = g.usize(1..6);
+        let mut cl = ClusterState::new(&vec![1_500; workers], profiles(4), 2);
+        let mut model: BTreeMap<ContainerId, WorkerId> = BTreeMap::new();
+        for step in 0..g.u64(1..160) {
+            let now = TimePoint::from_millis(step);
+            match g.u32(0..40) {
+                0..=13 => {
+                    let w = WorkerId(g.usize(0..workers) as u16);
+                    let host = &cl.workers()[usize::from(w.0)];
+                    if host.alive && host.free_mb() >= 100 {
+                        let func = FunctionId(g.u32(0..4));
+                        model.insert(cl.begin_provision(func, w, now, g.bool(0.3)), w);
+                    }
+                }
+                14..=20 => {
+                    let provisioning = |c: &Container| c.state == ContainerState::Provisioning;
+                    if let Some(id) = pick(g, &cl, &model, provisioning) {
+                        cl.finish_provision(id, now);
+                    }
+                }
+                21..=27 => {
+                    if let Some(id) = pick(g, &cl, &model, Container::has_free_thread) {
+                        cl.occupy_thread(id, now);
+                    }
+                }
+                28..=31 => {
+                    if let Some(id) = pick(g, &cl, &model, |c| c.threads_in_use > 0) {
+                        cl.release_thread(id, now);
+                    }
+                }
+                32..=38 => {
+                    if let Some(id) = pick(g, &cl, &model, Container::is_idle) {
+                        cl.evict(id, now);
+                        model.remove(&id);
+                    }
+                }
+                _ => {
+                    // A worker dies with whatever it hosts, in any state.
+                    let w = WorkerId(g.usize(0..workers) as u16);
+                    cl.mark_worker_down(w);
+                    for id in cl.containers_on(w) {
+                        cl.crash_evict(id, now);
+                        model.remove(&id);
+                    }
+                }
+            }
+            let ids: Vec<ContainerId> = model.keys().copied().collect();
+            assert_eq!(cl.all_iter().map(|c| c.id).collect::<Vec<_>>(), ids);
+            assert_eq!(
+                cl.all_containers().iter().map(|c| c.id).collect::<Vec<_>>(),
+                ids
+            );
+            for w in (0..workers).map(|w| WorkerId(w as u16)) {
+                let hosted: Vec<ContainerId> =
+                    ids.iter().copied().filter(|id| model[id] == w).collect();
+                assert_eq!(cl.containers_on(w), hosted, "containers_on({w:?})");
+            }
+            cl.validate();
+        }
+    });
 }

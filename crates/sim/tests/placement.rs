@@ -1,6 +1,6 @@
 //! Placement-strategy behaviour across whole runs.
 
-use faas_sim::{baseline_lru_stack, run, Placement, SimConfig, WorkerId};
+use faas_sim::{baseline_lru_stack, run, FaultPlan, Placement, ScanMode, SimConfig, WorkerId};
 use faas_trace::{gen, FunctionId, FunctionProfile, Invocation, TimeDelta, TimePoint, Trace};
 
 /// Four concurrent one-off functions on four workers.
@@ -129,4 +129,86 @@ fn max_free_balances_better_than_first_fit() {
         per_worker(Placement::MaxFree),
         per_worker(Placement::FirstFit)
     );
+}
+
+/// `MaxFree` is one scan in both scan modes; what it must keep doing is
+/// break ties. Four equal workers, one function size: "most free, lowest
+/// id; dead workers never; reclaimable only when nothing has it free".
+#[test]
+fn max_free_tie_rules() {
+    let profiles = vec![FunctionProfile::new(
+        FunctionId(0),
+        "f",
+        300,
+        TimeDelta::from_millis(10),
+    )];
+    let mut cl = faas_sim::ClusterState::new(&[1_000; 4], profiles, 1);
+    let host = |cl: &mut faas_sim::ClusterState, w: u16| {
+        let id = cl.begin_provision(FunctionId(0), WorkerId(w), TimePoint::ZERO, false);
+        cl.finish_provision(id, TimePoint::ZERO);
+        id
+    };
+    // All four tie at 1000 MB free: the lowest id.
+    assert_eq!(cl.pick_worker(300), Some(WorkerId(0)));
+    // Worker 0 drops to 700; 1, 2 and 3 tie at 1000.
+    let on0 = host(&mut cl, 0);
+    assert_eq!(cl.pick_worker(300), Some(WorkerId(1)));
+    // A dead worker is never picked, however much it has free.
+    cl.mark_worker_down(WorkerId(1));
+    assert_eq!(cl.pick_worker(300), Some(WorkerId(2)));
+    // Workers 2 and 3 down to 100 free with three idle containers each
+    // (1000 reclaimable); worker 0 has 700 free, 1000 reclaimable.
+    for w in [2, 3] {
+        for _ in 0..3 {
+            host(&mut cl, w);
+        }
+    }
+    // 300 MB fits worker 0's free memory: the pass over free memory
+    // decides, and the three-way tie in reclaimable memory is not asked.
+    assert_eq!(cl.pick_worker(300), Some(WorkerId(0)));
+    // 800 MB fits nobody's free memory; all three alive workers can
+    // reclaim 1000: the lowest id, and never the dead worker 1, whose
+    // 1000 MB are free outright.
+    assert_eq!(cl.pick_worker(800), Some(WorkerId(0)));
+    // A busy container is not reclaimable: worker 0 falls to 700.
+    cl.occupy_thread(on0, TimePoint::ZERO);
+    assert_eq!(cl.pick_worker(800), Some(WorkerId(2)));
+    assert_eq!(cl.pick_worker(1_001), None);
+}
+
+/// The paper's largest cluster (§5.2: 37 machines) under memory
+/// pressure, every function the same size so free memory ties all the
+/// time, two workers crashing mid-run: the indexed engine and the
+/// reference scans agree on every byte of the report.
+#[test]
+fn thirty_seven_workers_under_pressure_agree_across_scan_modes() {
+    let base = gen::azure(23).functions(60).minutes(2).build();
+    let profiles: Vec<FunctionProfile> = base
+        .functions()
+        .iter()
+        .map(|f| FunctionProfile::new(f.id, f.name.clone(), 256, f.cold_start))
+        .collect();
+    let trace = Trace::new(profiles, base.invocations().to_vec()).expect("valid");
+    let faults = FaultPlan::none()
+        .crash_worker(TimePoint::from_secs(40), WorkerId(5))
+        .crash_worker(TimePoint::from_secs(80), WorkerId(0));
+    let config = SimConfig::default().uniform_workers(37, 512).faults(faults);
+    let indexed = run(
+        &trace,
+        &config.clone().scan_mode(ScanMode::Indexed),
+        baseline_lru_stack(),
+    );
+    let reference = run(
+        &trace,
+        &config.scan_mode(ScanMode::Reference),
+        baseline_lru_stack(),
+    );
+    assert_eq!(indexed.requests.len(), trace.len());
+    assert!(indexed.crash_evictions > 0, "the crashes hit nothing");
+    assert!(
+        indexed.containers_evicted > indexed.crash_evictions + 100,
+        "no memory pressure: {} evictions",
+        indexed.containers_evicted
+    );
+    assert_eq!(format!("{indexed:?}"), format!("{reference:?}"));
 }

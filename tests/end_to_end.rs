@@ -2,12 +2,14 @@
 //! workloads, with system-level invariants checked on the reports.
 
 use cidre::core::{cidre_bss_stack, cidre_stack, CidreConfig};
+use cidre::obs::{EvictReason, ObsEvent};
+use cidre::policies::ttl_stack_with;
 use cidre::policies::{
     codecrunch_stack, ensure_stack, faascache_c_stack, faascache_queue_stack, faascache_stack,
     flame_stack, icebreaker_stack, lru_stack, offline_stack, rainbowcake_stack, ttl_stack,
 };
-use cidre::sim::{run, PolicyStack, SimConfig, SimReport, StartClass};
-use cidre::trace::{gen, Trace};
+use cidre::sim::{run, run_traced, PolicyStack, SimConfig, SimReport, StartClass};
+use cidre::trace::{gen, FunctionId, FunctionProfile, Invocation, TimeDelta, TimePoint, Trace};
 
 fn all_stacks(trace: &Trace) -> Vec<(&'static str, PolicyStack)> {
     vec![
@@ -181,4 +183,62 @@ fn tighter_cache_never_lowers_overhead() {
         small.avg_overhead_ratio(),
         big.avg_overhead_ratio()
     );
+}
+
+/// The three keep-alives with a tick-time `expirations` walk
+/// `PolicyCtx::all_iter`, and the core evicts in the order they return:
+/// the container table's id order is visible in the trace. Six
+/// containers of one function come up together and idle together; a
+/// lone late request keeps the tick chain alive past every idle timeout.
+#[test]
+fn tick_expirations_evict_in_ascending_id_order() {
+    let profiles = vec![
+        FunctionProfile::new(FunctionId(0), "burst", 128, TimeDelta::from_millis(100)),
+        FunctionProfile::new(FunctionId(1), "late", 128, TimeDelta::from_millis(100)),
+    ];
+    let burst = (0..6).map(|_| Invocation {
+        func: FunctionId(0),
+        arrival: TimePoint::ZERO,
+        exec: TimeDelta::from_millis(200),
+    });
+    let late = Invocation {
+        func: FunctionId(1),
+        arrival: TimePoint::from_secs(300),
+        exec: TimeDelta::from_millis(200),
+    };
+    let trace = Trace::new(profiles, burst.chain([late]).collect()).expect("valid");
+    for (name, stack) in [
+        ("ttl", ttl_stack_with(TimeDelta::from_secs(60))),
+        ("ensure", ensure_stack()),
+        ("rainbowcake", rainbowcake_stack()),
+    ] {
+        let (_, log) = run_traced(&trace, &SimConfig::with_cache_gb(8), stack);
+        let expired: Vec<(TimePoint, u64)> = log
+            .events()
+            .iter()
+            .filter_map(|ev| match ev {
+                ObsEvent::Evict {
+                    at,
+                    cid,
+                    reason: EvictReason::Expire,
+                    ..
+                } => Some((*at, *cid)),
+                _ => None,
+            })
+            .collect();
+        let (tick, _) = *expired.first().expect("nothing expired");
+        let on_first_tick: Vec<u64> = expired
+            .iter()
+            .filter(|&&(at, _)| at == tick)
+            .map(|&(_, cid)| cid)
+            .collect();
+        assert!(
+            on_first_tick.len() >= 3,
+            "{name}: only {on_first_tick:?} expired together"
+        );
+        assert!(
+            on_first_tick.windows(2).all(|w| w[0] < w[1]),
+            "{name}: expired out of id order: {on_first_tick:?}"
+        );
+    }
 }
