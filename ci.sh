@@ -119,86 +119,48 @@ echo "== tooling: the A/B pair script byte-compiles =="
 # so nothing here runs it; this keeps it at least parseable.
 python3 -m py_compile tools/ab_pairs.py
 
+echo "== guard: one benchmark, no committed baseline =="
+# Performance is measured by BENCHMARK.json on parent and change; the
+# two ratio checks that compare lanes of one run live in the bench
+# targets below. No results file, no guard binary, no JSON merger.
+if [ -e BENCH_results.json ] \
+  || grep -rnE 'BENCH_results|bench_guard|BENCH_OUT|atomic_write' crates Cargo.toml; then
+  echo "the committed-baseline bench system is back; see benchmark/README.md" >&2
+  exit 1
+fi
+
 echo "== tier 1: live load-gen smoke (offline) =="
 # ~1500 requests through the executor-backed live host and the
 # simulator side by side: exits non-zero on dropped requests, a missed
 # concurrency floor, or live-vs-sim divergence beyond documented noise.
-# --no-report keeps BENCH_results.json untouched; the reporting run
-# happens after the bench baseline snapshot below.
-cargo run -q --release --offline -p cidre-bench --bin live_load -- \
-  --smoke --no-report
+cargo run -q --release --offline -p cidre-bench --bin live_load -- --smoke
 
-echo "== tier 1: pareto sweep smoke (offline) =="
-# The cost-ledger Pareto frontier (DESIGN.md §11): run the sweep twice
-# at tiny scale into scratch dirs and require byte-identical CSVs —
-# the cheap end-to-end determinism check; the golden hash, --jobs, and
-# shard-count pins live in tests/determinism.rs.
-pareto_a="$(mktemp -d)"
-pareto_b="$(mktemp -d)"
-trap 'rm -rf "$pareto_a" "$pareto_b"' EXIT
-cargo run -q --release --offline -p cidre-bench --bin experiments -- \
-  pareto --tiny --out "$pareto_a"
-cargo run -q --release --offline -p cidre-bench --bin experiments -- \
-  pareto --tiny --out "$pareto_b"
-cmp "$pareto_a/pareto.csv" "$pareto_b/pareto.csv"
-rm -rf "$pareto_a" "$pareto_b"
-trap - EXIT
-
-echo "== tier 1: trace export smoke (offline) =="
-# The observability sweep (DESIGN.md §12): run the latency-waterfall
-# experiment twice at tiny scale and require the CSV *and* every
-# Chrome trace-event export byte-identical — recording must be as
-# deterministic as the runs it records. Shard-count and --jobs
-# invariance plus the golden hash live in tests/determinism.rs.
-trace_a="$(mktemp -d)"
-trace_b="$(mktemp -d)"
-trap 'rm -rf "$trace_a" "$trace_b"' EXIT
-cargo run -q --release --offline -p cidre-bench --bin experiments -- \
-  trace --tiny --out "$trace_a"
-cargo run -q --release --offline -p cidre-bench --bin experiments -- \
-  trace --tiny --out "$trace_b"
-cmp "$trace_a/trace.csv" "$trace_b/trace.csv"
-for policy in faascache cidre-bss cidre; do
-  cmp "$trace_a/trace_$policy.json" "$trace_b/trace_$policy.json"
-done
-rm -rf "$trace_a" "$trace_b"
+echo "== tier 1: experiments smoke (offline) =="
+# Every runner through the CLI at tiny scale, sequentially and fanned
+# out: all artifacts (CSVs and Chrome trace exports) must be
+# byte-identical — determinism and --jobs invariance end to end; the
+# golden hashes live in tests/determinism.rs. A run that cannot write
+# exits non-zero, so two empty directories cannot pass the diff.
+exp_a="$(mktemp -d)"
+exp_b="$(mktemp -d)"
+trap 'rm -rf "$exp_a" "$exp_b"' EXIT
+experiments=(cargo run -q --release --offline -p cidre-bench --bin experiments --)
+"${experiments[@]}" all --tiny --jobs 1 --out "$exp_a" > /dev/null
+"${experiments[@]}" all --tiny --jobs 2 --out "$exp_b" > /dev/null
+diff -r "$exp_a" "$exp_b"
+# The suite at --quick scale: its closing line is the wall time and
+# peak RSS of regenerating the paper's artifacts.
+"${experiments[@]}" all --quick --out "$exp_a" | tail -n 1
+rm -rf "$exp_a" "$exp_b"
 trap - EXIT
 
 echo "== bench smoke (offline) =="
-# Seconds-long pass over all bench targets; merges median/p95 stats
-# into BENCH_results.json and proves the harness end-to-end. The
-# committed file is snapshotted first so bench_guard can compare the
-# fresh numbers against the pre-run baseline.
-baseline="$(mktemp)"
-trap 'rm -f "$baseline"' EXIT
-cp BENCH_results.json "$baseline"
-BENCH_SMOKE=1 cargo bench --offline
-
-echo "== bench lane: live load serving (offline) =="
-# Re-run the load-gen smoke with reporting on: merges the sustained
-# req/s, live p99 wait, and GB-s/request lanes (live_load/serve_smoke/*)
-# into BENCH_results.json for bench_guard to ratchet.
-cargo run -q --release --offline -p cidre-bench --bin live_load -- --smoke
-
-echo "== bench guard: large-N throughput + sharded scaling + live lanes + CSS window scaling =="
-# Fails on a >20% events/sec regression of replay/large_n vs the
-# committed baseline, if the indexed scan drops below 2x the retained
-# reference scan, or if the sharded scaling lane (scaling/shards_4 vs
-# scaling/shards_1) falls below its parallelism-aware floor — 2.5x on
-# >=4-CPU hosts, an overhead bound on narrower ones — or regresses
-# >20% vs its committed baseline. The live serving lanes ratchet too,
-# at a looser 35% (wall-clock noise): sustained req/s may not fall,
-# and live p99 wait may not grow, past that band. The memory ratchet
-# (serve_smoke/gbs_per_req, deterministic sim-side GB-s per request)
-# holds the tight 20% band: the keep-warm bill may not quietly grow.
-# The recorder-off gate holds replay/large_n (which runs with the
-# NoopRecorder) within 2% of the committed baseline, best sample vs
-# median, proving the disabled recorder is free (DESIGN.md §12).
-# The CSS scaling gate compares two lanes of the current run: the
-# Algorithm 1 decision at 16384 retained observations may cost at most
-# 16x the decision at 256 (bench_guard.rs records the measurements the
-# limit sits between).
-cargo run -q --release --offline -p cidre-bench --bin bench_guard -- \
-  "$baseline" BENCH_results.json
+# Seconds-long pass over the two bench targets. Each ends by comparing
+# two of its own lanes and fails the step if the ratio is off:
+# sim_throughput holds the indexed replay at >= 2x the reference scan
+# at 10k functions, policy_overhead holds Algorithm 1's decision at
+# 16384 retained observations within 16x its cost at 256.
+BENCH_SMOKE=1 cargo bench --offline -p cidre-bench \
+  --bench sim_throughput --bench policy_overhead
 
 echo "== ci.sh: all green =="

@@ -1,34 +1,29 @@
-//! End-to-end simulator throughput: requests simulated per second under
-//! the CIDRE stack and the FaasCache baseline.
+//! What `faas-core`'s indexes buy: one large-N replay through the
+//! indexed hot paths and through the retained reference scans, and a
+//! failing exit unless the first is at least [`MIN_SPEEDUP`] times the
+//! second. Replay rates at the paper's scale are `benchmark/`'s job.
 
 use std::hint::black_box;
+use std::process::ExitCode;
 
-use cidre_core::{cidre_stack, CidreConfig};
 use faas_policies::faascache_stack;
-use faas_sim::{baseline_lru_stack, run, ScanMode, SimConfig};
+use faas_sim::{run, ScanMode, SimConfig};
 use faas_testkit::Harness;
-use faas_trace::{gen, TimeDelta};
+use faas_trace::gen;
 
-fn main() {
+/// Minimum indexed-over-reference speedup. Both medians come from this
+/// process, back to back; runs on the gate host gave 5.4x to 6.5x.
+const MIN_SPEEDUP: f64 = 2.0;
+
+fn main() -> ExitCode {
     let mut h = Harness::new("sim_throughput");
-    let trace = gen::fc(1).functions(20).minutes(2).build();
-    let config = SimConfig::default().workers_mb(vec![8_192]);
-    h.samples(10);
-    h.throughput_elems(trace.len() as u64);
-    h.bench("replay/cidre", || {
-        black_box(run(&trace, &config, cidre_stack(CidreConfig::default())));
-    });
-    h.throughput_elems(trace.len() as u64);
-    h.bench("replay/faascache", || {
-        black_box(run(&trace, &config, faascache_stack()));
-    });
-
     // Large-N eviction-pressure scenario: 10k functions over one minute
     // (~93k requests, ~80k container lifetimes) against two 300 GB
     // workers, so each memory-pressure round sees an idle pool of ~1000
     // eviction candidates. This is the scenario the indexed hot paths
-    // are sized for; the scenario is identical in smoke and full mode
-    // (only sample counts differ) so baseline comparisons stay valid.
+    // are sized for (at the paper's 330 functions the two scans tie:
+    // `engine.reference_scan_ratio` in `benchmark/`); it is identical in
+    // smoke and full mode, only sample counts differ.
     let trace = gen::azure(7)
         .functions(10_000)
         .minutes(1)
@@ -37,41 +32,30 @@ fn main() {
     let config = SimConfig::default().workers_mb(vec![307_200; 2]);
     h.samples(10);
     h.throughput_elems(trace.len() as u64);
-    h.bench("replay/large_n", || {
+    let indexed = h.bench("replay/large_n", || {
         black_box(run(&trace, &config, faascache_stack()));
     });
     // The same scenario through the retained naive scans: the oracle the
-    // differential tests compare against, and the denominator for the
-    // indexed speedup that `bench_guard` enforces in CI.
-    let reference = config.clone().scan_mode(ScanMode::Reference);
-    h.samples(10);
+    // differential tests compare against.
+    let reference_config = config.clone().scan_mode(ScanMode::Reference);
     h.throughput_elems(trace.len() as u64);
-    h.bench("replay/large_n_reference", || {
-        black_box(run(&trace, &reference, faascache_stack()));
+    let reference = h.bench("replay/large_n_reference", || {
+        black_box(run(&trace, &reference_config, faascache_stack()));
     });
 
-    // Sharded-engine scaling lane (DESIGN.md §9): a large warm-heavy
-    // replay — 512 functions at a high per-function rate against huge
-    // workers (no eviction pressure) with 60 s ticks — so nearly every
-    // event is a shard-local warm hit or quiet completion. The same
-    // trace runs at 1/2/4 shards; `bench_guard` gates the 4-shard
-    // efficiency against a parallelism-aware floor (2.5x on hosts with
-    // >= 4 CPUs).
-    let trace = gen::azure(3)
-        .functions(512)
-        .minutes(2)
-        .rate_per_function(2.0)
-        .build();
-    let config = SimConfig::default()
-        .workers_mb(vec![1_048_576; 4])
-        .tick(TimeDelta::from_secs(60));
-    for shards in [1usize, 2, 4] {
-        let cfg = config.clone().shards(shards);
-        h.samples(5);
-        h.throughput_elems(trace.len() as u64);
-        h.bench(&format!("scaling/shards_{shards}"), || {
-            black_box(run(&trace, &cfg, baseline_lru_stack()));
-        });
+    // A name filter that selects one lane of the pair skips the check.
+    if let (Some(indexed), Some(reference)) = (indexed, reference) {
+        let speedup = reference.median_ns / indexed.median_ns;
+        println!(
+            "sim_throughput: indexed {:.0} ms vs reference {:.0} ms per replay: \
+             {speedup:.2}x (floor {MIN_SPEEDUP}x)",
+            indexed.median_ns / 1e6,
+            reference.median_ns / 1e6
+        );
+        if speedup < MIN_SPEEDUP {
+            eprintln!("sim_throughput: the indexes no longer pay for themselves");
+            return ExitCode::FAILURE;
+        }
     }
-    h.finish();
+    ExitCode::SUCCESS
 }

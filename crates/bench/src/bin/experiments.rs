@@ -119,6 +119,20 @@ fn main() -> ExitCode {
         eprintln!("unknown experiment {name:?}; try `experiments list`");
         return ExitCode::FAILURE;
     }
-    println!("done in {:.1}s", start.elapsed().as_secs_f64());
+    let failed = cidre_bench::failed_writes();
+    if failed > 0 {
+        eprintln!("{failed} output file(s) could not be written");
+        return ExitCode::FAILURE;
+    }
+    // Linux reports the resident-set high-water mark as `VmHWM: N kB`.
+    let peak_rss = std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+            kb.trim().strip_suffix("kB")?.trim().parse::<u64>().ok()
+        })
+        .map(|kb| format!(", peak RSS {} MB", kb / 1024))
+        .unwrap_or_default();
+    println!("done in {:.1}s{peak_rss}", start.elapsed().as_secs_f64());
     ExitCode::SUCCESS
 }

@@ -8,14 +8,11 @@
 //! is a pure function of the seed, so any run can be reproduced and
 //! cross-checked byte-for-byte.
 //!
-//! Usage: `live_load [--smoke] [--no-report] [--seed=N] [--stack=cidre]`
+//! Usage: `live_load [--smoke] [--seed=N] [--stack=cidre]`
 //!
 //! * `--smoke` — the CI configuration: ~1500 requests, finishes in
 //!   about a second. The default (full) configuration keeps **>= 10 000
 //!   requests in flight at once** and asserts that it did.
-//! * `--no-report` — skip merging results into `BENCH_results.json`
-//!   (used by the tier-1 smoke lane, which runs before the bench
-//!   baseline snapshot).
 //! * `--seed=N` — arrival-schedule seed (default 9).
 //! * `--stack=cidre` — drive the CIDRE policy stack instead of the
 //!   default FaasCache stack.
@@ -46,7 +43,7 @@ use faas_live::{run_live_stats, LiveConfig};
 use faas_metrics::PercentileSink;
 use faas_policies::faascache_stack;
 use faas_sim::{run, PolicyStack, SimConfig, SimReport, StartClass};
-use faas_testkit::{Arrivals, BenchStats, Harness};
+use faas_testkit::Arrivals;
 use faas_trace::{FunctionId, FunctionProfile, Invocation, TimeDelta, TimePoint, Trace};
 
 /// Class-ratio agreement bound between live and simulated runs.
@@ -66,8 +63,6 @@ const GBS_TOLERANCE: f64 = 0.25;
 
 /// One load-generator configuration (all times simulated).
 struct Scenario {
-    /// Lane prefix in `BENCH_results.json` (`serve_smoke` / `serve_full`).
-    lane: &'static str,
     requests: usize,
     functions: u32,
     /// Arrival window; with `exec` longer than it, every request
@@ -84,7 +79,6 @@ struct Scenario {
 impl Scenario {
     fn smoke() -> Self {
         Self {
-            lane: "serve_smoke",
             requests: 1_500,
             functions: 8,
             window: TimeDelta::from_secs(10),
@@ -103,7 +97,6 @@ impl Scenario {
         // not eviction pressure, bounds the container count
         // (12 000 / 4 threads = 3 000 containers of 128 MB).
         Self {
-            lane: "serve_full",
             requests: 12_000,
             functions: 8,
             window: TimeDelta::from_secs(40),
@@ -183,30 +176,13 @@ fn percentile_line(sink: &PercentileSink) -> String {
     )
 }
 
-/// Flat single-sample [`BenchStats`] for an externally measured value.
-fn external_stat(name: String, ns: f64, elems_per_iter: Option<u64>, iters: u64) -> BenchStats {
-    BenchStats {
-        name,
-        samples: 1,
-        iters_per_sample: iters,
-        median_ns: ns,
-        p95_ns: ns,
-        mean_ns: ns,
-        min_ns: ns,
-        max_ns: ns,
-        elems_per_iter,
-    }
-}
-
 fn main() -> ExitCode {
     let mut smoke = false;
-    let mut report_results = true;
     let mut seed = 9u64;
     let mut cidre = false;
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--smoke" => smoke = true,
-            "--no-report" => report_results = false,
             "--stack=cidre" => cidre = true,
             a if a.starts_with("--seed=") => {
                 seed = match a["--seed=".len()..].parse() {
@@ -220,7 +196,7 @@ fn main() -> ExitCode {
             other => {
                 eprintln!(
                     "live_load: unknown argument {other}\n\
-                     usage: live_load [--smoke] [--no-report] [--seed=N] [--stack=cidre]"
+                     usage: live_load [--smoke] [--seed=N] [--stack=cidre]"
                 );
                 return ExitCode::FAILURE;
             }
@@ -301,7 +277,7 @@ fn main() -> ExitCode {
             ok = false;
         }
     }
-    for p in [0.50, 0.99, 0.999] {
+    for (label, p) in [("p50", 0.50), ("p99", 0.99), ("p999", 0.999)] {
         let (s, l) = (
             sim_sink.quantile(p).unwrap_or(0.0),
             live_sink.quantile(p).unwrap_or(0.0),
@@ -312,9 +288,8 @@ fn main() -> ExitCode {
         }
         if (s - l).abs() > bound {
             eprintln!(
-                "live_load: p{:.0} wait diverged: sim {s:.1} ms vs live {l:.1} ms \
-                 (bound {bound:.0} ms)",
-                p * 1e3
+                "live_load: {label} wait diverged: sim {s:.1} ms vs live {l:.1} ms \
+                 (bound {bound:.0} ms)"
             );
             ok = false;
         }
@@ -328,56 +303,6 @@ fn main() -> ExitCode {
             );
             ok = false;
         }
-    }
-
-    if report_results {
-        let mut harness = Harness::new("live_load");
-        // Sustained request rate: one "iteration" per request, so the
-        // derived throughput_elems_per_sec is requests per wall second.
-        harness.record(external_stat(
-            format!("{}/rps", scenario.lane),
-            stats.wall.as_nanos() as f64 / live.requests.len().max(1) as f64,
-            Some(1),
-            live.requests.len() as u64,
-        ));
-        // Tail wait, stored as simulated nanoseconds in median_ns so
-        // bench_guard can ratchet it (lower is better).
-        harness.record(external_stat(
-            format!("{}/p99_wait", scenario.lane),
-            live_sink.quantile(0.99).unwrap_or(0.0) * 1e6,
-            None,
-            live.requests.len() as u64,
-        ));
-        // Memory bill per request, taken from the *deterministic*
-        // simulator side of the same workload (the live side agrees
-        // within GBS_TOLERANCE, checked above). Stored raw in
-        // `median_ns` — a plain scalar, lower is better — so
-        // bench_guard can ratchet it tightly (Gate 5).
-        harness.record(external_stat(
-            format!("{}/gbs_per_req", scenario.lane),
-            simulated.gb_s_per_request(),
-            None,
-            live.requests.len() as u64,
-        ));
-        // Executor concurrency counters, stored as plain scalars in
-        // `median_ns`: the blocking-pool high-water mark tracks
-        // concurrently *running* handlers (a thread-per-request
-        // regression shows up here first), and timer fires count the
-        // reactor's wake-ups of the replay loop — events that fall due
-        // together share one, so it sits below the event count.
-        harness.record(external_stat(
-            format!("{}/peak_blocking", scenario.lane),
-            stats.peak_blocking_threads as f64,
-            None,
-            live.requests.len() as u64,
-        ));
-        harness.record(external_stat(
-            format!("{}/timer_fires", scenario.lane),
-            stats.timer_fires as f64,
-            None,
-            live.requests.len() as u64,
-        ));
-        harness.finish();
     }
 
     if ok {

@@ -21,8 +21,8 @@ use crate::ExpCtx;
 /// Counts delayed-warm-start opportunities per request.
 ///
 /// `cold_scale` scales the opportunity window; `exec_scale` scales all
-/// completion times. Exposed for tests and the criterion benches.
-pub fn opportunity_counts(trace: &Trace, cold_scale: f64, exec_scale: f64) -> Vec<u64> {
+/// completion times.
+fn opportunity_counts(trace: &Trace, cold_scale: f64, exec_scale: f64) -> Vec<u64> {
     // Per function: sorted completion times (arrival + exec * scale).
     let mut completions: HashMap<FunctionId, Vec<u64>> = HashMap::new();
     for inv in trace.invocations() {

@@ -17,17 +17,26 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 pub mod experiments;
 mod registry;
 pub mod workloads;
 
 /// Global quiet switch: when set, experiment narration (tables, charts,
-/// per-run progress lines) is suppressed. The Criterion `figures` bench
-/// enables this so `cargo bench` logs stay reasonable; CSV outputs are
-/// still written.
+/// per-run progress lines) is suppressed. The golden and determinism
+/// tests enable this so `cargo test` logs stay reasonable; CSV outputs
+/// are still written.
 static QUIET: AtomicBool = AtomicBool::new(false);
+
+/// Artifacts [`ExpCtx::save_text`] could not write, process-wide.
+static FAILED_WRITES: AtomicUsize = AtomicUsize::new(0);
+
+/// How many artifact writes have failed so far. The runners carry on
+/// past a failed write; the `experiments` CLI exits non-zero on any.
+pub fn failed_writes() -> usize {
+    FAILED_WRITES.load(Ordering::Relaxed)
+}
 
 /// Enables or disables experiment narration globally.
 pub fn set_quiet(quiet: bool) {

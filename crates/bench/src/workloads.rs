@@ -48,7 +48,7 @@ pub enum Scale {
     Paper,
     /// ≈1/5 of the functions over 5 minutes — the `--quick` CLI flag.
     Quick,
-    /// A miniature for Criterion iteration and CI smoke tests.
+    /// A miniature for the golden tests and the CI smoke (`--tiny`).
     Tiny,
 }
 
@@ -104,7 +104,7 @@ impl ExpCtx {
         }
     }
 
-    /// A miniature context for benches and smoke tests.
+    /// A miniature context for the golden and smoke tests.
     pub fn tiny() -> Self {
         Self {
             scale: Scale::Tiny,
@@ -149,42 +149,26 @@ impl ExpCtx {
         SimConfig::with_cache_gb(self.cache_gb(paper_cache_gb))
     }
 
-    /// Writes a table as CSV under the output directory and returns its
-    /// path (best-effort: failures are printed, not fatal).
+    /// Writes a table as CSV under the output directory (see
+    /// [`Self::save_text`]).
     pub fn save_csv(&self, name: &str, table: &Table) {
-        if let Err(e) = fs::create_dir_all(&self.out_dir) {
-            // lint:allow(P1): best-effort artifact write — the failure
-            // must reach the operator even when narration is quiet.
-            eprintln!("warning: cannot create {}: {e}", self.out_dir.display());
-            return;
-        }
-        let path = self.out_dir.join(format!("{name}.csv"));
-        if let Err(e) = fs::write(&path, table.to_csv()) {
-            // lint:allow(P1): best-effort artifact write — the failure
-            // must reach the operator even when narration is quiet.
-            eprintln!("warning: cannot write {}: {e}", path.display());
-        } else {
-            crate::say!("  [saved {}]", path.display());
-        }
+        self.save_text(&format!("{name}.csv"), &table.to_csv());
     }
 
-    /// Writes a raw text artifact (e.g. a Chrome trace-event JSON
-    /// export) under the output directory (best-effort, like
-    /// [`Self::save_csv`]).
+    /// Writes a text artifact (a CSV, a Chrome trace-event JSON export)
+    /// under the output directory. A failure is printed and counted in
+    /// [`crate::failed_writes`], not fatal: the run goes on and the CLI
+    /// exits non-zero at the end.
     pub fn save_text(&self, filename: &str, contents: &str) {
-        if let Err(e) = fs::create_dir_all(&self.out_dir) {
-            // lint:allow(P1): best-effort artifact write — the failure
-            // must reach the operator even when narration is quiet.
-            eprintln!("warning: cannot create {}: {e}", self.out_dir.display());
-            return;
-        }
         let path = self.out_dir.join(filename);
-        if let Err(e) = fs::write(&path, contents) {
-            // lint:allow(P1): best-effort artifact write — the failure
-            // must reach the operator even when narration is quiet.
-            eprintln!("warning: cannot write {}: {e}", path.display());
-        } else {
-            crate::say!("  [saved {}]", path.display());
+        match fs::create_dir_all(&self.out_dir).and_then(|()| fs::write(&path, contents)) {
+            Ok(()) => crate::say!("  [saved {}]", path.display()),
+            Err(e) => {
+                crate::FAILED_WRITES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                // lint:allow(P1): the failure must reach the operator
+                // even when narration is quiet.
+                eprintln!("warning: cannot write {}: {e}", path.display());
+            }
         }
     }
 }

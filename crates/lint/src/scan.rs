@@ -176,7 +176,7 @@ mod tests {
         let c = classify("src/lib.rs");
         assert_eq!(c.crate_name, "root");
         assert_eq!(c.file_kind, FileKind::Source);
-        let c = classify("crates/bench/benches/figures.rs");
+        let c = classify("crates/bench/benches/sim_throughput.rs");
         assert_eq!(c.crate_name, "bench");
         assert_eq!(c.file_kind, FileKind::TestFile);
     }

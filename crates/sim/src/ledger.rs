@@ -92,8 +92,7 @@ impl CostLedger {
     }
 
     /// Total GB-seconds divided by `served` requests — the memory bill
-    /// per request the `bench_guard` ratchet gates. Zero when nothing
-    /// was served.
+    /// per request. Zero when nothing was served.
     pub fn gb_s_per_request(&self, served: u64) -> f64 {
         if served == 0 {
             0.0

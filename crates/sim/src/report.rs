@@ -156,9 +156,8 @@ impl SimReport {
         out
     }
 
-    /// Memory bill per completed request in GB-seconds — the ratio the
-    /// `bench_guard` memory ratchet and the `pareto` sweep gate on.
-    /// Zero when the report is empty.
+    /// Memory bill per completed request in GB-seconds — the cost axis
+    /// of the `pareto` sweep. Zero when the report is empty.
     pub fn gb_s_per_request(&self) -> f64 {
         self.ledger.gb_s_per_request(self.requests.len() as u64)
     }

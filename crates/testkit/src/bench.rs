@@ -1,51 +1,40 @@
 //! Wall-clock micro-benchmark harness.
 //!
 //! A bench target is a plain binary (`harness = false`) that builds a
-//! [`Harness`], registers closures with [`Harness::bench`], and calls
-//! [`Harness::finish`]. Each benchmark is calibrated during warmup so a
-//! sample takes a measurable slice of wall time, then timed over a fixed
-//! iteration budget; the harness reports median / p95 / mean per
-//! iteration and optional element throughput, and merges the results of
-//! every bench binary into one machine-readable `BENCH_results.json` at
-//! the workspace root.
+//! [`Harness`] and runs closures through [`Harness::bench`]. Each
+//! benchmark is calibrated during warmup so a sample takes a measurable
+//! slice of wall time, then timed over a fixed iteration budget; the
+//! harness prints median / p95 per iteration and optional element
+//! throughput, and returns the [`BenchStats`] so a target can compare
+//! two of its own lanes. Nothing is written to disk.
 //!
-//! Environment knobs:
-//!
-//! * `BENCH_SMOKE=1` — CI smoke mode: minimal warmup and samples, so the
-//!   whole suite finishes in seconds while still exercising every path.
-//! * `BENCH_OUT=path.json` — override the results file location.
+//! `BENCH_SMOKE=1` is CI smoke mode: minimal warmup and samples, so a
+//! target finishes in seconds while still exercising every path.
 //!
 //! # Examples
 //!
 //! ```no_run
 //! use faas_testkit::Harness;
 //! let mut h = Harness::new("my_target");
-//! h.bench("hot_loop", || {
+//! let stats = h.bench("hot_loop", || {
 //!     std::hint::black_box(2u64 + 2);
 //! });
-//! h.finish();
+//! if let Some(s) = stats {
+//!     assert!(s.median_ns < 1e6, "hot_loop took {} ns", s.median_ns);
+//! }
 //! ```
 
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
-
-use crate::json::Value;
 
 /// Measured statistics for one benchmark, in nanoseconds per iteration.
 #[derive(Debug, Clone)]
 pub struct BenchStats {
-    /// Benchmark name (unique within the target).
-    pub name: String,
-    /// Number of timed samples.
-    pub samples: usize,
     /// Iterations per timed sample (calibrated during warmup).
     pub iters_per_sample: u64,
     /// Median ns/iteration across samples.
     pub median_ns: f64,
     /// 95th-percentile ns/iteration across samples.
     pub p95_ns: f64,
-    /// Mean ns/iteration across samples.
-    pub mean_ns: f64,
     /// Fastest sample's ns/iteration.
     pub min_ns: f64,
     /// Slowest sample's ns/iteration.
@@ -60,37 +49,12 @@ impl BenchStats {
         self.elems_per_iter
             .map(|e| e as f64 * 1e9 / self.median_ns.max(1e-9))
     }
-
-    fn to_json(&self) -> Value {
-        let mut obj = Value::Obj(vec![
-            ("name".into(), Value::Str(self.name.clone())),
-            ("samples".into(), Value::Num(self.samples as f64)),
-            (
-                "iters_per_sample".into(),
-                Value::Num(self.iters_per_sample as f64),
-            ),
-            ("median_ns".into(), Value::Num(round2(self.median_ns))),
-            ("p95_ns".into(), Value::Num(round2(self.p95_ns))),
-            ("mean_ns".into(), Value::Num(round2(self.mean_ns))),
-            ("min_ns".into(), Value::Num(round2(self.min_ns))),
-            ("max_ns".into(), Value::Num(round2(self.max_ns))),
-        ]);
-        if let Some(tput) = self.throughput_elems_per_sec() {
-            obj.set("throughput_elems_per_sec", Value::Num(round2(tput)));
-        }
-        obj
-    }
-}
-
-fn round2(v: f64) -> f64 {
-    (v * 100.0).round() / 100.0
 }
 
 /// The per-target bench harness. See the [module docs](self).
 #[derive(Debug)]
 pub struct Harness {
     target: String,
-    results: Vec<BenchStats>,
     filter: Option<String>,
     smoke: bool,
     samples: usize,
@@ -111,7 +75,6 @@ impl Harness {
         let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
         Self {
             target: target.to_string(),
-            results: Vec::new(),
             filter,
             smoke,
             samples: if smoke { 5 } else { 30 },
@@ -140,13 +103,13 @@ impl Harness {
         self
     }
 
-    /// Runs one benchmark. Results are printed immediately and recorded
-    /// for [`finish`](Self::finish).
-    pub fn bench<F: FnMut()>(&mut self, name: &str, mut f: F) {
+    /// Runs one benchmark, prints its statistics and returns them;
+    /// `None` when the CLI name filter skipped it.
+    pub fn bench<F: FnMut()>(&mut self, name: &str, mut f: F) -> Option<BenchStats> {
         let elems = self.next_elems.take();
         if let Some(filter) = &self.filter {
             if !name.contains(filter.as_str()) {
-                return;
+                return None;
             }
         }
         // Warmup + calibration: run until the clock has accumulated
@@ -180,12 +143,9 @@ impl Harness {
             per_iter_ns[idx]
         };
         let stats = BenchStats {
-            name: name.to_string(),
-            samples: per_iter_ns.len(),
             iters_per_sample,
             median_ns: pct(0.50),
             p95_ns: pct(0.95),
-            mean_ns: per_iter_ns.iter().sum::<f64>() / per_iter_ns.len() as f64,
             min_ns: per_iter_ns[0],
             max_ns: *per_iter_ns.last().expect("non-empty"),
             elems_per_iter: elems,
@@ -200,139 +160,7 @@ impl Harness {
             human_ns(stats.median_ns),
             human_ns(stats.p95_ns),
         );
-        self.results.push(stats);
-    }
-
-    /// Records externally measured statistics under this target, as if
-    /// they came from a [`bench`](Self::bench) run. The closure-based
-    /// harness times short repeatable iterations; some measurements —
-    /// an open-loop load run with per-request latency percentiles —
-    /// are one long experiment whose statistics are computed by the
-    /// experiment itself. Such callers build a [`BenchStats`] and hand
-    /// it in here, and it merges into `BENCH_results.json` alongside
-    /// everything else (and obeys the CLI name filter).
-    pub fn record(&mut self, stats: BenchStats) {
-        if let Some(filter) = &self.filter {
-            if !stats.name.contains(filter.as_str()) {
-                return;
-            }
-        }
-        let tput = match stats.throughput_elems_per_sec() {
-            Some(t) => format!("  ({} elems/s)", human(t)),
-            None => String::new(),
-        };
-        println!(
-            "{}/{:<40} median {:>12}  p95 {:>12}{tput}",
-            self.target,
-            stats.name,
-            human_ns(stats.median_ns),
-            human_ns(stats.p95_ns),
-        );
-        self.results.push(stats);
-    }
-
-    /// Whether the harness is in CI smoke mode (`BENCH_SMOKE=1`):
-    /// externally measured experiments should shrink accordingly.
-    pub fn smoke(&self) -> bool {
-        self.smoke
-    }
-
-    /// Prints a summary and merges this target's results into
-    /// `BENCH_results.json`. Call exactly once, at the end of `main`.
-    pub fn finish(self) {
-        if self.results.is_empty() {
-            println!("{}: no benchmarks matched the filter", self.target);
-            return;
-        }
-        let path = results_path();
-        let mut doc = std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|text| Value::parse(&text).ok())
-            .filter(|v| matches!(v, Value::Obj(_)))
-            .unwrap_or_else(|| {
-                Value::Obj(vec![
-                    ("schema".into(), Value::Num(1.0)),
-                    ("targets".into(), Value::Obj(vec![])),
-                ])
-            });
-        if doc.get("targets").is_none() {
-            doc.set("targets", Value::Obj(vec![]));
-        }
-        let benches = Value::Arr(self.results.iter().map(BenchStats::to_json).collect());
-        let entry = Value::Obj(vec![
-            ("smoke".into(), Value::Bool(self.smoke)),
-            ("benches".into(), benches),
-        ]);
-        // Re-fetch mutably: replace this target inside "targets".
-        if let Value::Obj(fields) = &mut doc {
-            for (k, v) in fields.iter_mut() {
-                if k == "targets" {
-                    v.set(&self.target, entry);
-                    // Keep target order stable (sorted) so reruns in any
-                    // order produce identical files.
-                    if let Value::Obj(targets) = v {
-                        targets.sort_by(|a, b| a.0.cmp(&b.0));
-                    }
-                    break;
-                }
-            }
-        }
-        match atomic_write(&path, &doc.pretty()) {
-            Ok(()) => println!("{}: results merged into {}", self.target, path.display()),
-            Err(e) => eprintln!("{}: cannot write {}: {e}", self.target, path.display()),
-        }
-    }
-}
-
-/// Writes `contents` to `path` atomically: the data goes to a unique
-/// temporary file in the same directory (same filesystem, so the rename
-/// cannot cross devices) which is then renamed over the target. Readers
-/// and concurrent/interrupted writers therefore always observe either
-/// the old complete file or the new complete file, never a torn mix —
-/// the `BENCH_results.json` merge is a read-modify-write cycle per bench
-/// target, and a plain `fs::write` could be interrupted mid-stream.
-pub fn atomic_write(path: &std::path::Path, contents: &str) -> std::io::Result<()> {
-    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
-    let file_name = path.file_name().ok_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::InvalidInput, "path has no file name")
-    })?;
-    let tmp_name = format!(
-        ".{}.tmp.{}",
-        file_name.to_string_lossy(),
-        std::process::id()
-    );
-    let tmp = match dir {
-        Some(d) => d.join(&tmp_name),
-        None => PathBuf::from(&tmp_name),
-    };
-    let write_and_rename = (|| {
-        std::fs::write(&tmp, contents)?;
-        std::fs::rename(&tmp, path)
-    })();
-    if write_and_rename.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    write_and_rename
-}
-
-/// Where `BENCH_results.json` lives: `BENCH_OUT` if set, else the
-/// enclosing cargo workspace root (bench binaries run with the package
-/// directory as cwd), else the current directory.
-fn results_path() -> PathBuf {
-    if let Ok(p) = std::env::var("BENCH_OUT") {
-        return PathBuf::from(p);
-    }
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        let manifest = dir.join("Cargo.toml");
-        if let Ok(text) = std::fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                return dir.join("BENCH_results.json");
-            }
-        }
-        if !dir.pop() {
-            return PathBuf::from("BENCH_results.json");
-        }
+        Some(stats)
     }
 }
 
@@ -364,13 +192,11 @@ fn human(v: f64) -> String {
 mod tests {
     use super::*;
 
-    fn smoke_harness(target: &str, out: &std::path::Path) -> Harness {
+    fn smoke_harness(filter: Option<&str>) -> Harness {
         // Constructed directly so tests don't depend on process env.
-        let _ = out;
         Harness {
-            target: target.to_string(),
-            results: Vec::new(),
-            filter: None,
+            target: "test".to_string(),
+            filter: filter.map(str::to_string),
             smoke: true,
             samples: 4,
             min_sample_time: Duration::from_micros(200),
@@ -378,77 +204,17 @@ mod tests {
         }
     }
 
-    #[test]
-    fn measures_and_merges_two_targets() {
-        let dir = std::env::temp_dir().join(format!("testkit-bench-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("BENCH_results.json");
-        let _ = std::fs::remove_file(&out);
-        // The results path is env-driven; set it for this test. Tests in
-        // this module are the only users of BENCH_OUT in-process.
-        std::env::set_var("BENCH_OUT", &out);
-
-        let mut h1 = smoke_harness("alpha", &out);
-        h1.throughput_elems(100);
-        h1.bench("tiny_add", || {
-            std::hint::black_box(1u64.wrapping_add(2));
-        });
-        h1.finish();
-
-        let mut h2 = smoke_harness("beta", &out);
-        h2.bench("tiny_mul", || {
-            std::hint::black_box(3u64.wrapping_mul(4));
-        });
-        h2.finish();
-
-        let doc = Value::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
-        let targets = doc.get("targets").expect("targets");
-        for t in ["alpha", "beta"] {
-            let benches = targets.get(t).unwrap().get("benches").unwrap();
-            let b = &benches.as_arr().unwrap()[0];
-            let median = b.get("median_ns").unwrap().as_f64().unwrap();
-            let p95 = b.get("p95_ns").unwrap().as_f64().unwrap();
-            assert!(
-                median > 0.0 && p95 >= median,
-                "{t}: median {median} p95 {p95}"
-            );
+    fn spin() {
+        let mut x = 0u64;
+        for i in 0..50 {
+            x = x.wrapping_add(std::hint::black_box(i));
         }
-        assert!(targets
-            .get("alpha")
-            .unwrap()
-            .get("benches")
-            .unwrap()
-            .as_arr()
-            .unwrap()[0]
-            .get("throughput_elems_per_sec")
-            .is_some());
-
-        // Re-running a target replaces, not duplicates.
-        let mut h3 = smoke_harness("alpha", &out);
-        h3.bench("tiny_add", || {
-            std::hint::black_box(5u64.wrapping_add(6));
-        });
-        h3.finish();
-        let doc = Value::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
-        let alpha = doc.get("targets").unwrap().get("alpha").unwrap();
-        assert_eq!(alpha.get("benches").unwrap().as_arr().unwrap().len(), 1);
-
-        std::env::remove_var("BENCH_OUT");
-        let _ = std::fs::remove_file(&out);
+        std::hint::black_box(x);
     }
 
     #[test]
     fn stats_ordering_holds() {
-        let out = std::env::temp_dir().join("unused-bench.json");
-        let mut h = smoke_harness("gamma", &out);
-        h.bench("spin", || {
-            let mut x = 0u64;
-            for i in 0..50 {
-                x = x.wrapping_add(std::hint::black_box(i));
-            }
-            std::hint::black_box(x);
-        });
-        let s = &h.results[0];
+        let s = smoke_harness(None).bench("spin", spin).expect("no filter");
         assert!(s.min_ns <= s.median_ns);
         assert!(s.median_ns <= s.p95_ns);
         assert!(s.p95_ns <= s.max_ns);
@@ -456,31 +222,17 @@ mod tests {
     }
 
     #[test]
-    fn atomic_write_replaces_contents_and_cleans_up() {
-        let dir = std::env::temp_dir().join(format!("testkit-atomic-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("results.json");
-        atomic_write(&out, "first").unwrap();
-        assert_eq!(std::fs::read_to_string(&out).unwrap(), "first");
-        atomic_write(&out, "second").unwrap();
-        assert_eq!(std::fs::read_to_string(&out).unwrap(), "second");
-        // No temp-file droppings left next to the target.
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
-            .collect();
-        assert!(
-            leftovers.is_empty(),
-            "temp files left behind: {leftovers:?}"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn atomic_write_rejects_directoryless_target() {
-        let err = atomic_write(std::path::Path::new("/"), "x");
-        assert!(err.is_err());
+    fn filter_skips_lane_and_its_throughput() {
+        let mut h = smoke_harness(Some("large"));
+        h.throughput_elems(100);
+        assert!(h.bench("small", spin).is_none());
+        // The skipped lane's declaration must not leak onto the next.
+        let s = h.bench("large_n", spin).expect("matches the filter");
+        assert!(s.median_ns > 0.0);
+        assert_eq!(s.throughput_elems_per_sec(), None);
+        h.throughput_elems(100);
+        let s = h.bench("large_n", spin).expect("matches the filter");
+        assert!(s.throughput_elems_per_sec().is_some_and(|t| t > 0.0));
     }
 
     #[test]

@@ -1,9 +1,6 @@
-//! Minimal JSON reader/writer — just enough for the bench harness to
-//! merge `BENCH_results.json` across bench binaries without serde.
-//!
-//! Objects preserve insertion order so emitted files are deterministic.
-
-use std::fmt;
+//! Minimal validating JSON reader — just enough for tests to check
+//! that an emitted document (the Chrome trace-event exports) parses
+//! and to look inside it, without serde.
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -18,7 +15,7 @@ pub enum Value {
     Str(String),
     /// An array.
     Arr(Vec<Value>),
-    /// An object, preserving insertion order.
+    /// An object, fields in document order.
     Obj(Vec<(String, Value)>),
 }
 
@@ -28,17 +25,6 @@ impl Value {
         match self {
             Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
-        }
-    }
-
-    /// Inserts or replaces a key in an object. Panics on non-objects.
-    pub fn set(&mut self, key: &str, value: Value) {
-        let Value::Obj(fields) = self else {
-            panic!("set on non-object JSON value");
-        };
-        match fields.iter_mut().find(|(k, _)| k == key) {
-            Some((_, v)) => *v = value,
-            None => fields.push((key.to_string(), value)),
         }
     }
 
@@ -80,92 +66,6 @@ impl Value {
         }
         Ok(v)
     }
-
-    /// Pretty-prints with two-space indentation (stable across runs).
-    pub fn pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: usize) {
-        let pad = "  ".repeat(indent);
-        match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Num(n) => out.push_str(&fmt_num(*n)),
-            Value::Str(s) => write_escaped(out, s),
-            Value::Arr(items) if items.is_empty() => out.push_str("[]"),
-            Value::Arr(items) => {
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    out.push_str(&pad);
-                    out.push_str("  ");
-                    item.write(out, indent + 1);
-                    if i + 1 < items.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                out.push_str(&pad);
-                out.push(']');
-            }
-            Value::Obj(fields) if fields.is_empty() => out.push_str("{}"),
-            Value::Obj(fields) => {
-                out.push_str("{\n");
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    out.push_str(&pad);
-                    out.push_str("  ");
-                    write_escaped(out, k);
-                    out.push_str(": ");
-                    v.write(out, indent + 1);
-                    if i + 1 < fields.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                out.push_str(&pad);
-                out.push('}');
-            }
-        }
-    }
-}
-
-impl fmt::Display for Value {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.pretty().trim_end())
-    }
-}
-
-/// Formats a number the way JSON expects: integers without a fraction,
-/// everything else via the shortest round-trippable `f64` formatting.
-fn fmt_num(n: f64) -> String {
-    if !n.is_finite() {
-        // JSON has no Infinity/NaN; null is the least-bad encoding.
-        return "null".to_string();
-    }
-    if n == n.trunc() && n.abs() < 9e15 {
-        format!("{}", n as i64)
-    } else {
-        format!("{n}")
-    }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 struct Parser<'a> {
@@ -350,28 +250,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn round_trips_nested_document() {
-        let doc = Value::Obj(vec![
-            ("schema".into(), Value::Num(1.0)),
-            (
-                "targets".into(),
-                Value::Obj(vec![(
-                    "sim".into(),
-                    Value::Arr(vec![Value::Obj(vec![
-                        ("name".into(), Value::Str("replay \"cidre\"".into())),
-                        ("median_ns".into(), Value::Num(1234.5)),
-                        ("ok".into(), Value::Bool(true)),
-                        ("note".into(), Value::Null),
-                    ])]),
-                )]),
-            ),
-        ]);
-        let text = doc.pretty();
-        let back = Value::parse(&text).expect("parses");
-        assert_eq!(doc, back);
-    }
-
-    #[test]
     fn parses_hand_written_json() {
         let v = Value::parse(r#"{"a": [1, 2.5, -3e2], "b": "x\ny", "c": null}"#).unwrap();
         assert_eq!(
@@ -391,25 +269,10 @@ mod tests {
     }
 
     #[test]
-    fn set_replaces_and_appends() {
-        let mut v = Value::Obj(vec![]);
-        v.set("k", Value::Num(1.0));
-        v.set("k", Value::Num(2.0));
-        v.set("j", Value::Bool(false));
-        assert_eq!(v.get("k").unwrap().as_f64(), Some(2.0));
-        assert_eq!(v.get("j"), Some(&Value::Bool(false)));
-    }
-
-    #[test]
-    fn integers_emit_without_fraction() {
-        assert_eq!(fmt_num(5.0), "5");
-        assert_eq!(fmt_num(5.25), "5.25");
-        assert_eq!(fmt_num(f64::NAN), "null");
-    }
-
-    #[test]
     fn unicode_survives() {
-        let v = Value::Str("ns/iter — médiane ✓".into());
-        assert_eq!(Value::parse(&v.pretty()).unwrap(), v);
+        let v = Value::parse("[\"ns/iter — médiane ✓\", \"\\u00e9\\\"\"]").unwrap();
+        let items = v.as_arr().unwrap();
+        assert_eq!(items[0].as_str(), Some("ns/iter — médiane ✓"));
+        assert_eq!(items[1].as_str(), Some("é\""));
     }
 }

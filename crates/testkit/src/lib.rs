@@ -16,9 +16,8 @@
 //!   failing-seed persistence to a `*.testkit-regressions` file.
 //!   Replaces `proptest`.
 //! * [`bench`] — a wall-clock micro-benchmark harness (warmup, fixed
-//!   iteration budget, median/p95/throughput) that appends
-//!   machine-readable results to `BENCH_results.json`. Replaces
-//!   `criterion`.
+//!   iteration budget, median/p95/throughput) that prints each lane and
+//!   hands its statistics back to the target. Replaces `criterion`.
 //! * [`par`] — an ordered, deterministic fork-join map over
 //!   `std::thread::scope`, used to parallelize experiment sweeps while
 //!   keeping result aggregation byte-identical to a sequential run.
@@ -26,9 +25,8 @@
 //!   uniform pacing) for load generators; the same seed always yields
 //!   the byte-identical schedule.
 //!
-//! [`json`] is the tiny JSON reader/writer the bench harness uses to
-//! merge results across bench binaries; it is public because tests and
-//! tooling may want to consume `BENCH_results.json` without serde.
+//! [`json`] is a tiny validating JSON reader: tests parse the Chrome
+//! trace-event exports with it instead of serde.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,7 +39,7 @@ pub mod prop;
 pub mod rng;
 
 pub use arrivals::Arrivals;
-pub use bench::{atomic_write, BenchStats, Harness};
+pub use bench::{BenchStats, Harness};
 pub use par::{default_jobs, par_map, par_map_mut};
 pub use prop::{Checker, Gen};
 pub use rng::Rng;

@@ -150,11 +150,12 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Pinned content hashes of every CSV the `fig12`, `sweep`, and
-/// `faults` experiments emit at `Scale::Tiny`, captured on the
-/// pre-refactor (naive linear-scan) engine. The indexed hot paths must
-/// reproduce these outputs byte-for-byte: any divergence here means the
-/// refactor changed a scheduling or eviction decision somewhere.
+/// Pinned content hashes of every artifact `experiments all` and
+/// `sweep` write at `Scale::Tiny`. The first eight were captured on the
+/// pre-refactor (naive linear-scan) engine; the rest at PR 18's commit,
+/// whose engine reproduces those eight. Any divergence here means a
+/// change moved a scheduling or eviction decision somewhere — or a
+/// runner's own arithmetic or formatting.
 const CSV_GOLDENS: &[(&str, u64)] = &[
     ("fig12_overhead_azure.csv", 0x3150e1b8345750e2),
     ("fig12_breakdown_azure.csv", 0x24189be3962b5401),
@@ -170,6 +171,34 @@ const CSV_GOLDENS: &[(&str, u64)] = &[
     // start-class queue/provision/retry/exec decomposition and the
     // provenance event counts.
     ("trace.csv", 0x4bc3028235c6a0e6),
+    // Every other runner, and the `trace` experiment's three Chrome
+    // exports: until PR 20 only `paper_shapes`' coarse inequalities
+    // held these.
+    ("table1.csv", 0x697dc2ae680de224),
+    ("table2.csv", 0x9b632fea7d1b69cc),
+    ("fig2.csv", 0x48271517697a4efa),
+    ("fig3.csv", 0xb3d7046c1df01e28),
+    ("fig5.csv", 0x10ef44d401534eaa),
+    ("fig6.csv", 0xd7f0c5339c912b99),
+    ("fig7.csv", 0x5a88bacfb7662352),
+    ("fig8.csv", 0x1a011a5d17c904af),
+    ("fig9.csv", 0x1e08a8d90dc4a16f),
+    ("fig10.csv", 0x1722d66b68d3f9e4),
+    ("fig13_azure.csv", 0x4571d281a71480ae),
+    ("fig13_fc.csv", 0x7b3cb9beebd969fa),
+    ("fig14.csv", 0xbe0baea47b92b2b3),
+    ("fig15.csv", 0x9611f185ae6d16d4),
+    ("fig16.csv", 0x1b4c1631d57e4583),
+    ("fig17.csv", 0x4061da850fa430cb),
+    ("fig18.csv", 0x5866e67a9c0bc3aa),
+    ("fig19.csv", 0xb48995a8f7926eb3),
+    ("fig20.csv", 0x3686d06e0035da51),
+    ("fig21.csv", 0x978f3c2b27c18966),
+    ("extra_placement.csv", 0x0c8c821610b75706),
+    ("extra_variance.csv", 0x628d1692c641776e),
+    ("trace_faascache.json", 0x97f8f445020a8731),
+    ("trace_cidre-bss.json", 0x7f691b8a4e611577),
+    ("trace_cidre.json", 0x5243e0655e46e52e),
 ];
 
 #[test]
@@ -187,12 +216,28 @@ fn experiment_csv_outputs_match_pinned_goldens() {
         caches_gb: Some(vec![80, 100, 120]),
         workload: Some(cidre_bench::Workload::Azure),
     };
-    for exp in ["fig12", "sweep", "faults", "pareto", "trace"] {
+    // `all` skips `sweep` (an interactive tool, not a paper artifact).
+    for exp in ["all", "sweep"] {
         assert!(
             cidre_bench::run_by_name(exp, &ctx),
             "unknown experiment {exp}"
         );
     }
+    // Exactly the pinned files: a runner that silently stops writing,
+    // or starts writing something unpinned, fails here.
+    let mut written: Vec<String> = std::fs::read_dir(&out)
+        .expect("experiments wrote an output directory")
+        .map(|e| {
+            e.expect("readable entry")
+                .file_name()
+                .into_string()
+                .expect("utf-8 name")
+        })
+        .collect();
+    written.sort_unstable();
+    let mut pinned: Vec<&str> = CSV_GOLDENS.iter().map(|&(name, _)| name).collect();
+    pinned.sort_unstable();
+    assert_eq!(written, pinned, "output files differ from the pinned set");
     let mut failures = Vec::new();
     for &(name, want) in CSV_GOLDENS {
         let bytes = std::fs::read(out.join(name))
@@ -205,7 +250,7 @@ fn experiment_csv_outputs_match_pinned_goldens() {
     let _ = std::fs::remove_dir_all(&out);
     assert!(
         failures.is_empty(),
-        "experiment CSVs diverged from pre-refactor goldens:\n{}",
+        "experiment outputs diverged from the pinned goldens:\n{}",
         failures.join("\n")
     );
 }
