@@ -18,12 +18,12 @@ echo "== lint: cidre-lint (determinism & safety ratchet) =="
 # O1 unordered hash iteration, F1 partial_cmp, C1 lossy time/mem casts,
 # E1 ambient entropy, U1 bare unwrap, P1 library printing) plus the
 # flow-sensitive concurrency rules (G1 guard across await, K1 wake
-# under an executor lock, L1 lock-order cycles, S1 conductor
-# confinement — seeded from lint-locks.toml). Fails on any violation
-# not accepted by lint-baseline.toml, on a stale baseline, and on any
-# unjustified `lint:allow`. See DESIGN.md §8 and §13. The analyzer must
-# itself be deterministic: run the JSON report twice and require
-# byte-identical output, inside a 10s wall-time budget for both scans.
+# under an executor lock, L1 lock-order cycles — the last two seeded
+# from lint-locks.toml). Fails on any violation not accepted by
+# lint-baseline.toml, on a stale baseline, and on any unjustified
+# `lint:allow`. See DESIGN.md §8 and §13. The analyzer must itself be
+# deterministic: run the JSON report twice and require byte-identical
+# output, inside a 10s wall-time budget for both scans.
 cargo build -q --release --offline -p cidre-lint
 lint_a="$(mktemp)"
 lint_b="$(mktemp)"
@@ -45,12 +45,12 @@ trap - EXIT
 echo "== tier 1: release build (offline) =="
 cargo build --release --offline
 
-echo "== tier 1: sharded oracle smoke (2 shards, offline) =="
-# Fast fail signal for the epoch-barrier protocol (DESIGN.md §9):
-# one pinned seed through all three engines at 2 shards, in release so
-# it finishes in seconds. The full randomized three-way oracle runs in
-# the debug suite below.
-cargo test -q --offline --release --test equivalence sharded_oracle_smoke_two_shards
+echo "== tier 1: invariant-checked drivers, release (offline) =="
+# InvariantChecker is debug-only, but the late-clock driver of
+# orchestrator_drivers.rs calls the public check_invariants() after
+# every step: this is the faulted, late-delivery property under release
+# codegen with overflow-checks on. The debug suite below runs it again.
+cargo test -q --offline --release -p faas-sim --test orchestrator_drivers
 
 echo "== tier 1: tests (offline) =="
 # Workspace default-members exclude crates/live, whose wall-clock
@@ -102,6 +102,18 @@ if grep -rnE 'WorkerFreeList|free_list' crates; then
 fi
 if grep -nE 'BTreeMap<ContainerId, *Container>' crates/sim/src/cluster.rs; then
   echo "crates/sim/src/cluster.rs: the container table is ordered again; sort in the view that needs order" >&2
+  exit 1
+fi
+
+echo "== guard: one engine =="
+# Parallelism is run-level fan-out (DESIGN.md §9): the second engine and
+# everything that served it are deleted, and the word may not come back
+# anywhere but the inert builder benchmark/benches/adapter.rs (frozen)
+# still calls. This script is not searched, so the pattern below cannot
+# match itself.
+if grep -rniI shard crates src tests examples lint-locks.toml Cargo.toml \
+  | grep -vE '^crates/sim/src/config\.rs:[0-9]+: *(// Inert: the sharded engine is deleted\.|pub fn shards\(self, _shards: usize\) -> Self \{)'; then
+  echo "a second simulation engine is growing back; fan runs out with testkit::par_map instead" >&2
   exit 1
 fi
 

@@ -9,8 +9,8 @@
 //! scheduling-work counters, and a `frontier` flag marking the
 //! non-dominated points of each fault-plan group. Everything is a
 //! deterministic function of the context seed, so the table and CSV
-//! are byte-identical across runs, `--jobs`, and shard counts —
-//! asserted by `tests/determinism.rs`.
+//! are byte-identical across runs and `--jobs` — asserted by
+//! `tests/determinism.rs`.
 
 use faas_metrics::{pareto_frontier, ParetoPoint, Table};
 use faas_sim::StartClass;
@@ -21,11 +21,11 @@ use crate::{ExpCtx, Workload};
 
 /// Fault plans crossed with the policy grid: a healthy substrate and a
 /// faulty one (same schedule as the `faults` sweep at rate 0.1).
-pub const FAULT_RATES: &[f64] = &[0.0, 0.1];
+const FAULT_RATES: &[f64] = &[0.0, 0.1];
 
 /// The policy grid: the TTL aggressiveness axis, the headline
 /// baselines, and both CIDRE stacks.
-pub const POLICIES: &[&str] = &[
+const POLICIES: &[&str] = &[
     "ttl@5s",
     "ttl@30s",
     "ttl@600s",

@@ -9,9 +9,8 @@
 //! per-class table and CSV, an ASCII waterfall sketch, and a
 //! Perfetto-loadable Chrome trace-event JSON per policy under the
 //! output directory. Everything is a deterministic function of the
-//! context seed — byte-identical across runs, `--jobs`, and shard
-//! counts — asserted by `tests/determinism.rs` and the `ci.sh`
-//! double-run diff lane.
+//! context seed — byte-identical across runs and `--jobs` — asserted
+//! by `tests/determinism.rs` and the `ci.sh` double-run diff lane.
 
 use faas_metrics::{AsciiWaterfall, Table};
 use faas_obs::waterfall::{summarize_by_class, SEGMENT_NAMES};

@@ -30,4 +30,4 @@ pub mod hash;
 pub mod pool;
 
 pub use hash::{IdBuildHasher, IdHasher};
-pub use pool::{kmerge_by_key, EvictionIndex, FreeThreadPool, OrdF64, PendingQueue, RoundHeap};
+pub use pool::{EvictionIndex, FreeThreadPool, OrdF64, PendingQueue, RoundHeap};

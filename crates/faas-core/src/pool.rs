@@ -465,40 +465,6 @@ impl<C: Ord + Copy> RoundHeap<C> {
     }
 }
 
-/// K-way merge of already-sorted streams into one globally sorted
-/// stream — the primitive that lets a shard-partitioned index present
-/// itself as the single sequential index it replaced (each shard
-/// iterates its own key-ordered slice; the merge restores global key
-/// order exactly).
-///
-/// `key` extracts the sort key; every input stream must already be
-/// ascending by it. Ties break toward the lowest stream index, making
-/// the output order fully deterministic even with duplicate keys.
-/// Cost is O(k) per yielded item — for shard counts (single digits)
-/// this beats a binary heap and keeps the pick branch-predictable.
-pub fn kmerge_by_key<T, K, I, F>(streams: Vec<I>, key: F) -> impl Iterator<Item = T>
-where
-    I: Iterator<Item = T>,
-    K: Ord,
-    F: Fn(&T) -> K,
-{
-    let mut peeked: Vec<std::iter::Peekable<I>> =
-        streams.into_iter().map(Iterator::peekable).collect();
-    std::iter::from_fn(move || {
-        let mut best: Option<(K, usize)> = None;
-        for (i, it) in peeked.iter_mut().enumerate() {
-            if let Some(item) = it.peek() {
-                let k = key(item);
-                if best.as_ref().is_none_or(|(bk, _)| k < *bk) {
-                    best = Some((k, i));
-                }
-            }
-        }
-        let (_, i) = best?;
-        peeked[i].next()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -790,44 +756,6 @@ mod tests {
         idx.drop_worker(1);
         assert_eq!(idx.pop_min(1, |_| Some(2.0)), None);
         assert_eq!(idx.len_live(), 0);
-    }
-
-    #[test]
-    fn kmerge_restores_global_order_from_sorted_shards() {
-        // Partition 0..100 round-robin into 3 "shards" (each ascending),
-        // as the sharded cluster partitions function ids.
-        let shards: Vec<Vec<u32>> = (0..3)
-            .map(|s| (0..100u32).filter(|v| v % 3 == s).collect())
-            .collect();
-        let merged: Vec<u32> =
-            kmerge_by_key(shards.into_iter().map(Vec::into_iter).collect(), |&v| v).collect();
-        assert_eq!(merged, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn kmerge_breaks_ties_toward_lowest_stream() {
-        let a = vec![(1u32, 'a'), (3, 'a')];
-        let b = vec![(1u32, 'b'), (2, 'b'), (3, 'b')];
-        let merged: Vec<(u32, char)> =
-            kmerge_by_key(vec![a.into_iter(), b.into_iter()], |&(k, _)| k).collect();
-        assert_eq!(
-            merged,
-            vec![(1, 'a'), (1, 'b'), (2, 'b'), (3, 'a'), (3, 'b')]
-        );
-    }
-
-    #[test]
-    fn kmerge_handles_empty_and_singleton_streams() {
-        let streams: Vec<std::vec::IntoIter<u8>> = vec![
-            vec![].into_iter(),
-            vec![5].into_iter(),
-            vec![].into_iter(),
-            vec![1, 9].into_iter(),
-        ];
-        let merged: Vec<u8> = kmerge_by_key(streams, |&v| v).collect();
-        assert_eq!(merged, vec![1, 5, 9]);
-        let none: Vec<std::vec::IntoIter<u8>> = Vec::new();
-        assert_eq!(kmerge_by_key(none, |&v| v).count(), 0);
     }
 
     #[test]

@@ -1,16 +1,15 @@
-//! The workspace concurrency pass: K1 (wake under an executor lock),
-//! L1 (lock-acquisition-order cycles), and S1 (conductor confinement),
-//! all seeded from `lint-locks.toml` ([`crate::locks`]) and built on
-//! the brace-tree parser's flow walker ([`crate::parser`]).
+//! The workspace concurrency pass: K1 (wake under an executor lock)
+//! and L1 (lock-acquisition-order cycles), both seeded from
+//! `lint-locks.toml` ([`crate::locks`]) and built on the brace-tree
+//! parser's flow walker ([`crate::parser`]).
 //!
 //! Unlike the per-file rules these need cross-file state — K1's
-//! one-level wake set, L1's order graph, and S1's call graph all span
-//! crates — so the pass runs once over every parsed file and hands its
-//! findings back to the scanner, which merges them into the same
-//! per-file reports, suppression grammar, and ratchet the token rules
-//! use. Test context (test files and `#[cfg(test)]` modules) is out of
-//! scope for all three: tests *are* conductors and hold locks on
-//! purpose. See DESIGN.md §13 for rule semantics.
+//! one-level wake set and L1's order graph span files — so the pass
+//! runs once over every parsed file and hands its findings back to the
+//! scanner, which merges them into the same per-file reports,
+//! suppression grammar, and ratchet the token rules use. Test context
+//! (test files and `#[cfg(test)]` modules) is out of scope for both:
+//! tests hold locks on purpose. See DESIGN.md §13 for rule semantics.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -30,7 +29,7 @@ pub struct SourceFile {
     pub src: String,
 }
 
-/// A parsed file, shared by the three rules.
+/// A parsed file, shared by both rules.
 struct Parsed {
     tokens: Vec<crate::lexer::Token>,
     comments: Vec<crate::lexer::Comment>,
@@ -39,13 +38,9 @@ struct Parsed {
     fn_in_test: Vec<bool>,
 }
 
-/// Runs K1/L1/S1 over the workspace. Returns `(file index, violation)`
+/// Runs K1/L1 over the workspace. Returns `(file index, violation)`
 /// pairs with each file's justified suppressions already applied.
-/// Errors on seed-data rot (an S1 entry that resolves to no function).
-pub fn analyze_workspace(
-    files: &[SourceFile],
-    cfg: &LocksConfig,
-) -> Result<Vec<(usize, Violation)>, String> {
+pub fn analyze_workspace(files: &[SourceFile], cfg: &LocksConfig) -> Vec<(usize, Violation)> {
     let parsed: Vec<Parsed> = files
         .iter()
         .map(|f| {
@@ -68,7 +63,6 @@ pub fn analyze_workspace(
     let mut violations: Vec<(usize, Violation)> = Vec::new();
     rule_k1(files, &parsed, cfg, &mut violations);
     rule_l1(files, &parsed, cfg, &mut violations);
-    rule_s1(files, &parsed, cfg, &mut violations)?;
 
     // Per-file suppression with the shared grammar. A0s from bad
     // directives are already reported by `analyze_file` on the same
@@ -83,7 +77,7 @@ pub fn analyze_workspace(
         apply_suppressions(&parsed[idx].tokens, &allows, &mut vs);
         out.extend(vs.into_iter().map(|v| (idx, v)));
     }
-    Ok(out)
+    out
 }
 
 /// Source (non-test) fns of one file that a scope-substring list
@@ -303,86 +297,4 @@ fn find_path<'a>(
         }
     }
     None
-}
-
-/// S1 — conductor confinement: nothing reachable from a shard
-/// execution entry point may call a conductor-only API (DESIGN.md §9).
-/// The call graph is name-based over the configured scope files;
-/// an entry that resolves to no function is seed-data rot and errors.
-fn rule_s1(
-    files: &[SourceFile],
-    parsed: &[Parsed],
-    cfg: &LocksConfig,
-    out: &mut Vec<(usize, Violation)>,
-) -> Result<(), String> {
-    if cfg.s1_entries.is_empty() {
-        return Ok(());
-    }
-    // Definitions and per-fn call lists over the scope.
-    let mut by_bare: BTreeMap<&str, Vec<(usize, usize)>> = BTreeMap::new();
-    let mut by_qual: BTreeMap<&str, Vec<(usize, usize)>> = BTreeMap::new();
-    let mut calls: BTreeMap<(usize, usize), Vec<(String, u32)>> = BTreeMap::new();
-    for idx in 0..files.len() {
-        for k in scoped_fns(files, parsed, idx, &cfg.s1_scope) {
-            let p = &parsed[idx];
-            let fi = &p.fns[k];
-            by_bare.entry(&fi.name).or_default().push((idx, k));
-            by_qual.entry(&fi.qual).or_default().push((idx, k));
-            let skip = nested_spans(&p.fns, k);
-            let mut list = Vec::new();
-            walk_body(&p.tokens, fi.body, &skip, |e, _| {
-                if let Event::Call { name, line, .. } = e {
-                    list.push((name.to_string(), *line));
-                }
-            });
-            calls.insert((idx, k), list);
-        }
-    }
-    let forbidden: BTreeSet<&str> = cfg.s1_conductor_only.iter().map(|s| s.as_str()).collect();
-    let mut visited: BTreeSet<(usize, usize)> = BTreeSet::new();
-    let mut queue: VecDeque<((usize, usize), String)> = VecDeque::new();
-    for entry in &cfg.s1_entries {
-        let defs = if entry.contains("::") {
-            by_qual.get(entry.as_str())
-        } else {
-            by_bare.get(entry.as_str())
-        };
-        let defs = defs.ok_or_else(|| {
-            format!(
-                "lint-locks.toml: [s1] entry `{entry}` resolves to no function in scope \
-                 — update the seed data"
-            )
-        })?;
-        for &d in defs {
-            if visited.insert(d) {
-                queue.push_back((d, entry.clone()));
-            }
-        }
-    }
-    while let Some(((idx, k), entry)) = queue.pop_front() {
-        let qual = parsed[idx].fns[k].qual.clone();
-        for (name, line) in calls.get(&(idx, k)).into_iter().flatten() {
-            if forbidden.contains(name.as_str()) {
-                out.push((
-                    idx,
-                    Violation {
-                        rule: Rule::S1,
-                        line: *line,
-                        message: format!(
-                            "conductor-only API `{name}` called in `{qual}`, which is \
-                             reachable from shard entry `{entry}`; shard execution may \
-                             not touch policies/queues/faults/recorder (DESIGN.md §9)"
-                        ),
-                    },
-                ));
-            } else {
-                for &d in by_bare.get(name.as_str()).into_iter().flatten() {
-                    if visited.insert(d) {
-                        queue.push_back((d, entry.clone()));
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
 }

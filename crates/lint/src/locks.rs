@@ -1,5 +1,5 @@
 //! `lint-locks.toml` — the seed data for the workspace concurrency
-//! rules (K1/L1/S1, DESIGN.md §13), parsed with the same hand-rolled
+//! rules (K1/L1, DESIGN.md §13), parsed with the same hand-rolled
 //! TOML-subset philosophy as [`crate::baseline`].
 //!
 //! Schema (all keys shown; unknown sections or keys are errors so a
@@ -14,11 +14,6 @@
 //! files = ["crates/live/src/exec/task.rs"]  # path suffixes
 //! field = "state"                           # receiver ident before .lock()
 //! impls = ["Inner"]                         # optional impl-type filter
-//!
-//! [s1]
-//! entry = ["ShardCore::run_until"]          # shard-execution entry fns
-//! scope = ["crates/sim/src/shard.rs"]       # call-graph universe
-//! conductor_only = ["on_admit", "obs"]      # forbidden names (fns or macros)
 //! ```
 //!
 //! A missing file yields [`LocksConfig::default`]: every workspace
@@ -55,12 +50,6 @@ pub struct LocksConfig {
     pub k1_scope: Vec<String>,
     /// Named locks for L1.
     pub locks: Vec<LockSpec>,
-    /// S1 shard-execution entry points (`Type::fn` or bare names).
-    pub s1_entries: Vec<String>,
-    /// Path substrings forming S1's call-graph universe.
-    pub s1_scope: Vec<String>,
-    /// Names (fns or macros) only the conductor may call.
-    pub s1_conductor_only: Vec<String>,
 }
 
 /// Which table a key-value line belongs to.
@@ -69,7 +58,6 @@ enum Section {
     None,
     K1,
     Lock,
-    S1,
 }
 
 /// Parses a TOML string value: `"…"` (no escapes needed — paths and
@@ -123,7 +111,6 @@ impl LocksConfig {
             if let Some(header) = line.strip_prefix('[') {
                 section = match header.strip_suffix(']') {
                     Some("k1") => Section::K1,
-                    Some("s1") => Section::S1,
                     Some("[lock]") => {
                         cfg.locks.push(LockSpec::default());
                         Section::Lock
@@ -160,11 +147,6 @@ impl LocksConfig {
                 (Section::Lock, "impls") => {
                     lock_mut(&mut cfg)?.impls = parse_array(&value, line_no)?
                 }
-                (Section::S1, "entry") => cfg.s1_entries = parse_array(&value, line_no)?,
-                (Section::S1, "scope") => cfg.s1_scope = parse_array(&value, line_no)?,
-                (Section::S1, "conductor_only") => {
-                    cfg.s1_conductor_only = parse_array(&value, line_no)?
-                }
                 _ => return Err(format!("line {line_no}: unknown key `{key}` in this table")),
             }
         }
@@ -173,7 +155,7 @@ impl LocksConfig {
     }
 
     /// Cross-field checks: locks need distinct names, a field, and at
-    /// least one file; S1 needs its three lists together or not at all.
+    /// least one file.
     fn validate(&self) -> Result<(), String> {
         let mut names: Vec<&str> = self.locks.iter().map(|l| l.name.as_str()).collect();
         names.sort_unstable();
@@ -189,16 +171,6 @@ impl LocksConfig {
                     l.name
                 ));
             }
-        }
-        let s1_parts = [
-            !self.s1_entries.is_empty(),
-            !self.s1_scope.is_empty(),
-            !self.s1_conductor_only.is_empty(),
-        ];
-        if s1_parts.iter().any(|&p| p) && !s1_parts.iter().all(|&p| p) {
-            return Err(
-                "[s1] needs entry, scope, and conductor_only together (or none)".to_string(),
-            );
         }
         Ok(())
     }
@@ -233,16 +205,10 @@ impls = ["Inner"]
 
 [[lock]]
 name  = "reactor"
-files = ["reactor.rs"]
-field = "state"
-
-[s1]
-entry = ["ShardCore::run_until"]
-scope = ["crates/sim/src/shard.rs"]
-conductor_only = [
-    "on_admit",  # policy hook
-    "obs",
+files = [
+    "reactor.rs",  # arrays may span lines
 ]
+field = "state"
 "#;
 
     #[test]
@@ -253,8 +219,7 @@ conductor_only = [
         assert_eq!(cfg.locks[0].name, "arena");
         assert_eq!(cfg.locks[0].impls, vec!["Inner"]);
         assert!(cfg.locks[1].impls.is_empty());
-        assert_eq!(cfg.s1_entries, vec!["ShardCore::run_until"]);
-        assert_eq!(cfg.s1_conductor_only, vec!["on_admit", "obs"]);
+        assert_eq!(cfg.locks[1].files, vec!["reactor.rs"]);
     }
 
     #[test]
@@ -287,10 +252,10 @@ conductor_only = [
         assert!(LocksConfig::parse(dup).is_err(), "duplicate lock name");
         assert!(
             LocksConfig::parse("[s1]\nentry = [\"E\"]\n").is_err(),
-            "partial s1"
+            "the retired s1 table is unknown like any other"
         );
         assert!(
-            LocksConfig::parse("[s1]\nentry = [\"E\"\n").is_err(),
+            LocksConfig::parse("[k1]\nscope = [\"E\"\n").is_err(),
             "unterminated"
         );
     }
@@ -298,6 +263,6 @@ conductor_only = [
     #[test]
     fn missing_file_semantics_is_the_default() {
         let cfg = LocksConfig::default();
-        assert!(cfg.k1_scope.is_empty() && cfg.locks.is_empty() && cfg.s1_entries.is_empty());
+        assert!(cfg.k1_scope.is_empty() && cfg.locks.is_empty());
     }
 }

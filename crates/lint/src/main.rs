@@ -42,8 +42,8 @@ fn main() -> ExitCode {
                      (W1 wall-clock, O1 hash iteration, F1 partial_cmp, C1 lossy\n\
                      casts, E1 ambient entropy, U1 unwrap in hot paths, P1 library\n\
                      printing, G1 guard across await, K1 wake under lock, L1\n\
-                     lock-order cycles, S1 conductor confinement — the last three\n\
-                     seeded from lint-locks.toml), honours\n\
+                     lock-order cycles — the last two seeded from\n\
+                     lint-locks.toml), honours\n\
                      justified `// lint:allow(RULE[,RULE…]): why` comments, and gates\n\
                      the result against lint-baseline.toml (exact match required).\n\
                      --write-baseline regenerates the baseline from the live scan.\n\

@@ -2,7 +2,7 @@
 //!
 //! Same philosophy as the lexer: no `syn`, no external crates, no type
 //! information — just enough structure for the flow-sensitive rules
-//! (G1/K1/L1/S1, DESIGN.md §13). Three layers:
+//! (G1/K1/L1, DESIGN.md §13). Three layers:
 //!
 //! * [`fn_items`] — the brace tree: every `fn` item with its body token
 //!   span and a qualified name (`Type::name` inside `impl` blocks, with
@@ -14,7 +14,7 @@
 //!   through block scopes, `drop(name)` kills, and `name = …lock()…`
 //!   re-acquisition, and reports acquisitions, `.await` points, and
 //!   calls with the set of guards live at each event;
-//! * callers ([`crate::rules`] G1, [`crate::conc`] K1/L1/S1) interpret
+//! * callers ([`crate::rules`] G1, [`crate::conc`] K1/L1) interpret
 //!   the events.
 //!
 //! Known, deliberate approximations (the analyzer is a linter, not a

@@ -19,11 +19,10 @@
 //! | G1   | no `Mutex`/`RwLock` guard binding live across an `.await` point |
 //! | K1   | no `wake()` reachable under an executor lock guard (workspace pass, seeded) |
 //! | L1   | no cycle in the seeded lock-acquisition-order graph (workspace pass) |
-//! | S1   | nothing reachable from a shard entry calls a conductor-only API (workspace pass) |
 //! | A0   | every `lint:allow` carries a justification |
 //!
 //! G1 is flow-sensitive but file-local, so it runs here with the other
-//! per-file rules; K1/L1/S1 need cross-file state and run in
+//! per-file rules; K1/L1 need cross-file state and run in
 //! [`crate::conc`], seeded from `lint-locks.toml`. See DESIGN.md §13.
 
 use crate::lexer::{lex, Comment, Token, TokenKind};
@@ -53,8 +52,6 @@ pub enum Rule {
     K1,
     /// Lock-acquisition-order cycle over the seeded lock set.
     L1,
-    /// Conductor-only API reachable from a shard execution entry.
-    S1,
     /// `lint:allow` without a justification (or with an unknown rule).
     A0,
 }
@@ -62,7 +59,7 @@ pub enum Rule {
 impl Rule {
     /// All baselinable rules, in display order. `A0` is excluded: an
     /// unjustified allow is always fatal.
-    pub const BASELINABLE: [Rule; 11] = [
+    pub const BASELINABLE: [Rule; 10] = [
         Rule::W1,
         Rule::O1,
         Rule::F1,
@@ -73,7 +70,6 @@ impl Rule {
         Rule::G1,
         Rule::K1,
         Rule::L1,
-        Rule::S1,
     ];
 
     /// Stable textual id used in baselines and allow directives.
@@ -89,7 +85,6 @@ impl Rule {
             Rule::G1 => "G1",
             Rule::K1 => "K1",
             Rule::L1 => "L1",
-            Rule::S1 => "S1",
             Rule::A0 => "A0",
         }
     }
@@ -107,7 +102,6 @@ impl Rule {
             "G1" => Some(Rule::G1),
             "K1" => Some(Rule::K1),
             "L1" => Some(Rule::L1),
-            "S1" => Some(Rule::S1),
             "A0" => Some(Rule::A0),
             _ => None,
         }

@@ -70,7 +70,7 @@ pub fn classify(rel: &str) -> FileContext {
 }
 
 /// Scans the workspace rooted at `root`: the per-file rules on every
-/// `.rs` file, then the workspace concurrency pass (K1/L1/S1) seeded
+/// `.rs` file, then the workspace concurrency pass (K1/L1) seeded
 /// from `<root>/lint-locks.toml` — a missing seed file leaves those
 /// rules silent; a malformed one is fatal. I/O errors on individual
 /// files are fatal too: a lint gate that silently skips unreadable
@@ -103,7 +103,7 @@ pub fn scan_workspace(root: &Path) -> Result<ScanResult, String> {
         per_file.push(analyze_file(&ctx, &src));
         sources.push(SourceFile { ctx, src });
     }
-    for (idx, v) in analyze_workspace(&sources, &cfg)? {
+    for (idx, v) in analyze_workspace(&sources, &cfg) {
         per_file[idx].push(v);
     }
 

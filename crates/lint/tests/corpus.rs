@@ -154,7 +154,6 @@ fn run_workspace(fixture: &str, rel_path: &str, cfg_toml: &str) -> Vec<(Rule, u3
         src,
     }];
     analyze_workspace(&files, &cfg)
-        .expect("workspace pass succeeds")
         .into_iter()
         .map(|(_, v)| (v.rule, v.line))
         .collect()
@@ -264,7 +263,6 @@ fn l1_reordering_two_acquisitions_breaks_a_clean_scan() {
             src: src.to_string(),
         }];
         analyze_workspace(&files, &cfg)
-            .expect("workspace pass succeeds")
             .into_iter()
             .map(|(_, v)| v.rule)
             .collect()
@@ -273,40 +271,6 @@ fn l1_reordering_two_acquisitions_breaks_a_clean_scan() {
     let v = scan(flipped);
     assert_eq!(v.len(), 2, "both cycle edges flagged: {v:?}");
     assert!(v.iter().all(|r| *r == Rule::L1), "{v:?}");
-}
-
-const S1_CFG: &str = "\
-[s1]
-entry = [\"shard_entry\"]
-scope = [\"crates/fixt/\"]
-conductor_only = [\"on_evict\", \"observe\"]
-";
-
-#[test]
-fn s1_corpus() {
-    let v = run_workspace("s1.rs", "crates/fixt/src/s1.rs", S1_CFG);
-    // One hop (`step`), two hops (`advance`), and the call behind the
-    // bare allow; the justified allow and the unreachable
-    // `conductor_tick` are silent.
-    assert_eq!(count(&v, Rule::S1), 3, "{v:?}");
-    assert_eq!(v.len(), 3, "{v:?}");
-    let f = run("s1.rs", "fixt");
-    assert_eq!(count(&f, Rule::A0), 1, "{f:?}");
-    assert_eq!(f.len(), 1, "{f:?}");
-}
-
-#[test]
-fn s1_unresolvable_entry_is_seed_rot_and_errors() {
-    let cfg = LocksConfig::parse(
-        "[s1]\nentry = [\"gone_fn\"]\nscope = [\"crates/fixt/\"]\nconductor_only = [\"observe\"]\n",
-    )
-    .expect("config parses");
-    let files = vec![SourceFile {
-        ctx: classify("crates/fixt/src/s1.rs"),
-        src: "fn present() {}\n".to_string(),
-    }];
-    let err = analyze_workspace(&files, &cfg).expect_err("must error");
-    assert!(err.contains("gone_fn"), "{err}");
 }
 
 #[test]

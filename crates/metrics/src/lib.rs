@@ -2,9 +2,9 @@
 //!
 //! This crate provides the measurement substrate used across the
 //! workspace: empirical CDFs ([`Cdf`]), percentile estimation
-//! ([`percentile`]), online summaries ([`Summary`]), histograms
-//! ([`Histogram`]), time-based sliding windows ([`SlidingWindow`]) as used
-//! by CIDRE's conditional speculative scaling, step-function time series
+//! ([`percentile`]), online summaries ([`Summary`]), time-based sliding
+//! windows ([`SlidingWindow`]) as used by CIDRE's conditional
+//! speculative scaling, step-function time series
 //! ([`TimeSeries`]) for memory-usage accounting, and plain-text rendering
 //! helpers ([`Table`], [`AsciiChart`]) used by the experiment harness.
 //!
@@ -34,7 +34,6 @@
 
 mod ascii;
 mod cdf;
-mod histogram;
 mod pareto;
 mod percentile;
 mod quantile;
@@ -46,7 +45,6 @@ mod timeseries;
 
 pub use ascii::{AsciiChart, AsciiWaterfall};
 pub use cdf::Cdf;
-pub use histogram::{Histogram, HistogramBin};
 pub use pareto::{pareto_frontier, ParetoPoint};
 pub use percentile::{mean, median, percentile, std_dev};
 pub use quantile::P2Quantile;

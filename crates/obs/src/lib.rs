@@ -1,7 +1,7 @@
-//! # faas-obs — deterministic observability for every engine
+//! # faas-obs — deterministic observability for every driver
 //!
-//! A structured event recorder threaded through all four execution
-//! engines (sequential sim, sharded sim, live runtime, live host),
+//! A structured event recorder threaded through the orchestrator core
+//! that all three drivers share (simulator, live replay, live host),
 //! answering *why* a policy stack did what it did: every policy choice
 //! point — admit/queue/cold-start/speculative-start decisions, eviction
 //! victim selection with the losing candidates and their priorities,
@@ -13,11 +13,9 @@
 //! Three design rules (DESIGN.md §12):
 //!
 //! * **Deterministic.** Timestamps are virtual [`TimePoint`]s, never
-//!   wall clocks. Events are emitted only from the deterministic
-//!   control path — in the sharded engine that means conductor context
-//!   and the lineage-ordered `sync()` replay — so a sharded run's
-//!   stream is byte-identical to the sequential run's, at any shard
-//!   count, faults included.
+//!   wall clocks, and events are emitted only from the core's handlers,
+//!   so the stream is a pure function of the core's inputs, faults
+//!   included.
 //! * **Zero-cost when off.** Engines are generic over [`Recorder`];
 //!   the unit [`NoopRecorder`] returns `enabled() == false` from an
 //!   inlined default method, so monomorphized untraced runs compile
@@ -354,8 +352,8 @@ impl Recorder for RingRecorder {
 }
 
 /// A finished recording: the retained events in emission order (which
-/// for the simulators is virtual-time lineage order), plus how many
-/// older events the ring dropped.
+/// for the simulator is virtual-time order), plus how many older events
+/// the ring dropped.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TraceLog {
     events: Vec<ObsEvent>,

@@ -123,7 +123,7 @@ pub struct ClusterState {
     /// end-of-run settlement point. Post-`finished_at` ticks can still
     /// evict, so the report's completion time is *not* a safe bound.
     ledger_hwm: TimePoint,
-    /// Whether [`ClusterState::settle_ledger_at`] already ran (it may
+    /// Whether [`ClusterState::settle_ledger`] already ran (it may
     /// charge each live container only once).
     settled: bool,
 }
@@ -215,54 +215,43 @@ impl ClusterState {
         self.ledger_hwm = self.ledger_hwm.max(now);
     }
 
-    /// Latest timestamp any ledger-charging mutator observed — the
-    /// point [`ClusterState::settle_ledger_at`] must not precede.
-    pub fn ledger_hwm(&self) -> TimePoint {
-        self.ledger_hwm
-    }
-
     /// Counts one REPLACE admission that evicted at least one victim.
     pub fn note_replace_round(&mut self) {
         self.ledger.replace_rounds += 1;
     }
 
-    /// Charges every still-alive container's residency through `end`,
-    /// closing the ledger at end of run. Must be called exactly once,
-    /// with `end` at or after [`ClusterState::ledger_hwm`] (the sharded
-    /// engine settles every shard at the global maximum so per-shard
-    /// ledgers sum to the sequential ledger).
+    /// Closes the ledger at end of run: charges every still-alive
+    /// container's residency through the latest time any charging
+    /// mutator ran at, and returns that time. Must be called exactly
+    /// once.
     ///
     /// # Panics
     ///
-    /// Panics on a second settlement or an `end` before the high-water
-    /// mark — either would corrupt the conservation property.
-    pub fn settle_ledger_at(&mut self, end: TimePoint) {
+    /// Panics on a second settlement — it would corrupt the
+    /// conservation property.
+    pub fn settle_ledger(&mut self) -> TimePoint {
         assert!(!self.settled, "ledger settled twice");
-        assert!(
-            end >= self.ledger_hwm,
-            "settling at {end:?} before the last charge at {:?}",
-            self.ledger_hwm
-        );
         self.settled = true;
-        let mut tail = CostLedger::default();
+        let end = self.ledger_hwm;
+        let ledger = &mut self.ledger;
         // lint:allow(O1): integer sums per cost class; iteration order is moot.
         for c in self.containers.values() {
             match c.state {
                 ContainerState::Provisioning => {
-                    tail.cold_start_mb_us += Self::residency(c.mem_mb, c.created_at, end);
+                    ledger.cold_start_mb_us += Self::residency(c.mem_mb, c.created_at, end);
                 }
                 ContainerState::Warm => {
-                    tail.keep_warm_mb_us += Self::residency(c.mem_mb, c.warm_at, end);
+                    ledger.keep_warm_mb_us += Self::residency(c.mem_mb, c.warm_at, end);
                     if c.threads_in_use == 0 {
-                        tail.idle_mb_us += Self::residency(c.mem_mb, c.idle_from, end);
+                        ledger.idle_mb_us += Self::residency(c.mem_mb, c.idle_from, end);
                     }
                     if c.speculative_unused {
-                        tail.speculative_mb_us += Self::residency(c.mem_mb, c.created_at, end);
+                        ledger.speculative_mb_us += Self::residency(c.mem_mb, c.created_at, end);
                     }
                 }
             }
         }
-        self.ledger.merge(&tail);
+        end
     }
 
     /// Selects the hot-path implementation (indexed pools vs the
@@ -274,22 +263,6 @@ impl ClusterState {
     /// The configured hot-path implementation.
     pub fn scan(&self) -> ScanMode {
         self.scan
-    }
-
-    /// Pins the id the next [`ClusterState::begin_provision`] will
-    /// assign. The sharded engine owns a single global id counter and
-    /// aligns each shard's cluster before every provision so container
-    /// ids match the sequential engine's allocation order exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` would reuse an already-assigned id.
-    pub(crate) fn align_next_container(&mut self, id: u64) {
-        assert!(
-            id >= self.next_container,
-            "container id counter may only move forward"
-        );
-        self.next_container = id;
     }
 
     /// The function profile for `func`.
@@ -924,9 +897,8 @@ impl ClusterState {
     /// Iterates over every live container in id order (the borrow-based
     /// flavor of [`ClusterState::all_containers`]). The order is
     /// observable — tick-time `expirations` evict in the order this
-    /// yields, and the sharded view k-merges per-shard streams by id —
-    /// so the table is sorted here, once per call: callers sit on tick,
-    /// crash and end-of-run paths, never on a per-request one.
+    /// yields — so the table is sorted here, once per call: callers sit
+    /// on tick, crash and end-of-run paths, never on a per-request one.
     pub fn all_iter(&self) -> impl Iterator<Item = &Container> + '_ {
         // lint:allow(O1): collected in table order, sorted right below.
         let mut live: Vec<&Container> = self.containers.values().collect();
@@ -955,42 +927,13 @@ impl ClusterState {
 }
 
 /// Read-only view of the cluster passed to policy callbacks.
-///
-/// A context is backed by one of three scopes, chosen by the engine:
-/// the sequential cluster (the classic case), the sharded engine's
-/// merged cross-shard view (conductor operations at epoch barriers),
-/// or a recorded per-function snapshot (shard-local hooks replayed at a
-/// barrier — see DESIGN.md §9). Policies cannot observe which backing
-/// is active: every accessor answers identically, except that snapshot
-/// contexts only carry the hooked function's scalars and panic on
-/// topology queries (the shard-safety rule for policy authors).
 #[derive(Debug, Clone, Copy)]
 pub struct PolicyCtx<'a> {
     /// Current simulated time.
     pub now: TimePoint,
-    scope: CtxScope<'a>,
+    cluster: &'a ClusterState,
+    busy_until: &'a HashMap<ContainerId, Vec<TimePoint>>,
 }
-
-/// The backing store behind a [`PolicyCtx`].
-#[derive(Debug, Clone, Copy)]
-enum CtxScope<'a> {
-    /// The sequential engine's full cluster state.
-    Seq {
-        cluster: &'a ClusterState,
-        busy_until: &'a HashMap<ContainerId, Vec<TimePoint>>,
-    },
-    /// The sharded engine's merged view over all shard states
-    /// (conductor operations at epoch barriers).
-    Sharded(&'a crate::shard::MergedView<'a>),
-    /// Recorded scalars of one function at hook time (deferred
-    /// shard-local hook replay).
-    Snapshot(&'a crate::shard::HookSnapshot),
-}
-
-/// Panic message for topology queries on a snapshot context.
-const SNAPSHOT_SCOPE: &str = "policy hook read cluster topology from a shard-local hook \
-     (on_reuse/on_start/on_cold_outcome); only the hooked function's \
-     scalars are available there — see DESIGN.md §9 shard-safety rules";
 
 impl<'a> PolicyCtx<'a> {
     /// Creates a view at time `now`.
@@ -1001,122 +944,59 @@ impl<'a> PolicyCtx<'a> {
     ) -> Self {
         Self {
             now,
-            scope: CtxScope::Seq {
-                cluster,
-                busy_until,
-            },
-        }
-    }
-
-    /// Creates a view backed by the sharded engine's merged state.
-    pub(crate) fn sharded(now: TimePoint, view: &'a crate::shard::MergedView<'a>) -> Self {
-        Self {
-            now,
-            scope: CtxScope::Sharded(view),
-        }
-    }
-
-    /// Creates a view backed by a recorded hook snapshot.
-    pub(crate) fn snapshot(now: TimePoint, snap: &'a crate::shard::HookSnapshot) -> Self {
-        Self {
-            now,
-            scope: CtxScope::Snapshot(snap),
+            cluster,
+            busy_until,
         }
     }
 
     /// The function profile (memory, cold-start latency).
     pub fn profile(&self, func: FunctionId) -> &'a FunctionProfile {
-        match self.scope {
-            CtxScope::Seq { cluster, .. } => cluster.profile(func),
-            CtxScope::Sharded(view) => view.profile(func),
-            CtxScope::Snapshot(_) => panic!("{SNAPSHOT_SCOPE}"),
-        }
+        self.cluster.profile(func)
     }
 
     /// Snapshot of a live container.
     pub fn container(&self, id: ContainerId) -> Option<ContainerInfo> {
-        match self.scope {
-            CtxScope::Seq { cluster, .. } => cluster.container(id).map(ContainerInfo::from),
-            CtxScope::Sharded(view) => view.container(id).map(ContainerInfo::from),
-            CtxScope::Snapshot(_) => panic!("{SNAPSHOT_SCOPE}"),
-        }
+        self.cluster.container(id).map(ContainerInfo::from)
     }
 
     /// `|F(c)|`: warm containers (idle or busy) of the function.
     pub fn warm_count(&self, func: FunctionId) -> u32 {
-        match self.scope {
-            CtxScope::Seq { cluster, .. } => cluster.warm_count(func),
-            CtxScope::Sharded(view) => view.cluster_of(func).warm_count(func),
-            CtxScope::Snapshot(snap) => snap.scalars(func).warm_count,
-        }
+        self.cluster.warm_count(func)
     }
 
     /// Containers currently provisioning for the function.
     pub fn provisioning_count(&self, func: FunctionId) -> u32 {
-        let from_cluster = |cl: &ClusterState| {
-            cl.fn_runtime(func)
-                .map(|rt| rt.provisioning.len() as u32)
-                .unwrap_or(0)
-        };
-        match self.scope {
-            CtxScope::Seq { cluster, .. } => from_cluster(cluster),
-            CtxScope::Sharded(view) => from_cluster(view.cluster_of(func)),
-            CtxScope::Snapshot(snap) => snap.scalars(func).provisioning_count,
-        }
+        let rt = self.cluster.fn_runtime(func);
+        rt.map_or(0, |rt| rt.provisioning.len() as u32)
     }
 
     /// Requests waiting in the function's channel.
     pub fn pending_len(&self, func: FunctionId) -> usize {
-        let from_cluster =
-            |cl: &ClusterState| cl.fn_runtime(func).map(|rt| rt.pending.len()).unwrap_or(0);
-        match self.scope {
-            CtxScope::Seq { cluster, .. } => from_cluster(cluster),
-            CtxScope::Sharded(view) => from_cluster(view.cluster_of(func)),
-            CtxScope::Snapshot(snap) => snap.scalars(func).pending_len,
-        }
+        let rt = self.cluster.fn_runtime(func);
+        rt.map_or(0, |rt| rt.pending.len())
     }
 
     /// Total invocations the function has ever received.
     pub fn invocations(&self, func: FunctionId) -> u64 {
-        let from_cluster = |cl: &ClusterState| {
-            cl.fn_runtime(func)
-                .map(|rt| rt.stats.invocations)
-                .unwrap_or(0)
-        };
-        match self.scope {
-            CtxScope::Seq { cluster, .. } => from_cluster(cluster),
-            CtxScope::Sharded(view) => from_cluster(view.cluster_of(func)),
-            CtxScope::Snapshot(snap) => snap.scalars(func).invocations,
-        }
+        let rt = self.cluster.fn_runtime(func);
+        rt.map_or(0, |rt| rt.stats.invocations)
     }
 
     /// The paper's Eq. 4: average invocations per minute over the
     /// function's lifetime.
     pub fn freq_per_minute(&self, func: FunctionId) -> f64 {
-        match self.scope {
-            CtxScope::Seq { cluster, .. } => cluster.freq_per_minute(func, self.now),
-            CtxScope::Sharded(view) => view.cluster_of(func).freq_per_minute(func, self.now),
-            CtxScope::Snapshot(snap) => snap.scalars(func).freq_per_minute,
-        }
+        self.cluster.freq_per_minute(func, self.now)
     }
 
     /// Warm, saturated containers of the function.
     pub fn saturated_containers(&self, func: FunctionId) -> Vec<ContainerInfo> {
-        match self.scope {
-            CtxScope::Seq { cluster, .. } => cluster.saturated_containers(func),
-            CtxScope::Sharded(view) => view.cluster_of(func).saturated_containers(func),
-            CtxScope::Snapshot(_) => panic!("{SNAPSHOT_SCOPE}"),
-        }
+        self.cluster.saturated_containers(func)
     }
 
     /// Iterates warm, saturated containers of the function without
     /// allocating a snapshot vector (preferred on hot decision paths).
-    pub fn saturated_iter(&self, func: FunctionId) -> Box<dyn Iterator<Item = &'a Container> + 'a> {
-        match self.scope {
-            CtxScope::Seq { cluster, .. } => Box::new(cluster.saturated_iter(func)),
-            CtxScope::Sharded(view) => Box::new(view.cluster_of(func).saturated_iter(func)),
-            CtxScope::Snapshot(_) => panic!("{SNAPSHOT_SCOPE}"),
-        }
+    pub fn saturated_iter(&self, func: FunctionId) -> impl Iterator<Item = &'a Container> + 'a {
+        self.cluster.saturated_iter(func)
     }
 
     /// Number of warm, saturated containers of the function.
@@ -1126,102 +1006,62 @@ impl<'a> PolicyCtx<'a> {
 
     /// Snapshot of every live container (used by prewarming baselines).
     pub fn all_containers(&self) -> Vec<ContainerInfo> {
-        self.all_iter().map(ContainerInfo::from).collect()
+        self.cluster.all_containers()
     }
 
     /// Iterates every live container in id order, borrowing instead of
     /// snapshotting. The order is sorted per call: this is for tick-time
     /// walks (`expirations`, prewarming), not per-request decisions.
-    pub fn all_iter(&self) -> Box<dyn Iterator<Item = &'a Container> + 'a> {
-        match self.scope {
-            CtxScope::Seq { cluster, .. } => Box::new(cluster.all_iter()),
-            CtxScope::Sharded(view) => Box::new(view.all_iter()),
-            CtxScope::Snapshot(_) => panic!("{SNAPSHOT_SCOPE}"),
-        }
+    pub fn all_iter(&self) -> impl Iterator<Item = &'a Container> + 'a {
+        self.cluster.all_iter()
     }
 
     /// All deployed function ids, sorted (used by prewarming baselines to
     /// scan demand). Borrowed from the cluster's construction-time list —
     /// no per-call allocation.
     pub fn functions(&self) -> &'a [FunctionId] {
-        match self.scope {
-            CtxScope::Seq { cluster, .. } => cluster.function_ids(),
-            CtxScope::Sharded(view) => view.functions(),
-            CtxScope::Snapshot(_) => panic!("{SNAPSHOT_SCOPE}"),
-        }
+        self.cluster.function_ids()
     }
 
     /// Memory currently in use across the cluster, in MB.
     pub fn used_mb(&self) -> u64 {
-        match self.scope {
-            CtxScope::Seq { cluster, .. } => cluster.used_mb(),
-            CtxScope::Sharded(view) => view.used_mb(),
-            CtxScope::Snapshot(_) => panic!("{SNAPSHOT_SCOPE}"),
-        }
+        self.cluster.used_mb()
     }
 
     /// Total cluster memory capacity, in MB.
     pub fn capacity_mb(&self) -> u64 {
-        match self.scope {
-            CtxScope::Seq { cluster, .. } => cluster.capacity_mb(),
-            CtxScope::Sharded(view) => view.capacity_mb(),
-            CtxScope::Snapshot(_) => panic!("{SNAPSHOT_SCOPE}"),
-        }
+        self.cluster.capacity_mb()
     }
 
     /// **Oracle only**: the remaining execution time of a busy container's
     /// earliest-finishing thread. Online policies must not use this; the
     /// Offline baseline does.
     pub fn oracle_remaining(&self, id: ContainerId) -> Option<TimeDelta> {
-        let ends = match self.scope {
-            CtxScope::Seq { busy_until, .. } => busy_until.get(&id),
-            CtxScope::Sharded(view) => view.busy_until(id),
-            CtxScope::Snapshot(_) => panic!("{SNAPSHOT_SCOPE}"),
-        }?;
-        let earliest = ends.iter().min()?;
+        let earliest = self.busy_until.get(&id)?.iter().min()?;
         Some(earliest.saturating_since(self.now))
     }
 
     /// **Oracle only**: earliest completion among all busy threads of the
     /// function.
     pub fn oracle_earliest_free(&self, func: FunctionId) -> Option<TimePoint> {
-        match self.scope {
-            CtxScope::Seq {
-                cluster,
-                busy_until,
-            } => cluster.oracle_earliest_free(func, busy_until),
-            CtxScope::Sharded(view) => view.oracle_earliest_free(func),
-            CtxScope::Snapshot(_) => panic!("{SNAPSHOT_SCOPE}"),
-        }
+        self.cluster.oracle_earliest_free(func, self.busy_until)
     }
 
     /// **Oracle only**: completion times of every busy thread of the
     /// function, sorted ascending. Lets the Offline baseline compute the
     /// wait a request at queue position `k` would experience.
     pub fn oracle_free_times(&self, func: FunctionId) -> Vec<TimePoint> {
-        let collect = |cluster: &ClusterState,
-                       busy: &dyn Fn(ContainerId) -> Option<&'a Vec<TimePoint>>|
-         -> Vec<TimePoint> {
-            let Some(rt) = cluster.fn_runtime(func) else {
-                return Vec::new();
-            };
-            let mut ends: Vec<TimePoint> = rt
-                .warm
-                .iter()
-                .filter_map(|cid| busy(*cid))
-                .flat_map(|ends| ends.iter().copied())
-                .collect();
-            ends.sort_unstable();
-            ends
+        let Some(rt) = self.cluster.fn_runtime(func) else {
+            return Vec::new();
         };
-        match self.scope {
-            CtxScope::Seq {
-                cluster,
-                busy_until,
-            } => collect(cluster, &|cid| busy_until.get(&cid)),
-            CtxScope::Sharded(view) => collect(view.cluster_of(func), &|cid| view.busy_until(cid)),
-            CtxScope::Snapshot(_) => panic!("{SNAPSHOT_SCOPE}"),
-        }
+        let mut ends: Vec<TimePoint> = rt
+            .warm
+            .iter()
+            .filter_map(|cid| self.busy_until.get(cid))
+            .flat_map(|ends| ends.iter().copied())
+            .collect();
+        ends.sort_unstable();
+        ends
     }
 }
 

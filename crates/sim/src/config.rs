@@ -69,12 +69,6 @@ pub struct SimConfig {
     /// default; [`ScanMode::Reference`] replays the original linear
     /// scans for differential testing).
     pub scan: ScanMode,
-    /// Number of simulation shards. `1` (the default) runs the original
-    /// single-threaded event loop unchanged; `> 1` partitions the
-    /// functions across that many worker threads synchronized by
-    /// conservative epoch barriers (DESIGN.md §9). Every report is
-    /// byte-identical across shard counts.
-    pub shards: usize,
 }
 
 impl Default for SimConfig {
@@ -97,7 +91,6 @@ impl SimConfig {
             placement: Placement::MaxFree,
             faults: FaultPlan::none(),
             scan: ScanMode::Indexed,
-            shards: 1,
         }
     }
 
@@ -151,10 +144,10 @@ impl SimConfig {
         self
     }
 
-    /// Sets the number of simulation shards (worker threads). `1` keeps
-    /// the sequential engine; any value is clamped to at least 1.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
+    // Inert: the sharded engine is deleted. `benchmark/benches/adapter.rs`
+    // (frozen) still calls this; the next `benchmark` PR removes both.
+    #[doc(hidden)]
+    pub fn shards(self, _shards: usize) -> Self {
         self
     }
 }
@@ -198,13 +191,6 @@ mod tests {
         assert_eq!(SimConfig::default().scan, ScanMode::Indexed);
         let cfg = SimConfig::default().scan_mode(ScanMode::Reference);
         assert_eq!(cfg.scan, ScanMode::Reference);
-    }
-
-    #[test]
-    fn shards_default_to_sequential_and_clamp() {
-        assert_eq!(SimConfig::default().shards, 1);
-        assert_eq!(SimConfig::default().shards(4).shards, 4);
-        assert_eq!(SimConfig::default().shards(0).shards, 1);
     }
 
     #[test]

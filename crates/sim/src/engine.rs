@@ -58,9 +58,6 @@ use crate::report::SimReport;
 /// assert_eq!(report.requests.len(), trace.len());
 /// ```
 pub fn run(trace: &Trace, config: &SimConfig, stack: PolicyStack) -> SimReport {
-    if config.shards > 1 {
-        return crate::shard::run_sharded(trace, config, stack);
-    }
     drive(trace, config, stack, NoopRecorder).0
 }
 
@@ -69,9 +66,7 @@ pub fn run(trace: &Trace, config: &SimConfig, stack: PolicyStack) -> SimReport {
 /// candidates, retry scheduling), and fault events (DESIGN.md §12).
 ///
 /// The report is byte-identical to [`run`]'s — recording observes,
-/// never steers — and the event stream is byte-identical across the
-/// sequential and sharded engines at any shard count, so traces from
-/// different engines can be diffed directly.
+/// never steers.
 ///
 /// # Examples
 ///
@@ -85,9 +80,6 @@ pub fn run(trace: &Trace, config: &SimConfig, stack: PolicyStack) -> SimReport {
 /// assert!(!log.is_empty());
 /// ```
 pub fn run_traced(trace: &Trace, config: &SimConfig, stack: PolicyStack) -> (SimReport, TraceLog) {
-    if config.shards > 1 {
-        return crate::shard::run_sharded_traced(trace, config, stack);
-    }
     drive(trace, config, stack, RingRecorder::unbounded())
 }
 

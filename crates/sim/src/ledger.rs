@@ -10,17 +10,14 @@
 //! and speculative waste (the full residency of CSS provisions that
 //! lost their race and never served).
 //!
-//! All accumulators are integers in MB·µs. Integer addition is exact
-//! and order-independent, so the sharded engine can merge per-shard
-//! ledgers by plain summation and stay byte-identical to the sequential
-//! engine — the same argument that makes the event counters mergeable.
+//! All accumulators are integers in MB·µs, so every charge is exact.
 //! Conversion to GB·s happens only at the reporting boundary.
 
 /// Resource costs and scheduling work accumulated over one run.
 ///
-/// Lives inside `ClusterState`, so shard checkpoints clone it and
-/// rollbacks restore it for free. See the module docs for the charging
-/// discipline and DESIGN.md §11 for where each class is charged.
+/// Lives inside `ClusterState`, whose mutators charge it. See the module
+/// docs for the charging discipline and DESIGN.md §11 for where each
+/// class is charged.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CostLedger {
     /// Warm residency: memory × time from `warm_at` until destruction
@@ -49,17 +46,6 @@ pub struct CostLedger {
 const MB_US_PER_GB_S: f64 = 1024.0 * 1e6;
 
 impl CostLedger {
-    /// Adds `other`'s charges into `self` (shard-merge: exact integer
-    /// sums, so merge order cannot matter).
-    pub fn merge(&mut self, other: &CostLedger) {
-        self.keep_warm_mb_us += other.keep_warm_mb_us;
-        self.idle_mb_us += other.idle_mb_us;
-        self.cold_start_mb_us += other.cold_start_mb_us;
-        self.speculative_mb_us += other.speculative_mb_us;
-        self.dispatches += other.dispatches;
-        self.replace_rounds += other.replace_rounds;
-    }
-
     /// Total memory residency (provisioning + warm) in MB·µs; equals
     /// the integral of the cluster memory step function over the run.
     pub fn total_mb_us(&self) -> u128 {
@@ -106,85 +92,14 @@ impl CostLedger {
 
 /// MB·µs → GB·s at the reporting boundary.
 fn to_gb_s(mb_us: u128) -> f64 {
-    // lint:allow(C1): reporting-boundary conversion; comparisons and
-    // merges all happen on the exact integer accumulators.
+    // lint:allow(C1): reporting-boundary conversion; comparisons all
+    // happen on the exact integer accumulators.
     mb_us as f64 / MB_US_PER_GB_S
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn merge_sums_every_field() {
-        let mut a = CostLedger {
-            keep_warm_mb_us: 1,
-            idle_mb_us: 2,
-            cold_start_mb_us: 3,
-            speculative_mb_us: 4,
-            dispatches: 5,
-            replace_rounds: 6,
-        };
-        let b = CostLedger {
-            keep_warm_mb_us: 10,
-            idle_mb_us: 20,
-            cold_start_mb_us: 30,
-            speculative_mb_us: 40,
-            dispatches: 50,
-            replace_rounds: 60,
-        };
-        a.merge(&b);
-        assert_eq!(
-            a,
-            CostLedger {
-                keep_warm_mb_us: 11,
-                idle_mb_us: 22,
-                cold_start_mb_us: 33,
-                speculative_mb_us: 44,
-                dispatches: 55,
-                replace_rounds: 66,
-            }
-        );
-    }
-
-    #[test]
-    fn merge_is_order_independent() {
-        let parts = [
-            CostLedger {
-                keep_warm_mb_us: 7,
-                idle_mb_us: 1,
-                cold_start_mb_us: 9,
-                speculative_mb_us: 2,
-                dispatches: 3,
-                replace_rounds: 1,
-            },
-            CostLedger {
-                keep_warm_mb_us: 100,
-                idle_mb_us: 40,
-                cold_start_mb_us: 5,
-                speculative_mb_us: 0,
-                dispatches: 8,
-                replace_rounds: 0,
-            },
-            CostLedger {
-                keep_warm_mb_us: 3,
-                idle_mb_us: 3,
-                cold_start_mb_us: 3,
-                speculative_mb_us: 3,
-                dispatches: 3,
-                replace_rounds: 3,
-            },
-        ];
-        let mut fwd = CostLedger::default();
-        for p in &parts {
-            fwd.merge(p);
-        }
-        let mut rev = CostLedger::default();
-        for p in parts.iter().rev() {
-            rev.merge(p);
-        }
-        assert_eq!(fwd, rev);
-    }
 
     #[test]
     fn unit_conversion_is_gb_seconds() {

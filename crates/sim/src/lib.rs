@@ -57,7 +57,6 @@ mod policy;
 pub mod reference;
 mod report;
 mod request;
-mod shard;
 
 pub use cluster::{ClusterState, FnRuntime, FnStats, PolicyCtx, Worker};
 pub use config::{Placement, ScanMode, SimConfig};

@@ -377,10 +377,8 @@ impl<R: Recorder> Orchestrator<R> {
     /// trace (empty under [`faas_obs::NoopRecorder`]).
     pub fn finish(mut self) -> (SimReport, TraceLog) {
         // Charge still-resident containers up to the ledger's high-water
-        // mark (the last charging mutation), which is identical across
-        // the sequential and sharded engines.
-        let settle_at = self.cluster.ledger_hwm();
-        self.cluster.settle_ledger_at(settle_at);
+        // mark (the last charging mutation).
+        let settle_at = self.cluster.settle_ledger();
         let report = SimReport {
             requests: self.records,
             memory: self.memory,

@@ -40,6 +40,6 @@ pub mod rng;
 
 pub use arrivals::Arrivals;
 pub use bench::{BenchStats, Harness};
-pub use par::{default_jobs, par_map, par_map_mut};
+pub use par::{default_jobs, par_map};
 pub use prop::{Checker, Gen};
 pub use rng::Rng;

@@ -7,12 +7,7 @@
 //! degenerates to a plain sequential loop, which is the reference
 //! behaviour determinism tests compare against.
 //!
-//! [`par_map_mut`] is the exclusive-access flavor: each element is
-//! visited by exactly one worker through `&mut`, which is what the
-//! simulator's shard pool needs (every shard owns mutable state for one
-//! phase and the caller rejoins with all results in input order).
-//!
-//! Both propagate a worker panic to the caller with the **original**
+//! A worker panic propagates to the caller with the **original**
 //! payload: remaining workers stop picking up new work, the scope joins,
 //! and the first captured payload is re-raised via `resume_unwind`, so
 //! `#[should_panic(expected = ...)]` tests and real assertion messages
@@ -114,72 +109,6 @@ where
         .collect()
 }
 
-/// The exclusive-access flavor of [`par_map`]: applies `f` to every
-/// element through `&mut` and returns the results in input order. Work
-/// is split into at most `jobs` contiguous chunks, one worker per
-/// chunk, so each element is visited exactly once with exclusive
-/// access — the access pattern a simulation shard pool needs, where
-/// every element owns mutable per-shard state for the duration of one
-/// phase.
-///
-/// With `jobs <= 1` (or a single element) this degenerates to a plain
-/// sequential loop. A panic in `f` propagates to the caller with its
-/// original payload, like [`par_map`].
-///
-/// # Examples
-///
-/// ```
-/// use faas_testkit::par_map_mut;
-/// let mut counters = vec![1u64, 2, 3];
-/// let before = par_map_mut(&mut counters, 2, |i, c| {
-///     *c += 10;
-///     i
-/// });
-/// assert_eq!(counters, vec![11, 12, 13]);
-/// assert_eq!(before, vec![0, 1, 2]);
-/// ```
-pub fn par_map_mut<T, U, F>(items: &mut [T], jobs: usize, f: F) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-    F: Fn(usize, &mut T) -> U + Sync,
-{
-    let jobs = jobs.max(1).min(items.len().max(1));
-    if jobs == 1 {
-        return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let len = items.len();
-    let chunk = len.div_ceil(jobs);
-    let gate = PanicGate::default();
-    let mut out: Vec<Vec<U>> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(ci, part)| {
-                let gate = &gate;
-                let f = &f;
-                scope.spawn(move || {
-                    let mut results = Vec::with_capacity(part.len());
-                    for (off, t) in part.iter_mut().enumerate() {
-                        let i = ci * chunk + off;
-                        if !gate.run(|| results.push(f(i, t))) {
-                            break;
-                        }
-                    }
-                    results
-                })
-            })
-            .collect();
-        out = handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_default())
-            .collect();
-    });
-    gate.rethrow();
-    out.into_iter().flatten().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,18 +176,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "mut item 2 exploded")]
-    fn par_map_mut_propagates_original_panic_payload() {
-        let mut items: Vec<u64> = (0..8).collect();
-        par_map_mut(&mut items, 4, |i, x| {
-            if i == 2 {
-                panic!("mut item 2 exploded");
-            }
-            *x += 1;
-        });
-    }
-
-    #[test]
     fn panic_stops_remaining_work() {
         use std::sync::atomic::AtomicUsize;
         let started = AtomicUsize::new(0);
@@ -280,26 +197,5 @@ mod tests {
             started.load(Ordering::Relaxed) < items.len(),
             "workers kept draining the queue after a panic"
         );
-    }
-
-    #[test]
-    fn par_map_mut_mutates_every_element_in_order() {
-        let mut items: Vec<u64> = (0..257).collect();
-        let idx = par_map_mut(&mut items, 4, |i, x| {
-            *x *= 2;
-            i
-        });
-        assert_eq!(idx, (0..257).collect::<Vec<_>>());
-        assert_eq!(items, (0..257).map(|x| x * 2).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn par_map_mut_sequential_fallback_matches() {
-        let mut a: Vec<u64> = (0..37).collect();
-        let mut b = a.clone();
-        let ra = par_map_mut(&mut a, 1, |i, x| i as u64 + *x);
-        let rb = par_map_mut(&mut b, 8, |i, x| i as u64 + *x);
-        assert_eq!(ra, rb);
-        assert_eq!(a, b);
     }
 }

@@ -97,10 +97,16 @@ pub fn from_str(text: &str) -> Result<Trace, TraceIoError> {
             s.parse::<u64>()
                 .map_err(|_| TraceIoError::Parse(lineno, format!("bad {what}: {s:?}")))
         };
+        // Ids and memory are 32-bit in the model: a value that does not
+        // fit is a bad field, never a silently different one.
+        let parse_u32 = |s: &str, what: &str| {
+            u32::try_from(parse_u64(s, what)?)
+                .map_err(|_| TraceIoError::Parse(lineno, format!("{what} out of range: {s:?}")))
+        };
         match fields.first().copied() {
             Some("F") if fields.len() == 5 => {
-                let id = parse_u64(fields[1], "function id")? as u32;
-                let mem = parse_u64(fields[3], "memory")? as u32;
+                let id = parse_u32(fields[1], "function id")?;
+                let mem = parse_u32(fields[3], "memory")?;
                 let cold = parse_u64(fields[4], "cold start")?;
                 functions.push(FunctionProfile::new(
                     FunctionId(id),
@@ -110,7 +116,7 @@ pub fn from_str(text: &str) -> Result<Trace, TraceIoError> {
                 ));
             }
             Some("I") if fields.len() == 4 => {
-                let id = parse_u64(fields[1], "function id")? as u32;
+                let id = parse_u32(fields[1], "function id")?;
                 let arrival = parse_u64(fields[2], "arrival")?;
                 let exec = parse_u64(fields[3], "exec")?;
                 invocations.push(Invocation {
@@ -183,6 +189,49 @@ mod tests {
     fn bad_number_is_parse_error() {
         let err = from_str("F,x,f,128,1000\n").expect_err("must fail");
         assert!(err.to_string().contains("function id"));
+        // One past `u32::MAX` is out of range, not function 0 ...
+        let err = from_str("F,0,f,128,1000\nI,4294967296,0,10\n").expect_err("must fail");
+        assert!(matches!(err, TraceIoError::Parse(2, _)), "{err:?}");
+        assert!(err.to_string().contains("function id"));
+        // ... and 2^32 + 128 MB is not a 128 MB function.
+        let err = from_str("F,0,f,4294967424,1000\n").expect_err("must fail");
+        assert!(matches!(err, TraceIoError::Parse(1, _)), "{err:?}");
+        assert!(err.to_string().contains("memory"));
+    }
+
+    /// Hostile input: whatever the bytes, the reader answers `Ok` or
+    /// `Err` — it never panics — and what it accepts it can write back
+    /// and read again unchanged. Lines are record-shaped more often than
+    /// not (numbers drawn around the 32-bit edge) so that `Ok` is
+    /// reachable, with raw bytes spliced in between and inside them.
+    #[test]
+    fn arbitrary_bytes_never_panic_and_accepted_traces_round_trip() {
+        use faas_testkit::{Checker, Gen};
+        fn number(g: &mut Gen) -> u64 {
+            match g.usize(0..16) {
+                0 => g.u64(u64::from(u32::MAX) - 1..u64::from(u32::MAX) + 3),
+                1 => g.u64(0..u64::MAX),
+                _ => g.u64(0..3),
+            }
+        }
+        Checker::new("arbitrary_bytes_never_panic_and_accepted_traces_round_trip").run(|g| {
+            let lines = g.vec(0..6, |g| match g.usize(0..8) {
+                0 => g.vec(0..24, |g| g.u32(0..256) as u8),
+                1..=3 => format!("I,{},{},{}", number(g), number(g), number(g)).into_bytes(),
+                _ => {
+                    let name = g.vec(0..4, |g| g.u32(0..256) as u8);
+                    let mut line = format!("F,{},", number(g)).into_bytes();
+                    line.extend(name);
+                    line.extend(format!(",{},{}", number(g), number(g)).into_bytes());
+                    line
+                }
+            });
+            let text = String::from_utf8_lossy(&lines.join(&b'\n')).into_owned();
+            if let Ok(trace) = from_str(&text) {
+                let back = from_str(&to_string(&trace)).expect("own output parses");
+                assert_eq!(trace, back, "input {text:?}");
+            }
+        });
     }
 
     #[test]

@@ -1,17 +1,14 @@
-//! Differential test oracle for the indexed hot paths and the sharded
-//! parallel engine.
+//! Differential test oracle for the indexed hot paths.
 //!
-//! The simulator ships three implementations of every run: the indexed
-//! structures (`ScanMode::Indexed`, the default), the retained naive
-//! scans (`ScanMode::Reference`, the oracle), and the sharded parallel
-//! engine (`shards > 1`, DESIGN.md §9). Random workloads through all
-//! three must produce byte-identical reports — including every field of
-//! the cost ledger (DESIGN.md §11), compared individually so a charge
-//! class that diverges is named — any divergence is a bug in the index
-//! maintenance, the epoch-barrier protocol, or the ledger merge, and the
-//! testkit runner shrinks it to a minimal sequence automatically. The
-//! shard count is drawn from the choice stream too, so shrinking also
-//! minimizes the number of shards needed to reproduce a failure.
+//! The simulator ships two implementations of every hot path: the
+//! indexed structures (`ScanMode::Indexed`, the default) and the
+//! retained naive scans (`ScanMode::Reference`, the oracle). Random
+//! workloads through both must produce byte-identical reports —
+//! including every field of the cost ledger (DESIGN.md §11), compared
+//! individually so a charge class that diverges is named — and
+//! byte-identical provenance streams; any divergence is a bug in the
+//! index maintenance, and the testkit runner shrinks it to a minimal
+//! sequence automatically.
 //!
 //! Policies are chosen to cover every [`cidre::sim::PriorityDeps`]
 //! class: frozen per-container priorities (LRU, TTL, GreedyDual — the
@@ -102,48 +99,45 @@ fn stacks() -> Vec<(&'static str, fn() -> PolicyStack)> {
     ]
 }
 
-/// Interesting shard counts: sequential, the smallest parallel case,
-/// odd splits that leave shards unevenly loaded, and the machine's
-/// actual parallelism. Listed ascending so choice-0 shrinking drives a
-/// failing case toward the fewest shards that still reproduce it.
-fn arb_shards(g: &mut Gen) -> usize {
-    let menu = [1, 2, 3, 7, faas_testkit::default_jobs()];
-    menu[g.usize(0..menu.len())]
-}
-
 /// Field-by-field cost-ledger comparison (DESIGN.md §11). The Debug
 /// equality below already covers the ledger byte-for-byte; naming the
-/// diverging charge class here makes a settlement or merge bug
-/// diagnosable from the failure message alone.
-fn assert_ledgers_match(label: &str, engines: &str, a: &SimReport, b: &SimReport) {
+/// diverging charge class here makes a settlement bug diagnosable from
+/// the failure message alone.
+fn assert_ledgers_match(label: &str, a: &SimReport, b: &SimReport) {
     let (x, y) = (&a.ledger, &b.ledger);
     assert_eq!(
         x.keep_warm_mb_us, y.keep_warm_mb_us,
-        "{label}: {engines}: keep_warm_mb_us"
+        "{label}: indexed vs reference: keep_warm_mb_us"
     );
-    assert_eq!(x.idle_mb_us, y.idle_mb_us, "{label}: {engines}: idle_mb_us");
+    assert_eq!(
+        x.idle_mb_us, y.idle_mb_us,
+        "{label}: indexed vs reference: idle_mb_us"
+    );
     assert_eq!(
         x.cold_start_mb_us, y.cold_start_mb_us,
-        "{label}: {engines}: cold_start_mb_us"
+        "{label}: indexed vs reference: cold_start_mb_us"
     );
     assert_eq!(
         x.speculative_mb_us, y.speculative_mb_us,
-        "{label}: {engines}: speculative_mb_us"
+        "{label}: indexed vs reference: speculative_mb_us"
     );
-    assert_eq!(x.dispatches, y.dispatches, "{label}: {engines}: dispatches");
+    assert_eq!(
+        x.dispatches, y.dispatches,
+        "{label}: indexed vs reference: dispatches"
+    );
     assert_eq!(
         x.replace_rounds, y.replace_rounds,
-        "{label}: {engines}: replace_rounds"
+        "{label}: indexed vs reference: replace_rounds"
     );
     assert_eq!(
         a.ledger_settled_at, b.ledger_settled_at,
-        "{label}: {engines}: ledger_settled_at"
+        "{label}: indexed vs reference: ledger_settled_at"
     );
 }
 
-/// Runs `trace` under both sequential scan modes and the sharded
-/// engine, demanding byte-identical reports from all three.
-fn assert_engines_agree(trace: &Trace, config: &SimConfig, shards: usize) {
+/// Runs `trace` under both scan modes, untraced and traced, demanding
+/// byte-identical reports and provenance streams.
+fn assert_engines_agree(trace: &Trace, config: &SimConfig) {
     let verbose = std::env::var("ORACLE_VERBOSE").is_ok();
     for (label, mk) in stacks() {
         if verbose {
@@ -154,26 +148,15 @@ fn assert_engines_agree(trace: &Trace, config: &SimConfig, shards: usize) {
             eprintln!("  stack={label} engine=reference");
         }
         let reference = run(trace, &config.clone().scan_mode(ScanMode::Reference), mk());
-        assert_ledgers_match(label, "indexed vs reference", &indexed, &reference);
+        assert_ledgers_match(label, &indexed, &reference);
         assert_eq!(
             format!("{indexed:?}"),
             format!("{reference:?}"),
             "{label}: indexed and reference scans diverged"
         );
-        if verbose {
-            eprintln!("  stack={label} engine=sharded({shards})");
-        }
-        let sharded = run(trace, &config.clone().shards(shards), mk());
-        assert_ledgers_match(label, "sharded vs indexed", &sharded, &indexed);
-        assert_eq!(
-            format!("{sharded:?}"),
-            format!("{indexed:?}"),
-            "{label}: sharded run ({shards} shards) diverged from sequential"
-        );
         // Traced runs: recording must not steer (the report stays
         // byte-identical to the untraced run), and the provenance event
-        // stream must be byte-identical across engines and scan modes
-        // (DESIGN.md §12).
+        // stream must be byte-identical across scan modes (DESIGN.md §12).
         if verbose {
             eprintln!("  stack={label} engine=indexed traced");
         }
@@ -199,26 +182,7 @@ fn assert_engines_agree(trace: &Trace, config: &SimConfig, shards: usize) {
             format!("{:?}", log_reference.events()),
             "{label}: indexed and reference scans traced different provenance"
         );
-        if verbose {
-            eprintln!("  stack={label} engine=sharded({shards}) traced");
-        }
-        let (t_sharded, log_sharded) = run_traced(trace, &config.clone().shards(shards), mk());
-        assert_eq!(
-            format!("{t_sharded:?}"),
-            format!("{sharded:?}"),
-            "{label}: recording steered the sharded run"
-        );
-        assert_eq!(
-            format!("{:?}", log_sharded.events()),
-            format!("{:?}", log_indexed.events()),
-            "{label}: sharded run ({shards} shards) traced different provenance"
-        );
     }
-}
-
-/// The two-mode flavor for call sites that pin their own shard counts.
-fn assert_scans_agree(trace: &Trace, config: &SimConfig) {
-    assert_engines_agree(trace, config, 2);
 }
 
 #[test]
@@ -226,8 +190,7 @@ fn all_engines_agree_on_random_workloads() {
     checker("all_engines_agree_on_random_workloads").run(|g| {
         let trace = arb_trace(g);
         let config = arb_config(g);
-        let shards = arb_shards(g);
-        assert_engines_agree(&trace, &config, shards);
+        assert_engines_agree(&trace, &config);
     });
 }
 
@@ -253,27 +216,25 @@ fn all_engines_agree_under_faults() {
             );
         }
         let config = config.faults(plan);
-        let shards = arb_shards(g);
         if std::env::var("ORACLE_VERBOSE").is_ok() {
             eprintln!(
-                "case: invs={} fns={} shards={shards} config={config:?} trace={trace:?}",
+                "case: invs={} fns={} config={config:?} trace={trace:?}",
                 trace.len(),
                 trace.functions().len(),
             );
         }
-        assert_engines_agree(&trace, &config, shards);
+        assert_engines_agree(&trace, &config);
     });
 }
 
-/// The fast tier-1 smoke for `ci.sh`: one pinned seed, a hot two-worker
-/// cluster, every policy stack, two shards. Fails in seconds if the
-/// barrier protocol regresses; the full randomized oracle above covers
-/// the space.
+/// One pinned seed, a hot two-worker cluster, every policy stack: the
+/// oracle on a generated trace rather than a drawn one. The randomized
+/// properties above cover the space.
 #[test]
-fn sharded_oracle_smoke_two_shards() {
+fn oracle_smoke() {
     let trace = cidre::trace::gen::azure(42).functions(9).minutes(1).build();
     let config = SimConfig::default().workers_mb(vec![2_048, 2_048]);
-    assert_engines_agree(&trace, &config, 2);
+    assert_engines_agree(&trace, &config);
 }
 
 /// A tiny pinned scenario that forces multi-victim REPLACE rounds: one
@@ -301,5 +262,5 @@ fn multi_victim_replace_agrees() {
     });
     let trace = Trace::new(profiles, invocations).expect("valid");
     let config = SimConfig::default().workers_mb(vec![1_100]);
-    assert_scans_agree(&trace, &config);
+    assert_engines_agree(&trace, &config);
 }
