@@ -105,6 +105,17 @@ if grep -nE 'BTreeMap<ContainerId, *Container>' crates/sim/src/cluster.rs; then
   exit 1
 fi
 
+echo "== guard: container state is kept once =="
+# DESIGN.md §7: who is idle, who has a free thread and who is
+# provisioning is the container's own state. The worker's idle set is
+# unordered (eviction orders by (priority, id)), the free pool has no
+# mirror set, and provisioning is a count.
+if grep -rn 'free_threads' crates \
+  || grep -nE '(idle|provisioning): *BTreeSet' crates/sim/src/cluster.rs; then
+  echo "state is kept in the container; a set beside it must earn its upkeep twice a request" >&2
+  exit 1
+fi
+
 echo "== guard: one engine =="
 # Parallelism is run-level fan-out (DESIGN.md §9): the second engine and
 # everything that served it are deleted, and the word may not come back

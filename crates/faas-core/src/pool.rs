@@ -7,7 +7,7 @@
 //! | structure          | replaces                                    | old | new |
 //! |--------------------|---------------------------------------------|-----|-----|
 //! | [`PendingQueue`]   | `iter().position(\|p\| !p.cold_only)`       | O(n) | O(1) |
-//! | [`FreeThreadPool`] | `max_by_key` over `free_threads`            | O(n) | O(log n) |
+//! | [`FreeThreadPool`] | `max_by_key` over the warm containers       | O(n) | O(log n) |
 //! | [`EvictionIndex`]  | recompute + full sort per pressure round    | O(n log n) | O(victims · log n) |
 //! | [`RoundHeap`]      | full sort when priorities are not cacheable | O(n log n) | O(n + victims · log n) |
 //!
@@ -193,8 +193,8 @@ impl<T> PendingQueue<T> {
 /// container, oldest id on ties" — is the last element of a
 /// `BTreeSet<(threads_in_use, Reverse<id>)>`.
 ///
-/// The reference scan was
-/// `free_threads.iter().max_by_key(|c| (threads_in_use(c), Reverse(c)))`.
+/// The reference scan is `max_by_key(|c| (threads_in_use(c), Reverse(c)))`
+/// over the function's warm containers that have a free thread.
 #[derive(Debug, Clone)]
 pub struct FreeThreadPool<C: Ord + Copy + Hash> {
     keys: HashMap<C, u32, IdBuildHasher>,

@@ -11,7 +11,7 @@
 //! heterogeneous servers degenerates on the paper's homogeneous testbed
 //! (§5.1) and is not modeled.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use faas_sim::{ContainerInfo, KeepAlive, PolicyCtx};
 use faas_trace::{FunctionId, TimeDelta, TimePoint};
@@ -39,6 +39,9 @@ const RETENTION_SECS: u64 = 600;
 #[derive(Debug, Default)]
 pub struct CodeCrunchKeepAlive {
     compressed: BTreeMap<FunctionId, TimePoint>,
+    /// The same entries ordered by age, oldest first: what `prune`
+    /// expires and overflows from, one pop per victim.
+    by_age: BTreeSet<(TimePoint, FunctionId)>,
 }
 
 impl CodeCrunchKeepAlive {
@@ -55,20 +58,26 @@ impl CodeCrunchKeepAlive {
             .unwrap_or(false)
     }
 
+    /// Records a compressed image of `func` taken at `now`, replacing
+    /// any older one.
+    fn insert(&mut self, func: FunctionId, now: TimePoint) {
+        if let Some(old) = self.compressed.insert(func, now) {
+            self.by_age.remove(&(old, func));
+        }
+        self.by_age.insert((now, func));
+    }
+
+    /// Drops expired images, then the oldest beyond capacity, in
+    /// `(time, id)` order. Expired entries are a prefix of `by_age`, so
+    /// both are pops off its front.
     fn prune(&mut self, now: TimePoint) {
-        self.compressed
-            .retain(|_, &mut at| now.saturating_since(at) <= TimeDelta::from_secs(RETENTION_SECS));
-        if self.compressed.len() > COMPRESSED_CAPACITY {
-            // Drop the oldest entries beyond capacity.
-            let mut entries: Vec<(FunctionId, TimePoint)> =
-                self.compressed.iter().map(|(&f, &t)| (f, t)).collect();
-            entries.sort_by_key(|&(f, t)| (t, f));
-            for (f, _) in entries
-                .into_iter()
-                .take(self.compressed.len() - COMPRESSED_CAPACITY)
-            {
-                self.compressed.remove(&f);
+        let retention = TimeDelta::from_secs(RETENTION_SECS);
+        while let Some(&(at, func)) = self.by_age.first() {
+            if now.saturating_since(at) <= retention && self.by_age.len() <= COMPRESSED_CAPACITY {
+                break;
             }
+            self.by_age.pop_first();
+            self.compressed.remove(&func);
         }
     }
 }
@@ -91,7 +100,7 @@ impl KeepAlive for CodeCrunchKeepAlive {
     }
 
     fn on_evict(&mut self, container: &ContainerInfo, ctx: &PolicyCtx<'_>) {
-        self.compressed.insert(container.func, ctx.now);
+        self.insert(container.func, ctx.now);
         self.prune(ctx.now);
     }
 
@@ -112,6 +121,7 @@ impl KeepAlive for CodeCrunchKeepAlive {
 mod tests {
     use super::*;
     use faas_sim::{ClusterState, WorkerId};
+    use faas_testkit::Checker;
     use faas_trace::FunctionProfile;
     use std::collections::HashMap as Map;
 
@@ -168,7 +178,7 @@ mod tests {
         let info = ContainerInfo::from(cl.container(id).expect("live"));
         let ctx_now = TimePoint::from_secs(30);
         let before = cc.priority(&info, &PolicyCtx::new(ctx_now, &cl, &busy));
-        cc.compressed.insert(FunctionId(0), ctx_now);
+        cc.insert(FunctionId(0), ctx_now);
         let after = cc.priority(&info, &PolicyCtx::new(ctx_now, &cl, &busy));
         assert!(after < before);
     }
@@ -177,12 +187,65 @@ mod tests {
     fn cache_capacity_is_bounded() {
         let mut cc = CodeCrunchKeepAlive::new();
         for i in 0..(COMPRESSED_CAPACITY as u32 + 50) {
-            cc.compressed
-                .insert(FunctionId(i), TimePoint::from_secs(i as u64));
+            cc.insert(FunctionId(i), TimePoint::from_secs(i as u64));
         }
         cc.prune(TimePoint::from_secs(100));
         assert!(cc.compressed.len() <= COMPRESSED_CAPACITY);
         // The oldest entries were dropped.
         assert!(!cc.compressed.contains_key(&FunctionId(0)));
+    }
+
+    /// The `prune` this file shipped with, kept as the oracle: `retain`
+    /// the unexpired, then collect, sort by `(time, id)` and drop the
+    /// oldest beyond capacity.
+    fn prune_reference(compressed: &mut BTreeMap<FunctionId, TimePoint>, now: TimePoint) {
+        compressed
+            .retain(|_, &mut at| now.saturating_since(at) <= TimeDelta::from_secs(RETENTION_SECS));
+        if compressed.len() > COMPRESSED_CAPACITY {
+            let mut entries: Vec<(FunctionId, TimePoint)> =
+                compressed.iter().map(|(&f, &t)| (f, t)).collect();
+            entries.sort_by_key(|&(f, t)| (t, f));
+            for (f, _) in entries
+                .into_iter()
+                .take(compressed.len() - COMPRESSED_CAPACITY)
+            {
+                compressed.remove(&f);
+            }
+        }
+    }
+
+    /// Random insert/advance sequences: re-inserts of a cached function,
+    /// clock jumps past the retention window, bursts that overflow the
+    /// cap by more than one before the next prune, and a clock that
+    /// steps back (the live drivers' wall clock can).
+    #[test]
+    fn ordered_index_prunes_what_the_sort_pruned() {
+        Checker::new("codecrunch_ordered_index_prunes_what_the_sort_pruned").run(|g| {
+            let mut cc = CodeCrunchKeepAlive::new();
+            let mut model: BTreeMap<FunctionId, TimePoint> = BTreeMap::new();
+            let functions = g.u32(1..400);
+            let mut now_s = g.u64(0..2_000);
+            for _ in 0..g.u32(1..600) {
+                now_s = match g.u32(0..10) {
+                    0 => now_s + g.u64(0..2 * RETENTION_SECS),
+                    1 => now_s.saturating_sub(g.u64(0..30)),
+                    _ => now_s + g.u64(0..5),
+                };
+                let now = TimePoint::from_secs(now_s);
+                for _ in 0..g.u32(1..4) {
+                    let func = FunctionId(g.u32(0..functions));
+                    cc.insert(func, now);
+                    model.insert(func, now);
+                }
+                if g.bool(0.7) {
+                    cc.prune(now);
+                    prune_reference(&mut model, now);
+                    assert_eq!(cc.compressed, model);
+                }
+                let aged: BTreeSet<(TimePoint, FunctionId)> =
+                    cc.compressed.iter().map(|(&f, &t)| (t, f)).collect();
+                assert_eq!(cc.by_age, aged, "the age index mirrors the map");
+            }
+        });
     }
 }

@@ -3,7 +3,7 @@
 //! the engine sequences them.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
 use faas_core::{FreeThreadPool, IdBuildHasher, PendingQueue};
 use faas_trace::{FunctionId, FunctionProfile, TimeDelta, TimePoint};
@@ -22,8 +22,10 @@ pub struct Worker {
     pub capacity_mb: u64,
     /// Memory currently charged by provisioning/warm containers, in MB.
     pub used_mb: u64,
-    /// Fully idle (evictable) containers on this worker.
-    pub idle: BTreeSet<ContainerId>,
+    /// Fully idle (evictable) containers on this worker, unordered:
+    /// membership changes twice per warm request and nothing observes
+    /// an order (see [`Worker::idle_ids`], the one place it is walked).
+    idle: HashSet<ContainerId, IdBuildHasher>,
     /// Aggregate memory of the containers in `idle`, in MB (kept
     /// incrementally: placement reads it per worker on every pick).
     pub idle_mb: u64,
@@ -41,6 +43,16 @@ impl Worker {
     /// Memory reclaimable by evicting every idle container, plus free.
     pub fn reclaimable_mb(&self) -> u64 {
         self.free_mb() + self.idle_mb
+    }
+
+    /// The fully idle containers on this worker, in no particular order:
+    /// the one place the set is walked. A caller that lets the order
+    /// show must sort by something total, as the eviction rounds do
+    /// (`RoundHeap` and `reference::sorted_eviction_candidates` both
+    /// order the candidates built from this by `(priority, id)`).
+    pub fn idle_ids(&self) -> impl Iterator<Item = ContainerId> + '_ {
+        // lint:allow(O1): eviction sorts by (priority, id), total over unique ids; validate sums.
+        self.idle.iter().copied()
     }
 }
 
@@ -64,13 +76,15 @@ pub struct FnRuntime {
     /// flexible. The split-deque representation makes "pop the first
     /// non-cold-only entry" O(1) instead of a positional scan.
     pub pending: PendingQueue<RequestId>,
-    /// Containers currently provisioning.
-    pub provisioning: BTreeSet<ContainerId>,
-    /// Warm containers with at least one free thread.
-    pub free_threads: BTreeSet<ContainerId>,
-    /// Indexed mirror of `free_threads`, keyed by `threads_in_use` so
-    /// the scheduler's "most-loaded non-saturated container" pick is
-    /// O(log n). Kept in lock-step by the cluster mutators.
+    /// Number of containers currently provisioning (which ones is in
+    /// the container table; only the count is ever asked for).
+    pub provisioning: u32,
+    /// Warm containers with at least one free thread, keyed by
+    /// `threads_in_use` so the scheduler's "most-loaded non-saturated
+    /// container" pick is O(log n). Beside the container's own
+    /// `threads_in_use`, this is the only record of who has a free
+    /// thread: the cluster mutators update it at every thread
+    /// transition and `validate` proves it against the container table.
     pub free_pool: FreeThreadPool<ContainerId>,
     /// All warm containers (idle or busy) of this function.
     pub warm: BTreeSet<ContainerId>,
@@ -171,7 +185,7 @@ impl ClusterState {
                 id: WorkerId(i as u16),
                 capacity_mb: cap,
                 used_mb: 0,
-                idle: BTreeSet::new(),
+                idle: HashSet::default(),
                 idle_mb: 0,
                 alive: true,
             })
@@ -443,7 +457,7 @@ impl ClusterState {
             local_queue: VecDeque::new(),
         };
         self.containers.insert(id, container);
-        self.fn_runtime_mut(func).provisioning.insert(id);
+        self.fn_runtime_mut(func).provisioning += 1;
         id
     }
 
@@ -468,8 +482,7 @@ impl ClusterState {
         self.ledger.cold_start_mb_us += cold_charge;
         self.touch_ledger(now);
         let rt = self.fn_runtime_mut(func);
-        rt.provisioning.remove(&id);
-        rt.free_threads.insert(id);
+        rt.provisioning -= 1;
         rt.free_pool.set(id, 0);
         rt.warm.insert(id);
         let w = &mut self.workers[worker.0 as usize];
@@ -515,7 +528,6 @@ impl ClusterState {
         self.touch_ledger(now);
         let rt = self.fn_runtime_mut(func);
         if saturated {
-            rt.free_threads.remove(&id);
             rt.free_pool.remove(id);
         } else {
             rt.free_pool.set(id, threads);
@@ -553,7 +565,6 @@ impl ClusterState {
         );
         self.touch_ledger(now);
         let rt = self.fn_runtime_mut(func);
-        rt.free_threads.insert(id);
         rt.free_pool.set(id, threads);
         if now_idle {
             let w = &mut self.workers[worker.0 as usize];
@@ -590,7 +601,6 @@ impl ClusterState {
         self.touch_ledger(now);
         self.containers_evicted += 1;
         let rt = self.fn_runtime_mut(c.func);
-        rt.free_threads.remove(&id);
         rt.free_pool.remove(id);
         rt.warm.remove(&id);
         let w = &mut self.workers[c.worker.0 as usize];
@@ -651,7 +661,7 @@ impl ClusterState {
         }
         self.touch_ledger(now);
         self.provision_failures += 1;
-        self.fn_runtime_mut(c.func).provisioning.remove(&id);
+        self.fn_runtime_mut(c.func).provisioning -= 1;
         self.workers[c.worker.0 as usize].used_mb -= u64::from(c.mem_mb);
         info
     }
@@ -697,10 +707,13 @@ impl ClusterState {
         self.containers_evicted += 1;
         self.crash_evictions += 1;
         let rt = self.fn_runtime_mut(c.func);
-        rt.provisioning.remove(&id);
-        rt.free_threads.remove(&id);
-        rt.free_pool.remove(id);
-        rt.warm.remove(&id);
+        match c.state {
+            ContainerState::Provisioning => rt.provisioning -= 1,
+            ContainerState::Warm => {
+                rt.free_pool.remove(id);
+                rt.warm.remove(&id);
+            }
+        }
         let w = &mut self.workers[c.worker.0 as usize];
         if w.idle.remove(&id) {
             w.idle_mb -= u64::from(c.mem_mb);
@@ -724,10 +737,12 @@ impl ClusterState {
     /// Checks every internal bookkeeping invariant: per-worker memory
     /// accounting matches the hosted containers and stays within
     /// capacity, idle sets hold exactly the fully idle containers, and
-    /// the per-function state sets agree with container states — in both
+    /// the per-function indexes agree with the container table — in both
     /// directions: every index entry names a container in that state
     /// (the indexes are sound), and every container sits in each index
-    /// its state calls for (they are complete).
+    /// its state calls for (they are complete). The free pool and the
+    /// provisioning count have no set beside them to be compared with:
+    /// each is proved against the table itself, by key and by number.
     ///
     /// # Panics
     ///
@@ -738,13 +753,17 @@ impl ClusterState {
         // leaves `reclaimable_mb` — what placement reads — too low; one
         // with a free thread missing from the pool is never picked.
         let mut hosted_mb = vec![0u64; self.workers.len()];
+        // Per function, what the table holds: (provisioning containers,
+        // containers with a free thread).
+        let mut tally: HashMap<FunctionId, (u32, usize), IdBuildHasher> = HashMap::default();
         // lint:allow(O1): integer sums and asserts; order only picks which panic fires.
         for c in self.containers.values() {
             let w = &self.workers[usize::from(c.worker.0)];
             hosted_mb[usize::from(c.worker.0)] += u64::from(c.mem_mb);
             let rt = self.fns.get(&c.func).expect("container without fn runtime");
+            let (provisioning, free) = tally.entry(c.func).or_default();
             match c.state {
-                ContainerState::Provisioning => assert!(rt.provisioning.contains(&c.id)),
+                ContainerState::Provisioning => *provisioning += 1,
                 ContainerState::Warm => assert!(rt.warm.contains(&c.id)),
             }
             assert!(
@@ -753,11 +772,21 @@ impl ClusterState {
                 c.id,
                 w.id
             );
-            assert!(
-                !c.has_free_thread() || rt.free_threads.contains(&c.id),
-                "container {:?} has a free thread but is missing from free_threads",
-                c.id
-            );
+            if c.has_free_thread() {
+                *free += 1;
+                let key = rt.free_pool.key_of(c.id);
+                assert!(
+                    key.is_some(),
+                    "container {:?} has a free thread but is missing from the free pool",
+                    c.id
+                );
+                assert_eq!(
+                    key,
+                    Some(c.threads_in_use),
+                    "free pool key drifted for {:?}",
+                    c.id
+                );
+            }
         }
         for (w, &sum) in self.workers.iter().zip(&hosted_mb) {
             assert_eq!(
@@ -773,10 +802,10 @@ impl ClusterState {
                 w.capacity_mb
             );
             let mut idle_sum = 0;
-            for id in &w.idle {
+            for id in w.idle_ids() {
                 let c = self
                     .containers
-                    .get(id)
+                    .get(&id)
                     .expect("idle set references dead container");
                 assert!(
                     c.worker == w.id && c.is_idle(),
@@ -788,36 +817,25 @@ impl ClusterState {
         }
         // lint:allow(O1): invariant checks; order only picks which panic fires.
         for (func, rt) in &self.fns {
+            let (provisioning, free) = tally.get(func).copied().unwrap_or_default();
+            assert_eq!(
+                rt.provisioning, provisioning,
+                "provisioning count drifted for {func:?}"
+            );
+            // Every free-thread container is in the pool under its own
+            // key (first pass), so a longer pool holds a stale entry: a
+            // saturated, dead or foreign container `pick` could return.
             assert_eq!(
                 rt.free_pool.len(),
-                rt.free_threads.len(),
-                "free pool and free_threads set disagree for {func:?}"
+                free,
+                "stale entry in the free pool of {func:?}"
             );
-            for id in &rt.provisioning {
-                let c = self
-                    .containers
-                    .get(id)
-                    .expect("provisioning set references dead container");
-                assert!(c.func == *func && c.state == ContainerState::Provisioning);
-            }
             for id in &rt.warm {
                 let c = self
                     .containers
                     .get(id)
                     .expect("warm set references dead container");
                 assert!(c.func == *func && c.state == ContainerState::Warm);
-            }
-            for id in &rt.free_threads {
-                let c = self
-                    .containers
-                    .get(id)
-                    .expect("free_threads set references dead container");
-                assert!(c.func == *func && c.has_free_thread());
-                assert_eq!(
-                    rt.free_pool.key_of(*id),
-                    Some(c.threads_in_use),
-                    "free pool key drifted for {id:?}"
-                );
             }
         }
     }
@@ -967,7 +985,7 @@ impl<'a> PolicyCtx<'a> {
     /// Containers currently provisioning for the function.
     pub fn provisioning_count(&self, func: FunctionId) -> u32 {
         let rt = self.cluster.fn_runtime(func);
-        rt.map_or(0, |rt| rt.provisioning.len() as u32)
+        rt.map_or(0, |rt| rt.provisioning)
     }
 
     /// Requests waiting in the function's channel.
@@ -1196,7 +1214,7 @@ mod tests {
     }
 
     /// A cluster whose one container is warm and idle, and which passes
-    /// `validate`: the two tests below each make one index forget it.
+    /// `validate`: each test below plants one inconsistency in an index.
     fn one_idle() -> (ClusterState, ContainerId) {
         let mut cl = cluster(&[1000]);
         let id = cl.begin_provision(FunctionId(0), WorkerId(0), TimePoint::ZERO, false);
@@ -1217,11 +1235,58 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "missing from free_threads")]
+    #[should_panic(expected = "non-idle container")]
+    fn validate_catches_a_busy_container_in_the_idle_set() {
+        let (mut cl, id) = one_idle();
+        cl.containers.get_mut(&id).expect("live").threads_in_use = 1;
+        cl.fn_runtime_mut(FunctionId(0)).free_pool.remove(id);
+        cl.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "idle_mb drifted")]
+    fn validate_catches_drifted_idle_memory() {
+        let (mut cl, _) = one_idle();
+        cl.workers[0].idle_mb += 1;
+        cl.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "missing from the free pool")]
     fn validate_catches_a_free_thread_the_pool_forgot() {
         let (mut cl, id) = one_idle();
-        let rt = cl.fn_runtime_mut(FunctionId(0));
-        assert!(rt.free_threads.remove(&id) && rt.free_pool.remove(id));
+        assert!(cl.fn_runtime_mut(FunctionId(0)).free_pool.remove(id));
+        cl.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "stale entry in the free pool")]
+    fn validate_catches_a_stale_pool_entry() {
+        let (mut cl, id) = one_idle();
+        cl.evict(id, TimePoint::ZERO);
+        cl.validate();
+        // Sound for nobody: the container is gone, the pool still offers it.
+        cl.fn_runtime_mut(FunctionId(0)).free_pool.set(id, 0);
+        cl.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "free pool key drifted")]
+    fn validate_catches_a_pool_key_that_is_not_the_load() {
+        let mut cl = ClusterState::new(&[1000], profiles(), 2);
+        let id = cl.begin_provision(FunctionId(0), WorkerId(0), TimePoint::ZERO, false);
+        cl.finish_provision(id, TimePoint::ZERO);
+        cl.occupy_thread(id, TimePoint::ZERO);
+        cl.validate();
+        cl.fn_runtime_mut(FunctionId(0)).free_pool.set(id, 0);
+        cl.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "provisioning count drifted")]
+    fn validate_catches_a_drifted_provisioning_count() {
+        let (mut cl, _) = one_idle();
+        cl.fn_runtime_mut(FunctionId(0)).provisioning += 1;
         cl.validate();
     }
 

@@ -518,7 +518,7 @@ impl<R: Recorder> Orchestrator<R> {
         if cold_only == 0 {
             return;
         }
-        let chains = rt.provisioning.len()
+        let chains = rt.provisioning as usize
             + self.retrying.get(&func).map_or(0, |&n| n as usize)
             + self.deferred.iter().filter(|&&(f, _, _)| f == func).count();
         for _ in chains..cold_only {
@@ -797,7 +797,7 @@ impl<R: Recorder> Orchestrator<R> {
             };
             let pending = rt.pending.len();
             let cold_only = rt.pending.cold_only_len();
-            let provisioning = rt.provisioning.len();
+            let provisioning = rt.provisioning as usize;
             let warm = rt.warm.len();
             let mut need = cold_only.saturating_sub(provisioning);
             if need == 0 && pending > 0 && warm == 0 && provisioning == 0 {
@@ -1028,12 +1028,13 @@ impl<R: Recorder> Orchestrator<R> {
     /// Fresh `(priority, id)` of every eviction candidate on `worker`:
     /// fully idle containers with an empty local queue. `priority` is
     /// `&self` and side-effect-free, so taking this snapshot (for a
-    /// REPLACE round or for provenance) cannot perturb the run.
+    /// REPLACE round or for provenance) cannot perturb the run. Yielded
+    /// in no particular order: every caller orders by `(priority, id)`.
     fn candidates(&self, worker: WorkerId) -> impl Iterator<Item = (f64, ContainerId)> + '_ {
         let ctx = PolicyCtx::new(self.now, &self.cluster, &self.busy_until);
         let ka = &self.policies.keepalive;
-        let idle = &self.cluster.workers()[usize::from(worker.0)].idle;
-        idle.iter().filter_map(move |&cid| {
+        let idle = self.cluster.workers()[usize::from(worker.0)].idle_ids();
+        idle.filter_map(move |cid| {
             let c = self.cluster.container(cid)?;
             c.local_queue
                 .is_empty()

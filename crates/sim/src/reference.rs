@@ -22,22 +22,22 @@ use faas_trace::FunctionId;
 use crate::cluster::ClusterState;
 use crate::ids::ContainerId;
 
-/// Dispatch pick by a linear max-scan over the function's free-thread
-/// set: the most-loaded non-saturated container, oldest id on ties.
+/// Dispatch pick by a linear max-scan over the function's warm
+/// containers, keeping those with a free thread: the most-loaded
+/// non-saturated container, oldest id on ties. Reads only the container
+/// table's own `threads_in_use`, never the pool it checks.
 pub fn pick_available(cluster: &ClusterState, func: FunctionId) -> Option<ContainerId> {
     let rt = cluster.fn_runtime(func)?;
-    rt.free_threads
+    rt.warm
         .iter()
-        .max_by_key(|cid| {
-            (
-                cluster
-                    .container(**cid)
-                    .expect("free_threads references dead container")
-                    .threads_in_use,
-                Reverse(**cid),
-            )
+        .map(|cid| {
+            cluster
+                .container(*cid)
+                .expect("warm set references dead container")
         })
-        .copied()
+        .filter(|c| c.has_free_thread())
+        .max_by_key(|c| (c.threads_in_use, Reverse(c.id)))
+        .map(|c| c.id)
 }
 
 /// The eviction order of a memory-pressure round: a full

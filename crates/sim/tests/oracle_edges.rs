@@ -2,11 +2,14 @@
 //! refactor must not disturb: `oracle_earliest_free` and the
 //! saturated-container views, across dead workers, provisioning-only
 //! functions, and the exact saturation boundary — and the three views
-//! of the hashed container table whose order is observable.
+//! of the hashed container table whose order is observable, with the
+//! per-function pool and counts that have no set beside them any more.
 
 use std::collections::{BTreeMap, HashMap};
 
-use faas_sim::{ClusterState, Container, ContainerId, ContainerState, PolicyCtx, WorkerId};
+use faas_sim::{
+    ClusterState, Container, ContainerId, ContainerState, PolicyCtx, ScanMode, WorkerId,
+};
 use faas_testkit::{Checker, Gen};
 use faas_trace::{FunctionId, FunctionProfile, TimeDelta, TimePoint};
 
@@ -147,11 +150,19 @@ fn saturated_views_agree_between_vec_and_iter_flavors() {
     assert_eq!(ctx.saturated_iter(FunctionId(1)).count(), 0);
 }
 
+/// What the model knows of a live container.
+#[derive(Clone, Copy)]
+struct Tracked {
+    worker: WorkerId,
+    func: FunctionId,
+    warm: bool,
+}
+
 /// One of the model's containers for which `wanted` holds, if any.
 fn pick(
     g: &mut Gen,
     cl: &ClusterState,
-    model: &BTreeMap<ContainerId, WorkerId>,
+    model: &BTreeMap<ContainerId, Tracked>,
     wanted: impl Fn(&Container) -> bool,
 ) -> Option<ContainerId> {
     let fitting: Vec<ContainerId> = model
@@ -165,29 +176,41 @@ fn pick(
 /// The container table is found by hash, so nothing about its layout
 /// orders `all_iter`, `all_containers` or `containers_on`: each sorts.
 /// Random lifecycles over 1–5 workers, a `BTreeMap` model beside the
-/// cluster; after every step the views equal the model's ascending ids
-/// and every bookkeeping invariant holds.
+/// cluster; after every step the views equal the model's ascending ids,
+/// the per-function counts equal the model's, the pool's pick equals
+/// the reference scan's for every function, and every bookkeeping
+/// invariant holds.
 #[test]
 fn ordered_views_match_a_btreemap_model_through_random_lifecycles() {
+    const FUNCTIONS: u32 = 4;
     Checker::new("ordered_views_match_a_btreemap_model").run(|g| {
         let workers = g.usize(1..6);
-        let mut cl = ClusterState::new(&vec![1_500; workers], profiles(4), 2);
-        let mut model: BTreeMap<ContainerId, WorkerId> = BTreeMap::new();
+        let mut cl = ClusterState::new(&vec![1_500; workers], profiles(FUNCTIONS), 2);
+        let mut model: BTreeMap<ContainerId, Tracked> = BTreeMap::new();
         for step in 0..g.u64(1..160) {
             let now = TimePoint::from_millis(step);
-            match g.u32(0..40) {
+            let provisioning = |c: &Container| c.state == ContainerState::Provisioning;
+            match g.u32(0..42) {
                 0..=13 => {
-                    let w = WorkerId(g.usize(0..workers) as u16);
-                    let host = &cl.workers()[usize::from(w.0)];
+                    let worker = WorkerId(g.usize(0..workers) as u16);
+                    let host = &cl.workers()[usize::from(worker.0)];
                     if host.alive && host.free_mb() >= 100 {
-                        let func = FunctionId(g.u32(0..4));
-                        model.insert(cl.begin_provision(func, w, now, g.bool(0.3)), w);
+                        let func = FunctionId(g.u32(0..FUNCTIONS));
+                        let id = cl.begin_provision(func, worker, now, g.bool(0.3));
+                        model.insert(
+                            id,
+                            Tracked {
+                                worker,
+                                func,
+                                warm: false,
+                            },
+                        );
                     }
                 }
                 14..=20 => {
-                    let provisioning = |c: &Container| c.state == ContainerState::Provisioning;
                     if let Some(id) = pick(g, &cl, &model, provisioning) {
                         cl.finish_provision(id, now);
+                        model.get_mut(&id).expect("tracked").warm = true;
                     }
                 }
                 21..=27 => {
@@ -203,6 +226,12 @@ fn ordered_views_match_a_btreemap_model_through_random_lifecycles() {
                 32..=38 => {
                     if let Some(id) = pick(g, &cl, &model, Container::is_idle) {
                         cl.evict(id, now);
+                        model.remove(&id);
+                    }
+                }
+                39..=40 => {
+                    if let Some(id) = pick(g, &cl, &model, provisioning) {
+                        cl.fail_provision(id, now);
                         model.remove(&id);
                     }
                 }
@@ -223,9 +252,27 @@ fn ordered_views_match_a_btreemap_model_through_random_lifecycles() {
                 ids
             );
             for w in (0..workers).map(|w| WorkerId(w as u16)) {
-                let hosted: Vec<ContainerId> =
-                    ids.iter().copied().filter(|id| model[id] == w).collect();
+                let hosted: Vec<ContainerId> = ids
+                    .iter()
+                    .copied()
+                    .filter(|id| model[id].worker == w)
+                    .collect();
                 assert_eq!(cl.containers_on(w), hosted, "containers_on({w:?})");
+            }
+            for func in (0..FUNCTIONS).map(FunctionId) {
+                let of = |warm| {
+                    let hit = |t: &&Tracked| t.func == func && t.warm == warm;
+                    model.values().filter(hit).count() as u32
+                };
+                let busy = HashMap::new();
+                let ctx = PolicyCtx::new(now, &cl, &busy);
+                assert_eq!(ctx.provisioning_count(func), of(false), "{func:?}");
+                assert_eq!(ctx.warm_count(func), of(true), "{func:?}");
+                let indexed = cl.pick_available(func);
+                cl.set_scan(ScanMode::Reference);
+                let reference = cl.pick_available(func);
+                cl.set_scan(ScanMode::Indexed);
+                assert_eq!(indexed, reference, "pick_available({func:?})");
             }
             cl.validate();
         }

@@ -7,7 +7,7 @@
 //! commas or newlines.
 
 use std::error::Error;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::fs;
 use std::io::Write as _;
 use std::path::Path;
@@ -57,22 +57,15 @@ pub fn to_string(trace: &Trace) -> String {
     out.push_str(
         "# CIDRE trace: F,<id>,<name>,<mem_mb>,<cold_us> / I,<fn>,<arrival_us>,<exec_us>\n",
     );
+    // Straight into the one buffer (`fmt::Write` on a `String` cannot
+    // fail): no intermediate `String` per record.
     for f in trace.functions() {
-        out.push_str(&format!(
-            "F,{},{},{},{}\n",
-            f.id.0,
-            f.name,
-            f.mem_mb,
-            f.cold_start.as_micros()
-        ));
+        let (mem, cold) = (f.mem_mb, f.cold_start.as_micros());
+        let _ = writeln!(out, "F,{},{},{mem},{cold}", f.id.0, f.name);
     }
     for i in trace.invocations() {
-        out.push_str(&format!(
-            "I,{},{},{}\n",
-            i.func.0,
-            i.arrival.as_micros(),
-            i.exec.as_micros()
-        ));
+        let (arrival, exec) = (i.arrival.as_micros(), i.exec.as_micros());
+        let _ = writeln!(out, "I,{},{arrival},{exec}", i.func.0);
     }
     out
 }
@@ -92,7 +85,16 @@ pub fn from_str(text: &str) -> Result<Trace, TraceIoError> {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let fields: Vec<&str> = line.split(',').collect();
+        // At most five fields matter; further ones are only counted, so
+        // that a record with too many is still refused.
+        let mut fields = [""; 5];
+        let mut count = 0;
+        for field in line.split(',') {
+            if let Some(slot) = fields.get_mut(count) {
+                *slot = field;
+            }
+            count += 1;
+        }
         let parse_u64 = |s: &str, what: &str| {
             s.parse::<u64>()
                 .map_err(|_| TraceIoError::Parse(lineno, format!("bad {what}: {s:?}")))
@@ -103,8 +105,8 @@ pub fn from_str(text: &str) -> Result<Trace, TraceIoError> {
             u32::try_from(parse_u64(s, what)?)
                 .map_err(|_| TraceIoError::Parse(lineno, format!("{what} out of range: {s:?}")))
         };
-        match fields.first().copied() {
-            Some("F") if fields.len() == 5 => {
+        match (fields[0], count) {
+            ("F", 5) => {
                 let id = parse_u32(fields[1], "function id")?;
                 let mem = parse_u32(fields[3], "memory")?;
                 let cold = parse_u64(fields[4], "cold start")?;
@@ -115,7 +117,7 @@ pub fn from_str(text: &str) -> Result<Trace, TraceIoError> {
                     TimeDelta::from_micros(cold),
                 ));
             }
-            Some("I") if fields.len() == 4 => {
+            ("I", 4) => {
                 let id = parse_u32(fields[1], "function id")?;
                 let arrival = parse_u64(fields[2], "arrival")?;
                 let exec = parse_u64(fields[3], "exec")?;

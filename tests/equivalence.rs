@@ -17,8 +17,10 @@
 //! (FaasCache-C, CIDRE — per-round heapify only).
 
 use cidre::core::{cidre_stack, CidreConfig};
+use cidre::obs::{EvictReason, ObsEvent};
 use cidre::policies::{
-    faascache_stack, GdsfKeepAlive, GreedyDualKeepAlive, LfuKeepAlive, TtlKeepAlive,
+    faascache_stack, GdsfKeepAlive, GreedyDualKeepAlive, IceBreakerKeepAlive, LfuKeepAlive,
+    TtlKeepAlive,
 };
 use cidre::sim::{
     baseline_lru_stack, run, run_traced, AlwaysCold, FaultPlan, PolicyStack, ScanMode, SimConfig,
@@ -263,4 +265,82 @@ fn multi_victim_replace_agrees() {
     let trace = Trace::new(profiles, invocations).expect("valid");
     let config = SimConfig::default().workers_mb(vec![1_100]);
     assert_engines_agree(&trace, &config);
+}
+
+/// The rule that lets a worker keep its idle containers in an unordered
+/// set: a REPLACE round orders its candidates by `(priority, id)`, so
+/// nothing about how the set is walked reaches the victims. Six
+/// containers of one function under `IceBreakerKeepAlive` (priority is
+/// a function of the function alone: bit-equal) go idle in *descending*
+/// id order; an incoming container that needs three of them evicts 0, 1
+/// and 2, and the provenance record lists all six ascending — in both
+/// scan modes.
+#[test]
+fn equal_priorities_evict_in_ascending_id_order() {
+    const N: u64 = 6;
+    let profiles = vec![
+        FunctionProfile::new(FunctionId(0), "a", 100, TimeDelta::from_millis(50)),
+        FunctionProfile::new(FunctionId(1), "big", 300, TimeDelta::from_millis(50)),
+    ];
+    // Arrival i cold-starts container i (every earlier one is busy or
+    // provisioning) and runs the shorter the later it came.
+    let mut invocations: Vec<Invocation> = (0..N)
+        .map(|i| Invocation {
+            func: FunctionId(0),
+            arrival: TimePoint::from_millis(i),
+            exec: TimeDelta::from_millis(100 * (N - i)),
+        })
+        .collect();
+    invocations.push(Invocation {
+        func: FunctionId(1),
+        arrival: TimePoint::from_millis(5_000),
+        exec: TimeDelta::from_millis(10),
+    });
+    let trace = Trace::new(profiles, invocations).expect("valid");
+    for scan in [ScanMode::Indexed, ScanMode::Reference] {
+        let config = SimConfig::default()
+            .workers_mb(vec![100 * N])
+            .scan_mode(scan);
+        let stack = PolicyStack::new(Box::new(IceBreakerKeepAlive), Box::new(AlwaysCold));
+        let (_, log) = run_traced(&trace, &config, stack);
+        let went_idle: Vec<u64> = log
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                ObsEvent::Finish { cid, .. } if *cid < N => Some(*cid),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(went_idle, (0..N).rev().collect::<Vec<_>>(), "{scan:?}");
+        let rounds: Vec<&Vec<(u64, f64)>> = log
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                ObsEvent::EvictCandidates { candidates, .. } => Some(candidates),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(rounds.len(), 1, "{scan:?}: one REPLACE round");
+        let ids: Vec<u64> = rounds[0].iter().map(|&(cid, _)| cid).collect();
+        assert_eq!(ids, (0..N).collect::<Vec<_>>(), "{scan:?}: candidates");
+        let first = rounds[0][0].1.to_bits();
+        assert!(
+            rounds[0].iter().all(|&(_, p)| p.to_bits() == first),
+            "{scan:?}: priorities are not bit-equal: {:?}",
+            rounds[0]
+        );
+        let victims: Vec<u64> = log
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                ObsEvent::Evict {
+                    cid,
+                    reason: EvictReason::Replace,
+                    ..
+                } => Some(*cid),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(victims, vec![0, 1, 2], "{scan:?}: victims");
+    }
 }
