@@ -113,7 +113,10 @@ fn main() -> ExitCode {
         if ctx.jobs == 1 { "" } else { "s" },
         ctx.out_dir.display()
     );
-    // lint:allow(W1): CLI progress timer only; never feeds a result.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "CLI progress timer only; never feeds a result"
+    )]
     let start = std::time::Instant::now();
     if !run_by_name(&name, &ctx) {
         eprintln!("unknown experiment {name:?}; try `experiments list`");

@@ -16,6 +16,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// DESIGN.md §8, in library code outside tests: no printing (P1).
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -53,8 +55,8 @@ pub fn is_quiet() -> bool {
 macro_rules! say {
     ($($arg:tt)*) => {
         if !$crate::is_quiet() {
-            // lint:allow(P1): say! *is* the narration sink every other
-            // print routes through; the quiet switch is its off knob.
+            // The narration sink every other print in this library
+            // routes through; the quiet switch is its off knob.
             println!($($arg)*);
         }
     };

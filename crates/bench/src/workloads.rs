@@ -163,10 +163,12 @@ impl ExpCtx {
         let path = self.out_dir.join(filename);
         match fs::create_dir_all(&self.out_dir).and_then(|()| fs::write(&path, contents)) {
             Ok(()) => crate::say!("  [saved {}]", path.display()),
+            #[expect(
+                clippy::print_stderr,
+                reason = "the failure must reach the operator even when narration is quiet"
+            )]
             Err(e) => {
                 crate::FAILED_WRITES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                // lint:allow(P1): the failure must reach the operator
-                // even when narration is quiet.
                 eprintln!("warning: cannot write {}: {e}", path.display());
             }
         }

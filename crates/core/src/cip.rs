@@ -119,8 +119,11 @@ impl KeepAlive for CipKeepAlive {
     }
 
     fn explain(&self) -> Option<String> {
-        // Folding a max over the HashMap is iteration-order-independent,
-        // keeping the note byte-identical across engines (DESIGN.md §12).
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a max folded over the map is iteration-order-independent, so the \
+                      note is byte-identical from driver to driver (DESIGN.md §12)"
+        )]
         let max_clock = self.clocks.values().fold(0.0f64, |a, &b| a.max(b));
         Some(format!(
             "clocks={} max_clock={max_clock:.3}",

@@ -210,8 +210,11 @@ impl Scaler for CssScaler {
     }
 
     fn explain(&self) -> Option<String> {
-        // Counting over the HashMap is iteration-order-independent,
-        // keeping the note byte-identical across engines (DESIGN.md §12).
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a count over the map is iteration-order-independent, so the note \
+                      is byte-identical from driver to driver (DESIGN.md §12)"
+        )]
         let off = self.fns.values().filter(|s| !s.bss_enabled).count();
         Some(format!("bss_off={off}/{}", self.fns.len()))
     }

@@ -307,15 +307,15 @@ fn cip_clock_inheritance_is_max_evicted_plus_own_term() {
 }
 
 /// Priorities flow from Eq. 3 into sorts and heap keys, so the float
-/// comparator is part of the algorithm: `f64::total_cmp` (cidre-lint
-/// rule F1) gives the IEEE-754 total order — no NaN unwrap, `-0.0`
-/// strictly below `0.0` — and [`faas_core::OrdF64`] must agree with it
-/// exactly, in both `Ord` and `Eq`.
+/// comparator is part of the algorithm: `f64::total_cmp` gives the
+/// IEEE-754 total order — no NaN unwrap, `-0.0` strictly below `0.0` —
+/// and [`faas_core::OrdF64`] must agree with it exactly, in both `Ord`
+/// and `Eq`.
 #[test]
 fn priority_comparator_total_orders_nan_and_signed_zero() {
     use faas_core::OrdF64;
 
-    let mut v = vec![
+    let mut v = [
         f64::NAN,
         1.0,
         f64::NEG_INFINITY,

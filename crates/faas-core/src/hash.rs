@@ -27,9 +27,11 @@ use std::hash::{BuildHasherDefault, Hasher};
 ///
 /// The hasher is unseeded, so iteration order over such a map repeats
 /// from run to run — which makes an accidental dependence on it
-/// invisible to a determinism test instead of flaky. cidre-lint rule O1
-/// therefore matters more here, not less: every use site spells
-/// `HashMap<K, V, IdBuildHasher>` in full so the rule still sees it.
+/// invisible to a determinism test instead of flaky. The ban on
+/// walking a hash collection (DESIGN.md §8, O1) therefore matters more
+/// here, not less, and it is by type: iteration over a `HashMap` or
+/// `HashSet` is denied whatever its hasher and wherever the map
+/// travels — through an alias, a parameter or a return value.
 ///
 /// # Examples
 ///

@@ -28,8 +28,8 @@ use crate::hash::IdBuildHasher;
 /// sort used (`"priorities must not be NaN"`), so swapping a sort for
 /// an indexed structure cannot silently change NaN handling.
 ///
-/// Ordering and equality both go through [`f64::total_cmp`]
-/// (cidre-lint rule F1): a total order with no unwrap, and — unlike a
+/// Ordering and equality both go through [`f64::total_cmp`], never
+/// `partial_cmp`: a total order with no unwrap, and — unlike a
 /// derived `PartialEq` — consistent with itself on `-0.0` vs `0.0`.
 #[derive(Debug, Clone, Copy)]
 pub struct OrdF64(f64);

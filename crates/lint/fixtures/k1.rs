@@ -1,11 +1,10 @@
 //! K1 fixture: waking a task while an executor lock guard is held.
 //!
 //! Not compiled — analyzed by `tests/corpus.rs` through
-//! `analyze_workspace` with a config whose `[k1] scope` covers this
-//! file. Expected: three K1 findings (direct wake under guard,
-//! one-level-deep wake under guard, and the call behind the bare
-//! allow); `notify` itself and the justified allow are silent. The
-//! bare allow's A0 surfaces through `analyze_file`.
+//! `analyze_workspace` with a config whose K1 scope covers this file.
+//! Expected: three K1 findings (direct wake under a guard, a
+//! one-level-deep wake under a guard, and the same under a guard
+//! revived by assignment); `notify` itself is silent.
 
 use std::sync::Mutex;
 use std::task::Waker;
@@ -41,23 +40,11 @@ fn indirect(shared: &Shared) {
     drop(st);
 }
 
-fn justified(shared: &Shared) {
-    let st = shared.state.lock().unwrap();
-    // lint:allow(K1): fixture lock is never taken by the schedule path
-    notify(shared);
+fn revived(shared: &Shared) {
+    let mut st = shared.state.lock().unwrap();
     drop(st);
-}
-
-fn bare_allow(shared: &Shared) {
-    let st = shared.state.lock().unwrap();
-    // lint:allow(K1)
-    notify(shared); // K1 still fires; the directive itself is A0
-    drop(st);
-}
-
-async fn dual(shared: &Shared) {
-    let st = shared.state.lock().unwrap();
-    // lint:allow(G1,K1): one directive covers both rules on the next line
-    notify(shared).await;
+    notify(shared); // silent: released
+    st = shared.state.lock().unwrap();
+    notify(shared); // K1: the assignment took the lock again
     drop(st);
 }

@@ -5,9 +5,8 @@
 //! fields as locks. `forward` and `backward` together create the
 //! alpha→beta→alpha cycle, so both inner acquisitions are findings;
 //! `reentrant` is a self-edge. Expected: four L1 findings (the cycle's
-//! two edges, the self-edge, and the edge behind the bare allow); the
-//! justified allow and the sequential `ordered` are silent. The bare
-//! allow's A0 surfaces through `analyze_file`.
+//! two edges, the self-edge, and the second instance of beta→alpha);
+//! the sequential `ordered` is silent.
 
 use std::sync::Mutex;
 
@@ -37,18 +36,9 @@ fn reentrant(t: &Two) {
     drop(a1);
 }
 
-fn justified(t: &Two) {
+fn backward_again(t: &Two) {
     let b = t.beta.lock().unwrap();
-    // lint:allow(L1): fixture exercises the suppression path
-    let a = t.alpha.lock().unwrap();
-    drop(a);
-    drop(b);
-}
-
-fn bare_allow(t: &Two) {
-    let b = t.beta.lock().unwrap();
-    // lint:allow(L1)
-    let a = t.alpha.lock().unwrap(); // L1 still fires; the directive is A0
+    let a = t.alpha.lock().unwrap(); // L1: every instance of an edge on a cycle
     drop(a);
     drop(b);
 }

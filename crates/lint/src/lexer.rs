@@ -1,12 +1,12 @@
 //! A comment- and string-aware Rust lexer.
 //!
 //! `cidre-lint` deliberately does not parse Rust (no `syn`, no external
-//! crates — the workspace is hermetic, see DESIGN.md §3). The rules in
-//! [`crate::rules`] only need a token stream that cannot be fooled by
-//! `"Instant::now"` inside a string literal or a commented-out
-//! `partial_cmp`. This lexer provides exactly that: identifiers,
+//! crates — the workspace is hermetic, see DESIGN.md §3). The brace
+//! tree of [`crate::parser`] only needs a token stream that cannot be
+//! fooled by a `{` or a `.lock()` inside a string literal or a
+//! comment. This lexer provides exactly that: identifiers,
 //! punctuation, literals, and lifetimes, each tagged with a 1-based
-//! line number, plus every comment (for `lint:allow` directives).
+//! line number; comments are skipped.
 //!
 //! The grammar corners that matter and are handled:
 //! * nested block comments `/* /* */ */`;
@@ -42,36 +42,15 @@ pub struct Token {
     pub line: u32,
 }
 
-/// A comment (line or block) with the line it starts on. Text excludes
-/// the delimiters (`//`, `/*`, `*/`) but keeps inner whitespace.
-#[derive(Debug, Clone)]
-pub struct Comment {
-    /// 1-based line of the `//` or `/*`.
-    pub line: u32,
-    /// 1-based line of the comment's last character (equals `line` for
-    /// line comments; block comments can span lines).
-    pub end_line: u32,
-    /// Comment body without delimiters.
-    pub text: String,
-}
-
-/// The output of [`lex`]: tokens plus comments, both in source order.
-#[derive(Debug, Default)]
-pub struct Lexed {
-    /// All non-comment tokens.
-    pub tokens: Vec<Token>,
-    /// All comments, for suppression-directive parsing.
-    pub comments: Vec<Comment>,
-}
-
-/// Lexes Rust source. Never fails: unrecognised bytes are skipped so a
-/// half-written fixture cannot wedge the analyzer.
-pub fn lex(src: &str) -> Lexed {
+/// Lexes Rust source into its non-comment tokens, in source order.
+/// Never fails: unrecognised bytes are skipped so a half-written
+/// fixture cannot wedge the analyzer.
+pub fn lex(src: &str) -> Vec<Token> {
     Lexer {
         bytes: src.as_bytes(),
         pos: 0,
         line: 1,
-        out: Lexed::default(),
+        out: Vec::new(),
     }
     .run()
 }
@@ -80,11 +59,11 @@ struct Lexer<'a> {
     bytes: &'a [u8],
     pos: usize,
     line: u32,
-    out: Lexed,
+    out: Vec<Token>,
 }
 
 impl<'a> Lexer<'a> {
-    fn run(mut self) -> Lexed {
+    fn run(mut self) -> Vec<Token> {
         while self.pos < self.bytes.len() {
             let b = self.bytes[self.pos];
             match b {
@@ -122,28 +101,17 @@ impl<'a> Lexer<'a> {
     }
 
     fn push(&mut self, kind: TokenKind, text: String, line: u32) {
-        self.out.tokens.push(Token { kind, text, line });
+        self.out.push(Token { kind, text, line });
     }
 
     fn line_comment(&mut self) {
-        let start_line = self.line;
-        self.pos += 2;
-        let from = self.pos;
         while self.pos < self.bytes.len() && self.bytes[self.pos] != b'\n' {
             self.pos += 1;
         }
-        let text = String::from_utf8_lossy(&self.bytes[from..self.pos]).into_owned();
-        self.out.comments.push(Comment {
-            line: start_line,
-            end_line: start_line,
-            text,
-        });
     }
 
     fn block_comment(&mut self) {
-        let start_line = self.line;
         self.pos += 2;
-        let from = self.pos;
         let mut depth = 1usize;
         while self.pos < self.bytes.len() && depth > 0 {
             match (self.bytes[self.pos], self.peek(1)) {
@@ -162,13 +130,6 @@ impl<'a> Lexer<'a> {
                 _ => self.pos += 1,
             }
         }
-        let to = self.pos.saturating_sub(2).max(from);
-        let text = String::from_utf8_lossy(&self.bytes[from..to]).into_owned();
-        self.out.comments.push(Comment {
-            line: start_line,
-            end_line: self.line,
-            text,
-        });
     }
 
     /// Detects `r"`, `r#`, `br"`, `br#` at the cursor.
@@ -338,7 +299,6 @@ mod tests {
 
     fn idents(src: &str) -> Vec<String> {
         lex(src)
-            .tokens
             .into_iter()
             .filter(|t| t.kind == TokenKind::Ident)
             .map(|t| t.text)
@@ -361,15 +321,6 @@ mod tests {
     }
 
     #[test]
-    fn comments_are_captured_with_lines() {
-        let src = "let a = 1;\n// lint:allow(W1): because\nlet b = 2;";
-        let lx = lex(src);
-        assert_eq!(lx.comments.len(), 1);
-        assert_eq!(lx.comments[0].line, 2);
-        assert!(lx.comments[0].text.contains("lint:allow(W1)"));
-    }
-
-    #[test]
     fn nested_block_comment_terminates() {
         let src = "/* outer /* inner */ still outer */ fn after() {}";
         let ids = idents(src);
@@ -381,14 +332,12 @@ mod tests {
         let src = "fn f<'a>(x: &'a str) { let c = 'x'; let nl = '\\n'; }";
         let lx = lex(src);
         let lifetimes: Vec<_> = lx
-            .tokens
             .iter()
             .filter(|t| t.kind == TokenKind::Lifetime)
             .map(|t| t.text.clone())
             .collect();
         assert_eq!(lifetimes, vec!["'a", "'a"]);
         let lits: Vec<_> = lx
-            .tokens
             .iter()
             .filter(|t| t.kind == TokenKind::Literal)
             .map(|t| t.text.clone())
@@ -401,7 +350,6 @@ mod tests {
         let src = "let x = 1_000u64 + 2.5e-3; let r = 1..n;";
         let lx = lex(src);
         let lits: Vec<_> = lx
-            .tokens
             .iter()
             .filter(|t| t.kind == TokenKind::Literal)
             .map(|t| t.text.clone())
@@ -413,7 +361,7 @@ mod tests {
     fn line_numbers_advance_through_everything() {
         let src = "a\n\"multi\nline\"\nb";
         let lx = lex(src);
-        let b = lx.tokens.iter().find(|t| t.text == "b").expect("b lexed");
+        let b = lx.iter().find(|t| t.text == "b").expect("b lexed");
         assert_eq!(b.line, 4);
     }
 

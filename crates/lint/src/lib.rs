@@ -1,144 +1,25 @@
-//! `cidre-lint` — in-tree determinism & safety analyzer.
+//! `cidre-lint` — the two concurrency rules nothing else can express.
 //!
-//! The reproduction's claim to the paper's numbers rests on
-//! bit-identical determinism: the differential oracle, the pinned CSV
-//! goldens, and the `FaultPlan::none() ≡ default` guarantee all assume
-//! the sim substrate never acquires hidden nondeterminism. Runtime
-//! tests notice *some* regressions; this analyzer enforces the domain
-//! rules clippy cannot see — no wall-clock in sim, no unordered hash
-//! iteration feeding a report, no NaN-unsafe float sorts — statically,
-//! on every CI run, with a ratcheting committed baseline.
+//! The determinism and safety rules of DESIGN.md §8 are clippy lints
+//! (`clippy.toml`, `[workspace.lints.clippy]`, the `deny` lines in each
+//! crate's `lib.rs`), checked with type information by `ci.sh`'s clippy
+//! step. What clippy has no lint for is the executor's lock discipline
+//! (DESIGN.md §10): **K1**, no `wake()` — direct or one call deep —
+//! while a lock guard is held, and **L1**, no cycle in the order the
+//! named locks of `crates/live/src/exec` are acquired in. Both need a
+//! flow walk and cross-file state; this crate is that and nothing more.
 //!
-//! Hermetic like the rest of the workspace: a hand-rolled lexer, no
-//! `syn`, no external crates. See DESIGN.md §8 for the rule catalogue,
-//! the `lint:allow` grammar, and the ratchet policy.
+//! Hermetic like the rest of the workspace: a hand-rolled lexer and a
+//! brace-tree parser, no `syn`, no external crates. The seeds are a
+//! `const` table ([`LocksConfig::WORKSPACE`]); there is no
+//! configuration file, no suppression and no baseline — a finding is
+//! fixed. `cargo test` runs the scan (`tests/workspace_scan.rs`). See
+//! DESIGN.md §13 for the parser and the rule semantics.
 
-pub mod baseline;
 pub mod conc;
 pub mod lexer;
-pub mod locks;
 pub mod parser;
-pub mod report;
-pub mod rules;
 pub mod scan;
 
-pub use baseline::Baseline;
-pub use conc::{analyze_workspace, SourceFile};
-pub use locks::{LockSpec, LocksConfig};
-pub use report::to_json;
-pub use rules::{analyze_file, FileContext, FileKind, Rule, Violation};
+pub use conc::{analyze_workspace, FileKind, LockSpec, LocksConfig, Rule, SourceFile, Violation};
 pub use scan::{classify, scan_workspace, ScanResult};
-
-use std::collections::BTreeMap;
-use std::path::Path;
-
-/// Outcome of checking a live scan against the committed baseline.
-#[derive(Debug, Default)]
-pub struct GateReport {
-    /// (rule, crate, live, accepted) where live > accepted.
-    pub new_violations: Vec<(Rule, String, usize, usize)>,
-    /// (rule, crate, live, accepted) where live < accepted — the
-    /// baseline is stale and must be ratcheted down.
-    pub stale_entries: Vec<(Rule, String, usize, usize)>,
-    /// Count of A0 findings (never baselinable).
-    pub bad_allows: usize,
-}
-
-impl GateReport {
-    /// True when the gate passes.
-    pub fn is_clean(&self) -> bool {
-        self.new_violations.is_empty() && self.stale_entries.is_empty() && self.bad_allows == 0
-    }
-}
-
-/// Compares a live scan against a baseline. Exact equality per
-/// (rule, crate) is required in both directions; see [`baseline`].
-pub fn check_gate(result: &ScanResult, baseline: &Baseline) -> GateReport {
-    let mut report = GateReport::default();
-    // Union of keys from both sides.
-    let mut keys: BTreeMap<(Rule, String), (usize, usize)> = BTreeMap::new();
-    for (&(rule, ref krate), &live) in &result.counts {
-        if rule == Rule::A0 {
-            report.bad_allows += live;
-            continue;
-        }
-        keys.entry((rule, krate.clone())).or_default().0 = live;
-    }
-    for (&rule, crates) in &baseline.counts {
-        for (krate, &accepted) in crates {
-            keys.entry((rule, krate.clone())).or_default().1 = accepted;
-        }
-    }
-    for ((rule, krate), (live, accepted)) in keys {
-        match live.cmp(&accepted) {
-            std::cmp::Ordering::Greater => {
-                report.new_violations.push((rule, krate, live, accepted))
-            }
-            std::cmp::Ordering::Less => report.stale_entries.push((rule, krate, live, accepted)),
-            std::cmp::Ordering::Equal => {}
-        }
-    }
-    report
-}
-
-/// Scans `root` and serializes the live counts as a fresh baseline
-/// (what `--write-baseline` writes).
-pub fn fresh_baseline(root: &Path) -> Result<String, String> {
-    let result = scan_workspace(root)?;
-    let live: BTreeMap<(Rule, String), usize> = result
-        .counts
-        .iter()
-        .filter(|((rule, _), _)| *rule != Rule::A0)
-        .map(|(k, &v)| (k.clone(), v))
-        .collect();
-    Ok(Baseline::from_counts(&live).to_toml())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn result_with(counts: &[(Rule, &str, usize)]) -> ScanResult {
-        let mut r = ScanResult::default();
-        for &(rule, krate, n) in counts {
-            r.counts.insert((rule, krate.to_string()), n);
-        }
-        r
-    }
-
-    #[test]
-    fn gate_passes_on_exact_match() {
-        let result = result_with(&[(Rule::O1, "sim", 2)]);
-        let mut counts = BTreeMap::new();
-        counts.insert((Rule::O1, "sim".to_string()), 2);
-        let b = Baseline::from_counts(&counts);
-        assert!(check_gate(&result, &b).is_clean());
-    }
-
-    #[test]
-    fn gate_fails_on_new_violation_and_on_stale_baseline() {
-        let mut counts = BTreeMap::new();
-        counts.insert((Rule::O1, "sim".to_string()), 2);
-        let b = Baseline::from_counts(&counts);
-
-        let worse = result_with(&[(Rule::O1, "sim", 3)]);
-        let g = check_gate(&worse, &b);
-        assert_eq!(g.new_violations, vec![(Rule::O1, "sim".to_string(), 3, 2)]);
-
-        let better = result_with(&[(Rule::O1, "sim", 1)]);
-        let g = check_gate(&better, &b);
-        assert_eq!(g.stale_entries, vec![(Rule::O1, "sim".to_string(), 1, 2)]);
-
-        let fixed = result_with(&[]);
-        let g = check_gate(&fixed, &b);
-        assert_eq!(g.stale_entries, vec![(Rule::O1, "sim".to_string(), 0, 2)]);
-    }
-
-    #[test]
-    fn a0_is_always_fatal_even_with_empty_baseline() {
-        let result = result_with(&[(Rule::A0, "sim", 1)]);
-        let g = check_gate(&result, &Baseline::default());
-        assert_eq!(g.bad_allows, 1);
-        assert!(!g.is_clean());
-    }
-}

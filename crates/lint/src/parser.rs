@@ -2,7 +2,7 @@
 //!
 //! Same philosophy as the lexer: no `syn`, no external crates, no type
 //! information — just enough structure for the flow-sensitive rules
-//! (G1/K1/L1, DESIGN.md §13). Three layers:
+//! (K1/L1, DESIGN.md §13). Three layers:
 //!
 //! * [`fn_items`] — the brace tree: every `fn` item with its body token
 //!   span and a qualified name (`Type::name` inside `impl` blocks, with
@@ -12,10 +12,9 @@
 //!   `.lock()` / zero-arg `.read()` / `.write()`, optionally chained
 //!   through the poison adapters `expect`/`unwrap`/`unwrap_or_else`)
 //!   through block scopes, `drop(name)` kills, and `name = …lock()…`
-//!   re-acquisition, and reports acquisitions, `.await` points, and
-//!   calls with the set of guards live at each event;
-//! * callers ([`crate::rules`] G1, [`crate::conc`] K1/L1) interpret
-//!   the events.
+//!   re-acquisition, and reports acquisitions and calls with the set
+//!   of guards live at each event;
+//! * [`crate::conc`] interprets the events.
 //!
 //! Known, deliberate approximations (the analyzer is a linter, not a
 //! borrow checker): loop back-edges are not modelled (a guard
@@ -35,8 +34,6 @@ pub struct FnInfo {
     pub name: String,
     /// `Type::name` when defined inside an `impl` block, else `name`.
     pub qual: String,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
     /// Token indices of the body's `{` and its matching `}`.
     pub body: (usize, usize),
 }
@@ -202,7 +199,6 @@ pub fn fn_items(tokens: &[Token]) -> Vec<FnInfo> {
             continue;
         }
         let name = tokens[i + 1].text.clone();
-        let line = tokens[i].line;
         // Signatures contain no `{`; the first `{` or `;` ends them.
         let mut j = i + 2;
         while j < tokens.len() && text(tokens, j) != "{" && text(tokens, j) != ";" {
@@ -224,7 +220,6 @@ pub fn fn_items(tokens: &[Token]) -> Vec<FnInfo> {
         fns.push(FnInfo {
             name,
             qual,
-            line,
             body: (j, close),
         });
         i += 2; // continue inside the body: nested fns are items too
@@ -263,14 +258,8 @@ pub struct Guard {
 pub enum Event<'a> {
     /// A new guard binding committed; `live` excludes the new guard.
     Acquire(&'a Guard),
-    /// An `.await` suspension point.
-    Await { line: u32 },
-    /// A call or macro invocation by (last-segment) name.
-    Call {
-        name: &'a str,
-        line: u32,
-        is_macro: bool,
-    },
+    /// A call by (last-segment) name. Macro invocations are not calls.
+    Call { name: &'a str, line: u32 },
 }
 
 /// The lock-acquiring method names. `read`/`write` only count with an
@@ -504,42 +493,14 @@ pub fn walk_body(
             i += 2;
             continue;
         }
-        // `.await` point.
-        if t == "await" && text(tokens, i.wrapping_sub(1)) == "." {
-            on_event(
-                &Event::Await {
-                    line: tokens[i].line,
-                },
-                &live,
-            );
-            i += 1;
-            continue;
-        }
-        // Calls and macro invocations.
-        if is_ident(tokens, i) && !is_call_keyword(t) && text(tokens, i.wrapping_sub(1)) != "fn" {
-            if text(tokens, i + 1) == "(" {
-                on_event(
-                    &Event::Call {
-                        name: t,
-                        line: tokens[i].line,
-                        is_macro: false,
-                    },
-                    &live,
-                );
-            } else if text(tokens, i + 1) == "!" && matches!(text(tokens, i + 2), "(" | "[" | "{") {
-                on_event(
-                    &Event::Call {
-                        name: t,
-                        line: tokens[i].line,
-                        is_macro: true,
-                    },
-                    &live,
-                );
-                // Step over the macro bang so `{` delimiters of the
-                // macro body still balance via the main loop.
-                i += 2;
-                continue;
-            }
+        // Calls. A macro's name is not one (`name!(` has no `(` next).
+        if is_ident(tokens, i)
+            && !is_call_keyword(t)
+            && text(tokens, i.wrapping_sub(1)) != "fn"
+            && text(tokens, i + 1) == "("
+        {
+            let line = tokens[i].line;
+            on_event(&Event::Call { name: t, line }, &live);
         }
         i += 1;
     }
@@ -551,9 +512,9 @@ mod tests {
     use crate::lexer::lex;
 
     fn fns_of(src: &str) -> (Vec<Token>, Vec<FnInfo>) {
-        let lexed = lex(src);
-        let fns = fn_items(&lexed.tokens);
-        (lexed.tokens, fns)
+        let tokens = lex(src);
+        let fns = fn_items(&tokens);
+        (tokens, fns)
     }
 
     #[test]
@@ -612,10 +573,7 @@ mod tests {
             walk_body(&tokens, f.body, &skip, |e, live| {
                 let desc = match e {
                     Event::Acquire(g) => format!("acq:{}:{}", g.name, g.recv),
-                    Event::Await { .. } => "await".to_string(),
-                    Event::Call { name, is_macro, .. } => {
-                        format!("call:{}{}", name, if *is_macro { "!" } else { "" })
-                    }
+                    Event::Call { name, .. } => format!("call:{name}"),
                 };
                 out.push((desc, live.iter().map(|g| g.name.clone()).collect()));
             });
@@ -710,21 +668,6 @@ mod tests {
         assert_eq!(at_in, &vec!["g".to_string()]);
         let (_, at_out) = t.iter().find(|(d, _)| d == "call:outside").expect("out");
         assert!(at_out.is_empty());
-    }
-
-    #[test]
-    fn await_and_macro_events_fire() {
-        let src = "
-            async fn f(&self) {
-                let g = self.m.lock().expect(\"p\");
-                self.rx.recv().await;
-                note!(x);
-            }
-        ";
-        let t = trace(src);
-        let (_, at_await) = t.iter().find(|(d, _)| d == "await").expect("await");
-        assert_eq!(at_await, &vec!["g".to_string()]);
-        assert!(t.iter().any(|(d, _)| d == "call:note!"));
     }
 
     #[test]

@@ -1,39 +1,22 @@
-//! Workspace walker: finds every `.rs` file, derives its
-//! [`FileContext`], runs the per-file rules and the seeded workspace
-//! concurrency pass, and aggregates per-(rule, crate) counts for the
-//! ratchet.
+//! Workspace walker: finds every `.rs` file, classifies it as source or
+//! test context, and runs the concurrency pass over all of them.
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use crate::conc::{analyze_workspace, SourceFile};
-use crate::locks::LocksConfig;
-use crate::rules::{analyze_file, FileContext, FileKind, Rule, Violation};
+use crate::conc::{analyze_workspace, FileKind, LocksConfig, SourceFile, Violation};
 
-/// One file's findings, workspace-relative.
-#[derive(Debug)]
-pub struct FileReport {
-    /// `/`-separated path relative to the workspace root.
-    pub rel_path: String,
-    /// Crate key used in the baseline.
-    pub crate_name: String,
-    /// Violations surviving suppression.
-    pub violations: Vec<Violation>,
-}
-
-/// Aggregated scan output.
+/// Scan output.
 #[derive(Debug, Default)]
 pub struct ScanResult {
-    /// Per-file findings, sorted by path.
-    pub files: Vec<FileReport>,
-    /// Live counts per (rule, crate), zero entries omitted.
-    pub counts: BTreeMap<(Rule, String), usize>,
+    /// `(workspace-relative path, finding)`, sorted by path, then
+    /// line, then rule.
+    pub findings: Vec<(String, Violation)>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
 }
 
 /// Directories never scanned: build output, VCS, experiment output,
-/// and the lint fixture corpus (whose files are violations on purpose).
+/// and the fixture corpus (whose files are violations on purpose).
 fn skip_dir(rel: &str) -> bool {
     rel == "target"
         || rel == ".git"
@@ -42,92 +25,59 @@ fn skip_dir(rel: &str) -> bool {
         || rel.starts_with('.')
 }
 
-/// Derives the baseline crate key and test-ness from a relative path.
-///
-/// Crate key is the directory name under `crates/` (`sim`,
-/// `faas-core`, …) or `"root"` for the workspace-root package. Files
-/// under any `tests/`, `benches/`, or `examples/` directory are test
-/// context; everything else is source.
-pub fn classify(rel: &str) -> FileContext {
-    let crate_name = rel
-        .strip_prefix("crates/")
-        .and_then(|r| r.split('/').next())
-        .unwrap_or("root")
-        .to_string();
-    let test_markers = ["tests/", "benches/", "examples/"];
-    let is_test = test_markers
+/// Files under any `tests/`, `benches/`, or `examples/` directory are
+/// test context; everything else is source.
+pub fn classify(rel: &str) -> FileKind {
+    let is_test = ["tests/", "benches/", "examples/"]
         .iter()
         .any(|m| rel.starts_with(m) || rel.contains(&format!("/{m}")));
-    FileContext {
-        crate_name,
-        rel_path: rel.to_string(),
-        file_kind: if is_test {
-            FileKind::TestFile
-        } else {
-            FileKind::Source
-        },
+    if is_test {
+        FileKind::TestFile
+    } else {
+        FileKind::Source
     }
 }
 
-/// Scans the workspace rooted at `root`: the per-file rules on every
-/// `.rs` file, then the workspace concurrency pass (K1/L1) seeded
-/// from `<root>/lint-locks.toml` — a missing seed file leaves those
-/// rules silent; a malformed one is fatal. I/O errors on individual
-/// files are fatal too: a lint gate that silently skips unreadable
-/// files is not a gate.
+fn rel_path(root: &Path, path: &Path) -> Result<String, String> {
+    let rel = path
+        .strip_prefix(root)
+        .map_err(|_| "walk escaped root".to_string())?;
+    let parts: Vec<_> = rel
+        .components()
+        .map(|c| c.as_os_str().to_string_lossy())
+        .collect();
+    Ok(parts.join("/"))
+}
+
+/// Scans the workspace rooted at `root` with its own seeds
+/// ([`LocksConfig::WORKSPACE`]). I/O errors on individual files are
+/// fatal: a gate that silently skips unreadable files is not a gate.
 pub fn scan_workspace(root: &Path) -> Result<ScanResult, String> {
     let mut paths = Vec::new();
     walk(root, root, &mut paths)?;
     paths.sort();
-    let locks_path = root.join("lint-locks.toml");
-    let cfg = match std::fs::read_to_string(&locks_path) {
-        Ok(text) => {
-            LocksConfig::parse(&text).map_err(|e| format!("{}: {e}", locks_path.display()))?
-        }
-        Err(_) => LocksConfig::default(),
-    };
-
-    let mut sources: Vec<SourceFile> = Vec::new();
-    let mut per_file: Vec<Vec<Violation>> = Vec::new();
+    let mut sources = Vec::new();
     for path in paths {
-        let rel = path
-            .strip_prefix(root)
-            .map_err(|_| "walk escaped root".to_string())?
-            .components()
-            .map(|c| c.as_os_str().to_string_lossy().into_owned())
-            .collect::<Vec<_>>()
-            .join("/");
+        let rel_path = rel_path(root, &path)?;
         let src = std::fs::read_to_string(&path)
             .map_err(|e| format!("reading {}: {e}", path.display()))?;
-        let ctx = classify(&rel);
-        per_file.push(analyze_file(&ctx, &src));
-        sources.push(SourceFile { ctx, src });
+        let kind = classify(&rel_path);
+        sources.push(SourceFile {
+            rel_path,
+            kind,
+            src,
+        });
     }
-    for (idx, v) in analyze_workspace(&sources, &cfg) {
-        per_file[idx].push(v);
-    }
-
-    let mut result = ScanResult {
+    let mut findings: Vec<(String, Violation)> =
+        analyze_workspace(&sources, &LocksConfig::WORKSPACE)
+            .into_iter()
+            .map(|(idx, v)| (sources[idx].rel_path.clone(), v))
+            .collect();
+    findings.sort_by(|(pa, a), (pb, b)| (pa, a.line, a.rule).cmp(&(pb, b.line, b.rule)));
+    Ok(ScanResult {
+        findings,
         files_scanned: sources.len(),
-        ..ScanResult::default()
-    };
-    for (file, mut violations) in sources.into_iter().zip(per_file) {
-        violations.sort_by_key(|v| (v.line, v.rule));
-        for v in &violations {
-            *result
-                .counts
-                .entry((v.rule, file.ctx.crate_name.clone()))
-                .or_insert(0) += 1;
-        }
-        if !violations.is_empty() {
-            result.files.push(FileReport {
-                rel_path: file.ctx.rel_path,
-                crate_name: file.ctx.crate_name,
-                violations,
-            });
-        }
-    }
-    Ok(result)
+    })
 }
 
 fn walk(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
@@ -135,13 +85,7 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
     for entry in entries {
         let entry = entry.map_err(|e| format!("walking {}: {e}", dir.display()))?;
         let path = entry.path();
-        let rel = path
-            .strip_prefix(root)
-            .map_err(|_| "walk escaped root".to_string())?
-            .components()
-            .map(|c| c.as_os_str().to_string_lossy().into_owned())
-            .collect::<Vec<_>>()
-            .join("/");
+        let rel = rel_path(root, &path)?;
         let ty = entry
             .file_type()
             .map_err(|e| format!("stat {}: {e}", path.display()))?;
@@ -161,24 +105,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn classify_derives_crate_and_testness() {
-        let c = classify("crates/sim/src/engine.rs");
-        assert_eq!(c.crate_name, "sim");
-        assert_eq!(c.file_kind, FileKind::Source);
-        let c = classify("crates/sim/tests/oracle_edges.rs");
-        assert_eq!(c.crate_name, "sim");
-        assert_eq!(c.file_kind, FileKind::TestFile);
-        let c = classify("tests/determinism.rs");
-        assert_eq!(c.crate_name, "root");
-        assert_eq!(c.file_kind, FileKind::TestFile);
-        let c = classify("examples/quickstart.rs");
-        assert_eq!(c.file_kind, FileKind::TestFile);
-        let c = classify("src/lib.rs");
-        assert_eq!(c.crate_name, "root");
-        assert_eq!(c.file_kind, FileKind::Source);
-        let c = classify("crates/bench/benches/sim_throughput.rs");
-        assert_eq!(c.crate_name, "bench");
-        assert_eq!(c.file_kind, FileKind::TestFile);
+    fn classify_derives_testness() {
+        for source in ["crates/sim/src/engine.rs", "src/lib.rs"] {
+            assert_eq!(classify(source), FileKind::Source, "{source}");
+        }
+        for test in [
+            "crates/sim/tests/oracle_edges.rs",
+            "tests/determinism.rs",
+            "examples/quickstart.rs",
+            "crates/bench/benches/sim_throughput.rs",
+        ] {
+            assert_eq!(classify(test), FileKind::TestFile, "{test}");
+        }
     }
 
     #[test]

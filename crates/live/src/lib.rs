@@ -56,6 +56,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// DESIGN.md §8, in library code outside tests: no printing (P1).
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
+#![expect(
+    clippy::disallowed_types,
+    reason = "this crate is the wall-clock substrate: timers, deadlines and lag are Instants"
+)]
 
 pub mod exec;
 mod heap;

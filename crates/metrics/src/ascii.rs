@@ -80,8 +80,16 @@ impl fmt::Display for AsciiChart {
         for (si, (_, pts)) in self.series.iter().enumerate() {
             let glyph = GLYPHS[si % GLYPHS.len()];
             for &(x, y) in pts {
-                let cx = (((x - xmin) / xspan) * (self.width - 1) as f64).round() as usize;
-                let cy = (((y - ymin) / yspan) * (self.height - 1) as f64).round() as usize;
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    clippy::cast_sign_loss,
+                    reason = "x and y lie inside the bounds just computed, so both products \
+                              are in [0, width) and [0, height); NaN saturates to 0"
+                )]
+                let (cx, cy) = (
+                    (((x - xmin) / xspan) * (self.width - 1) as f64).round() as usize,
+                    (((y - ymin) / yspan) * (self.height - 1) as f64).round() as usize,
+                );
                 let row = self.height - 1 - cy.min(self.height - 1);
                 grid[row][cx.min(self.width - 1)] = glyph;
             }
@@ -173,6 +181,11 @@ impl fmt::Display for AsciiWaterfall {
                 if !v.is_finite() || v <= 0.0 {
                     continue;
                 }
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    clippy::cast_sign_loss,
+                    reason = "0 < v <= max_total, so the product is in (0, width]"
+                )]
                 let cells = ((v / max_total) * self.width as f64).round() as usize;
                 let glyph = GLYPHS[si % GLYPHS.len()];
                 bar.extend(std::iter::repeat_n(glyph, cells));

@@ -41,8 +41,12 @@ pub(crate) fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
         return sorted[0];
     }
     let rank = p / 100.0 * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "p is in [0, 100], so 0 <= rank <= len - 1"
+    )]
+    let (lo, hi) = (rank.floor() as usize, rank.ceil() as usize);
     if lo == hi {
         sorted[lo]
     } else {

@@ -74,7 +74,9 @@ impl P2Quantile {
     pub fn record(&mut self, value: f64) {
         assert!(!value.is_nan(), "NaN sample");
         if self.count < 5 {
-            self.heights[self.count as usize] = value;
+            #[expect(clippy::cast_possible_truncation, reason = "count < 5")]
+            let slot = self.count as usize;
+            self.heights[slot] = value;
             self.count += 1;
             if self.count == 5 {
                 self.heights.sort_by(f64::total_cmp);
@@ -153,6 +155,7 @@ impl P2Quantile {
             0 => None,
             n if n < 5 => {
                 // Exact order statistic on the partial buffer.
+                #[expect(clippy::cast_possible_truncation, reason = "n < 5")]
                 let mut buf: Vec<f64> = self.heights[..n as usize].to_vec();
                 buf.sort_by(f64::total_cmp);
                 Some(crate::percentile(&buf, self.q * 100.0))

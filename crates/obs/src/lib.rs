@@ -35,6 +35,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// DESIGN.md §8, in library code outside tests: no printing (P1).
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 
 pub mod chrome;
 pub mod waterfall;

@@ -33,6 +33,17 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// DESIGN.md §8, in library code outside tests: no walk of a hash
+// collection and no environment read (O1, E1), no printing (P1).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_methods,
+        clippy::iter_over_hash_type,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
+)]
 
 mod classic;
 mod codecrunch;

@@ -163,13 +163,15 @@ impl KeepAlive for RainbowCakeKeepAlive {
         None
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "summing lengths over the maps' values is iteration-order-independent, \
+                  so the note is deterministic"
+    )]
     fn explain(&self) -> Option<String> {
         // Pool sizes include expired-but-unpruned entries (pruning only
         // happens on use).
-        // lint:allow(O1): summing lengths over HashMap values is
-        // iteration-order-independent, so the note is deterministic.
         let user: usize = self.user_layers.values().map(Vec::len).sum();
-        // lint:allow(O1): same order-independent fold as above.
         let lang: usize = self.lang_layers.values().map(Vec::len).sum();
         Some(format!("user_layers={user} lang_layers={lang}"))
     }

@@ -50,8 +50,11 @@ impl Worker {
     /// show must sort by something total, as the eviction rounds do
     /// (`RoundHeap` and `reference::sorted_eviction_candidates` both
     /// order the candidates built from this by `(priority, id)`).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "eviction sorts by (priority, id), total over unique ids; validate sums"
+    )]
     pub fn idle_ids(&self) -> impl Iterator<Item = ContainerId> + '_ {
-        // lint:allow(O1): eviction sorts by (priority, id), total over unique ids; validate sums.
         self.idle.iter().copied()
     }
 }
@@ -148,7 +151,8 @@ impl ClusterState {
     ///
     /// # Panics
     ///
-    /// Panics if `worker_capacities_mb` is empty or `thread_capacity` is 0.
+    /// Panics if `worker_capacities_mb` is empty or has more than 65 536
+    /// entries (a [`WorkerId`] is a `u16`), or `thread_capacity` is 0.
     pub fn new(
         worker_capacities_mb: &[u64],
         profile_src: impl IntoIterator<Item = FunctionProfile>,
@@ -166,7 +170,8 @@ impl ClusterState {
     ///
     /// # Panics
     ///
-    /// Panics if `worker_capacities_mb` is empty or `thread_capacity` is 0.
+    /// Panics if `worker_capacities_mb` is empty or has more than 65 536
+    /// entries (a [`WorkerId`] is a `u16`), or `thread_capacity` is 0.
     pub fn with_placement(
         worker_capacities_mb: &[u64],
         profile_src: impl IntoIterator<Item = FunctionProfile>,
@@ -177,12 +182,17 @@ impl ClusterState {
             !worker_capacities_mb.is_empty(),
             "cluster needs at least one worker"
         );
+        assert!(
+            worker_capacities_mb.len() <= usize::from(u16::MAX) + 1,
+            "cluster has {} workers; a WorkerId is a u16, so at most 65536",
+            worker_capacities_mb.len()
+        );
         assert!(thread_capacity > 0, "containers need at least one thread");
         let workers = worker_capacities_mb
             .iter()
             .enumerate()
             .map(|(i, &cap)| Worker {
-                id: WorkerId(i as u16),
+                id: WorkerId(u16::try_from(i).expect("worker count asserted above")),
                 capacity_mb: cap,
                 used_mb: 0,
                 idle: HashSet::default(),
@@ -192,7 +202,10 @@ impl ClusterState {
             .collect::<Vec<_>>();
         let profiles: HashMap<FunctionId, FunctionProfile, IdBuildHasher> =
             profile_src.into_iter().map(|p| (p.id, p)).collect();
-        // lint:allow(O1): the keys are sorted immediately below.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the keys are sorted immediately below"
+        )]
         let mut function_ids: Vec<FunctionId> = profiles.keys().copied().collect();
         function_ids.sort_unstable();
         Self {
@@ -248,7 +261,11 @@ impl ClusterState {
         self.settled = true;
         let end = self.ledger_hwm;
         let ledger = &mut self.ledger;
-        // lint:allow(O1): integer sums per cost class; iteration order is moot.
+        #[expect(
+            clippy::disallowed_methods,
+            clippy::iter_over_hash_type,
+            reason = "integer sums per cost class; iteration order is moot"
+        )]
         for c in self.containers.values() {
             match c.state {
                 ContainerState::Provisioning => {
@@ -627,7 +644,10 @@ impl ClusterState {
     /// `worker`, ascending: crash repair evicts, voids and re-queues in
     /// this order, and the trace shows it.
     pub fn containers_on(&self, worker: WorkerId) -> Vec<ContainerId> {
-        // lint:allow(O1): collected in table order, sorted right below.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "collected in table order, sorted right below"
+        )]
         let hosted = self.containers.values().filter(|c| c.worker == worker);
         let mut ids: Vec<ContainerId> = hosted.map(|c| c.id).collect();
         ids.sort_unstable();
@@ -723,14 +743,20 @@ impl ClusterState {
     }
 
     /// Requests waiting across every function channel.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "an order-independent sum; iteration order is moot"
+    )]
     pub fn total_pending(&self) -> usize {
-        // lint:allow(O1): an order-independent sum; iteration order is moot.
         self.fns.values().map(|rt| rt.pending.len()).sum()
     }
 
     /// Requests waiting across every container-local queue.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "an order-independent sum; iteration order is moot"
+    )]
     pub fn total_local_queued(&self) -> usize {
-        // lint:allow(O1): an order-independent sum; iteration order is moot.
         self.containers.values().map(|c| c.local_queue.len()).sum()
     }
 
@@ -756,7 +782,11 @@ impl ClusterState {
         // Per function, what the table holds: (provisioning containers,
         // containers with a free thread).
         let mut tally: HashMap<FunctionId, (u32, usize), IdBuildHasher> = HashMap::default();
-        // lint:allow(O1): integer sums and asserts; order only picks which panic fires.
+        #[expect(
+            clippy::disallowed_methods,
+            clippy::iter_over_hash_type,
+            reason = "integer sums and asserts; order only picks which panic fires"
+        )]
         for c in self.containers.values() {
             let w = &self.workers[usize::from(c.worker.0)];
             hosted_mb[usize::from(c.worker.0)] += u64::from(c.mem_mb);
@@ -815,7 +845,10 @@ impl ClusterState {
             }
             assert_eq!(w.idle_mb, idle_sum, "worker {:?} idle_mb drifted", w.id);
         }
-        // lint:allow(O1): invariant checks; order only picks which panic fires.
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "invariant checks; order only picks which panic fires"
+        )]
         for (func, rt) in &self.fns {
             let (provisioning, free) = tally.get(func).copied().unwrap_or_default();
             assert_eq!(
@@ -856,6 +889,11 @@ impl ClusterState {
 
     /// Number of warm containers (idle or busy) for `func` — the paper's
     /// `|F(c)|`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "read by policy callbacks on every decision; the cluster's memory bounds \
+                  a function's containers far below 2^32"
+    )]
     pub fn warm_count(&self, func: FunctionId) -> u32 {
         self.fns
             .get(&func)
@@ -918,7 +956,10 @@ impl ClusterState {
     /// yields — so the table is sorted here, once per call: callers sit
     /// on tick, crash and end-of-run paths, never on a per-request one.
     pub fn all_iter(&self) -> impl Iterator<Item = &Container> + '_ {
-        // lint:allow(O1): collected in table order, sorted right below.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "collected in table order, sorted right below"
+        )]
         let mut live: Vec<&Container> = self.containers.values().collect();
         live.sort_unstable_by_key(|c| c.id);
         live.into_iter()
@@ -932,6 +973,10 @@ impl ClusterState {
     /// Average invocations per minute since the function's first request
     /// (the paper's Eq. 4), with the elapsed time clamped to at least one
     /// second to keep early estimates finite.
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "invocation counts sit far below 2^53 — exact in f64"
+    )]
     pub fn freq_per_minute(&self, func: FunctionId, now: TimePoint) -> f64 {
         let Some(rt) = self.fns.get(&func) else {
             return 0.0;
@@ -1211,6 +1256,18 @@ mod tests {
     fn overcommitting_worker_panics() {
         let mut cl = cluster(&[100]);
         let _ = cl.begin_provision(FunctionId(1), WorkerId(0), TimePoint::ZERO, false);
+    }
+
+    /// A `WorkerId` is a `u16`: one worker more than it can name used to
+    /// alias worker 65 536 onto worker 0 in every per-worker table.
+    #[test]
+    #[should_panic(expected = "at most 65536")]
+    fn one_worker_more_than_ids_panics() {
+        let full = vec![1000; 65_536];
+        assert_eq!(cluster(&full).workers().len(), 65_536);
+        let mut over = full;
+        over.push(1000);
+        let _ = cluster(&over);
     }
 
     /// A cluster whose one container is warm and idle, and which passes

@@ -79,21 +79,26 @@ impl CostLedger {
 
     /// Total GB-seconds divided by `served` requests — the memory bill
     /// per request. Zero when nothing was served.
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "reporting-boundary conversion; the exact integer total is already fixed"
+    )]
     pub fn gb_s_per_request(&self, served: u64) -> f64 {
         if served == 0 {
             0.0
         } else {
-            // lint:allow(C1): reporting-boundary conversion; the exact
-            // integer total is already fixed.
             self.total_gb_s() / served as f64
         }
     }
 }
 
 /// MB·µs → GB·s at the reporting boundary.
+#[expect(
+    clippy::cast_precision_loss,
+    reason = "reporting-boundary conversion; comparisons all happen on the exact integer \
+              accumulators"
+)]
 fn to_gb_s(mb_us: u128) -> f64 {
-    // lint:allow(C1): reporting-boundary conversion; comparisons all
-    // happen on the exact integer accumulators.
     mb_us as f64 / MB_US_PER_GB_S
 }
 

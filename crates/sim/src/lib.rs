@@ -29,6 +29,22 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// DESIGN.md §8, in library code outside tests: no walk of a hash
+// collection and no environment read (O1, E1), no lossy cast (C1), no
+// printing (P1).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_methods,
+        clippy::iter_over_hash_type,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap,
+        clippy::cast_precision_loss,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
+)]
 
 /// Emits a trace event only when the recorder is enabled, so building
 /// the event (snapshots, provenance strings) costs nothing in untraced
@@ -95,8 +111,11 @@ impl KeepAlive for LruKeepAlive {
         "lru"
     }
 
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "micro timestamps stay below 2^53 — exact in f64"
+    )]
     fn priority(&self, container: &ContainerInfo, _ctx: &PolicyCtx<'_>) -> f64 {
-        // lint:allow(C1): micro timestamps stay below 2^53 — exact in f64
         container.last_used.as_micros() as f64
     }
 

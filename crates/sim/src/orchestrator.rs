@@ -150,7 +150,7 @@ pub struct Orchestrator<R: Recorder> {
     /// In-flight requests per container (fault runs only) — a worker
     /// crash voids their records and re-queues them. `BTreeMap` so the
     /// crash-repair walk re-queues them in container order, not hash
-    /// order (cidre-lint rule O1).
+    /// order: the trace shows it.
     running: BTreeMap<ContainerId, Vec<RequestId>>,
     /// Arrival events processed so far (request-conservation invariant).
     arrived: u64,
@@ -348,6 +348,11 @@ impl<R: Recorder> Orchestrator<R> {
     /// Where `rid`'s state sits in the `requests` window. Nothing refers
     /// to a request after its execution finished: its `ExecDone` is the
     /// last event carrying its id.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "on every event's path, so no checked conversion: the difference is an \
+                  index into the in-memory `requests` window"
+    )]
     fn slot(&self, rid: RequestId) -> usize {
         (rid.0 - self.retired) as usize
     }
@@ -827,7 +832,8 @@ impl<R: Recorder> Orchestrator<R> {
             }
         }
         for &rid in self.running.values().flatten() {
-            let idx = &mut self.requests[(rid.0 - self.retired) as usize].record;
+            let slot = self.slot(rid);
+            let idx = &mut self.requests[slot].record;
             *idx -= voided.partition_point(|&v| v < *idx);
         }
     }
@@ -1191,8 +1197,11 @@ impl<R: Recorder> Orchestrator<R> {
 
     fn note_memory(&mut self) {
         if self.record_memory {
+            #[expect(
+                clippy::cast_precision_loss,
+                reason = "whole-MB totals sit far below 2^53 — exact in f64"
+            )]
             self.memory
-                // lint:allow(C1): whole-MB totals sit far below 2^53 — exact in f64
                 .push(self.now.as_micros(), self.cluster.used_mb() as f64);
         }
     }

@@ -79,6 +79,10 @@ impl SimReport {
 
     /// Fraction of requests with the given start class, in `[0, 1]`.
     /// Zero when the report is empty.
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "request counts sit far below 2^53 — exact in f64"
+    )]
     pub fn ratio(&self, class: StartClass) -> f64 {
         if self.requests.is_empty() {
             0.0
@@ -89,6 +93,10 @@ impl SimReport {
 
     /// Mean per-request overhead ratio (the paper's headline "average
     /// overhead ratio", e.g. Figs. 7, 8, 12, 15). Zero when empty.
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "request counts sit far below 2^53 — exact in f64"
+    )]
     pub fn avg_overhead_ratio(&self) -> f64 {
         if self.requests.is_empty() {
             return 0.0;

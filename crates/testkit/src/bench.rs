@@ -24,6 +24,11 @@
 //! }
 //! ```
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the timer harness: with faas-live, the one place that reads the wall clock"
+)]
+
 use std::time::{Duration, Instant};
 
 /// Measured statistics for one benchmark, in nanoseconds per iteration.

@@ -283,7 +283,7 @@ impl SyntheticWorkload {
                 let jitter = 1.0 + (rng.f64() * 2.0 - 1.0) * self.cold_jitter;
                 let cold_ms = (f64::from(mem_mb) * self.cold_ms_per_mb * jitter).max(1.0);
                 FunctionProfile::new(
-                    FunctionId(i as u32),
+                    FunctionId(u32::try_from(i).expect("function ids are u32")),
                     format!("{}-{}", self.name, i),
                     mem_mb,
                     TimeDelta::from_millis_f64(cold_ms),
@@ -305,7 +305,6 @@ impl SyntheticWorkload {
             return;
         }
         let peak = 1.0 + self.diurnal_amplitude;
-        // lint:allow(C1): micro durations stay below 2^53 — exact in f64
         let dur_us = self.duration.as_micros() as f64;
         let rate_per_us = expected * peak / dur_us;
         let mut t = 0.0f64;
@@ -315,7 +314,11 @@ impl SyntheticWorkload {
                 break;
             }
             if self.diurnal_keep(rng, t) {
-                // lint:allow(C1): quantizing a non-negative f64 instant to whole µs
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    clippy::cast_sign_loss,
+                    reason = "quantizing an instant in [0, dur_us) to whole µs"
+                )]
                 let at = TimePoint::from_micros(t as u64);
                 out.push(self.invocation(rng, func, at, median_ms));
             }
@@ -337,15 +340,24 @@ impl SyntheticWorkload {
         median_ms: f64,
         out: &mut Vec<Invocation>,
     ) {
-        let mut remaining = expected.round() as i64;
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "a request count: small, and a negative or NaN expectation saturates to none"
+        )]
+        let mut remaining = expected.round() as usize;
         let dur_us = self.duration.as_micros();
-        // lint:allow(C1): micro windows stay below 2^53 — exact in f64
         let w = self.burst_window.as_micros().max(1) as f64;
         while remaining > 0 {
             let size = rng
                 .pareto_int(self.burst_pareto_alpha, 2, self.burst_max)
-                .min(remaining.max(2) as usize);
+                .min(remaining.max(2));
             let floor = w * (1.0 + (size as f64).sqrt());
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "a span of whole µs drawn from [floor, 25 floor], floor >= 1"
+            )]
             let span = rng.log_uniform(floor, floor * 25.0) as u64;
             let mut start = rng.range_u64(0, dur_us.max(1));
             // Bias burst placement toward diurnal peaks.
@@ -360,7 +372,7 @@ impl SyntheticWorkload {
                 let at = TimePoint::from_micros((start + offset).min(dur_us));
                 out.push(self.invocation(rng, func, at, median_ms));
             }
-            remaining -= size as i64;
+            remaining = remaining.saturating_sub(size);
         }
     }
 

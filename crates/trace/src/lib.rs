@@ -31,6 +31,29 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// DESIGN.md §8, in library code outside tests: no walk of a hash
+// collection and no environment read (O1, E1), no lossy cast (C1), no
+// printing (P1).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_methods,
+        clippy::iter_over_hash_type,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
+)]
+#![cfg_attr(
+    not(test),
+    expect(
+        clippy::cast_precision_loss,
+        reason = "microsecond timestamps and request counts convert to f64 throughout; all \
+                  sit far below 2^53, where the conversion is exact"
+    )
+)]
 
 pub mod gen;
 pub mod io;

@@ -66,7 +66,7 @@ impl TraceStats {
         let duration_secs = trace.duration().as_secs_f64().max(1.0);
         // Bucket boundaries are computed in integer microseconds: the
         // float path (`as_secs_f64() as usize`) truncates through an
-        // f64 and was flagged by cidre-lint (C1).
+        // f64, and a lossy cast here needs a reason it does not have.
         let buckets = usize::try_from(trace.duration().as_micros().div_ceil(1_000_000).max(1))
             .expect("trace duration in seconds fits usize");
         let mut reqs = vec![0u64; buckets];
@@ -133,8 +133,8 @@ pub fn cold_exec_ratio_cdf(trace: &Trace, cold_scale: f64) -> Cdf {
 /// The returned vector is ordered by ascending [`FunctionId`]. The
 /// previous implementation iterated `HashMap`s, so two identical traces
 /// could yield differently ordered vectors — harmless once inside a
-/// sorted [`Cdf`], but a nondeterminism hazard for any direct consumer
-/// (cidre-lint rule O1). `BTreeMap` pins the order end to end.
+/// sorted [`Cdf`], but a nondeterminism hazard for any direct
+/// consumer. `BTreeMap` pins the order end to end.
 pub fn per_function_peak_rpm(trace: &Trace) -> Vec<f64> {
     let mut per_minute: BTreeMap<(FunctionId, u64), u64> = BTreeMap::new();
     for inv in trace.invocations() {

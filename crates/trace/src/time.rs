@@ -102,6 +102,11 @@ impl TimeDelta {
 
     /// Creates a delta from float milliseconds, rounding to microseconds
     /// and saturating negative values to zero.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "the operand is clamped non-negative and the cast saturates"
+    )]
     pub fn from_millis_f64(ms: f64) -> Self {
         Self((ms.max(0.0) * 1_000.0).round() as u64)
     }
@@ -127,6 +132,11 @@ impl TimeDelta {
     /// # Panics
     ///
     /// Panics if `factor` is negative or NaN.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "the factor is asserted non-negative and the cast saturates"
+    )]
     pub fn scale(self, factor: f64) -> Self {
         assert!(factor >= 0.0, "scale factor must be non-negative");
         Self((self.0 as f64 * factor).round() as u64)

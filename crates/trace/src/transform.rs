@@ -23,7 +23,12 @@ pub fn scale_iat(trace: &Trace, factor: f64) -> Trace {
     let invocations = invocations
         .into_iter()
         .map(|inv| {
-            // lint:allow(C1): micros stay below 2^53 — the scaled product rounds exactly
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "the factor is asserted non-negative and micros stay below 2^53, \
+                          so the scaled product rounds exactly"
+            )]
             let us = (inv.arrival.as_micros() as f64 * factor).round() as u64;
             Invocation {
                 arrival: TimePoint::from_micros(us),
@@ -70,7 +75,7 @@ pub fn scale_cold_start(trace: &Trace, factor: f64) -> Trace {
 pub fn sample_functions(trace: &Trace, keep: &[FunctionId]) -> Trace {
     // BTreeSet rather than HashSet: only membership is queried today,
     // but a deterministic container keeps any future iteration over the
-    // kept set ordered for free (cidre-lint rule O1).
+    // kept set ordered for free.
     let keep: BTreeSet<FunctionId> = keep.iter().copied().collect();
     let (functions, invocations) = trace.clone().into_parts();
     let functions = functions

@@ -52,6 +52,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// DESIGN.md §8, in library code outside tests: no printing (P1).
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 
 pub use cidre_core as core;
 pub use faas_live as live;

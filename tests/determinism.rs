@@ -9,9 +9,11 @@ use cidre::policies::{faascache_stack, lru_stack, ttl_stack};
 use cidre::sim::{run, run_traced, FaultPlan, PolicyStack, SimConfig, SimReport, WorkerId};
 use cidre::trace::{gen, TimeDelta, TimePoint};
 
-fn stacks() -> Vec<(&'static str, fn() -> PolicyStack)> {
+type MakeStack = fn() -> PolicyStack;
+
+fn stacks() -> Vec<(&'static str, MakeStack)> {
     vec![
-        ("ttl", ttl_stack as fn() -> PolicyStack),
+        ("ttl", ttl_stack as MakeStack),
         ("lru", lru_stack),
         ("faascache", faascache_stack),
         ("cidre-bss", cidre_bss_stack),
@@ -19,7 +21,7 @@ fn stacks() -> Vec<(&'static str, fn() -> PolicyStack)> {
     ]
 }
 
-fn report_for(seed: u64, make_stack: fn() -> PolicyStack) -> SimReport {
+fn report_for(seed: u64, make_stack: MakeStack) -> SimReport {
     let trace = gen::azure(seed).functions(15).minutes(2).build();
     let config = SimConfig::default().workers_mb(vec![3_072]);
     run(&trace, &config, make_stack())
@@ -320,7 +322,7 @@ fn trace_experiment_artifacts_identical_across_jobs() {
 /// order is part of the contract — ascending `FunctionId`, pinned here
 /// with peaks chosen so id order differs from value order. The previous
 /// implementation iterated `HashMap`s, so this vector could legally
-/// come back shuffled between runs (cidre-lint rule O1).
+/// come back shuffled between runs.
 #[test]
 fn per_function_peak_rpm_is_ascending_id_order() {
     use cidre::trace::{

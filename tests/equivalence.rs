@@ -76,9 +76,11 @@ fn arb_config(g: &mut Gen) -> SimConfig {
         .container_threads(threads)
 }
 
+type MakeStack = fn() -> PolicyStack;
+
 /// Every policy family, keyed by priority-dependence class. Fresh
 /// stacks per run: policies carry mutable state (clocks, bases).
-fn stacks() -> Vec<(&'static str, fn() -> PolicyStack)> {
+fn stacks() -> Vec<(&'static str, MakeStack)> {
     vec![
         ("lru", baseline_lru_stack),
         ("ttl", || {
