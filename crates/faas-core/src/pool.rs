@@ -129,15 +129,6 @@ impl<T> PendingQueue<T> {
         self.flexible.pop_front().map(|(_, t)| t)
     }
 
-    /// Peek the overall FIFO front.
-    pub fn front_any(&self) -> Option<(&T, bool)> {
-        if self.front_is_cold_only()? {
-            self.cold_only.front().map(|(_, t)| (t, true))
-        } else {
-            self.flexible.front().map(|(_, t)| (t, false))
-        }
-    }
-
     fn front_is_cold_only(&self) -> Option<bool> {
         match (self.cold_only.front(), self.flexible.front()) {
             (None, None) => None,
@@ -163,11 +154,6 @@ impl<T> PendingQueue<T> {
         self.cold_only.len()
     }
 
-    /// Number of queued flexible entries.
-    pub fn flexible_len(&self) -> usize {
-        self.flexible.len()
-    }
-
     /// Iterate all entries in FIFO order as `(entry, cold_only)`.
     pub fn iter(&self) -> impl Iterator<Item = (&T, bool)> {
         // Merge the two seq-sorted runs.
@@ -176,15 +162,6 @@ impl<T> PendingQueue<T> {
         merged.extend(self.flexible.iter().map(|(s, t)| (*s, t, false)));
         merged.sort_by_key(|(s, _, _)| *s);
         merged.into_iter().map(|(_, t, c)| (t, c))
-    }
-
-    /// Drain all entries in FIFO order as `(entry, cold_only)`.
-    pub fn drain_fifo(&mut self) -> Vec<(T, bool)> {
-        let mut merged: Vec<(u64, T, bool)> = Vec::with_capacity(self.len());
-        merged.extend(self.cold_only.drain(..).map(|(s, t)| (s, t, true)));
-        merged.extend(self.flexible.drain(..).map(|(s, t)| (s, t, false)));
-        merged.sort_by_key(|(s, _, _)| *s);
-        merged.into_iter().map(|(_, t, c)| (t, c)).collect()
     }
 }
 
@@ -355,11 +332,6 @@ where
         if let Some(&(w, _)) = self.live.get(&c) {
             self.enter(w, c, priority);
         }
-    }
-
-    /// Whether `c` is currently tracked as a candidate.
-    pub fn is_tracked(&self, c: C) -> bool {
-        self.live.contains_key(&c)
     }
 
     /// Number of live candidates across all workers.
@@ -549,7 +521,8 @@ mod tests {
         q.push('c', false);
         q.push('d', true);
         assert_eq!(q.pop_flexible(), Some('a'));
-        assert_eq!(q.drain_fifo(), vec![('b', true), ('c', false), ('d', true)]);
+        let drained: Vec<_> = std::iter::from_fn(|| q.pop_any()).collect();
+        assert_eq!(drained, vec![('b', true), ('c', false), ('d', true)]);
         assert!(q.is_empty());
     }
 

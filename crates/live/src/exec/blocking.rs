@@ -27,8 +27,10 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar};
 use std::time::Duration;
+
+use super::lock::{assert_unlocked, Lock};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -50,7 +52,7 @@ struct BlockingState {
 }
 
 struct Shared {
-    state: Mutex<BlockingState>,
+    state: Lock<BlockingState>,
     /// Signals queued work (and shutdown) to pool threads.
     work: Condvar,
     /// Signals thread retirement to a shutdown waiter.
@@ -66,7 +68,7 @@ impl BlockingPool {
     pub(crate) fn new(cap: usize) -> Self {
         Self {
             shared: Arc::new(Shared {
-                state: Mutex::new(BlockingState {
+                state: Lock::new(BlockingState {
                     queue: VecDeque::new(),
                     idle: 0,
                     waking: false,
@@ -87,7 +89,7 @@ impl BlockingPool {
     /// dropped).
     pub(crate) fn submit(&self, job: Job) -> bool {
         let summon = {
-            let mut st = self.shared.state.lock().expect("blocking pool lock");
+            let mut st = self.shared.state.lock();
             if st.shutdown {
                 return false;
             }
@@ -101,17 +103,17 @@ impl BlockingPool {
     }
 
     pub(crate) fn peak_threads(&self) -> usize {
-        self.shared.state.lock().expect("blocking pool lock").peak
+        self.shared.state.lock().peak
     }
 
     /// Stops accepting work, waits for queued jobs to finish and every
     /// thread to retire, and surfaces the first captured job panic.
     pub(crate) fn shutdown(&self) -> Option<Box<dyn std::any::Any + Send>> {
-        let mut st = self.shared.state.lock().expect("blocking pool lock");
+        let mut st = self.shared.state.lock();
         st.shutdown = true;
         self.shared.work.notify_all();
         while st.total > 0 {
-            st = self.shared.drained.wait(st).expect("blocking pool lock");
+            st = st.wait(&self.shared.drained);
         }
         st.panic.take()
     }
@@ -161,7 +163,7 @@ impl Shared {
                     .name("faas-exec-blocking".into())
                     .spawn(move || blocking_worker(&shared));
                 if let Err(err) = spawned {
-                    let mut st = self.state.lock().expect("blocking pool lock");
+                    let mut st = self.state.lock();
                     st.total -= 1;
                     st.waking = false;
                     self.drained.notify_all();
@@ -174,7 +176,7 @@ impl Shared {
 }
 
 fn blocking_worker(shared: &Arc<Shared>) {
-    let mut st = shared.state.lock().expect("blocking pool lock");
+    let mut st = shared.state.lock();
     // This thread was the one on its way; it has arrived.
     st.waking = false;
     loop {
@@ -189,12 +191,13 @@ fn blocking_worker(shared: &Arc<Shared>) {
             let _ = shared.perform(summon);
             // User code runs outside the lock; a panicking job is
             // captured so the pool (and its lock) survive.
+            assert_unlocked();
             if let Err(payload) = catch_unwind(AssertUnwindSafe(job)) {
-                let mut locked = shared.state.lock().expect("blocking pool lock");
+                let mut locked = shared.state.lock();
                 locked.panic.get_or_insert(payload);
                 st = locked;
             } else {
-                st = shared.state.lock().expect("blocking pool lock");
+                st = shared.state.lock();
             }
             continue;
         }
@@ -204,17 +207,14 @@ fn blocking_worker(shared: &Arc<Shared>) {
             return;
         }
         st.idle += 1;
-        let (guard, timeout) = shared
-            .work
-            .wait_timeout(st, IDLE_GRACE)
-            .expect("blocking pool lock");
+        let (guard, timed_out) = st.wait_timeout(&shared.work, IDLE_GRACE);
         st = guard;
         st.idle -= 1;
         // Whoever resumes first stands in for the notified thread (a
         // notification can land on one that had already timed out): it
         // looks at the queue next, which is all the flag promises.
         st.waking = false;
-        if timeout.timed_out() && st.queue.is_empty() && !st.shutdown {
+        if timed_out && st.queue.is_empty() && !st.shutdown {
             // Burst passed: retire quietly.
             st.total -= 1;
             shared.drained.notify_all();
@@ -233,7 +233,7 @@ mod tests {
     const STRANDED: Duration = Duration::from_secs(20);
 
     fn wait_for_idle(pool: &BlockingPool, idle: usize) {
-        while pool.shared.state.lock().expect("blocking pool lock").idle != idle {
+        while pool.shared.state.lock().idle != idle {
             std::thread::yield_now();
         }
     }

@@ -10,8 +10,10 @@
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
+
+use super::lock::Lock;
 
 struct ChanState<T> {
     queue: VecDeque<T>,
@@ -22,13 +24,13 @@ struct ChanState<T> {
 }
 
 struct Shared<T> {
-    state: Mutex<ChanState<T>>,
+    state: Lock<ChanState<T>>,
 }
 
 /// Creates an unbounded channel. See the [module docs](self).
 pub fn channel<T>() -> (Sender<T>, Receiver<T>) {
     let shared = Arc::new(Shared {
-        state: Mutex::new(ChanState {
+        state: Lock::new(ChanState {
             queue: VecDeque::new(),
             waker: None,
             senders: 1,
@@ -53,7 +55,7 @@ impl<T> Sender<T> {
     /// the receiver is gone.
     pub fn send(&self, value: T) -> Result<(), T> {
         let waker = {
-            let mut st = self.shared.state.lock().expect("channel lock");
+            let mut st = self.shared.state.lock();
             if !st.rx_alive {
                 return Err(value);
             }
@@ -71,7 +73,7 @@ impl<T> Sender<T> {
 
 impl<T> Clone for Sender<T> {
     fn clone(&self) -> Self {
-        self.shared.state.lock().expect("channel lock").senders += 1;
+        self.shared.state.lock().senders += 1;
         Self {
             shared: Arc::clone(&self.shared),
         }
@@ -81,7 +83,7 @@ impl<T> Clone for Sender<T> {
 impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
         let waker = {
-            let mut st = self.shared.state.lock().expect("channel lock");
+            let mut st = self.shared.state.lock();
             st.senders -= 1;
             if st.senders == 0 {
                 // Last sender: wake the consumer so `recv` can resolve
@@ -108,22 +110,12 @@ impl<T> Receiver<T> {
     pub fn recv(&mut self) -> Recv<'_, T> {
         Recv { rx: self }
     }
-
-    /// Non-blocking pop, for draining outside the executor.
-    pub fn try_recv(&mut self) -> Option<T> {
-        self.shared
-            .state
-            .lock()
-            .expect("channel lock")
-            .queue
-            .pop_front()
-    }
 }
 
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
         let drained: VecDeque<T> = {
-            let mut st = self.shared.state.lock().expect("channel lock");
+            let mut st = self.shared.state.lock();
             st.rx_alive = false;
             st.waker = None;
             std::mem::take(&mut st.queue)
@@ -143,7 +135,7 @@ impl<T> Future for Recv<'_, T> {
     type Output = Option<T>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let mut st = self.rx.shared.state.lock().expect("channel lock");
+        let mut st = self.rx.shared.state.lock();
         if let Some(v) = st.queue.pop_front() {
             return Poll::Ready(Some(v));
         }

@@ -27,9 +27,11 @@
 //! Three rules keep the pieces deadlock- and poison-free, and every
 //! module here follows them:
 //!
-//! 1. **Never wake while holding a lock.** Wakers take the arena lock;
-//!    firing one under the reactor/channel/join lock would order those
-//!    locks against each other at every call site.
+//! 1. **An executor lock is a leaf.** Nothing is locked, woken, polled,
+//!    dropped or run while one is held: every mutex here is the type
+//!    of [`lock`](self), which asserts that at `lock()` in debug
+//!    builds. Wakers take the arena lock, so firing one under a guard
+//!    trips the same assertion.
 //! 2. **User code never runs under an executor lock.** Futures are
 //!    polled *and dropped* outside the arena lock, blocking jobs run
 //!    outside the pool lock, and timer payloads are sent outside the
@@ -40,6 +42,7 @@
 
 mod blocking;
 pub mod channel;
+mod lock;
 mod reactor;
 mod task;
 
@@ -55,13 +58,13 @@ use task::{CompletionGuard, Inner, JoinShared, Parker};
 pub use reactor::Sleep;
 pub use task::JoinHandle;
 
-/// Default cap on blocking-pool threads. Blocking jobs model handlers
+/// Cap on blocking-pool threads. Blocking jobs model handlers
 /// *running* on provisioned container threads, so cluster capacity —
 /// not in-flight request count — bounds real concurrency. The cap is a
 /// backstop against a runaway thread-per-request regression, not a
 /// size the pool is expected to reach: DESIGN.md §10 records the peak
 /// it does reach under the benchmark's closed loop.
-const DEFAULT_BLOCKING_CAP: usize = 1024;
+const BLOCKING_CAP: usize = 1024;
 
 /// The executor: owns the worker threads, the reactor, and the blocking
 /// pool. Dropping it (or calling [`Executor::shutdown`]) cancels every
@@ -72,16 +75,9 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// Starts an executor with `workers` poll threads (at least one)
-    /// and the default blocking-pool cap.
+    /// Starts an executor with `workers` poll threads (at least one).
     pub fn new(workers: usize) -> Self {
-        Self::with_blocking_cap(workers, DEFAULT_BLOCKING_CAP)
-    }
-
-    /// Starts an executor with `workers` poll threads and an explicit
-    /// cap on concurrently running blocking jobs.
-    pub fn with_blocking_cap(workers: usize, blocking_cap: usize) -> Self {
-        let inner = Arc::new(Inner::new(blocking_cap));
+        let inner = Arc::new(Inner::new(BLOCKING_CAP));
         let workers = (0..workers.max(1))
             .map(|i| {
                 let inner = Arc::clone(&inner);
@@ -141,7 +137,7 @@ impl Executor {
             if let Poll::Ready(v) = future.as_mut().poll(&mut cx) {
                 return v;
             }
-            if let Some(payload) = self.inner.panic.lock().expect("executor panic slot").take() {
+            if let Some(payload) = self.inner.panic.lock().take() {
                 resume_unwind(payload);
             }
             parker.park();
@@ -167,7 +163,7 @@ impl Executor {
     /// the panic (destructors must not throw).
     pub fn shutdown(mut self) {
         self.shutdown_inner();
-        let payload = self.inner.panic.lock().expect("executor panic slot").take();
+        let payload = self.inner.panic.lock().take();
         if let Some(payload) = payload {
             resume_unwind(payload);
         }
@@ -511,6 +507,31 @@ mod tests {
         });
         producer.join().expect("producer");
         assert_eq!(got, (0..100).collect::<Vec<_>>());
+        exec.shutdown();
+    }
+
+    #[test]
+    fn last_sender_dropping_wakes_a_parked_receiver() {
+        let exec = Executor::new(1);
+        let (tx, mut rx) = channel::channel::<u8>();
+        let (parked, is_parked) = std::sync::mpsc::channel();
+        let h = exec.spawn(async move {
+            let mut recv = pin!(rx.recv());
+            std::future::poll_fn(|cx| {
+                let polled = recv.as_mut().poll(cx);
+                if polled.is_pending() {
+                    let _ = parked.send(());
+                }
+                polled
+            })
+            .await
+        });
+        // The receiver's waker is registered before the drop, so the
+        // drop has a task to wake and `recv` cannot see `senders == 0`
+        // by itself.
+        is_parked.recv().expect("receiver polled");
+        drop(tx);
+        assert_eq!(h.join(), Some(None));
         exec.shutdown();
     }
 

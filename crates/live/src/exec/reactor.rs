@@ -13,16 +13,17 @@
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::{Arc, Condvar, Weak};
 use std::task::{Context, Poll, Waker};
 use std::time::Instant;
 
+use super::lock::Lock;
 use crate::heap::DeadlineHeap;
 
 /// One registered sleep: shared between the `Sleep` future (which
 /// updates the waker and observes `fired`) and the reactor thread.
 pub(crate) struct TimerSlot {
-    cell: Mutex<TimerCell>,
+    cell: Lock<TimerCell>,
 }
 
 struct TimerCell {
@@ -34,7 +35,7 @@ struct TimerCell {
 impl TimerSlot {
     fn new(waker: Waker) -> Self {
         Self {
-            cell: Mutex::new(TimerCell {
+            cell: Lock::new(TimerCell {
                 fired: false,
                 cancelled: false,
                 waker: Some(waker),
@@ -44,7 +45,7 @@ impl TimerSlot {
 }
 
 pub(crate) struct ReactorShared {
-    state: Mutex<ReactorState>,
+    state: Lock<ReactorState>,
     cvar: Condvar,
     /// Total timers actually fired (cancelled registrations that popped
     /// without waking anything are not counted). A statistic, counted
@@ -67,7 +68,7 @@ impl ReactorShared {
     /// reactor already shut down, so the caller resolves immediately
     /// instead of waiting on a thread that will never fire it.
     fn register(&self, deadline: Instant, slot: Arc<TimerSlot>) -> bool {
-        let mut st = self.state.lock().expect("reactor state lock");
+        let mut st = self.state.lock();
         if st.shutdown {
             return false;
         }
@@ -80,7 +81,7 @@ impl ReactorShared {
     }
 
     pub(crate) fn peak_timers(&self) -> usize {
-        self.state.lock().expect("reactor state lock").peak
+        self.state.lock().peak
     }
 
     pub(crate) fn timer_fires(&self) -> u64 {
@@ -91,13 +92,13 @@ impl ReactorShared {
 /// Handle owning the reactor thread; [`Reactor::stop`] joins it.
 pub(crate) struct Reactor {
     shared: Arc<ReactorShared>,
-    thread: Mutex<Option<std::thread::JoinHandle<()>>>,
+    thread: Lock<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl Reactor {
     pub(crate) fn start() -> Self {
         let shared = Arc::new(ReactorShared {
-            state: Mutex::new(ReactorState {
+            state: Lock::new(ReactorState {
                 heap: DeadlineHeap::new(),
                 live: 0,
                 peak: 0,
@@ -113,7 +114,7 @@ impl Reactor {
             .expect("spawn reactor thread");
         Self {
             shared,
-            thread: Mutex::new(Some(thread)),
+            thread: Lock::new(Some(thread)),
         }
     }
 
@@ -125,11 +126,11 @@ impl Reactor {
     /// Idempotent.
     pub(crate) fn stop(&self) {
         {
-            let mut st = self.shared.state.lock().expect("reactor state lock");
+            let mut st = self.shared.state.lock();
             st.shutdown = true;
         }
         self.shared.cvar.notify_all();
-        let joined = self.thread.lock().expect("reactor thread slot").take();
+        let joined = self.thread.lock().take();
         if let Some(t) = joined {
             let _ = t.join();
         }
@@ -143,7 +144,7 @@ impl Drop for Reactor {
 }
 
 fn run_reactor(shared: &ReactorShared) {
-    let mut st = shared.state.lock().expect("reactor state lock");
+    let mut st = shared.state.lock();
     loop {
         if st.shutdown {
             return;
@@ -161,7 +162,7 @@ fn run_reactor(shared: &ReactorShared) {
             drop(st);
             for slot in due {
                 let waker = {
-                    let mut cell = slot.cell.lock().expect("timer cell lock");
+                    let mut cell = slot.cell.lock();
                     if cell.cancelled {
                         None
                     } else {
@@ -174,19 +175,15 @@ fn run_reactor(shared: &ReactorShared) {
                     w.wake();
                 }
             }
-            st = shared.state.lock().expect("reactor state lock");
+            st = shared.state.lock();
             continue;
         }
         st = match st.heap.next_deadline() {
             Some(next) => {
                 let wait = next.saturating_duration_since(Instant::now());
-                shared
-                    .cvar
-                    .wait_timeout(st, wait)
-                    .expect("reactor state lock")
-                    .0
+                st.wait_timeout(&shared.cvar, wait).0
             }
-            None => shared.cvar.wait(st).expect("reactor state lock"),
+            None => st.wait(&shared.cvar),
         };
     }
 }
@@ -236,7 +233,7 @@ impl Future for Sleep {
                 Poll::Pending
             }
             Some(slot) => {
-                let mut cell = slot.cell.lock().expect("timer cell lock");
+                let mut cell = slot.cell.lock();
                 if cell.fired {
                     Poll::Ready(())
                 } else {
@@ -251,7 +248,7 @@ impl Future for Sleep {
 impl Drop for Sleep {
     fn drop(&mut self) {
         if let Some(slot) = &self.slot {
-            let mut cell = slot.cell.lock().expect("timer cell lock");
+            let mut cell = slot.cell.lock();
             if !cell.fired {
                 cell.cancelled = true;
                 cell.waker = None;

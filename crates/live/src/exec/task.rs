@@ -25,10 +25,11 @@ use std::collections::VecDeque;
 use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::{Arc, Condvar, Weak};
 use std::task::{Context, Poll, Wake, Waker};
 
 use super::blocking::BlockingPool;
+use super::lock::{assert_unlocked, Lock};
 use super::reactor::Reactor;
 
 pub(crate) type BoxFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
@@ -76,19 +77,19 @@ struct ExecState {
 
 /// Shared executor core: arena + run queue + reactor + blocking pool.
 pub(crate) struct Inner {
-    state: Mutex<ExecState>,
+    state: Lock<ExecState>,
     work: Condvar,
     pub(crate) reactor: Reactor,
     pub(crate) blocking: BlockingPool,
     /// First panic payload captured from a task or blocking job;
     /// re-raised by [`super::Executor::shutdown`].
-    pub(crate) panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
+    pub(crate) panic: Lock<Option<Box<dyn std::any::Any + Send>>>,
 }
 
 impl Inner {
     pub(crate) fn new(blocking_cap: usize) -> Self {
         Self {
-            state: Mutex::new(ExecState {
+            state: Lock::new(ExecState {
                 slots: Vec::new(),
                 free: Vec::new(),
                 run_queue: VecDeque::new(),
@@ -99,21 +100,21 @@ impl Inner {
             work: Condvar::new(),
             reactor: Reactor::start(),
             blocking: BlockingPool::new(blocking_cap),
-            panic: Mutex::new(None),
+            panic: Lock::new(None),
         }
     }
 
     pub(crate) fn store_panic(&self, payload: Box<dyn std::any::Any + Send>) {
-        let mut slot = self.panic.lock().expect("executor panic slot");
+        let mut slot = self.panic.lock();
         slot.get_or_insert(payload);
     }
 
     pub(crate) fn peak_tasks(&self) -> usize {
-        self.state.lock().expect("executor state lock").peak
+        self.state.lock().peak
     }
 
     pub(crate) fn live_tasks(&self) -> usize {
-        self.state.lock().expect("executor state lock").live
+        self.state.lock().live
     }
 
     /// Installs `future` into a fresh (or recycled) slot and queues it.
@@ -122,7 +123,7 @@ impl Inner {
     /// join handle with `None`).
     pub(crate) fn spawn_raw(self: &Arc<Self>, future: BoxFuture) -> Option<(usize, u64)> {
         let key = {
-            let mut st = self.state.lock().expect("executor state lock");
+            let mut st = self.state.lock();
             if st.shutdown {
                 None
             } else {
@@ -162,7 +163,7 @@ impl Inner {
     /// Transitions a task toward the run queue in response to a wake.
     fn schedule(&self, id: usize, gen: u64) {
         let queued = {
-            let mut st = self.state.lock().expect("executor state lock");
+            let mut st = self.state.lock();
             if st.shutdown {
                 return;
             }
@@ -197,7 +198,7 @@ impl Inner {
     /// safe point, resolving its join handle with `None`.
     pub(crate) fn cancel(&self, id: usize, gen: u64) {
         let reaped = {
-            let mut st = self.state.lock().expect("executor state lock");
+            let mut st = self.state.lock();
             let Some(slot) = st.slots.get_mut(id) else {
                 return;
             };
@@ -223,6 +224,7 @@ impl Inner {
         };
         // Dropping the future (and through it the completion guard)
         // happens outside the lock: destructors may wake other tasks.
+        assert_unlocked();
         drop(reaped);
     }
 
@@ -245,13 +247,13 @@ impl Inner {
         loop {
             // Claim a queued task, parking on the condvar when idle.
             let claim = {
-                let mut st = self.state.lock().expect("executor state lock");
+                let mut st = self.state.lock();
                 loop {
                     if st.shutdown {
                         break Claim::Shutdown;
                     }
                     let Some(id) = st.run_queue.pop_front() else {
-                        st = self.work.wait(st).expect("executor state lock");
+                        st = st.wait(&self.work);
                         continue;
                     };
                     let Some(slot) = st.slots.get_mut(id) else {
@@ -275,6 +277,7 @@ impl Inner {
                     break Claim::Task(id, gen, future, waker);
                 }
             };
+            assert_unlocked(); // user code next: a cancelled future's drop, or a poll
             let (id, gen, mut fut, waker) = match claim {
                 Claim::Shutdown => return,
                 Claim::Reaped(core) => {
@@ -294,7 +297,7 @@ impl Inner {
                 Ok(Poll::Pending) => {
                     let mut fut_back = Some(fut);
                     let reaped = {
-                        let mut st = self.state.lock().expect("executor state lock");
+                        let mut st = self.state.lock();
                         let slot = &mut st.slots[id];
                         if slot.gen != gen || slot.core.is_none() {
                             None // reaped during shutdown while we polled
@@ -319,6 +322,7 @@ impl Inner {
                             }
                         }
                     };
+                    assert_unlocked();
                     drop(reaped);
                     drop(fut_back); // cancelled/reaped: future dies here
                 }
@@ -339,7 +343,7 @@ impl Inner {
     /// Frees `(id, gen)` after its future finished or died.
     fn reap(&self, id: usize, gen: u64) {
         let reaped = {
-            let mut st = self.state.lock().expect("executor state lock");
+            let mut st = self.state.lock();
             let slot = &mut st.slots[id];
             if slot.gen != gen || slot.core.is_none() {
                 None
@@ -349,6 +353,7 @@ impl Inner {
                 core
             }
         };
+        assert_unlocked();
         drop(reaped);
     }
 
@@ -358,7 +363,7 @@ impl Inner {
     pub(crate) fn begin_shutdown(&self) {
         let mut dead: Vec<TaskCore> = Vec::new();
         {
-            let mut st = self.state.lock().expect("executor state lock");
+            let mut st = self.state.lock();
             st.shutdown = true;
             st.run_queue.clear();
             for slot in &mut st.slots {
@@ -374,6 +379,7 @@ impl Inner {
             st.free.clear();
         }
         self.work.notify_all();
+        assert_unlocked();
         drop(dead);
     }
 }
@@ -393,6 +399,9 @@ impl Wake for WakeHandle {
     }
 
     fn wake_by_ref(self: &Arc<Self>) {
+        // Checked before the upgrade, so a wake under a lock is caught
+        // after executor teardown too.
+        assert_unlocked();
         if let Some(inner) = self.exec.upgrade() {
             inner.schedule(self.id, self.gen);
         }
@@ -401,7 +410,7 @@ impl Wake for WakeHandle {
 
 /// Result slot shared between a running task and its [`JoinHandle`].
 pub(crate) struct JoinShared<T> {
-    state: Mutex<JoinState<T>>,
+    state: Lock<JoinState<T>>,
     cvar: Condvar,
 }
 
@@ -415,7 +424,7 @@ struct JoinState<T> {
 impl<T> Default for JoinShared<T> {
     fn default() -> Self {
         Self {
-            state: Mutex::new(JoinState {
+            state: Lock::new(JoinState {
                 result: None,
                 waker: None,
                 done: false,
@@ -430,7 +439,7 @@ impl<T> JoinShared<T> {
     /// async and blocking waiters.
     pub(crate) fn complete(&self, value: Option<T>) {
         let waker = {
-            let mut st = self.state.lock().expect("join state lock");
+            let mut st = self.state.lock();
             if st.done {
                 return;
             }
@@ -445,7 +454,7 @@ impl<T> JoinShared<T> {
     }
 
     fn poll_take(&self, cx: &mut Context<'_>) -> Poll<Option<T>> {
-        let mut st = self.state.lock().expect("join state lock");
+        let mut st = self.state.lock();
         if st.done {
             Poll::Ready(st.result.take().flatten())
         } else {
@@ -455,9 +464,9 @@ impl<T> JoinShared<T> {
     }
 
     fn block_take(&self) -> Option<T> {
-        let mut st = self.state.lock().expect("join state lock");
+        let mut st = self.state.lock();
         while !st.done {
-            st = self.cvar.wait(st).expect("join state lock");
+            st = st.wait(&self.cvar);
         }
         st.result.take().flatten()
     }
@@ -527,14 +536,14 @@ impl<T> std::fmt::Debug for JoinHandle<T> {
 
 /// Thread parker used by `block_on`: a condvar-backed [`Wake`].
 pub(crate) struct Parker {
-    state: Mutex<bool>,
+    state: Lock<bool>,
     cvar: Condvar,
 }
 
 impl Default for Parker {
     fn default() -> Self {
         Self {
-            state: Mutex::new(false),
+            state: Lock::new(false),
             cvar: Condvar::new(),
         }
     }
@@ -542,9 +551,9 @@ impl Default for Parker {
 
 impl Parker {
     pub(crate) fn park(&self) {
-        let mut woken = self.state.lock().expect("parker lock");
+        let mut woken = self.state.lock();
         while !*woken {
-            woken = self.cvar.wait(woken).expect("parker lock");
+            woken = woken.wait(&self.cvar);
         }
         *woken = false;
     }
@@ -556,7 +565,7 @@ impl Wake for Parker {
     }
 
     fn wake_by_ref(self: &Arc<Self>) {
-        let mut woken = self.state.lock().expect("parker lock");
+        let mut woken = self.state.lock();
         *woken = true;
         self.cvar.notify_one();
     }

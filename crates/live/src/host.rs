@@ -83,9 +83,10 @@ pub struct InvokeHandle {
 }
 
 impl InvokeHandle {
-    /// Blocks until the invocation completes. Returns `None` if the host
-    /// shut down without serving it (cannot happen before
-    /// [`FaasHost::shutdown`]).
+    /// Blocks until the invocation completes. Returns `None` if the
+    /// function was never deployed (the host admits nothing and keeps
+    /// serving everyone else) or the host went away without serving it
+    /// (cannot happen before [`FaasHost::shutdown`]).
     pub fn wait(self) -> Option<InvokeOutcome> {
         self.rx.recv().ok()
     }
@@ -284,11 +285,10 @@ async fn serve<R: Recorder>(
     while let Some(next) = io.timers.next(&mut rx).await {
         let now = io.clock.now();
         match next {
+            // An undeployed function is one caller's mistake, not the
+            // host's: dropping `reply` resolves that handle `None`.
+            Next::Message(Msg::Invoke(func, ..)) if !io.handlers.contains_key(&func) => {}
             Next::Message(Msg::Invoke(func, payload, reply)) => {
-                assert!(
-                    io.handlers.contains_key(&func),
-                    "invoke of undeployed function {func}"
-                );
                 // Execution time unknown: the handler's run is measured.
                 let rid = core.admit(func, now, None);
                 let flight = Flight {

@@ -61,16 +61,19 @@ fn compare(label: &str, mk: fn() -> PolicyStack, tolerance: f64) {
 }
 
 #[test]
+#[ignore = "compares wall-clock class ratios to the simulator within tolerances; load-sensitive — run with -- --ignored"]
 fn lru_matches_simulation() {
     compare("faascache", faascache_stack, 0.10);
 }
 
 #[test]
+#[ignore = "compares wall-clock class ratios to the simulator within tolerances; load-sensitive — run with -- --ignored"]
 fn cidre_matches_simulation() {
     compare("cidre", || cidre_stack(CidreConfig::default()), 0.12);
 }
 
 #[test]
+#[ignore = "compares wall-clock class ratios to the simulator within tolerances; load-sensitive — run with -- --ignored"]
 fn class_ratios_agree_at_high_concurrency() {
     // Thousands of requests in flight at once: 3000 requests arrive
     // over 10 simulated seconds, each executing for 15 simulated
@@ -138,6 +141,7 @@ fn class_ratios_agree_at_high_concurrency() {
 }
 
 #[test]
+#[ignore = "compares wall-clock class ratios to the simulator within tolerances; load-sensitive — run with -- --ignored"]
 fn live_cold_waits_cover_provisioning_latency() {
     let _guard = LIVE_HOST.lock().unwrap_or_else(|p| p.into_inner());
     let trace = gen::fc(4)

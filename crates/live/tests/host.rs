@@ -232,6 +232,22 @@ fn provision_failures_retry_on_the_host() {
 }
 
 #[test]
+fn invoke_of_an_undeployed_function_fails_alone() {
+    let _guard = LIVE_HOST.lock().expect("live-host lock");
+    let host = FaasHost::start(
+        LiveConfig::default().time_scale(0.01),
+        baseline_lru_stack(),
+        vec![(profile(0, 20), sum_handler())],
+    );
+    assert_eq!(host.invoke(FunctionId(7), vec![1]).wait(), None);
+    // The orchestrator is still there for everyone else.
+    let served = host.invoke(FunctionId(0), vec![1, 2]).wait();
+    assert_eq!(served.expect("served").class, StartClass::Cold);
+    let report = host.shutdown();
+    assert_eq!(report.requests.len(), 1);
+}
+
+#[test]
 #[should_panic(expected = "FaasHost cannot replay worker crashes")]
 fn crash_plans_are_rejected_at_start() {
     // No LIVE_HOST guard: the panic precedes any host thread, and must

@@ -113,11 +113,6 @@ impl Rng {
         lo + self.u64_below(hi - lo + 1)
     }
 
-    /// Uniform `usize` in `[lo, hi)`.
-    pub fn range_usize(&mut self, lo: usize, hi: usize) -> usize {
-        self.range_u64(lo as u64, hi as u64) as usize
-    }
-
     /// Uniform `f64` in `[lo, hi)`.
     pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
         debug_assert!(lo <= hi);
