@@ -7,7 +7,7 @@
 //! | structure          | replaces                                    | old | new |
 //! |--------------------|---------------------------------------------|-----|-----|
 //! | [`PendingQueue`]   | `iter().position(\|p\| !p.cold_only)`       | O(n) | O(1) |
-//! | [`FreeThreadPool`] | `max_by_key` over the warm containers       | O(n) | O(log n) |
+//! | [`FreeThreadPool`] | `max_by_key` over the warm containers       | O(n) | O(1) pick, O(n) update |
 //! | [`EvictionIndex`]  | recompute + full sort per pressure round    | O(n log n) | O(victims · log n) |
 //! | [`RoundHeap`]      | full sort when priorities are not cacheable | O(n log n) | O(n + victims · log n) |
 //!
@@ -17,7 +17,7 @@
 //! has, so `ClusterState::pick_worker` scans them (DESIGN.md §7).
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::hash::Hash;
 
 use crate::hash::IdBuildHasher;
@@ -80,27 +80,21 @@ impl Ord for OrdF64 {
 /// Internally this is two deques (cold-only / flexible), each entry
 /// stamped with a global arrival sequence number so the interleaved
 /// FIFO order is recoverable exactly.
-#[derive(Debug, Clone)]
+#[derive(Debug, Default)]
 pub struct PendingQueue<T> {
     cold_only: VecDeque<(u64, T)>,
     flexible: VecDeque<(u64, T)>,
     next_seq: u64,
 }
 
-impl<T> Default for PendingQueue<T> {
-    fn default() -> Self {
+impl<T> PendingQueue<T> {
+    /// An empty queue.
+    pub fn new() -> Self {
         PendingQueue {
             cold_only: VecDeque::new(),
             flexible: VecDeque::new(),
             next_seq: 0,
         }
-    }
-}
-
-impl<T> PendingQueue<T> {
-    /// An empty queue.
-    pub fn new() -> Self {
-        Self::default()
     }
 
     /// Append an entry at the back of the FIFO.
@@ -165,74 +159,78 @@ impl<T> PendingQueue<T> {
     }
 }
 
-/// Per-function pool of containers that still have a free thread,
-/// keyed so the scheduler's pick — "most-loaded non-saturated
-/// container, oldest id on ties" — is the last element of a
-/// `BTreeSet<(threads_in_use, Reverse<id>)>`.
-///
-/// The reference scan is `max_by_key(|c| (threads_in_use(c), Reverse(c)))`
-/// over the function's warm containers that have a free thread.
-#[derive(Debug, Clone)]
-pub struct FreeThreadPool<C: Ord + Copy + Hash> {
-    keys: HashMap<C, u32, IdBuildHasher>,
-    set: BTreeSet<(u32, Reverse<C>)>,
+/// Per-function pool of containers that still have a free thread: one
+/// ascending-sorted `Vec<(threads_in_use, Reverse<id>)>` whose last
+/// element is the scheduler's pick — "most-loaded non-saturated
+/// container, oldest id on ties", the reference scan's
+/// `max_by_key(|c| (threads_in_use(c), Reverse(c)))`. A container is
+/// found by one binary search per distinct load (at most the thread
+/// capacity) and an update shifts the tail, which is cheap because an
+/// update meets about three entries on average (DESIGN.md §7).
+#[derive(Debug, Default)]
+pub struct FreeThreadPool<C: Ord + Copy> {
+    entries: Vec<(u32, Reverse<C>)>,
 }
 
-impl<C: Ord + Copy + Hash> Default for FreeThreadPool<C> {
-    fn default() -> Self {
-        FreeThreadPool {
-            keys: HashMap::default(),
-            set: BTreeSet::new(),
-        }
-    }
-}
-
-impl<C: Ord + Copy + Hash> FreeThreadPool<C> {
+impl<C: Ord + Copy> FreeThreadPool<C> {
     /// An empty pool.
     pub fn new() -> Self {
-        Self::default()
+        FreeThreadPool {
+            entries: Vec::new(),
+        }
+    }
+
+    /// Position of `c`: a binary search inside each load's run, from
+    /// the lowest load up.
+    fn find(&self, c: C) -> Option<usize> {
+        let mut run = 0;
+        while let Some(&(load, _)) = self.entries.get(run) {
+            let rest = &self.entries[run..];
+            match rest.binary_search(&(load, Reverse(c))) {
+                Ok(i) => return Some(run + i),
+                Err(_) => run += rest.partition_point(|&(l, _)| l == load),
+            }
+        }
+        None
     }
 
     /// Insert `c` or update its load key to `threads_in_use`.
     pub fn set(&mut self, c: C, threads_in_use: u32) {
-        if let Some(old) = self.keys.insert(c, threads_in_use) {
-            self.set.remove(&(old, Reverse(c)));
-        }
-        self.set.insert((threads_in_use, Reverse(c)));
+        self.remove(c);
+        let entry = (threads_in_use, Reverse(c));
+        let at = self.entries.partition_point(|e| *e < entry);
+        self.entries.insert(at, entry);
     }
 
     /// Remove `c` from the pool (it saturated or was evicted).
     /// Returns true if it was present.
     pub fn remove(&mut self, c: C) -> bool {
-        match self.keys.remove(&c) {
-            Some(old) => self.set.remove(&(old, Reverse(c))),
-            None => false,
-        }
+        self.find(c).map(|i| self.entries.remove(i)).is_some()
     }
 
-    /// The most-loaded container, oldest id on ties. O(log n).
+    /// The most-loaded container, oldest id on ties. O(1).
     pub fn pick(&self) -> Option<C> {
-        self.set.last().map(|&(_, Reverse(c))| c)
+        self.entries.last().map(|&(_, Reverse(c))| c)
     }
 
     /// Whether `c` is in the pool.
     pub fn contains(&self, c: C) -> bool {
-        self.keys.contains_key(&c)
+        self.find(c).is_some()
     }
 
     /// The stored load key for `c`, if pooled (for invariant checks).
     pub fn key_of(&self, c: C) -> Option<u32> {
-        self.keys.get(&c).copied()
+        self.find(c).map(|i| self.entries[i].0)
     }
 
     /// Number of pooled containers.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.entries.len()
     }
 
     /// True when the pool is empty.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.entries.is_empty()
     }
 }
 
@@ -255,7 +253,7 @@ impl<C: Ord + Copy + Hash> FreeThreadPool<C> {
 /// a lower bound, so an entry is only returned once its fresh value is
 /// itself the minimum. Policies whose priorities can drift downward
 /// while idle must use a per-round [`RoundHeap`] instead.
-#[derive(Debug, Clone)]
+#[derive(Debug, Default)]
 pub struct EvictionIndex<W, C>
 where
     W: Copy + Eq + Hash,
@@ -277,20 +275,6 @@ type MinHeap<C> = BinaryHeap<Reverse<(OrdF64, C, u64)>>;
 /// entries than it keeps, so the cost stays amortised O(1) per `enter`.
 const COMPACT_SLACK: usize = 32;
 
-impl<W, C> Default for EvictionIndex<W, C>
-where
-    W: Copy + Eq + Hash,
-    C: Ord + Copy + Eq + Hash,
-{
-    fn default() -> Self {
-        EvictionIndex {
-            heaps: HashMap::default(),
-            live: HashMap::default(),
-            next_version: 0,
-        }
-    }
-}
-
 impl<W, C> EvictionIndex<W, C>
 where
     W: Copy + Eq + Hash,
@@ -298,7 +282,11 @@ where
 {
     /// An empty index.
     pub fn new() -> Self {
-        Self::default()
+        EvictionIndex {
+            heaps: HashMap::default(),
+            live: HashMap::default(),
+            next_version: 0,
+        }
     }
 
     /// Container `c` became an eviction candidate on worker `w` with
@@ -394,17 +382,9 @@ where
 ///
 /// One heap serves every round: [`RoundHeap::refill`] keeps the buffer,
 /// so a round allocates only when it is the largest so far.
-#[derive(Debug, Clone)]
+#[derive(Debug, Default)]
 pub struct RoundHeap<C: Ord + Copy> {
     heap: BinaryHeap<Reverse<(OrdF64, C)>>,
-}
-
-impl<C: Ord + Copy> Default for RoundHeap<C> {
-    fn default() -> Self {
-        RoundHeap {
-            heap: BinaryHeap::new(),
-        }
-    }
 }
 
 impl<C: Ord + Copy> RoundHeap<C> {
@@ -528,18 +508,23 @@ mod tests {
 
     #[test]
     fn free_thread_pool_picks_most_loaded_oldest_id() {
-        let mut p: FreeThreadPool<u64> = FreeThreadPool::new();
-        let mut model: HashMap<u64, u32> = HashMap::new();
+        // Loads 0..8 (Fig. 21's thread counts); ids from a fixed set of
+        // 24 spread over the whole u64 range, both ends included, so the
+        // per-load binary search sees neighbours that differ in any bit.
         let mut seed = 42u64;
         let mut next = || {
             seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-            (seed >> 33) as u32
+            seed
         };
-        for _ in 0..2000 {
-            let c = (next() % 20) as u64;
-            match next() % 3 {
+        let mut ids: Vec<u64> = (0..22).map(|_| next()).collect();
+        ids.extend([0, u64::MAX]);
+        let mut p: FreeThreadPool<u64> = FreeThreadPool::new();
+        let mut model: HashMap<u64, u32> = HashMap::new();
+        for _ in 0..5000 {
+            let c = ids[(next() >> 33) as usize % ids.len()];
+            match (next() >> 33) % 3 {
                 0 => {
-                    let t = next() % 4;
+                    let t = ((next() >> 33) % 8) as u32;
                     p.set(c, t);
                     model.insert(c, t);
                 }
@@ -554,6 +539,11 @@ mod tests {
                 .map(|(&cid, _)| cid);
             assert_eq!(p.pick(), want);
             assert_eq!(p.len(), model.len());
+            assert_eq!(p.is_empty(), model.is_empty());
+            for &id in &ids {
+                assert_eq!(p.key_of(id), model.get(&id).copied(), "key of {id:#x}");
+                assert_eq!(p.contains(id), model.contains_key(&id));
+            }
         }
     }
 

@@ -493,6 +493,29 @@ mod tests {
         assert!(json.contains("\"outcome\":\"killed\""));
     }
 
+    /// Whatever a provenance note holds, escaping it and wrapping it in
+    /// quotes gives a JSON string that reads back as the note.
+    #[test]
+    fn escaped_strings_parse_back_equal() {
+        faas_testkit::Checker::new("chrome_escape_round_trips")
+            .cases(256)
+            .run(|g| {
+                let chars = g.vec(0..40, |g| {
+                    let code = match g.u32(0..4) {
+                        0 => g.u32(0..0x20),
+                        1 => *g.choose(&[0x22, 0x5c, 0x2f, 0x7f]),
+                        2 => g.u32(0x20..0x80),
+                        _ => g.u32(0x80..0x11_0000),
+                    };
+                    char::from_u32(code).unwrap_or('\u{FFFD}')
+                });
+                let s: String = chars.into_iter().collect();
+                let doc = format!("\"{}\"", escape(&s));
+                let back = faas_testkit::json::Value::parse(&doc);
+                assert_eq!(back, Ok(faas_testkit::json::Value::Str(s)), "{doc:?}");
+            });
+    }
+
     #[test]
     fn export_is_deterministic() {
         let a = to_chrome_json(&sample_events());

@@ -4,6 +4,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::hash::BuildHasher;
 
 use faas_core::{FreeThreadPool, IdBuildHasher, PendingQueue};
 use faas_trace::{FunctionId, FunctionProfile, TimeDelta, TimePoint};
@@ -14,7 +15,7 @@ use crate::ids::{ContainerId, RequestId, WorkerId};
 use crate::ledger::CostLedger;
 
 /// One simulated server with a fixed memory capacity.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Worker {
     /// The worker's id.
     pub id: WorkerId,
@@ -66,12 +67,10 @@ pub struct FnStats {
     pub invocations: u64,
     /// Arrival time of the function's first request.
     pub first_arrival: Option<TimePoint>,
-    /// Requests that have finished executing.
-    pub completions: u64,
 }
 
 /// Per-function runtime state.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct FnRuntime {
     /// Function-wide wait channel (the paper's per-function FIFO). Each
     /// entry is a request id flagged *cold-only* (may only be served by
@@ -82,9 +81,9 @@ pub struct FnRuntime {
     /// Number of containers currently provisioning (which ones is in
     /// the container table; only the count is ever asked for).
     pub provisioning: u32,
-    /// Warm containers with at least one free thread, keyed by
+    /// Warm containers with at least one free thread, sorted by
     /// `threads_in_use` so the scheduler's "most-loaded non-saturated
-    /// container" pick is O(log n). Beside the container's own
+    /// container" pick is O(1). Beside the container's own
     /// `threads_in_use`, this is the only record of who has a free
     /// thread: the cluster mutators update it at every thread
     /// transition and `validate` proves it against the container table.
@@ -100,7 +99,7 @@ pub struct FnRuntime {
 /// Exposed to policies only through the read-only [`PolicyCtx`]. The
 /// mutating methods enforce the memory-accounting and state-set
 /// invariants and panic on misuse (they are internal to the engine).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ClusterState {
     /// The workers, indexed by id. `MaxFree` placement scans them: their
     /// free and reclaimable memory change twice per request and are
@@ -363,11 +362,6 @@ impl ClusterState {
         let stats = &mut self.fn_runtime_mut(func).stats;
         stats.invocations += 1;
         stats.first_arrival.get_or_insert(now);
-    }
-
-    /// Records a request completion in the function's statistics.
-    pub fn note_completion(&mut self, func: FunctionId) {
-        self.fn_runtime_mut(func).stats.completions += 1;
     }
 
     /// Picks the worker to host a new `mem_mb` container according to
@@ -901,22 +895,6 @@ impl ClusterState {
             .unwrap_or(0)
     }
 
-    /// Earliest time at which some currently busy thread of `func`
-    /// finishes, given the engine-maintained completion times. Used by
-    /// the oracle policy only.
-    pub fn oracle_earliest_free(
-        &self,
-        func: FunctionId,
-        busy_until: &HashMap<ContainerId, Vec<TimePoint>>,
-    ) -> Option<TimePoint> {
-        let rt = self.fns.get(&func)?;
-        rt.warm
-            .iter()
-            .filter_map(|cid| busy_until.get(cid))
-            .flat_map(|ends| ends.iter().copied())
-            .min()
-    }
-
     /// Iterates over warm, saturated containers of `func` (candidates for
     /// `EnqueueOn` decisions).
     pub fn saturated_containers(&self, func: FunctionId) -> Vec<ContainerInfo> {
@@ -989,21 +967,35 @@ impl ClusterState {
     }
 }
 
+/// The expected completion times of busy containers, as the oracle
+/// queries read them: one map whatever its hasher, so [`PolicyCtx`]
+/// stays one type.
+trait BusyEnds: std::fmt::Debug {
+    fn ends(&self, id: ContainerId) -> Option<&[TimePoint]>;
+}
+
+impl<S: BuildHasher> BusyEnds for HashMap<ContainerId, Vec<TimePoint>, S> {
+    fn ends(&self, id: ContainerId) -> Option<&[TimePoint]> {
+        self.get(&id).map(Vec::as_slice)
+    }
+}
+
 /// Read-only view of the cluster passed to policy callbacks.
 #[derive(Debug, Clone, Copy)]
 pub struct PolicyCtx<'a> {
     /// Current simulated time.
     pub now: TimePoint,
     cluster: &'a ClusterState,
-    busy_until: &'a HashMap<ContainerId, Vec<TimePoint>>,
+    busy_until: &'a dyn BusyEnds,
 }
 
 impl<'a> PolicyCtx<'a> {
-    /// Creates a view at time `now`.
-    pub fn new(
+    /// Creates a view at time `now`. `busy_until` holds each busy
+    /// container's expected completion times; any hasher will do.
+    pub fn new<S: BuildHasher>(
         now: TimePoint,
         cluster: &'a ClusterState,
-        busy_until: &'a HashMap<ContainerId, Vec<TimePoint>>,
+        busy_until: &'a HashMap<ContainerId, Vec<TimePoint>, S>,
     ) -> Self {
         Self {
             now,
@@ -1100,14 +1092,14 @@ impl<'a> PolicyCtx<'a> {
     /// earliest-finishing thread. Online policies must not use this; the
     /// Offline baseline does.
     pub fn oracle_remaining(&self, id: ContainerId) -> Option<TimeDelta> {
-        let earliest = self.busy_until.get(&id)?.iter().min()?;
+        let earliest = self.busy_until.ends(id)?.iter().min()?;
         Some(earliest.saturating_since(self.now))
     }
 
     /// **Oracle only**: earliest completion among all busy threads of the
     /// function.
     pub fn oracle_earliest_free(&self, func: FunctionId) -> Option<TimePoint> {
-        self.cluster.oracle_earliest_free(func, self.busy_until)
+        self.oracle_free_times(func).first().copied()
     }
 
     /// **Oracle only**: completion times of every busy thread of the
@@ -1120,8 +1112,9 @@ impl<'a> PolicyCtx<'a> {
         let mut ends: Vec<TimePoint> = rt
             .warm
             .iter()
-            .filter_map(|cid| self.busy_until.get(cid))
-            .flat_map(|ends| ends.iter().copied())
+            .filter_map(|&cid| self.busy_until.ends(cid))
+            .flatten()
+            .copied()
             .collect();
         ends.sort_unstable();
         ends
@@ -1349,20 +1342,51 @@ mod tests {
 
     #[test]
     fn policy_ctx_views() {
-        let mut cl = cluster(&[1000]);
+        let mut cl = ClusterState::new(&[1000], profiles(), 2);
         cl.note_arrival(FunctionId(0), TimePoint::ZERO);
-        let id = cl.begin_provision(FunctionId(0), WorkerId(0), TimePoint::ZERO, false);
-        cl.finish_provision(id, TimePoint::ZERO);
-        cl.occupy_thread(id, TimePoint::ZERO);
-        let busy: HashMap<ContainerId, Vec<TimePoint>> = [(id, vec![TimePoint::from_millis(50)])]
-            .into_iter()
+        let ids: Vec<ContainerId> = (0..3)
+            .map(|_| cl.begin_provision(FunctionId(0), WorkerId(0), TimePoint::ZERO, false))
             .collect();
-        let ctx = PolicyCtx::new(TimePoint::from_millis(10), &cl, &busy);
-        assert_eq!(ctx.warm_count(FunctionId(0)), 1);
-        assert_eq!(ctx.invocations(FunctionId(0)), 1);
-        assert_eq!(ctx.saturated_containers(FunctionId(0)).len(), 1);
-        assert_eq!(ctx.oracle_remaining(id), Some(TimeDelta::from_millis(40)));
-        assert_eq!(ctx.used_mb(), 100);
-        assert_eq!(ctx.capacity_mb(), 1000);
+        for &id in &ids {
+            cl.finish_provision(id, TimePoint::ZERO);
+        }
+        for &id in &[ids[0], ids[0], ids[1]] {
+            cl.occupy_thread(id, TimePoint::ZERO);
+        }
+        let ms = TimePoint::from_millis;
+        let ends = [(ids[0], vec![ms(50), ms(30)]), (ids[1], vec![ms(70)])];
+        // The same completion times under the default hasher and under
+        // the one the orchestrator keeps them with: every oracle query
+        // answers the same.
+        let sip: HashMap<ContainerId, Vec<TimePoint>> = ends.iter().cloned().collect();
+        let id_hashed: HashMap<ContainerId, Vec<TimePoint>, IdBuildHasher> =
+            ends.iter().cloned().collect();
+        let a = PolicyCtx::new(ms(10), &cl, &sip);
+        let b = PolicyCtx::new(ms(10), &cl, &id_hashed);
+        for ctx in [a, b] {
+            assert_eq!(ctx.warm_count(FunctionId(0)), 3);
+            assert_eq!(ctx.invocations(FunctionId(0)), 1);
+            assert_eq!(ctx.saturated_containers(FunctionId(0)).len(), 1);
+            assert_eq!(
+                ctx.oracle_remaining(ids[0]),
+                Some(TimeDelta::from_millis(20))
+            );
+            assert_eq!(ctx.oracle_earliest_free(FunctionId(0)), Some(ms(30)));
+            assert_eq!(
+                ctx.oracle_free_times(FunctionId(0)),
+                vec![ms(30), ms(50), ms(70)]
+            );
+            assert_eq!(ctx.used_mb(), 300);
+            assert_eq!(ctx.capacity_mb(), 1000);
+        }
+        for id in ids.iter().copied().chain([ContainerId(99)]) {
+            assert_eq!(a.oracle_remaining(id), b.oracle_remaining(id));
+        }
+        for func in [FunctionId(0), FunctionId(1), FunctionId(7)] {
+            assert_eq!(a.oracle_earliest_free(func), b.oracle_earliest_free(func));
+            assert_eq!(a.oracle_free_times(func), b.oracle_free_times(func));
+        }
+        assert_eq!(a.oracle_remaining(ids[2]), None);
+        assert_eq!(a.oracle_earliest_free(FunctionId(1)), None);
     }
 }

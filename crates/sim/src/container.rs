@@ -22,7 +22,7 @@ pub enum ContainerState {
 }
 
 /// One container instance hosted on a worker.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Container {
     /// Unique id of this instance.
     pub id: ContainerId,

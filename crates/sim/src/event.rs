@@ -48,24 +48,25 @@ pub struct EventQueue {
     seq: u64,
 }
 
-/// A heap entry. `(at, seq)` is unique — `seq` counts pushes — so it
-/// alone orders entries and the event rides along uncompared.
+/// A heap entry. `key` is `(at_micros << 64) | seq`: one integer whose
+/// order is the `(at, seq)` lexicographic order, compared in one step.
+/// It is unique — `seq` counts pushes — so it alone orders entries and
+/// the event rides along uncompared.
 #[derive(Debug, Clone, Copy)]
 struct Scheduled {
-    at: TimePoint,
-    seq: u64,
+    key: u128,
     event: Event,
 }
 
 impl Scheduled {
-    fn key(&self) -> (TimePoint, u64) {
-        (self.at, self.seq)
+    fn at(&self) -> TimePoint {
+        TimePoint::from_micros((self.key >> 64) as u64)
     }
 }
 
 impl PartialEq for Scheduled {
     fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
+        self.key == other.key
     }
 }
 
@@ -79,7 +80,7 @@ impl PartialOrd for Scheduled {
 
 impl Ord for Scheduled {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
+        self.key.cmp(&other.key)
     }
 }
 
@@ -92,18 +93,18 @@ impl EventQueue {
     /// Schedules `event` at absolute time `at`.
     pub fn push(&mut self, at: TimePoint, event: Event) {
         self.seq += 1;
-        let seq = self.seq;
-        self.heap.push(Reverse(Scheduled { at, seq, event }));
+        let key = (u128::from(at.as_micros()) << 64) | u128::from(self.seq);
+        self.heap.push(Reverse(Scheduled { key, event }));
     }
 
     /// Removes and returns the earliest event, FIFO within a timestamp.
     pub fn pop(&mut self) -> Option<(TimePoint, Event)> {
-        self.heap.pop().map(|Reverse(s)| (s.at, s.event))
+        self.heap.pop().map(|Reverse(s)| (s.at(), s.event))
     }
 
     /// Timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<TimePoint> {
-        self.heap.peek().map(|Reverse(s)| s.at)
+        self.heap.peek().map(|Reverse(s)| s.at())
     }
 
     /// Number of pending events.
@@ -152,6 +153,47 @@ mod tests {
                 Event::Arrival(RequestId(7)),
             ]
         );
+    }
+
+    /// The queue against its definition: a stable sort by `at` over the
+    /// pushes, i.e. `(at, push order)`, under random interleaved pushes
+    /// and pops. Timestamps come from a handful of values — so many are
+    /// equal — that include 0 and `u64::MAX` µs, the extremes of the
+    /// key's high half.
+    #[test]
+    fn pops_match_a_stable_sort_by_time() {
+        faas_testkit::Checker::new("event_queue_matches_stable_sort").run(|g| {
+            let times = [0, 1, 2, 1 << 32, u64::MAX - 1, u64::MAX];
+            let mut q = EventQueue::new();
+            let mut model: Vec<(u64, u64)> = Vec::new();
+            for n in 0..g.u64(0..200) {
+                if g.bool(0.6) {
+                    let at = *g.choose(&times);
+                    q.push(TimePoint::from_micros(at), Event::Arrival(RequestId(n)));
+                    model.push((at, n));
+                } else {
+                    // Pushes are numbered in order, so the minimum of
+                    // (at, number) is the stable sort's front.
+                    let want = model.iter().copied().min().map(|front| {
+                        model.retain(|&e| e != front);
+                        (
+                            TimePoint::from_micros(front.0),
+                            Event::Arrival(RequestId(front.1)),
+                        )
+                    });
+                    assert_eq!(q.peek_time(), want.map(|(at, _)| at));
+                    assert_eq!(q.pop(), want);
+                }
+                assert_eq!(q.len(), model.len());
+            }
+            model.sort_by_key(|&(at, _)| at);
+            let rest: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+            let want: Vec<_> = model
+                .iter()
+                .map(|&(at, n)| (TimePoint::from_micros(at), Event::Arrival(RequestId(n))))
+                .collect();
+            assert_eq!(rest, want);
+        });
     }
 
     #[test]

@@ -122,7 +122,7 @@ pub struct Orchestrator<R: Recorder> {
     /// Requests retired from the front of `requests`: the id of
     /// `requests[0]`.
     retired: u64,
-    busy_until: HashMap<ContainerId, Vec<TimePoint>>,
+    busy_until: HashMap<ContainerId, Vec<TimePoint>, IdBuildHasher>,
     /// Emptied `busy_until` vectors, handed back out when a container
     /// next turns busy: an entry exists exactly while its container is
     /// busy, so without these every warm start would allocate one.
@@ -210,7 +210,7 @@ impl<R: Recorder> Orchestrator<R> {
             cluster,
             requests: VecDeque::new(),
             retired: 0,
-            busy_until: HashMap::new(),
+            busy_until: HashMap::default(),
             spare_ends: Vec::new(),
             deferred: VecDeque::new(),
             policies,
@@ -374,7 +374,7 @@ impl<R: Recorder> Orchestrator<R> {
 
     /// Expected completion times of running executions, per container —
     /// the oracle view [`PolicyCtx`] hands to policies.
-    pub fn busy_until(&self) -> &HashMap<ContainerId, Vec<TimePoint>> {
+    pub fn busy_until(&self) -> &HashMap<ContainerId, Vec<TimePoint>, IdBuildHasher> {
         &self.busy_until
     }
 
@@ -573,7 +573,6 @@ impl<R: Recorder> Orchestrator<R> {
             self.requests.pop_front();
             self.retired += 1;
         }
-        self.cluster.note_completion(func);
         // Retire the request's *own* expected end: the virtual clock
         // delivers ExecDone exactly then (`end == now`), a wall clock
         // delivers it late, and a measured execution never knew it.

@@ -17,7 +17,7 @@ pub struct RequestInfo {
 }
 
 /// Mutable per-request state tracked by the engine.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct RequestState {
     /// The invoked function.
     pub func: FunctionId,

@@ -52,14 +52,15 @@ impl Value {
         }
     }
 
-    /// Parses a JSON document.
+    /// Parses a JSON document. Arrays and objects nested deeper than
+    /// [`MAX_DEPTH`] are an `Err`, not a stack overflow.
     pub fn parse(text: &str) -> Result<Value, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
         };
         p.skip_ws();
-        let v = p.value()?;
+        let v = p.value(0)?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
             return Err(format!("trailing data at byte {}", p.pos));
@@ -67,6 +68,10 @@ impl Value {
         Ok(v)
     }
 }
+
+/// How deep arrays and objects may nest. The reader recurses once per
+/// level; the documents it checks nest three or four deep.
+pub const MAX_DEPTH: usize = 256;
 
 struct Parser<'a> {
     bytes: &'a [u8],
@@ -111,20 +116,25 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, String> {
+    /// The value at the cursor, inside `depth` arrays and objects.
+    fn value(&mut self, depth: usize) -> Result<Value, String> {
         match self.peek() {
             Some(b'n') => self.literal("null", Value::Null),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if depth == MAX_DEPTH => Err(format!(
+                "nested deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )),
+            Some(b'[') => self.array(depth + 1),
+            Some(b'{') => self.object(depth + 1),
             Some(b'-' | b'0'..=b'9') => self.number(),
             other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
         }
     }
 
-    fn array(&mut self) -> Result<Value, String> {
+    fn array(&mut self, depth: usize) -> Result<Value, String> {
         self.eat(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -134,7 +144,7 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -147,7 +157,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Value, String> {
+    fn object(&mut self, depth: usize) -> Result<Value, String> {
         self.eat(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
@@ -161,7 +171,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.eat(b':')?;
             self.skip_ws();
-            let value = self.value()?;
+            let value = self.value(depth)?;
             fields.push((key, value));
             self.skip_ws();
             match self.peek() {
@@ -197,17 +207,21 @@ impl<'a> Parser<'a> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
+                            let mut code = self
+                                .hex4(self.pos + 1)
+                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
                             self.pos += 4;
+                            // A high surrogate followed by an escaped low
+                            // one is a single scalar; a lone half is U+FFFD.
+                            if (0xD800..0xDC00).contains(&code)
+                                && self.bytes[self.pos + 1..].starts_with(b"\\u")
+                            {
+                                if let Some(low @ 0xDC00..=0xDFFF) = self.hex4(self.pos + 3) {
+                                    code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                                    self.pos += 6;
+                                }
+                            }
+                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
                         }
                         other => return Err(format!("bad escape {other:?}")),
                     }
@@ -227,6 +241,14 @@ impl<'a> Parser<'a> {
                 }
             }
         }
+    }
+
+    /// The value of exactly four hex digits at `at`, if they are there.
+    fn hex4(&self, at: usize) -> Option<u32> {
+        let digits = self.bytes.get(at..at + 4)?;
+        digits.iter().try_fold(0, |code, &b| {
+            Some((code << 4) | char::from(b).to_digit(16)?)
+        })
     }
 
     fn number(&mut self) -> Result<Value, String> {
@@ -277,5 +299,66 @@ mod tests {
         let items = v.as_arr().unwrap();
         assert_eq!(items[0].as_str(), Some("ns/iter — médiane ✓"));
         assert_eq!(items[1].as_str(), Some("é\""));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_an_overflow() {
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(Value::parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(Value::parse(&nest(MAX_DEPTH + 1)).is_err());
+        assert!(Value::parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).is_err());
+        // Used to abort the whole test process with "stack overflow".
+        assert!(Value::parse(&"[".repeat(200_000)).is_err());
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        let s = |doc: &str| Value::parse(doc).map(|v| v.as_str().map(str::to_owned));
+        assert_eq!(s(r#""\u0041\u00E9""#), Ok(Some("Aé".into())));
+        // `from_str_radix` took a sign: this read as "A".
+        assert!(s(r#""\u+041""#).is_err());
+        assert!(s(r#""\u-041""#).is_err());
+        assert!(s(r#""\u004""#).is_err());
+        assert!(s(r#""\u00g1""#).is_err());
+        assert!(s(r#""\u00"#).is_err());
+    }
+
+    #[test]
+    fn surrogate_pairs_join() {
+        let s = |doc: &str| Value::parse(doc).map(|v| v.as_str().map(str::to_owned));
+        assert_eq!(s(r#""\ud83d\ude00""#), Ok(Some("😀".into())));
+        assert_eq!(s(r#""\uD83D\uDE00!""#), Ok(Some("😀!".into())));
+        // A half without its partner stays one replacement character,
+        // and whatever follows it is read as usual.
+        assert_eq!(s(r#""\ud83d""#), Ok(Some("\u{FFFD}".into())));
+        assert_eq!(s(r#""\ude00\ud83d""#), Ok(Some("\u{FFFD}\u{FFFD}".into())));
+        assert_eq!(s(r#""\ud83d\u0041""#), Ok(Some("\u{FFFD}A".into())));
+        assert_eq!(s(r#""\ud83dx""#), Ok(Some("\u{FFFD}x".into())));
+    }
+
+    /// Hostile input: documents built from JSON's own tokens, arbitrary
+    /// characters and long runs of open brackets. Every one is `Ok` or
+    /// `Err`; a panic fails the property, and an overflow would abort it.
+    #[test]
+    fn arbitrary_text_never_panics() {
+        let tokens: Vec<&str> = r#"[|]|{|}|"|\|\u|:|,| |-|0|7|.|e|+|true|null|fa|d83d|\ude00|😀"#
+            .split('|')
+            .collect();
+        crate::Checker::new("json_parse_never_panics")
+            .cases(256)
+            .run(|g| {
+                let mut text = String::new();
+                for _ in 0..g.usize(0..64) {
+                    match g.u32(0..8) {
+                        0 => text.push_str(
+                            &g.choose(&["[", "{\"k\":"])
+                                .repeat(g.usize(0..50 * MAX_DEPTH)),
+                        ),
+                        1 => text.push(char::from_u32(g.u32(0..0x11_0000)).unwrap_or('\u{FFFD}')),
+                        _ => text.push_str(g.choose::<&str>(&tokens)),
+                    }
+                }
+                let _ = Value::parse(&text);
+            });
     }
 }

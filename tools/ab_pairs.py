@@ -20,6 +20,16 @@ the change won (ties count for neither) and each side's `failed` total.
 A pair in which either side's setup_s is more than twice that side's
 median is marked `disturbed`: something else had the machine. It is
 still listed and still counted — report every run made.
+
+Each summary line ends in a verdict, from the metric's `bound` and
+`better` in BENCHMARK.json, by the rule the pipeline applies:
+`regression` when the change's median is worse than the parent's by more
+than the bound; `unresolved` when either side's q1-q3 spread is wider
+than the bound times its median and not every change run is better;
+`gain` when the change is ahead in at least nine pairs of ten and the
+medians differ by more than the parent's q1-q3 spread; `flat` otherwise.
+A workload whose change failed more operations than its parent is a
+`regression` on its `failed` line.
 """
 import argparse
 import json
@@ -70,6 +80,22 @@ def quartiles(values):
     return tuple(statistics.quantiles(values, n=4))
 
 
+def verdict(a, b, better, bound):
+    """The pipeline's reading of one metric: parent runs `a`, change `b`."""
+    (aq1, am, aq3), (bq1, bm, bq3) = quartiles(a), quartiles(b)
+    sign = 1 if better == "higher" else -1
+    if am and sign * (am - bm) / am > bound:
+        return "regression"
+    spread = max((aq3 - aq1) / am if am else 0, (bq3 - bq1) / bm if bm else 0)
+    every_better = all(sign * (y - x) > 0 for x, y in zip(a, b))
+    if spread > bound and not every_better:
+        return "unresolved"
+    won = sum(sign * (y - x) > 0 for x, y in zip(a, b))
+    if 10 * won >= 9 * len(a) and sign * (bm - am) > aq3 - aq1:
+        return "gain"
+    return "flat"
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent")
@@ -87,7 +113,7 @@ def main():
     command = spec["command"]
     manifest = command[command.index("--manifest-path") + 1]
     seconds = args.seconds or spec["run_seconds"]
-    metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
+    metrics = [(m["name"], m["better"], m["bound"]) for m in spec["end_to_end"]]
     exes = {side: build(path, os.path.join(args.target_root, side), manifest)
             for side, path in sides.items()}
 
@@ -116,12 +142,12 @@ def main():
         for i, p in enumerate(pairs):
             mark = "  disturbed" if p["disturbed"] else ""
             print(f"pair {i + 1} seed {p['seed']} ({p['first']} first){mark}")
-            for name, _ in metrics:
+            for name, _, _ in metrics:
                 a, b = p["parent"][name], p["change"][name]
                 ratio = f"{b / a:.3f}x" if a else "-"
                 print(f"    {name:20} parent {a:<22.17g} change {b:<22.17g} {ratio}")
         print(f"-- {workload} summary (parent -> change; median [q1, q3])")
-        for name, better in metrics:
+        for name, better, bound in metrics:
             a = [p["parent"][name] for p in pairs]
             b = [p["change"][name] for p in pairs]
             won = sum((y > x) if better == "higher" else (y < x) for x, y in zip(a, b))
@@ -130,11 +156,13 @@ def main():
             ratio = f"{bm / am:.3f}x" if am else "-"
             print(f"    {name:20} {am:.6g} [{aq1:.6g}, {aq3:.6g}] -> "
                   f"{bm:.6g} [{bq1:.6g}, {bq3:.6g}]  {ratio}  "
-                  f"change ahead in {won}/{len(pairs)}, behind in {lost}")
+                  f"change ahead in {won}/{len(pairs)}, behind in {lost}  "
+                  f"{verdict(a, b, better, bound)}")
         failed = {side: sum(p["failed"][side] for p in pairs) for side in sides}
         disturbed = [i + 1 for i, p in enumerate(pairs) if p["disturbed"]]
+        worse = "  regression" if failed["change"] > failed["parent"] else ""
         print(f"    failed: parent {failed['parent']}, change {failed['change']}; "
-              f"disturbed pairs: {disturbed or 'none'}")
+              f"disturbed pairs: {disturbed or 'none'}{worse}")
         sys.stdout.flush()
 
 
