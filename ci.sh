@@ -40,9 +40,8 @@ cargo test -q --offline --release -p faas-sim --test orchestrator_drivers
 echo "== tier 1: tests (offline) =="
 # The whole workspace, faas-live included: a debug build, so the
 # executor's locks assert their discipline (crates/live/src/exec/lock.rs,
-# DESIGN.md §10) on every path these tests run. Only the four
-# statistical tests of crates/live/tests/fidelity.rs are #[ignore]d: a
-# loaded host can miss their tolerances without anything being wrong.
+# DESIGN.md §10) on every path these tests run. Nothing is #[ignore]d:
+# live-vs-sim agreement is the live_load smoke below, not a test.
 cargo test -q --offline
 
 echo "== guard: one orchestration state machine =="
@@ -54,18 +53,22 @@ if grep -rnE 'policies\.(scaler|keepalive|prewarm)|PolicyCtx::new|evict_index' c
   exit 1
 fi
 
-echo "== guard: the live drivers own their timers =="
-# A timed event is an entry in the driver's own deadline heap
-# (crates/live/src/mailbox.rs, DESIGN.md §10), not a task: `send_at` is
-# gone, replay spawns nothing, and the host spawns exactly one task, its
-# `serve` loop.
+echo "== guard: one replay loop; the host owns its timers =="
+# Trace replay is faas_sim::run_on_clock on a wall clock (DESIGN.md §4):
+# runtime.rs drives no core and no executor of its own. The host's timed
+# events are entries in its own deadline heap (crates/live/src/mailbox.rs,
+# DESIGN.md §10), not tasks: `send_at` is gone and the host spawns
+# exactly one task, its `serve` loop.
+if grep -nE 'Orchestrator|exec::|TimedMailbox' crates/live/src/runtime.rs; then
+  echo "crates/live/src/runtime.rs: a second replay loop is growing back; call faas_sim::run_on_clock" >&2
+  exit 1
+fi
 if grep -rn 'send_at' crates/live/src; then
   echo "crates/live/src: send_at is back; schedule on the driver's TimedMailbox instead" >&2
   exit 1
 fi
-if grep -n '\.spawn(' crates/live/src/runtime.rs \
-  || grep -n '\.spawn(' crates/live/src/host.rs | grep -v 'executor\.spawn(serve('; then
-  echo "crates/live/src: a live driver spawns a task besides the host's serve loop" >&2
+if grep -n '\.spawn(' crates/live/src/host.rs | grep -v 'executor\.spawn(serve('; then
+  echo "crates/live/src: the host spawns a task besides its serve loop" >&2
   exit 1
 fi
 
@@ -132,9 +135,10 @@ if [ -e BENCH_results.json ] \
 fi
 
 echo "== tier 1: live load-gen smoke (offline) =="
-# ~1500 requests through the executor-backed live host and the
-# simulator side by side: exits non-zero on dropped requests, a missed
-# concurrency floor, or live-vs-sim divergence beyond documented noise.
+# ~1500 requests through the live replay and the simulator side by
+# side: exits non-zero on dropped requests, a missed concurrency floor,
+# or live-vs-sim divergence (class ratios, wait percentiles, GB-s)
+# beyond documented noise.
 cargo run -q --release --offline -p cidre-bench --bin live_load -- --smoke
 
 echo "== tier 1: experiments smoke (offline) =="

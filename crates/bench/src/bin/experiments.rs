@@ -19,7 +19,7 @@ fn usage() {
     eprintln!("  --seed N          workload generation seed (default: 42)");
     eprintln!("  --jobs N          worker threads for policy/cache fan-out");
     eprintln!("                    (default: 1; 0 = all cores; results identical)");
-    eprintln!("  sweep only (flags win over SWEEP_* env vars):");
+    eprintln!("  sweep only:");
     eprintln!("  --policies A,B,C  policies to sweep");
     eprintln!("  --caches-gb N,M   paper-scale cache sizes in GB");
     eprintln!("  --workload W      azure or fc");

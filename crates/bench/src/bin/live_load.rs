@@ -1,12 +1,12 @@
-//! Open-loop load generator for the live executor-backed host.
+//! Open-loop load generator for the live trace replay.
 //!
 //! Builds a seeded arrival schedule ([`faas_testkit::Arrivals`]), turns
-//! it into a trace, replays it on the live host (`faas_live`, wall
-//! clock, async executor) *and* through the deterministic simulator,
-//! then prints both sides: sustained requests/sec, p50 / p99 / p999
-//! wait, and the warm / delayed-warm / cold class split. The schedule
-//! is a pure function of the seed, so any run can be reproduced and
-//! cross-checked byte-for-byte.
+//! it into a trace, replays it on the wall clock (`faas_live::run_live`,
+//! the simulator's loop sleeping until each event is due) *and* through
+//! the deterministic simulator, then prints both sides: sustained
+//! requests/sec, p50 / p99 / p999 wait, and the warm / delayed-warm /
+//! cold class split. The schedule is a pure function of the seed, so
+//! any run can be reproduced and cross-checked byte-for-byte.
 //!
 //! Usage: `live_load [--smoke] [--seed=N] [--stack=cidre]`
 //!
@@ -242,16 +242,12 @@ fn main() -> ExitCode {
     let rps = live.requests.len() as f64 / stats.wall.as_secs_f64();
     println!(
         "  live: {} requests in {:.2} s wall = {:.0} req/s sustained; \
-         peak in-flight {}, {} workers",
+         peak in-flight {}, timer fires {}",
         live.requests.len(),
         stats.wall.as_secs_f64(),
         rps,
         stats.peak_inflight,
-        stats.workers,
-    );
-    println!(
-        "  live: peak blocking threads {}, timer fires {}",
-        stats.peak_blocking_threads, stats.timer_fires,
+        stats.timer_fires,
     );
 
     let mut ok = true;

@@ -6,13 +6,10 @@
 //! experiments sweep                        # default policies and sizes
 //! experiments sweep --policies cidre,faascache,lfu \
 //!                   --caches-gb 60,90,120 --workload fc
-//! SWEEP_POLICIES=cidre,faascache,lfu \
-//! SWEEP_CACHES_GB=60,90,120 \
-//! SWEEP_WORKLOAD=fc experiments sweep      # same, via the environment
 //! ```
 //!
-//! CLI flags (carried on [`ExpCtx::sweep`]) win over the `SWEEP_*`
-//! environment variables, which win over the built-in defaults.
+//! The flags are carried on [`ExpCtx::sweep`]; one left out takes the
+//! built-in default.
 
 use faas_metrics::Table;
 use faas_sim::StartClass;
@@ -34,39 +31,19 @@ pub fn parse_list(raw: &str) -> Vec<String> {
     out
 }
 
-/// Reads a comma-separated list from the environment. A set-but-empty
-/// variable (or one holding only separators/whitespace) is treated as
-/// unset rather than as an empty sweep.
-fn env_list(key: &str) -> Option<Vec<String>> {
-    std::env::var(key)
-        .ok()
-        .map(|v| parse_list(&v))
-        .filter(|v| !v.is_empty())
-}
-
 /// Runs the custom sweep.
 pub fn run(ctx: &ExpCtx) {
     let policies = ctx
         .sweep
         .policies
         .clone()
-        .or_else(|| env_list("SWEEP_POLICIES"))
         .unwrap_or_else(|| vec!["faascache".into(), "cidre-bss".into(), "cidre".into()]);
-    let caches: Vec<u64> = ctx
+    let caches = ctx
         .sweep
         .caches_gb
         .clone()
-        .or_else(|| {
-            env_list("SWEEP_CACHES_GB").map(|v| v.iter().filter_map(|s| s.parse().ok()).collect())
-        })
         .unwrap_or_else(|| vec![80, 100, 120]);
-    let workload =
-        ctx.sweep
-            .workload
-            .unwrap_or_else(|| match std::env::var("SWEEP_WORKLOAD").as_deref() {
-                Ok("fc") => Workload::Fc,
-                _ => Workload::Azure,
-            });
+    let workload = ctx.sweep.workload.unwrap_or(Workload::Azure);
     crate::say!(
         "== Custom sweep: {policies:?} x {caches:?} GB on {} ==",
         workload.name()

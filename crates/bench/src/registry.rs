@@ -152,7 +152,7 @@ pub fn registry() -> Vec<Experiment> {
         },
         Experiment {
             name: "sweep",
-            description: "custom policy x cache sweep (SWEEP_* env vars)",
+            description: "custom policy x cache sweep (--policies, --caches-gb, --workload)",
             run: experiments::sweep::run,
         },
     ]

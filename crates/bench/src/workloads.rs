@@ -53,8 +53,7 @@ pub enum Scale {
 }
 
 /// CLI overrides for the custom `sweep` experiment. Each field, when
-/// set, takes precedence over the corresponding `SWEEP_*` environment
-/// variable (which in turn overrides the built-in default).
+/// set, replaces the built-in default.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SweepOverrides {
     /// Policies to sweep (`--policies a,b,c`).

@@ -50,6 +50,24 @@ fn live_load_rejects_hostile_argv() {
     }
 }
 
+/// The sweep is configured by its flags alone: a stray variable named
+/// like one of them neither empties nor changes the table.
+#[test]
+fn sweep_ignores_the_environment() {
+    let out_dir = std::env::temp_dir().join(format!("cidre-sweep-{}", std::process::id()));
+    let out = Command::new(EXPERIMENTS)
+        .args(["sweep", "--tiny", "--out", out_dir.to_str().expect("utf-8")])
+        .env("SWEEP_CACHES_GB", "abc")
+        .output()
+        .unwrap_or_else(|e| panic!("cannot run {EXPERIMENTS}: {e}"));
+    let csv = std::fs::read_to_string(out_dir.join("sweep.csv"));
+    let _ = std::fs::remove_dir_all(&out_dir);
+    assert_eq!(out.status.code(), Some(0));
+    let csv = csv.expect("sweep.csv written");
+    // A header, then three policies at each of three cache sizes.
+    assert_eq!(csv.lines().count(), 1 + 3 * 3, "{csv}");
+}
+
 #[test]
 fn experiments_list_names_every_experiment() {
     let out = run(EXPERIMENTS, &["list"]);

@@ -1,5 +1,5 @@
 //! The deadline heap of the async executor's reactor ([`crate::exec`])
-//! and of the live drivers' own timers ([`crate::mailbox`]).
+//! and of the host's own timers ([`crate::mailbox`]).
 //!
 //! A [`DeadlineHeap`] orders entries by wall-clock deadline and breaks
 //! ties by **insertion order** via a monotonically increasing sequence

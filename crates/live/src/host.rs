@@ -233,10 +233,9 @@ struct Flight {
 }
 
 /// The host's sink: everything needed to act on "deliver this event at
-/// time T". Timed events go into the driver's own [`TimedMailbox`], as
-/// in trace replay; an `ExecDone` is not a timer here but a handler to
-/// run, and is delivered (as [`Msg::Returned`]) whenever that handler
-/// returns.
+/// time T". Timed events go into the driver's own [`TimedMailbox`]; an
+/// `ExecDone` is not a timer here but a handler to run, and is
+/// delivered (as [`Msg::Returned`]) whenever that handler returns.
 struct Dispatcher {
     handlers: HashMap<FunctionId, Handler>,
     exec: exec::Handle,

@@ -3,33 +3,29 @@
 //! The paper implements CIDRE inside OpenLambda and measures a running
 //! system; the rest of this workspace reproduces that with a
 //! deterministic discrete-event simulator ([`faas_sim`]). This crate is
-//! the bridge between the two: it executes a trace against the **wall
-//! clock** — arrivals injected by a real-time driver, provisioning and
-//! execution latencies realised as actual timed delays, and an
-//! orchestrator task that reacts to events in whatever order the OS
-//! delivers them.
+//! the bridge between the two: it runs the same policies against the
+//! **wall clock**, with provisioning and execution latencies realised
+//! as actual timed delays.
 //!
-//! There is no second copy of the mechanics here. Both modes below are
-//! *drivers* of [`faas_sim::Orchestrator`], the same sans-IO state
-//! machine the simulator steps on a virtual clock (DESIGN.md §4): this
-//! crate reads the wall clock, turns "deliver this event at simulated
-//! time T" into an entry of the driver's own deadline heap, woken by
-//! one timer on its own executor ([`exec`]), and — in the host — runs
-//! real handlers and answers callers. Dispatch,
-//! queueing, REPLACE, deferral, fault handling and recording are the
-//! core's, so live runs double as a fidelity check for the simulator:
-//! identical policy code and identical mechanics race against genuine
-//! asynchrony instead of a deterministic virtual clock, and the
-//! resulting class ratios should (and do — see the integration tests)
-//! agree with simulation up to timing noise.
-//!
-//! Two modes are provided:
+//! There is no second copy of the mechanics here (DESIGN.md §4). Two
+//! modes are provided:
 //!
 //! * [`run_live`] — replay a [`faas_trace::Trace`] against the wall
-//!   clock (execution latencies realised as timed delays).
+//!   clock. This is the simulator's own replay loop,
+//!   [`faas_sim::run_on_clock`], handed a clock that sleeps the
+//!   caller's thread until each event falls due.
 //! * [`FaasHost`] — a programmable host: deploy real Rust handlers,
 //!   invoke them from any thread, and receive outputs together with the
-//!   warm / delayed-warm / cold outcome the policy produced.
+//!   warm / delayed-warm / cold outcome the policy produced. It drives
+//!   [`faas_sim::Orchestrator`], the sans-IO state machine under both
+//!   loops, from a task on its own executor ([`exec`]): timed events are
+//!   entries of the driver's own deadline heap, woken by one timer, and
+//!   handlers run on the executor's blocking pool.
+//!
+//! Dispatch, queueing, REPLACE, deferral, fault handling and recording
+//! are the core's, so live runs race identical policy code and
+//! identical mechanics against genuine asynchrony instead of a
+//! deterministic virtual clock.
 //!
 //! Time is compressed by [`LiveConfig::time_scale`] so a 30-minute trace
 //! can replay in seconds; waits are reported in *simulated* time units
@@ -70,4 +66,4 @@ mod mailbox;
 mod runtime;
 
 pub use host::{FaasHost, Handler, InvokeHandle, InvokeOutcome};
-pub use runtime::{run_live, run_live_stats, run_live_traced, LiveConfig, LiveStats};
+pub use runtime::{run_live, run_live_stats, LiveConfig, LiveStats};

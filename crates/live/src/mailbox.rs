@@ -1,13 +1,12 @@
-//! The live drivers' timed mailbox: the events a driver owes itself at
-//! wall-clock deadlines, in a heap the driver owns.
+//! The host's timed mailbox: the events [`crate::FaasHost`]'s driver
+//! owes itself at wall-clock deadlines, in a heap the driver owns.
 //!
 //! "Deliver this event at time T" is a [`DeadlineHeap`] push — no lock,
 //! no allocation, no task — and the driver loop awaits
-//! [`TimedMailbox::next_timed`] (replay: timers are all there is) or
-//! [`TimedMailbox::next`] (host: timers or a channel message, whichever
-//! is first). However many events are pending, the reactor hears of
-//! one, the earliest, and only when the driver has nothing else to do:
-//! a driver kept awake by messages meets its deadlines by reading the
+//! [`TimedMailbox::next`]: a timer or a channel message, whichever is
+//! first. However many events are pending, the reactor hears of one,
+//! the earliest, and only when the driver has nothing else to do: a
+//! driver kept awake by messages meets its deadlines by reading the
 //! clock. The registration is replaced only when the earliest deadline
 //! is no longer the one it was made for.
 
@@ -56,12 +55,6 @@ impl<T> TimedMailbox<T> {
         self.heap.is_empty()
     }
 
-    /// Resolves with the earliest scheduled event once its deadline has
-    /// passed; never, while nothing is scheduled.
-    pub(crate) fn next_timed(&mut self) -> impl Future<Output = T> + '_ {
-        poll_fn(|cx| self.poll_due(cx))
-    }
-
     /// Resolves with whichever comes first: a scheduled event falling
     /// due or a message on `rx`. Due events go first — there are
     /// finitely many at any instant, while a busy channel need never
@@ -84,6 +77,9 @@ impl<T> TimedMailbox<T> {
         })
     }
 
+    /// The earliest scheduled event once its deadline has passed;
+    /// pending, with the reactor told of that deadline, until then, and
+    /// for good while nothing is scheduled.
     fn poll_due(&mut self, cx: &mut Context<'_>) -> Poll<T> {
         loop {
             if let Some(event) = self.heap.pop_due(Instant::now()) {
@@ -138,10 +134,19 @@ mod tests {
 
     const FAR: Duration = Duration::from_secs(3600);
 
+    /// The event of a wake-up that must have been for a deadline.
+    fn due<T>(next: Option<Next<T, ()>>) -> T {
+        match next {
+            Some(Next::Due(event)) => event,
+            _ => panic!("woke for a message on a silent channel"),
+        }
+    }
+
     #[test]
     fn equal_deadlines_surface_in_schedule_order() {
         let exec = Executor::new(1);
         let mut mailbox = TimedMailbox::new(exec.handle());
+        let (_tx, mut rx) = channel::channel::<()>();
         let at = Instant::now() + Duration::from_millis(5);
         mailbox.schedule(at + Duration::from_millis(1), "late");
         for name in ["a", "b", "c", "d"] {
@@ -150,7 +155,7 @@ mod tests {
         let got: Vec<_> = exec.block_on(async {
             let mut got = Vec::new();
             while !mailbox.is_empty() {
-                got.push(mailbox.next_timed().await);
+                got.push(due(mailbox.next(&mut rx).await));
             }
             got
         });
@@ -201,20 +206,21 @@ mod tests {
     fn an_earlier_deadline_is_not_held_behind_the_registered_one() {
         let exec = Executor::new(1);
         let mut mailbox = TimedMailbox::new(exec.handle());
+        let (_tx, mut rx) = channel::channel::<()>();
         let mut cx = Context::from_waker(Waker::noop());
         mailbox.schedule(Instant::now() + FAR, "far");
-        assert!(pin!(mailbox.next_timed()).poll(&mut cx).is_pending());
+        assert!(pin!(mailbox.next(&mut rx)).poll(&mut cx).is_pending());
         assert_eq!(exec.stats().peak_timers, 1);
         // Polled again with nothing new, the mailbox registers nothing.
-        assert!(pin!(mailbox.next_timed()).poll(&mut cx).is_pending());
+        assert!(pin!(mailbox.next(&mut rx)).poll(&mut cx).is_pending());
         assert_eq!(exec.stats().peak_timers, 1);
 
         mailbox.schedule(Instant::now() + Duration::from_millis(20), "near");
-        assert_eq!(exec.block_on(mailbox.next_timed()), "near");
+        assert_eq!(due(exec.block_on(mailbox.next(&mut rx))), "near");
         // The near registration replaced the far one (cancelled, and
         // deleted lazily), and "far" is registered again once it is the
         // earliest.
-        assert!(pin!(mailbox.next_timed()).poll(&mut cx).is_pending());
+        assert!(pin!(mailbox.next(&mut rx)).poll(&mut cx).is_pending());
         assert!(exec.stats().peak_timers <= 2);
         exec.shutdown();
     }
@@ -244,12 +250,13 @@ mod tests {
     fn a_dead_executor_delivers_early_instead_of_hanging() {
         let exec = Executor::new(1);
         let mut mailbox = TimedMailbox::new(exec.handle());
+        let (_tx, mut rx) = channel::channel::<()>();
         exec.shutdown();
         mailbox.schedule(Instant::now() + FAR, "far");
         let mut cx = Context::from_waker(Waker::noop());
         assert!(matches!(
-            pin!(mailbox.next_timed()).poll(&mut cx),
-            Poll::Ready("far")
+            pin!(mailbox.next(&mut rx)).poll(&mut cx),
+            Poll::Ready(Some(Next::Due("far")))
         ));
     }
 }

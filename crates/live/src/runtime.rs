@@ -1,18 +1,17 @@
-//! Live trace replay: the [`Orchestrator`] core driven by the wall clock.
+//! Live trace replay: `faas_sim`'s replay loop on the wall clock.
 //!
 //! This file owns what is particular to replaying in real time —
-//! [`LiveConfig`], [`LiveStats`], the compressed [`WallClock`], and the
-//! loop that turns "deliver at simulated time T" into an entry of its
-//! own deadline heap. The mechanics themselves are `faas-sim`'s.
+//! [`LiveConfig`], [`LiveStats`] and the compressed [`WallClock`]. The
+//! loop and the mechanics are `faas-sim`'s: [`run_live`] hands
+//! [`faas_sim::run_on_clock`] a clock that sleeps the caller's thread
+//! until each event falls due, so the replay needs no executor and
+//! holds only what is in flight, as the simulator does.
 
 use std::time::{Duration, Instant};
 
-use faas_obs::{NoopRecorder, Recorder, RingRecorder, TraceLog};
-use faas_sim::{Event, Orchestrator, PolicyStack, SimConfig, SimReport};
+use faas_obs::NoopRecorder;
+use faas_sim::{PolicyStack, SimConfig, SimReport};
 use faas_trace::{TimeDelta, TimePoint, Trace};
-
-use crate::exec;
-use crate::mailbox::TimedMailbox;
 
 /// Configuration of a live run: the cluster shape (reusing
 /// [`SimConfig`]) plus the real-seconds-per-simulated-second scale.
@@ -23,10 +22,10 @@ pub struct LiveConfig {
     /// Real seconds per simulated second. `0.001` replays a simulated
     /// minute in 60 real milliseconds.
     pub time_scale: f64,
-    /// Poll threads of the async executor. In-flight requests are
-    /// entries in the orchestrator loop's queues, and that loop is the
-    /// executor's only task ([`run_live`] runs it on the caller's thread
-    /// instead), so at most one of these threads is busy at a time.
+    /// Poll threads of [`crate::FaasHost`]'s async executor. In-flight
+    /// requests are entries in the host loop's queues, and that loop is
+    /// the executor's only task, so at most one of these threads is busy
+    /// at a time. [`run_live`] runs on the caller's thread and uses none.
     pub exec_threads: usize,
 }
 
@@ -58,7 +57,7 @@ impl LiveConfig {
         self
     }
 
-    /// Sets the executor poll-thread count (at least 1).
+    /// Sets the host executor's poll-thread count (at least 1).
     pub fn exec_threads(mut self, threads: usize) -> Self {
         self.exec_threads = threads.max(1);
         self
@@ -70,7 +69,7 @@ impl LiveConfig {
     /// are `pub`, so literal construction can bypass builder checks —
     /// a non-finite or non-positive `time_scale` would otherwise turn
     /// into `Duration::from_secs_f64` panics (or a zero-length sleep
-    /// for *every* deadline) deep inside the event loop.
+    /// for *every* deadline) deep inside the replay loop.
     ///
     /// # Panics
     ///
@@ -84,33 +83,27 @@ impl LiveConfig {
     }
 }
 
-/// Concurrency statistics from a live run, returned by
-/// [`run_live_stats`] alongside the report.
+/// Statistics of a live replay, returned by [`run_live_stats`]
+/// alongside the report.
 #[derive(Debug, Clone, Copy)]
 pub struct LiveStats {
-    /// High-water mark of arrived-but-unserved requests.
+    /// High-water mark of arrived-but-unserved requests, swept from the
+    /// report's records: each is in flight from its arrival until
+    /// `arrival + wait + exec`.
     pub peak_inflight: u64,
-    /// High-water mark of live executor tasks. Scheduled events are
-    /// entries in the driver's own heap, not tasks, and the replay loop
-    /// runs under `block_on`: 0 for a replay, however long the trace.
+    /// Always 0: a replay runs on the caller's thread and spawns no
+    /// task. Kept for callers written against the executor-backed
+    /// replay this one replaced.
     pub peak_tasks: usize,
-    /// High-water mark of concurrently registered reactor timers: the
-    /// driver registers only its earliest deadline, so 1 for a replay.
-    pub peak_timers: usize,
-    /// Times the reactor woke the driver over the run. Events that fall
-    /// due together, or while the driver is already awake, share a
-    /// wake-up, so this is at most — and under load well below — the
-    /// number of scheduled events.
+    /// Times the replay slept for an event to fall due. An event already
+    /// due when the loop reaches it takes no sleep, so this is at most —
+    /// and under load well below — the number of events stepped.
     pub timer_fires: u64,
-    /// High-water mark of blocking-pool threads.
-    pub peak_blocking_threads: usize,
-    /// Executor poll threads used.
-    pub workers: usize,
     /// Real elapsed time of the replay.
     pub wall: Duration,
 }
 
-/// Replays `trace` on the live host under `stack`, returning the same
+/// Replays `trace` on the wall clock under `stack`, returning the same
 /// report shape as [`faas_sim::run`] (waits in simulated time units).
 ///
 /// # Panics
@@ -122,7 +115,7 @@ pub fn run_live(trace: &Trace, config: &LiveConfig, stack: PolicyStack) -> SimRe
 }
 
 /// Like [`run_live`], additionally returning [`LiveStats`] measured by
-/// the host itself (so callers need no wall clock of their own).
+/// the replay itself (so callers need no wall clock of their own).
 ///
 /// # Panics
 ///
@@ -132,109 +125,42 @@ pub fn run_live_stats(
     config: &LiveConfig,
     stack: PolicyStack,
 ) -> (SimReport, LiveStats) {
-    let (report, stats, _) = run_live_with(trace, config, stack, NoopRecorder);
+    config.validate();
+    let mut clock = WallClock::start(config.time_scale);
+    let mut timer_fires = 0;
+    let (report, _) = faas_sim::run_on_clock(trace, &config.sim, stack, NoopRecorder, |at| {
+        let early = clock.deadline(at).saturating_duration_since(Instant::now());
+        if !early.is_zero() {
+            std::thread::sleep(early);
+            timer_fires += 1;
+        }
+        // Never before `at`, however the reading rounds.
+        at.max(clock.now())
+    });
+    let stats = LiveStats {
+        peak_inflight: peak_inflight(&report),
+        peak_tasks: 0,
+        timer_fires,
+        wall: clock.start.elapsed(),
+    };
     (report, stats)
 }
 
-/// Like [`run_live_stats`], additionally recording a provenance
-/// [`TraceLog`]. Event timestamps are virtual times derived from the
-/// wall clock, so unlike the simulators the stream varies run to run —
-/// the point of live tracing is inspecting *one* real execution
-/// (waterfalls, Chrome export), not cross-run comparison.
-///
-/// # Panics
-///
-/// As [`run_live`].
-pub fn run_live_traced(
-    trace: &Trace,
-    config: &LiveConfig,
-    stack: PolicyStack,
-) -> (SimReport, LiveStats, TraceLog) {
-    run_live_with(trace, config, stack, RingRecorder::unbounded())
-}
-
-fn run_live_with<R: Recorder>(
-    trace: &Trace,
-    config: &LiveConfig,
-    stack: PolicyStack,
-    rec: R,
-) -> (SimReport, LiveStats, TraceLog) {
-    config.validate();
-    let executor = exec::Executor::new(config.exec_threads);
-    let wall_start = Instant::now();
-    let (report, peak_inflight, log) =
-        executor.block_on(replay(trace, config, stack, executor.handle(), rec));
-    let wall = wall_start.elapsed();
-    let stats = executor.stats();
-    executor.shutdown();
-    (
-        report,
-        LiveStats {
-            peak_inflight,
-            peak_tasks: stats.peak_tasks,
-            peak_timers: stats.peak_timers,
-            timer_fires: stats.timer_fires,
-            peak_blocking_threads: stats.peak_blocking_threads,
-            workers: stats.workers,
-            wall,
-        },
-        log,
-    )
-}
-
-/// The replay driver: the [`Orchestrator`] core on the wall clock.
-/// Every event the core schedules — and, up front, every arrival and
-/// crash of the trace — goes into this loop's own [`TimedMailbox`], so
-/// the whole trace sits in one heap behind one reactor registration,
-/// not in tasks or OS threads; the loop steps each event when its
-/// deadline passes, stamped with the clock's reading.
-async fn replay<R: Recorder>(
-    trace: &Trace,
-    config: &LiveConfig,
-    stack: PolicyStack,
-    exec: exec::Handle,
-    rec: R,
-) -> (SimReport, u64, TraceLog) {
-    let mut core = Orchestrator::new(trace.functions().iter().cloned(), &config.sim, stack, rec);
-    let mut clock = WallClock::start(config.time_scale);
-    let mut timers = TimedMailbox::new(exec);
-    {
-        let mut out = |at: TimePoint, ev: Event| timers.schedule(clock.deadline(at), ev);
-        core.admit_trace(trace, &mut out);
-        if !trace.is_empty() {
-            out(TimePoint::ZERO + config.sim.tick, Event::Tick);
-        }
-        core.schedule_crashes(&mut out);
+/// The most requests in flight at once: one sorted sweep over every
+/// record's arrival (+1) and end (−1), ends first on a tie.
+fn peak_inflight(report: &SimReport) -> u64 {
+    let mut edges: Vec<(TimePoint, i64)> = report
+        .requests
+        .iter()
+        .flat_map(|r| [(r.arrival, 1), (r.arrival + r.e2e(), -1)])
+        .collect();
+    edges.sort_unstable();
+    let (mut inflight, mut peak) = (0i64, 0i64);
+    for (_, step) in edges {
+        inflight += step;
+        peak = peak.max(inflight);
     }
-    let total = core.incomplete();
-    let mut peak_inflight = 0;
-    while core.incomplete() > 0 {
-        // Never empty here: the tick chain outlives the last request.
-        let ev = timers.next_timed().await;
-        let now = clock.now();
-        core.step(now, ev, &mut |at, ev| {
-            timers.schedule(clock.deadline(at), ev)
-        });
-        if ev == Event::Tick && core.incomplete() > 0 {
-            if timers.is_empty() {
-                // As in the simulator's loop: with only the tick chain
-                // left, deferred placements are the last possible
-                // source of progress.
-                core.retry_deferred(&mut |at, ev| timers.schedule(clock.deadline(at), ev));
-            }
-            assert!(
-                !timers.is_empty(),
-                "live replay is stuck: {} unserved request(s) but no actionable events remain",
-                core.incomplete()
-            );
-            timers.schedule(clock.deadline(now + config.sim.tick), Event::Tick);
-        }
-        // Arrived but not finished: the "concurrent in-flight" statistic.
-        let finished = total - core.incomplete();
-        peak_inflight = peak_inflight.max(core.arrived() - finished);
-    }
-    let (report, log) = core.finish();
-    (report, peak_inflight, log)
+    peak.unsigned_abs()
 }
 
 /// The wall clock read in simulated time: real time since `start`,
@@ -278,8 +204,9 @@ impl WallClock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faas_obs::ObsEvent;
-    use faas_sim::{baseline_lru_stack, FaultPlan, StartClass, WorkerId};
+    use cidre_core::{cidre_stack, CidreConfig};
+    use faas_policies::faascache_stack;
+    use faas_sim::{baseline_lru_stack, run, FaultPlan, StartClass, WorkerId};
     use faas_trace::{gen, FunctionId, FunctionProfile, Invocation};
 
     fn tiny_trace() -> Trace {
@@ -304,7 +231,9 @@ mod tests {
         // 1 simulated ms = 100 real µs: the 550 ms trace replays in
         // ~55 ms of real time, and the second arrival comes 35 ms after
         // the first request is done — room enough on a loaded test host.
-        let config = LiveConfig::default().time_scale(0.1);
+        // A 1 s tick ends the replay 100 ms after the last request.
+        let sim = SimConfig::default().tick(TimeDelta::from_secs(1));
+        let config = LiveConfig::default().sim(sim).time_scale(0.1);
         let report = run_live(&tiny_trace(), &config, baseline_lru_stack());
         assert_eq!(report.requests.len(), 2);
         assert_eq!(report.requests[0].class, StartClass::Cold);
@@ -326,6 +255,42 @@ mod tests {
             + report.ratio(StartClass::Cold)
             + report.ratio(StartClass::DelayedWarm);
         assert!((total - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn cold_waits_cover_provisioning_latency() {
+        // No event is stepped before it is due, on either clock: a cold
+        // start waits at least its function's provisioning latency, to
+        // the microsecond.
+        let trace = gen::fc(4)
+            .functions(6)
+            .minutes(1)
+            .rate_per_function(0.5)
+            .build();
+        let sim = SimConfig::with_cache_gb(6);
+        let live = LiveConfig::default().sim(sim.clone()).time_scale(0.002);
+        let stacks: [fn() -> PolicyStack; 2] =
+            [faascache_stack, || cidre_stack(CidreConfig::default())];
+        for mk in stacks {
+            let reports = [
+                ("run", run(&trace, &sim, mk())),
+                ("run_live", run_live(&trace, &live, mk())),
+            ];
+            for (driver, report) in reports {
+                let cold = report
+                    .requests
+                    .iter()
+                    .filter(|r| r.class == StartClass::Cold);
+                for r in cold {
+                    let latency = trace.function(r.func).expect("profile").cold_start;
+                    assert!(
+                        r.wait >= latency,
+                        "{driver}: cold wait {:?} < provisioning {latency:?}",
+                        r.wait
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -369,9 +334,7 @@ mod tests {
     #[test]
     fn stats_count_concurrent_inflight_requests() {
         // 200 simultaneous arrivals: every request is in flight at once
-        // before any is served — and all 200 wait in the driver's own
-        // heap, so the executor sees no task and the reactor one
-        // registration at a time, however many arrivals are pending.
+        // before any is served, and the replay spawns nothing for them.
         let f = FunctionProfile::new(FunctionId(0), "f", 128, TimeDelta::from_millis(20));
         let invs = (0..200)
             .map(|_| Invocation {
@@ -381,35 +344,13 @@ mod tests {
             })
             .collect();
         let trace = Trace::new(vec![f], invs).expect("valid");
-        let config = LiveConfig::default().time_scale(0.02).exec_threads(2);
+        let config = LiveConfig::default().time_scale(0.02);
         let (report, stats) = run_live_stats(&trace, &config, baseline_lru_stack());
         assert_eq!(report.requests.len(), 200);
         assert_eq!(stats.peak_inflight, 200);
-        assert!(
-            stats.peak_tasks <= 2 && stats.peak_timers <= 2,
-            "a pending arrival is a heap entry, not a task or a timer: \
-             peak_tasks {}, peak_timers {}",
-            stats.peak_tasks,
-            stats.peak_timers
-        );
-        assert_eq!(stats.workers, 2);
+        assert_eq!(stats.peak_tasks, 0);
+        assert!(stats.timer_fires > 0, "the replay sleeps until 2 s");
         assert!(stats.wall > Duration::ZERO);
-    }
-
-    #[test]
-    fn traced_run_records_request_lifecycle() {
-        let config = LiveConfig::default().time_scale(0.1);
-        let (report, stats, log) = run_live_traced(&tiny_trace(), &config, baseline_lru_stack());
-        assert_eq!(report.requests.len(), 2);
-        assert!(stats.timer_fires > 0, "scheduled events fire via timers");
-        let count = |pred: fn(&ObsEvent) -> bool| log.events().iter().filter(|e| pred(e)).count();
-        assert_eq!(count(|e| matches!(e, ObsEvent::Start { .. })), 2);
-        assert_eq!(count(|e| matches!(e, ObsEvent::Finish { .. })), 2);
-        // The first request cold-started: admission + provisioning
-        // provenance must be on the trace.
-        assert!(count(|e| matches!(e, ObsEvent::Admit { .. })) >= 1);
-        assert_eq!(count(|e| matches!(e, ObsEvent::ProvisionBegin { .. })), 1);
-        assert_eq!(log.waterfalls().len(), 2);
     }
 
     #[test]
@@ -461,13 +402,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "live replay is stuck: 1 unserved request(s)")]
+    #[should_panic(expected = "replay is stuck: 1 unserved request(s)")]
     fn a_request_nothing_can_ever_serve_stops_the_replay() {
         // The only worker crashes before the request arrives: its
-        // provision is deferred for good. The replay owns its schedule,
-        // so after the next tick it can see that the tick chain is all
-        // that is left and say so (as the simulator does) instead of
-        // ticking forever.
+        // provision is deferred for good. After the next tick the replay
+        // sees that the tick chain is all that is left and says so
+        // instead of ticking forever.
         let f = FunctionProfile::new(FunctionId(0), "f", 128, TimeDelta::from_millis(100));
         let invs = vec![Invocation {
             func: FunctionId(0),

@@ -130,25 +130,6 @@ impl Cdf {
         None
     }
 
-    /// Mean absolute difference between this CDF's and `other`'s
-    /// quantile functions, sampled at `steps` evenly spaced probabilities
-    /// — the 1-Wasserstein (earth mover's) distance between the two
-    /// empirical distributions, in the samples' units. Used to quantify
-    /// simulator-vs-live-host fidelity. Returns `None` if either CDF is
-    /// empty or `steps` is zero.
-    pub fn wasserstein_distance(&self, other: &Cdf, steps: usize) -> Option<f64> {
-        if self.is_empty() || other.is_empty() || steps == 0 {
-            return None;
-        }
-        let total: f64 = (0..steps)
-            .map(|i| {
-                let q = (i as f64 + 0.5) / steps as f64;
-                (self.quantile(q) - other.quantile(q)).abs()
-            })
-            .sum();
-        Some(total / steps as f64)
-    }
-
     /// Evenly spaced `(x, F(x))` points suitable for plotting or CSV dumps.
     ///
     /// Returns an empty vector for an empty CDF.
@@ -232,27 +213,6 @@ mod tests {
         let b = Cdf::from_samples([11.0, 12.0, 13.0]);
         // a is entirely below b: a's CDF is always >= b's, no sign change.
         assert_eq!(a.crossover_with(&b, 100), None);
-    }
-
-    #[test]
-    fn wasserstein_of_identical_is_zero() {
-        let a = Cdf::from_samples((0..100).map(f64::from));
-        assert_eq!(a.wasserstein_distance(&a, 50), Some(0.0));
-    }
-
-    #[test]
-    fn wasserstein_of_shifted_is_the_shift() {
-        let a = Cdf::from_samples((0..1000).map(f64::from));
-        let b = Cdf::from_samples((0..1000).map(|i| i as f64 + 10.0));
-        let d = a.wasserstein_distance(&b, 200).expect("non-empty");
-        assert!((d - 10.0).abs() < 0.5, "distance {d}");
-    }
-
-    #[test]
-    fn wasserstein_empty_is_none() {
-        let a = Cdf::from_samples([1.0]);
-        assert_eq!(a.wasserstein_distance(&Cdf::new(), 10), None);
-        assert_eq!(a.wasserstein_distance(&a, 0), None);
     }
 
     #[test]

@@ -105,15 +105,6 @@ impl PercentileSink {
             .find(|e| e.quantile() == q)
             .and_then(P2Quantile::estimate)
     }
-
-    /// All tracked quantiles with their current estimates, in the
-    /// order they were configured; empty while no samples exist.
-    pub fn estimates(&self) -> Vec<(f64, f64)> {
-        self.estimators
-            .iter()
-            .filter_map(|e| e.estimate().map(|v| (e.quantile(), v)))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -144,11 +135,9 @@ mod tests {
         let mut sink = PercentileSink::latency();
         assert_eq!(sink.quantile(0.99), None, "no samples yet");
         assert_eq!(sink.mean(), None);
-        assert!(sink.estimates().is_empty());
         sink.record(1.0);
         assert!(sink.quantile(0.99).is_some());
         assert_eq!(sink.quantile(0.95), None, "never configured");
-        assert_eq!(sink.estimates().len(), 3);
     }
 
     #[test]

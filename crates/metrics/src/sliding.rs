@@ -75,11 +75,6 @@ impl SlidingWindow {
         }
     }
 
-    /// The configured window span, or `None` when unbounded.
-    pub fn span(&self) -> Option<u64> {
-        self.window
-    }
-
     /// Records an observation at time `now`.
     ///
     /// Timestamps are expected to be non-decreasing, but wall-clock

@@ -1,18 +1,22 @@
-//! The sequential discrete-event driver: the [`Orchestrator`] core under
-//! a virtual clock.
+//! The trace-replay driver: the [`Orchestrator`] core under a clock the
+//! caller passes to [`run_on_clock`]. [`run`] and [`run_traced`] pass
+//! the identity, which makes this the discrete-event simulator; the
+//! live replay of `faas_live` passes a clock that sleeps until each
+//! event falls due. Everything below holds for both.
 //!
 //! Two time-ordered sources feed the core. **Arrivals** are read straight
 //! off the trace — it is sorted by `(arrival, func)` — through a cursor,
 //! and a request is admitted to the core at the moment it arrives.
 //! **Everything the core asks to have delivered** goes onto one
-//! [`EventQueue`] (FIFO within a timestamp) and comes back at exactly
+//! [`EventQueue`] (FIFO within a timestamp) and comes back in order of
 //! the requested time. Each turn takes whichever is earlier, the arrival
-//! on a tie. That is what makes runs deterministic and the goldens
-//! possible, and it keeps the per-event cost a function of what is in
-//! flight: the heap holds one entry per running execution, provisioning
-//! container, retry in backoff and pending crash, plus the tick, and
-//! the core's request window holds the requests that have arrived and
-//! not finished — neither ever holds the trace.
+//! on a tie, and steps it at `clock(at)` — under the identity, exactly
+//! the requested time. That is what makes runs deterministic and the
+//! goldens possible, and it keeps the per-event cost a function of what
+//! is in flight: the heap holds one entry per running execution,
+//! provisioning container, retry in backoff and pending crash, plus the
+//! tick, and the core's request window holds the requests that have
+//! arrived and not finished — neither ever holds the trace.
 //!
 //! The merge is exact, not approximate. Were every arrival pushed onto
 //! the queue before the first step (the reference driver in
@@ -58,7 +62,7 @@ use crate::report::SimReport;
 /// assert_eq!(report.requests.len(), trace.len());
 /// ```
 pub fn run(trace: &Trace, config: &SimConfig, stack: PolicyStack) -> SimReport {
-    drive(trace, config, stack, NoopRecorder).0
+    run_on_clock(trace, config, stack, NoopRecorder, |at| at).0
 }
 
 /// Runs `trace` like [`run`] while recording the structured trace:
@@ -80,14 +84,42 @@ pub fn run(trace: &Trace, config: &SimConfig, stack: PolicyStack) -> SimReport {
 /// assert!(!log.is_empty());
 /// ```
 pub fn run_traced(trace: &Trace, config: &SimConfig, stack: PolicyStack) -> (SimReport, TraceLog) {
-    drive(trace, config, stack, RingRecorder::unbounded())
+    run_on_clock(trace, config, stack, RingRecorder::unbounded(), |at| at)
 }
 
-fn drive<R: Recorder>(
+/// The replay loop of [`run`] and [`run_traced`] with the clock as an
+/// argument: every event due at `at` — a streamed arrival or a popped
+/// event — is stepped at `clock(at)`. The identity clock is the
+/// simulator; a clock that sleeps until `at` falls due on the wall
+/// clock and returns its reading is a live replay (`faas_live`).
+///
+/// `clock` must not return less than `at`, nor less than it returned
+/// before: the core's time never runs backwards.
+///
+/// # Panics
+///
+/// As [`run`].
+///
+/// # Examples
+///
+/// ```
+/// use faas_obs::NoopRecorder;
+/// use faas_sim::{run, run_on_clock, baseline_lru_stack, SimConfig};
+/// use faas_trace::{gen, TimeDelta};
+///
+/// let trace = gen::azure(1).functions(5).minutes(1).build();
+/// let config = SimConfig::default();
+/// // Every event a millisecond late: same requests, longer waits.
+/// let late = |at| at + TimeDelta::from_millis(1);
+/// let (report, _) = run_on_clock(&trace, &config, baseline_lru_stack(), NoopRecorder, late);
+/// assert_eq!(report.requests.len(), trace.len());
+/// ```
+pub fn run_on_clock<R: Recorder>(
     trace: &Trace,
     config: &SimConfig,
     stack: PolicyStack,
     rec: R,
+    mut clock: impl FnMut(TimePoint) -> TimePoint,
 ) -> (SimReport, TraceLog) {
     let mut core = Orchestrator::new(trace.functions().iter().cloned(), config, stack, rec);
     let mut events = EventQueue::new();
@@ -98,7 +130,7 @@ fn drive<R: Recorder>(
     // Arrivals not yet streamed into the core, earliest first.
     let mut arrivals = trace.invocations();
     loop {
-        let (now, ev) = match arrivals.first() {
+        let (at, ev) = match arrivals.first() {
             Some(inv) if events.peek_time().is_none_or(|t| inv.arrival <= t) => {
                 arrivals = &arrivals[1..];
                 let rid = core.admit(inv.func, inv.arrival, Some(inv.exec));
@@ -109,6 +141,7 @@ fn drive<R: Recorder>(
                 None => break,
             },
         };
+        let now = clock(at);
         core.step(now, ev, &mut |at, ev| events.push(at, ev));
         if ev == Event::Tick && core.incomplete() + arrivals.len() as u64 > 0 {
             if events.is_empty() && arrivals.is_empty() {
@@ -120,7 +153,7 @@ fn drive<R: Recorder>(
                 core.retry_deferred(&mut |at, ev| events.push(at, ev));
                 assert!(
                     !events.is_empty(),
-                    "simulation is stuck: {} unserved request(s) but no actionable events remain",
+                    "replay is stuck: {} unserved request(s) but no actionable events remain",
                     core.incomplete()
                 );
             }

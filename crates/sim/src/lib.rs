@@ -77,7 +77,7 @@ mod request;
 pub use cluster::{ClusterState, FnRuntime, FnStats, PolicyCtx, Worker};
 pub use config::{Placement, ScanMode, SimConfig};
 pub use container::{Container, ContainerInfo, ContainerState};
-pub use engine::{run, run_traced};
+pub use engine::{run, run_on_clock, run_traced};
 pub use event::{Event, EventQueue};
 /// The hasher of every id-keyed map on a per-event path, re-exported so
 /// policy crates need no dependency on `faas-core` to name it.

@@ -38,7 +38,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use faas_core::{EvictionIndex, IdBuildHasher, RoundHeap};
 use faas_metrics::TimeSeries;
 use faas_obs::{EvictReason, ObsEvent, Recorder, TraceLog};
-use faas_trace::{FunctionId, FunctionProfile, TimeDelta, TimePoint, Trace};
+use faas_trace::{FunctionId, FunctionProfile, TimeDelta, TimePoint};
 
 use crate::cluster::{ClusterState, PolicyCtx};
 use crate::config::{ScanMode, SimConfig};
@@ -77,10 +77,9 @@ enum RoundVictims {
 /// (DESIGN.md §12): with [`faas_obs::NoopRecorder`] monomorphization
 /// folds every emission site to nothing.
 ///
-/// A driver admits requests ([`Orchestrator::admit`] as they arrive, or
-/// [`Orchestrator::admit_trace`] for a whole trace up front), feeds
-/// events in whatever order and at whatever (non-decreasing) times its
-/// clock produces them ([`Orchestrator::step`]), re-arms [`Event::Tick`]
+/// A driver admits requests ([`Orchestrator::admit`]), feeds events in
+/// whatever order and at whatever (non-decreasing) times its clock
+/// produces them ([`Orchestrator::step`]), re-arms [`Event::Tick`]
 /// itself, and takes the report when [`Orchestrator::incomplete`]
 /// reaches zero ([`Orchestrator::finish`]).
 ///
@@ -94,7 +93,7 @@ enum RoundVictims {
 ///
 /// ```
 /// use faas_obs::NoopRecorder;
-/// use faas_sim::{baseline_lru_stack, EventQueue, Orchestrator, SimConfig};
+/// use faas_sim::{baseline_lru_stack, Event, EventQueue, Orchestrator, SimConfig};
 /// use faas_trace::gen;
 ///
 /// let trace = gen::azure(1).functions(3).minutes(1).build();
@@ -105,7 +104,10 @@ enum RoundVictims {
 ///     NoopRecorder,
 /// );
 /// let mut events = EventQueue::new();
-/// core.admit_trace(&trace, &mut |at, ev| events.push(at, ev));
+/// for inv in trace.invocations() {
+///     let rid = core.admit(inv.func, inv.arrival, Some(inv.exec));
+///     events.push(inv.arrival, Event::Arrival(rid));
+/// }
 /// while let Some((now, ev)) = events.pop() {
 ///     core.step(now, ev, &mut |at, ev| events.push(at, ev));
 /// }
@@ -261,19 +263,6 @@ impl<R: Recorder> Orchestrator<R> {
         rid
     }
 
-    /// Admits every invocation of `trace` in trace order and schedules
-    /// its arrival through `out`: for a driver that wants all arrivals on
-    /// its own queue (the wall-clock replay paces them from there; the
-    /// reference driver of `tests/orchestrator_drivers.rs` is defined by
-    /// it). The request window then starts at the length of the trace.
-    pub fn admit_trace(&mut self, trace: &Trace, out: &mut impl FnMut(TimePoint, Event)) {
-        self.requests.reserve(trace.len());
-        for inv in trace.invocations() {
-            let rid = self.admit(inv.func, inv.arrival, Some(inv.exec));
-            out(inv.arrival, Event::Arrival(rid));
-        }
-    }
-
     /// Schedules the fault plan's worker crashes through `out`.
     ///
     /// # Panics
@@ -360,11 +349,6 @@ impl<R: Recorder> Orchestrator<R> {
     /// Admitted requests that have not finished executing.
     pub fn incomplete(&self) -> u64 {
         self.incomplete
-    }
-
-    /// Arrival events processed so far.
-    pub fn arrived(&self) -> u64 {
-        self.arrived
     }
 
     /// The cluster bookkeeping, for invariant checks and inspection.
@@ -1212,7 +1196,7 @@ mod tests {
     use crate::policy::{AlwaysCold, KeepAlive, Scaler};
     use crate::request::RequestInfo;
     use crate::run;
-    use faas_trace::Invocation;
+    use faas_trace::{Invocation, Trace};
 
     /// LRU keep-alive used as the test harness policy.
     #[derive(Debug, Default)]

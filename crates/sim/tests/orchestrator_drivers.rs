@@ -11,6 +11,8 @@
 //! * The **sans-IO property**: the core's behaviour is a function of its
 //!   input sequence alone, so replaying a logged run into a fresh core
 //!   whose sink discards everything reproduces report and trace exactly.
+//!   So does the replay loop itself: `run_on_clock` fed the clock
+//!   readings a late-clock run logged reproduces that run.
 //! * The **reference driver** ([`reference_run`]): every request admitted
 //!   and every arrival on the `EventQueue` before the first step. The
 //!   engine streams arrivals past the queue instead; the property above
@@ -22,9 +24,9 @@ use std::collections::{BTreeMap, HashMap};
 
 use faas_obs::{NoopRecorder, RingRecorder, TraceLog};
 use faas_sim::{
-    baseline_lru_stack, run_traced, ContainerId, ContainerInfo, Event, EventQueue, FaultPlan,
-    KeepAlive, LruKeepAlive, Orchestrator, PolicyCtx, PolicyStack, RequestId, RequestInfo,
-    ScaleDecision, Scaler, SimConfig, SimReport, WorkerId,
+    baseline_lru_stack, run_on_clock, run_traced, ContainerId, ContainerInfo, Event, EventQueue,
+    FaultPlan, KeepAlive, LruKeepAlive, Orchestrator, PolicyCtx, PolicyStack, RequestId,
+    RequestInfo, ScaleDecision, Scaler, SimConfig, SimReport, WorkerId,
 };
 use faas_testkit::{Checker, Gen, Rng};
 use faas_trace::{FunctionId, FunctionProfile, Invocation, TimeDelta, TimePoint, Trace};
@@ -313,8 +315,8 @@ fn fresh_core(
 
 /// The **reference driver** the streamed `run_traced` must equal byte
 /// for byte: the sequential driver as it was before arrivals streamed —
-/// `admit_trace` up front, every arrival on the `EventQueue` ahead of
-/// anything the core schedules — logging every input it feeds.
+/// every request admitted up front, every arrival on the `EventQueue`
+/// ahead of anything the core schedules — logging every input it feeds.
 fn reference_run(
     label: &str,
     trace: &Trace,
@@ -324,7 +326,10 @@ fn reference_run(
     let mut log = Vec::new();
     let mut core = fresh_core(trace, config, policies);
     let mut events = EventQueue::new();
-    core.admit_trace(trace, &mut |at, ev| events.push(at, ev));
+    for inv in trace.invocations() {
+        let rid = core.admit(inv.func, inv.arrival, Some(inv.exec));
+        events.push(inv.arrival, Event::Arrival(rid));
+    }
     events.push(TimePoint::ZERO + config.tick, Event::Tick);
     core.schedule_crashes(&mut |at, ev| events.push(at, ev));
     while let Some((now, ev)) = events.pop() {
@@ -348,6 +353,8 @@ fn replaying_the_input_log_reproduces_report_and_trace() {
     checker("replaying_the_input_log_reproduces_report_and_trace").run(|g| {
         let trace = arb_trace(g);
         let config = arb_config(g);
+        let max_late = g.u64(0..200_000);
+        let late_seed = g.u64(0..1 << 32);
         for (label, _) in stacks() {
             let stack = |label: &str| {
                 stacks()
@@ -371,7 +378,9 @@ fn replaying_the_input_log_reproduces_report_and_trace() {
 
             // Replay: same inputs, every output discarded.
             let mut replay = fresh_core(&trace, &config, stack(label));
-            replay.admit_trace(&trace, &mut |_, _| {});
+            for inv in trace.invocations() {
+                replay.admit(inv.func, inv.arrival, Some(inv.exec));
+            }
             for input in log {
                 match input {
                     Input::Step(now, ev) => replay.step(now, ev, &mut |_, _| {}),
@@ -381,6 +390,37 @@ fn replaying_the_input_log_reproduces_report_and_trace() {
             let (replayed, replayed_obs) = replay.finish();
             assert_eq!(format!("{replayed:?}"), format!("{report:?}"), "{label}");
             assert_eq!(replayed_obs, obs, "{label}: trace log vs replay");
+
+            // The replay loop on a seeded late clock, logging what the
+            // clock read; fed those readings, a second run is the first.
+            let mut late = Rng::seed_from_u64(late_seed);
+            let (mut last, mut readings) = (TimePoint::ZERO, Vec::new());
+            let (late_report, late_obs) = run_on_clock(
+                &trace,
+                &config,
+                stack(label),
+                RingRecorder::unbounded(),
+                |at| {
+                    last = last.max(at + TimeDelta::from_micros(late.u64_below(max_late + 1)));
+                    readings.push(last);
+                    last
+                },
+            );
+            let mut logged = readings.into_iter();
+            let (again, again_obs) = run_on_clock(
+                &trace,
+                &config,
+                stack(label),
+                RingRecorder::unbounded(),
+                |_| logged.next().expect("a reading per step"),
+            );
+            assert!(logged.next().is_none(), "{label}: readings left over");
+            assert_eq!(
+                format!("{again:?}"),
+                format!("{late_report:?}"),
+                "{label}: late clock"
+            );
+            assert_eq!(again_obs, late_obs, "{label}: trace log, late clock");
         }
     });
 }

@@ -63,12 +63,6 @@ impl Rng {
         result
     }
 
-    /// Derives an independent generator (for per-worker / per-scenario
-    /// streams) without correlating with this generator's future output.
-    pub fn split(&mut self) -> Rng {
-        Rng::seed_from_u64(self.next_u64() ^ 0x1234_5678_9ABC_DEF0)
-    }
-
     /// Uniform `f64` in `[0, 1)` (53 bits of precision).
     pub fn f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
@@ -313,14 +307,5 @@ mod tests {
             }
         }
         assert!(ones > 800, "ones {ones}");
-    }
-
-    #[test]
-    fn split_streams_are_independent() {
-        let mut a = Rng::seed_from_u64(10);
-        let mut b = a.split();
-        let xs: Vec<u64> = (0..8).map(|_| a.next_u64()).collect();
-        let ys: Vec<u64> = (0..8).map(|_| b.next_u64()).collect();
-        assert_ne!(xs, ys);
     }
 }

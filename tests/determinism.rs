@@ -164,8 +164,8 @@ fn experiment_csv_outputs_match_pinned_goldens() {
     let mut ctx = cidre_bench::ExpCtx::tiny();
     ctx.out_dir = out.clone();
     ctx.jobs = 2;
-    // Pin the sweep inputs explicitly so stray SWEEP_* environment
-    // variables cannot perturb the golden outputs.
+    // Pin the sweep inputs explicitly, as the CLI flags would, so a
+    // change of the built-in defaults cannot perturb the golden outputs.
     ctx.sweep = cidre_bench::SweepOverrides {
         policies: Some(vec!["faascache".into(), "cidre-bss".into(), "cidre".into()]),
         caches_gb: Some(vec![80, 100, 120]),
