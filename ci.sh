@@ -87,6 +87,16 @@ if grep -nE 'BTreeMap<ContainerId, *Container>' crates/sim/src/cluster.rs; then
   exit 1
 fi
 
+echo "== guard: per-function state is indexed by slot =="
+# DESIGN.md §7: a function's runtime and profile sit at its slot in the
+# sorted id list, built whole at construction; ClusterState::slot finds
+# it directly for dense ids and by binary search otherwise. A hash probe
+# per lookup does not come back.
+if grep -nE '(fns|profiles): *HashMap' crates/sim/src/cluster.rs; then
+  echo "crates/sim/src/cluster.rs: per-function state is hashed again; index it by slot (DESIGN.md §7)" >&2
+  exit 1
+fi
+
 echo "== guard: container state is kept once =="
 # DESIGN.md §7: who is idle, who has a free thread and who is
 # provisioning is the container's own state. The worker's idle set is

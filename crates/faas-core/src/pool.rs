@@ -9,7 +9,7 @@
 //! | [`PendingQueue`]   | `iter().position(\|p\| !p.cold_only)`       | O(n) | O(1) |
 //! | [`FreeThreadPool`] | `max_by_key` over the warm containers       | O(n) | O(1) pick, O(n) update |
 //! | [`EvictionIndex`]  | recompute + full sort per pressure round    | O(n log n) | O(victims · log n) |
-//! | [`RoundHeap`]      | full sort when priorities are not cacheable | O(n log n) | O(n + victims · log n) |
+//! | [`RoundHeap`]      | full sort when priorities are not cacheable | O(n log n) | O(n) for one victim (a scan), O(n + victims · log n) for more |
 //!
 //! `MaxFree` worker placement is deliberately not in this table: a
 //! worker's free and reclaimable memory change twice per request and are
@@ -370,56 +370,79 @@ where
     }
 }
 
-/// Per-round min-heap for policies whose priorities are not cacheable
-/// (they depend on clock state or other containers and can move in
-/// either direction mid-idle).
+/// Per-round victim order for policies whose priorities are not
+/// cacheable (they depend on clock state or other containers and can
+/// move in either direction mid-idle).
 ///
-/// Built by O(n) heapify from the frozen per-round `(priority, id)`
-/// snapshot; popping victims costs O(victims · log n), versus the
-/// reference's unconditional O(n log n) full sort. Pop order —
-/// ascending `(priority, id)` — is identical to the reference sort
-/// because ids are unique (no stability concerns).
+/// [`RoundHeap::refill`] stores the frozen per-round `(priority, id)`
+/// snapshot unordered. The round's first pop is a linear argmin and a
+/// `swap_remove`; only a second pop heapifies what is left (O(n)), and
+/// later pops cost O(log n) each. A REPLACE round evicts fewer than two
+/// victims on average, so most rounds never build a heap. The worst case
+/// stays O(n + victims · log n), versus the reference's unconditional
+/// O(n log n) full sort. Pop order — ascending `(priority, id)` — is
+/// identical to the reference sort because ids are unique (no stability
+/// concerns).
 ///
-/// One heap serves every round: [`RoundHeap::refill`] keeps the buffer,
-/// so a round allocates only when it is the largest so far.
+/// One buffer serves every round: [`RoundHeap::refill`] keeps it, so a
+/// round allocates only when it is the largest so far.
 #[derive(Debug, Default)]
 pub struct RoundHeap<C: Ord + Copy> {
+    /// The snapshot as `refill` stored it, minus the first pop. Empty
+    /// once the second pop has moved it into `heap`.
+    unordered: Vec<Reverse<(OrdF64, C)>>,
     heap: BinaryHeap<Reverse<(OrdF64, C)>>,
+    /// Whether this round has popped yet.
+    popped: bool,
 }
 
 impl<C: Ord + Copy> RoundHeap<C> {
-    /// Drops whatever the last round left and heapifies a frozen
-    /// snapshot of `(priority, id)` candidates in its place.
+    /// Drops whatever the last round left and stores a frozen snapshot
+    /// of `(priority, id)` candidates in its place.
     pub fn refill(&mut self, entries: impl IntoIterator<Item = (f64, C)>) {
-        let mut buf = std::mem::take(&mut self.heap).into_vec();
-        buf.clear();
-        buf.extend(
+        // The buffer is in `heap` if the last round popped twice.
+        if self.unordered.capacity() == 0 {
+            self.unordered = std::mem::take(&mut self.heap).into_vec();
+        }
+        self.unordered.clear();
+        self.unordered.extend(
             entries
                 .into_iter()
                 .map(|(p, c)| Reverse((OrdF64::new(p), c))),
         );
-        self.heap = BinaryHeap::from(buf);
+        self.popped = false;
     }
 
     /// Pop the minimum-(priority, id) candidate.
     pub fn pop(&mut self) -> Option<(f64, C)> {
-        self.heap.pop().map(|Reverse((p, c))| (p.get(), c))
+        let Reverse((p, c)) = if self.popped {
+            if !self.unordered.is_empty() {
+                self.heap = BinaryHeap::from(std::mem::take(&mut self.unordered));
+            }
+            self.heap.pop()?
+        } else {
+            self.popped = true;
+            let (first, _) = self.unordered.iter().enumerate().max_by_key(|&(_, e)| e)?;
+            self.unordered.swap_remove(first)
+        };
+        Some((p.get(), c))
     }
 
     /// Remaining candidates.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.unordered.len() + self.heap.len()
     }
 
     /// True when no candidates remain.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use faas_testkit::Checker;
 
     #[test]
     fn ordf64_orders_like_total_cmp() {
@@ -721,20 +744,49 @@ mod tests {
         assert_eq!(idx.len_live(), 0);
     }
 
+    /// Rounds of random candidates on one reused heap, each cut short
+    /// after 0, 1, 2 or every pop by the next refill: whatever the round
+    /// popped is the prefix of the `(total_cmp, id)` sort. Priorities
+    /// repeat often and include both zeros, so ties fall to the id and
+    /// `-0.0` must pop before `0.0`; ids come in random order.
     #[test]
     fn round_heap_matches_reference_sort() {
-        let entries: Vec<(f64, u64)> = vec![(3.0, 2), (3.0, 1), (-1.0, 5), (0.0, 0), (2.0, 4)];
-        let mut want = entries.clone();
-        want.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let mut heap = RoundHeap::default();
-        // A refill replaces what the round before left behind.
-        heap.refill([(9.0, 9), (8.0, 8)]);
-        assert_eq!(heap.pop(), Some((8.0, 8)));
-        heap.refill(entries);
-        let mut got = Vec::new();
-        while let Some(v) = heap.pop() {
-            got.push(v);
-        }
-        assert_eq!(got, want);
+        const PRIORITIES: [f64; 6] = [-0.0, 0.0, 1.0, -1.0, 2.5, f64::INFINITY];
+        Checker::new("round_heap_matches_reference_sort").run(|g| {
+            let mut heap = RoundHeap::default();
+            for _ in 0..g.u32(1..6) {
+                let n = g.usize(0..40);
+                let mut ids: Vec<u64> = (0..n as u64).map(|i| i * 8 + g.u64(0..8)).collect();
+                for i in (1..n).rev() {
+                    ids.swap(i, g.usize(0..i + 1));
+                }
+                let entries: Vec<(f64, u64)> = ids
+                    .into_iter()
+                    .map(|c| {
+                        let p = if g.bool(0.7) {
+                            *g.choose(&PRIORITIES)
+                        } else {
+                            g.f64(-10.0..10.0)
+                        };
+                        (p, c)
+                    })
+                    .collect();
+                let mut want = entries.clone();
+                want.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                heap.refill(entries);
+                let pops = match g.u32(0..4) {
+                    0 => 0,
+                    1 => 1,
+                    2 => 2,
+                    _ => n + 1,
+                };
+                let bits = |v: Option<(f64, u64)>| v.map(|(p, c)| (p.to_bits(), c));
+                for k in 0..pops {
+                    assert_eq!(heap.len(), n - k);
+                    let got = heap.pop();
+                    assert_eq!(bits(got), bits(want.get(k).copied()), "pop {k} of {n}");
+                }
+            }
+        });
     }
 }

@@ -11,9 +11,9 @@
 //! heterogeneous servers degenerates on the paper's homogeneous testbed
 //! (§5.1) and is not modeled.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeSet, HashMap};
 
-use faas_sim::{ContainerInfo, KeepAlive, PolicyCtx};
+use faas_sim::{ContainerInfo, IdBuildHasher, KeepAlive, PolicyCtx};
 use faas_trace::{FunctionId, TimeDelta, TimePoint};
 
 /// Fraction of the full cold start paid when restoring from a compressed
@@ -38,7 +38,9 @@ const RETENTION_SECS: u64 = 600;
 /// ```
 #[derive(Debug, Default)]
 pub struct CodeCrunchKeepAlive {
-    compressed: BTreeMap<FunctionId, TimePoint>,
+    /// When each cached function's image was taken: read by key (once
+    /// per eviction candidate) and by `len`, never walked.
+    compressed: HashMap<FunctionId, TimePoint, IdBuildHasher>,
     /// The same entries ordered by age, oldest first: what `prune`
     /// expires and overflows from, one pop per victim.
     by_age: BTreeSet<(TimePoint, FunctionId)>,
@@ -123,6 +125,7 @@ mod tests {
     use faas_sim::{ClusterState, WorkerId};
     use faas_testkit::Checker;
     use faas_trace::FunctionProfile;
+    use std::collections::BTreeMap;
     use std::collections::HashMap as Map;
 
     fn harness() -> ClusterState {
@@ -240,8 +243,18 @@ mod tests {
                 if g.bool(0.7) {
                     cc.prune(now);
                     prune_reference(&mut model, now);
-                    assert_eq!(cc.compressed, model);
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "collected into a sorted map before it is compared"
+                    )]
+                    let kept: BTreeMap<FunctionId, TimePoint> =
+                        cc.compressed.iter().map(|(&f, &t)| (f, t)).collect();
+                    assert_eq!(kept, model);
                 }
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "collected into a sorted set before it is compared"
+                )]
                 let aged: BTreeSet<(TimePoint, FunctionId)> =
                     cc.compressed.iter().map(|(&f, &t)| (t, f)).collect();
                 assert_eq!(cc.by_age, aged, "the age index mirrors the map");

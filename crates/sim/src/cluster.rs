@@ -111,8 +111,11 @@ pub struct ClusterState {
     /// observable — [`ClusterState::all_iter`], `all_containers`,
     /// `containers_on` — sort on demand (DESIGN.md §7).
     containers: HashMap<ContainerId, Container, IdBuildHasher>,
-    fns: HashMap<FunctionId, FnRuntime, IdBuildHasher>,
-    profiles: HashMap<FunctionId, FunctionProfile, IdBuildHasher>,
+    /// Per-function state and profile, indexed by the function's slot:
+    /// its position in `function_ids` (see [`ClusterState::slot`]). Both
+    /// are built whole at construction and never grow.
+    fns: Vec<FnRuntime>,
+    profiles: Vec<FunctionProfile>,
     /// All deployed function ids, sorted once at construction (profiles
     /// are fixed for the lifetime of the run).
     function_ids: Vec<FunctionId>,
@@ -166,6 +169,7 @@ impl ClusterState {
     }
 
     /// Like [`ClusterState::new`] with an explicit placement strategy.
+    /// Of two profiles with one id, the later one is deployed.
     ///
     /// # Panics
     ///
@@ -199,18 +203,17 @@ impl ClusterState {
                 alive: true,
             })
             .collect::<Vec<_>>();
-        let profiles: HashMap<FunctionId, FunctionProfile, IdBuildHasher> =
-            profile_src.into_iter().map(|p| (p.id, p)).collect();
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "the keys are sorted immediately below"
-        )]
-        let mut function_ids: Vec<FunctionId> = profiles.keys().copied().collect();
-        function_ids.sort_unstable();
+        // Reversed, then sorted stably: of equal ids the last given comes
+        // first, and `dedup` keeps it.
+        let mut profiles: Vec<FunctionProfile> = profile_src.into_iter().collect();
+        profiles.reverse();
+        profiles.sort_by_key(|p| p.id);
+        profiles.dedup_by_key(|p| p.id);
+        let function_ids: Vec<FunctionId> = profiles.iter().map(|p| p.id).collect();
         Self {
             workers,
             containers: HashMap::default(),
-            fns: HashMap::default(),
+            fns: function_ids.iter().map(|_| FnRuntime::default()).collect(),
             profiles,
             function_ids,
             next_container: 0,
@@ -302,12 +305,24 @@ impl ClusterState {
     /// Panics if the function is unknown (trace consistency guarantees
     /// this cannot happen for trace-driven requests).
     pub fn profile(&self, func: FunctionId) -> &FunctionProfile {
-        self.profiles.get(&func).expect("unknown function profile")
+        &self.profiles[self.slot(func).expect("unknown function profile")]
     }
 
     /// All function profiles, in ascending [`FunctionId`] order.
     pub fn profiles(&self) -> impl Iterator<Item = &FunctionProfile> {
-        self.function_ids.iter().map(|id| self.profile(*id))
+        self.profiles.iter()
+    }
+
+    /// The slot of `func` in `function_ids`, `fns` and `profiles`, or
+    /// `None` if it is not deployed. O(1) when ids are dense from 0, as
+    /// every generated trace's are; a binary search otherwise.
+    #[inline]
+    fn slot(&self, func: FunctionId) -> Option<usize> {
+        let dense = func.0 as usize;
+        if self.function_ids.get(dense) == Some(&func) {
+            return Some(dense);
+        }
+        self.function_ids.binary_search(&func).ok()
     }
 
     /// Immutable view of a live container.
@@ -332,14 +347,20 @@ impl ClusterState {
         self.containers.get_mut(&id)?.local_queue.pop_front()
     }
 
-    /// Per-function runtime state, creating it lazily.
+    /// Per-function runtime state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the function is not deployed (requests are: a trace
+    /// rejects unknown ids, and the host filters undeployed invokes).
     pub fn fn_runtime_mut(&mut self, func: FunctionId) -> &mut FnRuntime {
-        self.fns.entry(func).or_default()
+        let slot = self.slot(func).expect("runtime of an undeployed function");
+        &mut self.fns[slot]
     }
 
-    /// Per-function runtime state, if the function has been seen.
+    /// Per-function runtime state, if the function is deployed.
     pub fn fn_runtime(&self, func: FunctionId) -> Option<&FnRuntime> {
-        self.fns.get(&func)
+        self.slot(func).map(|slot| &self.fns[slot])
     }
 
     /// The workers.
@@ -737,12 +758,8 @@ impl ClusterState {
     }
 
     /// Requests waiting across every function channel.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "an order-independent sum; iteration order is moot"
-    )]
     pub fn total_pending(&self) -> usize {
-        self.fns.values().map(|rt| rt.pending.len()).sum()
+        self.fns.iter().map(|rt| rt.pending.len()).sum()
     }
 
     /// Requests waiting across every container-local queue.
@@ -773,9 +790,9 @@ impl ClusterState {
         // leaves `reclaimable_mb` — what placement reads — too low; one
         // with a free thread missing from the pool is never picked.
         let mut hosted_mb = vec![0u64; self.workers.len()];
-        // Per function, what the table holds: (provisioning containers,
-        // containers with a free thread).
-        let mut tally: HashMap<FunctionId, (u32, usize), IdBuildHasher> = HashMap::default();
+        // Per function slot, what the table holds: (provisioning
+        // containers, containers with a free thread).
+        let mut tally = vec![(0u32, 0usize); self.fns.len()];
         #[expect(
             clippy::disallowed_methods,
             clippy::iter_over_hash_type,
@@ -784,8 +801,11 @@ impl ClusterState {
         for c in self.containers.values() {
             let w = &self.workers[usize::from(c.worker.0)];
             hosted_mb[usize::from(c.worker.0)] += u64::from(c.mem_mb);
-            let rt = self.fns.get(&c.func).expect("container without fn runtime");
-            let (provisioning, free) = tally.entry(c.func).or_default();
+            let slot = self
+                .slot(c.func)
+                .expect("container of an undeployed function");
+            let rt = &self.fns[slot];
+            let (provisioning, free) = &mut tally[slot];
             match c.state {
                 ContainerState::Provisioning => *provisioning += 1,
                 ContainerState::Warm => assert!(rt.warm.contains(&c.id)),
@@ -839,12 +859,9 @@ impl ClusterState {
             }
             assert_eq!(w.idle_mb, idle_sum, "worker {:?} idle_mb drifted", w.id);
         }
-        #[expect(
-            clippy::iter_over_hash_type,
-            reason = "invariant checks; order only picks which panic fires"
-        )]
-        for (func, rt) in &self.fns {
-            let (provisioning, free) = tally.get(func).copied().unwrap_or_default();
+        for ((func, rt), &(provisioning, free)) in
+            self.function_ids.iter().zip(&self.fns).zip(&tally)
+        {
             assert_eq!(
                 rt.provisioning, provisioning,
                 "provisioning count drifted for {func:?}"
@@ -876,7 +893,7 @@ impl ClusterState {
             // The pool keys each container by its live `threads_in_use`,
             // so its max is the same `(threads_in_use, Reverse(id))`
             // argmax the reference scan computes.
-            ScanMode::Indexed => self.fns.get(&func)?.free_pool.pick(),
+            ScanMode::Indexed => self.fn_runtime(func)?.free_pool.pick(),
             ScanMode::Reference => crate::reference::pick_available(self, func),
         }
     }
@@ -889,33 +906,20 @@ impl ClusterState {
                   a function's containers far below 2^32"
     )]
     pub fn warm_count(&self, func: FunctionId) -> u32 {
-        self.fns
-            .get(&func)
-            .map(|rt| rt.warm.len() as u32)
-            .unwrap_or(0)
+        self.fn_runtime(func).map_or(0, |rt| rt.warm.len() as u32)
     }
 
     /// Iterates over warm, saturated containers of `func` (candidates for
     /// `EnqueueOn` decisions).
     pub fn saturated_containers(&self, func: FunctionId) -> Vec<ContainerInfo> {
-        match self.fns.get(&func) {
-            None => Vec::new(),
-            Some(rt) => rt
-                .warm
-                .iter()
-                .map(|cid| &self.containers[cid])
-                .filter(|c| c.is_saturated())
-                .map(ContainerInfo::from)
-                .collect(),
-        }
+        self.saturated_iter(func).map(ContainerInfo::from).collect()
     }
 
     /// Iterates over warm, saturated containers of `func` without
     /// allocating (the borrow-based flavor of
     /// [`ClusterState::saturated_containers`]).
     pub fn saturated_iter(&self, func: FunctionId) -> impl Iterator<Item = &Container> + '_ {
-        self.fns
-            .get(&func)
+        self.fn_runtime(func)
             .into_iter()
             .flat_map(|rt| rt.warm.iter())
             .map(|cid| &self.containers[cid])
@@ -956,7 +960,7 @@ impl ClusterState {
         reason = "invocation counts sit far below 2^53 — exact in f64"
     )]
     pub fn freq_per_minute(&self, func: FunctionId, now: TimePoint) -> f64 {
-        let Some(rt) = self.fns.get(&func) else {
+        let Some(rt) = self.fn_runtime(func) else {
             return 0.0;
         };
         let Some(first) = rt.stats.first_arrival else {
@@ -1261,6 +1265,66 @@ mod tests {
         let mut over = full;
         over.push(1000);
         let _ = cluster(&over);
+    }
+
+    /// Ids no dense slot matches, given out of order: every lookup takes
+    /// the binary search, through a whole container lifecycle.
+    #[test]
+    fn sparse_ids_resolve_by_search() {
+        let ids = [FunctionId(u32::MAX), FunctionId(7), FunctionId(1000)];
+        let profiles = ids.iter().zip([100, 200, 300]).map(|(&id, mem)| {
+            FunctionProfile::new(id, id.to_string(), mem, TimeDelta::from_millis(100))
+        });
+        let mut cl = ClusterState::new(&[1000], profiles, 1);
+        assert_eq!(cl.function_ids(), &[ids[1], ids[2], ids[0]]);
+        for (func, mem) in ids.into_iter().zip([100, 200, 300]) {
+            assert_eq!(cl.profile(func).mem_mb, mem);
+            cl.note_arrival(func, TimePoint::ZERO);
+            let id = cl.begin_provision(func, WorkerId(0), TimePoint::ZERO, false);
+            assert_eq!(cl.fn_runtime(func).map(|rt| rt.provisioning), Some(1));
+            cl.validate();
+            cl.finish_provision(id, TimePoint::ZERO);
+            cl.occupy_thread(id, TimePoint::ZERO);
+            assert_eq!(cl.warm_count(func), 1);
+            assert_eq!(cl.saturated_containers(func).len(), 1);
+            cl.validate();
+            cl.release_thread(id, TimePoint::from_millis(5));
+            assert_eq!(cl.pick_available(func), Some(id));
+            cl.validate();
+            cl.evict(id, TimePoint::from_millis(10));
+            assert_eq!(cl.warm_count(func), 0);
+            assert!((cl.freq_per_minute(func, TimePoint::from_secs(60)) - 1.0).abs() < 1e-9);
+            cl.validate();
+        }
+        for undeployed in [FunctionId(0), FunctionId(1), FunctionId(8), FunctionId(999)] {
+            assert!(cl.fn_runtime(undeployed).is_none());
+            assert_eq!(cl.warm_count(undeployed), 0);
+            assert_eq!(cl.freq_per_minute(undeployed, TimePoint::ZERO), 0.0);
+        }
+        assert_eq!(cl.total_pending(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "runtime of an undeployed function")]
+    fn runtime_of_an_undeployed_function_panics() {
+        let _ = cluster(&[1000]).fn_runtime_mut(FunctionId(2));
+    }
+
+    /// Of two profiles with one id the later is deployed, as when the
+    /// profiles were collected into a map. No panic: a host's deployments
+    /// are operator input.
+    #[test]
+    fn a_duplicate_id_deploys_the_last_profile() {
+        let cold = TimeDelta::from_millis(100);
+        let mut given = profiles();
+        given.insert(0, FunctionProfile::new(FunctionId(1), "b0", 50, cold));
+        given.push(FunctionProfile::new(FunctionId(0), "a2", 200, cold));
+        let cl = ClusterState::new(&[1000], given, 1);
+        assert_eq!(cl.function_ids(), &[FunctionId(0), FunctionId(1)]);
+        let names: Vec<&str> = cl.profiles().map(|p| p.name.as_str()).collect();
+        assert_eq!(names, ["a2", "b"]);
+        assert_eq!(cl.profile(FunctionId(0)).mem_mb, 200);
+        cl.validate();
     }
 
     /// A cluster whose one container is warm and idle, and which passes

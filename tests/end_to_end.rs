@@ -185,6 +185,49 @@ fn tighter_cache_never_lowers_overhead() {
     );
 }
 
+/// The cluster finds per-function state by slot: directly for the dense
+/// ids every generated trace has, by binary search otherwise. The same
+/// trace with its ids spread out in order (`f → 3f + 5`) takes the search
+/// on every lookup and must replay the same: the same requests in the
+/// same classes, and the same ledger.
+#[test]
+fn sparse_function_ids_replay_like_dense_ones() {
+    let trace = gen::azure(91).functions(25).minutes(2).build();
+    let spread = |f: FunctionId| FunctionId(3 * f.0 + 5);
+    let (profiles, invocations) = trace.clone().into_parts();
+    let sparse = Trace::new(
+        profiles
+            .into_iter()
+            .map(|p| FunctionProfile {
+                id: spread(p.id),
+                ..p
+            })
+            .collect(),
+        invocations
+            .into_iter()
+            .map(|inv| Invocation {
+                func: spread(inv.func),
+                ..inv
+            })
+            .collect(),
+    )
+    .expect("an order-preserving relabelling is still a valid trace");
+    let config = SimConfig::with_cache_gb(6);
+    let outcomes = |r: &SimReport| -> Vec<_> {
+        r.requests
+            .iter()
+            .map(|q| (q.arrival, q.wait, q.exec, q.class))
+            .collect()
+    };
+    for name in ["cidre", "codecrunch", "flame", "faascache"] {
+        let dense = run(&trace, &config, pick(name, &trace));
+        let spread_out = run(&sparse, &config, pick(name, &sparse));
+        assert!(dense.containers_evicted > 0, "{name}: no memory pressure");
+        assert_eq!(outcomes(&dense), outcomes(&spread_out), "{name}: requests");
+        assert_eq!(dense.ledger, spread_out.ledger, "{name}: ledger");
+    }
+}
+
 /// The three keep-alives with a tick-time `expirations` walk
 /// `PolicyCtx::all_iter`, and the core evicts in the order they return:
 /// the container table's id order is visible in the trace. Six
