@@ -53,22 +53,23 @@ if grep -rnE 'policies\.(scaler|keepalive|prewarm)|PolicyCtx::new|evict_index' c
   exit 1
 fi
 
-echo "== guard: one replay loop; the host owns its timers =="
+echo "== guard: one replay loop; the host is a thread =="
 # Trace replay is faas_sim::run_on_clock on a wall clock (DESIGN.md §4):
-# runtime.rs drives no core and no executor of its own. The host's timed
-# events are entries in its own deadline heap (crates/live/src/mailbox.rs,
-# DESIGN.md §10), not tasks: `send_at` is gone and the host spawns
-# exactly one task, its `serve` loop.
-if grep -nE 'Orchestrator|exec::|TimedMailbox' crates/live/src/runtime.rs; then
+# runtime.rs drives no core and no executor of its own. The host is one
+# OS thread that pops its own deadline heap and blocks on a std mpsc
+# channel until the earliest deadline (DESIGN.md §10): no task, no
+# executor, no second channel type, no mailbox future.
+if grep -nE 'Orchestrator|exec::' crates/live/src/runtime.rs; then
   echo "crates/live/src/runtime.rs: a second replay loop is growing back; call faas_sim::run_on_clock" >&2
   exit 1
 fi
 if grep -rn 'send_at' crates/live/src; then
-  echo "crates/live/src: send_at is back; schedule on the driver's TimedMailbox instead" >&2
+  echo "crates/live/src: send_at is back; push onto the host thread's deadline heap instead" >&2
   exit 1
 fi
-if grep -n '\.spawn(' crates/live/src/host.rs | grep -v 'executor\.spawn(serve('; then
-  echo "crates/live/src: the host spawns a task besides its serve loop" >&2
+if [ -e crates/live/src/mailbox.rs ] \
+  || grep -nE 'async |\.await|Executor|exec::channel' crates/live/src/host.rs; then
+  echo "crates/live/src/host.rs: the host is a thread blocking on recv_timeout, not a task (DESIGN.md §10)" >&2
   exit 1
 fi
 

@@ -1,11 +1,11 @@
 //! A cached thread pool for blocking work (real handler execution).
 //!
-//! Async worker threads must never block on user code: a handful of
-//! them multiplex the orchestrator and its callers' tasks, and one
-//! long-running handler would stall them all. Blocking jobs therefore
-//! go to this pool: threads are created on demand up to a cap, parked
-//! idle for a grace period so bursts reuse them, and retired when the
-//! burst passes — thread-per-*concurrently-running*-request.
+//! Neither the host's loop nor an executor's poll threads may block on
+//! user code: one long-running handler would stall everything behind
+//! it. Blocking jobs therefore go to this pool: threads are created on
+//! demand up to a cap, parked idle for a grace period so bursts reuse
+//! them, and retired when the burst passes —
+//! thread-per-*concurrently-running*-request.
 //!
 //! # One wake in flight
 //!

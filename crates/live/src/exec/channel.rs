@@ -1,6 +1,5 @@
 //! An unbounded MPSC channel with a synchronous sender and an async
-//! receiver — the executor-native replacement for `std::sync::mpsc` in
-//! the orchestrator event loops.
+//! receiver, for a task to hear from threads.
 //!
 //! Senders never block (the queue is unbounded) and may live on any
 //! thread — OS threads, blocking-pool jobs, or other tasks. The single

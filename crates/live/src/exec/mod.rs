@@ -1,12 +1,19 @@
 //! A minimal hermetic async executor: reactor + wakers + task arena +
-//! fixed worker pool, in safe std-only Rust.
+//! fixed worker pool, in safe std-only Rust — and the blocking pool the
+//! live host runs handlers on.
 //!
-//! The live stack used to spend one OS thread per in-flight request,
-//! then one suspended task per timed event. Today a live driver is one
-//! future — the orchestrator loop — that keeps its own schedule
-//! (`crate::mailbox`), and what it needs from an executor is small:
-//! somewhere to be polled, one timer for its earliest deadline, threads
-//! for handler bodies, and a channel callers can reach it through:
+//! The two halves have different users. [`crate::FaasHost`] is a thread
+//! that blocks on its own channel and deadline heap, and uses one piece
+//! of this module:
+//!
+//! * [`blocking`](self) — a cached thread pool for genuinely blocking
+//!   work (real handler bodies), sized by *concurrently running*
+//!   handlers instead of in-flight requests, with one thread wake in
+//!   flight at a time.
+//!
+//! The async half has no caller in the workspace. It is kept only
+//! because the benchmark's four `exec.*` probes time it, and goes with
+//! them:
 //!
 //! * [`task`](self) — a slab arena of spawned futures addressed by
 //!   `(slot, generation)`; wakers are `Arc<impl Wake>` handles into it,
@@ -15,12 +22,8 @@
 //!   ([`crate::heap::DeadlineHeap`]); [`Sleep`] futures register
 //!   `(deadline, waker-slot)` entries and the reactor fires them as
 //!   deadlines pass.
-//! * [`blocking`](self) — a cached thread pool for genuinely blocking
-//!   work (real handler bodies), sized by *concurrently running*
-//!   handlers instead of in-flight requests, with one thread wake in
-//!   flight at a time.
 //! * [`channel`] — an unbounded MPSC with sync senders and an async
-//!   receiver, for orchestrator event loops.
+//!   receiver.
 //!
 //! # Lock discipline
 //!
@@ -55,6 +58,7 @@ use std::time::{Duration, Instant};
 
 use task::{CompletionGuard, Inner, JoinShared, Parker};
 
+pub(crate) use blocking::BlockingPool;
 pub use reactor::Sleep;
 pub use task::JoinHandle;
 
@@ -64,7 +68,7 @@ pub use task::JoinHandle;
 /// backstop against a runaway thread-per-request regression, not a
 /// size the pool is expected to reach: DESIGN.md §10 records the peak
 /// it does reach under the benchmark's closed loop.
-const BLOCKING_CAP: usize = 1024;
+pub(crate) const BLOCKING_CAP: usize = 1024;
 
 /// The executor: owns the worker threads, the reactor, and the blocking
 /// pool. Dropping it (or calling [`Executor::shutdown`]) cancels every

@@ -8,26 +8,31 @@
 //! start class (warm / delayed warm / cold) and the invocation overhead
 //! the policy produced.
 //!
-//! Handler execution is real: each *running* invocation occupies a
-//! thread of the executor's cached blocking pool for as long as the
-//! handler runs (waiting invocations are entries in the orchestrator's
-//! queues, not threads or tasks). Provisioning latency — the part of a
-//! cold start a host cannot execute for you — is realised as a timed
-//! delay of `profile.cold_start` scaled by
-//! [`crate::LiveConfig::time_scale`]. The whole host is one task: the
-//! orchestrator loop, which owns its timers
-//! (`crate::mailbox::TimedMailbox`) and wakes for whichever comes
-//! first, a caller's message or the earliest deadline.
+//! A running host is one OS thread plus a blocking pool. The thread runs
+//! the orchestrator loop and owns its timers: what is due comes off its
+//! own deadline heap, and otherwise it blocks on its `std::sync::mpsc`
+//! channel — `recv_timeout` until the earliest deadline, `recv` with
+//! nothing scheduled. Invocations, handler returns and shutdown arrive on
+//! that channel. Each *running* invocation occupies a pool thread for as
+//! long as its handler runs (waiting invocations are entries in the
+//! orchestrator's queues, not threads). Provisioning latency — the part
+//! of a cold start a host cannot execute for you — is realised as a timed
+//! delay of `profile.cold_start` scaled by [`LiveConfig::time_scale`].
+//!
+//! A handler that panics fails its own request, not the host: the unwind
+//! stops on the pool thread, the caller's handle resolves `None`, the
+//! report counts the request with its measured run, and the container is
+//! released as after any return (see `serve`).
 //!
 //! The host is a driver of [`faas_sim::Orchestrator`] (DESIGN.md §4)
 //! and forwards whatever the core schedules, so the provision failures
-//! and stragglers of [`crate::LiveConfig`]`.sim.faults` apply here as
-//! they do in trace replay: failed provisions back off and retry, and
-//! the report counts them. Worker crashes do not: replay owns every
-//! request's lifecycle and can void and re-queue a crashed execution,
-//! but the host hands outputs to external callers the moment handlers
-//! return and cannot un-deliver them — [`FaasHost::start`] rejects a
-//! plan that schedules any.
+//! and stragglers of [`LiveConfig`]`.sim.faults` apply here as they do in
+//! trace replay: failed provisions back off and retry, and the report
+//! counts them. Worker crashes do not: replay owns every request's
+//! lifecycle and can void and re-queue a crashed execution, but the host
+//! hands outputs to external callers the moment handlers return and
+//! cannot un-deliver them — [`FaasHost::start`] rejects a plan that
+//! schedules any.
 //!
 //! ```
 //! use faas_live::{FaasHost, LiveConfig};
@@ -48,16 +53,18 @@
 //! ```
 
 use std::collections::HashMap;
-use std::sync::mpsc;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use faas_obs::{NoopRecorder, Recorder, RingRecorder, TraceLog};
 use faas_sim::{ContainerId, Event, Orchestrator, PolicyStack, RequestId, SimReport, StartClass};
 use faas_trace::{FunctionId, FunctionProfile, TimeDelta, TimePoint};
 
-use crate::exec;
-use crate::mailbox::{Next, TimedMailbox};
+use crate::exec::{BlockingPool, BLOCKING_CAP};
+use crate::heap::DeadlineHeap;
 use crate::runtime::{LiveConfig, WallClock};
 
 /// A deployed function's handler: bytes in, bytes out. Runs on a
@@ -83,10 +90,11 @@ pub struct InvokeHandle {
 }
 
 impl InvokeHandle {
-    /// Blocks until the invocation completes. Returns `None` if the
-    /// function was never deployed (the host admits nothing and keeps
-    /// serving everyone else) or the host went away without serving it
-    /// (cannot happen before [`FaasHost::shutdown`]).
+    /// Blocks until the invocation completes. Returns `None` if its
+    /// handler panicked (the report still counts the request), if the
+    /// function was never deployed (the host admits nothing), or if the
+    /// host thread itself died; the host keeps serving everyone else in
+    /// the first two cases.
     pub fn wait(self) -> Option<InvokeOutcome> {
         self.rx.recv().ok()
     }
@@ -94,16 +102,21 @@ impl InvokeHandle {
 
 enum Msg {
     Invoke(FunctionId, Vec<u8>, mpsc::Sender<InvokeOutcome>),
-    /// A handler returned: where it ran, for whom, its output, and how
-    /// long it really took.
-    Returned(ContainerId, RequestId, Vec<u8>, Duration),
-    Shutdown(mpsc::Sender<(SimReport, TraceLog)>),
+    /// A handler returned: where it ran, for whom, its output (`None` if
+    /// it panicked), and how long it really took.
+    Returned(ContainerId, RequestId, Option<Vec<u8>>, Duration),
+    /// Drain what is in flight, then stop.
+    Shutdown,
 }
 
-/// A running FaaS host. See the module docs for the lifecycle.
+/// A running FaaS host. See the module docs for the lifecycle. Dropping
+/// it drains and stops it as [`FaasHost::shutdown`] does, discarding the
+/// report.
 pub struct FaasHost {
-    tx: exec::channel::Sender<Msg>,
-    executor: Option<exec::Executor>,
+    tx: mpsc::Sender<Msg>,
+    /// The host thread, which returns the run's report; `None` once
+    /// joined.
+    thread: Option<JoinHandle<(SimReport, TraceLog)>>,
 }
 
 impl std::fmt::Debug for FaasHost {
@@ -113,8 +126,7 @@ impl std::fmt::Debug for FaasHost {
 }
 
 impl FaasHost {
-    /// Starts the host with the given deployments. The orchestrator
-    /// runs as a task on an in-process [`exec::Executor`].
+    /// Starts the host thread with the given deployments.
     ///
     /// # Panics
     ///
@@ -171,28 +183,31 @@ impl FaasHost {
             profiles.push(profile);
         }
         let core = Orchestrator::new(profiles, &config.sim, stack, rec);
-        let executor = exec::Executor::new(config.exec_threads);
-        let (tx, rx) = exec::channel::channel();
+        let (tx, rx) = mpsc::channel();
         let io = Dispatcher {
             handlers,
-            exec: executor.handle(),
+            pool: BlockingPool::new(BLOCKING_CAP),
             tx: tx.clone(),
             clock: WallClock::start(config.time_scale),
-            timers: TimedMailbox::new(executor.handle()),
+            timers: DeadlineHeap::new(),
             flights: HashMap::new(),
             running: 0,
         };
-        drop(executor.spawn(serve(core, io, rx, config.sim.tick)));
+        let tick = config.sim.tick;
+        let thread = std::thread::Builder::new()
+            .name("faas-host".into())
+            .spawn(move || serve(core, io, &rx, tick))
+            .expect("spawn the host thread");
         Self {
             tx,
-            executor: Some(executor),
+            thread: Some(thread),
         }
     }
 
     /// Fires an invocation; returns immediately with a handle.
     pub fn invoke(&self, func: FunctionId, payload: Vec<u8>) -> InvokeHandle {
         let (otx, orx) = mpsc::channel();
-        // The orchestrator outlives every handle until shutdown.
+        // The host thread outlives every handle until shutdown.
         let _ = self.tx.send(Msg::Invoke(func, payload, otx));
         InvokeHandle { rx: orx }
     }
@@ -201,8 +216,9 @@ impl FaasHost {
     ///
     /// # Panics
     ///
-    /// Re-raises the first panic any handler hit (the executor captures
-    /// handler panics instead of letting them kill a request thread).
+    /// Re-raises a panic of the host thread itself, a bug in the host. A
+    /// handler's panic is its request's outcome (see
+    /// [`InvokeHandle::wait`]), not a panic here.
     pub fn shutdown(self) -> SimReport {
         self.shutdown_traced().0
     }
@@ -215,13 +231,23 @@ impl FaasHost {
     ///
     /// As [`FaasHost::shutdown`].
     pub fn shutdown_traced(mut self) -> (SimReport, TraceLog) {
-        let (rtx, rrx) = mpsc::channel();
-        let _ = self.tx.send(Msg::Shutdown(rtx));
-        let report = rrx.recv();
-        let executor = self.executor.take().expect("executor lives until shutdown");
-        // Rethrows captured orchestrator/handler panics.
-        executor.shutdown();
-        report.expect("orchestrator returns a report")
+        let joined = self.stop().expect("the host thread is joined once");
+        joined.unwrap_or_else(|payload| resume_unwind(payload))
+    }
+
+    /// Asks the loop to drain and stop, and joins its thread; `None` if
+    /// it was already joined.
+    fn stop(&mut self) -> Option<std::thread::Result<(SimReport, TraceLog)>> {
+        let thread = self.thread.take()?;
+        let _ = self.tx.send(Msg::Shutdown);
+        Some(thread.join())
+    }
+}
+
+impl Drop for FaasHost {
+    fn drop(&mut self) {
+        // A destructor does not re-raise a panic of the host thread.
+        let _ = self.stop();
     }
 }
 
@@ -233,15 +259,15 @@ struct Flight {
 }
 
 /// The host's sink: everything needed to act on "deliver this event at
-/// time T". Timed events go into the driver's own [`TimedMailbox`]; an
-/// `ExecDone` is not a timer here but a handler to run, and is
-/// delivered (as [`Msg::Returned`]) whenever that handler returns.
+/// time T". Timed events go into the loop's own deadline heap; an
+/// `ExecDone` is not a timer here but a handler to run, and is delivered
+/// (as [`Msg::Returned`]) whenever that handler returns.
 struct Dispatcher {
     handlers: HashMap<FunctionId, Handler>,
-    exec: exec::Handle,
-    tx: exec::channel::Sender<Msg>,
+    pool: BlockingPool,
+    tx: mpsc::Sender<Msg>,
     clock: WallClock,
-    timers: TimedMailbox<Event>,
+    timers: DeadlineHeap<Event>,
     flights: HashMap<RequestId, Flight>,
     /// Handlers out on the blocking pool.
     running: usize,
@@ -250,7 +276,7 @@ struct Dispatcher {
 impl Dispatcher {
     fn deliver(&mut self, at: TimePoint, event: Event) {
         let Event::ExecDone(cid, rid) = event else {
-            return self.timers.schedule(self.clock.deadline(at), event);
+            return self.timers.push(self.clock.deadline(at), event);
         };
         // `at` is the core's far-future placeholder for an execution of
         // unknown length; the handler decides when it really ends.
@@ -259,31 +285,73 @@ impl Dispatcher {
         let handler = Arc::clone(&self.handlers[&flight.func]);
         let done = self.tx.clone();
         self.running += 1;
-        // The handler runs on the executor's cached blocking pool: one
-        // pool thread per *running* invocation, reused across bursts,
-        // instead of a fresh OS thread per request.
-        drop(self.exec.spawn_blocking(move || {
+        // One pool thread per *running* invocation, reused across
+        // bursts. A handler's panic stops here: it returns like any
+        // handler, with no output.
+        self.pool.submit(Box::new(move || {
             let begun = Instant::now();
-            let output = handler(payload);
+            let output = catch_unwind(AssertUnwindSafe(|| handler(payload))).ok();
             let _ = done.send(Msg::Returned(cid, rid, output, begun.elapsed()));
         }));
     }
 }
 
-/// The host driver: feeds invocations, timed events and handler returns
+/// What [`next`] woke the loop for.
+enum Next {
+    /// A scheduled event whose deadline passed.
+    Due(Event),
+    /// A channel message.
+    Message(Msg),
+}
+
+/// The loop's one blocking point: a scheduled event that is due, else a
+/// message, else a wait for whichever comes first — a message or the
+/// earliest deadline (`recv_timeout`; with nothing scheduled, `recv`).
+/// Due events go first: finitely many are due at any instant, while a
+/// busy channel need never run dry, and a loop kept awake by messages
+/// meets its deadlines by the clock reading it takes per turn. `None`
+/// once every sender is gone.
+fn next(timers: &mut DeadlineHeap<Event>, rx: &mpsc::Receiver<Msg>) -> Option<Next> {
+    loop {
+        let now = Instant::now();
+        if let Some(event) = timers.pop_due(now) {
+            return Some(Next::Due(event));
+        }
+        let received = match timers.next_deadline() {
+            Some(deadline) => rx.recv_timeout(deadline.saturating_duration_since(now)),
+            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+        };
+        match received {
+            Ok(msg) => return Some(Next::Message(msg)),
+            // The earliest deadline passed; it pops on the next turn.
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => return None,
+        }
+    }
+}
+
+/// The host thread: feeds invocations, timed events and handler returns
 /// to the [`Orchestrator`] core, stamped with the wall clock; answers
-/// callers; and after `Shutdown` drains until nothing is in flight.
-async fn serve<R: Recorder>(
+/// callers; and after `Shutdown` drains until nothing is in flight, then
+/// returns the report.
+///
+/// A panicked handler ends its request like any return: the core records
+/// the measured run and steps `ExecDone`, so the container is released,
+/// not evicted. The unwind stopped on the pool thread and the handler is
+/// shared by every container of its function, so the container holds
+/// nothing the panic broke; evicting it would only charge a later
+/// request a cold start. The caller hears of it by its dropped reply.
+fn serve<R: Recorder>(
     mut core: Orchestrator<R>,
     mut io: Dispatcher,
-    mut rx: exec::channel::Receiver<Msg>,
+    rx: &mpsc::Receiver<Msg>,
     tick: TimeDelta,
-) {
-    let mut shutdown_reply = None;
+) -> (SimReport, TraceLog) {
+    let mut stopping = false;
     io.deliver(TimePoint::ZERO + tick, Event::Tick);
-    while let Some(next) = io.timers.next(&mut rx).await {
+    while let Some(woke) = next(&mut io.timers, rx) {
         let now = io.clock.now();
-        match next {
+        match woke {
             // An undeployed function is one caller's mistake, not the
             // host's: dropping `reply` resolves that handle `None`.
             Next::Message(Msg::Invoke(func, ..)) if !io.handlers.contains_key(&func) => {}
@@ -319,22 +387,102 @@ async fn serve<R: Recorder>(
                     .record_exec(cid, rid, io.clock.to_sim(real_exec))
                     .expect("no crash plan on the host: containers outlive their executions");
                 let flight = io.flights.remove(&rid).expect("in-flight request");
-                let _ = flight.reply.send(InvokeOutcome {
-                    output,
-                    class: record.class,
-                    wait: record.wait,
-                });
+                if let Some(output) = output {
+                    let _ = flight.reply.send(InvokeOutcome {
+                        output,
+                        class: record.class,
+                        wait: record.wait,
+                    });
+                }
                 core.step(now, Event::ExecDone(cid, rid), &mut |at, ev| {
                     io.deliver(at, ev)
                 });
             }
-            Next::Message(Msg::Shutdown(reply)) => shutdown_reply = Some(reply),
+            Next::Message(Msg::Shutdown) => stopping = true,
         }
-        if core.incomplete() == 0 {
-            if let Some(reply) = shutdown_reply.take() {
-                let _ = reply.send(core.finish());
-                return;
-            }
+        if stopping && core.incomplete() == 0 {
+            break;
         }
+    }
+    // Handler panics stop inside their jobs: one that reaches the pool
+    // is the host's own, and leaves through `join`.
+    if let Some(payload) = io.pool.shutdown() {
+        resume_unwind(payload);
+    }
+    core.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Far enough that a loop waiting it out fails its test visibly.
+    const LATER: Duration = Duration::from_secs(10);
+
+    fn is_shutdown(woke: Option<Next>) -> bool {
+        matches!(woke, Some(Next::Message(Msg::Shutdown)))
+    }
+
+    /// Sends `Shutdown` on `tx` after 20 ms, from another thread.
+    fn send_soon(tx: mpsc::Sender<Msg>) -> JoinHandle<()> {
+        std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            tx.send(Msg::Shutdown).expect("receiver alive");
+        })
+    }
+
+    #[test]
+    fn a_message_beats_a_later_deadline() {
+        let mut timers = DeadlineHeap::new();
+        let (tx, rx) = mpsc::channel();
+        let start = Instant::now();
+        timers.push(start + LATER, Event::Tick);
+        tx.send(Msg::Shutdown).expect("receiver alive");
+        assert!(is_shutdown(next(&mut timers, &rx)));
+        // Sent while the loop waits for the deadline, a message wakes it.
+        let sender = send_soon(tx);
+        assert!(is_shutdown(next(&mut timers, &rx)));
+        assert!(start.elapsed() < LATER / 2);
+        sender.join().expect("sender");
+        assert!(!timers.is_empty(), "the timed event is still owed");
+    }
+
+    #[test]
+    fn an_earlier_deadline_is_not_held_behind_a_later_one() {
+        let mut timers = DeadlineHeap::new();
+        let (tx, rx) = mpsc::channel();
+        let start = Instant::now();
+        timers.push(start + LATER, Event::Tick);
+        // The loop has seen the later deadline as its earliest...
+        tx.send(Msg::Shutdown).expect("receiver alive");
+        assert!(is_shutdown(next(&mut timers, &rx)));
+        // ...and an earlier one scheduled since is the one it waits for.
+        let near = Event::ProvisionDone(ContainerId(1));
+        timers.push(start + Duration::from_millis(20), near);
+        assert!(matches!(next(&mut timers, &rx), Some(Next::Due(e)) if e == near));
+        let waited = start.elapsed();
+        assert!(waited >= Duration::from_millis(20) && waited < LATER / 2);
+        assert_eq!(timers.next_deadline(), Some(start + LATER));
+    }
+
+    #[test]
+    fn an_empty_heap_waits_on_the_channel() {
+        let mut timers = DeadlineHeap::new();
+        let (tx, rx) = mpsc::channel();
+        let sender = send_soon(tx);
+        assert!(is_shutdown(next(&mut timers, &rx)));
+        sender.join().expect("sender");
+        assert!(timers.is_empty());
+    }
+
+    #[test]
+    fn a_disconnected_channel_yields_none() {
+        let mut timers = DeadlineHeap::new();
+        let (tx, rx) = mpsc::channel();
+        drop(tx);
+        assert!(next(&mut timers, &rx).is_none());
+        // A pending deadline does not keep a loop nobody can reach.
+        timers.push(Instant::now() + LATER, Event::Tick);
+        assert!(next(&mut timers, &rx).is_none());
     }
 }

@@ -18,9 +18,9 @@
 //!   invoke them from any thread, and receive outputs together with the
 //!   warm / delayed-warm / cold outcome the policy produced. It drives
 //!   [`faas_sim::Orchestrator`], the sans-IO state machine under both
-//!   loops, from a task on its own executor ([`exec`]): timed events are
-//!   entries of the driver's own deadline heap, woken by one timer, and
-//!   handlers run on the executor's blocking pool.
+//!   loops, from one thread of its own: timed events are entries of that
+//!   thread's deadline heap, it blocks on its channel until the earliest
+//!   of them, and handlers run on a blocking pool ([`exec`]).
 //!
 //! Dispatch, queueing, REPLACE, deferral, fault handling and recording
 //! are the core's, so live runs race identical policy code and
@@ -62,7 +62,6 @@
 pub mod exec;
 mod heap;
 mod host;
-mod mailbox;
 mod runtime;
 
 pub use host::{FaasHost, Handler, InvokeHandle, InvokeOutcome};

@@ -22,11 +22,6 @@ pub struct LiveConfig {
     /// Real seconds per simulated second. `0.001` replays a simulated
     /// minute in 60 real milliseconds.
     pub time_scale: f64,
-    /// Poll threads of [`crate::FaasHost`]'s async executor. In-flight
-    /// requests are entries in the host loop's queues, and that loop is
-    /// the executor's only task, so at most one of these threads is busy
-    /// at a time. [`run_live`] runs on the caller's thread and uses none.
-    pub exec_threads: usize,
 }
 
 impl Default for LiveConfig {
@@ -34,7 +29,6 @@ impl Default for LiveConfig {
         Self {
             sim: SimConfig::default(),
             time_scale: 0.001,
-            exec_threads: 4,
         }
     }
 }
@@ -57,9 +51,11 @@ impl LiveConfig {
         self
     }
 
-    /// Sets the host executor's poll-thread count (at least 1).
-    pub fn exec_threads(mut self, threads: usize) -> Self {
-        self.exec_threads = threads.max(1);
+    // Inert: the host is one thread and has no poll threads to size.
+    // `benchmark/benches/adapter.rs` (frozen) still calls this; the next
+    // `benchmark` PR removes both.
+    #[doc(hidden)]
+    pub fn exec_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -315,7 +311,6 @@ mod tests {
         let config = LiveConfig {
             sim: SimConfig::default(),
             time_scale: f64::NAN,
-            exec_threads: 2,
         };
         let _ = run_live(&tiny_trace(), &config, baseline_lru_stack());
     }
@@ -326,7 +321,6 @@ mod tests {
         let config = LiveConfig {
             sim: SimConfig::default(),
             time_scale: -0.5,
-            exec_threads: 2,
         };
         let _ = run_live(&tiny_trace(), &config, baseline_lru_stack());
     }

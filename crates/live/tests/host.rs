@@ -1,6 +1,7 @@
 //! Integration tests of the programmable FaaS host.
 
-use std::sync::Mutex;
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::Duration;
 
 use cidre_core::{cidre_stack, CidreConfig};
 use faas_live::{FaasHost, Handler, LiveConfig};
@@ -22,6 +23,15 @@ fn slow_handler(real_ms: u64) -> Handler {
         std::thread::sleep(std::time::Duration::from_millis(real_ms));
         payload
     })
+}
+
+/// Runs `f` on a thread of its own and gives it `bound` to finish, so a
+/// hang fails the test instead of stalling the suite.
+fn within<T: Send + 'static>(bound: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || tx.send(f()));
+    rx.recv_timeout(bound)
+        .unwrap_or_else(|err| panic!("not done within {bound:?}: {err}"))
 }
 
 fn profile(id: u32, cold_ms: u64) -> FunctionProfile {
@@ -245,6 +255,41 @@ fn invoke_of_an_undeployed_function_fails_alone() {
     assert_eq!(served.expect("served").class, StartClass::Cold);
     let report = host.shutdown();
     assert_eq!(report.requests.len(), 1);
+}
+
+#[test]
+fn a_panicking_handler_fails_its_request_alone() {
+    let _guard = LIVE_HOST.lock().expect("live-host lock");
+    let panics: Handler = Arc::new(|_| panic!("handler exploded"));
+    let echo: Handler = Arc::new(|payload| payload);
+    let host = FaasHost::start(
+        LiveConfig::default().time_scale(0.01),
+        baseline_lru_stack(),
+        vec![(profile(0, 20), panics), (profile(1, 20), echo)],
+    );
+    let failed = host.invoke(FunctionId(0), vec![1]);
+    assert_eq!(within(Duration::from_secs(2), move || failed.wait()), None);
+    let served = host.invoke(FunctionId(1), vec![2, 3]);
+    let served = within(Duration::from_secs(2), move || served.wait());
+    assert_eq!(served.expect("served").output, vec![2, 3]);
+    let report = within(Duration::from_secs(5), move || host.shutdown());
+    assert_eq!(report.requests.len(), 2);
+    // The panicked run's container was released, not evicted.
+    assert_eq!(report.containers_evicted, 0);
+}
+
+#[test]
+fn dropping_a_host_serves_what_is_in_flight_and_stops() {
+    let _guard = LIVE_HOST.lock().expect("live-host lock");
+    let host = FaasHost::start(
+        LiveConfig::default().time_scale(0.01),
+        baseline_lru_stack(),
+        vec![(profile(0, 20), slow_handler(200))],
+    );
+    let pending = host.invoke(FunctionId(0), vec![7]);
+    within(Duration::from_secs(5), move || drop(host));
+    let served = within(Duration::from_secs(1), move || pending.wait());
+    assert_eq!(served.expect("served before it stopped").output, vec![7]);
 }
 
 #[test]
