@@ -73,6 +73,18 @@ if [ -e crates/live/src/mailbox.rs ] \
   exit 1
 fi
 
+echo "== guard: the live drivers keep time =="
+# Both live drivers wait at 1 ns timer slack, not Linux's default 50 µs,
+# which is 50 simulated ms at the default compression (DESIGN.md §10,
+# crates/live/src/slack.rs). No test can see that 1.3x timing effect, so
+# this is what keeps a refactor from dropping the guard.
+for driver in crates/live/src/host.rs crates/live/src/runtime.rs; do
+  if ! grep -q 'TightTimers::on_this_thread()' "$driver"; then
+    echo "$driver: no longer constructs TightTimers; its timers fire up to 50 µs late (DESIGN.md §10)" >&2
+    exit 1
+  fi
+done
+
 echo "== guard: containers found by hash, workers placed by scan =="
 # DESIGN.md §7: the per-event path looks containers up and never walks
 # them, so the table is a hash map and only the three views whose order

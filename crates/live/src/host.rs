@@ -18,6 +18,9 @@
 //! orchestrator's queues, not threads). Provisioning latency — the part
 //! of a cold start a host cannot execute for you — is realised as a timed
 //! delay of `profile.cold_start` scaled by [`LiveConfig::time_scale`].
+//! The host thread waits at 1 ns timer slack, so such a delay ends within
+//! microseconds of its deadline; pool threads inherit the slack, and a
+//! handler that sleeps gets the same precision.
 //!
 //! A handler that panics fails its own request, not the host: the unwind
 //! stops on the pool thread, the caller's handle resolves `None`, the
@@ -66,6 +69,7 @@ use faas_trace::{FunctionId, FunctionProfile, TimeDelta, TimePoint};
 use crate::exec::{BlockingPool, BLOCKING_CAP};
 use crate::heap::DeadlineHeap;
 use crate::runtime::{LiveConfig, WallClock};
+use crate::slack::TightTimers;
 
 /// A deployed function's handler: bytes in, bytes out. Runs on a
 /// blocking-pool thread for every invocation.
@@ -196,7 +200,11 @@ impl FaasHost {
         let tick = config.sim.tick;
         let thread = std::thread::Builder::new()
             .name("faas-host".into())
-            .spawn(move || serve(core, io, &rx, tick))
+            .spawn(move || {
+                // Before the pool's first thread, which inherits it.
+                let _tight = TightTimers::on_this_thread();
+                serve(core, io, &rx, tick)
+            })
             .expect("spawn the host thread");
         Self {
             tx,
@@ -267,7 +275,8 @@ struct Dispatcher {
     pool: BlockingPool,
     tx: mpsc::Sender<Msg>,
     clock: WallClock,
-    timers: DeadlineHeap<Event>,
+    /// Timed events with the simulated time each is due at.
+    timers: DeadlineHeap<(TimePoint, Event)>,
     flights: HashMap<RequestId, Flight>,
     /// Handlers out on the blocking pool.
     running: usize,
@@ -276,7 +285,7 @@ struct Dispatcher {
 impl Dispatcher {
     fn deliver(&mut self, at: TimePoint, event: Event) {
         let Event::ExecDone(cid, rid) = event else {
-            return self.timers.push(self.clock.deadline(at), event);
+            return self.timers.push(self.clock.deadline(at), (at, event));
         };
         // `at` is the core's far-future placeholder for an execution of
         // unknown length; the handler decides when it really ends.
@@ -298,8 +307,9 @@ impl Dispatcher {
 
 /// What [`next`] woke the loop for.
 enum Next {
-    /// A scheduled event whose deadline passed.
-    Due(Event),
+    /// A scheduled event whose deadline passed, and the simulated time
+    /// it was due at.
+    Due(TimePoint, Event),
     /// A channel message.
     Message(Msg),
 }
@@ -311,11 +321,11 @@ enum Next {
 /// busy channel need never run dry, and a loop kept awake by messages
 /// meets its deadlines by the clock reading it takes per turn. `None`
 /// once every sender is gone.
-fn next(timers: &mut DeadlineHeap<Event>, rx: &mpsc::Receiver<Msg>) -> Option<Next> {
+fn next(timers: &mut DeadlineHeap<(TimePoint, Event)>, rx: &mpsc::Receiver<Msg>) -> Option<Next> {
     loop {
         let now = Instant::now();
-        if let Some(event) = timers.pop_due(now) {
-            return Some(Next::Due(event));
+        if let Some((at, event)) = timers.pop_due(now) {
+            return Some(Next::Due(at, event));
         }
         let received = match timers.next_deadline() {
             Some(deadline) => rx.recv_timeout(deadline.saturating_duration_since(now)),
@@ -350,7 +360,13 @@ fn serve<R: Recorder>(
     let mut stopping = false;
     io.deliver(TimePoint::ZERO + tick, Event::Tick);
     while let Some(woke) = next(&mut io.timers, rx) {
-        let now = io.clock.now();
+        // A due event is stepped at or after `at`, however the reading
+        // rounds; a message at the clock's reading, which that floor
+        // keeps from going back.
+        let now = match woke {
+            Next::Due(at, _) => io.clock.now_at_least(at),
+            Next::Message(_) => io.clock.now(),
+        };
         match woke {
             // An undeployed function is one caller's mistake, not the
             // host's: dropping `reply` resolves that handle `None`.
@@ -366,7 +382,7 @@ fn serve<R: Recorder>(
                 io.flights.insert(rid, flight);
                 core.step(now, Event::Arrival(rid), &mut |at, ev| io.deliver(at, ev));
             }
-            Next::Due(event) => {
+            Next::Due(_, event) => {
                 core.step(now, event, &mut |at, ev| io.deliver(at, ev));
                 if event == Event::Tick {
                     if core.incomplete() > 0 && io.timers.is_empty() && io.running == 0 {
@@ -436,7 +452,7 @@ mod tests {
         let mut timers = DeadlineHeap::new();
         let (tx, rx) = mpsc::channel();
         let start = Instant::now();
-        timers.push(start + LATER, Event::Tick);
+        timers.push(start + LATER, (TimePoint::ZERO, Event::Tick));
         tx.send(Msg::Shutdown).expect("receiver alive");
         assert!(is_shutdown(next(&mut timers, &rx)));
         // Sent while the loop waits for the deadline, a message wakes it.
@@ -452,14 +468,17 @@ mod tests {
         let mut timers = DeadlineHeap::new();
         let (tx, rx) = mpsc::channel();
         let start = Instant::now();
-        timers.push(start + LATER, Event::Tick);
+        timers.push(start + LATER, (TimePoint::ZERO, Event::Tick));
         // The loop has seen the later deadline as its earliest...
         tx.send(Msg::Shutdown).expect("receiver alive");
         assert!(is_shutdown(next(&mut timers, &rx)));
         // ...and an earlier one scheduled since is the one it waits for.
-        let near = Event::ProvisionDone(ContainerId(1));
+        let near = (
+            TimePoint::from_millis(20),
+            Event::ProvisionDone(ContainerId(1)),
+        );
         timers.push(start + Duration::from_millis(20), near);
-        assert!(matches!(next(&mut timers, &rx), Some(Next::Due(e)) if e == near));
+        assert!(matches!(next(&mut timers, &rx), Some(Next::Due(at, e)) if (at, e) == near));
         let waited = start.elapsed();
         assert!(waited >= Duration::from_millis(20) && waited < LATER / 2);
         assert_eq!(timers.next_deadline(), Some(start + LATER));
@@ -482,7 +501,7 @@ mod tests {
         drop(tx);
         assert!(next(&mut timers, &rx).is_none());
         // A pending deadline does not keep a loop nobody can reach.
-        timers.push(Instant::now() + LATER, Event::Tick);
+        timers.push(Instant::now() + LATER, (TimePoint::ZERO, Event::Tick));
         assert!(next(&mut timers, &rx).is_none());
     }
 }

@@ -34,7 +34,9 @@
 //! Limitations relative to the simulator (documented, not hidden):
 //! runs are **not deterministic** (that is the point), and timing
 //! granularity is bounded by OS sleep precision, so heavily compressed
-//! traces blur near-simultaneous events.
+//! traces blur near-simultaneous events. Both drivers wait at 1 ns timer
+//! slack rather than Linux's default 50 µs, which would otherwise be
+//! 50 simulated ms at the default compression.
 //!
 //! # Examples
 //!
@@ -63,6 +65,7 @@ pub mod exec;
 mod heap;
 mod host;
 mod runtime;
+mod slack;
 
 pub use host::{FaasHost, Handler, InvokeHandle, InvokeOutcome};
 pub use runtime::{run_live, run_live_stats, LiveConfig, LiveStats};

@@ -5,13 +5,16 @@
 //! loop and the mechanics are `faas-sim`'s: [`run_live`] hands
 //! [`faas_sim::run_on_clock`] a clock that sleeps the caller's thread
 //! until each event falls due, so the replay needs no executor and
-//! holds only what is in flight, as the simulator does.
+//! holds only what is in flight, as the simulator does. The thread
+//! sleeps at 1 ns timer slack for the replay's length (see `slack.rs`).
 
 use std::time::{Duration, Instant};
 
 use faas_obs::NoopRecorder;
 use faas_sim::{PolicyStack, SimConfig, SimReport};
 use faas_trace::{TimeDelta, TimePoint, Trace};
+
+use crate::slack::TightTimers;
 
 /// Configuration of a live run: the cluster shape (reusing
 /// [`SimConfig`]) plus the real-seconds-per-simulated-second scale.
@@ -122,6 +125,9 @@ pub fn run_live_stats(
     stack: PolicyStack,
 ) -> (SimReport, LiveStats) {
     config.validate();
+    // The sleeps below are the caller's thread's: its slack is restored
+    // when the replay returns.
+    let _tight = TightTimers::on_this_thread();
     let mut clock = WallClock::start(config.time_scale);
     let mut timer_fires = 0;
     let (report, _) = faas_sim::run_on_clock(trace, &config.sim, stack, NoopRecorder, |at| {
@@ -130,8 +136,7 @@ pub fn run_live_stats(
             std::thread::sleep(early);
             timer_fires += 1;
         }
-        // Never before `at`, however the reading rounds.
-        at.max(clock.now())
+        clock.now_at_least(at)
     });
     let stats = LiveStats {
         peak_inflight: peak_inflight(&report),
@@ -182,6 +187,14 @@ impl WallClock {
         self.last = self
             .last
             .max(TimePoint::ZERO + self.to_sim(self.start.elapsed()));
+        self.last
+    }
+
+    /// The time to step an event due at `at`: the current reading, but
+    /// never before `at`, however the reading rounds. Later readings do
+    /// not go back below it.
+    pub(crate) fn now_at_least(&mut self, at: TimePoint) -> TimePoint {
+        self.last = self.now().max(at);
         self.last
     }
 
@@ -287,6 +300,39 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_due_event_is_stepped_no_earlier_than_it_is_due() {
+        // A simulated second per 1000 real ones: the clock barely moves
+        // while this runs, so what separates a reading from `at` is
+        // rounding alone.
+        let mut clock = WallClock::start(1000.0);
+        // Read exactly at their deadlines, some times round a microsecond
+        // below themselves...
+        let at = (1..1_000)
+            .map(TimePoint::from_micros)
+            .find(|&at| TimePoint::ZERO + clock.to_sim(clock.deadline(at) - clock.start) < at)
+            .expect("deadline → reading loses a microsecond somewhere in the first millisecond");
+        // ...so both drivers step a due event at `now_at_least(at)`.
+        assert!(clock.now_at_least(at) >= at);
+        assert!(clock.now() >= at, "a later reading does not go back");
+    }
+
+    #[test]
+    fn the_replay_restores_the_callers_timer_slack() {
+        let sim = SimConfig::default().tick(TimeDelta::from_secs(1));
+        let config = LiveConfig::default().sim(sim).time_scale(0.01);
+        let (before, after) = std::thread::spawn(move || {
+            let before = crate::slack::this_thread_slack();
+            let report = run_live(&tiny_trace(), &config, baseline_lru_stack());
+            assert_eq!(report.requests.len(), 2);
+            (before, crate::slack::this_thread_slack())
+        })
+        .join()
+        .expect("replay thread");
+        assert_ne!(before, Some(1), "a thread starts at the default slack");
+        assert_eq!(after, before);
     }
 
     #[test]

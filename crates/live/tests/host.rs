@@ -77,6 +77,59 @@ fn cold_then_warm_with_real_output() {
 }
 
 #[test]
+fn cold_waits_cover_provisioning_latency() {
+    // The host twin of the replay's test in `runtime.rs`: no timed event
+    // is stepped before it is due, so a cold start waits at least its
+    // function's provisioning latency, to the microsecond. Eight
+    // functions contend for four slots, so cold starts recur.
+    let _guard = LIVE_HOST.lock().expect("live-host lock");
+    let profiles: Vec<_> = (0..8).map(|i| profile(i, 20 + 13 * u64::from(i))).collect();
+    let stacks: [fn() -> faas_sim::PolicyStack; 2] = [faas_policies::faascache_stack, || {
+        cidre_stack(CidreConfig::default())
+    }];
+    for mk in stacks {
+        let deployments = profiles
+            .iter()
+            .map(|p| (p.clone(), sum_handler()))
+            .collect();
+        let colds = within(Duration::from_secs(20), move || {
+            let host = FaasHost::start(
+                LiveConfig::default()
+                    .sim(SimConfig::default().workers_mb(vec![512]))
+                    .time_scale(0.001),
+                mk(),
+                deployments,
+            );
+            let mut colds = Vec::new();
+            for round in 0..50u32 {
+                let burst: Vec<_> = (0..4)
+                    .map(|k| {
+                        let func = FunctionId((round * 3 + k * 5) % 8);
+                        (func, host.invoke(func, vec![1]))
+                    })
+                    .collect();
+                for (func, pending) in burst {
+                    let out = pending.wait().expect("served");
+                    if out.class == StartClass::Cold {
+                        colds.push((func, out.wait));
+                    }
+                }
+            }
+            host.shutdown();
+            colds
+        });
+        assert!(!colds.is_empty(), "evictions force cold starts");
+        for (func, wait) in colds {
+            let latency = profiles[func.0 as usize].cold_start;
+            assert!(
+                wait >= latency,
+                "{func}: cold wait {wait} < provisioning {latency}"
+            );
+        }
+    }
+}
+
+#[test]
 fn traced_host_records_provenance() {
     use faas_obs::ObsEvent;
     let _guard = LIVE_HOST.lock().expect("live-host lock");

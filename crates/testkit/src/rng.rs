@@ -155,20 +155,25 @@ impl Rng {
     }
 
     /// Zipf-distributed rank in `[0, n)` with exponent `s`: rank `r` is
-    /// drawn with probability proportional to `1 / (r+1)^s`. Linear-time
-    /// inverse-CDF walk — fine for the modest `n` tests use.
+    /// drawn with probability proportional to `1 / (r+1)^s`. An
+    /// inverse-CDF walk over weights kept per thread for the last
+    /// `(n, s)`: a run of draws computes them once, and each draw walks
+    /// them only up to the rank it returns.
     pub fn zipf(&mut self, n: usize, s: f64) -> usize {
         assert!(n > 0, "zipf over empty support");
-        let total: f64 = (1..=n).map(|r| 1.0 / (r as f64).powf(s)).sum();
-        let mut x = self.f64() * total;
-        for r in 1..=n {
-            let w = 1.0 / (r as f64).powf(s);
-            if x < w {
-                return r - 1;
+        ZIPF_WEIGHTS.with_borrow_mut(|table| {
+            if (table.weights.len(), table.s_bits) != (n, s.to_bits()) {
+                *table = ZipfWeights::new(n, s);
             }
-            x -= w;
-        }
-        n - 1
+            let mut x = self.f64() * table.total;
+            for (rank, &w) in table.weights.iter().enumerate() {
+                if x < w {
+                    return rank;
+                }
+                x -= w;
+            }
+            n - 1
+        })
     }
 
     /// Weighted categorical choice over `(value, weight)` pairs.
@@ -186,9 +191,83 @@ impl Rng {
     }
 }
 
+/// [`Rng::zipf`]'s weights `1 / r^s` for `r` in `1..=n`, and their sum,
+/// computed by the same `f64` operations in the same order as a draw
+/// that recomputed them would, so the ranks drawn are the same. Kept
+/// outside `Rng`, whose derived `PartialEq` compares generator state.
+struct ZipfWeights {
+    s_bits: u64,
+    weights: Vec<f64>,
+    total: f64,
+}
+
+impl ZipfWeights {
+    fn new(n: usize, s: f64) -> Self {
+        let weights: Vec<f64> = (1..=n).map(|r| 1.0 / (r as f64).powf(s)).collect();
+        let total = weights.iter().sum();
+        Self {
+            s_bits: s.to_bits(),
+            weights,
+            total,
+        }
+    }
+}
+
+thread_local! {
+    /// The last table [`Rng::zipf`] used on this thread; empty (no draw
+    /// has that support) until the first draw.
+    static ZIPF_WEIGHTS: std::cell::RefCell<ZipfWeights> = const {
+        std::cell::RefCell::new(ZipfWeights {
+            s_bits: 0,
+            weights: Vec::new(),
+            total: 0.0,
+        })
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `zipf` as it was before its weights were kept: every draw
+    /// recomputes them. The reference of the memo's property.
+    fn zipf_recomputed(rng: &mut Rng, n: usize, s: f64) -> usize {
+        assert!(n > 0, "zipf over empty support");
+        let total: f64 = (1..=n).map(|r| 1.0 / (r as f64).powf(s)).sum();
+        let mut x = rng.f64() * total;
+        for r in 1..=n {
+            let w = 1.0 / (r as f64).powf(s);
+            if x < w {
+                return r - 1;
+            }
+            x -= w;
+        }
+        n - 1
+    }
+
+    #[test]
+    fn kept_zipf_weights_draw_the_recomputed_ranks() {
+        crate::Checker::new("kept_zipf_weights_draw_the_recomputed_ranks")
+            .cases(48)
+            .run(|g| {
+                let seed = g.u64(0..u64::MAX);
+                let (mut kept, mut recomputed) =
+                    (Rng::seed_from_u64(seed), Rng::seed_from_u64(seed));
+                // A few runs of draws, switching `(n, s)` between them;
+                // half the switches keep `n` and change only `s`.
+                let mut n = g.usize(1..2_000);
+                for _ in 0..g.usize(1..5) {
+                    if g.bool(0.5) {
+                        n = g.usize(1..2_000);
+                    }
+                    let s = *g.choose(&[0.0, 0.5, 0.9, 1.2, 2.0]);
+                    for _ in 0..g.usize(1..200) {
+                        assert_eq!(kept.zipf(n, s), zipf_recomputed(&mut recomputed, n, s));
+                    }
+                }
+                assert_eq!(kept, recomputed);
+            });
+    }
 
     #[test]
     fn deterministic_per_seed() {
