@@ -159,10 +159,12 @@ fi
 
 echo "== tier 1: live load-gen smoke (offline) =="
 # ~1500 requests through the live replay and the simulator side by
-# side: exits non-zero on dropped requests, a missed concurrency floor,
-# or live-vs-sim divergence (class ratios, wait percentiles, GB-s)
-# beyond documented noise.
+# side, under FaasCache and then under CIDRE: each run exits non-zero
+# on dropped requests, a missed concurrency floor, or live-vs-sim
+# divergence (class ratios, exact wait percentiles, GB-s) beyond
+# documented noise.
 cargo run -q --release --offline -p cidre-bench --bin live_load -- --smoke
+cargo run -q --release --offline -p cidre-bench --bin live_load -- --smoke --stack=cidre
 
 echo "== tier 1: experiments smoke (offline) =="
 # Every runner through the CLI at tiny scale, sequentially and fanned

@@ -4,9 +4,10 @@
 //! it into a trace, replays it on the wall clock (`faas_live::run_live`,
 //! the simulator's loop sleeping until each event is due) *and* through
 //! the deterministic simulator, then prints both sides: sustained
-//! requests/sec, p50 / p99 / p999 wait, and the warm / delayed-warm /
-//! cold class split. The schedule is a pure function of the seed, so
-//! any run can be reproduced and cross-checked byte-for-byte.
+//! requests/sec, p50 / p99 / p999 wait (exact, from every request's
+//! record), and the warm / delayed-warm / cold class split. The
+//! schedule is a pure function of the seed, so any run can be
+//! reproduced and cross-checked byte-for-byte.
 //!
 //! Usage: `live_load [--smoke] [--seed=N] [--stack=cidre]`
 //!
@@ -40,7 +41,6 @@ use std::process::ExitCode;
 
 use cidre_core::{cidre_stack, CidreConfig};
 use faas_live::{run_live_stats, LiveConfig};
-use faas_metrics::PercentileSink;
 use faas_policies::faascache_stack;
 use faas_sim::{run, PolicyStack, SimConfig, SimReport, StartClass};
 use faas_testkit::Arrivals;
@@ -132,15 +132,21 @@ impl Scenario {
             .collect();
         Trace::new(profiles, invs).expect("generated trace is valid")
     }
+
+    /// The cluster both sides run on.
+    fn sim_config(&self) -> SimConfig {
+        SimConfig::with_cache_gb(self.cache_gb).container_threads(4)
+    }
 }
 
-/// p50 / p99 / p999 of per-request wait, in simulated milliseconds.
-fn wait_sink(report: &SimReport) -> PercentileSink {
-    let mut sink = PercentileSink::latency();
-    for r in &report.requests {
-        sink.record(r.wait.as_millis_f64());
-    }
-    sink
+/// The wait percentiles both sides print and compare.
+const WAIT_PERCENTILES: [(&str, f64); 3] = [("p50", 0.50), ("p99", 0.99), ("p999", 0.999)];
+
+/// One side's [`WAIT_PERCENTILES`] in simulated milliseconds, exact over
+/// every request (all zero for an empty report).
+fn wait_percentiles(report: &SimReport) -> [f64; 3] {
+    let cdf = report.wait_cdf();
+    WAIT_PERCENTILES.map(|(_, q)| if cdf.is_empty() { 0.0 } else { cdf.quantile(q) })
 }
 
 fn ratio_line(report: &SimReport) -> String {
@@ -166,14 +172,8 @@ fn ledger_line(report: &SimReport) -> String {
     )
 }
 
-fn percentile_line(sink: &PercentileSink) -> String {
-    let q = |p: f64| sink.quantile(p).unwrap_or(f64::NAN);
-    format!(
-        "p50 {:.1} ms  p99 {:.1} ms  p999 {:.1} ms",
-        q(0.50),
-        q(0.99),
-        q(0.999),
-    )
+fn percentile_line([p50, p99, p999]: [f64; 3]) -> String {
+    format!("p50 {p50:.1} ms  p99 {p99:.1} ms  p999 {p999:.1} ms")
 }
 
 fn main() -> ExitCode {
@@ -223,7 +223,7 @@ fn main() -> ExitCode {
     );
 
     let trace = scenario.trace(seed);
-    let sim_cfg = SimConfig::with_cache_gb(scenario.cache_gb).container_threads(4);
+    let sim_cfg = scenario.sim_config();
     let live_cfg = LiveConfig::default()
         .sim(sim_cfg.clone())
         .time_scale(scenario.time_scale);
@@ -231,13 +231,13 @@ fn main() -> ExitCode {
     let simulated = run(&trace, &sim_cfg, mk());
     let (live, stats) = run_live_stats(&trace, &live_cfg, mk());
 
-    let sim_sink = wait_sink(&simulated);
-    let live_sink = wait_sink(&live);
+    let sim_waits = wait_percentiles(&simulated);
+    let live_waits = wait_percentiles(&live);
     println!("  sim : {}", ratio_line(&simulated));
-    println!("        {}", percentile_line(&sim_sink));
+    println!("        {}", percentile_line(sim_waits));
     println!("        {}", ledger_line(&simulated));
     println!("  live: {}", ratio_line(&live));
-    println!("        {}", percentile_line(&live_sink));
+    println!("        {}", percentile_line(live_waits));
     println!("        {}", ledger_line(&live));
     let rps = live.requests.len() as f64 / stats.wall.as_secs_f64();
     println!(
@@ -273,11 +273,7 @@ fn main() -> ExitCode {
             ok = false;
         }
     }
-    for (label, p) in [("p50", 0.50), ("p99", 0.99), ("p999", 0.999)] {
-        let (s, l) = (
-            sim_sink.quantile(p).unwrap_or(0.0),
-            live_sink.quantile(p).unwrap_or(0.0),
-        );
+    for (((label, p), s), l) in WAIT_PERCENTILES.into_iter().zip(sim_waits).zip(live_waits) {
         let mut bound = WAIT_TOLERANCE_MS;
         if p == 0.999 {
             bound += TAIL_JITTER_REAL_MS / scenario.time_scale;
@@ -306,5 +302,21 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Most smoke requests start on a free warm thread, so the exact
+    /// median wait is zero.
+    #[test]
+    fn smoke_sim_median_wait_is_exactly_zero() {
+        let scenario = Scenario::smoke();
+        let trace = scenario.trace(9);
+        let report = run(&trace, &scenario.sim_config(), faascache_stack());
+        let line = percentile_line(wait_percentiles(&report));
+        assert!(line.starts_with("p50 0.0 ms  "), "{line}");
     }
 }

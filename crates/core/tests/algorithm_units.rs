@@ -308,13 +308,11 @@ fn cip_clock_inheritance_is_max_evicted_plus_own_term() {
 
 /// Priorities flow from Eq. 3 into sorts and heap keys, so the float
 /// comparator is part of the algorithm: `f64::total_cmp` gives the
-/// IEEE-754 total order — no NaN unwrap, `-0.0` strictly below `0.0` —
-/// and [`faas_core::OrdF64`] must agree with it exactly, in both `Ord`
-/// and `Eq`.
+/// IEEE-754 total order — no NaN unwrap, `-0.0` strictly below `0.0`.
+/// `faas-core`'s `ordf64_orders_like_total_cmp` holds the eviction
+/// index's key, `OrdF64`, to the same order.
 #[test]
 fn priority_comparator_total_orders_nan_and_signed_zero() {
-    use faas_core::OrdF64;
-
     let mut v = [
         f64::NAN,
         1.0,
@@ -332,35 +330,11 @@ fn priority_comparator_total_orders_nan_and_signed_zero() {
     assert_eq!(v[4], 1.0);
     assert_eq!(v[5], f64::INFINITY);
     assert!(v[6].is_nan(), "positive NaN sorts last");
-
-    // OrdF64 agrees with total_cmp on every non-NaN pair, and its Eq is
-    // consistent with its Ord (-0.0 != 0.0 even though -0.0 == 0.0 as f64).
-    let finite = [f64::NEG_INFINITY, -1.0, -0.0, 0.0, 1.0, f64::INFINITY];
-    for &a in &finite {
-        for &b in &finite {
-            assert_eq!(
-                OrdF64::new(a).cmp(&OrdF64::new(b)),
-                a.total_cmp(&b),
-                "OrdF64 disagrees with total_cmp on ({a}, {b})"
-            );
-            assert_eq!(
-                OrdF64::new(a) == OrdF64::new(b),
-                a.total_cmp(&b).is_eq(),
-                "Eq inconsistent with Ord on ({a}, {b})"
-            );
-        }
-    }
 }
 
 /// NaN priorities must never reach an eviction order silently: the
-/// indexed path rejects them at `OrdF64` construction …
-#[test]
-#[should_panic(expected = "priorities must not be NaN")]
-fn indexed_eviction_key_rejects_nan() {
-    let _ = faas_core::OrdF64::new(f64::NAN);
-}
-
-/// … and the reference path panics with the same message, so swapping
+/// reference path panics with the message `OrdF64::new` panics with on
+/// the indexed path (`faas-core`'s `ordf64_rejects_nan`), so swapping
 /// scan modes cannot change NaN handling (the differential oracle
 /// depends on this).
 #[test]

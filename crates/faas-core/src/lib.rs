@@ -1,8 +1,8 @@
-//! Indexed pool data structures shared by the FaaS simulator and the live
-//! orchestrator.
+//! Indexed pool data structures on the FaaS simulator's hot paths.
 //!
-//! This crate holds the hot-path structures that replace the naive linear
-//! scans in `faas-sim` and `faas-live`:
+//! This crate holds the structures that replace the naive linear scans
+//! of `faas-sim`'s orchestrator, which both the simulator and the live
+//! drivers run:
 //!
 //! * [`pool::PendingQueue`] — a FIFO of pending requests that supports an
 //!   O(1) "pop the first request that is not cold-only" alongside plain
@@ -18,10 +18,10 @@
 //!   container, worker or function id on a per-event path, these pools'
 //!   own key maps included.
 //!
-//! The structures are generic over the id types so both substrates (the
-//! discrete-event simulator and the wall-clock live runtime) share one
-//! implementation and can be differentially tested against the retained
-//! reference scans.
+//! The structures are generic over the id types. `faas-sim` keeps the
+//! scans they replace as its reference implementation
+//! (`ScanMode::Reference`), and the differential oracle holds the two to
+//! the same output.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -458,6 +458,22 @@ mod tests {
         // with Ord, unlike f64's PartialEq where -0.0 == 0.0.
         assert!(v[1].is_sign_negative() && v[2].is_sign_positive());
         assert_ne!(OrdF64::new(-0.0), OrdF64::new(0.0));
+        // The same on every pair, infinities included.
+        let finite = [f64::NEG_INFINITY, -1.0, -0.0, 0.0, 1.0, f64::INFINITY];
+        for &a in &finite {
+            for &b in &finite {
+                assert_eq!(
+                    OrdF64::new(a).cmp(&OrdF64::new(b)),
+                    a.total_cmp(&b),
+                    "OrdF64 disagrees with total_cmp on ({a}, {b})"
+                );
+                assert_eq!(
+                    OrdF64::new(a) == OrdF64::new(b),
+                    a.total_cmp(&b).is_eq(),
+                    "Eq inconsistent with Ord on ({a}, {b})"
+                );
+            }
+        }
     }
 
     #[test]

@@ -62,7 +62,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use faas_obs::{NoopRecorder, Recorder, RingRecorder, TraceLog};
+use faas_obs::{NoopRecorder, Recorder, TraceLog};
 use faas_sim::{ContainerId, Event, Orchestrator, PolicyStack, RequestId, SimReport, StartClass};
 use faas_trace::{FunctionId, FunctionProfile, TimeDelta, TimePoint};
 
@@ -161,7 +161,7 @@ impl FaasHost {
         stack: PolicyStack,
         deployments: Vec<(FunctionProfile, Handler)>,
     ) -> Self {
-        Self::start_with(config, stack, deployments, RingRecorder::unbounded())
+        Self::start_with(config, stack, deployments, TraceLog::default())
     }
 
     fn start_with<R: Recorder + Send + 'static>(

@@ -8,12 +8,6 @@
 //! ([`TimeSeries`]) for memory-usage accounting, and plain-text rendering
 //! helpers ([`Table`], [`AsciiChart`]) used by the experiment harness.
 //!
-//! For runs too large to keep every sample, [`P2Quantile`] estimates a
-//! single quantile in constant memory (the P² algorithm), and
-//! [`PercentileSink`] bundles several such estimators with exact
-//! count / min / max / mean — the measurement endpoint for open-loop
-//! load generation.
-//!
 //! Everything here is dependency-free, deterministic, and `f64`-based; the
 //! simulator keeps integer microseconds internally and converts at the
 //! measurement boundary.
@@ -59,8 +53,6 @@ mod ascii;
 mod cdf;
 mod pareto;
 mod percentile;
-mod quantile;
-mod sink;
 mod sliding;
 mod summary;
 mod table;
@@ -69,9 +61,7 @@ mod timeseries;
 pub use ascii::{AsciiChart, AsciiWaterfall};
 pub use cdf::Cdf;
 pub use pareto::{pareto_frontier, ParetoPoint};
-pub use percentile::{mean, median, percentile, std_dev};
-pub use quantile::P2Quantile;
-pub use sink::PercentileSink;
+pub use percentile::percentile;
 pub use sliding::SlidingWindow;
 pub use summary::Summary;
 pub use table::Table;

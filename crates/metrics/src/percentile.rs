@@ -1,4 +1,4 @@
-//! Free-standing percentile and moment helpers over slices.
+//! The percentile of a slice, by linear interpolation between ranks.
 
 /// Returns the `p`-th percentile (0–100) of `values` using linear
 /// interpolation between closest ranks, the same scheme as NumPy's default.
@@ -55,57 +55,6 @@ pub(crate) fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
     }
 }
 
-/// Returns the median (50th percentile) of `values`.
-///
-/// # Panics
-///
-/// Panics if `values` is empty.
-///
-/// # Examples
-///
-/// ```
-/// use faas_metrics::median;
-/// assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
-/// ```
-pub fn median(values: &[f64]) -> f64 {
-    percentile(values, 50.0)
-}
-
-/// Returns the arithmetic mean of `values`.
-///
-/// # Panics
-///
-/// Panics if `values` is empty.
-///
-/// # Examples
-///
-/// ```
-/// use faas_metrics::mean;
-/// assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
-/// ```
-pub fn mean(values: &[f64]) -> f64 {
-    assert!(!values.is_empty(), "mean of empty slice");
-    values.iter().sum::<f64>() / values.len() as f64
-}
-
-/// Returns the population standard deviation of `values`.
-///
-/// # Panics
-///
-/// Panics if `values` is empty.
-///
-/// # Examples
-///
-/// ```
-/// use faas_metrics::std_dev;
-/// assert!((std_dev(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]) - 2.0).abs() < 1e-12);
-/// ```
-pub fn std_dev(values: &[f64]) -> f64 {
-    let m = mean(values);
-    let var = values.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / values.len() as f64;
-    var.sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,7 +75,7 @@ mod tests {
 
     #[test]
     fn median_even_count_averages_middle_pair() {
-        assert_eq!(median(&[1.0, 2.0, 3.0, 4.0]), 2.5);
+        assert_eq!(percentile(&[4.0, 1.0, 3.0, 2.0], 50.0), 2.5);
     }
 
     #[test]
@@ -146,12 +95,6 @@ mod tests {
     #[should_panic(expected = "out of")]
     fn percentile_out_of_range_panics() {
         percentile(&[1.0], 101.0);
-    }
-
-    #[test]
-    fn mean_and_std_dev() {
-        assert_eq!(mean(&[1.0, 3.0]), 2.0);
-        assert_eq!(std_dev(&[1.0, 1.0, 1.0]), 0.0);
     }
 
     #[test]

@@ -61,17 +61,6 @@ impl TimeSeries {
         self.points.is_empty()
     }
 
-    /// The value at time `t`, i.e. the value of the latest point at or
-    /// before `t`; `None` before the first point or when empty.
-    pub fn value_at(&self, t: u64) -> Option<f64> {
-        let idx = self.points.partition_point(|&(pt, _)| pt <= t);
-        if idx == 0 {
-            None
-        } else {
-            Some(self.points[idx - 1].1)
-        }
-    }
-
     /// Maximum value over all points, or `None` when empty.
     pub fn max(&self) -> Option<f64> {
         self.points.iter().map(|&(_, v)| v).fold(None, |acc, v| {
@@ -126,22 +115,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn value_at_steps() {
-        let ts: TimeSeries = [(10, 1.0), (20, 2.0)].into_iter().collect();
-        assert_eq!(ts.value_at(5), None);
-        assert_eq!(ts.value_at(10), Some(1.0));
-        assert_eq!(ts.value_at(15), Some(1.0));
-        assert_eq!(ts.value_at(20), Some(2.0));
-        assert_eq!(ts.value_at(1000), Some(2.0));
-    }
-
-    #[test]
     fn same_timestamp_overwrites() {
         let mut ts = TimeSeries::new();
         ts.push(5, 1.0);
         ts.push(5, 9.0);
-        assert_eq!(ts.len(), 1);
-        assert_eq!(ts.value_at(5), Some(9.0));
+        assert_eq!(ts.iter().collect::<Vec<_>>(), vec![(5, 9.0)]);
     }
 
     #[test]

@@ -118,8 +118,8 @@ impl Writer {
         }
     }
 
-    /// pid for a container's track; 0 (orchestrator) when the ring
-    /// buffer dropped its `ProvisionBegin` and the placement is lost.
+    /// pid for a container's track; 0 (orchestrator) when the events
+    /// hold no `ProvisionBegin` for it (a slice cut mid-run).
     fn pid_of(&mut self, cid: u64) -> u64 {
         match self.placement.get(&cid) {
             Some(&w) => {
@@ -212,7 +212,7 @@ impl Writer {
                 );
                 // The start itself is also an instant so class and
                 // queue wait stay visible even if the span never
-                // closes (crash) or the ring dropped the Finish.
+                // closes (crash, or a slice that ends first).
                 let pid = self.pid_of(*cid);
                 let args = format!(
                     "\"rid\":{rid},\"class\":\"{}\",\"wait_us\":{}",

@@ -41,8 +41,6 @@
 pub mod chrome;
 pub mod waterfall;
 
-use std::collections::VecDeque;
-
 use faas_trace::{FunctionId, TimeDelta, TimePoint};
 
 /// The final admission decision for an arrival that found no idle warm
@@ -292,95 +290,44 @@ pub struct NoopRecorder;
 
 impl Recorder for NoopRecorder {}
 
-/// A bounded ring-buffer recorder. When full, the oldest events are
-/// dropped (and counted) so long traced runs keep the most recent
-/// window; [`RingRecorder::unbounded`] keeps everything.
-#[derive(Debug, Clone)]
-pub struct RingRecorder {
-    buf: VecDeque<ObsEvent>,
-    cap: usize,
-    dropped: u64,
+/// The recording: every event in emission order (which for the
+/// simulator is virtual-time order). It is its own [`Recorder`]: a
+/// traced run hands the engine an empty `TraceLog` and takes it back
+/// with [`Recorder::take_log`].
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct TraceLog {
+    events: Vec<ObsEvent>,
 }
 
-impl RingRecorder {
-    /// A recorder that keeps at most `cap` events (the newest win).
-    pub fn with_capacity(cap: usize) -> Self {
-        assert!(cap > 0, "ring capacity must be positive");
-        RingRecorder {
-            buf: VecDeque::new(),
-            cap,
-            dropped: 0,
-        }
-    }
-
-    /// A recorder that keeps every event.
-    pub fn unbounded() -> Self {
-        RingRecorder {
-            buf: VecDeque::new(),
-            cap: usize::MAX,
-            dropped: 0,
-        }
-    }
-
-    /// Finish recording and take the accumulated log.
-    pub fn into_log(self) -> TraceLog {
-        TraceLog {
-            events: self.buf.into(),
-            dropped: self.dropped,
-        }
-    }
-}
-
-impl Recorder for RingRecorder {
+impl Recorder for TraceLog {
     #[inline]
     fn enabled(&self) -> bool {
         true
     }
 
     fn record(&mut self, event: ObsEvent) {
-        if self.buf.len() == self.cap {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(event);
+        self.events.push(event);
     }
 
     fn take_log(&mut self) -> TraceLog {
-        TraceLog {
-            events: std::mem::take(&mut self.buf).into(),
-            dropped: std::mem::take(&mut self.dropped),
-        }
+        std::mem::take(self)
     }
 }
 
-/// A finished recording: the retained events in emission order (which
-/// for the simulator is virtual-time order), plus how many older events
-/// the ring dropped.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct TraceLog {
-    events: Vec<ObsEvent>,
-    dropped: u64,
-}
-
 impl TraceLog {
-    /// The retained events, oldest first.
+    /// The recorded events, oldest first.
     pub fn events(&self) -> &[ObsEvent] {
         &self.events
     }
 
-    /// Number of retained events.
+    /// Number of recorded events.
     pub fn len(&self) -> usize {
         self.events.len()
     }
 
-    /// True when nothing was retained.
+    /// True when nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// Events the bounded ring discarded to stay within capacity.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 
     /// Export as Chrome trace-event JSON (see [`chrome`]).
@@ -414,44 +361,24 @@ mod tests {
     }
 
     #[test]
-    fn ring_keeps_newest_and_counts_drops() {
-        let mut rec = RingRecorder::with_capacity(2);
+    fn take_log_leaves_the_log_empty() {
+        let mut rec = TraceLog::default();
         assert!(rec.enabled());
-        for us in 0..5 {
-            rec.record(ev(us));
-        }
-        let log = rec.into_log();
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.dropped(), 3);
-        let ats: Vec<u64> = log.events().iter().map(|e| e.at().as_micros()).collect();
-        assert_eq!(ats, vec![3, 4]);
-    }
-
-    #[test]
-    fn take_log_drains_the_ring() {
-        let mut rec = RingRecorder::unbounded();
         rec.record(ev(7));
         let log = rec.take_log();
         assert_eq!(log.len(), 1);
-        assert!(rec.take_log().is_empty(), "take_log leaves the ring empty");
+        assert!(rec.take_log().is_empty(), "take_log leaves the log empty");
         let mut noop = NoopRecorder;
         assert!(noop.take_log().is_empty());
     }
 
     #[test]
     fn unbounded_keeps_everything() {
-        let mut rec = RingRecorder::unbounded();
+        let mut rec = TraceLog::default();
         for us in 0..100 {
             rec.record(ev(us));
         }
-        let log = rec.into_log();
-        assert_eq!(log.len(), 100);
-        assert_eq!(log.dropped(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_capacity_rejected() {
-        let _ = RingRecorder::with_capacity(0);
+        let ats: Vec<u64> = rec.events().iter().map(|e| e.at().as_micros()).collect();
+        assert_eq!(ats, (0..100).collect::<Vec<u64>>());
     }
 }

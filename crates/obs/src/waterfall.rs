@@ -71,7 +71,7 @@ fn overlap(a1: u64, a2: u64, b1: u64, b2: u64) -> u64 {
 
 /// Builds per-request waterfalls from an event stream. Requests whose
 /// `Start`/`Finish` pair is incomplete (crash-voided runs that never
-/// restarted, or events lost to a bounded ring) are skipped. Output is
+/// restarted, or a slice of the events cut mid-run) are skipped. Output is
 /// sorted by rid.
 pub fn waterfalls(events: &[ObsEvent]) -> Vec<Waterfall> {
     struct Started {

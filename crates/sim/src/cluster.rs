@@ -108,8 +108,8 @@ pub struct ClusterState {
     /// Every live (warm or provisioning) container, found by hash: the
     /// per-event path looks ids up and never walks the table. Ids are
     /// still handed out sequentially; the three views whose order is
-    /// observable — [`ClusterState::all_iter`], `all_containers`,
-    /// `containers_on` — sort on demand (DESIGN.md §7).
+    /// observable — [`ClusterState::all_iter`] and `containers_on` —
+    /// sort on demand (DESIGN.md §7).
     containers: HashMap<ContainerId, Container, IdBuildHasher>,
     /// Per-function state and profile, indexed by the function's slot:
     /// its position in `function_ids` (see [`ClusterState::slot`]). Both
@@ -911,13 +911,6 @@ impl ClusterState {
 
     /// Iterates over warm, saturated containers of `func` (candidates for
     /// `EnqueueOn` decisions).
-    pub fn saturated_containers(&self, func: FunctionId) -> Vec<ContainerInfo> {
-        self.saturated_iter(func).map(ContainerInfo::from).collect()
-    }
-
-    /// Iterates over warm, saturated containers of `func` without
-    /// allocating (the borrow-based flavor of
-    /// [`ClusterState::saturated_containers`]).
     pub fn saturated_iter(&self, func: FunctionId) -> impl Iterator<Item = &Container> + '_ {
         self.fn_runtime(func)
             .into_iter()
@@ -926,14 +919,8 @@ impl ClusterState {
             .filter(|c| c.is_saturated())
     }
 
-    /// Snapshot of every live (warm or provisioning) container, in id
-    /// order.
-    pub fn all_containers(&self) -> Vec<ContainerInfo> {
-        self.all_iter().map(ContainerInfo::from).collect()
-    }
-
-    /// Iterates over every live container in id order (the borrow-based
-    /// flavor of [`ClusterState::all_containers`]). The order is
+    /// Iterates over every live (warm or provisioning) container in id
+    /// order. The order is
     /// observable — tick-time `expirations` evict in the order this
     /// yields — so the table is sorted here, once per call: callers sit
     /// on tick, crash and end-of-run paths, never on a per-request one.
@@ -1047,13 +1034,7 @@ impl<'a> PolicyCtx<'a> {
         self.cluster.freq_per_minute(func, self.now)
     }
 
-    /// Warm, saturated containers of the function.
-    pub fn saturated_containers(&self, func: FunctionId) -> Vec<ContainerInfo> {
-        self.cluster.saturated_containers(func)
-    }
-
-    /// Iterates warm, saturated containers of the function without
-    /// allocating a snapshot vector (preferred on hot decision paths).
+    /// Iterates warm, saturated containers of the function.
     pub fn saturated_iter(&self, func: FunctionId) -> impl Iterator<Item = &'a Container> + 'a {
         self.cluster.saturated_iter(func)
     }
@@ -1063,13 +1044,8 @@ impl<'a> PolicyCtx<'a> {
         self.saturated_iter(func).count()
     }
 
-    /// Snapshot of every live container (used by prewarming baselines).
-    pub fn all_containers(&self) -> Vec<ContainerInfo> {
-        self.cluster.all_containers()
-    }
-
-    /// Iterates every live container in id order, borrowing instead of
-    /// snapshotting. The order is sorted per call: this is for tick-time
+    /// Iterates every live container in id order (used by prewarming
+    /// baselines). The order is sorted per call: this is for tick-time
     /// walks (`expirations`, prewarming), not per-request decisions.
     pub fn all_iter(&self) -> impl Iterator<Item = &'a Container> + 'a {
         self.cluster.all_iter()
@@ -1286,7 +1262,7 @@ mod tests {
             cl.finish_provision(id, TimePoint::ZERO);
             cl.occupy_thread(id, TimePoint::ZERO);
             assert_eq!(cl.warm_count(func), 1);
-            assert_eq!(cl.saturated_containers(func).len(), 1);
+            assert_eq!(cl.saturated_iter(func).count(), 1);
             cl.validate();
             cl.release_thread(id, TimePoint::from_millis(5));
             assert_eq!(cl.pick_available(func), Some(id));
@@ -1430,7 +1406,7 @@ mod tests {
         for ctx in [a, b] {
             assert_eq!(ctx.warm_count(FunctionId(0)), 3);
             assert_eq!(ctx.invocations(FunctionId(0)), 1);
-            assert_eq!(ctx.saturated_containers(FunctionId(0)).len(), 1);
+            assert_eq!(ctx.saturated_iter(FunctionId(0)).count(), 1);
             assert_eq!(
                 ctx.oracle_remaining(ids[0]),
                 Some(TimeDelta::from_millis(20))

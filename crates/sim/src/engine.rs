@@ -31,7 +31,7 @@
 //! remains — the one moment deferred placements need an explicit retry,
 //! and the one moment "no progress possible" can be asserted.
 
-use faas_obs::{NoopRecorder, Recorder, RingRecorder, TraceLog};
+use faas_obs::{NoopRecorder, Recorder, TraceLog};
 use faas_trace::{TimePoint, Trace};
 
 use crate::config::SimConfig;
@@ -84,7 +84,7 @@ pub fn run(trace: &Trace, config: &SimConfig, stack: PolicyStack) -> SimReport {
 /// assert!(!log.is_empty());
 /// ```
 pub fn run_traced(trace: &Trace, config: &SimConfig, stack: PolicyStack) -> (SimReport, TraceLog) {
-    run_on_clock(trace, config, stack, RingRecorder::unbounded(), |at| at)
+    run_on_clock(trace, config, stack, TraceLog::default(), |at| at)
 }
 
 /// The replay loop of [`run`] and [`run_traced`] with the clock as an

@@ -169,14 +169,6 @@ impl SimReport {
     pub fn gb_s_per_request(&self) -> f64 {
         self.ledger.gb_s_per_request(self.requests.len() as u64)
     }
-
-    /// Time-weighted mean cluster memory usage in GB (Fig. 16).
-    pub fn avg_memory_gb(&self) -> f64 {
-        self.memory
-            .time_weighted_mean(self.finished_at.as_micros())
-            .unwrap_or(0.0)
-            / 1024.0
-    }
 }
 
 #[cfg(test)]
@@ -235,7 +227,6 @@ mod tests {
         assert_eq!(r.avg_overhead_ratio(), 0.0);
         assert_eq!(r.ratio(StartClass::Cold), 0.0);
         assert!(r.wait_cdf().is_empty());
-        assert_eq!(r.avg_memory_gb(), 0.0);
     }
 
     #[test]

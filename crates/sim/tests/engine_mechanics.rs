@@ -22,8 +22,7 @@ impl KeepAlive for ExpiringLru {
         c.last_used.as_micros() as f64
     }
     fn expirations(&mut self, ctx: &PolicyCtx<'_>) -> Vec<ContainerId> {
-        ctx.all_containers()
-            .into_iter()
+        ctx.all_iter()
             .filter(|c| c.threads_in_use == 0 && ctx.now.saturating_since(c.last_used) >= self.ttl)
             .map(|c| c.id)
             .collect()

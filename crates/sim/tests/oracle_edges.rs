@@ -1,7 +1,7 @@
 //! Edge cases of the policy-facing cluster queries that the indexed
 //! refactor must not disturb: `oracle_earliest_free` and the
 //! saturated-container views, across dead workers, provisioning-only
-//! functions, and the exact saturation boundary — and the three views
+//! functions, and the exact saturation boundary — and the two views
 //! of the hashed container table whose order is observable, with the
 //! per-function pool and counts that have no set beside them any more.
 
@@ -40,7 +40,6 @@ fn oracle_earliest_free_is_none_for_provisioning_only_function() {
     let busy = HashMap::new();
     let ctx = PolicyCtx::new(TimePoint::from_secs(1), &cl, &busy);
     assert_eq!(ctx.oracle_earliest_free(FunctionId(0)), None);
-    assert!(ctx.saturated_containers(FunctionId(0)).is_empty());
     assert_eq!(ctx.saturated_count(FunctionId(0)), 0);
 }
 
@@ -128,7 +127,7 @@ fn saturation_flips_exactly_at_thread_capacity() {
 }
 
 #[test]
-fn saturated_views_agree_between_vec_and_iter_flavors() {
+fn saturated_view_skips_idle_containers_and_absent_functions() {
     let mut cl = ClusterState::new(&[2_000], profiles(2), 1);
     let a = warm(&mut cl, 0, 0);
     let _idle = warm(&mut cl, 0, 0);
@@ -137,16 +136,9 @@ fn saturated_views_agree_between_vec_and_iter_flavors() {
     cl.occupy_thread(b, TimePoint::ZERO);
     let busy = HashMap::new();
     let ctx = PolicyCtx::new(TimePoint::ZERO, &cl, &busy);
-    let from_vec: Vec<ContainerId> = ctx
-        .saturated_containers(FunctionId(0))
-        .iter()
-        .map(|c| c.id)
-        .collect();
-    let from_iter: Vec<ContainerId> = ctx.saturated_iter(FunctionId(0)).map(|c| c.id).collect();
-    assert_eq!(from_vec, from_iter);
-    assert_eq!(from_vec, vec![a, b]);
-    // A function with no containers at all yields empty views.
-    assert!(ctx.saturated_containers(FunctionId(1)).is_empty());
+    let saturated: Vec<ContainerId> = ctx.saturated_iter(FunctionId(0)).map(|c| c.id).collect();
+    assert_eq!(saturated, vec![a, b]);
+    // A function with no containers at all yields an empty view.
     assert_eq!(ctx.saturated_iter(FunctionId(1)).count(), 0);
 }
 
@@ -174,7 +166,7 @@ fn pick(
 }
 
 /// The container table is found by hash, so nothing about its layout
-/// orders `all_iter`, `all_containers` or `containers_on`: each sorts.
+/// orders `all_iter` or `containers_on`: each sorts.
 /// Random lifecycles over 1–5 workers, a `BTreeMap` model beside the
 /// cluster; after every step the views equal the model's ascending ids,
 /// the per-function counts equal the model's, the pool's pick equals
@@ -247,10 +239,6 @@ fn ordered_views_match_a_btreemap_model_through_random_lifecycles() {
             }
             let ids: Vec<ContainerId> = model.keys().copied().collect();
             assert_eq!(cl.all_iter().map(|c| c.id).collect::<Vec<_>>(), ids);
-            assert_eq!(
-                cl.all_containers().iter().map(|c| c.id).collect::<Vec<_>>(),
-                ids
-            );
             for w in (0..workers).map(|w| WorkerId(w as u16)) {
                 let hosted: Vec<ContainerId> = ids
                     .iter()

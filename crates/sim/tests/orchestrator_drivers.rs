@@ -22,7 +22,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use faas_obs::{NoopRecorder, RingRecorder, TraceLog};
+use faas_obs::{NoopRecorder, TraceLog};
 use faas_sim::{
     baseline_lru_stack, run_on_clock, run_traced, ContainerId, ContainerInfo, Event, EventQueue,
     FaultPlan, KeepAlive, LruKeepAlive, Orchestrator, PolicyCtx, PolicyStack, RequestId,
@@ -61,8 +61,7 @@ impl Scaler for QueueOnBusy {
         "queue-on-busy"
     }
     fn on_blocked(&mut self, r: &RequestInfo, ctx: &PolicyCtx<'_>) -> ScaleDecision {
-        ctx.all_containers()
-            .into_iter()
+        ctx.all_iter()
             .find(|c| c.func == r.func && c.threads_in_use > 0)
             .map_or(ScaleDecision::WaitWarm, |c| ScaleDecision::EnqueueOn(c.id))
     }
@@ -304,13 +303,9 @@ enum Input {
 }
 
 /// A fresh recording core for `trace` on `config`'s cluster.
-fn fresh_core(
-    trace: &Trace,
-    config: &SimConfig,
-    policies: PolicyStack,
-) -> Orchestrator<RingRecorder> {
+fn fresh_core(trace: &Trace, config: &SimConfig, policies: PolicyStack) -> Orchestrator<TraceLog> {
     let functions = trace.functions().iter().cloned();
-    Orchestrator::new(functions, config, policies, RingRecorder::unbounded())
+    Orchestrator::new(functions, config, policies, TraceLog::default())
 }
 
 /// The **reference driver** the streamed `run_traced` must equal byte
@@ -395,25 +390,17 @@ fn replaying_the_input_log_reproduces_report_and_trace() {
             // clock read; fed those readings, a second run is the first.
             let mut late = Rng::seed_from_u64(late_seed);
             let (mut last, mut readings) = (TimePoint::ZERO, Vec::new());
-            let (late_report, late_obs) = run_on_clock(
-                &trace,
-                &config,
-                stack(label),
-                RingRecorder::unbounded(),
-                |at| {
+            let (late_report, late_obs) =
+                run_on_clock(&trace, &config, stack(label), TraceLog::default(), |at| {
                     last = last.max(at + TimeDelta::from_micros(late.u64_below(max_late + 1)));
                     readings.push(last);
                     last
-                },
-            );
+                });
             let mut logged = readings.into_iter();
-            let (again, again_obs) = run_on_clock(
-                &trace,
-                &config,
-                stack(label),
-                RingRecorder::unbounded(),
-                |_| logged.next().expect("a reading per step"),
-            );
+            let (again, again_obs) =
+                run_on_clock(&trace, &config, stack(label), TraceLog::default(), |_| {
+                    logged.next().expect("a reading per step")
+                });
             assert!(logged.next().is_none(), "{label}: readings left over");
             assert_eq!(
                 format!("{again:?}"),
@@ -441,8 +428,7 @@ impl KeepAlive for ExpiringLru {
         LruKeepAlive.priority(c, ctx)
     }
     fn expirations(&mut self, ctx: &PolicyCtx<'_>) -> Vec<ContainerId> {
-        ctx.all_containers()
-            .into_iter()
+        ctx.all_iter()
             .filter(|c| ctx.now.saturating_since(c.last_used) >= TimeDelta::from_secs(2))
             .map(|c| c.id)
             .collect()

@@ -36,6 +36,9 @@ use std::path::PathBuf;
 
 use crate::rng::{splitmix64, Rng};
 
+/// Shrink attempts after a failure, at most.
+const SHRINK_BUDGET: u32 = 512;
+
 /// Random-input source handed to properties: draws values from a raw
 /// choice stream that is recorded for shrinking and replay.
 #[derive(Debug)]
@@ -128,7 +131,6 @@ pub struct Checker {
     name: String,
     cases: u32,
     base_seed: u64,
-    shrink_budget: u32,
     regressions: Option<PathBuf>,
 }
 
@@ -148,7 +150,6 @@ impl Checker {
             name: name.to_string(),
             cases,
             base_seed,
-            shrink_budget: 512,
             regressions: None,
         }
     }
@@ -166,12 +167,6 @@ impl Checker {
     /// `CARGO_MANIFEST_DIR` so it works from any working directory.
     pub fn regressions_file(mut self, path: impl Into<PathBuf>) -> Self {
         self.regressions = Some(path.into());
-        self
-    }
-
-    /// Caps the number of shrink attempts after a failure.
-    pub fn shrink_budget(mut self, n: u32) -> Self {
-        self.shrink_budget = n;
         self
     }
 
@@ -195,7 +190,7 @@ impl Checker {
         let outcome = catch_unwind(AssertUnwindSafe(|| prop(&mut gen)));
         let Err(payload) = outcome else { return };
         let choices = gen.record.clone();
-        let shrunk = self.shrink(prop, choices);
+        let shrunk = Self::shrink(prop, choices);
         if !from_regression {
             self.persist_regression_seed(case_seed);
         }
@@ -224,7 +219,7 @@ impl Checker {
     /// Greedy choice-stream shrinking: truncation, chunk zeroing, and
     /// per-value halving, repeated until the budget runs out or no pass
     /// makes progress. Returns the simplest still-failing stream.
-    fn shrink<F: Fn(&mut Gen)>(&self, prop: &F, mut best: Vec<u64>) -> Vec<u64> {
+    fn shrink<F: Fn(&mut Gen)>(prop: &F, mut best: Vec<u64>) -> Vec<u64> {
         let fails = |choices: &[u64]| {
             catch_unwind(AssertUnwindSafe(|| {
                 prop(&mut Gen::replaying(choices.to_vec()))
@@ -233,7 +228,7 @@ impl Checker {
         };
         let mut attempts = 0u32;
         let mut progressed = true;
-        while progressed && attempts < self.shrink_budget {
+        while progressed && attempts < SHRINK_BUDGET {
             progressed = false;
             // Pass 1: cut the tail in half, then quarters.
             for denom in [2usize, 4, 8] {
@@ -246,14 +241,14 @@ impl Checker {
                         progressed = true;
                     }
                 }
-                if attempts >= self.shrink_budget {
+                if attempts >= SHRINK_BUDGET {
                     return best;
                 }
             }
             // Pass 2: zero chunks of shrinking size.
             for chunk in [8usize, 4, 2, 1] {
                 let mut i = 0;
-                while i < best.len() && attempts < self.shrink_budget {
+                while i < best.len() && attempts < SHRINK_BUDGET {
                     let end = (i + chunk).min(best.len());
                     if best[i..end].iter().any(|&v| v != 0) {
                         let mut cand = best.clone();
@@ -269,7 +264,7 @@ impl Checker {
             }
             // Pass 3: halve individual values.
             for i in 0..best.len() {
-                if attempts >= self.shrink_budget {
+                if attempts >= SHRINK_BUDGET {
                     return best;
                 }
                 if best[i] > 0 {

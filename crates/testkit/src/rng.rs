@@ -107,12 +107,6 @@ impl Rng {
         lo + self.u64_below(hi - lo + 1)
     }
 
-    /// Uniform `f64` in `[lo, hi)`.
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        debug_assert!(lo <= hi);
-        lo + self.f64() * (hi - lo)
-    }
-
     /// Bernoulli draw with success probability `p` (clamped to [0, 1]).
     pub fn bool(&mut self, p: f64) -> bool {
         self.f64() < p
@@ -305,8 +299,6 @@ mod tests {
             assert!((10..20).contains(&v));
             let w = rng.range_u64_inclusive(0, 3);
             assert!(w <= 3);
-            let f = rng.range_f64(-1.0, 1.0);
-            assert!((-1.0..1.0).contains(&f));
             let u = rng.open01();
             assert!(u > 0.0 && u < 1.0);
         }

@@ -148,14 +148,6 @@ impl SyntheticWorkload {
         self
     }
 
-    /// Sets the Pareto tail exponent and cap for burst sizes. Smaller
-    /// `alpha` means heavier concurrency tails.
-    pub fn burst_tail(mut self, alpha: f64, max: usize) -> Self {
-        self.burst_pareto_alpha = alpha;
-        self.burst_max = max.max(2);
-        self
-    }
-
     /// Sets the window over which one burst's requests are spread.
     pub fn burst_window(mut self, w: TimeDelta) -> Self {
         self.burst_window = w;

@@ -1,7 +1,5 @@
 //! Trace transforms used by the paper's sensitivity studies.
 
-use std::collections::BTreeSet;
-
 use crate::{FunctionId, Invocation, TimePoint, Trace};
 
 #[cfg(test)]
@@ -70,25 +68,6 @@ pub fn scale_cold_start(trace: &Trace, factor: f64) -> Trace {
     Trace::new(functions, invocations).expect("transform preserves consistency")
 }
 
-/// Keeps only invocations of the given functions (and their profiles),
-/// the way the paper samples 330/220 functions from the full traces.
-pub fn sample_functions(trace: &Trace, keep: &[FunctionId]) -> Trace {
-    // BTreeSet rather than HashSet: only membership is queried today,
-    // but a deterministic container keeps any future iteration over the
-    // kept set ordered for free.
-    let keep: BTreeSet<FunctionId> = keep.iter().copied().collect();
-    let (functions, invocations) = trace.clone().into_parts();
-    let functions = functions
-        .into_iter()
-        .filter(|f| keep.contains(&f.id))
-        .collect();
-    let invocations = invocations
-        .into_iter()
-        .filter(|i| keep.contains(&i.func))
-        .collect();
-    Trace::new(functions, invocations).expect("transform preserves consistency")
-}
-
 /// Keeps only invocations arriving in `[start, end)`, re-basing arrivals
 /// so the slice starts at time zero. All profiles are retained.
 pub fn slice_time(trace: &Trace, start: TimePoint, end: TimePoint) -> Trace {
@@ -122,14 +101,6 @@ pub fn merge(a: &Trace, b: &Trace) -> Trace {
         i
     }));
     Trace::new(functions, invocations).expect("disjoint ids preserve consistency")
-}
-
-/// Truncates the trace to at most `n` earliest invocations (profiles
-/// retained), handy for `--quick` experiment modes.
-pub fn take_first(trace: &Trace, n: usize) -> Trace {
-    let (functions, mut invocations) = trace.clone().into_parts();
-    invocations.truncate(n);
-    Trace::new(functions, invocations).expect("transform preserves consistency")
 }
 
 #[cfg(test)]
@@ -194,14 +165,6 @@ mod tests {
     }
 
     #[test]
-    fn sampling_drops_other_functions() {
-        let t = sample_functions(&base(), &[FunctionId(1)]);
-        assert_eq!(t.functions().len(), 1);
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.invocations()[0].func, FunctionId(1));
-    }
-
-    #[test]
     fn slicing_rebases_time() {
         let t = slice_time(
             &base(),
@@ -221,14 +184,6 @@ mod tests {
         );
         assert_eq!(t.len(), 1);
         assert_eq!(t.invocations()[0].func, FunctionId(0));
-    }
-
-    #[test]
-    fn take_first_truncates() {
-        let t = take_first(&base(), 1);
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.functions().len(), 2);
-        assert_eq!(take_first(&base(), 10).len(), 2);
     }
 
     #[test]

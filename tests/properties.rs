@@ -309,7 +309,7 @@ fn sliding_window_matches_naive_median() {
         match window.median(now) {
             Some(m) => {
                 assert!(!naive.is_empty());
-                let expected = cidre::metrics::median(&naive);
+                let expected = cidre::metrics::percentile(&naive, 50.0);
                 assert_eq!(
                     m.to_bits(),
                     expected.to_bits(),
