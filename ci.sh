@@ -18,6 +18,12 @@ echo "== lint: clippy (offline, all targets, all warnings deny) =="
 # tests/clippy_canary.rs fails here if one stops firing.
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "== lint: rustdoc (offline, all warnings deny) =="
+# `cargo test` runs the doctests but never resolves intra-doc links: a
+# link to a private or renamed item, or one that names two things, is a
+# rustdoc warning and fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
+
 echo "== guard: float order is total_cmp (F1) =="
 # `f64::total_cmp` is total and NaN-safe; a `partial_cmp` call site is
 # one NaN away from a panic or an unstable sort. Tests included. The

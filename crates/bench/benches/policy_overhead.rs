@@ -1,19 +1,18 @@
-//! Micro-benchmarks of CIDRE's decision paths.
+//! Micro-benchmark of Algorithm 1's decision (CSS) against its window.
 //!
 //! The paper reports Algorithm 1 adding ≈36 µs per decision in
 //! OpenLambda; here the pure in-memory decision (no RPC, no Go runtime)
-//! should be far below that. Also benches the CIP priority computation
-//! that eviction sorts by.
+//! should be far below that, and may not grow with the window the way a
+//! per-decision sort would. The fixed-size decision and CIP's priority
+//! are `benchmark/`'s `policy.css_on_blocked_ns` and
+//! `policy.cip_priority_ns` probes.
 
 use std::collections::HashMap;
 use std::hint::black_box;
 use std::process::ExitCode;
 
-use cidre_core::{CidreConfig, CipKeepAlive, CssScaler};
-use faas_sim::{
-    ClusterState, ContainerInfo, KeepAlive, PolicyCtx, RequestId, RequestInfo, Scaler, StartClass,
-    WorkerId,
-};
+use cidre_core::{CidreConfig, CssScaler};
+use faas_sim::{ClusterState, PolicyCtx, RequestId, RequestInfo, Scaler, StartClass, WorkerId};
 use faas_testkit::{BenchStats, Harness, Rng};
 use faas_trace::{FunctionId, FunctionProfile, TimeDelta, TimePoint};
 
@@ -37,43 +36,12 @@ fn harness() -> ClusterState {
     cl
 }
 
-fn bench_css_decision(h: &mut Harness) {
-    let cl = harness();
-    let busy = HashMap::new();
-    let mut css = CssScaler::new(CidreConfig::default());
-    // Prime statistics for one function.
-    let req = RequestInfo {
-        id: RequestId(0),
-        func: FunctionId(0),
-        arrival: TimePoint::ZERO,
-    };
-    for t in 0..100u64 {
-        let ctx = PolicyCtx::new(TimePoint::from_millis(t), &cl, &busy);
-        css.on_start(
-            &req,
-            StartClass::DelayedWarm,
-            TimeDelta::from_millis(5),
-            TimeDelta::from_millis(20),
-            &ctx,
-        );
-    }
-    css.on_cold_outcome(
-        FunctionId(0),
-        Some(TimeDelta::from_millis(5)),
-        &PolicyCtx::new(TimePoint::from_millis(100), &cl, &busy),
-    );
-    h.bench("css_on_blocked (Algorithm 1 decision)", || {
-        let ctx = PolicyCtx::new(TimePoint::from_millis(200), &cl, &busy);
-        black_box(css.on_blocked(&req, &ctx));
-    });
-}
-
 /// Algorithm 1 as a loaded function sees it: `retained` execution times
 /// in `Te`'s 15-minute window, and between any two decisions one request
 /// starts (a record, and once the window is full an expiry) — the
-/// steady state of `seq_pressure`, whose mean window is ≈270. The lane
-/// above primes 100 observations and never records again, so it cannot
-/// see a cost that grows with the window.
+/// steady state of `seq_pressure`, whose mean window is ≈270. A decision
+/// over a window primed once and never recorded into again cannot see a
+/// cost that grows with the window.
 fn bench_css_decision_at(h: &mut Harness, retained: u64) -> Option<BenchStats> {
     let cl = harness();
     let busy = HashMap::new();
@@ -103,17 +71,6 @@ fn bench_css_decision_at(h: &mut Harness, retained: u64) -> Option<BenchStats> {
     })
 }
 
-fn bench_cip_priority(h: &mut Harness) {
-    let cl = harness();
-    let busy = HashMap::new();
-    let cip = CipKeepAlive::new();
-    let info = ContainerInfo::from(cl.container(faas_sim::ContainerId(0)).expect("live"));
-    h.bench("cip_priority (Eq. 3)", || {
-        let ctx = PolicyCtx::new(TimePoint::from_secs(60), &cl, &busy);
-        black_box(cip.priority(&info, &ctx));
-    });
-}
-
 /// Maximum ratio of the CSS decision's cost at 16 384 retained
 /// observations to its cost at 256. Measured on the gate host: 6x for
 /// the incremental order statistic (one shift of a third of the sorted
@@ -123,10 +80,8 @@ const MAX_CSS_WINDOW_SCALING: f64 = 16.0;
 
 fn main() -> ExitCode {
     let mut h = Harness::new("policy_overhead");
-    bench_css_decision(&mut h);
     let small = bench_css_decision_at(&mut h, 256);
     let large = bench_css_decision_at(&mut h, 16_384);
-    bench_cip_priority(&mut h);
 
     // Algorithm 1's decision may not scale with the function's window
     // the way a per-decision sort or copy of it would. A name filter

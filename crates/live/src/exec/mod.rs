@@ -19,7 +19,7 @@
 //!   `(slot, generation)`; wakers are `Arc<impl Wake>` handles into it,
 //!   and a fixed pool of worker threads drains the run queue.
 //! * [`reactor`](self) — one thread over a deadline heap
-//!   ([`crate::heap::DeadlineHeap`]); [`Sleep`] futures register
+//!   (`crate::heap::DeadlineHeap`); [`Sleep`] futures register
 //!   `(deadline, waker-slot)` entries and the reactor fires them as
 //!   deadlines pass.
 //! * [`channel`] — an unbounded MPSC with sync senders and an async

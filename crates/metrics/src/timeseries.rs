@@ -1,8 +1,7 @@
 //! Step-function time series for resource-usage accounting.
 
 /// A right-continuous step function sampled at irregular times, used to
-/// track quantities like cluster memory usage over a simulation run
-/// (Fig. 16 reports its time-weighted average).
+/// track quantities like cluster memory usage over a simulation run.
 ///
 /// Points must be appended in non-decreasing time order. Between two
 /// points the series holds the earlier value.
@@ -16,8 +15,6 @@
 /// ts.push(0, 100.0);
 /// ts.push(10, 300.0);
 /// ts.push(30, 0.0);
-/// // 100 for 10 units, 300 for 20 units => (1000 + 6000) / 30
-/// assert!((ts.time_weighted_mean(30).unwrap() - 233.333).abs() < 0.01);
 /// assert_eq!(ts.max(), Some(300.0));
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -71,29 +68,6 @@ impl TimeSeries {
         })
     }
 
-    /// Time-weighted mean of the step function from the first point up to
-    /// `end`. Returns `None` when empty or when `end` does not exceed the
-    /// first timestamp.
-    pub fn time_weighted_mean(&self, end: u64) -> Option<f64> {
-        let first = self.points.first()?.0;
-        if end <= first {
-            return None;
-        }
-        let mut weighted = 0.0;
-        for (i, &(t, v)) in self.points.iter().enumerate() {
-            if t >= end {
-                break;
-            }
-            let next_t = self
-                .points
-                .get(i + 1)
-                .map(|&(nt, _)| nt.min(end))
-                .unwrap_or(end);
-            weighted += v * (next_t - t) as f64;
-        }
-        Some(weighted / (end - first) as f64)
-    }
-
     /// Iterates over the raw `(time, value)` points.
     pub fn iter(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
         self.points.iter().copied()
@@ -120,31 +94,6 @@ mod tests {
         ts.push(5, 1.0);
         ts.push(5, 9.0);
         assert_eq!(ts.iter().collect::<Vec<_>>(), vec![(5, 9.0)]);
-    }
-
-    #[test]
-    fn weighted_mean_simple() {
-        let mut ts = TimeSeries::new();
-        ts.push(0, 10.0);
-        ts.push(5, 20.0);
-        // 10 over [0,5), 20 over [5,10): mean 15
-        assert_eq!(ts.time_weighted_mean(10), Some(15.0));
-    }
-
-    #[test]
-    fn weighted_mean_end_before_data() {
-        let mut ts = TimeSeries::new();
-        ts.push(10, 1.0);
-        assert_eq!(ts.time_weighted_mean(10), None);
-        assert!(TimeSeries::new().time_weighted_mean(100).is_none());
-    }
-
-    #[test]
-    fn weighted_mean_ignores_points_after_end() {
-        let mut ts = TimeSeries::new();
-        ts.push(0, 1.0);
-        ts.push(10, 100.0);
-        assert_eq!(ts.time_weighted_mean(10), Some(1.0));
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //!   counts, input shrinking by simplifying that stream, and
 //!   failing-seed persistence to a `*.testkit-regressions` file.
 //!   Replaces `proptest`.
-//! * [`bench`] — a wall-clock micro-benchmark harness (warmup, fixed
-//!   iteration budget, median/p95/throughput) that prints each lane and
-//!   hands its statistics back to the target. Replaces `criterion`.
+//! * [`bench`](mod@bench) — a wall-clock micro-benchmark harness
+//!   (warmup, fixed iteration budget, median/p95/throughput) that prints
+//!   each lane and hands its statistics back to the target. Replaces
+//!   `criterion`.
 //! * [`par`] — an ordered, deterministic fork-join map over
 //!   `std::thread::scope`, used to parallelize experiment sweeps while
 //!   keeping result aggregation byte-identical to a sequential run.

@@ -7,7 +7,7 @@
 //!
 //! * **Popularity skew** — per-function request rates follow a Zipf law,
 //!   giving the few-hot / many-cold split production FaaS exhibits.
-//! * **Concurrency bursts** (Fig. 3) — a configurable fraction of each
+//! * **Concurrency bursts** (Fig. 3) — a preset fraction of each
 //!   function's requests arrive in near-simultaneous bursts whose sizes
 //!   are Pareto-distributed; the FC preset has a much heavier burst tail
 //!   ({90th, 99th} per-minute concurrency of {120, 4482} in the paper).
@@ -15,7 +15,7 @@
 //!   preset range; per-invocation times are lognormal around the median
 //!   with a coefficient of variation of ≈25% (§2.6).
 //! * **Cold starts** (§2.2) — proportional to the memory footprint at a
-//!   configurable ms/MB factor (the paper uses 1–3 ms/MB for Azure),
+//!   per-preset ms/MB factor (the paper uses 1–3 ms/MB for Azure),
 //!   with per-function jitter.
 //!
 //! All generation is deterministic in the seed.
@@ -53,7 +53,9 @@ const FC_MEM_MB: &[(u32, f64)] = &[
 /// Builder for a synthetic FaaS workload trace.
 ///
 /// Use the [`azure`] / [`fc`] presets for the paper's two workloads, or
-/// start from [`SyntheticWorkload::new`] and configure everything.
+/// start from [`SyntheticWorkload::new`] and set size, duration, rate and
+/// skew; burst, execution-time, cold-start and diurnal shape are the
+/// presets'.
 ///
 /// # Examples
 ///
@@ -81,8 +83,14 @@ pub struct SyntheticWorkload {
     exec_sigma: f64,
     cold_ms_per_mb: f64,
     cold_jitter: f64,
+    /// Arrival rate follows `1 + a*sin(2*pi*t/24h)`, `a` in `[0, 1)`;
+    /// zero disables it. Only [`azure_daily`] sets it.
     diurnal_amplitude: f64,
     mem_choices: &'static [(u32, f64)],
+    /// The most-invoked functions get the shortest execution medians, as
+    /// in production FC: why FC's request-weighted queueing delays
+    /// (Fig. 6) are tiny though its function-weighted cold/exec ratios
+    /// (Fig. 2) are not.
     hot_functions_fast: bool,
 }
 
@@ -139,59 +147,6 @@ impl SyntheticWorkload {
     /// Sets the Zipf popularity exponent (0 = uniform popularity).
     pub fn zipf_exponent(mut self, s: f64) -> Self {
         self.zipf_exponent = s;
-        self
-    }
-
-    /// Sets the fraction of requests that arrive inside concurrency bursts.
-    pub fn burst_fraction(mut self, f: f64) -> Self {
-        self.burst_fraction = f.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Sets the window over which one burst's requests are spread.
-    pub fn burst_window(mut self, w: TimeDelta) -> Self {
-        self.burst_window = w;
-        self
-    }
-
-    /// Sets the range of per-function median execution times (log-uniform)
-    /// in milliseconds.
-    pub fn exec_median_range_ms(mut self, lo: f64, hi: f64) -> Self {
-        self.exec_median_range_ms = (lo, hi);
-        self
-    }
-
-    /// Sets the lognormal sigma of per-invocation execution time around
-    /// the function median (0.25 ≈ the paper's 25% variance).
-    pub fn exec_sigma(mut self, sigma: f64) -> Self {
-        self.exec_sigma = sigma;
-        self
-    }
-
-    /// Sets the cold-start cost factor in milliseconds per MB of function
-    /// memory (the paper's Azure methodology uses 1–3 ms/MB).
-    pub fn cold_ms_per_mb(mut self, f: f64) -> Self {
-        self.cold_ms_per_mb = f;
-        self
-    }
-
-    /// Correlates popularity with speed: the most-invoked functions get
-    /// the shortest execution-time medians. Production FC exhibits this —
-    /// the hottest functions are lightweight event handlers — and it is
-    /// why FC's request-weighted queueing delays (Fig. 6) are tiny even
-    /// though its function-weighted cold/exec ratios (Fig. 2) are not.
-    pub fn hot_functions_fast(mut self, yes: bool) -> Self {
-        self.hot_functions_fast = yes;
-        self
-    }
-
-    /// Sets the diurnal modulation amplitude in `[0, 1)`: the arrival
-    /// rate follows `1 + a*sin(2*pi*t/24h)` over the trace, modelling the
-    /// day/night cycle visible in multi-hour production traces. Zero
-    /// (default) disables modulation; short traces are barely affected
-    /// because they cover a sliver of the period.
-    pub fn diurnal_amplitude(mut self, a: f64) -> Self {
-        self.diurnal_amplitude = a.clamp(0.0, 0.99);
         self
     }
 
@@ -494,7 +449,6 @@ mod tests {
             .functions(1)
             .minutes(10)
             .rate_per_function(5.0)
-            .exec_sigma(0.25)
             .build();
         let s: Summary = trace
             .invocations()
@@ -586,13 +540,13 @@ mod diurnal_tests {
         // 24-hour single-function trace with strong modulation: the
         // busiest 6-hour window must see substantially more arrivals
         // than the quietest.
-        let trace = SyntheticWorkload::new(5)
+        let mut w = SyntheticWorkload::new(5)
             .functions(1)
             .duration(TimeDelta::from_minutes(24 * 60))
-            .rate_per_function(0.05)
-            .burst_fraction(0.0)
-            .diurnal_amplitude(0.8)
-            .build();
+            .rate_per_function(0.05);
+        w.burst_fraction = 0.0;
+        w.diurnal_amplitude = 0.8;
+        let trace = w.build();
         let mut quarters = [0u64; 4];
         for inv in trace.invocations() {
             let q = (inv.arrival.as_secs_f64() / (6.0 * 3600.0)) as usize;
@@ -607,12 +561,12 @@ mod diurnal_tests {
 
     #[test]
     fn zero_amplitude_is_uniform_ish() {
-        let trace = SyntheticWorkload::new(5)
+        let mut w = SyntheticWorkload::new(5)
             .functions(1)
             .duration(TimeDelta::from_minutes(24 * 60))
-            .rate_per_function(0.05)
-            .burst_fraction(0.0)
-            .build();
+            .rate_per_function(0.05);
+        w.burst_fraction = 0.0;
+        let trace = w.build();
         let mut halves = [0u64; 2];
         for inv in trace.invocations() {
             let h = (inv.arrival.as_secs_f64() / (12.0 * 3600.0)) as usize;
@@ -620,12 +574,5 @@ mod diurnal_tests {
         }
         let ratio = halves[0] as f64 / halves[1].max(1) as f64;
         assert!((0.8..1.25).contains(&ratio), "halves {halves:?}");
-    }
-
-    #[test]
-    fn amplitude_is_clamped() {
-        let w = SyntheticWorkload::new(0).diurnal_amplitude(5.0);
-        // Building must not panic and thinning probabilities stay valid.
-        let _ = w.functions(1).minutes(1).build();
     }
 }
