@@ -1,11 +1,14 @@
 //! What `faas-core`'s indexes buy: one large-N replay through the
 //! indexed hot paths and through the retained reference scans, and a
 //! failing exit unless the first is at least [`MIN_SPEEDUP`] times the
-//! second. Replay rates at the paper's scale are `benchmark/`'s job.
+//! second. A third lane replays the same scenario under CIDRE, whose
+//! volatile priorities rebuild each REPLACE round from the idle lists.
+//! Replay rates at the paper's scale are `benchmark/`'s job.
 
 use std::hint::black_box;
 use std::process::ExitCode;
 
+use cidre_core::{cidre_stack, CidreConfig};
 use faas_policies::faascache_stack;
 use faas_sim::{run, ScanMode, SimConfig};
 use faas_testkit::Harness;
@@ -41,6 +44,12 @@ fn main() -> ExitCode {
     h.throughput_elems(trace.len() as u64);
     let reference = h.bench("replay/large_n_reference", || {
         black_box(run(&trace, &reference_config, faascache_stack()));
+    });
+    // The paper's own stack on the same scenario: CIP priorities are
+    // volatile, so every round snapshots ~1000 candidates afresh.
+    h.throughput_elems(trace.len() as u64);
+    h.bench("replay/large_n_cidre", || {
+        black_box(run(&trace, &config, cidre_stack(CidreConfig::default())));
     });
 
     // A name filter that selects one lane of the pair skips the check.

@@ -68,7 +68,10 @@ impl IceBreakerPrewarm {
     /// Harmonic mean of the recorded per-tick arrivals; zero ticks in the
     /// window pull the estimate sharply toward zero (treated as 0.2 to
     /// stay finite), mirroring the conservatism of IceBreaker's
-    /// frequency-domain predictor.
+    /// frequency-domain predictor. The floor is never zero: a window of
+    /// nothing but zero ticks predicts 0.2, which `on_tick` ceils to one
+    /// container, so every deployed function is prewarmed to at least
+    /// one warm or provisioning container.
     fn predict(window: &VecDeque<u64>) -> f64 {
         if window.is_empty() {
             return 0.0;
@@ -125,18 +128,14 @@ mod tests {
     }
 
     #[test]
-    fn no_history_means_no_prewarm() {
+    fn a_function_without_arrivals_is_prewarmed_to_one_container() {
         let cl = harness();
         let busy = Map::new();
         let mut pw = IceBreakerPrewarm::new();
         let ctx = PolicyCtx::new(TimePoint::ZERO, &cl, &busy);
-        // First tick records a zero delta; harmonic mean ~0.2 -> ceil 1?
-        // 0.2 ceils to 1... predict(0-history) = 1/(1/0.2) = 0.2, ceil = 1.
-        // With no arrivals we should not prewarm; verify behaviour:
-        let w = pw.on_tick(&ctx);
-        // predicted 1 > have 0 -> one prewarm is tolerated conservatism?
-        // No: we assert the stricter contract below by feeding arrivals.
-        assert!(w.len() <= 1);
+        // The first tick records a zero delta: predict([0]) = 1 / (1 / 0.2)
+        // = 0.2, which ceils to one container against none warm.
+        assert_eq!(pw.on_tick(&ctx), vec![FunctionId(0)]);
     }
 
     #[test]

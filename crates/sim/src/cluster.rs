@@ -3,7 +3,7 @@
 //! the engine sequences them.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::hash::BuildHasher;
 
 use faas_core::{FreeThreadPool, IdBuildHasher, PendingQueue};
@@ -23,10 +23,15 @@ pub struct Worker {
     pub capacity_mb: u64,
     /// Memory currently charged by provisioning/warm containers, in MB.
     pub used_mb: u64,
-    /// Fully idle (evictable) containers on this worker, unordered:
-    /// membership changes twice per warm request and nothing observes
-    /// an order (see [`Worker::idle_ids`], the one place it is walked).
-    idle: HashSet<ContainerId, IdBuildHasher>,
+    /// One snapshot per fully idle (evictable) container on this
+    /// worker, unordered: each container's `idle_slot` is its index.
+    /// Every field a snapshot holds is frozen while its container idles,
+    /// so a volatile REPLACE round reads priorities' inputs from here
+    /// without a table lookup (DESIGN.md §7). Local queues are filled
+    /// only on saturated containers, and one that turns idle with a
+    /// request still queued starts it, and leaves the list, in the same
+    /// step.
+    idle: Vec<ContainerInfo>,
     /// Aggregate memory of the containers in `idle`, in MB (kept
     /// incrementally: placement reads it per worker on every pick).
     pub idle_mb: u64,
@@ -46,17 +51,29 @@ impl Worker {
         self.free_mb() + self.idle_mb
     }
 
-    /// The fully idle containers on this worker, in no particular order:
-    /// the one place the set is walked. A caller that lets the order
-    /// show must sort by something total, as the eviction rounds do
-    /// (`RoundHeap` and `reference::sorted_eviction_candidates` both
-    /// order the candidates built from this by `(priority, id)`).
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "eviction sorts by (priority, id), total over unique ids; validate sums"
-    )]
-    pub fn idle_ids(&self) -> impl Iterator<Item = ContainerId> + '_ {
-        self.idle.iter().copied()
+    /// Snapshots of the fully idle containers on this worker, in no
+    /// particular order. A caller that lets the order show must sort by
+    /// something total, as the eviction rounds do (`RoundHeap` and
+    /// `reference::sorted_eviction_candidates` both order the
+    /// candidates built from this by `(priority, id)`).
+    pub fn idle(&self) -> &[ContainerInfo] {
+        &self.idle
+    }
+
+    /// Appends the snapshot of `c`, which just turned fully idle.
+    fn attach_idle(&mut self, c: &mut Container) {
+        debug_assert!(c.idle_slot.is_none(), "{:?} is idle already", c.id);
+        c.idle_slot = Some(self.idle.len());
+        self.idle_mb += u64::from(c.mem_mb);
+        self.idle.push(ContainerInfo::from(&*c));
+    }
+
+    /// Removes the snapshot at `slot` and returns the id of the container
+    /// whose snapshot moved into its place, which must be re-pointed.
+    fn detach_idle(&mut self, slot: usize) -> Option<ContainerId> {
+        let gone = self.idle.swap_remove(slot);
+        self.idle_mb -= u64::from(gone.mem_mb);
+        self.idle.get(slot).map(|moved| moved.id)
     }
 }
 
@@ -198,7 +215,7 @@ impl ClusterState {
                 id: WorkerId(u16::try_from(i).expect("worker count asserted above")),
                 capacity_mb: cap,
                 used_mb: 0,
-                idle: HashSet::default(),
+                idle: Vec::new(),
                 idle_mb: 0,
                 alive: true,
             })
@@ -323,6 +340,15 @@ impl ClusterState {
             return Some(dense);
         }
         self.function_ids.binary_search(&func).ok()
+    }
+
+    /// Takes the snapshot at `slot` off `worker`'s idle list, re-pointing
+    /// the container whose snapshot filled the gap.
+    fn detach_idle(&mut self, worker: WorkerId, slot: usize) {
+        if let Some(moved) = self.workers[usize::from(worker.0)].detach_idle(slot) {
+            let c = self.containers.get_mut(&moved);
+            c.expect("idle list names a live container").idle_slot = Some(slot);
+        }
     }
 
     /// Immutable view of a live container.
@@ -487,6 +513,7 @@ impl ClusterState {
             thread_capacity: self.thread_capacity,
             speculative_unused: speculative,
             local_queue: VecDeque::new(),
+            idle_slot: None,
         };
         self.containers.insert(id, container);
         self.fn_runtime_mut(func).provisioning += 1;
@@ -510,17 +537,14 @@ impl ClusterState {
         let cold_charge = Self::residency(c.mem_mb, c.created_at, now);
         c.warm_at = now;
         c.idle_from = now;
-        let (func, worker, mem) = (c.func, c.worker, u64::from(c.mem_mb));
+        self.workers[usize::from(c.worker.0)].attach_idle(c);
+        let func = c.func;
         self.ledger.cold_start_mb_us += cold_charge;
         self.touch_ledger(now);
         let rt = self.fn_runtime_mut(func);
         rt.provisioning -= 1;
         rt.free_pool.set(id, 0);
         rt.warm.insert(id);
-        let w = &mut self.workers[worker.0 as usize];
-        if w.idle.insert(id) {
-            w.idle_mb += mem;
-        }
     }
 
     /// Occupies one execution thread on a warm container.
@@ -537,9 +561,10 @@ impl ClusterState {
             c.has_free_thread(),
             "occupy_thread on unavailable container"
         );
-        let was_idle = c.threads_in_use == 0;
-        // The idle phase (if any) ends with this dispatch.
-        let idle_charge = if was_idle {
+        // The idle phase (if any) ends with this dispatch, and with it
+        // the snapshot: everything it froze changes below.
+        let idle_slot = c.idle_slot.take();
+        let idle_charge = if c.threads_in_use == 0 {
             Self::residency(c.mem_mb, c.idle_from, now)
         } else {
             0
@@ -548,13 +573,8 @@ impl ClusterState {
         c.last_used = now;
         c.served += 1;
         c.speculative_unused = false;
-        let (func, worker, threads, saturated, mem) = (
-            c.func,
-            c.worker,
-            c.threads_in_use,
-            c.is_saturated(),
-            u64::from(c.mem_mb),
-        );
+        let (func, worker, threads, saturated) =
+            (c.func, c.worker, c.threads_in_use, c.is_saturated());
         self.ledger.idle_mb_us += idle_charge;
         self.ledger.dispatches += 1;
         self.touch_ledger(now);
@@ -564,11 +584,8 @@ impl ClusterState {
         } else {
             rt.free_pool.set(id, threads);
         }
-        if was_idle {
-            let w = &mut self.workers[worker.0 as usize];
-            if w.idle.remove(&id) {
-                w.idle_mb -= mem;
-            }
+        if let Some(slot) = idle_slot {
+            self.detach_idle(worker, slot);
         }
     }
 
@@ -587,23 +604,11 @@ impl ClusterState {
         c.threads_in_use -= 1;
         if c.threads_in_use == 0 {
             c.idle_from = now;
+            self.workers[usize::from(c.worker.0)].attach_idle(c);
         }
-        let (func, worker, threads, now_idle, mem) = (
-            c.func,
-            c.worker,
-            c.threads_in_use,
-            c.threads_in_use == 0,
-            u64::from(c.mem_mb),
-        );
+        let (func, threads) = (c.func, c.threads_in_use);
         self.touch_ledger(now);
-        let rt = self.fn_runtime_mut(func);
-        rt.free_pool.set(id, threads);
-        if now_idle {
-            let w = &mut self.workers[worker.0 as usize];
-            if w.idle.insert(id) {
-                w.idle_mb += mem;
-            }
-        }
+        self.fn_runtime_mut(func).free_pool.set(id, threads);
     }
 
     /// Evicts a fully idle warm container, releasing its memory. Returns
@@ -635,11 +640,10 @@ impl ClusterState {
         let rt = self.fn_runtime_mut(c.func);
         rt.free_pool.remove(id);
         rt.warm.remove(&id);
-        let w = &mut self.workers[c.worker.0 as usize];
-        if w.idle.remove(&id) {
-            w.idle_mb -= u64::from(c.mem_mb);
+        if let Some(slot) = c.idle_slot {
+            self.detach_idle(c.worker, slot);
         }
-        w.used_mb -= u64::from(c.mem_mb);
+        self.workers[usize::from(c.worker.0)].used_mb -= u64::from(c.mem_mb);
         info
     }
 
@@ -749,11 +753,10 @@ impl ClusterState {
                 rt.warm.remove(&id);
             }
         }
-        let w = &mut self.workers[c.worker.0 as usize];
-        if w.idle.remove(&id) {
-            w.idle_mb -= u64::from(c.mem_mb);
+        if let Some(slot) = c.idle_slot {
+            self.detach_idle(c.worker, slot);
         }
-        w.used_mb -= u64::from(c.mem_mb);
+        self.workers[usize::from(c.worker.0)].used_mb -= u64::from(c.mem_mb);
         (info, queued)
     }
 
@@ -773,11 +776,12 @@ impl ClusterState {
 
     /// Checks every internal bookkeeping invariant: per-worker memory
     /// accounting matches the hosted containers and stays within
-    /// capacity, idle sets hold exactly the fully idle containers, and
-    /// the per-function indexes agree with the container table — in both
-    /// directions: every index entry names a container in that state
-    /// (the indexes are sound), and every container sits in each index
-    /// its state calls for (they are complete). The free pool and the
+    /// capacity, idle lists hold exactly the fully idle containers (each
+    /// at the slot its container names, as a snapshot equal to a fresh
+    /// one), and the per-function indexes agree with the container table
+    /// — in both directions: every index entry names a container in that
+    /// state (the indexes are sound), and every container sits in each
+    /// index its state calls for (they are complete). The free pool and the
     /// provisioning count have no set beside them to be compared with:
     /// each is proved against the table itself, by key and by number.
     ///
@@ -810,12 +814,29 @@ impl ClusterState {
                 ContainerState::Provisioning => *provisioning += 1,
                 ContainerState::Warm => assert!(rt.warm.contains(&c.id)),
             }
-            assert!(
-                !c.is_idle() || w.idle.contains(&c.id),
-                "idle container {:?} missing from the idle set of {:?}",
-                c.id,
-                w.id
-            );
+            match c.idle_slot {
+                None => assert!(
+                    !c.is_idle(),
+                    "idle container {:?} missing from the idle set of {:?}",
+                    c.id,
+                    w.id
+                ),
+                Some(slot) => {
+                    assert!(
+                        c.is_idle(),
+                        "non-idle container {:?} in the idle set of {:?}",
+                        c.id,
+                        w.id
+                    );
+                    assert_eq!(
+                        w.idle.get(slot).map(|e| e.id),
+                        Some(c.id),
+                        "wrong idle slot {slot} for {:?} on {:?}",
+                        c.id,
+                        w.id
+                    );
+                }
+            }
             if c.has_free_thread() {
                 *free += 1;
                 let key = rt.free_pool.key_of(c.id);
@@ -846,7 +867,8 @@ impl ClusterState {
                 w.capacity_mb
             );
             let mut idle_sum = 0;
-            for id in w.idle_ids() {
+            for (slot, entry) in w.idle.iter().enumerate() {
+                let id = entry.id;
                 let c = self
                     .containers
                     .get(&id)
@@ -855,7 +877,13 @@ impl ClusterState {
                     c.worker == w.id && c.is_idle(),
                     "non-idle container {id:?} in idle set"
                 );
-                idle_sum += u64::from(c.mem_mb);
+                assert_eq!(c.idle_slot, Some(slot), "wrong idle slot for {id:?}");
+                assert_eq!(
+                    *entry,
+                    ContainerInfo::from(c),
+                    "stale idle snapshot of {id:?}"
+                );
+                idle_sum += u64::from(entry.mem_mb);
             }
             assert_eq!(w.idle_mb, idle_sum, "worker {:?} idle_mb drifted", w.id);
         }
@@ -1317,10 +1345,13 @@ mod tests {
     #[should_panic(expected = "missing from the idle set")]
     fn validate_catches_an_idle_container_its_worker_forgot() {
         let (mut cl, id) = one_idle();
-        // Sound but incomplete: the set and its running total still agree
-        // with each other, and nothing that is in the set is wrong.
-        assert!(cl.workers[0].idle.remove(&id));
-        cl.workers[0].idle_mb -= 100;
+        // Sound but incomplete: the list and its running total still agree
+        // with each other, and nothing that is in the list is wrong.
+        let c = cl.containers.get_mut(&id).expect("live");
+        assert_eq!(
+            cl.workers[0].detach_idle(c.idle_slot.take().expect("idle")),
+            None
+        );
         cl.validate();
     }
 
@@ -1330,6 +1361,30 @@ mod tests {
         let (mut cl, id) = one_idle();
         cl.containers.get_mut(&id).expect("live").threads_in_use = 1;
         cl.fn_runtime_mut(FunctionId(0)).free_pool.remove(id);
+        cl.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "stale idle snapshot")]
+    fn validate_catches_a_stale_idle_snapshot() {
+        let (mut cl, id) = one_idle();
+        // A field the snapshot froze moves behind the list's back.
+        cl.containers.get_mut(&id).expect("live").last_used = TimePoint::from_millis(5);
+        cl.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "wrong idle slot")]
+    fn validate_catches_a_wrong_idle_slot() {
+        let (mut cl, a) = one_idle();
+        let b = cl.begin_provision(FunctionId(0), WorkerId(0), TimePoint::ZERO, false);
+        cl.finish_provision(b, TimePoint::ZERO);
+        cl.validate();
+        // Both snapshots stay right; the containers point at each other's.
+        let slot_of = |cl: &ClusterState, id| cl.containers[&id].idle_slot;
+        let (sa, sb) = (slot_of(&cl, a), slot_of(&cl, b));
+        cl.containers.get_mut(&a).expect("live").idle_slot = sb;
+        cl.containers.get_mut(&b).expect("live").idle_slot = sa;
         cl.validate();
     }
 

@@ -59,6 +59,9 @@ pub struct Container {
     /// Requests queued directly on this container by `EnqueueOn`
     /// scaling decisions (fixed queue-length policies, Fig. 7).
     pub local_queue: VecDeque<RequestId>,
+    /// Position of this container's snapshot in its worker's idle list
+    /// while it is fully idle, `None` otherwise (DESIGN.md §7).
+    pub(crate) idle_slot: Option<usize>,
 }
 
 impl Container {
@@ -142,6 +145,7 @@ mod tests {
             thread_capacity: threads,
             speculative_unused: false,
             local_queue: VecDeque::new(),
+            idle_slot: None,
         }
     }
 

@@ -943,12 +943,21 @@ impl<R: Recorder> Orchestrator<R> {
             // cross-round index serves (cached priorities, see
             // `pop_indexed`). Otherwise a per-round snapshot — volatile
             // priorities cannot be cached across rounds — heapified
-            // (O(n) + O(victims log n)) or, under the reference scan,
-            // fully sorted.
+            // (O(n) + O(victims log n)) from the worker's idle list,
+            // whose entries are the frozen `ContainerInfo`s the priority
+            // reads, or, under the reference scan, fully sorted from the
+            // container table.
             let mut round = (!self.use_evict_index).then(|| match self.cluster.scan() {
                 ScanMode::Indexed => {
                     let mut heap = std::mem::take(&mut self.round_heap);
-                    heap.refill(self.candidates(worker));
+                    let ctx = PolicyCtx::new(self.now, &self.cluster, &self.busy_until);
+                    let ka = &self.policies.keepalive;
+                    let idle = self.cluster.workers()[usize::from(worker.0)].idle();
+                    heap.refill(
+                        idle.iter()
+                            .filter(|c| c.local_queue_len == 0)
+                            .map(|c| (ka.priority(c, &ctx), c.id)),
+                    );
                     RoundVictims::Heap(heap)
                 }
                 ScanMode::Reference => RoundVictims::Sorted(
@@ -1015,15 +1024,18 @@ impl<R: Recorder> Orchestrator<R> {
     }
 
     /// Fresh `(priority, id)` of every eviction candidate on `worker`:
-    /// fully idle containers with an empty local queue. `priority` is
-    /// `&self` and side-effect-free, so taking this snapshot (for a
-    /// REPLACE round or for provenance) cannot perturb the run. Yielded
-    /// in no particular order: every caller orders by `(priority, id)`.
+    /// fully idle containers with an empty local queue, each read from
+    /// the container table rather than from its idle-list snapshot, so
+    /// the reference round and the provenance record check the indexed
+    /// round independently. `priority` is `&self` and side-effect-free,
+    /// so taking this snapshot cannot perturb the run. Yielded in no
+    /// particular order: every caller orders by `(priority, id)`.
     fn candidates(&self, worker: WorkerId) -> impl Iterator<Item = (f64, ContainerId)> + '_ {
         let ctx = PolicyCtx::new(self.now, &self.cluster, &self.busy_until);
         let ka = &self.policies.keepalive;
-        let idle = self.cluster.workers()[usize::from(worker.0)].idle_ids();
-        idle.filter_map(move |cid| {
+        let idle = self.cluster.workers()[usize::from(worker.0)].idle();
+        let ids = idle.iter().map(|snapshot| snapshot.id);
+        ids.filter_map(move |cid| {
             let c = self.cluster.container(cid)?;
             c.local_queue
                 .is_empty()

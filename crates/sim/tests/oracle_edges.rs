@@ -3,12 +3,14 @@
 //! saturated-container views, across dead workers, provisioning-only
 //! functions, and the exact saturation boundary — and the two views
 //! of the hashed container table whose order is observable, with the
-//! per-function pool and counts that have no set beside them any more.
+//! per-function pool and counts that have no set beside them any more,
+//! and the per-worker idle lists of snapshots.
 
 use std::collections::{BTreeMap, HashMap};
 
 use faas_sim::{
-    ClusterState, Container, ContainerId, ContainerState, PolicyCtx, ScanMode, WorkerId,
+    ClusterState, Container, ContainerId, ContainerInfo, ContainerState, PolicyCtx, ScanMode,
+    WorkerId,
 };
 use faas_testkit::{Checker, Gen};
 use faas_trace::{FunctionId, FunctionProfile, TimeDelta, TimePoint};
@@ -148,6 +150,8 @@ struct Tracked {
     worker: WorkerId,
     func: FunctionId,
     warm: bool,
+    /// Threads occupied: a warm container with none is idle.
+    busy: u32,
 }
 
 /// One of the model's containers for which `wanted` holds, if any.
@@ -169,7 +173,8 @@ fn pick(
 /// orders `all_iter` or `containers_on`: each sorts.
 /// Random lifecycles over 1–5 workers, a `BTreeMap` model beside the
 /// cluster; after every step the views equal the model's ascending ids,
-/// the per-function counts equal the model's, the pool's pick equals
+/// each worker's idle list holds fresh snapshots of exactly the model's
+/// idle containers there, the per-function counts equal the model's, the pool's pick equals
 /// the reference scan's for every function, and every bookkeeping
 /// invariant holds.
 #[test]
@@ -195,6 +200,7 @@ fn ordered_views_match_a_btreemap_model_through_random_lifecycles() {
                                 worker,
                                 func,
                                 warm: false,
+                                busy: 0,
                             },
                         );
                     }
@@ -208,11 +214,13 @@ fn ordered_views_match_a_btreemap_model_through_random_lifecycles() {
                 21..=27 => {
                     if let Some(id) = pick(g, &cl, &model, Container::has_free_thread) {
                         cl.occupy_thread(id, now);
+                        model.get_mut(&id).expect("tracked").busy += 1;
                     }
                 }
                 28..=31 => {
                     if let Some(id) = pick(g, &cl, &model, |c| c.threads_in_use > 0) {
                         cl.release_thread(id, now);
+                        model.get_mut(&id).expect("tracked").busy -= 1;
                     }
                 }
                 32..=38 => {
@@ -246,6 +254,16 @@ fn ordered_views_match_a_btreemap_model_through_random_lifecycles() {
                     .filter(|id| model[id].worker == w)
                     .collect();
                 assert_eq!(cl.containers_on(w), hosted, "containers_on({w:?})");
+                // The idle list, in id order, is a fresh snapshot of each
+                // container the model says is idle there.
+                let mut idle = cl.workers()[usize::from(w.0)].idle().to_vec();
+                idle.sort_by_key(|c| c.id);
+                let expected: Vec<ContainerInfo> = hosted
+                    .iter()
+                    .filter(|id| model[id].warm && model[id].busy == 0)
+                    .map(|&id| ContainerInfo::from(cl.container(id).expect("live")))
+                    .collect();
+                assert_eq!(idle, expected, "idle list of {w:?}");
             }
             for func in (0..FUNCTIONS).map(FunctionId) {
                 let of = |warm| {

@@ -14,13 +14,14 @@
 //! class: frozen per-container priorities (LRU, TTL, GreedyDual — the
 //! cross-round lazy-deletion heap), monotone function-frequency
 //! priorities (LFU, vanilla FaasCache), and volatile priorities
-//! (FaasCache-C, CIDRE — per-round heapify only).
+//! (FaasCache-C, CIDRE, Flame, IceBreaker, CodeCrunch — per-round
+//! heapify from the idle lists' snapshots only).
 
 use cidre::core::{cidre_stack, CidreConfig};
 use cidre::obs::{EvictReason, ObsEvent};
 use cidre::policies::{
-    faascache_stack, GdsfKeepAlive, GreedyDualKeepAlive, IceBreakerKeepAlive, LfuKeepAlive,
-    TtlKeepAlive,
+    codecrunch_stack, faascache_stack, flame_stack, icebreaker_stack, GdsfKeepAlive,
+    GreedyDualKeepAlive, IceBreakerKeepAlive, LfuKeepAlive, TtlKeepAlive,
 };
 use cidre::sim::{
     baseline_lru_stack, run, run_traced, AlwaysCold, FaultPlan, PolicyStack, ScanMode, SimConfig,
@@ -79,7 +80,11 @@ fn arb_config(g: &mut Gen) -> SimConfig {
 type MakeStack = fn() -> PolicyStack;
 
 /// Every policy family, keyed by priority-dependence class. Fresh
-/// stacks per run: policies carry mutable state (clocks, bases).
+/// stacks per run: policies carry mutable state (clocks, bases). Of the
+/// volatile baselines, IceBreaker comes with its prewarmer and
+/// CodeCrunch's priority reads the per-container `cold_start` its
+/// decompressed restarts shrink; Offline is left out, because its stack
+/// is built from the trace it replays and a `MakeStack` takes nothing.
 fn stacks() -> Vec<(&'static str, MakeStack)> {
     vec![
         ("lru", baseline_lru_stack),
@@ -100,6 +105,9 @@ fn stacks() -> Vec<(&'static str, MakeStack)> {
             PolicyStack::new(Box::new(GdsfKeepAlive::faascache_c()), Box::new(AlwaysCold))
         }),
         ("cidre", || cidre_stack(CidreConfig::default())),
+        ("flame", flame_stack),
+        ("icebreaker", icebreaker_stack),
+        ("codecrunch", codecrunch_stack),
     ]
 }
 
