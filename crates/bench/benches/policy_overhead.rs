@@ -3,7 +3,10 @@
 //! The paper reports Algorithm 1 adding ≈36 µs per decision in
 //! OpenLambda; here the pure in-memory decision (no RPC, no Go runtime)
 //! should be far below that, and may not grow with the window the way a
-//! per-decision sort would. The fixed-size decision and CIP's priority
+//! per-decision sort would. The `window_*` lanes time a decision that
+//! reads `Te`'s median, which CSS does only for an idle time `Ti`
+//! strictly between 0 and infinity; `ti_zero` times the common case,
+//! which reads no statistic. The fixed-size decision and CIP's priority
 //! are `benchmark/`'s `policy.css_on_blocked_ns` and
 //! `policy.cip_priority_ns` probes.
 
@@ -42,7 +45,19 @@ fn harness() -> ClusterState {
 /// steady state of `seq_pressure`, whose mean window is ≈270. A decision
 /// over a window primed once and never recorded into again cannot see a
 /// cost that grows with the window.
-fn bench_css_decision_at(h: &mut Harness, retained: u64) -> Option<BenchStats> {
+///
+/// Each step also reports a speculative container idle for `ti`. CSS
+/// reads `Te` only for a `Ti` strictly between 0 and infinity, so the
+/// `window_*` lanes pass 2 ms: inside that range and far below the
+/// ≈500 ms median, so BSS stays on and every decision reads the median.
+/// The `ti_zero` lane passes 0, the common case, which reads no
+/// statistic.
+fn bench_css_decision_at(
+    h: &mut Harness,
+    name: &str,
+    retained: u64,
+    ti: TimeDelta,
+) -> Option<BenchStats> {
     let cl = harness();
     let busy = HashMap::new();
     let config = CidreConfig::default();
@@ -61,12 +76,14 @@ fn bench_css_decision_at(h: &mut Harness, retained: u64) -> Option<BenchStats> {
         };
         let exec = TimeDelta::from_micros(rng.range_u64(1_000, 1_000_000));
         css.on_start(&req, StartClass::Warm, TimeDelta::ZERO, exec, &ctx);
+        css.on_cold_outcome(req.func, Some(ti), &ctx);
         css.on_blocked(&req, &ctx)
     };
     for _ in 0..retained {
         step(&mut css);
     }
-    h.bench(&format!("css_on_blocked/window_{retained}"), || {
+    assert!(css.bss_enabled(FunctionId(0)), "{name}: BSS switched off");
+    h.bench(&format!("css_on_blocked/{name}"), || {
         black_box(step(&mut css));
     })
 }
@@ -80,8 +97,10 @@ const MAX_CSS_WINDOW_SCALING: f64 = 16.0;
 
 fn main() -> ExitCode {
     let mut h = Harness::new("policy_overhead");
-    let small = bench_css_decision_at(&mut h, 256);
-    let large = bench_css_decision_at(&mut h, 16_384);
+    let ti = TimeDelta::from_millis(2);
+    let small = bench_css_decision_at(&mut h, "window_256", 256, ti);
+    let large = bench_css_decision_at(&mut h, "window_16384", 16_384, ti);
+    bench_css_decision_at(&mut h, "ti_zero", 256, TimeDelta::ZERO);
 
     // Algorithm 1's decision may not scale with the function's window
     // the way a per-decision sort or copy of it would. A name filter

@@ -33,9 +33,9 @@ impl TeEstimator {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CidreConfig {
-    /// Sliding window over which `Te`, `Td`, and `Tp` statistics are
-    /// collected; `None` keeps all history (Fig. 18). Default: 15 minutes,
-    /// per §3.2.
+    /// Sliding window over which the `Te` and `Tp` statistics are
+    /// collected and after which the `Ti` and `Td` hints expire; `None`
+    /// keeps all history (Fig. 18). Default: 15 minutes, per §3.2.
     pub window: Option<TimeDelta>,
     /// The `Te` estimator (Fig. 17). Default: median.
     pub te: TeEstimator,
@@ -58,6 +58,10 @@ impl CidreConfig {
     }
 
     /// Sets the `Te` estimator.
+    ///
+    /// [`CssScaler::new`](crate::CssScaler::new) panics on a
+    /// [`TeEstimator::Percentile`] outside `[0, 100]` or NaN, however the
+    /// configuration was built.
     pub fn te_estimator(mut self, te: TeEstimator) -> Self {
         self.te = te;
         self

@@ -34,8 +34,9 @@ impl Scaler for BssScaler {
     }
 }
 
-/// Per-function CSS state: the BSS on/off trigger plus the sliding-window
-/// statistics Algorithm 1 consumes.
+/// Per-function CSS state: the BSS on/off trigger, the two hints
+/// Algorithm 1 compares, and the windowed statistics it compares them
+/// against.
 #[derive(Debug)]
 struct FnCssState {
     /// Whether the cold-start path is enabled for this function.
@@ -48,10 +49,11 @@ struct FnCssState {
     /// (§3.2) — a `Ti` from outside the window must not keep flipping
     /// BSS state.
     ti: Option<(u64, f64)>,
+    /// Last delayed-warm-start wait `Td`, as `(recorded_at_us, td_ms)`;
+    /// it expires by the same rule as `ti`.
+    td: Option<(u64, f64)>,
     /// Windowed execution times (ms) for the `Te` estimate.
     te: SlidingWindow,
-    /// Windowed delayed-warm-start waits (ms) for the `Td` estimate.
-    td: SlidingWindow,
     /// Windowed observed cold-start waits (ms) for the `Tp` estimate.
     tp: SlidingWindow,
 }
@@ -62,11 +64,24 @@ impl FnCssState {
         Self {
             bss_enabled: true,
             ti: None,
+            td: None,
             te: SlidingWindow::new(w),
-            td: SlidingWindow::new(w),
             tp: SlidingWindow::new(w),
         }
     }
+}
+
+/// The value of a hint recorded as `(at_us, value)`, forgetting it once
+/// it is older than `window`. At `age == window` it is still fresh,
+/// matching `SlidingWindow`'s cutoff, which retains an entry exactly at
+/// the cutoff.
+fn fresh(hint: &mut Option<(u64, f64)>, window: Option<TimeDelta>, now_us: u64) -> Option<f64> {
+    if let (Some(w), Some((at, _))) = (window, *hint) {
+        if now_us.saturating_sub(at) > w.as_micros() {
+            *hint = None;
+        }
+    }
+    hint.map(|(_, v)| v)
 }
 
 /// Conditional speculative scaling — the paper's Algorithm 1.
@@ -103,7 +118,15 @@ pub struct CssScaler {
 
 impl CssScaler {
     /// Creates the scaler with the given configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.te` is a [`TeEstimator::Percentile`] outside
+    /// `[0, 100]` or NaN.
     pub fn new(config: CidreConfig) -> Self {
+        if let TeEstimator::Percentile(p) = config.te {
+            assert!((0.0..=100.0).contains(&p), "percentile {p} out of [0, 100]");
+        }
         Self {
             config,
             fns: HashMap::default(),
@@ -138,27 +161,30 @@ impl Scaler for CssScaler {
 
     fn on_blocked(&mut self, req: &RequestInfo, ctx: &PolicyCtx<'_>) -> ScaleDecision {
         let now_us = ctx.now.as_micros();
-        let profile_cold_ms = ctx.profile(req.func).cold_start.as_millis_f64();
         let config = self.config;
         let st = self.state(req.func);
-        // The `Ti` hint ages out with the same window as the other
-        // statistics; at `age == window` it is still considered fresh,
-        // matching `SlidingWindow`'s cutoff semantics.
-        if let (Some(w), Some((at, _))) = (config.window, st.ti) {
-            if now_us.saturating_sub(at) > w.as_micros() {
-                st.ti = None;
-            }
-        }
+        // Each arm returns what the full comparison would, reading a
+        // windowed statistic only when the hint can land on either side
+        // of it: every estimate is finite and ≥ 0, because it summarises
+        // non-negative, finite milliseconds.
         if st.bss_enabled {
             // Lines 1–9: disable the cold path when the last speculative
             // container idled longer than the expected execution time.
-            let te = Self::estimate_te(&config, st, now_us);
-            match (st.ti, te) {
-                (Some((_, ti)), Some(te)) if ti > te => {
-                    st.bss_enabled = false;
-                    ScaleDecision::WaitWarm
+            let wasted = match fresh(&mut st.ti, config.window, now_us) {
+                // Nothing to compare, or `0 > Te` cannot hold.
+                None | Some(0.0) => false,
+                // `∞ > Te` holds whenever there is a `Te` at all.
+                Some(f64::INFINITY) => {
+                    st.te.expire(now_us);
+                    !st.te.is_empty()
                 }
-                _ => ScaleDecision::Race,
+                Some(ti) => Self::estimate_te(&config, st, now_us).is_some_and(|te| ti > te),
+            };
+            if wasted {
+                st.bss_enabled = false;
+                ScaleDecision::WaitWarm
+            } else {
+                ScaleDecision::Race
             }
         } else {
             // Lines 10–18: re-enable the cold path when queueing costs
@@ -167,15 +193,19 @@ impl Scaler for CssScaler {
             // request arrives" — the most recent delayed-warm-start cost
             // (within the window), so a queue blow-up re-enables the cold
             // path immediately rather than after the median catches up.
-            st.td.expire(now_us);
-            let td = st.td.last();
-            let tp = st.tp.median(now_us).unwrap_or(profile_cold_ms);
-            match td {
-                Some(td) if td > tp => {
-                    st.bss_enabled = true;
-                    ScaleDecision::Race
+            let queueing = match fresh(&mut st.td, config.window, now_us) {
+                // Nothing to compare, or `0 > Tp` cannot hold.
+                None | Some(0.0) => false,
+                Some(td) => {
+                    let tp = st.tp.median(now_us);
+                    td > tp.unwrap_or_else(|| ctx.profile(req.func).cold_start.as_millis_f64())
                 }
-                _ => ScaleDecision::WaitWarm,
+            };
+            if queueing {
+                st.bss_enabled = true;
+                ScaleDecision::Race
+            } else {
+                ScaleDecision::WaitWarm
             }
         }
     }
@@ -192,7 +222,7 @@ impl Scaler for CssScaler {
         let st = self.state(req.func);
         st.te.record(now_us, exec.as_millis_f64());
         match class {
-            StartClass::DelayedWarm => st.td.record(now_us, wait.as_millis_f64()),
+            StartClass::DelayedWarm => st.td = Some((now_us, wait.as_millis_f64())),
             StartClass::Cold => st.tp.record(now_us, wait.as_millis_f64()),
             StartClass::Warm => {}
         }
@@ -490,6 +520,22 @@ mod tests {
             css.on_blocked(&req(10_000), &ctx_at(&cl, &busy, 10_000)),
             ScaleDecision::Race
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "percentile 101 out of [0, 100]")]
+    fn new_rejects_a_percentile_above_100() {
+        let _ = CssScaler::new(CidreConfig {
+            te: TeEstimator::Percentile(101.0),
+            ..CidreConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "percentile NaN out of [0, 100]")]
+    fn new_rejects_a_nan_percentile() {
+        let _ =
+            CssScaler::new(CidreConfig::default().te_estimator(TeEstimator::Percentile(f64::NAN)));
     }
 
     #[test]

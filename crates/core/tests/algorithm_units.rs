@@ -1,16 +1,18 @@
 //! Unit tests pinning CIDRE's two algorithms to the paper's math:
 //! Algorithm 1's BSS toggle transitions (the `Ti > Te` and `Td > Tp`
-//! comparisons, including their strict-inequality boundaries) and the
+//! comparisons, including their strict-inequality boundaries, and a
+//! property holding `CssScaler` to a model that keeps full histories) and the
 //! CIP priority of Eq. 3 / frequency of Eq. 4 as exact arithmetic,
 //! including logical-clock inheritance across an eviction batch.
 
 use std::collections::HashMap;
 
-use cidre_core::{CidreConfig, CipKeepAlive, CssScaler};
+use cidre_core::{CidreConfig, CipKeepAlive, CssScaler, TeEstimator};
 use faas_sim::{
     ClusterState, ContainerId, ContainerInfo, KeepAlive, PolicyCtx, RequestId, RequestInfo,
     ScaleDecision, Scaler, StartClass, WorkerId,
 };
+use faas_testkit::Checker;
 use faas_trace::{FunctionId, FunctionProfile, TimeDelta, TimePoint};
 
 /// One function (id 0), 128 MB, 200 ms profile cold start, on a roomy
@@ -202,6 +204,252 @@ fn css_ti_hint_expires_with_window() {
         ScaleDecision::Race
     );
     assert!(css.bss_enabled(FunctionId(0)));
+}
+
+/// The `Td` hint expires like `Ti`: at `age == window` a 900 ms
+/// delayed-warm wait (> the 200 ms profile `Tp`) still re-enables the
+/// cold path, one microsecond later it is gone and the path stays off.
+#[test]
+fn css_td_hint_expires_with_window() {
+    let window_us = 1_000_000u64;
+    let cl = one_fn_cluster();
+    let busy = Busy::new();
+    let at = |us: u64| PolicyCtx::new(TimePoint::from_micros(us), &cl, &busy);
+    let req_at = |us: u64| RequestInfo {
+        arrival: TimePoint::from_micros(us),
+        ..req(0)
+    };
+    for (age_us, expected) in [
+        (window_us, ScaleDecision::Race),
+        (window_us + 1, ScaleDecision::WaitWarm),
+    ] {
+        let mut css =
+            CssScaler::new(CidreConfig::default().window(Some(TimeDelta::from_micros(window_us))));
+        // Disable: Te = 10 ms, Ti = 500 ms.
+        record_exec(&mut css, &cl, &busy, 0, 10);
+        css.on_cold_outcome(FunctionId(0), Some(TimeDelta::from_millis(500)), &at(0));
+        assert_eq!(css.on_blocked(&req_at(0), &at(0)), ScaleDecision::WaitWarm);
+        css.on_start(
+            &req_at(0),
+            StartClass::DelayedWarm,
+            TimeDelta::from_millis(900),
+            TimeDelta::from_millis(10),
+            &at(0),
+        );
+        assert_eq!(
+            css.on_blocked(&req_at(age_us), &at(age_us)),
+            expected,
+            "Td aged {age_us} us"
+        );
+        assert_eq!(
+            css.bss_enabled(FunctionId(0)),
+            expected == ScaleDecision::Race
+        );
+    }
+}
+
+/// A speculative container evicted unused (`Ti = ∞`) exceeds any
+/// expected execution time, but only one that exists: with no `Te` in
+/// the window there is nothing to compare against and CSS keeps racing.
+#[test]
+fn css_infinite_ti_disables_only_with_te_history() {
+    let cl = one_fn_cluster();
+    let busy = Busy::new();
+    let make = || CssScaler::new(CidreConfig::default().window(Some(TimeDelta::from_secs(1))));
+
+    // No execution recorded at all.
+    let mut css = make();
+    css.on_cold_outcome(FunctionId(0), None, &ctx_at(&cl, &busy, 0));
+    assert_eq!(
+        css.on_blocked(&req(0), &ctx_at(&cl, &busy, 0)),
+        ScaleDecision::Race
+    );
+
+    // The only execution has left the 1 s window by t = 1.5 s.
+    let mut css = make();
+    record_exec(&mut css, &cl, &busy, 0, 50);
+    css.on_cold_outcome(FunctionId(0), None, &ctx_at(&cl, &busy, 1_500));
+    assert_eq!(
+        css.on_blocked(&req(1_500), &ctx_at(&cl, &busy, 1_500)),
+        ScaleDecision::Race
+    );
+    assert!(css.bss_enabled(FunctionId(0)));
+
+    // The same execution still in the window at t = 1 s: disable.
+    let mut css = make();
+    record_exec(&mut css, &cl, &busy, 0, 50);
+    css.on_cold_outcome(FunctionId(0), None, &ctx_at(&cl, &busy, 1_000));
+    assert_eq!(
+        css.on_blocked(&req(1_000), &ctx_at(&cl, &busy, 1_000)),
+        ScaleDecision::WaitWarm
+    );
+    assert!(!css.bss_enabled(FunctionId(0)));
+}
+
+/// Algorithm 1 as written, for one function: full histories, each
+/// statistic recomputed from the values inside the window on every
+/// decision.
+#[derive(Default)]
+struct CssModel {
+    bss_off: bool,
+    ti: Option<(u64, f64)>,
+    te: Vec<(u64, f64)>,
+    td: Vec<(u64, f64)>,
+    tp: Vec<(u64, f64)>,
+}
+
+/// What `CssModel` needs of the configuration, in microseconds.
+struct ModelConfig {
+    window_us: Option<u64>,
+    te: TeEstimator,
+    profile_cold_ms: f64,
+}
+
+impl ModelConfig {
+    fn fresh(&self, at: u64, now: u64) -> bool {
+        self.window_us.is_none_or(|w| now - at <= w)
+    }
+
+    fn retained(&self, history: &[(u64, f64)], now: u64) -> Vec<f64> {
+        history
+            .iter()
+            .filter(|&&(at, _)| self.fresh(at, now))
+            .map(|&(_, v)| v)
+            .collect()
+    }
+}
+
+impl CssModel {
+    fn on_blocked(&mut self, cfg: &ModelConfig, now: u64) -> ScaleDecision {
+        if self.bss_off {
+            let td = cfg.retained(&self.td, now).last().copied();
+            let tp = cfg.retained(&self.tp, now);
+            let tp = if tp.is_empty() {
+                cfg.profile_cold_ms
+            } else {
+                faas_metrics::percentile(&tp, 50.0)
+            };
+            if td.is_some_and(|td| td > tp) {
+                self.bss_off = false;
+                return ScaleDecision::Race;
+            }
+            ScaleDecision::WaitWarm
+        } else {
+            let ti = self.ti.filter(|&(at, _)| cfg.fresh(at, now));
+            let te = cfg.retained(&self.te, now);
+            let te = match (te.is_empty(), cfg.te) {
+                (true, _) => None,
+                (false, TeEstimator::Mean) => Some(te.iter().sum::<f64>() / te.len() as f64),
+                (false, TeEstimator::Percentile(p)) => Some(faas_metrics::percentile(&te, p)),
+            };
+            match (ti, te) {
+                (Some((_, ti)), Some(te)) if ti > te => {
+                    self.bss_off = true;
+                    ScaleDecision::WaitWarm
+                }
+                _ => ScaleDecision::Race,
+            }
+        }
+    }
+}
+
+/// `CssScaler` against `CssModel` over random interleavings of starts
+/// (every class, zero waits and executions included), cold outcomes
+/// (`Ti` of zero, finite and infinite) and decisions at non-decreasing
+/// times, for every estimator and a range of windows: each decision and
+/// each `bss_enabled` matches.
+#[test]
+fn css_matches_a_full_history_model_of_algorithm_1() {
+    Checker::new("css_matches_a_full_history_model_of_algorithm_1")
+        .cases(200)
+        .run(|g| {
+            let window_us = *g.choose(&[None, Some(1_000), Some(2_500), Some(10_000)]);
+            let te = match g.usize(0..3) {
+                0 => TeEstimator::Mean,
+                1 => TeEstimator::MEDIAN,
+                _ => TeEstimator::Percentile(if g.bool(0.5) {
+                    *g.choose(&[0.0, 25.0, 75.0, 100.0])
+                } else {
+                    g.f64(0.0..100.0)
+                }),
+            };
+            let cfg = ModelConfig {
+                window_us,
+                te,
+                profile_cold_ms: 2.0,
+            };
+            let cl = {
+                let profiles = vec![FunctionProfile::new(
+                    FunctionId(0),
+                    "f",
+                    128,
+                    TimeDelta::from_millis(2),
+                )];
+                ClusterState::new(&[10_000], profiles, 1)
+            };
+            let busy = Busy::new();
+            let mut css = CssScaler::new(CidreConfig {
+                window: window_us.map(TimeDelta::from_micros),
+                te,
+            });
+            let mut model = CssModel::default();
+            // Values from 0 to 4 ms, a quarter of them exactly 0.
+            let ms = |g: &mut faas_testkit::Gen| {
+                if g.bool(0.25) {
+                    0
+                } else {
+                    g.u64(1..4_000)
+                }
+            };
+            let mut now = 0u64;
+            for step in 0..g.usize(1..120) {
+                now += *g.choose(&[0, 0, 1, 250, 999, 1_000, 1_001, 2_500, 6_000]);
+                let ctx = PolicyCtx::new(TimePoint::from_micros(now), &cl, &busy);
+                let req = RequestInfo {
+                    arrival: ctx.now,
+                    ..req(0)
+                };
+                match g.usize(0..3) {
+                    0 => {
+                        let class = *g.choose(&[
+                            StartClass::Warm,
+                            StartClass::DelayedWarm,
+                            StartClass::Cold,
+                        ]);
+                        let (wait, exec) = (ms(g), ms(g));
+                        let (wait, exec) =
+                            (TimeDelta::from_micros(wait), TimeDelta::from_micros(exec));
+                        css.on_start(&req, class, wait, exec, &ctx);
+                        model.te.push((now, exec.as_millis_f64()));
+                        match class {
+                            StartClass::DelayedWarm => model.td.push((now, wait.as_millis_f64())),
+                            StartClass::Cold => model.tp.push((now, wait.as_millis_f64())),
+                            StartClass::Warm => {}
+                        }
+                    }
+                    1 => {
+                        let idle = match g.usize(0..3) {
+                            0 => Some(TimeDelta::ZERO),
+                            1 => Some(TimeDelta::from_micros(ms(g))),
+                            _ => None,
+                        };
+                        css.on_cold_outcome(FunctionId(0), idle, &ctx);
+                        let ti = idle.map_or(f64::INFINITY, TimeDelta::as_millis_f64);
+                        model.ti = Some((now, ti));
+                    }
+                    _ => {
+                        let got = css.on_blocked(&req, &ctx);
+                        let want = model.on_blocked(&cfg, now);
+                        assert_eq!(got, want, "decision {step} at {now} us");
+                    }
+                }
+                assert_eq!(
+                    css.bss_enabled(FunctionId(0)),
+                    !model.bss_off,
+                    "bss_enabled after step {step} at {now} us"
+                );
+            }
+        });
 }
 
 // ---------------------------------------------------------------- CIP --
