@@ -174,21 +174,25 @@ cargo run -q --release --offline -p cidre-bench --bin live_load -- --smoke --sta
 
 echo "== tier 1: experiments smoke (offline) =="
 # Every runner through the CLI at tiny scale, sequentially and fanned
-# out: all artifacts (CSVs and Chrome trace exports) must be
+# out: all artifacts (CSVs and Chrome trace exports) and stdout must be
 # byte-identical — determinism and --jobs invariance end to end; the
 # golden hashes live in tests/determinism.rs. A run that cannot write
-# exits non-zero, so two empty directories cannot pass the diff.
+# exits non-zero, so two empty directories cannot pass the diff. Stdout
+# is compared without its header (job count, output directory) and
+# closing line (wall time), with the output directory normalised.
 exp_a="$(mktemp -d)"
 exp_b="$(mktemp -d)"
-trap 'rm -rf "$exp_a" "$exp_b"' EXIT
+trap 'rm -rf "$exp_a" "$exp_b" "$exp_a.log" "$exp_b.log"' EXIT
 experiments=(cargo run -q --release --offline -p cidre-bench --bin experiments --)
-"${experiments[@]}" all --tiny --jobs 1 --out "$exp_a" > /dev/null
-"${experiments[@]}" all --tiny --jobs 2 --out "$exp_b" > /dev/null
+"${experiments[@]}" all --tiny --jobs 1 --out "$exp_a" > "$exp_a.log"
+"${experiments[@]}" all --tiny --jobs 2 --out "$exp_b" > "$exp_b.log"
 diff -r "$exp_a" "$exp_b"
+narration() { sed -e '1d' -e '$d' -e "s|$2|OUT|g" "$1"; }
+diff <(narration "$exp_a.log" "$exp_a") <(narration "$exp_b.log" "$exp_b")
 # The suite at --quick scale: its closing line is the wall time and
 # peak RSS of regenerating the paper's artifacts.
 "${experiments[@]}" all --quick --out "$exp_a" | tail -n 1
-rm -rf "$exp_a" "$exp_b"
+rm -rf "$exp_a" "$exp_b" "$exp_a.log" "$exp_b.log"
 trap - EXIT
 
 echo "== bench smoke (offline) =="

@@ -17,7 +17,8 @@ fn usage() {
     eprintln!("  --tiny            miniature scale (CI smoke; same as the goldens)");
     eprintln!("  --out DIR         CSV output directory (default: results)");
     eprintln!("  --seed N          workload generation seed (default: 42)");
-    eprintln!("  --jobs N          worker threads for policy/cache fan-out");
+    eprintln!("  --jobs N          worker threads for policy/cache fan-out, and for");
+    eprintln!("                    `all`'s experiments (so up to N² threads)");
     eprintln!("                    (default: 1; 0 = all cores; results identical)");
     eprintln!("  sweep only:");
     eprintln!("  --policies A,B,C  policies to sweep");
@@ -118,11 +119,16 @@ fn main() -> ExitCode {
         reason = "CLI progress timer only; never feeds a result"
     )]
     let start = std::time::Instant::now();
-    if !run_by_name(&name, &ctx) {
+    // Each block is printed as soon as it and every earlier one are done.
+    let mut failed = 0;
+    let known = run_by_name(&name, &ctx, |out| {
+        print!("{}", out.text);
+        failed += out.write_failures;
+    });
+    if !known {
         eprintln!("unknown experiment {name:?}; try `experiments list`");
         return ExitCode::FAILURE;
     }
-    let failed = cidre_bench::failed_writes();
     if failed > 0 {
         eprintln!("{failed} output file(s) could not be written");
         return ExitCode::FAILURE;

@@ -14,11 +14,11 @@ use faas_sim::{Placement, StartClass};
 use cidre_core::{cidre_stack, CidreConfig};
 
 use crate::workloads::run_policy_stack;
-use crate::{ExpCtx, Workload};
+use crate::{ExpCtx, Out, Workload};
 
 /// Runs the placement ablation.
-pub fn run(ctx: &ExpCtx) {
-    crate::say!("== Extra: worker-placement ablation (Azure, 100 GB) ==");
+pub fn run(ctx: &ExpCtx, out: &mut Out) {
+    out.line("== Extra: worker-placement ablation (Azure, 100 GB) ==");
     let trace = ctx.trace(Workload::Azure);
     let mut table = Table::new([
         "placement",
@@ -38,7 +38,7 @@ pub fn run(ctx: &ExpCtx) {
             ("cidre", cidre_stack(CidreConfig::default())),
         ] {
             let label = format!("{name}/{placement:?}");
-            let report = run_policy_stack(&label, stack, &trace, &config);
+            let report = run_policy_stack(out, &label, stack, &trace, &config);
             table.row([
                 format!("{placement:?}"),
                 name.to_string(),
@@ -48,6 +48,6 @@ pub fn run(ctx: &ExpCtx) {
             ]);
         }
     }
-    crate::say!("{table}");
-    ctx.save_csv("extra_placement", &table);
+    writeln!(out, "{table}");
+    ctx.save_csv(out, "extra_placement", &table);
 }

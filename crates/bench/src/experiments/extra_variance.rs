@@ -9,11 +9,11 @@
 use faas_metrics::Table;
 use faas_trace::stats::fraction_high_variance;
 
-use crate::{ExpCtx, Workload};
+use crate::{ExpCtx, Out, Workload};
 
 /// Runs the §2.6 variance analysis.
-pub fn run(ctx: &ExpCtx) {
-    crate::say!("== Extra (§2.6): execution-time variance across functions ==");
+pub fn run(ctx: &ExpCtx, out: &mut Out) {
+    out.line("== Extra (§2.6): execution-time variance across functions ==");
     let mut table = Table::new(["trace", "functions with CV >= 25% [%]", "paper [%]"]);
     for (w, paper) in [(Workload::Azure, 68.0), (Workload::Fc, 59.0)] {
         let trace = ctx.trace(w);
@@ -24,7 +24,7 @@ pub fn run(ctx: &ExpCtx) {
             format!("{paper:.0}"),
         ]);
     }
-    crate::say!("{table}");
-    crate::say!("  (the generators draw per-invocation times lognormally with sigma = 0.25)");
-    ctx.save_csv("extra_variance", &table);
+    writeln!(out, "{table}");
+    out.line("  (the generators draw per-invocation times lognormally with sigma = 0.25)");
+    ctx.save_csv(out, "extra_variance", &table);
 }

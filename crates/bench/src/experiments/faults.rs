@@ -13,7 +13,7 @@ use faas_sim::{FaultPlan, StartClass, WorkerId};
 use faas_trace::{TimeDelta, TimePoint};
 
 use crate::workloads::run_policy_batch;
-use crate::{ExpCtx, Workload};
+use crate::{ExpCtx, Out, Workload};
 
 /// The failure-rate sweep: from a healthy substrate to one where a
 /// fifth of provisions time out.
@@ -40,8 +40,8 @@ pub fn plan_for(seed: u64, rate: f64) -> FaultPlan {
 }
 
 /// Runs the fault sweep.
-pub fn run(ctx: &ExpCtx) {
-    crate::say!("== Faults: policy degradation under injected failures (Azure) ==");
+pub fn run(ctx: &ExpCtx, out: &mut Out) {
+    out.line("== Faults: policy degradation under injected failures (Azure) ==");
     let trace = ctx.trace(Workload::Azure);
     let scenarios: Vec<(String, _)> = RATES
         .iter()
@@ -54,7 +54,7 @@ pub fn run(ctx: &ExpCtx) {
             })
         })
         .collect();
-    let reports = run_policy_batch(ctx, &trace, &scenarios);
+    let reports = run_policy_batch(ctx, out, &trace, &scenarios);
 
     let mut table = Table::new([
         "failure rate",
@@ -83,8 +83,8 @@ pub fn run(ctx: &ExpCtx) {
             format!("{}", report.wasted_cold_starts),
         ]);
     }
-    crate::say!("{table}");
-    ctx.save_csv("faults", &table);
+    writeln!(out, "{table}");
+    ctx.save_csv(out, "faults", &table);
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@ use faas_metrics::Table;
 use faas_sim::StartClass;
 
 use crate::workloads::{run_policy_batch, MAIN_POLICIES};
-use crate::{ExpCtx, Workload};
+use crate::{ExpCtx, Out, Workload};
 
 /// Cache sizes swept by the paper, in GB.
 pub const CACHE_SIZES_GB: &[u64] = &[80, 100, 120, 140, 160];
@@ -19,7 +19,7 @@ pub const CACHE_SIZES_GB: &[u64] = &[80, 100, 120, 140, 160];
 /// Breakdown subset shown in Figs. 12(b)/(d).
 const BREAKDOWN_POLICIES: &[&str] = &["faascache", "icebreaker", "cidre-bss", "cidre"];
 
-fn sweep(ctx: &ExpCtx, w: Workload) {
+fn sweep(ctx: &ExpCtx, out: &mut Out, w: Workload) {
     let trace = ctx.trace(w);
     let mut overhead = Table::new(
         std::iter::once("policy".to_string())
@@ -36,13 +36,13 @@ fn sweep(ctx: &ExpCtx, w: Workload) {
 
     let mut rows: Vec<Vec<String>> = MAIN_POLICIES.iter().map(|p| vec![p.to_string()]).collect();
     for &gb in CACHE_SIZES_GB {
-        crate::say!("-- {} @ {gb} GB --", w.name());
+        writeln!(out, "-- {} @ {gb} GB --", w.name());
         let config = ctx.sim_config(gb);
         let scenarios: Vec<(String, _)> = MAIN_POLICIES
             .iter()
             .map(|&p| (p.to_string(), config.clone()))
             .collect();
-        let reports = run_policy_batch(ctx, &trace, &scenarios);
+        let reports = run_policy_batch(ctx, out, &trace, &scenarios);
         for ((i, &policy), report) in MAIN_POLICIES.iter().enumerate().zip(&reports) {
             rows[i].push(format!("{:.1}", report.avg_overhead_ratio() * 100.0));
             if BREAKDOWN_POLICIES.contains(&policy) {
@@ -60,18 +60,18 @@ fn sweep(ctx: &ExpCtx, w: Workload) {
     for row in rows {
         overhead.row(row);
     }
-    crate::say!("\nFig. 12 ({}) — average overhead ratio:", w.name());
-    crate::say!("{overhead}");
-    crate::say!("\nFig. 12 ({}) — invocation breakdown:", w.name());
-    crate::say!("{breakdown}");
-    ctx.save_csv(&format!("fig12_overhead_{}", w.name()), &overhead);
-    ctx.save_csv(&format!("fig12_breakdown_{}", w.name()), &breakdown);
+    writeln!(out, "\nFig. 12 ({}) — average overhead ratio:", w.name());
+    writeln!(out, "{overhead}");
+    writeln!(out, "\nFig. 12 ({}) — invocation breakdown:", w.name());
+    writeln!(out, "{breakdown}");
+    ctx.save_csv(out, &format!("fig12_overhead_{}", w.name()), &overhead);
+    ctx.save_csv(out, &format!("fig12_breakdown_{}", w.name()), &breakdown);
 }
 
 /// Runs the Fig. 12 reproduction (both workloads, all policies, all
 /// cache sizes). This is the heaviest experiment in the suite.
-pub fn run(ctx: &ExpCtx) {
-    crate::say!("== Fig. 12: baseline comparison across cache sizes ==");
-    sweep(ctx, Workload::Azure);
-    sweep(ctx, Workload::Fc);
+pub fn run(ctx: &ExpCtx, out: &mut Out) {
+    out.line("== Fig. 12: baseline comparison across cache sizes ==");
+    sweep(ctx, out, Workload::Azure);
+    sweep(ctx, out, Workload::Fc);
 }

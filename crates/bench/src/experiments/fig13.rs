@@ -8,16 +8,16 @@
 use faas_metrics::Table;
 
 use crate::workloads::{run_policy_batch, MAIN_POLICIES};
-use crate::{ExpCtx, Workload};
+use crate::{ExpCtx, Out, Workload};
 
-fn cdfs(ctx: &ExpCtx, w: Workload) {
+fn cdfs(ctx: &ExpCtx, out: &mut Out, w: Workload) {
     let trace = ctx.trace(w);
     let config = ctx.sim_config(100);
     let scenarios: Vec<(String, _)> = MAIN_POLICIES
         .iter()
         .map(|&p| (p.to_string(), config.clone()))
         .collect();
-    let reports = run_policy_batch(ctx, &trace, &scenarios);
+    let reports = run_policy_batch(ctx, out, &trace, &scenarios);
     let mut table = Table::new([
         "policy",
         "overhead p50 [ms]",
@@ -38,14 +38,14 @@ fn cdfs(ctx: &ExpCtx, w: Workload) {
             format!("{:.2}", e2e.quantile(0.90)),
         ]);
     }
-    crate::say!("\nFig. 13 ({}):", w.name());
-    crate::say!("{table}");
-    ctx.save_csv(&format!("fig13_{}", w.name()), &table);
+    writeln!(out, "\nFig. 13 ({}):", w.name());
+    writeln!(out, "{table}");
+    ctx.save_csv(out, &format!("fig13_{}", w.name()), &table);
 }
 
 /// Runs the Fig. 13 reproduction (both workloads).
-pub fn run(ctx: &ExpCtx) {
-    crate::say!("== Fig. 13: overhead and E2E service time CDFs @ 100 GB ==");
-    cdfs(ctx, Workload::Azure);
-    cdfs(ctx, Workload::Fc);
+pub fn run(ctx: &ExpCtx, out: &mut Out) {
+    out.line("== Fig. 13: overhead and E2E service time CDFs @ 100 GB ==");
+    cdfs(ctx, out, Workload::Azure);
+    cdfs(ctx, out, Workload::Fc);
 }

@@ -16,11 +16,11 @@ use faas_sim::{AlwaysCold, PolicyStack, SimConfig, StartClass};
 use faas_trace::TimeDelta;
 
 use crate::workloads::run_policy_stack;
-use crate::{ExpCtx, Workload};
+use crate::{ExpCtx, Out, Workload};
 
 /// Runs the Fig. 14 / §5.2 reproduction.
-pub fn run(ctx: &ExpCtx) {
-    crate::say!("== Fig. 14: BSS on/off at production cluster scale (FC) ==");
+pub fn run(ctx: &ExpCtx, out: &mut Out) {
+    out.line("== Fig. 14: BSS on/off at production cluster scale (FC) ==");
     // The production pool is shared with other FC tenants (§5.2): merge
     // a second, differently-seeded FC trace in as background load.
     let foreground = ctx.trace(Workload::Fc);
@@ -57,7 +57,7 @@ pub fn run(ctx: &ExpCtx) {
             ),
         ),
     ] {
-        let report = run_policy_stack(&format!("bss-{label}"), stack, &trace, &config);
+        let report = run_policy_stack(out, &format!("bss-{label}"), stack, &trace, &config);
         let wait = report.wait_cdf();
         table.row([
             label.to_string(),
@@ -66,6 +66,6 @@ pub fn run(ctx: &ExpCtx) {
             format!("{:.2}", wait.quantile(0.999)),
         ]);
     }
-    crate::say!("{table}");
-    ctx.save_csv("fig14", &table);
+    writeln!(out, "{table}");
+    ctx.save_csv(out, "fig14", &table);
 }

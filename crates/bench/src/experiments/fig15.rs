@@ -12,7 +12,7 @@ use faas_policies::GdsfKeepAlive;
 use faas_sim::{AlwaysCold, PolicyStack};
 
 use crate::workloads::run_policy_stack;
-use crate::{ExpCtx, Workload};
+use crate::{ExpCtx, Out, Workload};
 
 fn variants() -> Vec<(&'static str, PolicyStack)> {
     vec![
@@ -46,18 +46,18 @@ fn variants() -> Vec<(&'static str, PolicyStack)> {
 }
 
 /// Runs the Fig. 15 ablation.
-pub fn run(ctx: &ExpCtx) {
-    crate::say!("== Fig. 15: ablation study (Azure, 100 GB) ==");
+pub fn run(ctx: &ExpCtx, out: &mut Out) {
+    out.line("== Fig. 15: ablation study (Azure, 100 GB) ==");
     let trace = ctx.trace(Workload::Azure);
     let config = ctx.sim_config(100);
     let mut table = Table::new(["configuration", "avg overhead ratio [%]"]);
     for (label, stack) in variants() {
-        let report = run_policy_stack(label, stack, &trace, &config);
+        let report = run_policy_stack(out, label, stack, &trace, &config);
         table.row([
             label.to_string(),
             format!("{:.1}", report.avg_overhead_ratio() * 100.0),
         ]);
     }
-    crate::say!("{table}");
-    ctx.save_csv("fig15", &table);
+    writeln!(out, "{table}");
+    ctx.save_csv(out, "fig15", &table);
 }

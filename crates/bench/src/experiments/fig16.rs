@@ -16,7 +16,7 @@ use faas_sim::StartClass;
 use faas_trace::transform;
 
 use crate::workloads::run_policy;
-use crate::{ExpCtx, Workload};
+use crate::{ExpCtx, Out, Workload};
 
 /// Invocation-weighted mean container size in GB, for converting
 /// container counts into provisioned gigabytes.
@@ -36,8 +36,8 @@ fn avg_container_gb(trace: &faas_trace::Trace) -> f64 {
 const LOAD_FACTORS: &[f64] = &[1.0, 0.75, 0.5, 0.375, 0.25];
 
 /// Runs the Fig. 16 reproduction.
-pub fn run(ctx: &ExpCtx) {
-    crate::say!("== Fig. 16: concurrency-driven scaling (FC, 100 GB) ==");
+pub fn run(ctx: &ExpCtx, out: &mut Out) {
+    out.line("== Fig. 16: concurrency-driven scaling (FC, 100 GB) ==");
     let base = ctx.trace(Workload::Fc);
     let config = ctx.sim_config(100);
     let mut table = Table::new([
@@ -52,9 +52,9 @@ pub fn run(ctx: &ExpCtx) {
     for &factor in LOAD_FACTORS {
         let trace = transform::scale_iat(&base, factor);
         let rps = trace.len() as f64 / trace.duration().as_secs_f64().max(1.0);
-        crate::say!("-- IAT x{factor} (≈{rps:.0} rps) --");
+        writeln!(out, "-- IAT x{factor} (≈{rps:.0} rps) --");
         for policy in ["faascache", "rainbowcake", "cidre-bss", "cidre"] {
-            let report = run_policy(policy, &trace, &config);
+            let report = run_policy(out, policy, &trace, &config);
             let provisioned_gb = report.containers_created as f64 * avg_container_gb(&trace);
             table.row([
                 format!("{factor}"),
@@ -67,6 +67,6 @@ pub fn run(ctx: &ExpCtx) {
             ]);
         }
     }
-    crate::say!("{table}");
-    ctx.save_csv("fig16", &table);
+    writeln!(out, "{table}");
+    ctx.save_csv(out, "fig16", &table);
 }

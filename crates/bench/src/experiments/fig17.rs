@@ -8,16 +8,16 @@ use cidre_core::{cidre_bss_stack, cidre_stack, CidreConfig, TeEstimator};
 use faas_metrics::Table;
 
 use crate::workloads::run_policy_stack;
-use crate::{ExpCtx, Workload};
+use crate::{ExpCtx, Out, Workload};
 
 /// Runs the Fig. 17 reproduction.
-pub fn run(ctx: &ExpCtx) {
-    crate::say!("== Fig. 17: Te estimator sensitivity (Azure, 100 GB) ==");
+pub fn run(ctx: &ExpCtx, out: &mut Out) {
+    out.line("== Fig. 17: Te estimator sensitivity (Azure, 100 GB) ==");
     let trace = ctx.trace(Workload::Azure);
     let config = ctx.sim_config(100);
     let mut table = Table::new(["Te estimator", "avg overhead ratio [%]"]);
 
-    let bss = run_policy_stack("cidre-bss", cidre_bss_stack(), &trace, &config);
+    let bss = run_policy_stack(out, "cidre-bss", cidre_bss_stack(), &trace, &config);
     table.row([
         "CIDRE_BSS".to_string(),
         format!("{:.1}", bss.avg_overhead_ratio() * 100.0),
@@ -31,12 +31,12 @@ pub fn run(ctx: &ExpCtx) {
     ];
     for (label, te) in estimators {
         let stack = cidre_stack(CidreConfig::default().te_estimator(te));
-        let report = run_policy_stack(&format!("cidre te={label}"), stack, &trace, &config);
+        let report = run_policy_stack(out, &format!("cidre te={label}"), stack, &trace, &config);
         table.row([
             label.to_string(),
             format!("{:.1}", report.avg_overhead_ratio() * 100.0),
         ]);
     }
-    crate::say!("{table}");
-    ctx.save_csv("fig17", &table);
+    writeln!(out, "{table}");
+    ctx.save_csv(out, "fig17", &table);
 }

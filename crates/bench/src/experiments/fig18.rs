@@ -10,11 +10,11 @@ use faas_metrics::Table;
 use faas_trace::TimeDelta;
 
 use crate::workloads::run_policy_stack;
-use crate::{ExpCtx, Workload};
+use crate::{ExpCtx, Out, Workload};
 
 /// Runs the Fig. 18 reproduction.
-pub fn run(ctx: &ExpCtx) {
-    crate::say!("== Fig. 18: sliding window sensitivity (Azure, 100 GB) ==");
+pub fn run(ctx: &ExpCtx, out: &mut Out) {
+    out.line("== Fig. 18: sliding window sensitivity (Azure, 100 GB) ==");
     let trace = ctx.trace(Workload::Azure);
     let config = ctx.sim_config(100);
     let mut table = Table::new(["window", "avg overhead ratio [%]"]);
@@ -26,12 +26,12 @@ pub fn run(ctx: &ExpCtx) {
     ];
     for (label, window) in windows {
         let stack = cidre_stack(CidreConfig::default().window(window));
-        let report = run_policy_stack(&format!("cidre w={label}"), stack, &trace, &config);
+        let report = run_policy_stack(out, &format!("cidre w={label}"), stack, &trace, &config);
         table.row([
             label.to_string(),
             format!("{:.1}", report.avg_overhead_ratio() * 100.0),
         ]);
     }
-    crate::say!("{table}");
-    ctx.save_csv("fig18", &table);
+    writeln!(out, "{table}");
+    ctx.save_csv(out, "fig18", &table);
 }

@@ -9,11 +9,11 @@ use faas_sim::StartClass;
 use faas_trace::transform;
 
 use crate::workloads::run_policy;
-use crate::{ExpCtx, Workload};
+use crate::{ExpCtx, Out, Workload};
 
 /// Runs the Fig. 19 reproduction.
-pub fn run(ctx: &ExpCtx) {
-    crate::say!("== Fig. 19: IAT scaling (Azure, 100 GB) ==");
+pub fn run(ctx: &ExpCtx, out: &mut Out) {
+    out.line("== Fig. 19: IAT scaling (Azure, 100 GB) ==");
     let base = ctx.trace(Workload::Azure);
     let config = ctx.sim_config(100);
     let mut table = Table::new([
@@ -26,9 +26,9 @@ pub fn run(ctx: &ExpCtx) {
     ]);
     for &factor in &[2.0, 1.0, 0.5] {
         let trace = transform::scale_iat(&base, factor);
-        crate::say!("-- IAT x{factor} --");
+        writeln!(out, "-- IAT x{factor} --");
         for policy in ["faascache", "cidre-bss", "cidre"] {
-            let report = run_policy(policy, &trace, &config);
+            let report = run_policy(out, policy, &trace, &config);
             let wait = report.wait_cdf();
             table.row([
                 format!("{factor}x"),
@@ -40,6 +40,6 @@ pub fn run(ctx: &ExpCtx) {
             ]);
         }
     }
-    crate::say!("{table}");
-    ctx.save_csv("fig19", &table);
+    writeln!(out, "{table}");
+    ctx.save_csv(out, "fig19", &table);
 }

@@ -7,11 +7,11 @@
 use faas_metrics::{AsciiChart, Cdf, Table};
 use faas_trace::stats::cold_exec_ratio_cdf;
 
-use crate::{ExpCtx, Workload};
+use crate::{ExpCtx, Out, Workload};
 
 /// Runs the Fig. 2 reproduction.
-pub fn run(ctx: &ExpCtx) {
-    crate::say!("== Fig. 2: cold start latency / execution time CDFs ==");
+pub fn run(ctx: &ExpCtx, out: &mut Out) {
+    out.line("== Fig. 2: cold start latency / execution time CDFs ==");
     let azure = ctx.trace(Workload::Azure);
     let fc = ctx.trace(Workload::Fc);
 
@@ -45,7 +45,7 @@ pub fn run(ctx: &ExpCtx) {
             .collect();
         chart.series(name.clone(), pts);
     }
-    crate::say!("{table}");
-    crate::say!("{chart}");
-    ctx.save_csv("fig2", &table);
+    writeln!(out, "{table}");
+    writeln!(out, "{chart}");
+    ctx.save_csv(out, "fig2", &table);
 }

@@ -11,11 +11,11 @@ use faas_sim::StartClass;
 use faas_trace::transform;
 
 use crate::workloads::run_policy;
-use crate::{ExpCtx, Workload};
+use crate::{ExpCtx, Out, Workload};
 
 /// Runs the Fig. 20 + Table 2 reproduction.
-pub fn run(ctx: &ExpCtx) {
-    crate::say!("== Fig. 20 / Table 2: execution time scaling (Azure, 100 GB) ==");
+pub fn run(ctx: &ExpCtx, out: &mut Out) {
+    out.line("== Fig. 20 / Table 2: execution time scaling (Azure, 100 GB) ==");
     let base = ctx.trace(Workload::Azure);
     let config = ctx.sim_config(100);
     let mut fig = Table::new(["exec scale", "policy", "avg overhead [ms]"]);
@@ -29,9 +29,9 @@ pub fn run(ctx: &ExpCtx) {
     ]);
     for &scale in &[1.0, 1.5, 2.0] {
         let trace = transform::scale_exec(&base, scale);
-        crate::say!("-- exec x{scale} --");
+        writeln!(out, "-- exec x{scale} --");
         for policy in ["cidre", "faascache", "lru"] {
-            let report = run_policy(policy, &trace, &config);
+            let report = run_policy(out, policy, &trace, &config);
             fig.row([
                 format!("{scale}x"),
                 policy.to_string(),
@@ -59,10 +59,10 @@ pub fn run(ctx: &ExpCtx) {
             ]);
         }
     }
-    crate::say!("\nFig. 20 — average invocation overhead:");
-    crate::say!("{fig}");
-    crate::say!("\nTable 2 — invocation breakdown:");
-    crate::say!("{tab2}");
-    ctx.save_csv("fig20", &fig);
-    ctx.save_csv("table2", &tab2);
+    out.line("\nFig. 20 — average invocation overhead:");
+    writeln!(out, "{fig}");
+    out.line("\nTable 2 — invocation breakdown:");
+    writeln!(out, "{tab2}");
+    ctx.save_csv(out, "fig20", &fig);
+    ctx.save_csv(out, "table2", &tab2);
 }

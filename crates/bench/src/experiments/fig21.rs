@@ -9,11 +9,11 @@ use faas_metrics::Table;
 use faas_sim::StartClass;
 
 use crate::workloads::run_policy;
-use crate::{ExpCtx, Workload};
+use crate::{ExpCtx, Out, Workload};
 
 /// Runs the Fig. 21 reproduction.
-pub fn run(ctx: &ExpCtx) {
-    crate::say!("== Fig. 21: intra-container threads (Azure, 100 GB) ==");
+pub fn run(ctx: &ExpCtx, out: &mut Out) {
+    out.line("== Fig. 21: intra-container threads (Azure, 100 GB) ==");
     let trace = ctx.trace(Workload::Azure);
     let mut table = Table::new([
         "threads",
@@ -24,9 +24,9 @@ pub fn run(ctx: &ExpCtx) {
     ]);
     for threads in [1u32, 2, 4, 8] {
         let config = ctx.sim_config(100).container_threads(threads);
-        crate::say!("-- {threads} thread(s) --");
+        writeln!(out, "-- {threads} thread(s) --");
         for policy in ["faascache", "cidre"] {
-            let report = run_policy(policy, &trace, &config);
+            let report = run_policy(out, policy, &trace, &config);
             table.row([
                 format!("{threads}"),
                 policy.to_string(),
@@ -36,6 +36,6 @@ pub fn run(ctx: &ExpCtx) {
             ]);
         }
     }
-    crate::say!("{table}");
-    ctx.save_csv("fig21", &table);
+    writeln!(out, "{table}");
+    ctx.save_csv(out, "fig21", &table);
 }

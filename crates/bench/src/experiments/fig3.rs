@@ -6,11 +6,11 @@
 use faas_metrics::{AsciiChart, Table};
 use faas_trace::stats::concurrency_cdf;
 
-use crate::{ExpCtx, Workload};
+use crate::{ExpCtx, Out, Workload};
 
 /// Runs the Fig. 3 reproduction.
-pub fn run(ctx: &ExpCtx) {
-    crate::say!("== Fig. 3: function concurrency CDFs [peak reqs/min per function] ==");
+pub fn run(ctx: &ExpCtx, out: &mut Out) {
+    out.line("== Fig. 3: function concurrency CDFs [peak reqs/min per function] ==");
     let mut table = Table::new(["trace", "p50", "p90", "p99", "max"]);
     let mut chart = AsciiChart::new(60, 12);
     for w in [Workload::Azure, Workload::Fc] {
@@ -30,7 +30,7 @@ pub fn run(ctx: &ExpCtx) {
             .collect();
         chart.series(w.name(), pts);
     }
-    crate::say!("{table}");
-    crate::say!("{chart}");
-    ctx.save_csv("fig3", &table);
+    writeln!(out, "{table}");
+    writeln!(out, "{chart}");
+    ctx.save_csv(out, "fig3", &table);
 }

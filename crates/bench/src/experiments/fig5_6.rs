@@ -14,9 +14,9 @@ use faas_sim::StartClass;
 use faas_trace::Trace;
 
 use crate::workloads::run_policy_stack;
-use crate::{ExpCtx, Workload};
+use crate::{ExpCtx, Out, Workload};
 
-fn tradeoff(ctx: &ExpCtx, w: Workload, fig: &str) {
+fn tradeoff(ctx: &ExpCtx, out: &mut Out, w: Workload, fig: &str) {
     // The paper's Fig. 5 replays the 24-hour Azure trace (170 rps
     // average, Table 1) — roughly half the 30-minute sample's arrival
     // rate — so the Azure what-if runs at halved load; the FC what-if
@@ -27,7 +27,7 @@ fn tradeoff(ctx: &ExpCtx, w: Workload, fig: &str) {
     };
     let config = ctx.sim_config(100);
     let stack = faas_policies::faascache_queue_stack(None);
-    let report = run_policy_stack("faascache+queue", stack, &trace, &config);
+    let report = run_policy_stack(out, "faascache+queue", stack, &trace, &config);
 
     // Queueing latency actually experienced by delayed warm starts, and
     // the cold-start latency each would have paid instead.
@@ -70,13 +70,15 @@ fn tradeoff(ctx: &ExpCtx, w: Workload, fig: &str) {
             format!("{:.1}", cdf.quantile(0.99)),
         ]);
     }
-    crate::say!("{table}");
+    writeln!(out, "{table}");
     match crossover {
-        Some(x) => crate::say!(
+        Some(x) => writeln!(
+            out,
             "  CDFs cross at {x:.0} ms; {:.1}% of queueing delays fall below the crossover",
             frac_better * 100.0
         ),
-        None => crate::say!(
+        None => writeln!(
+            out,
             "  no crossover: queueing dominates ({:.1}% of queueing delays below the median cold start)",
             frac_better * 100.0
         ),
@@ -84,8 +86,8 @@ fn tradeoff(ctx: &ExpCtx, w: Workload, fig: &str) {
     let mut chart = AsciiChart::new(60, 12);
     chart.cdf("queuing", &queueing, 60);
     chart.cdf("cold", &cold, 60);
-    crate::say!("{chart}");
-    ctx.save_csv(fig, &table);
+    writeln!(out, "{chart}");
+    ctx.save_csv(out, fig, &table);
 }
 
 fn counterfactual_cold(trace: &Trace, func: faas_trace::FunctionId) -> f64 {
@@ -97,13 +99,13 @@ fn counterfactual_cold(trace: &Trace, func: faas_trace::FunctionId) -> f64 {
 }
 
 /// Runs the Fig. 5 reproduction (Azure).
-pub fn run_fig5(ctx: &ExpCtx) {
-    crate::say!("== Fig. 5: queueing vs cold start tradeoff (Azure) ==");
-    tradeoff(ctx, Workload::Azure, "fig5");
+pub fn run_fig5(ctx: &ExpCtx, out: &mut Out) {
+    out.line("== Fig. 5: queueing vs cold start tradeoff (Azure) ==");
+    tradeoff(ctx, out, Workload::Azure, "fig5");
 }
 
 /// Runs the Fig. 6 reproduction (FC).
-pub fn run_fig6(ctx: &ExpCtx) {
-    crate::say!("== Fig. 6: queueing vs cold start tradeoff (FC) ==");
-    tradeoff(ctx, Workload::Fc, "fig6");
+pub fn run_fig6(ctx: &ExpCtx, out: &mut Out) {
+    out.line("== Fig. 6: queueing vs cold start tradeoff (FC) ==");
+    tradeoff(ctx, out, Workload::Fc, "fig6");
 }

@@ -9,11 +9,11 @@ use faas_policies::faascache_queue_stack;
 use faas_sim::StartClass;
 
 use crate::workloads::run_policy_stack;
-use crate::{ExpCtx, Workload};
+use crate::{ExpCtx, Out, Workload};
 
 /// Runs the Fig. 7 reproduction.
-pub fn run(ctx: &ExpCtx) {
-    crate::say!("== Fig. 7: busy-container queue length sweep (Azure) ==");
+pub fn run(ctx: &ExpCtx, out: &mut Out) {
+    out.line("== Fig. 7: busy-container queue length sweep (Azure) ==");
     // Like Fig. 5, the paper's queue-length what-if replays the 24-hour
     // Azure trace (≈170 rps, Table 1) — modelled as the 30-minute sample
     // at halved load.
@@ -28,7 +28,7 @@ pub fn run(ctx: &ExpCtx) {
     ]);
     for l in [0usize, 1, 2] {
         let label = format!("queue L={l}");
-        let report = run_policy_stack(&label, faascache_queue_stack(Some(l)), &trace, &config);
+        let report = run_policy_stack(out, &label, faascache_queue_stack(Some(l)), &trace, &config);
         table.row([
             format!("{l}{}", if l == 0 { " (FaasCache)" } else { "" }),
             format!("{:.1}", report.avg_overhead_ratio() * 100.0),
@@ -37,6 +37,6 @@ pub fn run(ctx: &ExpCtx) {
             format!("{:.1}", report.ratio(StartClass::Cold) * 100.0),
         ]);
     }
-    crate::say!("{table}");
-    ctx.save_csv("fig7", &table);
+    writeln!(out, "{table}");
+    ctx.save_csv(out, "fig7", &table);
 }

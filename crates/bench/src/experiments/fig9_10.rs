@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use faas_metrics::{Cdf, Table};
 use faas_trace::{FunctionId, Trace};
 
-use crate::ExpCtx;
+use crate::{ExpCtx, Out};
 
 /// Counts delayed-warm-start opportunities per request.
 ///
@@ -75,7 +75,7 @@ fn analysis_trace(ctx: &ExpCtx) -> faas_trace::Trace {
     }
 }
 
-fn report(ctx: &ExpCtx, rows: Vec<(String, Vec<u64>)>, fig: &str) {
+fn report(ctx: &ExpCtx, out: &mut Out, rows: Vec<(String, Vec<u64>)>, fig: &str) {
     let mut table = Table::new(["series", "p25", "p50", "p75", "frac >25 opportunities [%]"]);
     for (name, counts) in rows {
         let cdf: Cdf = counts.iter().map(|&c| c as f64).collect();
@@ -87,30 +87,30 @@ fn report(ctx: &ExpCtx, rows: Vec<(String, Vec<u64>)>, fig: &str) {
             format!("{:.1}", (1.0 - cdf.fraction_at_or_below(25.0)) * 100.0),
         ]);
     }
-    crate::say!("{table}");
-    ctx.save_csv(fig, &table);
+    writeln!(out, "{table}");
+    ctx.save_csv(out, fig, &table);
 }
 
 /// Runs the Fig. 9 reproduction (varying cold-start overhead).
-pub fn run_fig9(ctx: &ExpCtx) {
-    crate::say!("== Fig. 9: opportunity space vs cold start overhead (Azure) ==");
+pub fn run_fig9(ctx: &ExpCtx, out: &mut Out) {
+    out.line("== Fig. 9: opportunity space vs cold start overhead (Azure) ==");
     let trace = analysis_trace(ctx);
     let rows = [1.0, 0.75, 0.5, 0.25]
         .iter()
         .map(|&s| (format!("{s}x cold"), opportunity_counts(&trace, s, 1.0)))
         .collect();
-    report(ctx, rows, "fig9");
+    report(ctx, out, rows, "fig9");
 }
 
 /// Runs the Fig. 10 reproduction (varying execution time).
-pub fn run_fig10(ctx: &ExpCtx) {
-    crate::say!("== Fig. 10: opportunity space vs execution time (Azure) ==");
+pub fn run_fig10(ctx: &ExpCtx, out: &mut Out) {
+    out.line("== Fig. 10: opportunity space vs execution time (Azure) ==");
     let trace = analysis_trace(ctx);
     let rows = [1.0, 1.5, 2.0]
         .iter()
         .map(|&s| (format!("{s}x exec"), opportunity_counts(&trace, 1.0, s)))
         .collect();
-    report(ctx, rows, "fig10");
+    report(ctx, out, rows, "fig10");
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@ use faas_sim::StartClass;
 
 use crate::experiments::faults::plan_for;
 use crate::workloads::run_policy_batch;
-use crate::{ExpCtx, Workload};
+use crate::{ExpCtx, Out, Workload};
 
 /// Fault plans crossed with the policy grid: a healthy substrate and a
 /// faulty one (same schedule as the `faults` sweep at rate 0.1).
@@ -37,8 +37,8 @@ const POLICIES: &[&str] = &[
 ];
 
 /// Runs the Pareto sweep.
-pub fn run(ctx: &ExpCtx) {
-    crate::say!("== Pareto: latency vs memory-residency cost per policy (Azure) ==");
+pub fn run(ctx: &ExpCtx, out: &mut Out) {
+    out.line("== Pareto: latency vs memory-residency cost per policy (Azure) ==");
     let trace = ctx.trace(Workload::Azure);
     let scenarios: Vec<(String, _)> = FAULT_RATES
         .iter()
@@ -54,7 +54,7 @@ pub fn run(ctx: &ExpCtx) {
             })
         })
         .collect();
-    let reports = run_policy_batch(ctx, &trace, &scenarios);
+    let reports = run_policy_batch(ctx, out, &trace, &scenarios);
 
     // Frontier membership is judged within each fault-plan group: a
     // policy should only be compared against peers facing the same
@@ -109,8 +109,8 @@ pub fn run(ctx: &ExpCtx) {
             if *on_frontier { "yes" } else { "no" }.to_string(),
         ]);
     }
-    crate::say!("{table}");
-    ctx.save_csv("pareto", &table);
+    writeln!(out, "{table}");
+    ctx.save_csv(out, "pareto", &table);
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@ use faas_metrics::Table;
 use faas_sim::StartClass;
 
 use crate::workloads::{run_policy_batch, MAIN_POLICIES};
-use crate::{ExpCtx, Workload};
+use crate::{ExpCtx, Out, Workload};
 
 /// Splits a comma-separated list, trimming whitespace, dropping empty
 /// entries, and de-duplicating while preserving first-occurrence order.
@@ -32,7 +32,7 @@ pub fn parse_list(raw: &str) -> Vec<String> {
 }
 
 /// Runs the custom sweep.
-pub fn run(ctx: &ExpCtx) {
+pub fn run(ctx: &ExpCtx, out: &mut Out) {
     let policies = ctx
         .sweep
         .policies
@@ -44,11 +44,15 @@ pub fn run(ctx: &ExpCtx) {
         .clone()
         .unwrap_or_else(|| vec![80, 100, 120]);
     let workload = ctx.sweep.workload.unwrap_or(Workload::Azure);
-    crate::say!(
+    writeln!(
+        out,
         "== Custom sweep: {policies:?} x {caches:?} GB on {} ==",
         workload.name()
     );
-    crate::say!("   (known policies: {MAIN_POLICIES:?} plus faascache-c, lfu, greedydual)");
+    writeln!(
+        out,
+        "   (known policies: {MAIN_POLICIES:?} plus faascache-c, lfu, greedydual)"
+    );
 
     let trace = ctx.trace(workload);
     let scenarios: Vec<(String, _)> = caches
@@ -59,7 +63,7 @@ pub fn run(ctx: &ExpCtx) {
                 .map(move |p| (p.clone(), ctx.sim_config(gb)))
         })
         .collect();
-    let reports = run_policy_batch(ctx, &trace, &scenarios);
+    let reports = run_policy_batch(ctx, out, &trace, &scenarios);
 
     let mut table = Table::new([
         "cache [GB]",
@@ -82,8 +86,8 @@ pub fn run(ctx: &ExpCtx) {
             format!("{:.1}", report.ratio(StartClass::Warm) * 100.0),
         ]);
     }
-    crate::say!("{table}");
-    ctx.save_csv("sweep", &table);
+    writeln!(out, "{table}");
+    ctx.save_csv(out, "sweep", &table);
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@ use faas_metrics::Table;
 use faas_trace::stats::TraceStats;
 use faas_trace::{gen, Trace};
 
-use crate::{ExpCtx, Workload};
+use crate::{ExpCtx, Out, Workload};
 
 fn row(table: &mut Table, name: &str, trace: &Trace) {
     let s = TraceStats::compute(trace);
@@ -25,8 +25,8 @@ fn row(table: &mut Table, name: &str, trace: &Trace) {
 }
 
 /// Runs the Table 1 reproduction.
-pub fn run(ctx: &ExpCtx) {
-    crate::say!("== Table 1: workload statistics ==");
+pub fn run(ctx: &ExpCtx, out: &mut Out) {
+    out.line("== Table 1: workload statistics ==");
     let mut table = Table::new([
         "trace",
         "# invoke reqs",
@@ -51,6 +51,6 @@ pub fn run(ctx: &ExpCtx) {
     row(&mut table, "30m AF", &ctx.trace(Workload::Azure));
     row(&mut table, "30m FC", &ctx.trace(Workload::Fc));
 
-    crate::say!("{table}");
-    ctx.save_csv("table1", &table);
+    writeln!(out, "{table}");
+    ctx.save_csv(out, "table1", &table);
 }

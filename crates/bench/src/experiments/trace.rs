@@ -18,7 +18,7 @@ use faas_sim::run_traced;
 
 use crate::experiments::faults::plan_for;
 use crate::workloads::{say_run, stack_by_name};
-use crate::{ExpCtx, Workload};
+use crate::{ExpCtx, Out, Workload};
 
 /// Policies under the waterfall lens: the strongest baseline plus both
 /// CIDRE stacks (the same line-up as the `faults` sweep, so the two
@@ -35,8 +35,8 @@ pub fn export_name(policy: &str) -> String {
 }
 
 /// Runs the waterfall sweep.
-pub fn run(ctx: &ExpCtx) {
-    crate::say!("== Trace: latency waterfalls per policy x start class (Azure, faulty) ==");
+pub fn run(ctx: &ExpCtx, out: &mut Out) {
+    out.line("== Trace: latency waterfalls per policy x start class (Azure, faulty) ==");
     let trace = ctx.trace(Workload::Azure);
     let config = ctx.sim_config(100).faults(plan_for(ctx.seed, FAULT_RATE));
     // One traced run per policy, fanned out like `run_policy_batch`:
@@ -59,7 +59,7 @@ pub fn run(ctx: &ExpCtx) {
     ]);
     let mut chart = AsciiWaterfall::new(48, SEGMENT_NAMES.map(String::from).to_vec());
     for (policy, (report, log)) in POLICIES.iter().zip(&runs) {
-        say_run(policy, report);
+        say_run(out, policy, report);
         let summaries = summarize_by_class(&log.waterfalls());
         for summary in &summaries {
             let mean = summary.mean_ms();
@@ -78,11 +78,11 @@ pub fn run(ctx: &ExpCtx) {
                 chart.row(format!("{policy}/{}", summary.class.label()), mean.to_vec());
             }
         }
-        ctx.save_text(&export_name(policy), &log.to_chrome_json());
+        ctx.save_text(out, &export_name(policy), &log.to_chrome_json());
     }
-    crate::say!("{chart}");
-    crate::say!("{table}");
-    ctx.save_csv("trace", &table);
+    writeln!(out, "{chart}");
+    writeln!(out, "{table}");
+    ctx.save_csv(out, "trace", &table);
 }
 
 #[cfg(test)]
@@ -99,21 +99,29 @@ mod tests {
         }
     }
 
+    /// Every write fails under an `out_dir` that is a regular file, and
+    /// the run counts them; the good run after it counts none.
     #[test]
     fn tiny_run_emits_all_artifacts() {
-        crate::set_quiet(true);
-        let out = std::env::temp_dir().join(format!("cidre-trace-exp-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&out);
+        let dir = std::env::temp_dir().join(format!("cidre-trace-exp-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
         let mut ctx = ExpCtx::tiny();
-        ctx.out_dir = out.clone();
-        run(&ctx);
-        assert!(out.join("trace.csv").exists());
+        ctx.out_dir = dir.join("file");
+        std::fs::write(&ctx.out_dir, "").expect("regular file");
+        let mut out = Out::default();
+        run(&ctx, &mut out);
+        assert_eq!(out.write_failures, 1 + POLICIES.len());
+        ctx.out_dir = dir.join("good");
+        let mut out = Out::default();
+        run(&ctx, &mut out);
+        assert_eq!(out.write_failures, 0);
+        assert!(ctx.out_dir.join("trace.csv").exists());
         for policy in POLICIES {
-            let json = std::fs::read_to_string(out.join(export_name(policy)))
+            let json = std::fs::read_to_string(ctx.out_dir.join(export_name(policy)))
                 .expect("chrome export written");
             faas_testkit::json::Value::parse(&json).expect("export is valid JSON");
         }
-        let _ = std::fs::remove_dir_all(&out);
-        crate::set_quiet(false);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

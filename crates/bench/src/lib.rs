@@ -1,9 +1,10 @@
 //! Experiment harness regenerating every table and figure of the CIDRE
 //! paper's evaluation (see `DESIGN.md` §5 for the experiment index).
 //!
-//! Each experiment is a function over an [`ExpCtx`] that prints the
-//! paper's rows/series to stdout and writes CSV files under the output
-//! directory. The `experiments` binary exposes them as subcommands:
+//! Each experiment is a function over an [`ExpCtx`] that narrates the
+//! paper's rows/series into its own [`Out`] and writes CSV files under
+//! the output directory. The `experiments` binary exposes them as
+//! subcommands and prints each run's narration:
 //!
 //! ```text
 //! cargo run --release -p cidre-bench --bin experiments -- fig12 --quick
@@ -13,53 +14,44 @@
 //! `--quick` shrinks the workloads (fewer functions, shorter traces,
 //! proportionally smaller caches) so the full suite runs in minutes; the
 //! default scale matches the paper's sampled workloads (Table 1).
+//! `all` runs the experiments `--jobs` at a time; one that fans its
+//! simulation runs out as well then has up to `jobs²` threads.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // DESIGN.md §8, in library code outside tests: no printing (P1).
 #![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-
 pub mod experiments;
 mod registry;
 pub mod workloads;
 
-/// Global quiet switch: when set, experiment narration (tables, charts,
-/// per-run progress lines) is suppressed. The golden and determinism
-/// tests enable this so `cargo test` logs stay reasonable; CSV outputs
-/// are still written.
-static QUIET: AtomicBool = AtomicBool::new(false);
-
-/// Artifacts [`ExpCtx::save_text`] could not write, process-wide.
-static FAILED_WRITES: AtomicUsize = AtomicUsize::new(0);
-
-/// How many artifact writes have failed so far. The runners carry on
-/// past a failed write; the `experiments` CLI exits non-zero on any.
-pub fn failed_writes() -> usize {
-    FAILED_WRITES.load(Ordering::Relaxed)
+/// What one experiment run leaves besides its files: its narration
+/// (tables, charts, per-run progress lines) and how many artifacts it
+/// could not write. Each run owns one, so runs share no state.
+#[derive(Debug, Default)]
+pub struct Out {
+    /// The narration, in the order the run wrote it.
+    pub text: String,
+    /// Artifacts [`ExpCtx::save_text`] could not write in this run. The
+    /// runners carry on past a failed write; the `experiments` CLI
+    /// exits non-zero on any.
+    pub write_failures: usize,
 }
 
-/// Enables or disables experiment narration globally.
-pub fn set_quiet(quiet: bool) {
-    QUIET.store(quiet, Ordering::Relaxed);
-}
+impl Out {
+    /// Appends to [`Self::text`]: what `write!` and `writeln!` on an
+    /// `Out` call. Formatting into a `String` cannot fail, so this
+    /// returns nothing to check.
+    pub fn write_fmt(&mut self, args: std::fmt::Arguments<'_>) {
+        self.text.push_str(&args.to_string());
+    }
 
-/// Whether experiment narration is currently suppressed.
-pub fn is_quiet() -> bool {
-    QUIET.load(Ordering::Relaxed)
-}
-
-/// `println!` that respects the global quiet switch.
-#[macro_export]
-macro_rules! say {
-    ($($arg:tt)*) => {
-        if !$crate::is_quiet() {
-            // The narration sink every other print in this library
-            // routes through; the quiet switch is its off knob.
-            println!($($arg)*);
-        }
-    };
+    /// Appends one line with nothing to format.
+    pub fn line(&mut self, text: &str) {
+        self.text.push_str(text);
+        self.text.push('\n');
+    }
 }
 
 pub use registry::{registry, run_by_name, Experiment};

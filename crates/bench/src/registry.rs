@@ -1,7 +1,9 @@
 //! Experiment registry: names, descriptions, and dispatch.
 
+use std::sync::Mutex;
+
 use crate::experiments;
-use crate::ExpCtx;
+use crate::{ExpCtx, Out};
 
 /// One registered experiment.
 #[derive(Clone, Copy)]
@@ -10,8 +12,8 @@ pub struct Experiment {
     pub name: &'static str,
     /// One-line description shown by `experiments list`.
     pub description: &'static str,
-    /// Entry point.
-    pub run: fn(&ExpCtx),
+    /// Entry point: runs the experiment, narrating into the [`Out`].
+    pub run: fn(&ExpCtx, &mut Out),
 }
 
 impl std::fmt::Debug for Experiment {
@@ -158,28 +160,47 @@ pub fn registry() -> Vec<Experiment> {
     ]
 }
 
-/// Runs one experiment by name, or every experiment for `"all"`.
-/// Returns `false` if the name is unknown.
-pub fn run_by_name(name: &str, ctx: &ExpCtx) -> bool {
-    if name == "all" {
-        let mut seen = std::collections::HashSet::new();
-        for exp in registry() {
-            // `table2` aliases fig20 (same runner); `sweep` is an
-            // interactive tool, not a paper artifact.
-            if exp.name != "sweep" && seen.insert(exp.run as usize) {
-                (exp.run)(ctx);
-                crate::say!();
+/// Runs one experiment by name, or every paper artifact for `"all"`,
+/// handing each run's [`Out`] to `emit`. Returns `false` if the name is
+/// unknown.
+///
+/// `all` runs its experiments `ctx.jobs` at a time, each into its own
+/// [`Out`] followed by a blank line. A finished block waits until every
+/// earlier one has been emitted, so `emit` sees the blocks in registry
+/// order, and the same blocks, whatever `jobs` is.
+pub fn run_by_name(name: &str, ctx: &ExpCtx, emit: impl FnMut(Out) + Send) -> bool {
+    let all = name == "all";
+    // `table2` aliases fig20 (same run); `sweep` is an interactive
+    // tool, not a paper artifact.
+    let exps: Vec<Experiment> = registry()
+        .into_iter()
+        .filter(|e| {
+            if all {
+                !matches!(e.name, "table2" | "sweep")
+            } else {
+                e.name == name
             }
-        }
-        return true;
+        })
+        .collect();
+    if exps.is_empty() {
+        return false;
     }
-    match registry().into_iter().find(|e| e.name == name) {
-        Some(exp) => {
-            (exp.run)(ctx);
-            true
+    let done = Mutex::new((0, exps.iter().map(|_| None).collect::<Vec<_>>(), emit));
+    faas_testkit::par_map(&exps, ctx.jobs, |i, exp| {
+        let mut out = Out::default();
+        (exp.run)(ctx, &mut out);
+        if all {
+            writeln!(out);
         }
-        None => false,
-    }
+        let mut done = done.lock().expect("emitter poisoned");
+        let (next, blocks, emit) = &mut *done;
+        blocks[i] = Some(out);
+        while let Some(block) = blocks.get_mut(*next).and_then(Option::take) {
+            emit(block);
+            *next += 1;
+        }
+    });
+    true
 }
 
 #[cfg(test)]
@@ -210,6 +231,6 @@ mod tests {
     #[test]
     fn unknown_name_reports_false() {
         let ctx = ExpCtx::quick();
-        assert!(!run_by_name("figNaN", &ctx));
+        assert!(!run_by_name("figNaN", &ctx, |_| {}));
     }
 }

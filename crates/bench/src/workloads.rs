@@ -12,6 +12,8 @@ use faas_policies::{
 use faas_sim::{run, PolicyStack, SimConfig, SimReport};
 use faas_trace::{gen, Trace};
 
+use crate::Out;
+
 /// Which of the paper's two production workloads an experiment replays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workload {
@@ -74,8 +76,10 @@ pub struct ExpCtx {
     /// Base RNG seed for workload generation.
     pub seed: u64,
     /// Worker threads used to fan simulation runs out over independent
-    /// (policy, cache) scenarios. `1` (the default) runs sequentially;
-    /// any value produces identical tables and CSVs because results are
+    /// (policy, cache) scenarios, and `all` out over its experiments:
+    /// an experiment that fans out inside `all` runs at most `jobs²`
+    /// threads. `1` (the default) runs sequentially; any value produces
+    /// identical narration, tables and CSVs because results are
     /// aggregated in input order.
     pub jobs: usize,
     /// CLI overrides for the custom `sweep` experiment.
@@ -150,24 +154,24 @@ impl ExpCtx {
 
     /// Writes a table as CSV under the output directory (see
     /// [`Self::save_text`]).
-    pub fn save_csv(&self, name: &str, table: &Table) {
-        self.save_text(&format!("{name}.csv"), &table.to_csv());
+    pub fn save_csv(&self, out: &mut Out, name: &str, table: &Table) {
+        self.save_text(out, &format!("{name}.csv"), &table.to_csv());
     }
 
     /// Writes a text artifact (a CSV, a Chrome trace-event JSON export)
-    /// under the output directory. A failure is printed and counted in
-    /// [`crate::failed_writes`], not fatal: the run goes on and the CLI
-    /// exits non-zero at the end.
-    pub fn save_text(&self, filename: &str, contents: &str) {
+    /// under the output directory, noting it in `out`. A failure is
+    /// printed and counted in [`Out::write_failures`], not fatal: the run
+    /// goes on and the CLI exits non-zero at the end.
+    pub fn save_text(&self, out: &mut Out, filename: &str, contents: &str) {
         let path = self.out_dir.join(filename);
         match fs::create_dir_all(&self.out_dir).and_then(|()| fs::write(&path, contents)) {
-            Ok(()) => crate::say!("  [saved {}]", path.display()),
+            Ok(()) => writeln!(out, "  [saved {}]", path.display()),
             #[expect(
                 clippy::print_stderr,
-                reason = "the failure must reach the operator even when narration is quiet"
+                reason = "the failure must reach the operator at once, not with the run's narration"
             )]
             Err(e) => {
-                crate::FAILED_WRITES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                out.write_failures += 1;
                 eprintln!("warning: cannot write {}: {e}", path.display());
             }
         }
@@ -224,28 +228,30 @@ pub fn stack_by_name(name: &str, trace: &Trace) -> PolicyStack {
     }
 }
 
-/// Runs one named policy over a trace, printing a one-line progress
+/// Runs one named policy over a trace, narrating a one-line progress
 /// marker.
-pub fn run_policy(name: &str, trace: &Trace, config: &SimConfig) -> SimReport {
-    run_policy_stack(name, stack_by_name(name, trace), trace, config)
+pub fn run_policy(out: &mut Out, name: &str, trace: &Trace, config: &SimConfig) -> SimReport {
+    run_policy_stack(out, name, stack_by_name(name, trace), trace, config)
 }
 
-/// Runs an explicit policy stack over a trace, printing a one-line
+/// Runs an explicit policy stack over a trace, narrating a one-line
 /// progress marker under `label`.
 pub fn run_policy_stack(
+    out: &mut Out,
     label: &str,
     stack: PolicyStack,
     trace: &Trace,
     config: &SimConfig,
 ) -> SimReport {
     let report = run(trace, config, stack);
-    say_run(label, &report);
+    say_run(out, label, &report);
     report
 }
 
 /// The shared one-line progress marker for a finished simulation run.
-pub(crate) fn say_run(label: &str, report: &SimReport) {
-    crate::say!(
+pub(crate) fn say_run(out: &mut Out, label: &str, report: &SimReport) {
+    writeln!(
+        out,
         "  ran {label:<16} cold={:>5.1}% delayed={:>5.1}% warm={:>5.1}% overhead={:>5.1}%",
         report.ratio(faas_sim::StartClass::Cold) * 100.0,
         report.ratio(faas_sim::StartClass::DelayedWarm) * 100.0,
@@ -260,12 +266,13 @@ pub(crate) fn say_run(label: &str, report: &SimReport) {
 ///
 /// Each scenario is fully determined by its inputs (the simulator is
 /// deterministic and each worker builds its own policy stack), and the
-/// progress markers are printed *after* collection, in input order — so
+/// progress markers are written *after* collection, in input order — so
 /// narration, tables, and CSVs are byte-identical whatever `ctx.jobs`
 /// is. With `jobs == 1` this takes `faas_testkit::par_map`'s sequential
 /// reference path.
 pub fn run_policy_batch(
     ctx: &ExpCtx,
+    out: &mut Out,
     trace: &Trace,
     scenarios: &[(String, SimConfig)],
 ) -> Vec<SimReport> {
@@ -273,7 +280,7 @@ pub fn run_policy_batch(
         run(trace, config, stack_by_name(name, trace))
     });
     for ((name, _), report) in scenarios.iter().zip(&reports) {
-        say_run(name, report);
+        say_run(out, name, report);
     }
     reports
 }

@@ -5,7 +5,7 @@
 
 use std::path::PathBuf;
 
-use cidre_bench::{experiments, ExpCtx};
+use cidre_bench::{experiments, ExpCtx, Out};
 
 fn run_once(tag: &str) -> String {
     let out_dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("faults-{tag}"));
@@ -13,13 +13,12 @@ fn run_once(tag: &str) -> String {
         out_dir: out_dir.clone(),
         ..ExpCtx::tiny()
     };
-    experiments::faults::run(&ctx);
+    experiments::faults::run(&ctx, &mut Out::default());
     std::fs::read_to_string(out_dir.join("faults.csv")).expect("experiment wrote its CSV")
 }
 
 #[test]
 fn faults_csv_is_byte_identical_across_runs() {
-    cidre_bench::set_quiet(true);
     let a = run_once("a");
     let b = run_once("b");
     assert_eq!(a, b, "faults experiment must be deterministic");

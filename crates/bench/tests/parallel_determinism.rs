@@ -3,7 +3,7 @@
 //! (and therefore identical tables and CSVs) to the sequential path.
 
 use cidre_bench::workloads::run_policy_batch;
-use cidre_bench::{ExpCtx, Scale, Workload};
+use cidre_bench::{ExpCtx, Out, Scale, Workload};
 use faas_sim::SimConfig;
 
 fn tiny_ctx(jobs: usize) -> ExpCtx {
@@ -29,14 +29,14 @@ fn grid(ctx: &ExpCtx) -> Vec<(String, SimConfig)> {
 
 #[test]
 fn parallel_batch_matches_sequential_batch() {
-    cidre_bench::set_quiet(true);
+    let out = &mut Out::default();
     let seq_ctx = tiny_ctx(1);
     let trace = seq_ctx.trace(Workload::Azure);
     let scenarios = grid(&seq_ctx);
-    let sequential = run_policy_batch(&seq_ctx, &trace, &scenarios);
+    let sequential = run_policy_batch(&seq_ctx, out, &trace, &scenarios);
     for jobs in [2, 4, 8] {
         let par_ctx = tiny_ctx(jobs);
-        let parallel = run_policy_batch(&par_ctx, &trace, &scenarios);
+        let parallel = run_policy_batch(&par_ctx, out, &trace, &scenarios);
         assert_eq!(sequential.len(), parallel.len());
         for (i, (s, p)) in sequential.iter().zip(&parallel).enumerate() {
             assert_eq!(
@@ -51,16 +51,16 @@ fn parallel_batch_matches_sequential_batch() {
 
 #[test]
 fn oversubscribed_jobs_are_clamped_not_wrong() {
-    cidre_bench::set_quiet(true);
+    let out = &mut Out::default();
     let ctx = tiny_ctx(64); // far more workers than scenarios
     let trace = ctx.trace(Workload::Fc);
     let scenarios = vec![
         ("faascache".to_string(), ctx.sim_config(100)),
         ("cidre".to_string(), ctx.sim_config(100)),
     ];
-    let reports = run_policy_batch(&ctx, &trace, &scenarios);
+    let reports = run_policy_batch(&ctx, out, &trace, &scenarios);
     assert_eq!(reports.len(), 2);
-    let seq = run_policy_batch(&tiny_ctx(1), &trace, &scenarios);
+    let seq = run_policy_batch(&tiny_ctx(1), out, &trace, &scenarios);
     for (s, p) in seq.iter().zip(&reports) {
         assert_eq!(format!("{s:?}"), format!("{p:?}"));
     }

@@ -156,85 +156,69 @@ const CSV_GOLDENS: &[(&str, u64)] = &[
     ("trace_cidre.json", 0x5243e0655e46e52e),
 ];
 
+/// `all` fans its experiments out over `jobs`, and most of them (`pareto`
+/// and `trace` among them) fan their runs out again: at 1 and 4 jobs
+/// every artifact matches its pin and the narration is the same text,
+/// blocks in registry order.
 #[test]
 fn experiment_csv_outputs_match_pinned_goldens() {
     let out = std::env::temp_dir().join(format!("cidre-goldens-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&out);
-    cidre_bench::set_quiet(true);
-    let mut ctx = cidre_bench::ExpCtx::tiny();
-    ctx.out_dir = out.clone();
-    ctx.jobs = 2;
-    // Pin the sweep inputs explicitly, as the CLI flags would, so a
-    // change of the built-in defaults cannot perturb the golden outputs.
-    ctx.sweep = cidre_bench::SweepOverrides {
-        policies: Some(vec!["faascache".into(), "cidre-bss".into(), "cidre".into()]),
-        caches_gb: Some(vec![80, 100, 120]),
-        workload: Some(cidre_bench::Workload::Azure),
-    };
-    // `all` skips `sweep` (an interactive tool, not a paper artifact).
-    for exp in ["all", "sweep"] {
-        assert!(
-            cidre_bench::run_by_name(exp, &ctx),
-            "unknown experiment {exp}"
-        );
-    }
-    // Exactly the pinned files: a runner that silently stops writing,
-    // or starts writing something unpinned, fails here.
-    let mut written: Vec<String> = std::fs::read_dir(&out)
-        .expect("experiments wrote an output directory")
-        .map(|e| {
-            e.expect("readable entry")
-                .file_name()
-                .into_string()
-                .expect("utf-8 name")
-        })
-        .collect();
-    written.sort_unstable();
-    let mut pinned: Vec<&str> = CSV_GOLDENS.iter().map(|&(name, _)| name).collect();
-    pinned.sort_unstable();
-    assert_eq!(written, pinned, "output files differ from the pinned set");
-    let mut failures = Vec::new();
-    for &(name, want) in CSV_GOLDENS {
-        let bytes = std::fs::read(out.join(name))
-            .unwrap_or_else(|e| panic!("experiment did not write {name}: {e}"));
-        let got = fnv1a64(&bytes);
-        if got != want {
-            failures.push(format!("  {name}: got {got:#018x}, want {want:#018x}"));
-        }
-    }
-    let _ = std::fs::remove_dir_all(&out);
-    assert!(
-        failures.is_empty(),
-        "experiment outputs diverged from the pinned goldens:\n{}",
-        failures.join("\n")
-    );
-}
-
-/// The `pareto` sweep must be a pure function of the context seed:
-/// byte-identical CSV across repeated runs and across `--jobs` values
-/// (scenario results are collected in input order, so the thread count
-/// can never reorder rows or perturb a ledger column).
-#[test]
-fn pareto_csv_identical_across_jobs() {
-    cidre_bench::set_quiet(true);
-    let csv_for = |jobs: usize| -> Vec<u8> {
-        let out =
-            std::env::temp_dir().join(format!("cidre-pareto-jobs{jobs}-{}", std::process::id()));
+    let narration = [1, 4].map(|jobs| {
         let _ = std::fs::remove_dir_all(&out);
         let mut ctx = cidre_bench::ExpCtx::tiny();
         ctx.out_dir = out.clone();
         ctx.jobs = jobs;
-        assert!(cidre_bench::run_by_name("pareto", &ctx));
-        let bytes = std::fs::read(out.join("pareto.csv")).expect("pareto.csv written");
-        let _ = std::fs::remove_dir_all(&out);
-        bytes
-    };
-    let sequential = csv_for(1);
-    assert_eq!(sequential, csv_for(1), "repeat pareto run diverged");
+        // Pin the sweep inputs explicitly, as the CLI flags would, so a
+        // change of the built-in defaults cannot perturb the golden outputs.
+        ctx.sweep = cidre_bench::SweepOverrides {
+            policies: Some(vec!["faascache".into(), "cidre-bss".into(), "cidre".into()]),
+            caches_gb: Some(vec![80, 100, 120]),
+            workload: Some(cidre_bench::Workload::Azure),
+        };
+        let mut text = String::new();
+        // `all` skips `sweep` (an interactive tool, not a paper artifact).
+        for exp in ["all", "sweep"] {
+            assert!(
+                cidre_bench::run_by_name(exp, &ctx, |block| text += &block.text),
+                "unknown experiment {exp}"
+            );
+        }
+        // Exactly the pinned files: a runner that silently stops writing,
+        // or starts writing something unpinned, fails here.
+        let mut written: Vec<String> = std::fs::read_dir(&out)
+            .expect("experiments wrote an output directory")
+            .map(|e| {
+                e.expect("readable entry")
+                    .file_name()
+                    .into_string()
+                    .expect("utf-8 name")
+            })
+            .collect();
+        written.sort_unstable();
+        let mut pinned: Vec<&str> = CSV_GOLDENS.iter().map(|&(name, _)| name).collect();
+        pinned.sort_unstable();
+        assert_eq!(written, pinned, "output files differ from the pinned set");
+        let mut failures = Vec::new();
+        for &(name, want) in CSV_GOLDENS {
+            let bytes = std::fs::read(out.join(name))
+                .unwrap_or_else(|e| panic!("experiment did not write {name}: {e}"));
+            let got = fnv1a64(&bytes);
+            if got != want {
+                failures.push(format!("  {name}: got {got:#018x}, want {want:#018x}"));
+            }
+        }
+        assert!(
+            failures.is_empty(),
+            "experiment outputs at jobs={jobs} diverged from the pinned goldens:\n{}",
+            failures.join("\n")
+        );
+        text
+    });
+    let _ = std::fs::remove_dir_all(&out);
+    assert!(narration[0].starts_with("== Table 1"));
     assert_eq!(
-        sequential,
-        csv_for(4),
-        "pareto CSV at jobs=4 diverged from the sequential run"
+        narration[0], narration[1],
+        "narration at jobs=4 differs from jobs=1"
     );
 }
 
@@ -272,49 +256,6 @@ fn chrome_export_is_valid_json_and_matches_golden() {
         fnv1a64(json.as_bytes()),
         CHROME_EXPORT_GOLDEN,
         "chrome export diverged from the pinned golden"
-    );
-}
-
-/// The `trace` experiment's artifacts — the waterfall CSV and every
-/// per-policy Chrome export — must be byte-identical across `--jobs`
-/// values: the fan-out is a performance knob, never a semantic one.
-#[test]
-fn trace_experiment_artifacts_identical_across_jobs() {
-    cidre_bench::set_quiet(true);
-    let artifacts_for = |jobs: usize| -> Vec<(String, Vec<u8>)> {
-        let out =
-            std::env::temp_dir().join(format!("cidre-trace-jobs{jobs}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&out);
-        let mut ctx = cidre_bench::ExpCtx::tiny();
-        ctx.out_dir = out.clone();
-        ctx.jobs = jobs;
-        assert!(cidre_bench::run_by_name("trace", &ctx));
-        let mut files = vec!["trace.csv".to_string()];
-        files.extend(
-            cidre_bench::experiments::trace::POLICIES
-                .iter()
-                .map(|p| cidre_bench::experiments::trace::export_name(p)),
-        );
-        let artifacts = files
-            .into_iter()
-            .map(|f| {
-                let bytes =
-                    std::fs::read(out.join(&f)).unwrap_or_else(|e| panic!("missing {f}: {e}"));
-                (f, bytes)
-            })
-            .collect();
-        let _ = std::fs::remove_dir_all(&out);
-        artifacts
-    };
-    let sequential = artifacts_for(1);
-    for (name, bytes) in &sequential {
-        assert!(!bytes.is_empty(), "{name} is empty");
-    }
-    assert_eq!(sequential, artifacts_for(1), "repeat trace run diverged");
-    assert_eq!(
-        sequential,
-        artifacts_for(4),
-        "trace artifacts at jobs=4 diverged from the sequential run"
     );
 }
 
