@@ -127,6 +127,16 @@ if grep -rn 'free_threads' crates \
   exit 1
 fi
 
+echo "== guard: memory is accounted once =="
+# DESIGN.md §11: memory held over time is the cost ledger's, exact in
+# MB·µs. The sampled series beside it and the switch that turned it off
+# are deleted; the conservation tests rebuild the integral from the
+# trace or from ClusterState::used_mb instead.
+if grep -rnE 'TimeSeries|record_memory|note_memory' crates src tests examples; then
+  echo "a second account of memory is growing back; read the CostLedger (DESIGN.md §11)" >&2
+  exit 1
+fi
+
 echo "== guard: one engine =="
 # Parallelism is run-level fan-out (DESIGN.md §9): the second engine and
 # everything that served it are deleted, and the word may not come back

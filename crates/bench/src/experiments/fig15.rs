@@ -6,24 +6,18 @@
 //! alone helps a little, speculation helps a lot, the conditional variant
 //! helps more, and the combination is best.
 
-use cidre_core::{BssScaler, CidreConfig, CipKeepAlive, CssScaler};
+use cidre_core::{cidre_stack, cip_only_stack, BssScaler, CidreConfig, CssScaler};
 use faas_metrics::Table;
-use faas_policies::GdsfKeepAlive;
-use faas_sim::{AlwaysCold, PolicyStack};
+use faas_policies::{faascache_stack, GdsfKeepAlive};
+use faas_sim::PolicyStack;
 
 use crate::workloads::run_policy_stack;
 use crate::{ExpCtx, Out, Workload};
 
 fn variants() -> Vec<(&'static str, PolicyStack)> {
     vec![
-        (
-            "FC (FaasCache)",
-            PolicyStack::new(Box::new(GdsfKeepAlive::faascache()), Box::new(AlwaysCold)),
-        ),
-        (
-            "CIP alone",
-            PolicyStack::new(Box::new(CipKeepAlive::new()), Box::new(AlwaysCold)),
-        ),
+        ("FC (FaasCache)", faascache_stack()),
+        ("CIP alone", cip_only_stack()),
         (
             "BSS alone",
             PolicyStack::new(Box::new(GdsfKeepAlive::faascache()), Box::new(BssScaler)),
@@ -35,13 +29,7 @@ fn variants() -> Vec<(&'static str, PolicyStack)> {
                 Box::new(CssScaler::new(CidreConfig::default())),
             ),
         ),
-        (
-            "CIDRE (CIP+CSS)",
-            PolicyStack::new(
-                Box::new(CipKeepAlive::new()),
-                Box::new(CssScaler::new(CidreConfig::default())),
-            ),
-        ),
+        ("CIDRE (CIP+CSS)", cidre_stack(CidreConfig::default())),
     ]
 }
 

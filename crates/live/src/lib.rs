@@ -20,7 +20,9 @@
 //!   [`faas_sim::Orchestrator`], the sans-IO state machine under both
 //!   loops, from one thread of its own: timed events are entries of that
 //!   thread's deadline heap, it blocks on its channel until the earliest
-//!   of them, and handlers run on a blocking pool ([`exec`]).
+//!   of them, and handlers run on a blocking pool the host owns
+//!   (`exec::BlockingPool`). The async half of [`exec`] (reactor, task
+//!   arena, channel) serves only the benchmark's frozen `exec.*` probes.
 //!
 //! Dispatch, queueing, REPLACE, deferral, fault handling and recording
 //! are the core's, so live runs race identical policy code and

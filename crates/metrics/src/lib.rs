@@ -4,9 +4,10 @@
 //! workspace: empirical CDFs ([`Cdf`]), percentile estimation
 //! ([`percentile`]), online summaries ([`Summary`]), time-based sliding
 //! windows ([`SlidingWindow`]) as used by CIDRE's conditional
-//! speculative scaling, step-function time series
-//! ([`TimeSeries`]) for memory-usage accounting, and plain-text rendering
-//! helpers ([`Table`], [`AsciiChart`]) used by the experiment harness.
+//! speculative scaling, Pareto frontiers ([`pareto_frontier`]), and
+//! plain-text rendering helpers ([`Table`], [`AsciiChart`]) used by the
+//! experiment harness. Memory held over time is not measured here: the
+//! simulator's integer `CostLedger` accounts it.
 //!
 //! Everything here is dependency-free, deterministic, and `f64`-based; the
 //! simulator keeps integer microseconds internally and converts at the
@@ -56,7 +57,6 @@ mod percentile;
 mod sliding;
 mod summary;
 mod table;
-mod timeseries;
 
 pub use ascii::{AsciiChart, AsciiWaterfall};
 pub use cdf::Cdf;
@@ -65,4 +65,3 @@ pub use percentile::percentile;
 pub use sliding::SlidingWindow;
 pub use summary::Summary;
 pub use table::Table;
-pub use timeseries::TimeSeries;

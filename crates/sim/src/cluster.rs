@@ -7,7 +7,7 @@ use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::hash::BuildHasher;
 
 use faas_core::{FreeThreadPool, IdBuildHasher, PendingQueue};
-use faas_trace::{FunctionId, FunctionProfile, TimeDelta, TimePoint};
+use faas_trace::{FunctionId, FunctionProfile, TimePoint};
 
 use crate::config::{Placement, ScanMode};
 use crate::container::{Container, ContainerInfo, ContainerState};
@@ -1096,14 +1096,6 @@ impl<'a> PolicyCtx<'a> {
         self.cluster.capacity_mb()
     }
 
-    /// **Oracle only**: the remaining execution time of a busy container's
-    /// earliest-finishing thread. Online policies must not use this; the
-    /// Offline baseline does.
-    pub fn oracle_remaining(&self, id: ContainerId) -> Option<TimeDelta> {
-        let earliest = self.busy_until.ends(id)?.iter().min()?;
-        Some(earliest.saturating_since(self.now))
-    }
-
     /// **Oracle only**: earliest completion among all busy threads of the
     /// function.
     pub fn oracle_earliest_free(&self, func: FunctionId) -> Option<TimePoint> {
@@ -1132,6 +1124,7 @@ impl<'a> PolicyCtx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use faas_trace::TimeDelta;
 
     fn profiles() -> Vec<FunctionProfile> {
         vec![
@@ -1462,10 +1455,6 @@ mod tests {
             assert_eq!(ctx.warm_count(FunctionId(0)), 3);
             assert_eq!(ctx.invocations(FunctionId(0)), 1);
             assert_eq!(ctx.saturated_iter(FunctionId(0)).count(), 1);
-            assert_eq!(
-                ctx.oracle_remaining(ids[0]),
-                Some(TimeDelta::from_millis(20))
-            );
             assert_eq!(ctx.oracle_earliest_free(FunctionId(0)), Some(ms(30)));
             assert_eq!(
                 ctx.oracle_free_times(FunctionId(0)),
@@ -1474,14 +1463,10 @@ mod tests {
             assert_eq!(ctx.used_mb(), 300);
             assert_eq!(ctx.capacity_mb(), 1000);
         }
-        for id in ids.iter().copied().chain([ContainerId(99)]) {
-            assert_eq!(a.oracle_remaining(id), b.oracle_remaining(id));
-        }
         for func in [FunctionId(0), FunctionId(1), FunctionId(7)] {
             assert_eq!(a.oracle_earliest_free(func), b.oracle_earliest_free(func));
             assert_eq!(a.oracle_free_times(func), b.oracle_free_times(func));
         }
-        assert_eq!(a.oracle_remaining(ids[2]), None);
         assert_eq!(a.oracle_earliest_free(FunctionId(1)), None);
     }
 }

@@ -4,8 +4,12 @@
 //! they paid. Every container's memory residency is charged to exactly
 //! one of two lifecycle classes — provisioning ([`CostLedger::cold_start_mb_us`])
 //! or warm ([`CostLedger::keep_warm_mb_us`]) — so the two always sum to
-//! the integral of the cluster's memory-usage step function (the
-//! conservation property pinned in `tests/properties.rs`). Two overlay
+//! the integral of the cluster's used memory over the run. The ledger is
+//! the run's one record of memory held over time. The conservation tests
+//! rebuild that integral without it: from each container's trace events
+//! (`tests/properties.rs`, `crates/sim/tests/fault_mechanics.rs`) or
+//! from `ClusterState::used_mb` between the core's steps
+//! (`crates/sim/tests/orchestrator_drivers.rs`). Two overlay
 //! classes refine the warm charge: idle time (warm but serving nothing)
 //! and speculative waste (the full residency of CSS provisions that
 //! lost their race and never served).
@@ -46,8 +50,10 @@ pub struct CostLedger {
 const MB_US_PER_GB_S: f64 = 1024.0 * 1e6;
 
 impl CostLedger {
-    /// Total memory residency (provisioning + warm) in MB·µs; equals
-    /// the integral of the cluster memory step function over the run.
+    /// Total memory residency (provisioning + warm) in MB·µs: each
+    /// container's memory times its lifetime, summed, which is the
+    /// integral of the cluster's used memory up to
+    /// `SimReport::ledger_settled_at`.
     pub fn total_mb_us(&self) -> u128 {
         self.cold_start_mb_us + self.keep_warm_mb_us
     }

@@ -36,7 +36,6 @@ use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use faas_core::{EvictionIndex, IdBuildHasher, RoundHeap};
-use faas_metrics::TimeSeries;
 use faas_obs::{EvictReason, ObsEvent, Recorder, TraceLog};
 use faas_trace::{FunctionId, FunctionProfile, TimeDelta, TimePoint};
 
@@ -131,12 +130,10 @@ pub struct Orchestrator<R: Recorder> {
     spare_ends: Vec<Vec<TimePoint>>,
     deferred: VecDeque<(FunctionId, bool, u32)>,
     policies: PolicyStack,
-    record_memory: bool,
     /// Time of the step being processed (of the last one, between steps).
     now: TimePoint,
     incomplete: u64,
     records: Vec<RequestRecord>,
-    memory: TimeSeries,
     finished_at: TimePoint,
     faults: FaultState,
     /// Whether the configured `FaultPlan` injects anything. When false,
@@ -176,8 +173,7 @@ pub struct Orchestrator<R: Recorder> {
 impl<R: Recorder> Orchestrator<R> {
     /// Builds the core for a cluster hosting `functions` under
     /// `policies`. Of `config` it reads the cluster shape, the scan
-    /// mode, `record_memory` and the fault plan; the tick interval is
-    /// the driver's.
+    /// mode and the fault plan; the tick interval is the driver's.
     ///
     /// # Panics
     ///
@@ -216,11 +212,9 @@ impl<R: Recorder> Orchestrator<R> {
             spare_ends: Vec::new(),
             deferred: VecDeque::new(),
             policies,
-            record_memory: config.record_memory,
             now: TimePoint::ZERO,
             incomplete: 0,
             records: Vec::new(),
-            memory: TimeSeries::new(),
             finished_at: TimePoint::ZERO,
             faults: FaultState::new(config.faults.clone()),
             fault_active: !config.faults.is_none(),
@@ -370,7 +364,6 @@ impl<R: Recorder> Orchestrator<R> {
         let settle_at = self.cluster.settle_ledger();
         let report = SimReport {
             requests: self.records,
-            memory: self.memory,
             containers_created: self.cluster.containers_created,
             containers_evicted: self.cluster.containers_evicted,
             wasted_cold_starts: self.cluster.wasted_cold_starts,
@@ -636,7 +629,6 @@ impl<R: Recorder> Orchestrator<R> {
         let speculative = c.speculative_unused;
         let attempt = self.attempts.remove(&cid).unwrap_or(0);
         let info = self.cluster.fail_provision(cid, self.now);
-        self.note_memory();
         obs!(
             self.rec,
             ObsEvent::ProvisionEnd {
@@ -763,7 +755,6 @@ impl<R: Recorder> Orchestrator<R> {
             // nothing about whether speculation was wasteful, unlike a
             // provision failure or an idle eviction.
         }
-        self.note_memory();
         self.remove_records(voided);
         // Re-queue in deterministic request order, never cold-only: any
         // resource may serve a crash refugee.
@@ -1060,7 +1051,6 @@ impl<R: Recorder> Orchestrator<R> {
         let cid = self
             .cluster
             .begin_provision(func, worker, self.now, speculative);
-        self.note_memory();
         obs!(
             self.rec,
             ObsEvent::ProvisionBegin {
@@ -1133,7 +1123,6 @@ impl<R: Recorder> Orchestrator<R> {
             .unwrap_or(false);
         self.evict_index.leave(cid);
         let info = self.cluster.evict(cid, self.now);
-        self.note_memory();
         // Provenance note reflects the keep-alive state that drove the
         // choice, so it is taken before `on_evict` mutates it.
         obs!(
@@ -1187,17 +1176,6 @@ impl<R: Recorder> Orchestrator<R> {
             }
             self.deferred.pop_front();
             self.request_provision(func, speculative, attempt, out);
-        }
-    }
-
-    fn note_memory(&mut self) {
-        if self.record_memory {
-            #[expect(
-                clippy::cast_precision_loss,
-                reason = "whole-MB totals sit far below 2^53 — exact in f64"
-            )]
-            self.memory
-                .push(self.now.as_micros(), self.cluster.used_mb() as f64);
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Simulation outcome: per-request records and derived metrics.
 
-use faas_metrics::{Cdf, Summary, TimeSeries};
+use faas_metrics::{Cdf, Summary};
 use faas_trace::{FunctionId, TimeDelta, TimePoint};
 
 use crate::ledger::CostLedger;
@@ -46,8 +46,6 @@ pub struct SimReport {
     /// One record per completed request, in the order executions
     /// started (crash-voided executions leave no record).
     pub requests: Vec<RequestRecord>,
-    /// Cluster memory usage over time (MB).
-    pub memory: TimeSeries,
     /// Containers created over the run (cold starts initiated, including
     /// speculative and prewarmed ones).
     pub containers_created: u64,
@@ -67,7 +65,10 @@ pub struct SimReport {
     /// The instant the ledger was settled: the latest charge timestamp
     /// of the run. Residency tails of containers still alive at the end
     /// are charged up to exactly this point, so the ledger equals the
-    /// integral of the memory step function over `[0, ledger_settled_at]`.
+    /// integral of the cluster's used memory over `[0, ledger_settled_at]`:
+    /// a container traced by `run_traced` holds its memory from its
+    /// `ProvisionBegin` to its `ProvisionEnd { ok: false }` or `Evict`,
+    /// or else to this instant.
     pub ledger_settled_at: TimePoint,
 }
 

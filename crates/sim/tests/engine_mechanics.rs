@@ -1,10 +1,12 @@
 //! Integration tests of engine mechanics that need whole-run scenarios:
 //! tick-driven expiration, prewarming, provisioning-latency overrides,
-//! and memory time-series accounting.
+//! and memory residency.
+
+mod common;
 
 use faas_sim::{
-    run, AlwaysCold, ContainerId, ContainerInfo, KeepAlive, PolicyCtx, PolicyStack, Prewarm,
-    SimConfig, StartClass,
+    run, run_traced, AlwaysCold, ContainerId, ContainerInfo, KeepAlive, PolicyCtx, PolicyStack,
+    Prewarm, SimConfig, StartClass,
 };
 use faas_trace::{FunctionId, FunctionProfile, Invocation, TimeDelta, TimePoint, Trace};
 
@@ -158,8 +160,8 @@ fn provision_latency_override_shortens_cold_start() {
 
 #[test]
 fn memory_timeseries_tracks_provision_and_eviction() {
-    // One container provisioned then evicted by TTL: memory rises to
-    // 128 MB and returns to 0.
+    // One container provisioned then evicted by TTL before the second
+    // hit provisions another: memory rises to 128 MB, never to 256.
     let stack = PolicyStack::new(
         Box::new(ExpiringLru {
             ttl: TimeDelta::from_secs(1),
@@ -169,26 +171,13 @@ fn memory_timeseries_tracks_provision_and_eviction() {
     let config = SimConfig::default()
         .workers_mb(vec![10_000])
         .tick(TimeDelta::from_millis(500));
-    let report = run(&trace_two_hits_apart(5_000), &config, stack);
-    assert_eq!(report.memory.max(), Some(128.0));
-    // The last recorded point (after the final eviction... the second
-    // container may survive to the end): peak is the invariant we pin.
-    assert!(report.memory.len() >= 2);
-}
-
-#[test]
-fn memory_timeseries_can_be_disabled() {
-    let stack = PolicyStack::new(
-        Box::new(ExpiringLru {
-            ttl: TimeDelta::from_secs(60),
-        }),
-        Box::new(AlwaysCold),
-    );
-    let config = SimConfig::default()
-        .workers_mb(vec![10_000])
-        .without_memory_timeseries();
-    let report = run(&trace_two_hits_apart(100), &config, stack);
-    assert!(report.memory.is_empty());
+    let trace = trace_two_hits_apart(5_000);
+    let (report, log) = run_traced(&trace, &config, stack);
+    let (peak, mb_us) = common::residency(&trace, log.events(), report.ledger_settled_at);
+    assert_eq!(peak, 128);
+    assert_eq!(report.containers_created, 2);
+    assert!(report.containers_evicted >= 1);
+    assert_eq!(report.ledger.total_mb_us(), mb_us);
 }
 
 #[test]
@@ -220,10 +209,11 @@ fn multi_worker_placement_spreads_by_free_memory() {
         Box::new(AlwaysCold),
     );
     let config = SimConfig::default().workers_mb(vec![1_000, 1_000]);
-    let report = run(&trace, &config, stack);
+    let (report, log) = run_traced(&trace, &config, stack);
     // All four run concurrently: every request only waits its cold start.
     for r in &report.requests {
         assert_eq!(r.wait, TimeDelta::from_millis(50));
     }
-    assert_eq!(report.memory.max(), Some(1_600.0));
+    let (peak, _) = common::residency(&trace, log.events(), report.ledger_settled_at);
+    assert_eq!(peak, 1_600);
 }

@@ -5,7 +5,9 @@
 //! structural invariants after every event, so each of these runs also
 //! exercises `InvariantChecker`.
 
-use faas_sim::{baseline_lru_stack, run, FaultPlan, SimConfig, StartClass, WorkerId};
+mod common;
+
+use faas_sim::{baseline_lru_stack, run, run_traced, FaultPlan, SimConfig, StartClass, WorkerId};
 use faas_trace::{FunctionId, FunctionProfile, Invocation, TimeDelta, TimePoint, Trace};
 
 fn one_fn_trace(arrivals_ms: &[u64], exec_ms: u64, cold_ms: u64, mem: u32) -> Trace {
@@ -323,8 +325,8 @@ fn ledger_charges_speculative_loser_in_full() {
 
 /// Ledger edge: a pinned run that evicts, REPLACEs, fails provisions,
 /// backs off and loses a worker mid-run must still charge every MB·µs
-/// exactly once — `cold_start + keep_warm` equals the memory series
-/// integrated up to the settlement point.
+/// exactly once — `cold_start + keep_warm` equals the residency rebuilt
+/// from the trace, integrated up to the settlement point.
 #[test]
 fn ledger_conserves_through_evictions_replace_and_crash() {
     let trace = faas_trace::gen::azure(5).functions(8).minutes(1).build();
@@ -335,21 +337,15 @@ fn ledger_conserves_through_evictions_replace_and_crash() {
             .retry_backoff(TimeDelta::from_millis(50), TimeDelta::from_secs(2))
             .crash_worker(TimePoint::from_secs(20), WorkerId(0)),
     );
-    let report = run(&trace, &config, baseline_lru_stack());
+    let (report, log) = run_traced(&trace, &config, baseline_lru_stack());
     assert!(report.containers_evicted > 0, "workload must evict");
     assert!(report.ledger.replace_rounds > 0, "workload must REPLACE");
     assert!(
         report.crash_evictions > 0,
         "the crash must destroy containers"
     );
-    let points: Vec<(u64, f64)> = report.memory.iter().collect();
-    let end = report.ledger_settled_at.as_micros();
-    let ends = points.iter().skip(1).map(|p| p.0).chain([end]);
-    let integrated: u128 = points
-        .iter()
-        .zip(ends)
-        .map(|(&(t, mb), next)| (mb as u128) * u128::from(next - t))
-        .sum();
+    assert!(report.provision_failures > 0, "provisions must fail");
+    let (_, integrated) = common::residency(&trace, log.events(), report.ledger_settled_at);
     assert_eq!(report.ledger.total_mb_us(), integrated);
 }
 

@@ -138,20 +138,6 @@ fn arb_config(g: &mut Gen) -> SimConfig {
         .faults(plan)
 }
 
-/// Integrates the recorded memory step function over `[0, until_us]`
-/// exactly, in MB·µs (the ledger's unit).
-fn integrate_memory_mb_us(memory: &faas_metrics::TimeSeries, until_us: u64) -> u128 {
-    let points: Vec<(u64, f64)> = memory.iter().collect();
-    let mut total: u128 = 0;
-    for pair in points.windows(2) {
-        total += (pair[0].1 as u128) * u128::from(pair[1].0 - pair[0].0);
-    }
-    if let Some(&(t_last, v_last)) = points.last() {
-        total += (v_last as u128) * u128::from(until_us - t_last);
-    }
-    total
-}
-
 /// Drives `trace` through a fresh core, delivering every scheduled
 /// event up to `max_late` after its deadline. With `measured`, the core
 /// is not told execution times: like `FaasHost`, the driver ends each
@@ -190,6 +176,9 @@ fn drive_late(
     // The end the core announced for each running execution, per
     // container: what `busy_until` must hold, no more and no less.
     let mut running: HashMap<ContainerId, Vec<(RequestId, TimePoint)>> = HashMap::new();
+    // The cluster's used memory, integrated between steps (MB·µs): the
+    // reference the ledger is held to.
+    let (mut used, mut used_since, mut mb_us) = (0, TimePoint::ZERO, 0u128);
     while core.incomplete() > 0 {
         let (now, ev) = events.pop().expect("the tick chain outlives the requests");
         if let Event::ExecDone(cid, rid) = ev {
@@ -231,6 +220,10 @@ fn drive_late(
         }
 
         core.check_invariants();
+        if core.cluster().used_mb() != used {
+            mb_us += u128::from(used) * u128::from((now - used_since).as_micros());
+            (used, used_since) = (core.cluster().used_mb(), now);
+        }
         running.retain(|cid, runs| !runs.is_empty() && core.cluster().container(*cid).is_some());
         let sorted = |ends: Vec<TimePoint>| {
             let mut ends = ends;
@@ -269,9 +262,10 @@ fn drive_late(
         *entry = (entry.0 + 1, entry.1 + inv.exec);
     }
     assert_eq!(served, offered, "{label}: per-function count and exec");
+    mb_us += u128::from(used) * u128::from((report.ledger_settled_at - used_since).as_micros());
     assert_eq!(
         report.ledger.total_mb_us(),
-        integrate_memory_mb_us(&report.memory, report.ledger_settled_at.as_micros()),
+        mb_us,
         "{label}: ledger total diverges from integrated residency"
     );
     assert!(report.ledger.idle_mb_us <= report.ledger.keep_warm_mb_us);
