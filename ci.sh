@@ -127,6 +127,18 @@ if grep -rn 'free_threads' crates \
   exit 1
 fi
 
+echo "== guard: fault state is kept once =="
+# DESIGN.md §4: a failed provision carries its attempt on its event,
+# chains in retry backoff are a per-function count beside provisioning
+# (FnRuntime::retrying), and a crash finds the executions it kills in
+# the request window. Fault-free and faulted runs take one code path:
+# no side table beside the state, and no switch between the two.
+if grep -nE 'fault_active|self\.(attempts|retrying|running)\b|running: *BTreeMap' \
+  crates/sim/src/orchestrator.rs; then
+  echo "crates/sim/src/orchestrator.rs: fault state is kept twice again; keep it on the event, FnRuntime or RequestState" >&2
+  exit 1
+fi
+
 echo "== guard: memory is accounted once =="
 # DESIGN.md §11: memory held over time is the cost ledger's, exact in
 # MB·µs. The sampled series beside it and the switch that turned it off

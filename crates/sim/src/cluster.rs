@@ -98,6 +98,9 @@ pub struct FnRuntime {
     /// Number of containers currently provisioning (which ones is in
     /// the container table; only the count is ever asked for).
     pub provisioning: u32,
+    /// Number of this function's provision chains in retry backoff: a
+    /// provision failed and its `RetryProvision` has not fired yet.
+    pub retrying: u32,
     /// Warm containers with at least one free thread, sorted by
     /// `threads_in_use` so the scheduler's "most-loaded non-saturated
     /// container" pick is O(1). Beside the container's own
@@ -1096,12 +1099,6 @@ impl<'a> PolicyCtx<'a> {
         self.cluster.capacity_mb()
     }
 
-    /// **Oracle only**: earliest completion among all busy threads of the
-    /// function.
-    pub fn oracle_earliest_free(&self, func: FunctionId) -> Option<TimePoint> {
-        self.oracle_free_times(func).first().copied()
-    }
-
     /// **Oracle only**: completion times of every busy thread of the
     /// function, sorted ascending. Lets the Offline baseline compute the
     /// wait a request at queue position `k` would experience.
@@ -1455,7 +1452,6 @@ mod tests {
             assert_eq!(ctx.warm_count(FunctionId(0)), 3);
             assert_eq!(ctx.invocations(FunctionId(0)), 1);
             assert_eq!(ctx.saturated_iter(FunctionId(0)).count(), 1);
-            assert_eq!(ctx.oracle_earliest_free(FunctionId(0)), Some(ms(30)));
             assert_eq!(
                 ctx.oracle_free_times(FunctionId(0)),
                 vec![ms(30), ms(50), ms(70)]
@@ -1464,9 +1460,8 @@ mod tests {
             assert_eq!(ctx.capacity_mb(), 1000);
         }
         for func in [FunctionId(0), FunctionId(1), FunctionId(7)] {
-            assert_eq!(a.oracle_earliest_free(func), b.oracle_earliest_free(func));
             assert_eq!(a.oracle_free_times(func), b.oracle_free_times(func));
         }
-        assert_eq!(a.oracle_earliest_free(FunctionId(1)), None);
+        assert!(a.oracle_free_times(FunctionId(1)).is_empty());
     }
 }

@@ -20,8 +20,9 @@ pub enum Event {
     /// Periodic policy tick (TTL expiration, prewarming).
     Tick,
     /// A provision fails (fault injection), discovered after the full
-    /// cold-start latency.
-    ProvisionFailed(ContainerId),
+    /// cold-start latency; the chain's attempt number (0 for a first
+    /// try), which the retry it schedules continues from.
+    ProvisionFailed(ContainerId, u32),
     /// A failed provision's backoff expires; retry attempt number
     /// (1-based) for the function, preserving speculativeness.
     RetryProvision(FunctionId, u32, bool),

@@ -17,8 +17,10 @@
 //!   stretched by a Pareto-distributed factor, modelling the heavy tail.
 //!
 //! The default plan is [`FaultPlan::none`], which draws **zero** random
-//! numbers and schedules zero events — a fault-free run is byte-identical
-//! to a run of a simulator without fault support at all.
+//! numbers and schedules zero events. There is no fault-free code path:
+//! every run draws through `FaultState`, which under that plan answers
+//! "no failure, no stretch" without touching its RNG, so a fault-free
+//! run is byte-identical to a run of a simulator without fault support.
 
 use faas_testkit::Rng;
 use faas_trace::{TimeDelta, TimePoint};
@@ -104,14 +106,10 @@ impl FaultPlan {
     ///
     /// # Panics
     ///
-    /// Panics unless `p` is in `[0, 1)` — with `p == 1` no provision ever
-    /// succeeds and retry chains never terminate.
+    /// As [`FaultPlan::validate`].
     pub fn provision_failures(mut self, p: f64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&p),
-            "failure probability must be in [0, 1)"
-        );
         self.provision_fail_p = p;
+        self.validate();
         self
     }
 
@@ -133,18 +131,43 @@ impl FaultPlan {
     ///
     /// # Panics
     ///
-    /// Panics unless `p` is in `[0, 1)`, `alpha > 0`, and `cap >= 1`.
+    /// As [`FaultPlan::validate`].
     pub fn stragglers(mut self, p: f64, alpha: f64, cap: f64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&p),
-            "straggler probability must be in [0, 1)"
-        );
-        assert!(alpha > 0.0, "Pareto shape must be positive");
-        assert!(cap >= 1.0, "stretch cap below 1 would speed up cold starts");
         self.straggler_p = p;
         self.straggler_alpha = alpha;
         self.straggler_cap = cap;
+        self.validate();
         self
+    }
+
+    /// Rejects a plan no run can finish under. The builders call it, and
+    /// so does [`crate::Orchestrator::new`]: the fields are `pub`, so a
+    /// literal plan bypasses the builders.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the field, unless `provision_fail_p` and
+    /// `straggler_p` are in `[0, 1)`, `straggler_alpha > 0` and
+    /// `straggler_cap >= 1`. With `provision_fail_p == 1` no provision
+    /// ever succeeds and retry chains never end.
+    pub fn validate(&self) {
+        let p = self.provision_fail_p;
+        assert!(
+            (0.0..1.0).contains(&p),
+            "provision_fail_p must be in [0, 1), got {p}"
+        );
+        let p = self.straggler_p;
+        assert!(
+            (0.0..1.0).contains(&p),
+            "straggler_p must be in [0, 1), got {p}"
+        );
+        let alpha = self.straggler_alpha;
+        assert!(alpha > 0.0, "straggler_alpha must be positive, got {alpha}");
+        let cap = self.straggler_cap;
+        assert!(
+            cap >= 1.0,
+            "straggler_cap must be at least 1 (a smaller one speeds cold starts up), got {cap}"
+        );
     }
 
     /// The delay before retry number `attempt` (1-based): capped
@@ -182,6 +205,7 @@ impl FaultState {
 
     /// Draws whether the next provision fails. Draws nothing when the
     /// failure probability is zero (keeps fault-free runs byte-identical).
+    #[inline]
     pub fn provision_fails(&mut self) -> bool {
         if self.plan.provision_fail_p == 0.0 {
             return false;
@@ -193,6 +217,7 @@ impl FaultState {
     /// provision: `1.0` for non-stragglers, otherwise a Pareto factor
     /// `(1-u)^(-1/alpha)` capped at `straggler_cap`. Draws nothing when
     /// stragglers are disabled.
+    #[inline]
     pub fn straggler_factor(&mut self) -> f64 {
         if self.plan.straggler_p == 0.0 {
             return 1.0;

@@ -82,7 +82,7 @@ pub use event::{Event, EventQueue};
 /// The hasher of every id-keyed map on a per-event path, re-exported so
 /// policy crates need no dependency on `faas-core` to name it.
 pub use faas_core::{IdBuildHasher, IdHasher};
-pub use fault::{FaultPlan, FaultState};
+pub use fault::FaultPlan;
 pub use ids::{ContainerId, RequestId, WorkerId};
 pub use invariant::InvariantChecker;
 pub use ledger::CostLedger;
@@ -91,7 +91,7 @@ pub use policy::{
     AlwaysCold, KeepAlive, PolicyStack, Prewarm, PriorityDeps, ScaleDecision, Scaler, StartClass,
 };
 pub use report::{RequestRecord, SimReport};
-pub use request::{RequestInfo, RequestState};
+pub use request::RequestInfo;
 
 /// Reference LRU keep-alive: priority is the last-use time, so the
 /// least-recently-used idle container is evicted first. This is the

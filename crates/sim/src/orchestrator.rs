@@ -33,7 +33,7 @@
 //! boxing, no per-step buffer.
 
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use faas_core::{EvictionIndex, IdBuildHasher, RoundHeap};
 use faas_obs::{EvictReason, ObsEvent, Recorder, TraceLog};
@@ -63,6 +63,12 @@ fn busy_end(req: &RequestState) -> TimePoint {
         req.exec
     };
     req.started + exec
+}
+
+/// Whether `req` is executing: started, and neither finished nor voided
+/// by a crash. Its `container` and `record` are meaningful.
+fn is_running(req: &RequestState) -> bool {
+    req.class.is_some() && !req.finished
 }
 
 /// A REPLACE round's per-round victim source (the cross-round index is
@@ -136,21 +142,6 @@ pub struct Orchestrator<R: Recorder> {
     records: Vec<RequestRecord>,
     finished_at: TimePoint,
     faults: FaultState,
-    /// Whether the configured `FaultPlan` injects anything. When false,
-    /// all fault bookkeeping (attempt counters, running-request tracking)
-    /// is skipped so fault-free runs take the exact pre-fault code path.
-    fault_active: bool,
-    /// Retry attempt number per provisioning container (fault runs only).
-    attempts: HashMap<ContainerId, u32, IdBuildHasher>,
-    /// Outstanding `RetryProvision` events per function (fault runs
-    /// only): these are provision chains in backoff, invisible in
-    /// `FnRuntime::provisioning`, that `repair_cold_only` must count.
-    retrying: HashMap<FunctionId, u32, IdBuildHasher>,
-    /// In-flight requests per container (fault runs only) — a worker
-    /// crash voids their records and re-queues them. `BTreeMap` so the
-    /// crash-repair walk re-queues them in container order, not hash
-    /// order: the trace shows it.
-    running: BTreeMap<ContainerId, Vec<RequestId>>,
     /// Arrival events processed so far (request-conservation invariant).
     arrived: u64,
     /// Lazy-deletion heap of eviction candidates per worker, maintained
@@ -173,18 +164,26 @@ pub struct Orchestrator<R: Recorder> {
 impl<R: Recorder> Orchestrator<R> {
     /// Builds the core for a cluster hosting `functions` under
     /// `policies`. Of `config` it reads the cluster shape, the scan
-    /// mode and the fault plan; the tick interval is the driver's.
+    /// mode and the fault plan; the tick interval is the driver's, but
+    /// every driver builds its core here, so it is checked here.
     ///
     /// # Panics
     ///
     /// Panics if some function's memory footprint exceeds every worker's
-    /// capacity.
+    /// capacity, if `config.tick` is zero (a driver would re-arm the
+    /// tick at the same instant forever), or if the fault plan fails
+    /// [`FaultPlan::validate`](crate::FaultPlan::validate).
     pub fn new(
         functions: impl IntoIterator<Item = FunctionProfile>,
         config: &SimConfig,
         policies: PolicyStack,
         rec: R,
     ) -> Self {
+        assert!(
+            config.tick > TimeDelta::ZERO,
+            "SimConfig::tick must be positive"
+        );
+        config.faults.validate();
         let max_worker = config.workers_mb.iter().copied().max().unwrap_or(0);
         let functions = functions.into_iter().inspect(|f| {
             assert!(
@@ -217,10 +216,6 @@ impl<R: Recorder> Orchestrator<R> {
             records: Vec::new(),
             finished_at: TimePoint::ZERO,
             faults: FaultState::new(config.faults.clone()),
-            fault_active: !config.faults.is_none(),
-            attempts: HashMap::default(),
-            retrying: HashMap::default(),
-            running: BTreeMap::new(),
             arrived: 0,
             evict_index: EvictionIndex::new(),
             use_evict_index,
@@ -251,6 +246,7 @@ impl<R: Recorder> Orchestrator<R> {
             class: None,
             finished: false,
             started: TimePoint::ZERO,
+            container: ContainerId(0),
             record: 0,
         });
         self.incomplete += 1;
@@ -287,7 +283,7 @@ impl<R: Recorder> Orchestrator<R> {
             Event::ProvisionDone(cid) => self.on_provision_done(cid, out),
             Event::ExecDone(cid, rid) => self.on_exec_done(cid, rid, out),
             Event::Tick => self.on_tick(out),
-            Event::ProvisionFailed(cid) => self.on_provision_failed(cid, out),
+            Event::ProvisionFailed(cid, attempt) => self.on_provision_failed(cid, attempt, out),
             Event::RetryProvision(func, attempt, spec) => {
                 self.on_retry_provision(func, attempt, spec, out)
             }
@@ -459,7 +455,6 @@ impl<R: Recorder> Orchestrator<R> {
             // the container can be gone; fault-free runs never hit this.
             return;
         }
-        self.attempts.remove(&cid);
         self.cluster.finish_provision(cid, self.now);
         obs!(
             self.rec,
@@ -501,7 +496,7 @@ impl<R: Recorder> Orchestrator<R> {
             return;
         }
         let chains = rt.provisioning as usize
-            + self.retrying.get(&func).map_or(0, |&n| n as usize)
+            + rt.retrying as usize
             + self.deferred.iter().filter(|&&(f, _, _)| f == func).count();
         for _ in chains..cold_only {
             self.request_provision(func, false, 0, out);
@@ -531,16 +526,6 @@ impl<R: Recorder> Orchestrator<R> {
                 cid: cid.0,
             }
         );
-        if self.fault_active {
-            if let Some(runs) = self.running.get_mut(&cid) {
-                if let Some(pos) = runs.iter().position(|&r| r == rid) {
-                    runs.swap_remove(pos);
-                }
-                if runs.is_empty() {
-                    self.running.remove(&cid);
-                }
-            }
-        }
         let slot = self.slot(rid);
         self.requests[slot].finished = true;
         let req = &self.requests[slot];
@@ -616,10 +601,15 @@ impl<R: Recorder> Orchestrator<R> {
         }
     }
 
-    /// A provision failed (fault injection): abandon the container,
-    /// signal the policies, and schedule a retry with capped exponential
-    /// backoff.
-    fn on_provision_failed(&mut self, cid: ContainerId, out: &mut impl FnMut(TimePoint, Event)) {
+    /// Provision `attempt` of a chain failed (fault injection): abandon
+    /// the container, signal the policies, and schedule the next attempt
+    /// with capped exponential backoff.
+    fn on_provision_failed(
+        &mut self,
+        cid: ContainerId,
+        attempt: u32,
+        out: &mut impl FnMut(TimePoint, Event),
+    ) {
         let Some(c) = self.cluster.container(cid) else {
             // The container's worker crashed before the failure fired.
             // The crash handler already re-provisioned for the backlog.
@@ -627,7 +617,6 @@ impl<R: Recorder> Orchestrator<R> {
         };
         let func = c.func;
         let speculative = c.speculative_unused;
-        let attempt = self.attempts.remove(&cid).unwrap_or(0);
         let info = self.cluster.fail_provision(cid, self.now);
         obs!(
             self.rec,
@@ -665,7 +654,7 @@ impl<R: Recorder> Orchestrator<R> {
             self.now + backoff,
             Event::RetryProvision(func, next, speculative),
         );
-        *self.retrying.entry(func).or_default() += 1;
+        self.cluster.fn_runtime_mut(func).retrying += 1;
         // The failure released memory a deferred provision may want.
         self.retry_deferred(out);
     }
@@ -681,18 +670,9 @@ impl<R: Recorder> Orchestrator<R> {
         speculative: bool,
         out: &mut impl FnMut(TimePoint, Event),
     ) {
-        if let Some(n) = self.retrying.get_mut(&func) {
-            *n -= 1;
-            if *n == 0 {
-                self.retrying.remove(&func);
-            }
-        }
-        let backlog = self
-            .cluster
-            .fn_runtime(func)
-            .map(|rt| !rt.pending.is_empty())
-            .unwrap_or(false);
-        if backlog {
+        let rt = self.cluster.fn_runtime_mut(func);
+        rt.retrying -= 1;
+        if !rt.pending.is_empty() {
             self.request_provision(func, speculative, attempt, out);
         }
     }
@@ -718,18 +698,17 @@ impl<R: Recorder> Orchestrator<R> {
         let victims = self.cluster.containers_on(worker);
         let mut voided: Vec<usize> = Vec::new();
         let mut requeue: Vec<(FunctionId, RequestId)> = Vec::new();
+        // The executions the crash kills: every running request in the
+        // window whose container is a victim (`victims` is sorted).
+        for (i, req) in (self.retired..).zip(self.requests.iter_mut()) {
+            if is_running(req) && victims.binary_search(&req.container).is_ok() {
+                voided.push(req.record);
+                req.class = None;
+                requeue.push((req.func, RequestId(i)));
+            }
+        }
         let mut affected: Vec<FunctionId> = Vec::new();
         for cid in victims {
-            self.attempts.remove(&cid);
-            if let Some(runs) = self.running.remove(&cid) {
-                for rid in runs {
-                    let slot = self.slot(rid);
-                    let req = &mut self.requests[slot];
-                    voided.push(req.record);
-                    req.class = None;
-                    requeue.push((req.func, rid));
-                }
-            }
             self.busy_until.remove(&cid);
             let (info, local_queued) = self.cluster.crash_evict(cid, self.now);
             obs!(
@@ -767,8 +746,8 @@ impl<R: Recorder> Orchestrator<R> {
         affected.dedup();
         // Repair provisioning for affected functions: cold-only waiters
         // can only be served by a future ProvisionDone, and refugees may
-        // have nothing left to wait for. (Retry chains in backoff are not
-        // visible in `provisioning`, so this may over-provision — a
+        // have nothing left to wait for. (Retry chains in backoff,
+        // `rt.retrying`, are not counted, so this may over-provision — a
         // progress-over-parsimony tradeoff on the failure path.)
         for func in affected {
             let Some(rt) = self.cluster.fn_runtime(func) else {
@@ -805,10 +784,8 @@ impl<R: Recorder> Orchestrator<R> {
                 self.records.push(r);
             }
         }
-        for &rid in self.running.values().flatten() {
-            let slot = self.slot(rid);
-            let idx = &mut self.requests[slot].record;
-            *idx -= voided.partition_point(|&v| v < *idx);
+        for req in self.requests.iter_mut().filter(|r| is_running(r)) {
+            req.record -= voided.partition_point(|&v| v < req.record);
         }
     }
 
@@ -835,6 +812,7 @@ impl<R: Recorder> Orchestrator<R> {
         let req = &mut self.requests[slot];
         req.class = Some(class);
         req.started = self.now;
+        req.container = cid;
         req.record = self.records.len();
         // A measured execution shows policies and the record zero until
         // `record_exec` fills it in.
@@ -864,11 +842,6 @@ impl<R: Recorder> Orchestrator<R> {
                 wait,
             }
         );
-        if self.fault_active {
-            // Track in-flight work so a worker crash can void the record
-            // and re-queue the request.
-            self.running.entry(cid).or_default().push(rid);
-        }
 
         let info = self.requests[self.slot(rid)].info(rid);
         let cinfo = self
@@ -1075,18 +1048,15 @@ impl<R: Recorder> Orchestrator<R> {
                 .provision_latency(func, &ctx)
                 .unwrap_or_else(|| self.cluster.profile(func).cold_start)
         };
-        if self.fault_active {
-            self.attempts.insert(cid, attempt);
-            if self.faults.provision_fails() {
-                // The failure surfaces only after the full provisioning
-                // latency was spent — like a real timed-out cold start.
-                out(self.now + cold, Event::ProvisionFailed(cid));
-                return;
-            }
-            let factor = self.faults.straggler_factor();
-            if factor > 1.0 {
-                cold = cold.scale(factor);
-            }
+        if self.faults.provision_fails() {
+            // The failure surfaces only after the full provisioning
+            // latency was spent — like a real timed-out cold start.
+            out(self.now + cold, Event::ProvisionFailed(cid, attempt));
+            return;
+        }
+        let factor = self.faults.straggler_factor();
+        if factor > 1.0 {
+            cold = cold.scale(factor);
         }
         out(self.now + cold, Event::ProvisionDone(cid));
     }
@@ -1183,6 +1153,7 @@ impl<R: Recorder> Orchestrator<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlan;
     use crate::policy::{AlwaysCold, KeepAlive, Scaler};
     use crate::request::RequestInfo;
     use crate::run;
@@ -1448,5 +1419,26 @@ mod tests {
     fn oversized_function_rejected() {
         let trace = one_fn_trace(&[0], 10, 10, 4096);
         let _ = run(&trace, &cfg(1000), stack(Box::new(AlwaysCold)));
+    }
+
+    // Each setting below would keep every driver spinning forever.
+
+    #[test]
+    #[should_panic(expected = "SimConfig::tick must be positive")]
+    fn zero_tick_rejected() {
+        let trace = one_fn_trace(&[0], 10, 10, 128);
+        let config = cfg(1000).tick(TimeDelta::ZERO);
+        let _ = run(&trace, &config, stack(Box::new(AlwaysCold)));
+    }
+
+    #[test]
+    #[should_panic(expected = "provision_fail_p must be in [0, 1), got 1")]
+    fn certain_provision_failure_rejected_past_the_builder() {
+        let trace = one_fn_trace(&[0], 10, 10, 128);
+        let plan = FaultPlan {
+            provision_fail_p: 1.0,
+            ..FaultPlan::none()
+        };
+        let _ = run(&trace, &cfg(1000).faults(plan), stack(Box::new(AlwaysCold)));
     }
 }

@@ -2,7 +2,7 @@
 
 use faas_trace::{FunctionId, TimeDelta, TimePoint};
 
-use crate::ids::RequestId;
+use crate::ids::{ContainerId, RequestId};
 use crate::policy::StartClass;
 
 /// Immutable request facts handed to policies.
@@ -36,18 +36,15 @@ pub struct RequestState {
     /// When the request started executing; meaningful while `class` is
     /// `Some`.
     pub started: TimePoint,
+    /// The container the request runs on; meaningful while `class` is
+    /// `Some` — a worker crash finds the executions it kills by it.
+    pub container: ContainerId,
     /// Index of the request's record in the report; meaningful while
     /// `class` is `Some`.
     pub record: usize,
 }
 
 impl RequestState {
-    /// The invocation overhead (wait before execution), if started.
-    pub fn wait(&self) -> Option<TimeDelta> {
-        self.class
-            .map(|_| self.started.saturating_since(self.arrival))
-    }
-
     /// Request facts for policy callbacks.
     pub fn info(&self, id: RequestId) -> RequestInfo {
         RequestInfo {
@@ -63,24 +60,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn wait_is_start_minus_arrival() {
-        let mut r = RequestState {
-            func: FunctionId(0),
-            arrival: TimePoint::from_millis(10),
-            exec: TimeDelta::from_millis(5),
-            measured: false,
-            class: None,
-            finished: false,
-            started: TimePoint::ZERO,
-            record: 0,
-        };
-        assert_eq!(r.wait(), None);
-        r.class = Some(StartClass::Cold);
-        r.started = TimePoint::from_millis(25);
-        assert_eq!(r.wait(), Some(TimeDelta::from_millis(15)));
-    }
-
-    #[test]
     fn info_copies_identity() {
         let r = RequestState {
             func: FunctionId(3),
@@ -90,6 +69,7 @@ mod tests {
             class: None,
             finished: false,
             started: TimePoint::ZERO,
+            container: ContainerId(0),
             record: 0,
         };
         let info = r.info(RequestId(7));

@@ -1,5 +1,5 @@
 //! Edge cases of the policy-facing cluster queries that the indexed
-//! refactor must not disturb: `oracle_earliest_free` and the
+//! refactor must not disturb: the earliest of `oracle_free_times` and the
 //! saturated-container views, across dead workers, provisioning-only
 //! functions, and the exact saturation boundary — and the two views
 //! of the hashed container table whose order is observable, with the
@@ -41,7 +41,7 @@ fn oracle_earliest_free_is_none_for_provisioning_only_function() {
     let _pending = cl.begin_provision(FunctionId(0), WorkerId(0), TimePoint::ZERO, false);
     let busy = HashMap::new();
     let ctx = PolicyCtx::new(TimePoint::from_secs(1), &cl, &busy);
-    assert_eq!(ctx.oracle_earliest_free(FunctionId(0)), None);
+    assert_eq!(ctx.oracle_free_times(FunctionId(0)).first(), None);
     assert_eq!(ctx.saturated_count(FunctionId(0)), 0);
 }
 
@@ -60,7 +60,7 @@ fn oracle_earliest_free_picks_global_minimum_across_containers() {
     busy.insert(b, vec![TimePoint::from_millis(700)]);
     let ctx = PolicyCtx::new(TimePoint::from_millis(100), &cl, &busy);
     assert_eq!(
-        ctx.oracle_earliest_free(FunctionId(0)),
+        ctx.oracle_free_times(FunctionId(0)).first().copied(),
         Some(TimePoint::from_millis(400))
     );
 }
@@ -85,7 +85,7 @@ fn dead_workers_drop_out_of_oracle_and_saturation_views() {
     let ctx = PolicyCtx::new(TimePoint::from_millis(100), &cl, &busy);
     // The dead worker's container (and its earlier free time) is gone.
     assert_eq!(
-        ctx.oracle_earliest_free(FunctionId(0)),
+        ctx.oracle_free_times(FunctionId(0)).first().copied(),
         Some(TimePoint::from_millis(800))
     );
     let saturated: Vec<ContainerId> = ctx.saturated_iter(FunctionId(0)).map(|c| c.id).collect();

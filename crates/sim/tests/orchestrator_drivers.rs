@@ -146,7 +146,8 @@ fn arb_config(g: &mut Gen) -> SimConfig {
 /// Asserts, after every step: the structural invariants, and that
 /// `busy_until` holds exactly the expected ends of the executions still
 /// running — never one of a finished request. Asserts at the end:
-/// termination, request conservation, ledger conservation.
+/// termination, request conservation, ledger conservation. Returns the
+/// number of steps and the report.
 fn drive_late(
     label: &str,
     trace: &Trace,
@@ -155,7 +156,7 @@ fn drive_late(
     late: &mut Rng,
     max_late: u64,
     measured: bool,
-) {
+) -> (u64, SimReport) {
     let mut late = |at: TimePoint| at + TimeDelta::from_micros(late.u64_below(max_late + 1));
     let mut core = Orchestrator::new(
         trace.functions().iter().cloned(),
@@ -179,8 +180,10 @@ fn drive_late(
     // The cluster's used memory, integrated between steps (MB·µs): the
     // reference the ledger is held to.
     let (mut used, mut used_since, mut mb_us) = (0, TimePoint::ZERO, 0u128);
+    let mut steps = 0;
     while core.incomplete() > 0 {
         let (now, ev) = events.pop().expect("the tick chain outlives the requests");
+        steps += 1;
         if let Event::ExecDone(cid, rid) = ev {
             if let Some(runs) = running.get_mut(&cid) {
                 runs.retain(|&(r, _)| r != rid);
@@ -270,6 +273,7 @@ fn drive_late(
     );
     assert!(report.ledger.idle_mb_us <= report.ledger.keep_warm_mb_us);
     assert!(report.ledger.dispatches >= report.requests.len() as u64);
+    (steps, report)
 }
 
 #[test]
@@ -286,6 +290,42 @@ fn late_clock_driver_terminates_and_conserves() {
             drive_late(label, &trace, &config, stack, &mut late, max_late, measured);
         }
     });
+}
+
+/// The late-clock driver over a long faulted replay: provision failures,
+/// stragglers and a crash of two of four workers, under the racing
+/// stack, whose speculative provisions fail too. Release builds (the
+/// run `ci.sh` makes of this file) step it millions of times with every
+/// invariant checked after each step; debug builds run a short slice.
+#[test]
+fn a_long_faulted_replay_keeps_every_invariant() {
+    // About 2.4 steps per request.
+    let (minutes, floor) = if cfg!(debug_assertions) {
+        (6, 20_000)
+    } else {
+        (420, 2_000_000)
+    };
+    let trace = faas_trace::gen::azure(40)
+        .functions(32)
+        .minutes(minutes)
+        .build();
+    let span = TimeDelta::from_minutes(minutes).as_micros();
+    let mut plan = FaultPlan::none()
+        .seed(40)
+        .provision_failures(0.1)
+        .stragglers(0.1, 1.5, 8.0)
+        .retry_backoff(TimeDelta::from_millis(20), TimeDelta::from_secs(2));
+    for (worker, thirds) in [(WorkerId(0), 1), (WorkerId(1), 2)] {
+        plan = plan.crash_worker(TimePoint::from_micros(span * thirds / 3), worker);
+    }
+    // 32 functions of ~325 MB on average on 8 GB, then on 4 GB.
+    let config = SimConfig::default().uniform_workers(4, 2_048).faults(plan);
+    let race = PolicyStack::new(Box::new(LruKeepAlive), Box::new(AlwaysRace));
+    let mut late = Rng::seed_from_u64(40);
+    let (steps, report) = drive_late("soak", &trace, &config, race, &mut late, 20_000, false);
+    assert!(steps >= floor, "soak: {steps} steps, fewer than {floor}");
+    assert!(report.provision_failures > 0 && report.crash_evictions > 0);
+    assert!(report.containers_evicted > 0);
 }
 
 /// One input of the core: a step, or the idle-tick retry a driver that
