@@ -130,12 +130,23 @@ fi
 echo "== guard: fault state is kept once =="
 # DESIGN.md §4: a failed provision carries its attempt on its event,
 # chains in retry backoff are a per-function count beside provisioning
-# (FnRuntime::retrying), and a crash finds the executions it kills in
+# (FnRuntime::unplaced), and a crash finds the executions it kills in
 # the request window. Fault-free and faulted runs take one code path:
 # no side table beside the state, and no switch between the two.
 if grep -nE 'fault_active|self\.(attempts|retrying|running)\b|running: *BTreeMap' \
   crates/sim/src/orchestrator.rs; then
   echo "crates/sim/src/orchestrator.rs: fault state is kept twice again; keep it on the event, FnRuntime or RequestState" >&2
+  exit 1
+fi
+
+echo "== guard: deferrals are counted once =="
+# DESIGN.md §4: a provision chain without a container, in retry backoff
+# or in the deferral queue, counts once in FnRuntime::unplaced, so
+# repair_cold_only reads counts. Scanning the cluster-wide queue there
+# made a request left of Fig. 12's cliff cost 44x one at a warm cache.
+if awk '/fn repair_cold_only/ { body = 1 } body { print FILENAME ":" FNR ": " $0 } body && /^    }$/ { exit }' \
+  crates/sim/src/orchestrator.rs | grep 'self\.deferred'; then
+  echo "crates/sim/src/orchestrator.rs: repair_cold_only scans the deferral queue; read FnRuntime::unplaced" >&2
   exit 1
 fi
 

@@ -3,7 +3,12 @@
 //! failing exit unless the first is at least [`MIN_SPEEDUP`] times the
 //! second. A third lane replays the same scenario under CIDRE, whose
 //! volatile priorities rebuild each REPLACE round from the idle lists.
-//! Replay rates at the paper's scale are `benchmark/`'s job.
+//!
+//! Two more lanes replay one paper-scale trace left of Fig. 12's cliff,
+//! where almost every request waits for a provision, and at a cache that
+//! never evicts; the run fails unless the first costs at most
+//! [`MAX_THRASH_RATIO`] times the second per request. Replay rates at
+//! the paper's scale are otherwise `benchmark/`'s job.
 
 use std::hint::black_box;
 use std::process::ExitCode;
@@ -17,6 +22,12 @@ use faas_trace::gen;
 /// Minimum indexed-over-reference speedup. Both medians come from this
 /// process, back to back; runs on the gate host gave 5.4x to 6.5x.
 const MIN_SPEEDUP: f64 = 2.0;
+
+/// Maximum thrash-over-warm cost per request. On the gate host, a scan
+/// of the cluster-wide deferral queue per finished provision made it
+/// 44x; with each function's deferred chains counted instead, six
+/// smoke runs gave 2.1x to 3.0x.
+const MAX_THRASH_RATIO: f64 = 8.0;
 
 fn main() -> ExitCode {
     let mut h = Harness::new("sim_throughput");
@@ -52,7 +63,30 @@ fn main() -> ExitCode {
         black_box(run(&trace, &config, cidre_stack(CidreConfig::default())));
     });
 
-    // A name filter that selects one lane of the pair skips the check.
+    // FaasCache on ten minutes of the paper's Azure workload: at 80 GB
+    // the backlog of deferred provisions runs deep (the thrash regime:
+    // 194k evictions for 198k requests), at 1 600 GB nothing is evicted.
+    // Same requests, so the ratio of the medians is their ratio per
+    // request.
+    let paper = gen::azure(42).functions(330).minutes(10).build();
+    let thrash_config = SimConfig::with_cache_gb(80);
+    let warm_config = SimConfig::with_cache_gb(1_600);
+    assert_eq!(
+        run(&paper, &warm_config, faascache_stack()).containers_evicted,
+        0,
+        "replay/thrash_warm must not evict"
+    );
+    h.throughput_elems(paper.len() as u64);
+    let thrash = h.bench("replay/thrash", || {
+        black_box(run(&paper, &thrash_config, faascache_stack()));
+    });
+    h.throughput_elems(paper.len() as u64);
+    let warm = h.bench("replay/thrash_warm", || {
+        black_box(run(&paper, &warm_config, faascache_stack()));
+    });
+
+    // A name filter that selects one lane of a pair skips its check.
+    let mut code = ExitCode::SUCCESS;
     if let (Some(indexed), Some(reference)) = (indexed, reference) {
         let speedup = reference.median_ns / indexed.median_ns;
         println!(
@@ -63,8 +97,21 @@ fn main() -> ExitCode {
         );
         if speedup < MIN_SPEEDUP {
             eprintln!("sim_throughput: the indexes no longer pay for themselves");
-            return ExitCode::FAILURE;
+            code = ExitCode::FAILURE;
         }
     }
-    ExitCode::SUCCESS
+    if let (Some(thrash), Some(warm)) = (thrash, warm) {
+        let ratio = thrash.median_ns / warm.median_ns;
+        println!(
+            "sim_throughput: thrash {:.0} ns vs warm {:.0} ns per request: \
+             {ratio:.2}x (limit {MAX_THRASH_RATIO}x)",
+            thrash.median_ns / paper.len() as f64,
+            warm.median_ns / paper.len() as f64
+        );
+        if ratio > MAX_THRASH_RATIO {
+            eprintln!("sim_throughput: a request costs more the deeper the deferral backlog");
+            code = ExitCode::FAILURE;
+        }
+    }
+    code
 }

@@ -93,8 +93,8 @@ mod tests {
 
     #[test]
     fn zero_rate_is_the_none_plan() {
-        assert!(plan_for(42, 0.0).is_none());
-        assert!(!plan_for(42, 0.1).is_none());
+        assert_eq!(plan_for(42, 0.0), FaultPlan::none());
+        assert_ne!(plan_for(42, 0.1), FaultPlan::none());
     }
 
     #[test]

@@ -314,14 +314,6 @@ where
         self.live.remove(&c).is_some()
     }
 
-    /// Re-key a still-live candidate after a policy hook dirtied its
-    /// priority. The old entry goes stale; a new one is pushed.
-    pub fn refresh(&mut self, c: C, priority: f64) {
-        if let Some(&(w, _)) = self.live.get(&c) {
-            self.enter(w, c, priority);
-        }
-    }
-
     /// Number of live candidates across all workers.
     pub fn len_live(&self) -> usize {
         self.live.len()
@@ -665,7 +657,7 @@ mod tests {
 
     #[test]
     fn eviction_index_compaction_never_changes_a_pop() {
-        // Random enter / leave / refresh / pop_min on a compacting index
+        // Random enter / leave / re-enter / pop_min on a compacting index
         // and on an uncompacted copy: every pop returns the same victim.
         // Fresh priorities only grow (the exactness contract), and many
         // more enters than pops, so compactions do happen.
@@ -692,11 +684,12 @@ mod tests {
                 }
                 8..=12 => assert_eq!(compacting.leave(c), plain.leave(c)),
                 13 | 14 => {
-                    // A hook dirtied the priority: upwards only.
+                    // A hook dirtied the priority, upwards only: a
+                    // tracked candidate re-enters on its own worker.
                     let p = prio.get(&c).copied().unwrap_or(0.0) + next(50) as f64;
                     prio.insert(c, p);
-                    compacting.refresh(c, p);
                     if let Some(&(lw, _)) = plain.live.get(&c) {
+                        compacting.enter(lw, c, p);
                         enter_uncompacted(&mut plain, lw, c, p);
                     }
                 }

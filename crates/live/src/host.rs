@@ -62,7 +62,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use faas_obs::{NoopRecorder, Recorder, TraceLog};
+use faas_obs::NoopRecorder;
 use faas_sim::{ContainerId, Event, Orchestrator, PolicyStack, RequestId, SimReport, StartClass};
 use faas_trace::{FunctionId, FunctionProfile, TimeDelta, TimePoint};
 
@@ -120,7 +120,7 @@ pub struct FaasHost {
     tx: mpsc::Sender<Msg>,
     /// The host thread, which returns the run's report; `None` once
     /// joined.
-    thread: Option<JoinHandle<(SimReport, TraceLog)>>,
+    thread: Option<JoinHandle<SimReport>>,
 }
 
 impl std::fmt::Debug for FaasHost {
@@ -143,33 +143,6 @@ impl FaasHost {
         stack: PolicyStack,
         deployments: Vec<(FunctionProfile, Handler)>,
     ) -> Self {
-        Self::start_with(config, stack, deployments, NoopRecorder)
-    }
-
-    /// Like [`FaasHost::start`], but with provenance recording enabled:
-    /// [`FaasHost::shutdown_traced`] returns the accumulated
-    /// [`TraceLog`] alongside the report. Event timestamps are virtual
-    /// times derived from the wall clock, so the stream varies run to
-    /// run (live tracing inspects one real execution, it is not a
-    /// determinism oracle).
-    ///
-    /// # Panics
-    ///
-    /// As [`FaasHost::start`].
-    pub fn start_traced(
-        config: LiveConfig,
-        stack: PolicyStack,
-        deployments: Vec<(FunctionProfile, Handler)>,
-    ) -> Self {
-        Self::start_with(config, stack, deployments, TraceLog::default())
-    }
-
-    fn start_with<R: Recorder + Send + 'static>(
-        config: LiveConfig,
-        stack: PolicyStack,
-        deployments: Vec<(FunctionProfile, Handler)>,
-        rec: R,
-    ) -> Self {
         config.validate();
         assert!(
             config.sim.faults.worker_crashes.is_empty(),
@@ -186,7 +159,7 @@ impl FaasHost {
             );
             profiles.push(profile);
         }
-        let core = Orchestrator::new(profiles, &config.sim, stack, rec);
+        let core = Orchestrator::new(profiles, &config.sim, stack, NoopRecorder);
         let (tx, rx) = mpsc::channel();
         let io = Dispatcher {
             handlers,
@@ -227,25 +200,14 @@ impl FaasHost {
     /// Re-raises a panic of the host thread itself, a bug in the host. A
     /// handler's panic is its request's outcome (see
     /// [`InvokeHandle::wait`]), not a panic here.
-    pub fn shutdown(self) -> SimReport {
-        self.shutdown_traced().0
-    }
-
-    /// Like [`FaasHost::shutdown`], additionally returning the
-    /// provenance [`TraceLog`] — empty unless the host was started with
-    /// [`FaasHost::start_traced`].
-    ///
-    /// # Panics
-    ///
-    /// As [`FaasHost::shutdown`].
-    pub fn shutdown_traced(mut self) -> (SimReport, TraceLog) {
+    pub fn shutdown(mut self) -> SimReport {
         let joined = self.stop().expect("the host thread is joined once");
         joined.unwrap_or_else(|payload| resume_unwind(payload))
     }
 
     /// Asks the loop to drain and stop, and joins its thread; `None` if
     /// it was already joined.
-    fn stop(&mut self) -> Option<std::thread::Result<(SimReport, TraceLog)>> {
+    fn stop(&mut self) -> Option<std::thread::Result<SimReport>> {
         let thread = self.thread.take()?;
         let _ = self.tx.send(Msg::Shutdown);
         Some(thread.join())
@@ -351,12 +313,12 @@ fn next(timers: &mut DeadlineHeap<(TimePoint, Event)>, rx: &mpsc::Receiver<Msg>)
 /// shared by every container of its function, so the container holds
 /// nothing the panic broke; evicting it would only charge a later
 /// request a cold start. The caller hears of it by its dropped reply.
-fn serve<R: Recorder>(
-    mut core: Orchestrator<R>,
+fn serve(
+    mut core: Orchestrator<NoopRecorder>,
     mut io: Dispatcher,
     rx: &mpsc::Receiver<Msg>,
     tick: TimeDelta,
-) -> (SimReport, TraceLog) {
+) -> SimReport {
     let mut stopping = false;
     io.deliver(TimePoint::ZERO + tick, Event::Tick);
     while let Some(woke) = next(&mut io.timers, rx) {
@@ -425,7 +387,7 @@ fn serve<R: Recorder>(
     if let Some(payload) = io.pool.shutdown() {
         resume_unwind(payload);
     }
-    core.finish()
+    core.finish().0
 }
 
 #[cfg(test)]

@@ -130,39 +130,6 @@ fn cold_waits_cover_provisioning_latency() {
 }
 
 #[test]
-fn traced_host_records_provenance() {
-    use faas_obs::ObsEvent;
-    let _guard = LIVE_HOST.lock().expect("live-host lock");
-    let host = FaasHost::start_traced(
-        LiveConfig::default().time_scale(0.01),
-        baseline_lru_stack(),
-        vec![(profile(0, 100), sum_handler())],
-    );
-    host.invoke(FunctionId(0), vec![1]).wait().expect("served");
-    host.invoke(FunctionId(0), vec![2]).wait().expect("served");
-    let (report, log) = host.shutdown_traced();
-    assert_eq!(report.requests.len(), 2);
-    let count = |pred: fn(&ObsEvent) -> bool| log.events().iter().filter(|e| pred(e)).count();
-    assert_eq!(count(|e| matches!(e, ObsEvent::Start { .. })), 2);
-    assert_eq!(count(|e| matches!(e, ObsEvent::Finish { .. })), 2);
-    // The cold start left admission + provisioning provenance.
-    assert!(count(|e| matches!(e, ObsEvent::Admit { .. })) >= 1);
-    assert_eq!(count(|e| matches!(e, ObsEvent::ProvisionBegin { .. })), 1);
-    // The untraced host returns an empty log from the same path.
-    let untraced = FaasHost::start(
-        LiveConfig::default().time_scale(0.01),
-        baseline_lru_stack(),
-        vec![(profile(0, 100), sum_handler())],
-    );
-    untraced
-        .invoke(FunctionId(0), vec![1])
-        .wait()
-        .expect("served");
-    let (_, empty) = untraced.shutdown_traced();
-    assert!(empty.is_empty());
-}
-
-#[test]
 fn concurrent_invocations_fan_out() {
     let _guard = LIVE_HOST.lock().expect("live-host lock");
     let host = FaasHost::start(

@@ -90,14 +90,6 @@ impl RainbowCakeKeepAlive {
         )
     }
 
-    /// Number of live cached user layers for `func` at `now`.
-    pub fn cached_user_layers(&self, func: FunctionId, now: TimePoint) -> usize {
-        self.user_layers
-            .get(&func)
-            .map(|v| v.iter().filter(|&&e| e > now).count())
-            .unwrap_or(0)
-    }
-
     fn take_layer(pool: &mut Vec<TimePoint>, now: TimePoint) -> bool {
         pool.retain(|&e| e > now);
         pool.pop().is_some()
@@ -254,22 +246,21 @@ mod tests {
 
     #[test]
     fn layers_expire() {
+        // The user layer lives 60 s and the language layer 3 min: a cold
+        // start after each TTL falls back one layer, then to a full one.
         let mut cl = harness();
         let busy = Map::new();
-        let mut rc = RainbowCakeKeepAlive::paper_default();
         let info = evicted_info(&mut cl, 0);
-        rc.on_evict(&info, &PolicyCtx::new(TimePoint::ZERO, &cl, &busy));
-        assert_eq!(
-            rc.cached_user_layers(FunctionId(0), TimePoint::from_secs(10)),
-            1
-        );
-        // After 10 minutes both layer TTLs (3 and 8 min) are exceeded.
-        let ctx = PolicyCtx::new(TimePoint::from_secs(600), &cl, &busy);
-        assert_eq!(rc.provision_latency(FunctionId(0), &ctx), None);
-        assert_eq!(
-            rc.cached_user_layers(FunctionId(0), TimePoint::from_secs(600)),
-            0
-        );
+        for (secs, want) in [(59, Some(450)), (61, Some(750)), (181, None)] {
+            let mut rc = RainbowCakeKeepAlive::paper_default();
+            rc.on_evict(&info, &PolicyCtx::new(TimePoint::ZERO, &cl, &busy));
+            let ctx = PolicyCtx::new(TimePoint::from_secs(secs), &cl, &busy);
+            assert_eq!(
+                rc.provision_latency(FunctionId(0), &ctx),
+                want.map(TimeDelta::from_millis),
+                "cold start at {secs} s"
+            );
+        }
     }
 
     #[test]

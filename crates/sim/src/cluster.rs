@@ -98,9 +98,11 @@ pub struct FnRuntime {
     /// Number of containers currently provisioning (which ones is in
     /// the container table; only the count is ever asked for).
     pub provisioning: u32,
-    /// Number of this function's provision chains in retry backoff: a
-    /// provision failed and its `RetryProvision` has not fired yet.
-    pub retrying: u32,
+    /// Number of this function's provision chains that hold no
+    /// container: in retry backoff (a provision failed and its
+    /// `RetryProvision` has not fired yet) or waiting in the
+    /// orchestrator's deferral FIFO for a worker with room.
+    pub unplaced: u32,
     /// Warm containers with at least one free thread, sorted by
     /// `threads_in_use` so the scheduler's "most-loaded non-saturated
     /// container" pick is O(1). Beside the container's own

@@ -192,9 +192,9 @@ mod tests {
     #[test]
     fn default_faults_are_none() {
         let cfg = SimConfig::default();
-        assert!(cfg.faults.is_none());
+        assert_eq!(cfg.faults, FaultPlan::none());
         assert_eq!(cfg, SimConfig::default().faults(FaultPlan::none()));
         let faulty = SimConfig::default().faults(FaultPlan::none().provision_failures(0.1));
-        assert!(!faulty.faults.is_none());
+        assert_ne!(faulty.faults, FaultPlan::none());
     }
 }

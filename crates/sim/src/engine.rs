@@ -165,5 +165,7 @@ pub fn run_on_clock<R: Recorder>(
         0,
         "simulation drained events with unserved requests"
     );
+    #[cfg(debug_assertions)]
+    core.check_drained();
     core.finish()
 }

@@ -41,7 +41,7 @@ use crate::ids::WorkerId;
 ///     .provision_failures(0.1)
 ///     .stragglers(0.05, 1.5, 20.0)
 ///     .crash_worker(TimePoint::from_secs(30), faas_sim::WorkerId(0));
-/// assert!(!plan.is_none());
+/// assert_ne!(plan, FaultPlan::none());
 /// assert_eq!(FaultPlan::none().backoff(3), TimeDelta::from_millis(400));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -89,11 +89,6 @@ impl FaultPlan {
             straggler_alpha: 1.5,
             straggler_cap: 20.0,
         }
-    }
-
-    /// Whether this plan injects no faults at all.
-    pub fn is_none(&self) -> bool {
-        self.provision_fail_p == 0.0 && self.straggler_p == 0.0 && self.worker_crashes.is_empty()
     }
 
     /// Sets the fault RNG seed.
@@ -239,7 +234,6 @@ mod tests {
     #[test]
     fn none_is_default_and_faultless() {
         assert_eq!(FaultPlan::default(), FaultPlan::none());
-        assert!(FaultPlan::none().is_none());
         let mut st = FaultState::new(FaultPlan::none());
         for _ in 0..100 {
             assert!(!st.provision_fails());
@@ -249,11 +243,14 @@ mod tests {
 
     #[test]
     fn builders_mark_plan_faulty() {
-        assert!(!FaultPlan::none().provision_failures(0.1).is_none());
-        assert!(!FaultPlan::none().stragglers(0.1, 1.5, 20.0).is_none());
-        assert!(!FaultPlan::none()
-            .crash_worker(TimePoint::from_secs(1), WorkerId(0))
-            .is_none());
+        let none = FaultPlan::none;
+        assert_eq!(none().provision_failures(0.1).provision_fail_p, 0.1);
+        assert_eq!(none().stragglers(0.1, 1.5, 20.0).straggler_p, 0.1);
+        let crash = (TimePoint::from_secs(1), WorkerId(0));
+        assert_eq!(
+            none().crash_worker(crash.0, crash.1).worker_crashes,
+            vec![crash]
+        );
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! boxing, no per-step buffer.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use faas_core::{EvictionIndex, IdBuildHasher, RoundHeap};
 use faas_obs::{EvictReason, ObsEvent, Recorder, TraceLog};
@@ -134,6 +134,9 @@ pub struct Orchestrator<R: Recorder> {
     /// next turns busy: an entry exists exactly while its container is
     /// busy, so without these every warm start would allocate one.
     spare_ends: Vec<Vec<TimePoint>>,
+    /// Provisions no worker could host, `(func, speculative, attempt)`
+    /// in the order they were deferred; each also counts in its
+    /// function's `FnRuntime::unplaced`.
     deferred: VecDeque<(FunctionId, bool, u32)>,
     policies: PolicyStack,
     /// Time of the step being processed (of the last one, between steps).
@@ -294,8 +297,12 @@ impl<R: Recorder> Orchestrator<R> {
     }
 
     /// Asserts the structural invariants (memory accounting, request
-    /// conservation — see [`crate::InvariantChecker`]). Debug builds run
-    /// this after every step.
+    /// conservation — see [`crate::InvariantChecker`]) and, in debug
+    /// builds, that each function's
+    /// [`FnRuntime::unplaced`](crate::FnRuntime::unplaced) counts at
+    /// least its deferred provisions: a recount of the deferral queue,
+    /// which in a release soak that calls this after every step holds
+    /// thousands of entries. Debug builds run this after every step.
     ///
     /// # Panics
     ///
@@ -303,6 +310,51 @@ impl<R: Recorder> Orchestrator<R> {
     /// cluster bookkeeping).
     pub fn check_invariants(&self) {
         crate::invariant::InvariantChecker::check(&self.cluster, self.arrived, self.records.len());
+        #[cfg(debug_assertions)]
+        for (func, deferred) in self.deferred_per_function() {
+            let unplaced = self.unplaced(func);
+            assert!(
+                unplaced >= deferred,
+                "{func}: {unplaced} unplaced chains, {deferred} of them deferred"
+            );
+        }
+    }
+
+    /// Asserts, once the driver's queue has drained, that every chain
+    /// without a container is a deferred provision: with no
+    /// `RetryProvision` left to fire, each function's
+    /// [`FnRuntime::unplaced`](crate::FnRuntime::unplaced) equals its
+    /// entries in the deferral queue.
+    ///
+    /// # Panics
+    ///
+    /// Panics if some function's count differs.
+    pub fn check_drained(&self) {
+        let deferred = self.deferred_per_function();
+        for &func in self.cluster.function_ids() {
+            let queued = deferred.get(&func).copied().unwrap_or(0);
+            assert_eq!(
+                self.unplaced(func),
+                queued,
+                "{func}: unplaced chains against deferred provisions, nothing else in flight"
+            );
+        }
+    }
+
+    fn unplaced(&self, func: FunctionId) -> usize {
+        self.cluster
+            .fn_runtime(func)
+            .map_or(0, |rt| rt.unplaced as usize)
+    }
+
+    /// Entries of the deferral queue per function: a scan, for the
+    /// checks above only.
+    fn deferred_per_function(&self) -> BTreeMap<FunctionId, usize> {
+        let mut per = BTreeMap::new();
+        for &(func, _, _) in &self.deferred {
+            *per.entry(func).or_default() += 1;
+        }
+        per
     }
 
     /// Fills in the execution time of a request admitted with
@@ -483,10 +535,11 @@ impl<R: Recorder> Orchestrator<R> {
     /// rather than the cold-only waiter the chain was started for.
     /// Cold-only entries can only ever be popped by a future
     /// `ProvisionDone` — `pop_flexible` skips them — so if the chains
-    /// still outstanding (provisioning containers, retries in backoff,
-    /// deferred placements) no longer cover the cold-only backlog,
-    /// start a fresh one. Without this the waiter is stranded and only
-    /// the tick chain remains (the liveness assert in `on_tick`).
+    /// still outstanding (provisioning containers, and chains without a
+    /// container: retries in backoff, deferred placements) no longer
+    /// cover the cold-only backlog, start a fresh one. Without this the
+    /// waiter is stranded and only the tick chain remains (the liveness
+    /// assert in `on_tick`).
     fn repair_cold_only(&mut self, func: FunctionId, out: &mut impl FnMut(TimePoint, Event)) {
         let Some(rt) = self.cluster.fn_runtime(func) else {
             return;
@@ -495,10 +548,8 @@ impl<R: Recorder> Orchestrator<R> {
         if cold_only == 0 {
             return;
         }
-        let chains = rt.provisioning as usize
-            + rt.retrying as usize
-            + self.deferred.iter().filter(|&&(f, _, _)| f == func).count();
-        for _ in chains..cold_only {
+        let chains = rt.provisioning + rt.unplaced;
+        for _ in chains as usize..cold_only {
             self.request_provision(func, false, 0, out);
         }
     }
@@ -654,7 +705,7 @@ impl<R: Recorder> Orchestrator<R> {
             self.now + backoff,
             Event::RetryProvision(func, next, speculative),
         );
-        self.cluster.fn_runtime_mut(func).retrying += 1;
+        self.cluster.fn_runtime_mut(func).unplaced += 1;
         // The failure released memory a deferred provision may want.
         self.retry_deferred(out);
     }
@@ -671,7 +722,7 @@ impl<R: Recorder> Orchestrator<R> {
         out: &mut impl FnMut(TimePoint, Event),
     ) {
         let rt = self.cluster.fn_runtime_mut(func);
-        rt.retrying -= 1;
+        rt.unplaced -= 1;
         if !rt.pending.is_empty() {
             self.request_provision(func, speculative, attempt, out);
         }
@@ -746,9 +797,10 @@ impl<R: Recorder> Orchestrator<R> {
         affected.dedup();
         // Repair provisioning for affected functions: cold-only waiters
         // can only be served by a future ProvisionDone, and refugees may
-        // have nothing left to wait for. (Retry chains in backoff,
-        // `rt.retrying`, are not counted, so this may over-provision — a
-        // progress-over-parsimony tradeoff on the failure path.)
+        // have nothing left to wait for. (Chains without a container,
+        // `rt.unplaced` — in backoff or deferred — are not counted, so
+        // this may over-provision: a progress-over-parsimony tradeoff on
+        // the failure path.)
         for func in affected {
             let Some(rt) = self.cluster.fn_runtime(func) else {
                 continue;
@@ -969,6 +1021,7 @@ impl<R: Recorder> Orchestrator<R> {
             }
         );
         self.deferred.push_back((func, speculative, attempt));
+        self.cluster.fn_runtime_mut(func).unplaced += 1;
     }
 
     /// Pops the next victim off `worker`'s lazy-deletion heap,
@@ -1145,6 +1198,7 @@ impl<R: Recorder> Orchestrator<R> {
                 break;
             }
             self.deferred.pop_front();
+            self.cluster.fn_runtime_mut(func).unplaced -= 1;
             self.request_provision(func, speculative, attempt, out);
         }
     }

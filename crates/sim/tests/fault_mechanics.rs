@@ -389,3 +389,56 @@ fn cold_only_waiter_survives_refugees_stealing_its_provision() {
     let report = run(&trace, &config, stack);
     assert_eq!(report.requests.len(), 4, "every request must complete");
 }
+
+/// A cold-only backlog of two whose second chain waits in the deferral
+/// queue: when the first chain's container comes up and serves the head
+/// of the queue, `repair_cold_only` must count the deferred chain as
+/// covering the waiter behind it. Counting only provisioning containers
+/// and retries in backoff would defer a redundant chain for that waiter,
+/// and once memory frees it provisions a third `f` container for nobody.
+#[test]
+fn a_deferred_chain_covers_the_cold_only_waiter_behind_it() {
+    use faas_obs::ObsEvent;
+    use faas_sim::{AlwaysCold, LruKeepAlive, PolicyStack};
+    let profiles = vec![
+        FunctionProfile::new(FunctionId(0), "g", 400, TimeDelta::from_millis(100)),
+        FunctionProfile::new(FunctionId(1), "f", 400, TimeDelta::from_millis(100)),
+    ];
+    let iv = |f: u32, at_ms: u64, exec_ms: u64| Invocation {
+        func: FunctionId(f),
+        arrival: TimePoint::from_millis(at_ms),
+        exec: TimeDelta::from_millis(exec_ms),
+    };
+    let invocations = vec![
+        iv(0, 0, 10_000), // g holds 400 of the 1 000 MB throughout
+        iv(1, 1, 50),     // f's first chain provisions: 800 MB in use
+        iv(1, 2, 50),     // cold-only; f's second chain defers (no room)
+    ];
+    let trace = Trace::new(profiles, invocations).expect("valid");
+    let config = SimConfig::default().workers_mb(vec![1_000]);
+    let stack = PolicyStack::new(Box::new(LruKeepAlive), Box::new(AlwaysCold));
+    let (report, log) = run_traced(&trace, &config, stack);
+    assert_eq!(report.requests.len(), 3);
+    let f = FunctionId(1);
+    let count = |of: fn(&ObsEvent) -> Option<FunctionId>| {
+        log.events().iter().filter(|e| of(e) == Some(f)).count()
+    };
+    assert_eq!(
+        count(|e| match e {
+            ObsEvent::Defer { func, .. } => Some(*func),
+            _ => None,
+        }),
+        1,
+        "only the second chain defers"
+    );
+    // One provision per cold-only request: the deferred chain starts the
+    // second when f's first container idles and can be replaced.
+    assert_eq!(
+        count(|e| match e {
+            ObsEvent::ProvisionBegin { func, .. } => Some(*func),
+            _ => None,
+        }),
+        2
+    );
+    assert_eq!(report.count(StartClass::Cold), 3);
+}

@@ -145,9 +145,9 @@ fn arb_config(g: &mut Gen) -> SimConfig {
 ///
 /// Asserts, after every step: the structural invariants, and that
 /// `busy_until` holds exactly the expected ends of the executions still
-/// running — never one of a finished request. Asserts at the end:
-/// termination, request conservation, ledger conservation. Returns the
-/// number of steps and the report.
+/// running — never one of a finished request. Asserts once the queue
+/// has drained: termination, unplaced chains, request conservation,
+/// ledger conservation. Returns the number of steps and the report.
 fn drive_late(
     label: &str,
     trace: &Trace,
@@ -181,8 +181,10 @@ fn drive_late(
     // reference the ledger is held to.
     let (mut used, mut used_since, mut mb_us) = (0, TimePoint::ZERO, 0u128);
     let mut steps = 0;
-    while core.incomplete() > 0 {
-        let (now, ev) = events.pop().expect("the tick chain outlives the requests");
+    // Past the last request, what is still scheduled (retries, deferred
+    // and speculative provisions, crashes) is stepped until the queue is
+    // empty: the tick chain is re-armed only while requests are unserved.
+    while let Some((now, ev)) = events.pop() {
         steps += 1;
         if let Event::ExecDone(cid, rid) = ev {
             if let Some(runs) = running.get_mut(&cid) {
@@ -247,10 +249,12 @@ fn drive_late(
             "{label}: busy_until after {ev:?} at {now:?}"
         );
     }
+    assert_eq!(core.incomplete(), 0, "{label}: the tick chain ended early");
     assert!(
         core.busy_until().is_empty(),
         "{label}: ends outlive the run"
     );
+    core.check_drained();
 
     let (report, _) = core.finish();
     assert_eq!(report.requests.len(), trace.len(), "{label}: conservation");
@@ -373,6 +377,7 @@ fn reference_run(
             events.push(now + config.tick, Event::Tick);
         }
     }
+    core.check_drained();
     let (report, obs) = core.finish();
     (report, obs, log)
 }
