@@ -150,6 +150,22 @@ if awk '/fn repair_cold_only/ { body = 1 } body { print FILENAME ":" FNR ": " $0
   exit 1
 fi
 
+echo "== guard: placement is decided once =="
+# DESIGN.md §4: `place` is the one `pick_worker` call in the core, so a
+# stateful placement (RoundRobin's cursor) moves once per placement; a
+# pre-check beside it skewed the placement ablation. Deferred
+# provisions are the core's alone: every event that can make room
+# retries them, and no driver does.
+picks=$(grep -c 'pick_worker(' crates/sim/src/orchestrator.rs || true)
+if [ "$picks" -ne 1 ]; then
+  echo "crates/sim/src/orchestrator.rs calls pick_worker $picks times; place a provision with one call" >&2
+  exit 1
+fi
+if grep -rn 'retry_deferred' crates/sim/src/engine.rs crates/live/src; then
+  echo "a driver retries deferred provisions; the core does that on every event that frees room" >&2
+  exit 1
+fi
+
 echo "== guard: memory is accounted once =="
 # DESIGN.md §11: memory held over time is the cost ledger's, exact in
 # MB·µs. The sampled series beside it and the switch that turned it off

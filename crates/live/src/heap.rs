@@ -82,6 +82,7 @@ impl<T> DeadlineHeap<T> {
         self.heap.peek().map(|e| e.deadline)
     }
 
+    #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }

@@ -168,7 +168,6 @@ impl FaasHost {
             clock: WallClock::start(config.time_scale),
             timers: DeadlineHeap::new(),
             flights: HashMap::new(),
-            running: 0,
         };
         let tick = config.sim.tick;
         let thread = std::thread::Builder::new()
@@ -240,8 +239,6 @@ struct Dispatcher {
     /// Timed events with the simulated time each is due at.
     timers: DeadlineHeap<(TimePoint, Event)>,
     flights: HashMap<RequestId, Flight>,
-    /// Handlers out on the blocking pool.
-    running: usize,
 }
 
 impl Dispatcher {
@@ -255,7 +252,6 @@ impl Dispatcher {
         let payload = std::mem::take(&mut flight.payload);
         let handler = Arc::clone(&self.handlers[&flight.func]);
         let done = self.tx.clone();
-        self.running += 1;
         // One pool thread per *running* invocation, reused across
         // bursts. A handler's panic stops here: it returns like any
         // handler, with no output.
@@ -347,18 +343,10 @@ fn serve(
             Next::Due(_, event) => {
                 core.step(now, event, &mut |at, ev| io.deliver(at, ev));
                 if event == Event::Tick {
-                    if core.incomplete() > 0 && io.timers.is_empty() && io.running == 0 {
-                        // As in the simulator's loop: the tick chain is
-                        // all that is left and no handler can return,
-                        // so deferred placements are the last possible
-                        // source of progress.
-                        core.retry_deferred(&mut |at, ev| io.deliver(at, ev));
-                    }
                     io.deliver(now + tick, Event::Tick);
                 }
             }
             Next::Message(Msg::Returned(cid, rid, output, real_exec)) => {
-                io.running -= 1;
                 // Record in simulated units: the measured wall time
                 // mapped back through the compression factor.
                 let record = core

@@ -261,6 +261,30 @@ impl ClusterState {
         u128::from(mem_mb) * u128::from(now.saturating_since(from).as_micros())
     }
 
+    /// Closes `c`'s open ledger windows at `now`, per its state: cold
+    /// start from `created_at` while it provisions; once warm, keep-warm
+    /// from `warm_at`, idle from `idle_from` when no thread is busy, and
+    /// speculative waste from `created_at` for a racer that never
+    /// served. Returns whether `c` was such an unused warm racer.
+    fn close_windows(ledger: &mut CostLedger, c: &Container, now: TimePoint) -> bool {
+        match c.state {
+            ContainerState::Provisioning => {
+                ledger.cold_start_mb_us += Self::residency(c.mem_mb, c.created_at, now);
+                false
+            }
+            ContainerState::Warm => {
+                ledger.keep_warm_mb_us += Self::residency(c.mem_mb, c.warm_at, now);
+                if c.threads_in_use == 0 {
+                    ledger.idle_mb_us += Self::residency(c.mem_mb, c.idle_from, now);
+                }
+                if c.speculative_unused {
+                    ledger.speculative_mb_us += Self::residency(c.mem_mb, c.created_at, now);
+                }
+                c.speculative_unused
+            }
+        }
+    }
+
     /// Advances the ledger's settlement high-water mark.
     fn touch_ledger(&mut self, now: TimePoint) {
         self.ledger_hwm = self.ledger_hwm.max(now);
@@ -291,20 +315,7 @@ impl ClusterState {
             reason = "integer sums per cost class; iteration order is moot"
         )]
         for c in self.containers.values() {
-            match c.state {
-                ContainerState::Provisioning => {
-                    ledger.cold_start_mb_us += Self::residency(c.mem_mb, c.created_at, end);
-                }
-                ContainerState::Warm => {
-                    ledger.keep_warm_mb_us += Self::residency(c.mem_mb, c.warm_at, end);
-                    if c.threads_in_use == 0 {
-                        ledger.idle_mb_us += Self::residency(c.mem_mb, c.idle_from, end);
-                    }
-                    if c.speculative_unused {
-                        ledger.speculative_mb_us += Self::residency(c.mem_mb, c.created_at, end);
-                    }
-                }
-            }
+            Self::close_windows(ledger, c, end);
         }
         end
     }
@@ -634,11 +645,8 @@ impl ClusterState {
             "evicting container with queued requests"
         );
         let info = ContainerInfo::from(&c);
-        self.ledger.keep_warm_mb_us += Self::residency(c.mem_mb, c.warm_at, now);
-        self.ledger.idle_mb_us += Self::residency(c.mem_mb, c.idle_from, now);
-        if c.speculative_unused {
+        if Self::close_windows(&mut self.ledger, &c, now) {
             self.wasted_cold_starts += 1;
-            self.ledger.speculative_mb_us += Self::residency(c.mem_mb, c.created_at, now);
         }
         self.touch_ledger(now);
         self.containers_evicted += 1;
@@ -729,23 +737,10 @@ impl ClusterState {
         let info = ContainerInfo::from(&c);
         let queued: Vec<RequestId> = c.local_queue.drain(..).collect();
         // Ledger: charge whichever lifecycle phase the crash interrupts
-        // (mid-provision residency goes to the cold-start class).
-        match c.state {
-            ContainerState::Provisioning => {
-                self.ledger.cold_start_mb_us += Self::residency(c.mem_mb, c.created_at, now);
-            }
-            ContainerState::Warm => {
-                self.ledger.keep_warm_mb_us += Self::residency(c.mem_mb, c.warm_at, now);
-                if c.threads_in_use == 0 {
-                    self.ledger.idle_mb_us += Self::residency(c.mem_mb, c.idle_from, now);
-                }
-            }
-        }
-        if c.state == ContainerState::Warm && c.speculative_unused {
+        // (mid-provision residency goes to the cold-start class; a crash
+        // says nothing about a still-provisioning racer's usefulness).
+        if Self::close_windows(&mut self.ledger, &c, now) {
             self.wasted_cold_starts += 1;
-            // Same warm-only rule as `wasted_cold_starts`: a crash says
-            // nothing about a still-provisioning racer's usefulness.
-            self.ledger.speculative_mb_us += Self::residency(c.mem_mb, c.created_at, now);
         }
         self.touch_ledger(now);
         self.containers_evicted += 1;

@@ -28,8 +28,9 @@
 //! Beyond the merge this driver owns two decisions: it re-arms
 //! [`Event::Tick`] while requests are unserved or still to arrive, and
 //! it knows when the tick chain is the only event left and no arrival
-//! remains — the one moment deferred placements need an explicit retry,
-//! and the one moment "no progress possible" can be asserted.
+//! remains — the one moment "no progress possible" can be asserted.
+//! Deferred placements are the core's alone: every event that can make
+//! room for one retries them, so a driver never does.
 
 use faas_obs::{NoopRecorder, Recorder, TraceLog};
 use faas_trace::{TimePoint, Trace};
@@ -144,19 +145,13 @@ pub fn run_on_clock<R: Recorder>(
         let now = clock(at);
         core.step(now, ev, &mut |at, ev| events.push(at, ev));
         if ev == Event::Tick && core.incomplete() + arrivals.len() as u64 > 0 {
-            if events.is_empty() && arrivals.is_empty() {
-                // The tick chain is all that's left: nothing in flight
-                // can complete and nothing will arrive, so deferred
-                // placements are the last possible source of progress
-                // (tick evictions may have freed room with no other
-                // event to notice it).
-                core.retry_deferred(&mut |at, ev| events.push(at, ev));
-                assert!(
-                    !events.is_empty(),
-                    "replay is stuck: {} unserved request(s) but no actionable events remain",
-                    core.incomplete()
-                );
-            }
+            // The tick chain alone, with nothing in flight to complete
+            // and nothing to arrive, never serves anyone.
+            assert!(
+                !(events.is_empty() && arrivals.is_empty()),
+                "replay is stuck: {} unserved request(s) but no actionable events remain",
+                core.incomplete()
+            );
             events.push(now + config.tick, Event::Tick);
         }
     }

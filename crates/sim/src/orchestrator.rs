@@ -643,11 +643,8 @@ impl<R: Recorder> Orchestrator<R> {
                     .on_tick(&ctx)
             };
             for func in wants {
-                let mem = self.cluster.profile(func).mem_mb;
                 // Prewarms are best-effort: skip rather than defer.
-                if self.cluster.pick_worker(mem).is_some() {
-                    self.request_provision(func, false, 0, out);
-                }
+                self.place(func, false, 0, out);
             }
         }
     }
@@ -914,10 +911,9 @@ impl<R: Recorder> Orchestrator<R> {
         }
     }
 
-    /// Provisions a container for `func`, evicting idle containers if
-    /// necessary, or defers when no worker can make room. `attempt` is
-    /// the retry attempt carried through fault-injected failures (0 for
-    /// first tries).
+    /// Provisions a container for `func`, or defers it when no worker
+    /// can make room. `attempt` is the retry attempt carried through
+    /// fault-injected failures (0 for first tries).
     fn request_provision(
         &mut self,
         func: FunctionId,
@@ -925,9 +921,26 @@ impl<R: Recorder> Orchestrator<R> {
         attempt: u32,
         out: &mut impl FnMut(TimePoint, Event),
     ) {
+        if !self.place(func, speculative, attempt, out) {
+            self.defer(func, speculative, attempt);
+        }
+    }
+
+    /// Provisions a container for `func` on the worker placement picks,
+    /// evicting idle containers there if necessary. Returns whether it
+    /// placed one: `false` when no worker can make room. This is the
+    /// one `pick_worker` call, so a stateful placement (`RoundRobin`'s
+    /// cursor) moves once per placement.
+    fn place(
+        &mut self,
+        func: FunctionId,
+        speculative: bool,
+        attempt: u32,
+        out: &mut impl FnMut(TimePoint, Event),
+    ) -> bool {
         let mem = self.cluster.profile(func).mem_mb;
         let Some(worker) = self.cluster.pick_worker(mem) else {
-            return self.defer(func, speculative, attempt);
+            return false;
         };
         let mem = u64::from(mem);
         // REPLACE (Algorithm 2): evict the lowest-priority idle containers
@@ -989,7 +1002,7 @@ impl<R: Recorder> Orchestrator<R> {
                 };
                 // Raced with our own accounting: pick_worker said this
                 // fits, so there must be victims. Defensive fallback:
-                // the provision is deferred below.
+                // nothing is placed below.
                 let Some((_, victim)) = victim else { break };
                 evicted.push(self.evict_container(victim, EvictReason::Replace));
             }
@@ -997,12 +1010,12 @@ impl<R: Recorder> Orchestrator<R> {
                 self.round_heap = heap;
             }
         }
-        if self.free_mb(worker) >= mem {
+        let placed = self.free_mb(worker) >= mem;
+        if placed {
             self.finish_admission(func, worker, speculative, &evicted, attempt, out);
-        } else {
-            self.defer(func, speculative, attempt);
         }
         self.evicted = evicted;
+        placed
     }
 
     fn free_mb(&self, worker: WorkerId) -> u64 {
@@ -1187,19 +1200,18 @@ impl<R: Recorder> Orchestrator<R> {
     /// retry cost amortised O(1) per successful placement instead of
     /// rescanning the whole backlog on every event.
     ///
-    /// Public for the one retry the mechanics cannot see the need for:
-    /// a driver that knows the tick chain is the only event left (tick
-    /// evictions may have freed room with nothing else to notice it)
-    /// calls this right after stepping the tick, at that step's time.
-    pub fn retry_deferred(&mut self, out: &mut impl FnMut(TimePoint, Event)) {
+    /// A provision is deferred only when no alive worker's free plus
+    /// idle memory fits it, and every event that raises that sum — a
+    /// container turning fully idle, a failed provision — calls this.
+    /// A tick expiry only turns idle memory into free, so no driver has
+    /// a retry of its own to make.
+    fn retry_deferred(&mut self, out: &mut impl FnMut(TimePoint, Event)) {
         while let Some(&(func, speculative, attempt)) = self.deferred.front() {
-            let mem = self.cluster.profile(func).mem_mb;
-            if self.cluster.pick_worker(mem).is_none() {
+            if !self.place(func, speculative, attempt, out) {
                 break;
             }
             self.deferred.pop_front();
             self.cluster.fn_runtime_mut(func).unplaced -= 1;
-            self.request_provision(func, speculative, attempt, out);
         }
     }
 }

@@ -332,14 +332,6 @@ fn a_long_faulted_replay_keeps_every_invariant() {
     assert!(report.containers_evicted > 0);
 }
 
-/// One input of the core: a step, or the idle-tick retry a driver that
-/// can see its own queue adds (`faas_sim::run` does).
-#[derive(Debug, Clone, Copy)]
-enum Input {
-    Step(TimePoint, Event),
-    RetryDeferred,
-}
-
 /// A fresh recording core for `trace` on `config`'s cluster.
 fn fresh_core(trace: &Trace, config: &SimConfig, policies: PolicyStack) -> Orchestrator<TraceLog> {
     let functions = trace.functions().iter().cloned();
@@ -355,7 +347,7 @@ fn reference_run(
     trace: &Trace,
     config: &SimConfig,
     policies: PolicyStack,
-) -> (SimReport, TraceLog, Vec<Input>) {
+) -> (SimReport, TraceLog, Vec<(TimePoint, Event)>) {
     let mut log = Vec::new();
     let mut core = fresh_core(trace, config, policies);
     let mut events = EventQueue::new();
@@ -366,13 +358,9 @@ fn reference_run(
     events.push(TimePoint::ZERO + config.tick, Event::Tick);
     core.schedule_crashes(&mut |at, ev| events.push(at, ev));
     while let Some((now, ev)) = events.pop() {
-        log.push(Input::Step(now, ev));
+        log.push((now, ev));
         core.step(now, ev, &mut |at, ev| events.push(at, ev));
         if ev == Event::Tick && core.incomplete() > 0 {
-            if events.is_empty() {
-                log.push(Input::RetryDeferred);
-                core.retry_deferred(&mut |at, ev| events.push(at, ev));
-            }
             assert!(!events.is_empty(), "{label}: stuck");
             events.push(now + config.tick, Event::Tick);
         }
@@ -415,11 +403,8 @@ fn replaying_the_input_log_reproduces_report_and_trace() {
             for inv in trace.invocations() {
                 replay.admit(inv.func, inv.arrival, Some(inv.exec));
             }
-            for input in log {
-                match input {
-                    Input::Step(now, ev) => replay.step(now, ev, &mut |_, _| {}),
-                    Input::RetryDeferred => replay.retry_deferred(&mut |_, _| {}),
-                }
+            for (now, ev) in log {
+                replay.step(now, ev, &mut |_, _| {});
             }
             let (replayed, replayed_obs) = replay.finish();
             assert_eq!(format!("{replayed:?}"), format!("{report:?}"), "{label}");
@@ -526,7 +511,7 @@ fn assert_streamed_equals_reference(
     trace: &Trace,
     config: &SimConfig,
     stack: MakeStack,
-) -> Vec<Input> {
+) -> Vec<(TimePoint, Event)> {
     let (report, obs, log) = reference_run(label, trace, config, stack());
     let (engine_report, engine_obs) = run_traced(trace, config, stack());
     assert_eq!(
@@ -589,19 +574,13 @@ fn an_arrival_on_the_microsecond_of_each_scheduled_event_kind() {
             // so the event still fires there.
             let at = base_log
                 .iter()
-                .find_map(|input| match input {
-                    Input::Step(at, ev) if is_kind(ev) => Some(*at),
-                    _ => None,
-                })
+                .find_map(|&(at, ev)| is_kind(&ev).then_some(at))
                 .unwrap_or_else(|| panic!("{label}: the base run has no {kind}"));
             let mut invocations = base.clone();
             invocations.extend((0..functions.len() as u32).map(|f| (f, at.as_micros(), 120)));
             let trace = trace_of(&functions, &invocations);
             let log = assert_streamed_equals_reference(&label, &trace, &config, stack);
-            let at_that_instant = |wanted: IsKind| {
-                log.iter()
-                    .any(|input| matches!(input, Input::Step(t, ev) if *t == at && wanted(ev)))
-            };
+            let at_that_instant = |wanted: IsKind| log.iter().any(|(t, ev)| *t == at && wanted(ev));
             assert!(
                 at_that_instant(is_kind) && at_that_instant(|e| matches!(e, Event::Arrival(_))),
                 "{label}: the coincidence at {at:?} did not happen"
@@ -638,9 +617,8 @@ fn functions_arriving_at_the_same_instant_keep_trace_order() {
 fn a_quiet_gap_of_several_ticks_between_two_bursts() {
     // Everything of the first burst has finished by 3 s and the second
     // starts at 47 s: for four ticks the tick is the only scheduled
-    // event while arrivals remain. The engine must neither call that
-    // "stuck" nor take it for the idle tick and retry deferred
-    // placements early; the ticks in between expire the warm containers.
+    // event while arrivals remain. The engine must not call that
+    // "stuck"; the ticks in between expire the warm containers.
     let functions = [(600, 100), (600, 150)];
     let mut invocations = vec![];
     for burst_us in [0u64, 47_000_000] {
@@ -654,12 +632,7 @@ fn a_quiet_gap_of_several_ticks_between_two_bursts() {
         let log = assert_streamed_equals_reference(label, &trace, &config, stack);
         let lone_ticks = log
             .windows(2)
-            .filter(|pair| {
-                matches!(
-                    pair,
-                    [Input::Step(_, Event::Tick), Input::Step(_, Event::Tick)]
-                )
-            })
+            .filter(|pair| matches!(pair, [(_, Event::Tick), (_, Event::Tick)]))
             .count();
         assert!(lone_ticks >= 3, "{label}: {lone_ticks} back-to-back ticks");
     }

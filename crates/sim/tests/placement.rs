@@ -1,8 +1,9 @@
 //! Placement-strategy behaviour across whole runs.
 
-use faas_obs::ObsEvent;
+use faas_obs::{ObsEvent, TraceLog};
 use faas_sim::{
-    baseline_lru_stack, run, run_traced, FaultPlan, Placement, ScanMode, SimConfig, WorkerId,
+    baseline_lru_stack, run, run_traced, FaultPlan, Placement, PolicyCtx, Prewarm, ScanMode,
+    SimConfig, WorkerId,
 };
 use faas_trace::{gen, FunctionId, FunctionProfile, Invocation, TimeDelta, TimePoint, Trace};
 
@@ -28,6 +29,17 @@ fn four_functions() -> Trace {
     Trace::new(profiles, invs).expect("valid")
 }
 
+/// The worker of every provision in `log`, in provisioning order.
+fn provision_workers(log: &TraceLog) -> Vec<u16> {
+    log.events()
+        .iter()
+        .filter_map(|e| match *e {
+            ObsEvent::ProvisionBegin { worker, .. } => Some(worker),
+            _ => None,
+        })
+        .collect()
+}
+
 /// The worker of every container `four_functions` provisions under
 /// `placement` on three 2 000 MB workers, in provisioning order. The
 /// run evicts nothing, so all of them are resident at once.
@@ -38,13 +50,7 @@ fn four_function_workers(placement: Placement) -> Vec<u16> {
     let (report, log) = run_traced(&four_functions(), &config, baseline_lru_stack());
     assert_eq!(report.requests.len(), 4);
     assert_eq!(report.containers_evicted, 0);
-    log.events()
-        .iter()
-        .filter_map(|e| match *e {
-            ObsEvent::ProvisionBegin { worker, .. } => Some(worker),
-            _ => None,
-        })
-        .collect()
+    provision_workers(&log)
 }
 
 #[test]
@@ -105,6 +111,106 @@ fn round_robin_skips_full_workers() {
     let b = cl.pick_worker(800).expect("fits");
     assert_eq!(a, WorkerId(0));
     assert_eq!(b, WorkerId(2));
+}
+
+/// A deferred provision retried when a container idles lands on the
+/// worker the RoundRobin cursor names: one `pick_worker` call per
+/// placement, so the retry does not move the cursor past it first.
+#[test]
+fn round_robin_places_a_deferred_provision_at_the_cursor() {
+    let profile = |id: u32, mem_mb: u32| {
+        FunctionProfile::new(
+            FunctionId(id),
+            format!("f{id}"),
+            mem_mb,
+            TimeDelta::from_millis(100),
+        )
+    };
+    // Three busy fillers, one per worker; then a 900 MB provision only
+    // worker 0 can ever host, and a 500 MB one behind it.
+    let profiles = vec![
+        profile(0, 800),
+        profile(1, 550),
+        profile(2, 550),
+        profile(3, 900),
+        profile(4, 500),
+    ];
+    let inv = |func: u32, ms: u64, exec_s: u64| Invocation {
+        func: FunctionId(func),
+        arrival: TimePoint::from_millis(ms),
+        exec: TimeDelta::from_secs(exec_s),
+    };
+    let invs = vec![
+        inv(0, 0, 9),
+        inv(1, 1, 3),
+        inv(2, 2, 6),
+        inv(3, 3, 1),
+        inv(4, 4, 1),
+    ];
+    let trace = Trace::new(profiles, invs).expect("valid");
+    let config = SimConfig::default()
+        .workers_mb(vec![1_000, 800, 800])
+        .placement(Placement::RoundRobin);
+    let (report, log) = run_traced(&trace, &config, baseline_lru_stack());
+    assert_eq!(report.requests.len(), 5);
+    let deferred = log
+        .events()
+        .iter()
+        .filter(|e| matches!(e, ObsEvent::Defer { .. }))
+        .count();
+    assert_eq!(deferred, 2, "both late provisions wait for memory");
+    // The fillers take workers 0, 1, 2 and the cursor wraps to 0. At
+    // 3.1 s worker 1's filler idles (800 MB, the 900 MB head still does
+    // not fit), at 6.1 s worker 2's, at 9.1 s worker 0's: the head goes
+    // to worker 0, and the cursor names worker 1, where the 500 MB
+    // provision fits as well as on worker 2.
+    assert_eq!(provision_workers(&log), vec![0, 1, 2, 0, 1]);
+}
+
+/// Asks for one container of function 0 on each of its first `left`
+/// ticks.
+#[derive(Debug)]
+struct PrewarmTicks {
+    left: u32,
+}
+
+impl Prewarm for PrewarmTicks {
+    fn name(&self) -> &str {
+        "prewarm-ticks"
+    }
+    fn on_tick(&mut self, _ctx: &PolicyCtx<'_>) -> Vec<FunctionId> {
+        if self.left == 0 {
+            return vec![];
+        }
+        self.left -= 1;
+        vec![FunctionId(0)]
+    }
+}
+
+/// Successive prewarms under RoundRobin land on consecutive workers:
+/// a prewarm that fits is placed by the one `pick_worker` call.
+#[test]
+fn round_robin_prewarms_land_on_consecutive_workers() {
+    let profiles = vec![FunctionProfile::new(
+        FunctionId(0),
+        "f",
+        100,
+        TimeDelta::from_millis(10),
+    )];
+    let invs = vec![Invocation {
+        func: FunctionId(0),
+        arrival: TimePoint::from_secs(10),
+        exec: TimeDelta::from_millis(50),
+    }];
+    let trace = Trace::new(profiles, invs).expect("valid");
+    let config = SimConfig::default()
+        .workers_mb(vec![1_000, 1_000, 1_000])
+        .placement(Placement::RoundRobin)
+        .tick(TimeDelta::from_secs(1));
+    let stack = baseline_lru_stack().with_prewarm(Box::new(PrewarmTicks { left: 4 }));
+    let (report, log) = run_traced(&trace, &config, stack);
+    assert_eq!(report.requests.len(), 1);
+    assert_eq!(provision_workers(&log), vec![0, 1, 2, 0]);
 }
 
 #[test]
