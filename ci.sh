@@ -37,8 +37,8 @@ echo "== tier 1: release build (offline) =="
 cargo build --release --offline
 
 echo "== tier 1: invariant-checked drivers, release (offline) =="
-# InvariantChecker is debug-only, but the late-clock driver of
-# orchestrator_drivers.rs calls the public check_invariants() after
+# Only debug builds step check_invariants() after every event, but the
+# late-clock driver of orchestrator_drivers.rs calls it itself after
 # every step: this is the faulted, late-delivery property under release
 # codegen with overflow-checks on. The debug suite below runs it again.
 cargo test -q --offline --release -p faas-sim --test orchestrator_drivers
@@ -142,11 +142,28 @@ fi
 echo "== guard: deferrals are counted once =="
 # DESIGN.md §4: a provision chain without a container, in retry backoff
 # or in the deferral queue, counts once in FnRuntime::unplaced, so
-# repair_cold_only reads counts. Scanning the cluster-wide queue there
+# serve_backlog reads counts. Scanning the cluster-wide queue there
 # made a request left of Fig. 12's cliff cost 44x one at a warm cache.
-if awk '/fn repair_cold_only/ { body = 1 } body { print FILENAME ":" FNR ": " $0 } body && /^    }$/ { exit }' \
+if awk '/fn serve_backlog/ { body = 1 } body { print FILENAME ":" FNR ": " $0 } body && /^    }$/ { exit }' \
   crates/sim/src/orchestrator.rs | grep 'self\.deferred'; then
-  echo "crates/sim/src/orchestrator.rs: repair_cold_only scans the deferral queue; read FnRuntime::unplaced" >&2
+  echo "crates/sim/src/orchestrator.rs: serve_backlog scans the deferral queue; read FnRuntime::unplaced" >&2
+  exit 1
+fi
+
+echo "== guard: waiters are served by one rule =="
+# DESIGN.md §4: serve_backlog alone starts flexible waiters on free
+# threads and covers a function's backlog with provisions; it runs after
+# a thread frees, a container comes up and a worker crashes. A second
+# hand-written rule beside it left free threads idle next to waiters.
+# The invariants it keeps are ClusterState::validate's, checked by
+# Orchestrator::check_invariants, not by a checker of their own.
+if grep -nE 'repair_cold_only|InvariantChecker|pop_pending' crates/sim/src/orchestrator.rs; then
+  echo "crates/sim/src/orchestrator.rs: a second waiter rule is back; serve the channel with serve_backlog" >&2
+  exit 1
+fi
+flexible_pops=$(grep -c 'pop_flexible(' crates/sim/src/orchestrator.rs || true)
+if [ "$flexible_pops" -ne 1 ]; then
+  echo "crates/sim/src/orchestrator.rs pops a flexible waiter in $flexible_pops places; serve_backlog is the one" >&2
   exit 1
 fi
 

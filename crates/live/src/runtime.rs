@@ -465,7 +465,7 @@ mod tests {
 
     #[test]
     fn cold_only_waiter_behind_a_crash_refugee_is_served() {
-        // The starvation `repair_cold_only` exists for, on the wall
+        // The starvation `serve_backlog`'s coverage step prevents, on the wall
         // clock (the replay used to hang here, ticking forever). X runs
         // long on worker 0; A cold-starts on worker 1, which crashes at
         // 1 s: A becomes a flexible refugee with X's busy container to

@@ -784,6 +784,9 @@ impl ClusterState {
     /// index its state calls for (they are complete). The free pool and the
     /// provisioning count have no set beside them to be compared with:
     /// each is proved against the table itself, by key and by number.
+    /// Each function's backlog is served: no flexible waiter sits beside a
+    /// free thread or without a warm container or chain to wait for, and
+    /// the chains (provisioning plus unplaced) cover the cold-only waiters.
     ///
     /// # Panics
     ///
@@ -901,6 +904,21 @@ impl ClusterState {
                 rt.free_pool.len(),
                 free,
                 "stale entry in the free pool of {func:?}"
+            );
+            let cold_only = rt.pending.cold_only_len();
+            let flexible = rt.pending.len() - cold_only;
+            let chains = (rt.provisioning + rt.unplaced) as usize;
+            assert!(
+                flexible == 0 || free == 0,
+                "{func:?}: a flexible waiter beside a free thread"
+            );
+            assert!(
+                flexible == 0 || !rt.warm.is_empty() || chains > 0,
+                "{func:?}: flexible waiters with no warm container and no chain"
+            );
+            assert!(
+                cold_only <= chains,
+                "{func:?}: {cold_only} cold-only waiters but {chains} chains"
             );
             for id in &rt.warm {
                 let c = self
@@ -1419,6 +1437,64 @@ mod tests {
     fn validate_catches_a_drifted_provisioning_count() {
         let (mut cl, _) = one_idle();
         cl.fn_runtime_mut(FunctionId(0)).provisioning += 1;
+        cl.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "a flexible waiter beside a free thread")]
+    fn validate_catches_a_flexible_waiter_beside_a_free_thread() {
+        let (mut cl, _) = one_idle();
+        cl.fn_runtime_mut(FunctionId(0))
+            .pending
+            .push(RequestId(0), false);
+        cl.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "no warm container and no chain")]
+    fn validate_catches_a_flexible_waiter_with_nothing_to_wait_for() {
+        let mut cl = cluster(&[1000]);
+        cl.fn_runtime_mut(FunctionId(0))
+            .pending
+            .push(RequestId(0), false);
+        cl.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "1 cold-only waiters but 0 chains")]
+    fn validate_catches_a_cold_only_waiter_without_a_chain() {
+        let (mut cl, _) = one_idle();
+        cl.fn_runtime_mut(FunctionId(0))
+            .pending
+            .push(RequestId(0), true);
+        cl.validate();
+    }
+
+    /// Every step of a container's life, up to a busy thread, passes
+    /// `validate`.
+    #[test]
+    fn clean_cluster_passes() {
+        let mut cl = cluster(&[1000]);
+        let id = cl.begin_provision(FunctionId(0), WorkerId(0), TimePoint::ZERO, false);
+        cl.validate();
+        cl.finish_provision(id, TimePoint::ZERO);
+        cl.validate();
+        cl.occupy_thread(id, TimePoint::ZERO);
+        cl.validate();
+    }
+
+    #[test]
+    fn crash_evict_keeps_memory_accounting() {
+        let mut cl = cluster(&[1000]);
+        let id = cl.begin_provision(FunctionId(0), WorkerId(0), TimePoint::ZERO, false);
+        cl.finish_provision(id, TimePoint::ZERO);
+        cl.occupy_thread(id, TimePoint::ZERO);
+        cl.mark_worker_down(WorkerId(0));
+        let (info, queued) = cl.crash_evict(id, TimePoint::ZERO);
+        assert_eq!(info.id, id);
+        assert!(queued.is_empty());
+        assert_eq!(cl.used_mb(), 0);
+        assert_eq!(cl.crash_evictions, 1);
         cl.validate();
     }
 

@@ -66,7 +66,6 @@ mod engine;
 mod event;
 mod fault;
 mod ids;
-mod invariant;
 mod ledger;
 mod orchestrator;
 mod policy;
@@ -84,7 +83,6 @@ pub use event::{Event, EventQueue};
 pub use faas_core::{IdBuildHasher, IdHasher};
 pub use fault::FaultPlan;
 pub use ids::{ContainerId, RequestId, WorkerId};
-pub use invariant::InvariantChecker;
 pub use ledger::CostLedger;
 pub use orchestrator::Orchestrator;
 pub use policy::{

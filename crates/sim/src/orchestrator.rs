@@ -7,10 +7,11 @@
 //!   container with a free thread (true warm start). Otherwise the
 //!   request's fate is decided by the [`Scaler`](crate::Scaler) policy.
 //! * **Per-function channel**: blocked requests join a FIFO channel.
-//!   The first resource to become available — a busy container finishing
-//!   (delayed warm start) or a fresh container completing provisioning
-//!   (cold start) — serves the head of the channel. This
-//!   first-available-wins mechanic *is* the speculative-scaling race.
+//!   The first resource to become available — a busy container freeing
+//!   a thread (delayed warm start) or a fresh container completing
+//!   provisioning, one waiter per thread (cold start) — serves the head
+//!   of the channel. This first-available-wins mechanic *is* the
+//!   speculative-scaling race.
 //! * **Memory pressure**: provisioning charges the hosting worker's
 //!   memory; when no worker fits, the core evicts idle containers in
 //!   ascending [`KeepAlive::priority`](crate::KeepAlive::priority) order
@@ -39,7 +40,7 @@ use faas_core::{EvictionIndex, IdBuildHasher, RoundHeap};
 use faas_obs::{EvictReason, ObsEvent, Recorder, TraceLog};
 use faas_trace::{FunctionId, FunctionProfile, TimeDelta, TimePoint};
 
-use crate::cluster::{ClusterState, PolicyCtx};
+use crate::cluster::{ClusterState, FnRuntime, PolicyCtx};
 use crate::config::{ScanMode, SimConfig};
 use crate::container::ContainerInfo;
 use crate::event::Event;
@@ -69,6 +70,11 @@ fn busy_end(req: &RequestState) -> TimePoint {
 /// by a crash. Its `container` and `record` are meaningful.
 fn is_running(req: &RequestState) -> bool {
     req.class.is_some() && !req.finished
+}
+
+/// Whether `rt`'s channel holds a request any container may serve.
+fn has_flexible(rt: &FnRuntime) -> bool {
+    rt.pending.len() > rt.pending.cold_only_len()
 }
 
 /// A REPLACE round's per-round victim source (the cross-round index is
@@ -296,20 +302,31 @@ impl<R: Recorder> Orchestrator<R> {
         self.check_invariants();
     }
 
-    /// Asserts the structural invariants (memory accounting, request
-    /// conservation — see [`crate::InvariantChecker`]) and, in debug
-    /// builds, that each function's
-    /// [`FnRuntime::unplaced`](crate::FnRuntime::unplaced) counts at
-    /// least its deferred provisions: a recount of the deferral queue,
-    /// which in a release soak that calls this after every step holds
-    /// thousands of entries. Debug builds run this after every step.
+    /// Asserts the structural invariants: the cluster's bookkeeping and
+    /// backlog ([`ClusterState::validate`]); request conservation — every
+    /// arrived request has started (it has a record) or waits on a
+    /// function channel or a container, and a crash voids the records of
+    /// the executions it re-queues, so the identity holds through
+    /// failures; and, in debug builds, that each function's
+    /// [`FnRuntime::unplaced`] counts at least its deferred provisions: a
+    /// recount of the deferral queue, which in a release soak that calls
+    /// this after every step holds thousands of entries. Debug builds run
+    /// this after every step.
     ///
     /// # Panics
     ///
     /// Panics on any violated invariant (a bug in the core or the
     /// cluster bookkeeping).
     pub fn check_invariants(&self) {
-        crate::invariant::InvariantChecker::check(&self.cluster, self.arrived, self.records.len());
+        self.cluster.validate();
+        let started = self.records.len();
+        let waiting = self.cluster.total_pending() + self.cluster.total_local_queued();
+        assert_eq!(
+            self.arrived,
+            (started + waiting) as u64,
+            "request conservation violated: {} arrived but {started} started + {waiting} waiting",
+            self.arrived
+        );
         #[cfg(debug_assertions)]
         for (func, deferred) in self.deferred_per_function() {
             let unplaced = self.unplaced(func);
@@ -516,42 +533,26 @@ impl<R: Recorder> Orchestrator<R> {
                 ok: true,
             }
         );
-        let func = self.cluster.container(cid).expect("just provisioned").func;
-        if let Some(rid) = self.pop_pending(func, true) {
+        let c = self.cluster.container(cid).expect("just provisioned");
+        let (func, threads) = (c.func, c.thread_capacity);
+        // Each of the fresh container's threads takes the head of the
+        // channel, cold-only or not, as a cold start.
+        let mut served = 0;
+        while served < threads {
+            let Some((rid, _)) = self.cluster.fn_runtime_mut(func).pending.pop_any() else {
+                break;
+            };
             self.start_exec(cid, rid, StartClass::Cold, out);
-        } else {
+            served += 1;
+        }
+        if served == 0 {
             // Idle immediately: if speculative, the container may turn out
             // wasted; either way it is now evictable, so deferred
             // provisions may fit.
             self.index_candidate(cid);
             self.retry_deferred(out);
         }
-        self.repair_cold_only(func, out);
-    }
-
-    /// A provision chain for `func` just ended: its container came up
-    /// and served the head of the queue via `pop_any`, which may have
-    /// been a *flexible* request (e.g. a crash refugee queued earlier)
-    /// rather than the cold-only waiter the chain was started for.
-    /// Cold-only entries can only ever be popped by a future
-    /// `ProvisionDone` — `pop_flexible` skips them — so if the chains
-    /// still outstanding (provisioning containers, and chains without a
-    /// container: retries in backoff, deferred placements) no longer
-    /// cover the cold-only backlog, start a fresh one. Without this the
-    /// waiter is stranded and only the tick chain remains (the liveness
-    /// assert in `on_tick`).
-    fn repair_cold_only(&mut self, func: FunctionId, out: &mut impl FnMut(TimePoint, Event)) {
-        let Some(rt) = self.cluster.fn_runtime(func) else {
-            return;
-        };
-        let cold_only = rt.pending.cold_only_len();
-        if cold_only == 0 {
-            return;
-        }
-        let chains = rt.provisioning + rt.unplaced;
-        for _ in chains as usize..cold_only {
-            self.request_provision(func, false, 0, out);
-        }
+        self.serve_backlog(func, out);
     }
 
     #[inline]
@@ -606,14 +607,14 @@ impl<R: Recorder> Orchestrator<R> {
             self.start_exec(cid, next, StartClass::DelayedWarm, out);
             return;
         }
-        if let Some(next) = self.pop_pending(func, false) {
-            self.start_exec(cid, next, StartClass::DelayedWarm, out);
-            return;
+        if !self.serve_backlog(func, out) {
+            // No waiter took the freed thread (a waiter would take this
+            // one: no other thread of the function was free). The
+            // container (or one of its threads) idles; idle memory is
+            // evictable, so deferred provisions may now fit.
+            self.index_candidate(cid);
+            self.retry_deferred(out);
         }
-        // The container (or one of its threads) idles; idle memory is
-        // evictable, so deferred provisions may now fit.
-        self.index_candidate(cid);
-        self.retry_deferred(out);
     }
 
     fn on_tick(&mut self, out: &mut impl FnMut(TimePoint, Event)) {
@@ -728,8 +729,7 @@ impl<R: Recorder> Orchestrator<R> {
     /// A worker crashes: every container on it dies. In-flight requests
     /// and container-local queues are re-queued on their function
     /// channels (their records are voided — they will re-execute), and
-    /// affected functions are re-provisioned as needed so cold-only
-    /// waiters are not stranded.
+    /// each affected function's backlog is served by `serve_backlog`.
     fn on_worker_down(&mut self, worker: WorkerId, out: &mut impl FnMut(TimePoint, Event)) {
         if !self.cluster.worker_is_alive(worker) {
             return; // duplicate crash event
@@ -789,30 +789,10 @@ impl<R: Recorder> Orchestrator<R> {
         for &(func, rid) in &requeue {
             self.cluster.fn_runtime_mut(func).pending.push(rid, false);
         }
-        affected.extend(requeue.iter().map(|&(f, _)| f));
         affected.sort_unstable();
         affected.dedup();
-        // Repair provisioning for affected functions: cold-only waiters
-        // can only be served by a future ProvisionDone, and refugees may
-        // have nothing left to wait for. (Chains without a container,
-        // `rt.unplaced` — in backoff or deferred — are not counted, so
-        // this may over-provision: a progress-over-parsimony tradeoff on
-        // the failure path.)
         for func in affected {
-            let Some(rt) = self.cluster.fn_runtime(func) else {
-                continue;
-            };
-            let pending = rt.pending.len();
-            let cold_only = rt.pending.cold_only_len();
-            let provisioning = rt.provisioning as usize;
-            let warm = rt.warm.len();
-            let mut need = cold_only.saturating_sub(provisioning);
-            if need == 0 && pending > 0 && warm == 0 && provisioning == 0 {
-                need = 1;
-            }
-            for _ in 0..need {
-                self.request_provision(func, false, 0, out);
-            }
+            self.serve_backlog(func, out);
         }
         self.retry_deferred(out);
     }
@@ -1182,16 +1162,36 @@ impl<R: Recorder> Orchestrator<R> {
         info
     }
 
-    /// Pops the next servable request from the function channel.
-    /// `any` allows cold-only requests (a fresh container can serve
-    /// anyone); freed busy containers skip cold-only entries.
-    fn pop_pending(&mut self, func: FunctionId, any: bool) -> Option<RequestId> {
-        let rt = self.cluster.fn_runtime_mut(func);
-        if any {
-            rt.pending.pop_any().map(|(rid, _)| rid)
-        } else {
-            rt.pending.pop_flexible()
+    /// The one rule that serves `func`'s channel. Each flexible waiter
+    /// takes a free thread while one exists, as a delayed warm start.
+    /// Then non-speculative provisions start until the function's chains
+    /// (provisioning containers, and chains without a container) cover
+    /// what is left: every cold-only waiter, which only a `ProvisionDone`
+    /// serves, and one chain for flexible waiters that have no warm
+    /// container to free a thread. A waiter with neither would wait for
+    /// nothing (the "replay is stuck" assert of `run_on_clock`). Returns
+    /// whether a waiter took a free thread.
+    fn serve_backlog(&mut self, func: FunctionId, out: &mut impl FnMut(TimePoint, Event)) -> bool {
+        let mut served = false;
+        while self.cluster.fn_runtime(func).is_some_and(has_flexible) {
+            let Some(cid) = self.cluster.pick_available(func) else {
+                break;
+            };
+            let rid = self.cluster.fn_runtime_mut(func).pending.pop_flexible();
+            let rid = rid.expect("a flexible waiter, checked above");
+            self.start_exec(cid, rid, StartClass::DelayedWarm, out);
+            served = true;
         }
+        let Some(rt) = self.cluster.fn_runtime(func) else {
+            return served;
+        };
+        let stranded = has_flexible(rt) && rt.warm.is_empty();
+        let needed = rt.pending.cold_only_len().max(usize::from(stranded));
+        let chains = (rt.provisioning + rt.unplaced) as usize;
+        for _ in chains..needed {
+            self.request_provision(func, false, 0, out);
+        }
+        served
     }
 
     /// Retries deferred provisions after memory was freed or became
@@ -1478,6 +1478,21 @@ mod tests {
         let b = run(&trace, &cfg(2048), stack(Box::new(AlwaysRace)));
         assert_eq!(a.requests, b.requests);
         assert_eq!(a.containers_created, b.containers_created);
+    }
+
+    #[test]
+    #[should_panic(expected = "request conservation violated")]
+    fn lost_request_detected() {
+        let trace = one_fn_trace(&[0], 10, 10, 128);
+        let mut core = Orchestrator::new(
+            trace.functions().iter().cloned(),
+            &cfg(1000),
+            stack(Box::new(AlwaysCold)),
+            faas_obs::NoopRecorder,
+        );
+        // An arrival that nothing started or queued.
+        core.arrived = 1;
+        core.check_invariants();
     }
 
     #[test]

@@ -5,8 +5,8 @@
 mod common;
 
 use faas_sim::{
-    run, run_traced, AlwaysCold, ContainerId, ContainerInfo, KeepAlive, PolicyCtx, PolicyStack,
-    Prewarm, SimConfig, StartClass,
+    run, run_traced, AlwaysCold, ContainerId, ContainerInfo, KeepAlive, LruKeepAlive, PolicyCtx,
+    PolicyStack, Prewarm, RequestInfo, ScaleDecision, Scaler, SimConfig, StartClass,
 };
 use faas_trace::{FunctionId, FunctionProfile, Invocation, TimeDelta, TimePoint, Trace};
 
@@ -216,4 +216,44 @@ fn multi_worker_placement_spreads_by_free_memory() {
     }
     let (peak, _) = common::residency(&trace, log.events(), report.ledger_settled_at);
     assert_eq!(peak, 1_600);
+}
+
+/// Scaler that always waits for a busy container (the core escalates
+/// the first request, with nothing to wait for, to a race).
+#[derive(Debug)]
+struct AlwaysWait;
+
+impl Scaler for AlwaysWait {
+    fn name(&self) -> &str {
+        "wait"
+    }
+    fn on_blocked(&mut self, _r: &RequestInfo, _c: &PolicyCtx<'_>) -> ScaleDecision {
+        ScaleDecision::WaitWarm
+    }
+}
+
+/// A container that finishes provisioning frees all its threads at once:
+/// four requests waiting on one fresh four-thread container each take a
+/// thread as a cold start, rather than one starting and three queueing
+/// behind its execution.
+#[test]
+fn a_fresh_container_serves_a_waiter_on_every_thread() {
+    let f = FunctionProfile::new(FunctionId(0), "f", 128, TimeDelta::from_millis(100));
+    let invs = (0..4)
+        .map(|_| Invocation {
+            func: FunctionId(0),
+            arrival: TimePoint::ZERO,
+            exec: TimeDelta::from_secs(1),
+        })
+        .collect();
+    let trace = Trace::new(vec![f], invs).expect("valid");
+    let stack = PolicyStack::new(Box::new(LruKeepAlive), Box::new(AlwaysWait));
+    let config = SimConfig::default()
+        .workers_mb(vec![1_024])
+        .container_threads(4);
+    let report = run(&trace, &config, stack);
+    assert_eq!(report.containers_created, 1);
+    let waits: Vec<TimeDelta> = report.requests.iter().map(|r| r.wait).collect();
+    assert_eq!(waits, vec![TimeDelta::from_millis(100); 4]);
+    assert_eq!(report.count(StartClass::Cold), 4);
 }

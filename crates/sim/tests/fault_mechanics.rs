@@ -3,7 +3,7 @@
 //! starts, and the deferred-provision retry path under memory pressure
 //! combined with faults. Debug builds additionally assert the engine's
 //! structural invariants after every event, so each of these runs also
-//! exercises `InvariantChecker`.
+//! exercises `Orchestrator::check_invariants`.
 
 mod common;
 
@@ -392,7 +392,7 @@ fn cold_only_waiter_survives_refugees_stealing_its_provision() {
 
 /// A cold-only backlog of two whose second chain waits in the deferral
 /// queue: when the first chain's container comes up and serves the head
-/// of the queue, `repair_cold_only` must count the deferred chain as
+/// of the queue, `serve_backlog` must count the deferred chain as
 /// covering the waiter behind it. Counting only provisioning containers
 /// and retries in backoff would defer a redundant chain for that waiter,
 /// and once memory frees it provisions a third `f` container for nobody.
@@ -441,4 +441,35 @@ fn a_deferred_chain_covers_the_cold_only_waiter_behind_it() {
         2
     );
     assert_eq!(report.count(StartClass::Cold), 3);
+}
+
+/// A crash refugee is served by a free thread wherever one is: the
+/// long request's worker crashes while the short one's container idles
+/// on the other worker, and the refugee starts there at once, as a
+/// delayed warm start, instead of waiting beside it for nothing.
+#[test]
+fn a_crash_refugee_takes_an_idle_container() {
+    let f = FunctionProfile::new(FunctionId(0), "f", 128, TimeDelta::from_millis(100));
+    let at_zero = |exec_ms| Invocation {
+        func: FunctionId(0),
+        arrival: TimePoint::ZERO,
+        exec: TimeDelta::from_millis(exec_ms),
+    };
+    let trace = Trace::new(vec![f], vec![at_zero(10_000), at_zero(50)]).expect("valid");
+    let config = SimConfig::default()
+        .workers_mb(vec![1024, 1024])
+        .faults(FaultPlan::none().crash_worker(TimePoint::from_secs(1), WorkerId(0)));
+    let report = run(&trace, &config, baseline_lru_stack());
+    assert_eq!(report.requests.len(), 2, "both requests complete");
+    assert_eq!(
+        report.containers_created, 2,
+        "the refugee needs no provision"
+    );
+    let refugee = report
+        .requests
+        .iter()
+        .find(|r| r.exec == TimeDelta::from_secs(10))
+        .expect("the long request re-executed");
+    assert_eq!(refugee.class, StartClass::DelayedWarm);
+    assert_eq!(refugee.wait, TimeDelta::from_secs(1));
 }

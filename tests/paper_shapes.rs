@@ -173,3 +173,40 @@ fn css_avoids_wasted_cold_starts_under_memory_pressure() {
         bss.ratio(StartClass::Cold)
     );
 }
+
+#[test]
+fn fig21_more_threads_never_raise_overhead() {
+    // Fig. 21: more threads per container lower the overhead ratio for
+    // both systems, and CIDRE stays at or below FaasCache at every count.
+    // A fresh container's threads each serve a waiter, so a thread added
+    // is never left idle beside a blocked request.
+    let ctx = cidre_bench::ExpCtx::tiny();
+    let trace = ctx.trace(cidre_bench::Workload::Azure);
+    let overhead = |threads: u32, stack| {
+        let config = ctx.sim_config(100).container_threads(threads);
+        run(&trace, &config, stack).avg_overhead_ratio()
+    };
+    let mut last: Option<(u32, f64, f64)> = None;
+    for threads in [1, 2, 4, 8] {
+        let faascache = overhead(threads, faascache_stack());
+        let cidre = overhead(threads, cidre_stack(CidreConfig::default()));
+        assert!(
+            cidre <= faascache,
+            "{threads} thread(s): CIDRE {:.1} % above FaasCache {:.1} %",
+            cidre * 100.0,
+            faascache * 100.0
+        );
+        if let Some((before, fc_before, cidre_before)) = last {
+            assert!(
+                faascache <= fc_before && cidre <= cidre_before,
+                "overhead rose from {before} to {threads} threads: FaasCache {:.1} -> {:.1} %, \
+                 CIDRE {:.1} -> {:.1} %",
+                fc_before * 100.0,
+                faascache * 100.0,
+                cidre_before * 100.0,
+                cidre * 100.0
+            );
+        }
+        last = Some((threads, faascache, cidre));
+    }
+}
