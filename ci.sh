@@ -183,6 +183,31 @@ if grep -rn 'retry_deferred' crates/sim/src/engine.rs crates/live/src; then
   exit 1
 fi
 
+echo "== guard: every priority class is under the oracle =="
+# DESIGN.md §7: a PriorityDeps::Function round evaluates one candidate per
+# function and reuses the value for the others, which is exact only if
+# the declaration holds. The reference round in tests/equivalence.rs is
+# what checks it, so every keep-alive that declares the class runs there:
+# its stack from crates/policies/src/lib.rs, or the type itself, is named
+# in the body of that file's `fn stacks()`.
+oracle=$(awk '/^fn stacks\(\)/ { body = 1 } body { print } body && /^}$/ { exit }' tests/equivalence.rs)
+for file in $(grep -l 'PriorityDeps::Function' crates/policies/src/*.rs); do
+  for ty in $(sed -nE 's/^impl KeepAlive for ([A-Za-z0-9_]+).*/\1/p' "$file"); do
+    names=$(awk -v ty="$ty" '
+      /^pub fn [a-z_0-9]+_stack/ { name = $3; sub(/[(<].*/, "", name) }
+      /^}$/ { name = "" }
+      name && index($0, ty) { print name; name = "" }' crates/policies/src/lib.rs)
+    found=0
+    for name in $ty $names; do
+      if grep -qw "$name" <<<"$oracle"; then found=1; fi
+    done
+    if [ "$found" -ne 1 ]; then
+      echo "$file: $ty declares PriorityDeps::Function but tests/equivalence.rs's stacks() runs none of: $ty $names" >&2
+      exit 1
+    fi
+  done
+done
+
 echo "== guard: memory is accounted once =="
 # DESIGN.md §11: memory held over time is the cost ledger's, exact in
 # MB·µs. The sampled series beside it and the switch that turned it off

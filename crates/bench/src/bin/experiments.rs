@@ -19,12 +19,34 @@ fn usage() {
     eprintln!("  --seed N          workload generation seed (default: 42)");
     eprintln!("  --jobs N          worker threads for policy/cache fan-out, and for");
     eprintln!("                    `all`'s experiments (so up to N² threads)");
-    eprintln!("                    (default: 1; 0 = all cores; results identical)");
+    eprintln!("                    (default: 1; 0 or more than the cores = all");
+    eprintln!("                    cores; results identical)");
     eprintln!("  sweep only:");
     eprintln!("  --policies A,B,C  policies to sweep");
     eprintln!("  --caches-gb N,M   paper-scale cache sizes in GB");
     eprintln!("  --workload W      azure or fc");
     eprintln!("       experiments list    # show all experiment names");
+}
+
+/// The worker count of `--jobs VALUE` on a machine with `cores` cores,
+/// and a note for stderr when the value was clamped: `0` means every
+/// core, and more than `cores` gets `cores`, since `all` runs up to
+/// `jobs²` threads. `Err` holds the message for a value that is not a
+/// count.
+fn parse_jobs(value: Option<&str>, cores: usize) -> Result<(usize, Option<String>), String> {
+    let jobs = value
+        .and_then(|s| s.parse::<usize>().ok())
+        .ok_or("--jobs requires an integer (0 = all cores)")?;
+    Ok(match jobs {
+        0 => (cores, None),
+        jobs if jobs > cores => (
+            cores,
+            Some(format!(
+                "--jobs {jobs} is more than the {cores} available core(s); using {cores}"
+            )),
+        ),
+        jobs => (jobs, None),
+    })
 }
 
 fn main() -> ExitCode {
@@ -52,11 +74,15 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--jobs" => match args.next().and_then(|s| s.parse::<usize>().ok()) {
-                Some(0) => ctx.jobs = faas_testkit::default_jobs(),
-                Some(jobs) => ctx.jobs = jobs,
-                None => {
-                    eprintln!("--jobs requires an integer (0 = all cores)");
+            "--jobs" => match parse_jobs(args.next().as_deref(), faas_testkit::default_jobs()) {
+                Ok((jobs, note)) => {
+                    ctx.jobs = jobs;
+                    if let Some(note) = note {
+                        eprintln!("{note}");
+                    }
+                }
+                Err(message) => {
+                    eprintln!("{message}");
                     return ExitCode::FAILURE;
                 }
             },
@@ -144,4 +170,31 @@ fn main() -> ExitCode {
         .unwrap_or_default();
     println!("done in {:.1}s{peak_rss}", start.elapsed().as_secs_f64());
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_jobs;
+
+    #[test]
+    fn jobs_above_the_core_count_are_clamped_with_a_note() {
+        assert_eq!(parse_jobs(Some("2"), 4), Ok((2, None)));
+        assert_eq!(parse_jobs(Some("4"), 4), Ok((4, None)));
+        assert_eq!(parse_jobs(Some("0"), 4), Ok((4, None)));
+        let (jobs, note) = parse_jobs(Some("64"), 4).expect("a count");
+        assert_eq!(jobs, 4);
+        let note = note.expect("a clamp is noted");
+        assert!(note.contains("64") && note.contains("using 4"), "{note}");
+        assert_eq!(
+            parse_jobs(Some("18446744073709551615"), 2).map(|j| j.0),
+            Ok(2)
+        );
+    }
+
+    #[test]
+    fn jobs_must_be_a_count() {
+        for value in [None, Some(""), Some("-1"), Some("two"), Some("1.5")] {
+            assert!(parse_jobs(value, 4).is_err(), "{value:?}");
+        }
+    }
 }

@@ -581,10 +581,10 @@ fn priority_comparator_total_orders_nan_and_signed_zero() {
 }
 
 /// NaN priorities must never reach an eviction order silently: the
-/// reference path panics with the message `OrdF64::new` panics with on
-/// the indexed path (`faas-core`'s `ordf64_rejects_nan`), so swapping
-/// scan modes cannot change NaN handling (the differential oracle
-/// depends on this).
+/// reference path panics with the message the indexed paths panic with
+/// (`faas-core`'s `ordf64_rejects_nan` and `round_heap_rejects_nan`), so
+/// swapping scan modes cannot change NaN handling (the differential
+/// oracle depends on this).
 #[test]
 #[should_panic(expected = "priorities must not be NaN")]
 fn reference_eviction_sort_rejects_nan() {

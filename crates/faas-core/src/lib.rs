@@ -13,6 +13,9 @@
 //! * [`pool::EvictionIndex`] — a lazy-deletion binary min-heap of eviction
 //!   candidates with per-entry versions, so a memory-pressure round is
 //!   O(victims · log n) instead of a full recompute-and-sort.
+//! * [`pool::RoundHeap`] — one REPLACE round's victims when priorities
+//!   cannot be cached: integer keys in `total_cmp` order, a linear argmin
+//!   for the first few pops and a binary heap after them.
 //! * [`pool::OrdF64`] — a total order over non-NaN `f64` priorities.
 //! * [`hash::IdHasher`] — the one-multiply hasher of every map keyed by a
 //!   container, worker or function id on a per-event path, these pools'

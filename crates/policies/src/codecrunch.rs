@@ -101,6 +101,14 @@ impl KeepAlive for CodeCrunchKeepAlive {
         freq * cost_ms / container.mem_mb.max(1) as f64
     }
 
+    fn priority_deps(&self) -> faas_sim::PriorityDeps {
+        // IceBreaker's priority with a per-function discount that comes
+        // and goes with the compressed image: volatile, but of the
+        // container it reads the function and the profile's cold start
+        // and size only.
+        faas_sim::PriorityDeps::Function
+    }
+
     fn on_evict(&mut self, container: &ContainerInfo, ctx: &PolicyCtx<'_>) {
         self.insert(container.func, ctx.now);
         self.prune(ctx.now);

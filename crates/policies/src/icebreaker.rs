@@ -41,6 +41,13 @@ impl KeepAlive for IceBreakerKeepAlive {
         let freq = ctx.freq_per_minute(container.func);
         freq * container.cold_start.as_millis_f64() / container.mem_mb.max(1) as f64
     }
+
+    fn priority_deps(&self) -> faas_sim::PriorityDeps {
+        // Invocations per minute fall while the function sees none, so
+        // the priority moves either way mid-idle; of the container it
+        // reads the function and the profile's cold start and size.
+        faas_sim::PriorityDeps::Function
+    }
 }
 
 /// IceBreaker's prewarming side: harmonic-mean demand prediction over

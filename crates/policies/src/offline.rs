@@ -64,6 +64,12 @@ impl KeepAlive for OfflineKeepAlive {
             None => f64::MIN,
         }
     }
+
+    fn priority_deps(&self) -> faas_sim::PriorityDeps {
+        // The next use of the container's function, which moves with the
+        // clock: volatile, and the same for every container of it.
+        faas_sim::PriorityDeps::Function
+    }
 }
 
 /// Oracle scaler: uses the simulator's exact knowledge of every busy

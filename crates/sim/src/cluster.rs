@@ -350,7 +350,7 @@ impl ClusterState {
     /// `None` if it is not deployed. O(1) when ids are dense from 0, as
     /// every generated trace's are; a binary search otherwise.
     #[inline]
-    fn slot(&self, func: FunctionId) -> Option<usize> {
+    pub(crate) fn slot(&self, func: FunctionId) -> Option<usize> {
         let dense = func.0 as usize;
         if self.function_ids.get(dense) == Some(&func) {
             return Some(dense);

@@ -158,14 +158,21 @@ pub struct Orchestrator<R: Recorder> {
     evict_index: EvictionIndex<WorkerId, ContainerId>,
     /// Whether cached priorities in `evict_index` are sound for the
     /// configured keep-alive policy: requires [`ScanMode::Indexed`] and
-    /// a non-[`PriorityDeps::Volatile`] policy. Volatile policies fall
-    /// back to a per-round heapify of fresh priorities.
+    /// a [`PriorityDeps::ContainerLocal`] or [`PriorityDeps::FunctionFreq`]
+    /// policy. Volatile policies fill a per-round heap of fresh priorities.
     use_evict_index: bool,
+    /// Whether the policy declares [`PriorityDeps::Function`]: an indexed
+    /// round then evaluates one candidate per function (`fn_priority`).
+    per_function: bool,
     /// Scratch of a REPLACE round, kept between rounds so that a round
     /// allocates nothing: the heap of fresh priorities (volatile
-    /// policies) and the victims handed to `KeepAlive::on_admit`.
+    /// policies), the victims handed to `KeepAlive::on_admit`, and, by
+    /// function slot, the priority a round evaluated for that function,
+    /// stamped with the round (`rounds`) so that no value outlives it.
     round_heap: RoundHeap<ContainerId>,
     evicted: Vec<ContainerInfo>,
+    fn_priority: Vec<(u64, f64)>,
+    rounds: u64,
     /// Structured trace sink (DESIGN.md §12).
     rec: R,
 }
@@ -210,8 +217,13 @@ impl<R: Recorder> Orchestrator<R> {
             config.placement,
         );
         cluster.set_scan(config.scan);
+        let deps = policies.keepalive.priority_deps();
         let use_evict_index = config.scan == ScanMode::Indexed
-            && policies.keepalive.priority_deps() != PriorityDeps::Volatile;
+            && matches!(
+                deps,
+                PriorityDeps::ContainerLocal | PriorityDeps::FunctionFreq
+            );
+        let fn_priority = vec![(0, 0.0); cluster.function_ids().len()];
         Self {
             cluster,
             requests: VecDeque::new(),
@@ -228,8 +240,11 @@ impl<R: Recorder> Orchestrator<R> {
             arrived: 0,
             evict_index: EvictionIndex::new(),
             use_evict_index,
+            per_function: deps == PriorityDeps::Function,
             round_heap: RoundHeap::default(),
             evicted: Vec::new(),
+            fn_priority,
+            rounds: 0,
             rec,
         }
     }
@@ -951,22 +966,37 @@ impl<R: Recorder> Orchestrator<R> {
             // Three victim sources, one eviction order. `None`: the
             // cross-round index serves (cached priorities, see
             // `pop_indexed`). Otherwise a per-round snapshot — volatile
-            // priorities cannot be cached across rounds — heapified
-            // (O(n) + O(victims log n)) from the worker's idle list,
-            // whose entries are the frozen `ContainerInfo`s the priority
-            // reads, or, under the reference scan, fully sorted from the
-            // container table.
+            // priorities cannot be cached across rounds — in a
+            // `RoundHeap` (O(n) + O(victims log n)) from the worker's
+            // idle list, whose entries are the frozen `ContainerInfo`s
+            // the priority reads, or, under the reference scan, fully
+            // sorted from the container table. Under
+            // `PriorityDeps::Function` the heap reads one priority per
+            // function; the reference round and the provenance record
+            // still evaluate every candidate, so the oracle checks the
+            // declaration.
             let mut round = (!self.use_evict_index).then(|| match self.cluster.scan() {
                 ScanMode::Indexed => {
                     let mut heap = std::mem::take(&mut self.round_heap);
                     let ctx = PolicyCtx::new(self.now, &self.cluster, &self.busy_until);
                     let ka = &self.policies.keepalive;
                     let idle = self.cluster.workers()[usize::from(worker.0)].idle();
-                    heap.refill(
-                        idle.iter()
-                            .filter(|c| c.local_queue_len == 0)
-                            .map(|c| (ka.priority(c, &ctx), c.id)),
-                    );
+                    let candidates = idle.iter().filter(|c| c.local_queue_len == 0);
+                    if self.per_function {
+                        self.rounds += 1;
+                        let (round, memo, cluster) =
+                            (self.rounds, &mut self.fn_priority, &self.cluster);
+                        heap.refill(candidates.map(|c| {
+                            let slot = cluster.slot(c.func).expect("deployed function");
+                            let (stamp, priority) = &mut memo[slot];
+                            if *stamp != round {
+                                (*stamp, *priority) = (round, ka.priority(c, &ctx));
+                            }
+                            (*priority, c.id)
+                        }));
+                    } else {
+                        heap.refill(candidates.map(|c| (ka.priority(c, &ctx), c.id)));
+                    }
                     RoundVictims::Heap(heap)
                 }
                 ScanMode::Reference => RoundVictims::Sorted(

@@ -65,15 +65,14 @@ impl From<ScaleDecision> for faas_obs::AdmitDecision {
 }
 
 /// What a keep-alive policy's [`KeepAlive::priority`] depends on, which
-/// determines how aggressively the engine may cache it in the
-/// lazy-deletion eviction index.
+/// determines how much evaluation the engine may skip.
 ///
-/// The index caches a container's priority when it becomes idle and
-/// only trusts the cache if a fresh evaluation at pop time agrees (or
-/// re-keys and retries if the fresh value grew). That scheme is exact
-/// *only* when priorities never decrease while a container stays idle —
-/// "monotone staleness". Each variant asserts a progressively weaker
-/// guarantee:
+/// The first two variants let the lazy-deletion eviction index cache a
+/// container's priority when it becomes idle. It trusts the cache only if
+/// a fresh evaluation at pop time agrees (or re-keys and retries if the
+/// fresh value grew). That scheme is exact *only* when priorities never
+/// decrease while a container stays idle — "monotone staleness". The
+/// other two are volatile: each REPLACE round evaluates afresh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PriorityDeps {
     /// Priority is a pure function of the container's own frozen fields
@@ -86,11 +85,18 @@ pub enum PriorityDeps {
     /// stale but only *low*; the index's re-key-on-mismatch pop remains
     /// exact.
     FunctionFreq,
+    /// Volatile, but the priority reads a container only through its
+    /// function: `func`, plus the `mem_mb` and `cold_start` that every
+    /// container copies from its function's profile. Every candidate of
+    /// one function then has the same priority within a round, so the
+    /// indexed round evaluates the first and reuses its value for the
+    /// others; nothing is cached across rounds.
+    Function,
     /// Priority reads state that can move in either direction while the
     /// container is idle (warm-container counts, shared clocks divided
-    /// by volatile quantities). No caching is sound; the engine falls
-    /// back to a per-round heapify of fresh priorities. The safe
-    /// default.
+    /// by volatile quantities) and per-container fields. No caching is
+    /// sound; each round evaluates every candidate into a per-round
+    /// victim heap. The safe default.
     Volatile,
 }
 
@@ -132,9 +138,10 @@ pub trait KeepAlive {
 
     /// Declares what [`KeepAlive::priority`] depends on so the engine
     /// knows whether cached priorities stay valid while a container is
-    /// idle (see [`PriorityDeps`]). The default, [`PriorityDeps::Volatile`],
-    /// is always safe: it disables cross-round caching and costs one
-    /// O(n) heapify per memory-pressure round. Override only if the
+    /// idle, or can be shared by a function's containers within a round
+    /// (see [`PriorityDeps`]). The default, [`PriorityDeps::Volatile`],
+    /// is always safe: it disables cross-round caching, and each
+    /// memory-pressure round evaluates every candidate. Override only if the
     /// stated invariant genuinely holds — the differential oracle tests
     /// will catch a lie, but only on workloads they happen to generate.
     fn priority_deps(&self) -> PriorityDeps {

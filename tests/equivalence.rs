@@ -13,19 +13,24 @@
 //! Policies are chosen to cover every [`cidre::sim::PriorityDeps`]
 //! class: frozen per-container priorities (LRU, TTL, GreedyDual — the
 //! cross-round lazy-deletion heap), monotone function-frequency
-//! priorities (LFU, vanilla FaasCache), and volatile priorities
-//! (FaasCache-C, CIDRE, Flame, IceBreaker, CodeCrunch — per-round
-//! heapify from the idle lists' snapshots only).
+//! priorities (LFU, vanilla FaasCache), volatile priorities read once
+//! per function and round (IceBreaker, CodeCrunch, Offline), and
+//! volatile priorities read once per candidate (FaasCache-C, CIDRE,
+//! Flame). Both volatile kinds fill a per-round heap from the idle
+//! lists' snapshots; the reference round and the provenance record
+//! evaluate every candidate from the container table, so a policy whose
+//! declaration does not hold diverges
+//! (`a_false_per_function_declaration_fails_the_oracle`).
 
 use cidre::core::{cidre_stack, CidreConfig};
 use cidre::obs::{EvictReason, ObsEvent};
 use cidre::policies::{
-    codecrunch_stack, faascache_stack, flame_stack, icebreaker_stack, GdsfKeepAlive,
+    codecrunch_stack, faascache_stack, flame_stack, icebreaker_stack, offline_stack, GdsfKeepAlive,
     GreedyDualKeepAlive, IceBreakerKeepAlive, LfuKeepAlive, TtlKeepAlive,
 };
 use cidre::sim::{
-    baseline_lru_stack, run, run_traced, AlwaysCold, FaultPlan, PolicyStack, ScanMode, SimConfig,
-    SimReport, WorkerId,
+    baseline_lru_stack, run, run_traced, AlwaysCold, ContainerInfo, FaultPlan, KeepAlive,
+    PolicyCtx, PolicyStack, PriorityDeps, ScanMode, SimConfig, SimReport, WorkerId,
 };
 use cidre::trace::{FunctionId, FunctionProfile, Invocation, TimeDelta, TimePoint, Trace};
 use faas_testkit::{Checker, Gen};
@@ -77,37 +82,39 @@ fn arb_config(g: &mut Gen) -> SimConfig {
         .container_threads(threads)
 }
 
-type MakeStack = fn() -> PolicyStack;
+type MakeStack = fn(&Trace) -> PolicyStack;
 
 /// Every policy family, keyed by priority-dependence class. Fresh
-/// stacks per run: policies carry mutable state (clocks, bases). Of the
-/// volatile baselines, IceBreaker comes with its prewarmer and
-/// CodeCrunch's priority reads the per-container `cold_start` its
-/// decompressed restarts shrink; Offline is left out, because its stack
-/// is built from the trace it replays and a `MakeStack` takes nothing.
+/// stacks per run: policies carry mutable state (clocks, bases), and
+/// Offline's is built from the trace it replays. Of the volatile
+/// baselines, IceBreaker comes with its prewarmer, and CodeCrunch's
+/// priority reads a per-function discount that its compressed images
+/// switch on and off (its shorter restarts only delay `ProvisionDone`;
+/// every container still copies the profile's `cold_start`).
 fn stacks() -> Vec<(&'static str, MakeStack)> {
     vec![
-        ("lru", baseline_lru_stack),
-        ("ttl", || {
+        ("lru", |_| baseline_lru_stack()),
+        ("ttl", |_| {
             PolicyStack::new(
                 Box::new(TtlKeepAlive::paper_default()),
                 Box::new(AlwaysCold),
             )
         }),
-        ("greedydual", || {
+        ("greedydual", |_| {
             PolicyStack::new(Box::new(GreedyDualKeepAlive::new()), Box::new(AlwaysCold))
         }),
-        ("lfu", || {
+        ("lfu", |_| {
             PolicyStack::new(Box::new(LfuKeepAlive), Box::new(AlwaysCold))
         }),
-        ("faascache", faascache_stack),
-        ("faascache-c", || {
+        ("faascache", |_| faascache_stack()),
+        ("faascache-c", |_| {
             PolicyStack::new(Box::new(GdsfKeepAlive::faascache_c()), Box::new(AlwaysCold))
         }),
-        ("cidre", || cidre_stack(CidreConfig::default())),
-        ("flame", flame_stack),
-        ("icebreaker", icebreaker_stack),
-        ("codecrunch", codecrunch_stack),
+        ("cidre", |_| cidre_stack(CidreConfig::default())),
+        ("flame", |_| flame_stack()),
+        ("icebreaker", |_| icebreaker_stack()),
+        ("codecrunch", |_| codecrunch_stack()),
+        ("offline", offline_stack),
     ]
 }
 
@@ -150,51 +157,70 @@ fn assert_ledgers_match(label: &str, a: &SimReport, b: &SimReport) {
 /// Runs `trace` under both scan modes, untraced and traced, demanding
 /// byte-identical reports and provenance streams.
 fn assert_engines_agree(trace: &Trace, config: &SimConfig) {
-    let verbose = std::env::var("ORACLE_VERBOSE").is_ok();
     for (label, mk) in stacks() {
-        if verbose {
-            eprintln!("  stack={label} engine=indexed");
-        }
-        let indexed = run(trace, &config.clone().scan_mode(ScanMode::Indexed), mk());
-        if verbose {
-            eprintln!("  stack={label} engine=reference");
-        }
-        let reference = run(trace, &config.clone().scan_mode(ScanMode::Reference), mk());
-        assert_ledgers_match(label, &indexed, &reference);
-        assert_eq!(
-            format!("{indexed:?}"),
-            format!("{reference:?}"),
-            "{label}: indexed and reference scans diverged"
-        );
-        // Traced runs: recording must not steer (the report stays
-        // byte-identical to the untraced run), and the provenance event
-        // stream must be byte-identical across scan modes (DESIGN.md §12).
-        if verbose {
-            eprintln!("  stack={label} engine=indexed traced");
-        }
-        let (t_indexed, log_indexed) =
-            run_traced(trace, &config.clone().scan_mode(ScanMode::Indexed), mk());
-        assert_eq!(
-            format!("{t_indexed:?}"),
-            format!("{indexed:?}"),
-            "{label}: recording steered the indexed run"
-        );
-        if verbose {
-            eprintln!("  stack={label} engine=reference traced");
-        }
-        let (t_reference, log_reference) =
-            run_traced(trace, &config.clone().scan_mode(ScanMode::Reference), mk());
-        assert_eq!(
-            format!("{t_reference:?}"),
-            format!("{reference:?}"),
-            "{label}: recording steered the reference run"
-        );
-        assert_eq!(
-            format!("{:?}", log_indexed.events()),
-            format!("{:?}", log_reference.events()),
-            "{label}: indexed and reference scans traced different provenance"
-        );
+        assert_stack_agrees(label, mk, trace, config);
     }
+}
+
+/// [`assert_engines_agree`] for one stack.
+fn assert_stack_agrees(label: &str, mk: MakeStack, trace: &Trace, config: &SimConfig) {
+    let verbose = std::env::var("ORACLE_VERBOSE").is_ok();
+    if verbose {
+        eprintln!("  stack={label} engine=indexed");
+    }
+    let indexed = run(
+        trace,
+        &config.clone().scan_mode(ScanMode::Indexed),
+        mk(trace),
+    );
+    if verbose {
+        eprintln!("  stack={label} engine=reference");
+    }
+    let reference = run(
+        trace,
+        &config.clone().scan_mode(ScanMode::Reference),
+        mk(trace),
+    );
+    assert_ledgers_match(label, &indexed, &reference);
+    assert_eq!(
+        format!("{indexed:?}"),
+        format!("{reference:?}"),
+        "{label}: indexed and reference scans diverged"
+    );
+    // Traced runs: recording must not steer (the report stays
+    // byte-identical to the untraced run), and the provenance event
+    // stream must be byte-identical across scan modes (DESIGN.md §12).
+    if verbose {
+        eprintln!("  stack={label} engine=indexed traced");
+    }
+    let (t_indexed, log_indexed) = run_traced(
+        trace,
+        &config.clone().scan_mode(ScanMode::Indexed),
+        mk(trace),
+    );
+    assert_eq!(
+        format!("{t_indexed:?}"),
+        format!("{indexed:?}"),
+        "{label}: recording steered the indexed run"
+    );
+    if verbose {
+        eprintln!("  stack={label} engine=reference traced");
+    }
+    let (t_reference, log_reference) = run_traced(
+        trace,
+        &config.clone().scan_mode(ScanMode::Reference),
+        mk(trace),
+    );
+    assert_eq!(
+        format!("{t_reference:?}"),
+        format!("{reference:?}"),
+        "{label}: recording steered the reference run"
+    );
+    assert_eq!(
+        format!("{:?}", log_indexed.events()),
+        format!("{:?}", log_reference.events()),
+        "{label}: indexed and reference scans traced different provenance"
+    );
 }
 
 #[test]
@@ -353,4 +379,73 @@ fn equal_priorities_evict_in_ascending_id_order() {
             .collect();
         assert_eq!(victims, vec![0, 1, 2], "{scan:?}: victims");
     }
+}
+
+/// Declares [`PriorityDeps::Function`] but reads each container's own
+/// `last_used`: LRU that claims its priority is the same for every
+/// container of a function.
+struct LastUsedByFunction;
+
+impl KeepAlive for LastUsedByFunction {
+    fn name(&self) -> &str {
+        "lru-by-function"
+    }
+
+    fn priority(&self, container: &ContainerInfo, _ctx: &PolicyCtx<'_>) -> f64 {
+        container.last_used.as_micros() as f64
+    }
+
+    fn priority_deps(&self) -> PriorityDeps {
+        PriorityDeps::Function
+    }
+}
+
+/// The oracle checks a per-function declaration: four containers of one
+/// function go idle, container 0 is reused last, and an incoming
+/// container needs one of their places. The reference round evaluates
+/// every candidate and evicts the least recently used, container 1; the
+/// indexed round reads one priority for the function, so every candidate
+/// ties and the least id, container 0, goes.
+#[test]
+fn a_false_per_function_declaration_fails_the_oracle() {
+    const N: u64 = 4;
+    let profiles = vec![
+        FunctionProfile::new(FunctionId(0), "a", 100, TimeDelta::from_millis(50)),
+        FunctionProfile::new(FunctionId(1), "b", 100, TimeDelta::from_millis(50)),
+    ];
+    let mut invocations: Vec<Invocation> = (0..N)
+        .map(|i| Invocation {
+            func: FunctionId(0),
+            arrival: TimePoint::from_millis(i),
+            exec: TimeDelta::from_millis(100),
+        })
+        .collect();
+    for (func, at) in [(0, 1_000), (1, 5_000)] {
+        invocations.push(Invocation {
+            func: FunctionId(func),
+            arrival: TimePoint::from_millis(at),
+            exec: TimeDelta::from_millis(10),
+        });
+    }
+    let trace = Trace::new(profiles, invocations).expect("valid");
+    let config = SimConfig::default().workers_mb(vec![100 * N]);
+    let lying: MakeStack = |_| PolicyStack::new(Box::new(LastUsedByFunction), Box::new(AlwaysCold));
+    let victims = |scan| {
+        let (_, log) = run_traced(&trace, &config.clone().scan_mode(scan), lying(&trace));
+        log.events()
+            .iter()
+            .filter_map(|e| match e {
+                ObsEvent::Evict {
+                    cid,
+                    reason: EvictReason::Replace,
+                    ..
+                } => Some(*cid),
+                _ => None,
+            })
+            .collect::<Vec<u64>>()
+    };
+    assert_eq!(victims(ScanMode::Reference), vec![1]);
+    assert_eq!(victims(ScanMode::Indexed), vec![0]);
+    let oracle = std::panic::catch_unwind(|| assert_stack_agrees("lying", lying, &trace, &config));
+    assert!(oracle.is_err(), "the oracle passed a false declaration");
 }
