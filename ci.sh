@@ -54,7 +54,7 @@ echo "== guard: one orchestration state machine =="
 # crates/live drives faas_sim::Orchestrator (DESIGN.md §4) and must not
 # grow mechanics of its own again: no policy calls, no PolicyCtx, no
 # eviction index outside the core.
-if grep -rnE 'policies\.(scaler|keepalive|prewarm)|PolicyCtx::new|evict_index' crates/live/src; then
+if grep -rnE 'policies\.(scaler|keepalive|prewarm)|PolicyCtx::new|policy_ctx\(|evict_index' crates/live/src; then
   echo "crates/live/src re-implements orchestration; it belongs in crates/sim/src/orchestrator.rs" >&2
   exit 1
 fi
@@ -136,6 +136,20 @@ echo "== guard: fault state is kept once =="
 if grep -nE 'fault_active|self\.(attempts|retrying|running)\b|running: *BTreeMap' \
   crates/sim/src/orchestrator.rs; then
   echo "crates/sim/src/orchestrator.rs: fault state is kept twice again; keep it on the event, FnRuntime or RequestState" >&2
+  exit 1
+fi
+
+echo "== guard: the oracle view is kept once =="
+# DESIGN.md §4: the expected end of each running execution is the
+# cluster's (FnRuntime::running: occupy_thread pushes it, release_thread
+# and crash_evict retire it), and a PolicyCtx is a view of the cluster
+# alone, built by ClusterState::policy_ctx. The orchestrator's map of
+# ends per container, its pool of spare vectors and the trait that hid
+# the map's hasher stay gone. PolicyCtx::new is an inert stub for the
+# frozen benchmark/benches/adapter.rs (not searched); nothing else calls it.
+if grep -rnE 'busy_until|BusyEnds|spare_ends' crates/sim/src \
+  || grep -rn 'PolicyCtx::new(' crates src tests examples; then
+  echo "the ends of running executions are kept twice again; read FnRuntime::running and build views with ClusterState::policy_ctx" >&2
   exit 1
 fi
 

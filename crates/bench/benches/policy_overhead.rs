@@ -10,12 +10,11 @@
 //! are `benchmark/`'s `policy.css_on_blocked_ns` and
 //! `policy.cip_priority_ns` probes.
 
-use std::collections::HashMap;
 use std::hint::black_box;
 use std::process::ExitCode;
 
 use cidre_core::{CidreConfig, CssScaler};
-use faas_sim::{ClusterState, PolicyCtx, RequestId, RequestInfo, Scaler, StartClass, WorkerId};
+use faas_sim::{ClusterState, RequestId, RequestInfo, Scaler, StartClass, WorkerId};
 use faas_testkit::{BenchStats, Harness, Rng};
 use faas_trace::{FunctionId, FunctionProfile, TimeDelta, TimePoint};
 
@@ -59,7 +58,6 @@ fn bench_css_decision_at(
     ti: TimeDelta,
 ) -> Option<BenchStats> {
     let cl = harness();
-    let busy = HashMap::new();
     let config = CidreConfig::default();
     let mut css = CssScaler::new(config);
     let window = config.window.expect("default window is bounded");
@@ -68,7 +66,7 @@ fn bench_css_decision_at(
     let mut now_us = 0;
     let mut step = |css: &mut CssScaler| {
         now_us += step_us;
-        let ctx = PolicyCtx::new(TimePoint::from_micros(now_us), &cl, &busy);
+        let ctx = cl.policy_ctx(TimePoint::from_micros(now_us));
         let req = RequestInfo {
             id: RequestId(0),
             func: FunctionId(0),

@@ -35,9 +35,10 @@ fn main() -> ExitCode {
     // (~93k requests, ~80k container lifetimes) against two 300 GB
     // workers, so each memory-pressure round sees an idle pool of ~1000
     // eviction candidates. This is the scenario the indexed hot paths
-    // are sized for (at the paper's 330 functions the two scans tie:
-    // `engine.reference_scan_ratio` in `benchmark/`); it is identical in
-    // smoke and full mode, only sample counts differ.
+    // are sized for (at the paper's 330 functions the reference scans
+    // take 1.42-1.46x as long: `engine.reference_scan_ratio` in six runs
+    // of `benchmark --workload policy_mix --seed 42 --trace 1`); it is
+    // identical in smoke and full mode, only sample counts differ.
     let trace = gen::azure(7)
         .functions(10_000)
         .minutes(1)

@@ -137,7 +137,6 @@ mod tests {
     use super::*;
     use faas_sim::{ClusterState, WorkerId};
     use faas_trace::{FunctionId, FunctionProfile, TimeDelta, TimePoint};
-    use std::collections::HashMap as Map;
 
     fn cluster_with(counts: &[(u32, usize)]) -> ClusterState {
         // counts: (function id, number of warm containers)
@@ -174,8 +173,7 @@ mod tests {
         let now = TimePoint::from_secs(60);
         cl.note_arrival(FunctionId(0), TimePoint::ZERO);
         cl.note_arrival(FunctionId(1), TimePoint::ZERO);
-        let busy = Map::new();
-        let ctx = PolicyCtx::new(now, &cl, &busy);
+        let ctx = cl.policy_ctx(now);
         let cip = CipKeepAlive::new();
         let p0 = cip.priority(&info(&cl, ContainerId(0)), &ctx);
         let p1 = cip.priority(&info(&cl, ContainerId(1)), &ctx);
@@ -187,15 +185,14 @@ mod tests {
     fn frequency_decays_over_time() {
         let mut cl = cluster_with(&[(0, 1)]);
         cl.note_arrival(FunctionId(0), TimePoint::ZERO);
-        let busy = Map::new();
         let cip = CipKeepAlive::new();
         let early = cip.priority(
             &info(&cl, ContainerId(0)),
-            &PolicyCtx::new(TimePoint::from_secs(60), &cl, &busy),
+            &cl.policy_ctx(TimePoint::from_secs(60)),
         );
         let late = cip.priority(
             &info(&cl, ContainerId(0)),
-            &PolicyCtx::new(TimePoint::from_secs(600), &cl, &busy),
+            &cl.policy_ctx(TimePoint::from_secs(600)),
         );
         assert!(
             early > late,
@@ -207,21 +204,20 @@ mod tests {
     fn reuse_inflates_clock() {
         let mut cl = cluster_with(&[(0, 1)]);
         cl.note_arrival(FunctionId(0), TimePoint::ZERO);
-        let busy = Map::new();
         let mut cip = CipKeepAlive::new();
         let id = ContainerId(0);
         let ctx_now = TimePoint::from_secs(30);
         let before = {
-            let ctx = PolicyCtx::new(ctx_now, &cl, &busy);
+            let ctx = cl.policy_ctx(ctx_now);
             cip.priority(&info(&cl, id), &ctx)
         };
         {
-            let ctx = PolicyCtx::new(ctx_now, &cl, &busy);
+            let ctx = cl.policy_ctx(ctx_now);
             let i = info(&cl, id);
             cip.on_reuse(&i, &ctx);
         }
         let after = {
-            let ctx = PolicyCtx::new(ctx_now, &cl, &busy);
+            let ctx = cl.policy_ctx(ctx_now);
             cip.priority(&info(&cl, id), &ctx)
         };
         assert!(after > before);
@@ -232,17 +228,16 @@ mod tests {
     fn admitted_with_eviction_inherits_max_evicted_priority() {
         let mut cl = cluster_with(&[(0, 2)]);
         cl.note_arrival(FunctionId(0), TimePoint::ZERO);
-        let busy = Map::new();
         let mut cip = CipKeepAlive::new();
         let now = TimePoint::from_secs(10);
         let (v0, v1) = (ContainerId(0), ContainerId(1));
         let (i0, i1) = (info(&cl, v0), info(&cl, v1));
         let pmax = {
-            let ctx = PolicyCtx::new(now, &cl, &busy);
+            let ctx = cl.policy_ctx(now);
             cip.priority(&i0, &ctx).max(cip.priority(&i1, &ctx))
         };
         {
-            let ctx = PolicyCtx::new(now, &cl, &busy);
+            let ctx = cl.policy_ctx(now);
             cip.on_evict(&i0, &ctx);
             cip.on_evict(&i1, &ctx);
         }
@@ -253,7 +248,7 @@ mod tests {
             id
         };
         {
-            let ctx = PolicyCtx::new(now, &cl, &busy);
+            let ctx = cl.policy_ctx(now);
             let i = info(&cl, new_id);
             cip.on_admit(&i, &[i0, i1], &ctx);
         }
@@ -263,9 +258,8 @@ mod tests {
     #[test]
     fn admitted_without_eviction_starts_at_zero() {
         let mut cl = cluster_with(&[(0, 1)]);
-        let busy = Map::new();
         let mut cip = CipKeepAlive::new();
-        let ctx = PolicyCtx::new(TimePoint::ZERO, &cl, &busy);
+        let ctx = cl.policy_ctx(TimePoint::ZERO);
         let i = info(&cl, ContainerId(0));
         cip.on_admit(&i, &[], &ctx);
         assert_eq!(cip.clock(ContainerId(0)), 0.0);
@@ -281,23 +275,22 @@ mod tests {
         let mut cl = cluster_with(&[(0, 2), (1, 1)]);
         cl.note_arrival(FunctionId(0), TimePoint::ZERO);
         cl.note_arrival(FunctionId(1), TimePoint::ZERO);
-        let busy = Map::new();
         let mut cip = CipKeepAlive::new();
         let now = TimePoint::from_secs(10);
         // Pump fn1's container to a high priority via repeated reuse.
         let hot = ContainerId(2);
         for _ in 0..5 {
-            let ctx = PolicyCtx::new(now, &cl, &busy);
+            let ctx = cl.policy_ctx(now);
             let i = info(&cl, hot);
             cip.on_reuse(&i, &ctx);
         }
         let p_hot = {
-            let ctx = PolicyCtx::new(now, &cl, &busy);
+            let ctx = cl.policy_ctx(now);
             cip.priority(&info(&cl, hot), &ctx)
         };
         // Crash-evict the hot container — no admission follows it.
         {
-            let ctx = PolicyCtx::new(now, &cl, &busy);
+            let ctx = cl.policy_ctx(now);
             let i = info(&cl, hot);
             cip.on_evict(&i, &ctx);
         }
@@ -306,19 +299,19 @@ mod tests {
         let victim = ContainerId(0);
         let vi = info(&cl, victim);
         let p_victim = {
-            let ctx = PolicyCtx::new(now, &cl, &busy);
+            let ctx = cl.policy_ctx(now);
             cip.priority(&vi, &ctx)
         };
         assert!(p_hot > p_victim, "setup: crash victim must outrank");
         {
-            let ctx = PolicyCtx::new(now, &cl, &busy);
+            let ctx = cl.policy_ctx(now);
             cip.on_evict(&vi, &ctx);
         }
         cl.evict(victim, now);
         let new_id = cl.begin_provision(FunctionId(0), WorkerId(0), now, false);
         cl.finish_provision(new_id, now);
         {
-            let ctx = PolicyCtx::new(now, &cl, &busy);
+            let ctx = cl.policy_ctx(now);
             let i = info(&cl, new_id);
             cip.on_admit(&i, &[vi], &ctx);
         }
@@ -338,12 +331,11 @@ mod tests {
         // through `on_evict`), the new container used to start at clock 0.
         let mut cl = cluster_with(&[(0, 1)]);
         cl.note_arrival(FunctionId(0), TimePoint::ZERO);
-        let busy = Map::new();
         let mut cip = CipKeepAlive::new();
         let now = TimePoint::from_secs(60);
         let vi = info(&cl, ContainerId(0));
         let p = {
-            let ctx = PolicyCtx::new(now, &cl, &busy);
+            let ctx = cl.policy_ctx(now);
             cip.priority(&vi, &ctx)
         };
         assert!(p > 0.0);
@@ -351,7 +343,7 @@ mod tests {
         let new_id = cl.begin_provision(FunctionId(0), WorkerId(0), now, false);
         cl.finish_provision(new_id, now);
         {
-            let ctx = PolicyCtx::new(now, &cl, &busy);
+            let ctx = cl.policy_ctx(now);
             let i = info(&cl, new_id);
             cip.on_admit(&i, &[vi], &ctx);
         }
@@ -365,17 +357,16 @@ mod tests {
     fn eviction_drops_clock_with_no_orphans() {
         let mut cl = cluster_with(&[(0, 2)]);
         cl.note_arrival(FunctionId(0), TimePoint::ZERO);
-        let busy = Map::new();
         let mut cip = CipKeepAlive::new();
         let now = TimePoint::from_secs(10);
         for id in [ContainerId(0), ContainerId(1)] {
-            let ctx = PolicyCtx::new(now, &cl, &busy);
+            let ctx = cl.policy_ctx(now);
             let i = info(&cl, id);
             cip.on_reuse(&i, &ctx);
         }
         assert_eq!(cip.tracked_clocks(), 2);
         for id in [ContainerId(0), ContainerId(1)] {
-            let ctx = PolicyCtx::new(now, &cl, &busy);
+            let ctx = cl.policy_ctx(now);
             let i = info(&cl, id);
             cip.on_evict(&i, &ctx);
         }
@@ -396,8 +387,7 @@ mod tests {
         cl.finish_provision(b, TimePoint::ZERO);
         cl.note_arrival(FunctionId(0), TimePoint::ZERO);
         cl.note_arrival(FunctionId(1), TimePoint::ZERO);
-        let busy = Map::new();
-        let ctx = PolicyCtx::new(TimePoint::from_secs(60), &cl, &busy);
+        let ctx = cl.policy_ctx(TimePoint::from_secs(60));
         let cip = CipKeepAlive::new();
         assert!(cip.priority(&info(&cl, b), &ctx) > cip.priority(&info(&cl, a), &ctx));
     }

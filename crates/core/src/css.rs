@@ -255,16 +255,15 @@ mod tests {
     use super::*;
     use faas_sim::{ClusterState, RequestId};
     use faas_trace::{FunctionProfile, TimePoint};
-    use std::collections::HashMap as Map;
 
-    fn harness() -> (ClusterState, Map<faas_sim::ContainerId, Vec<TimePoint>>) {
+    fn harness() -> ClusterState {
         let profiles = vec![FunctionProfile::new(
             FunctionId(0),
             "f",
             128,
             TimeDelta::from_millis(200),
         )];
-        (ClusterState::new(&[10_000], profiles, 1), Map::new())
+        ClusterState::new(&[10_000], profiles, 1)
     }
 
     fn req(at_ms: u64) -> RequestInfo {
@@ -275,26 +274,22 @@ mod tests {
         }
     }
 
-    fn ctx_at<'a>(
-        cl: &'a ClusterState,
-        busy: &'a Map<faas_sim::ContainerId, Vec<TimePoint>>,
-        ms: u64,
-    ) -> PolicyCtx<'a> {
-        PolicyCtx::new(TimePoint::from_millis(ms), cl, busy)
+    fn ctx_at(cl: &ClusterState, ms: u64) -> PolicyCtx<'_> {
+        cl.policy_ctx(TimePoint::from_millis(ms))
     }
 
     #[test]
     fn starts_in_bss_mode() {
-        let (cl, busy) = harness();
+        let cl = harness();
         let mut css = CssScaler::new(CidreConfig::default());
-        let d = css.on_blocked(&req(0), &ctx_at(&cl, &busy, 0));
+        let d = css.on_blocked(&req(0), &ctx_at(&cl, 0));
         assert_eq!(d, ScaleDecision::Race);
         assert!(css.bss_enabled(FunctionId(0)));
     }
 
     #[test]
     fn wasted_cold_start_disables_bss() {
-        let (cl, busy) = harness();
+        let cl = harness();
         let mut css = CssScaler::new(CidreConfig::default());
         // Record an execution history: Te ≈ 50 ms.
         css.on_start(
@@ -302,62 +297,62 @@ mod tests {
             StartClass::Warm,
             TimeDelta::ZERO,
             TimeDelta::from_millis(50),
-            &ctx_at(&cl, &busy, 0),
+            &ctx_at(&cl, 0),
         );
         // Last speculative container idled 500 ms > Te.
         css.on_cold_outcome(
             FunctionId(0),
             Some(TimeDelta::from_millis(500)),
-            &ctx_at(&cl, &busy, 1),
+            &ctx_at(&cl, 1),
         );
-        let d = css.on_blocked(&req(2), &ctx_at(&cl, &busy, 2));
+        let d = css.on_blocked(&req(2), &ctx_at(&cl, 2));
         assert_eq!(d, ScaleDecision::WaitWarm);
         assert!(!css.bss_enabled(FunctionId(0)));
     }
 
     #[test]
     fn quick_reuse_keeps_bss() {
-        let (cl, busy) = harness();
+        let cl = harness();
         let mut css = CssScaler::new(CidreConfig::default());
         css.on_start(
             &req(0),
             StartClass::Warm,
             TimeDelta::ZERO,
             TimeDelta::from_millis(50),
-            &ctx_at(&cl, &busy, 0),
+            &ctx_at(&cl, 0),
         );
         css.on_cold_outcome(
             FunctionId(0),
             Some(TimeDelta::from_millis(10)),
-            &ctx_at(&cl, &busy, 1),
+            &ctx_at(&cl, 1),
         );
         assert_eq!(
-            css.on_blocked(&req(2), &ctx_at(&cl, &busy, 2)),
+            css.on_blocked(&req(2), &ctx_at(&cl, 2)),
             ScaleDecision::Race
         );
     }
 
     #[test]
     fn eviction_without_use_counts_as_infinite_idle() {
-        let (cl, busy) = harness();
+        let cl = harness();
         let mut css = CssScaler::new(CidreConfig::default());
         css.on_start(
             &req(0),
             StartClass::Warm,
             TimeDelta::ZERO,
             TimeDelta::from_millis(1_000),
-            &ctx_at(&cl, &busy, 0),
+            &ctx_at(&cl, 0),
         );
-        css.on_cold_outcome(FunctionId(0), None, &ctx_at(&cl, &busy, 1));
+        css.on_cold_outcome(FunctionId(0), None, &ctx_at(&cl, 1));
         assert_eq!(
-            css.on_blocked(&req(2), &ctx_at(&cl, &busy, 2)),
+            css.on_blocked(&req(2), &ctx_at(&cl, 2)),
             ScaleDecision::WaitWarm
         );
     }
 
     #[test]
     fn long_queueing_reenables_bss() {
-        let (cl, busy) = harness();
+        let cl = harness();
         let mut css = CssScaler::new(CidreConfig::default());
         // Disable first.
         css.on_start(
@@ -365,15 +360,15 @@ mod tests {
             StartClass::Warm,
             TimeDelta::ZERO,
             TimeDelta::from_millis(10),
-            &ctx_at(&cl, &busy, 0),
+            &ctx_at(&cl, 0),
         );
         css.on_cold_outcome(
             FunctionId(0),
             Some(TimeDelta::from_millis(100)),
-            &ctx_at(&cl, &busy, 1),
+            &ctx_at(&cl, 1),
         );
         assert_eq!(
-            css.on_blocked(&req(2), &ctx_at(&cl, &busy, 2)),
+            css.on_blocked(&req(2), &ctx_at(&cl, 2)),
             ScaleDecision::WaitWarm
         );
         // Delayed warm starts now cost 900 ms > Tp (200 ms profile).
@@ -382,47 +377,47 @@ mod tests {
             StartClass::DelayedWarm,
             TimeDelta::from_millis(900),
             TimeDelta::from_millis(10),
-            &ctx_at(&cl, &busy, 3),
+            &ctx_at(&cl, 3),
         );
-        let d = css.on_blocked(&req(4), &ctx_at(&cl, &busy, 4));
+        let d = css.on_blocked(&req(4), &ctx_at(&cl, 4));
         assert_eq!(d, ScaleDecision::Race);
         assert!(css.bss_enabled(FunctionId(0)));
     }
 
     #[test]
     fn cheap_queueing_keeps_bss_disabled() {
-        let (cl, busy) = harness();
+        let cl = harness();
         let mut css = CssScaler::new(CidreConfig::default());
         css.on_start(
             &req(0),
             StartClass::Warm,
             TimeDelta::ZERO,
             TimeDelta::from_millis(10),
-            &ctx_at(&cl, &busy, 0),
+            &ctx_at(&cl, 0),
         );
         css.on_cold_outcome(
             FunctionId(0),
             Some(TimeDelta::from_millis(100)),
-            &ctx_at(&cl, &busy, 1),
+            &ctx_at(&cl, 1),
         );
-        let _ = css.on_blocked(&req(2), &ctx_at(&cl, &busy, 2));
+        let _ = css.on_blocked(&req(2), &ctx_at(&cl, 2));
         // Delayed warm waits of 20 ms << 200 ms cold.
         css.on_start(
             &req(3),
             StartClass::DelayedWarm,
             TimeDelta::from_millis(20),
             TimeDelta::from_millis(10),
-            &ctx_at(&cl, &busy, 3),
+            &ctx_at(&cl, 3),
         );
         assert_eq!(
-            css.on_blocked(&req(4), &ctx_at(&cl, &busy, 4)),
+            css.on_blocked(&req(4), &ctx_at(&cl, 4)),
             ScaleDecision::WaitWarm
         );
     }
 
     #[test]
     fn measured_tp_overrides_profile() {
-        let (cl, busy) = harness();
+        let cl = harness();
         let mut css = CssScaler::new(CidreConfig::default());
         // Disable BSS.
         css.on_start(
@@ -430,14 +425,14 @@ mod tests {
             StartClass::Warm,
             TimeDelta::ZERO,
             TimeDelta::from_millis(10),
-            &ctx_at(&cl, &busy, 0),
+            &ctx_at(&cl, 0),
         );
         css.on_cold_outcome(
             FunctionId(0),
             Some(TimeDelta::from_millis(50)),
-            &ctx_at(&cl, &busy, 1),
+            &ctx_at(&cl, 1),
         );
-        let _ = css.on_blocked(&req(2), &ctx_at(&cl, &busy, 2));
+        let _ = css.on_blocked(&req(2), &ctx_at(&cl, 2));
         // Observed cold waits of 2000 ms (memory pressure made cold starts
         // far more expensive than the 200 ms profile).
         css.on_start(
@@ -445,7 +440,7 @@ mod tests {
             StartClass::Cold,
             TimeDelta::from_millis(2_000),
             TimeDelta::from_millis(10),
-            &ctx_at(&cl, &busy, 3),
+            &ctx_at(&cl, 3),
         );
         // A 900 ms queueing cost now should NOT re-enable (900 < 2000).
         css.on_start(
@@ -453,17 +448,17 @@ mod tests {
             StartClass::DelayedWarm,
             TimeDelta::from_millis(900),
             TimeDelta::from_millis(10),
-            &ctx_at(&cl, &busy, 4),
+            &ctx_at(&cl, 4),
         );
         assert_eq!(
-            css.on_blocked(&req(5), &ctx_at(&cl, &busy, 5)),
+            css.on_blocked(&req(5), &ctx_at(&cl, 5)),
             ScaleDecision::WaitWarm
         );
     }
 
     #[test]
     fn te_estimator_percentile_matters() {
-        let (cl, busy) = harness();
+        let cl = harness();
         // With p75, Te is larger, so a given Ti is less likely to trip the
         // "wasted" classification.
         let mut p25 =
@@ -477,29 +472,29 @@ mod tests {
                     StartClass::Warm,
                     TimeDelta::ZERO,
                     TimeDelta::from_millis(*ms),
-                    &ctx_at(&cl, &busy, i as u64),
+                    &ctx_at(&cl, i as u64),
                 );
             }
             css.on_cold_outcome(
                 FunctionId(0),
                 Some(TimeDelta::from_millis(200)),
-                &ctx_at(&cl, &busy, 5),
+                &ctx_at(&cl, 5),
             );
         }
         // Ti=200: p25 Te=55 -> disable; p75 Te=550 -> keep racing.
         assert_eq!(
-            p25.on_blocked(&req(6), &ctx_at(&cl, &busy, 6)),
+            p25.on_blocked(&req(6), &ctx_at(&cl, 6)),
             ScaleDecision::WaitWarm
         );
         assert_eq!(
-            p75.on_blocked(&req(6), &ctx_at(&cl, &busy, 6)),
+            p75.on_blocked(&req(6), &ctx_at(&cl, 6)),
             ScaleDecision::Race
         );
     }
 
     #[test]
     fn window_expiry_forgets_history() {
-        let (cl, busy) = harness();
+        let cl = harness();
         let mut css =
             CssScaler::new(CidreConfig::default().window(Some(TimeDelta::from_millis(100))));
         css.on_start(
@@ -507,17 +502,17 @@ mod tests {
             StartClass::Warm,
             TimeDelta::ZERO,
             TimeDelta::from_millis(10),
-            &ctx_at(&cl, &busy, 0),
+            &ctx_at(&cl, 0),
         );
         css.on_cold_outcome(
             FunctionId(0),
             Some(TimeDelta::from_millis(500)),
-            &ctx_at(&cl, &busy, 1),
+            &ctx_at(&cl, 1),
         );
         // At t=10s, the Te window is empty: Algorithm 1 cannot establish
         // Ti > Te, so it keeps racing.
         assert_eq!(
-            css.on_blocked(&req(10_000), &ctx_at(&cl, &busy, 10_000)),
+            css.on_blocked(&req(10_000), &ctx_at(&cl, 10_000)),
             ScaleDecision::Race
         );
     }
@@ -545,17 +540,16 @@ mod tests {
             FunctionProfile::new(FunctionId(1), "b", 128, TimeDelta::from_millis(200)),
         ];
         let cl = ClusterState::new(&[10_000], profiles, 1);
-        let busy = Map::new();
         let mut css = CssScaler::new(CidreConfig::default());
         css.on_start(
             &req(0),
             StartClass::Warm,
             TimeDelta::ZERO,
             TimeDelta::from_millis(10),
-            &ctx_at(&cl, &busy, 0),
+            &ctx_at(&cl, 0),
         );
-        css.on_cold_outcome(FunctionId(0), None, &ctx_at(&cl, &busy, 1));
-        let _ = css.on_blocked(&req(2), &ctx_at(&cl, &busy, 2));
+        css.on_cold_outcome(FunctionId(0), None, &ctx_at(&cl, 1));
+        let _ = css.on_blocked(&req(2), &ctx_at(&cl, 2));
         assert!(!css.bss_enabled(FunctionId(0)));
         assert!(css.bss_enabled(FunctionId(1)));
     }

@@ -5,8 +5,6 @@
 //! CIP priority of Eq. 3 / frequency of Eq. 4 as exact arithmetic,
 //! including logical-clock inheritance across an eviction batch.
 
-use std::collections::HashMap;
-
 use cidre_core::{CidreConfig, CipKeepAlive, CssScaler, TeEstimator};
 use faas_sim::{
     ClusterState, ContainerId, ContainerInfo, KeepAlive, PolicyCtx, RequestId, RequestInfo,
@@ -35,21 +33,19 @@ fn req(at_ms: u64) -> RequestInfo {
     }
 }
 
-type Busy = HashMap<ContainerId, Vec<TimePoint>>;
-
-fn ctx_at<'a>(cl: &'a ClusterState, busy: &'a Busy, ms: u64) -> PolicyCtx<'a> {
-    PolicyCtx::new(TimePoint::from_millis(ms), cl, busy)
+fn ctx_at(cl: &ClusterState, ms: u64) -> PolicyCtx<'_> {
+    cl.policy_ctx(TimePoint::from_millis(ms))
 }
 
 /// Records one warm execution of `exec_ms` so the `Te` window holds
 /// exactly that value.
-fn record_exec(css: &mut CssScaler, cl: &ClusterState, busy: &Busy, at_ms: u64, exec_ms: u64) {
+fn record_exec(css: &mut CssScaler, cl: &ClusterState, at_ms: u64, exec_ms: u64) {
     css.on_start(
         &req(at_ms),
         StartClass::Warm,
         TimeDelta::ZERO,
         TimeDelta::from_millis(exec_ms),
-        &ctx_at(cl, busy, at_ms),
+        &ctx_at(cl, at_ms),
     );
 }
 
@@ -62,24 +58,23 @@ fn record_exec(css: &mut CssScaler, cl: &ClusterState, busy: &Busy, at_ms: u64, 
 #[test]
 fn css_toggle_cycle_disable_reenable_disable() {
     let cl = one_fn_cluster();
-    let busy = Busy::new();
     let mut css = CssScaler::new(CidreConfig::default());
 
     // BSS on: blocked requests race.
     assert_eq!(
-        css.on_blocked(&req(0), &ctx_at(&cl, &busy, 0)),
+        css.on_blocked(&req(0), &ctx_at(&cl, 0)),
         ScaleDecision::Race
     );
 
     // Te = 50 ms, last speculative container idled 500 ms: disable.
-    record_exec(&mut css, &cl, &busy, 1, 50);
+    record_exec(&mut css, &cl, 1, 50);
     css.on_cold_outcome(
         FunctionId(0),
         Some(TimeDelta::from_millis(500)),
-        &ctx_at(&cl, &busy, 2),
+        &ctx_at(&cl, 2),
     );
     assert_eq!(
-        css.on_blocked(&req(3), &ctx_at(&cl, &busy, 3)),
+        css.on_blocked(&req(3), &ctx_at(&cl, 3)),
         ScaleDecision::WaitWarm
     );
     assert!(!css.bss_enabled(FunctionId(0)));
@@ -90,10 +85,10 @@ fn css_toggle_cycle_disable_reenable_disable() {
         StartClass::DelayedWarm,
         TimeDelta::from_millis(900),
         TimeDelta::from_millis(50),
-        &ctx_at(&cl, &busy, 4),
+        &ctx_at(&cl, 4),
     );
     assert_eq!(
-        css.on_blocked(&req(5), &ctx_at(&cl, &busy, 5)),
+        css.on_blocked(&req(5), &ctx_at(&cl, 5)),
         ScaleDecision::Race
     );
     assert!(css.bss_enabled(FunctionId(0)));
@@ -102,10 +97,10 @@ fn css_toggle_cycle_disable_reenable_disable() {
     css.on_cold_outcome(
         FunctionId(0),
         Some(TimeDelta::from_millis(800)),
-        &ctx_at(&cl, &busy, 6),
+        &ctx_at(&cl, 6),
     );
     assert_eq!(
-        css.on_blocked(&req(7), &ctx_at(&cl, &busy, 7)),
+        css.on_blocked(&req(7), &ctx_at(&cl, 7)),
         ScaleDecision::WaitWarm
     );
     assert!(!css.bss_enabled(FunctionId(0)));
@@ -116,16 +111,15 @@ fn css_toggle_cycle_disable_reenable_disable() {
 #[test]
 fn css_ti_equal_te_boundary_keeps_racing() {
     let cl = one_fn_cluster();
-    let busy = Busy::new();
     let mut css = CssScaler::new(CidreConfig::default());
-    record_exec(&mut css, &cl, &busy, 0, 100); // Te = 100 ms exactly.
+    record_exec(&mut css, &cl, 0, 100); // Te = 100 ms exactly.
     css.on_cold_outcome(
         FunctionId(0),
         Some(TimeDelta::from_millis(100)), // Ti = 100 ms = Te.
-        &ctx_at(&cl, &busy, 1),
+        &ctx_at(&cl, 1),
     );
     assert_eq!(
-        css.on_blocked(&req(2), &ctx_at(&cl, &busy, 2)),
+        css.on_blocked(&req(2), &ctx_at(&cl, 2)),
         ScaleDecision::Race
     );
     assert!(css.bss_enabled(FunctionId(0)));
@@ -136,17 +130,16 @@ fn css_ti_equal_te_boundary_keeps_racing() {
 #[test]
 fn css_td_equal_tp_boundary_stays_disabled() {
     let cl = one_fn_cluster();
-    let busy = Busy::new();
     let mut css = CssScaler::new(CidreConfig::default());
     // Disable: Te = 10 ms, Ti = 500 ms.
-    record_exec(&mut css, &cl, &busy, 0, 10);
+    record_exec(&mut css, &cl, 0, 10);
     css.on_cold_outcome(
         FunctionId(0),
         Some(TimeDelta::from_millis(500)),
-        &ctx_at(&cl, &busy, 1),
+        &ctx_at(&cl, 1),
     );
     assert_eq!(
-        css.on_blocked(&req(2), &ctx_at(&cl, &busy, 2)),
+        css.on_blocked(&req(2), &ctx_at(&cl, 2)),
         ScaleDecision::WaitWarm
     );
     // Td = 200 ms = the profile cold start backing Tp.
@@ -155,10 +148,10 @@ fn css_td_equal_tp_boundary_stays_disabled() {
         StartClass::DelayedWarm,
         TimeDelta::from_millis(200),
         TimeDelta::from_millis(10),
-        &ctx_at(&cl, &busy, 3),
+        &ctx_at(&cl, 3),
     );
     assert_eq!(
-        css.on_blocked(&req(4), &ctx_at(&cl, &busy, 4)),
+        css.on_blocked(&req(4), &ctx_at(&cl, 4)),
         ScaleDecision::WaitWarm
     );
     assert!(!css.bss_enabled(FunctionId(0)));
@@ -173,7 +166,6 @@ fn css_td_equal_tp_boundary_stays_disabled() {
 fn css_ti_hint_expires_with_window() {
     let window_ms = 1_000u64;
     let cl = one_fn_cluster();
-    let busy = Busy::new();
     let make =
         || CssScaler::new(CidreConfig::default().window(Some(TimeDelta::from_millis(window_ms))));
 
@@ -182,11 +174,11 @@ fn css_ti_hint_expires_with_window() {
     css.on_cold_outcome(
         FunctionId(0),
         Some(TimeDelta::from_millis(500)), // Ti = 500 ms.
-        &ctx_at(&cl, &busy, 0),
+        &ctx_at(&cl, 0),
     );
-    record_exec(&mut css, &cl, &busy, window_ms, 50); // fresh Te = 50 ms.
+    record_exec(&mut css, &cl, window_ms, 50); // fresh Te = 50 ms.
     assert_eq!(
-        css.on_blocked(&req(window_ms), &ctx_at(&cl, &busy, window_ms)),
+        css.on_blocked(&req(window_ms), &ctx_at(&cl, window_ms)),
         ScaleDecision::WaitWarm
     );
     assert!(!css.bss_enabled(FunctionId(0)));
@@ -196,11 +188,11 @@ fn css_ti_hint_expires_with_window() {
     css.on_cold_outcome(
         FunctionId(0),
         Some(TimeDelta::from_millis(500)),
-        &ctx_at(&cl, &busy, 0),
+        &ctx_at(&cl, 0),
     );
-    record_exec(&mut css, &cl, &busy, window_ms + 1, 50);
+    record_exec(&mut css, &cl, window_ms + 1, 50);
     assert_eq!(
-        css.on_blocked(&req(window_ms + 1), &ctx_at(&cl, &busy, window_ms + 1)),
+        css.on_blocked(&req(window_ms + 1), &ctx_at(&cl, window_ms + 1)),
         ScaleDecision::Race
     );
     assert!(css.bss_enabled(FunctionId(0)));
@@ -213,8 +205,7 @@ fn css_ti_hint_expires_with_window() {
 fn css_td_hint_expires_with_window() {
     let window_us = 1_000_000u64;
     let cl = one_fn_cluster();
-    let busy = Busy::new();
-    let at = |us: u64| PolicyCtx::new(TimePoint::from_micros(us), &cl, &busy);
+    let at = |us: u64| cl.policy_ctx(TimePoint::from_micros(us));
     let req_at = |us: u64| RequestInfo {
         arrival: TimePoint::from_micros(us),
         ..req(0)
@@ -226,7 +217,7 @@ fn css_td_hint_expires_with_window() {
         let mut css =
             CssScaler::new(CidreConfig::default().window(Some(TimeDelta::from_micros(window_us))));
         // Disable: Te = 10 ms, Ti = 500 ms.
-        record_exec(&mut css, &cl, &busy, 0, 10);
+        record_exec(&mut css, &cl, 0, 10);
         css.on_cold_outcome(FunctionId(0), Some(TimeDelta::from_millis(500)), &at(0));
         assert_eq!(css.on_blocked(&req_at(0), &at(0)), ScaleDecision::WaitWarm);
         css.on_start(
@@ -254,33 +245,32 @@ fn css_td_hint_expires_with_window() {
 #[test]
 fn css_infinite_ti_disables_only_with_te_history() {
     let cl = one_fn_cluster();
-    let busy = Busy::new();
     let make = || CssScaler::new(CidreConfig::default().window(Some(TimeDelta::from_secs(1))));
 
     // No execution recorded at all.
     let mut css = make();
-    css.on_cold_outcome(FunctionId(0), None, &ctx_at(&cl, &busy, 0));
+    css.on_cold_outcome(FunctionId(0), None, &ctx_at(&cl, 0));
     assert_eq!(
-        css.on_blocked(&req(0), &ctx_at(&cl, &busy, 0)),
+        css.on_blocked(&req(0), &ctx_at(&cl, 0)),
         ScaleDecision::Race
     );
 
     // The only execution has left the 1 s window by t = 1.5 s.
     let mut css = make();
-    record_exec(&mut css, &cl, &busy, 0, 50);
-    css.on_cold_outcome(FunctionId(0), None, &ctx_at(&cl, &busy, 1_500));
+    record_exec(&mut css, &cl, 0, 50);
+    css.on_cold_outcome(FunctionId(0), None, &ctx_at(&cl, 1_500));
     assert_eq!(
-        css.on_blocked(&req(1_500), &ctx_at(&cl, &busy, 1_500)),
+        css.on_blocked(&req(1_500), &ctx_at(&cl, 1_500)),
         ScaleDecision::Race
     );
     assert!(css.bss_enabled(FunctionId(0)));
 
     // The same execution still in the window at t = 1 s: disable.
     let mut css = make();
-    record_exec(&mut css, &cl, &busy, 0, 50);
-    css.on_cold_outcome(FunctionId(0), None, &ctx_at(&cl, &busy, 1_000));
+    record_exec(&mut css, &cl, 0, 50);
+    css.on_cold_outcome(FunctionId(0), None, &ctx_at(&cl, 1_000));
     assert_eq!(
-        css.on_blocked(&req(1_000), &ctx_at(&cl, &busy, 1_000)),
+        css.on_blocked(&req(1_000), &ctx_at(&cl, 1_000)),
         ScaleDecision::WaitWarm
     );
     assert!(!css.bss_enabled(FunctionId(0)));
@@ -387,7 +377,6 @@ fn css_matches_a_full_history_model_of_algorithm_1() {
                 )];
                 ClusterState::new(&[10_000], profiles, 1)
             };
-            let busy = Busy::new();
             let mut css = CssScaler::new(CidreConfig {
                 window: window_us.map(TimeDelta::from_micros),
                 te,
@@ -404,7 +393,7 @@ fn css_matches_a_full_history_model_of_algorithm_1() {
             let mut now = 0u64;
             for step in 0..g.usize(1..120) {
                 now += *g.choose(&[0, 0, 1, 250, 999, 1_000, 1_001, 2_500, 6_000]);
-                let ctx = PolicyCtx::new(TimePoint::from_micros(now), &cl, &busy);
+                let ctx = cl.policy_ctx(TimePoint::from_micros(now));
                 let req = RequestInfo {
                     arrival: ctx.now,
                     ..req(0)
@@ -483,9 +472,8 @@ fn info(cl: &ClusterState, id: ContainerId) -> ContainerInfo {
 fn cip_priority_is_eq3_arithmetic() {
     let mut cl = warm_cluster(1, 100, 200);
     cl.note_arrival(FunctionId(0), TimePoint::ZERO);
-    let busy = Busy::new();
     let cip = CipKeepAlive::new();
-    let ctx = PolicyCtx::new(TimePoint::from_secs(60), &cl, &busy);
+    let ctx = cl.policy_ctx(TimePoint::from_secs(60));
     let p = cip.priority(&info(&cl, ContainerId(0)), &ctx);
     assert!((p - 2.0).abs() < 1e-12, "got {p}");
     // Doubling the warm-container count halves the per-container share.
@@ -494,7 +482,7 @@ fn cip_priority_is_eq3_arithmetic() {
         c.note_arrival(FunctionId(0), TimePoint::ZERO);
         c
     };
-    let ctx2 = PolicyCtx::new(TimePoint::from_secs(60), &cl2, &busy);
+    let ctx2 = cl2.policy_ctx(TimePoint::from_secs(60));
     let p2 = cip.priority(&info(&cl2, ContainerId(0)), &ctx2);
     assert!((p2 - 1.0).abs() < 1e-12, "got {p2}");
 }
@@ -508,12 +496,11 @@ fn cip_eq4_frequency_over_lifetime_and_clamp() {
     for _ in 0..3 {
         cl.note_arrival(FunctionId(0), TimePoint::ZERO);
     }
-    let busy = Busy::new();
     let cip = CipKeepAlive::new();
-    let at_2min = PolicyCtx::new(TimePoint::from_secs(120), &cl, &busy);
+    let at_2min = cl.policy_ctx(TimePoint::from_secs(120));
     let p = cip.priority(&info(&cl, ContainerId(0)), &at_2min);
     assert!((p - 1.5 * 200.0 / 100.0).abs() < 1e-12, "got {p}");
-    let at_1ms = PolicyCtx::new(TimePoint::from_millis(1), &cl, &busy);
+    let at_1ms = cl.policy_ctx(TimePoint::from_millis(1));
     let p = cip.priority(&info(&cl, ContainerId(0)), &at_1ms);
     assert!((p - 180.0 * 200.0 / 100.0).abs() < 1e-9, "got {p}");
 }
@@ -525,13 +512,12 @@ fn cip_eq4_frequency_over_lifetime_and_clamp() {
 fn cip_clock_inheritance_is_max_evicted_plus_own_term() {
     let mut cl = warm_cluster(2, 100, 200);
     cl.note_arrival(FunctionId(0), TimePoint::ZERO);
-    let busy = Busy::new();
     let mut cip = CipKeepAlive::new();
     let now = TimePoint::from_secs(60);
     // Both victims share k=2 and Freq=1/min: priority 1*200/(100*2) = 1.
     let (i0, i1) = (info(&cl, ContainerId(0)), info(&cl, ContainerId(1)));
     {
-        let ctx = PolicyCtx::new(now, &cl, &busy);
+        let ctx = cl.policy_ctx(now);
         assert!((cip.priority(&i0, &ctx) - 1.0).abs() < 1e-12);
         cip.on_evict(&i0, &ctx);
         cip.on_evict(&i1, &ctx);
@@ -543,13 +529,13 @@ fn cip_clock_inheritance_is_max_evicted_plus_own_term() {
     cl.finish_provision(new_id, now);
     let new_info = info(&cl, new_id);
     {
-        let ctx = PolicyCtx::new(now, &cl, &busy);
+        let ctx = cl.policy_ctx(now);
         cip.on_admit(&new_info, &[i0, i1], &ctx);
     }
     assert!((cip.clock(new_id) - 1.0).abs() < 1e-12);
     // Its priority is the inherited clock plus its own term: now the
     // function holds a single container, so 1 + 1*200/(100*1) = 3.
-    let ctx = PolicyCtx::new(now, &cl, &busy);
+    let ctx = cl.policy_ctx(now);
     let p = cip.priority(&new_info, &ctx);
     assert!((p - 3.0).abs() < 1e-12, "got {p}");
 }

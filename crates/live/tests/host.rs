@@ -79,15 +79,24 @@ fn cold_then_warm_with_real_output() {
 #[test]
 fn cold_waits_cover_provisioning_latency() {
     // The host twin of the replay's test in `runtime.rs`: no timed event
-    // is stepped before it is due, so a cold start waits at least its
-    // function's provisioning latency, to the microsecond. Eight
-    // functions contend for four slots, so cold starts recur.
+    // is stepped before it is due. Eight functions contend for four
+    // slots, so cold starts recur. Under FaasCache every blocked request
+    // waits cold-only and starts its own provision no earlier than it
+    // arrives, and provisions of one function complete in the order they
+    // started, so the channel's k-th waiter is served by the k-th of
+    // them: a cold start waits at least its function's provisioning
+    // latency, to the microsecond. Under CIDRE there is no such floor: a
+    // `Race`'s provision can outlive its racer and serve a later flexible
+    // arrival as `Cold`, after a shorter wait. The replay's
+    // `cold_starts_follow_their_provision_on_either_clock` checks that
+    // class from a `TraceLog`, which the host does not keep.
     let _guard = LIVE_HOST.lock().expect("live-host lock");
     let profiles: Vec<_> = (0..8).map(|i| profile(i, 20 + 13 * u64::from(i))).collect();
-    let stacks: [fn() -> faas_sim::PolicyStack; 2] = [faas_policies::faascache_stack, || {
-        cidre_stack(CidreConfig::default())
-    }];
-    for mk in stacks {
+    let stacks: [(fn() -> faas_sim::PolicyStack, bool); 2] = [
+        (faas_policies::faascache_stack, true),
+        (|| cidre_stack(CidreConfig::default()), false),
+    ];
+    for (mk, latency_floor) in stacks {
         let deployments = profiles
             .iter()
             .map(|p| (p.clone(), sum_handler()))
@@ -119,7 +128,7 @@ fn cold_waits_cover_provisioning_latency() {
             colds
         });
         assert!(!colds.is_empty(), "evictions force cold starts");
-        for (func, wait) in colds {
+        for (func, wait) in colds.into_iter().filter(|_| latency_floor) {
             let latency = profiles[func.0 as usize].cold_start;
             assert!(
                 wait >= latency,

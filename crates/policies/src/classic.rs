@@ -114,7 +114,6 @@ mod tests {
     use super::*;
     use faas_sim::{ClusterState, WorkerId};
     use faas_trace::{FunctionId, FunctionProfile, TimeDelta, TimePoint};
-    use std::collections::HashMap as Map;
 
     fn cluster() -> ClusterState {
         let profiles = vec![
@@ -140,8 +139,7 @@ mod tests {
             cl.note_arrival(FunctionId(0), TimePoint::ZERO);
         }
         cl.note_arrival(FunctionId(1), TimePoint::ZERO);
-        let busy = Map::new();
-        let ctx = PolicyCtx::new(TimePoint::from_secs(1), &cl, &busy);
+        let ctx = cl.policy_ctx(TimePoint::from_secs(1));
         let lfu = LfuKeepAlive;
         assert!(lfu.priority(&info(&cl, 0), &ctx) > lfu.priority(&info(&cl, 1), &ctx));
     }
@@ -149,8 +147,7 @@ mod tests {
     #[test]
     fn greedydual_prefers_costly_containers() {
         let cl = cluster();
-        let busy = Map::new();
-        let ctx = PolicyCtx::new(TimePoint::from_secs(1), &cl, &busy);
+        let ctx = cl.policy_ctx(TimePoint::from_secs(1));
         let gd = GreedyDualKeepAlive::new();
         // fn1's container cost 900 ms > fn0's 100 ms.
         assert!(gd.priority(&info(&cl, 1), &ctx) > gd.priority(&info(&cl, 0), &ctx));
@@ -159,8 +156,7 @@ mod tests {
     #[test]
     fn greedydual_clock_ages_survivors() {
         let cl = cluster();
-        let busy = Map::new();
-        let ctx = PolicyCtx::new(TimePoint::from_secs(1), &cl, &busy);
+        let ctx = cl.policy_ctx(TimePoint::from_secs(1));
         let mut gd = GreedyDualKeepAlive::new();
         let cheap = info(&cl, 0);
         gd.on_evict(&cheap, &ctx);

@@ -134,7 +134,6 @@ mod tests {
     use faas_testkit::Checker;
     use faas_trace::FunctionProfile;
     use std::collections::BTreeMap;
-    use std::collections::HashMap as Map;
 
     fn harness() -> ClusterState {
         let profiles = vec![FunctionProfile::new(
@@ -149,14 +148,13 @@ mod tests {
     #[test]
     fn eviction_populates_compressed_cache() {
         let mut cl = harness();
-        let busy = Map::new();
         let mut cc = CodeCrunchKeepAlive::new();
         let id = cl.begin_provision(FunctionId(0), WorkerId(0), TimePoint::ZERO, false);
         cl.finish_provision(id, TimePoint::ZERO);
         let info = cl.evict(id, TimePoint::ZERO);
-        cc.on_evict(&info, &PolicyCtx::new(TimePoint::from_secs(1), &cl, &busy));
+        cc.on_evict(&info, &cl.policy_ctx(TimePoint::from_secs(1)));
         assert!(cc.has_compressed(FunctionId(0), TimePoint::from_secs(2)));
-        let ctx = PolicyCtx::new(TimePoint::from_secs(2), &cl, &busy);
+        let ctx = cl.policy_ctx(TimePoint::from_secs(2));
         assert_eq!(
             cc.provision_latency(FunctionId(0), &ctx),
             Some(TimeDelta::from_millis(450))
@@ -166,15 +164,14 @@ mod tests {
     #[test]
     fn compressed_image_expires() {
         let mut cl = harness();
-        let busy = Map::new();
         let mut cc = CodeCrunchKeepAlive::new();
         let id = cl.begin_provision(FunctionId(0), WorkerId(0), TimePoint::ZERO, false);
         cl.finish_provision(id, TimePoint::ZERO);
         let info = cl.evict(id, TimePoint::ZERO);
-        cc.on_evict(&info, &PolicyCtx::new(TimePoint::ZERO, &cl, &busy));
+        cc.on_evict(&info, &cl.policy_ctx(TimePoint::ZERO));
         let late = TimePoint::from_secs(RETENTION_SECS + 1);
         assert!(!cc.has_compressed(FunctionId(0), late));
-        let ctx = PolicyCtx::new(late, &cl, &busy);
+        let ctx = cl.policy_ctx(late);
         assert_eq!(cc.provision_latency(FunctionId(0), &ctx), None);
     }
 
@@ -182,15 +179,14 @@ mod tests {
     fn compressed_functions_are_better_victims() {
         let mut cl = harness();
         cl.note_arrival(FunctionId(0), TimePoint::ZERO);
-        let busy = Map::new();
         let mut cc = CodeCrunchKeepAlive::new();
         let id = cl.begin_provision(FunctionId(0), WorkerId(0), TimePoint::ZERO, false);
         cl.finish_provision(id, TimePoint::ZERO);
         let info = ContainerInfo::from(cl.container(id).expect("live"));
         let ctx_now = TimePoint::from_secs(30);
-        let before = cc.priority(&info, &PolicyCtx::new(ctx_now, &cl, &busy));
+        let before = cc.priority(&info, &cl.policy_ctx(ctx_now));
         cc.insert(FunctionId(0), ctx_now);
-        let after = cc.priority(&info, &PolicyCtx::new(ctx_now, &cl, &busy));
+        let after = cc.priority(&info, &cl.policy_ctx(ctx_now));
         assert!(after < before);
     }
 

@@ -112,7 +112,6 @@ mod tests {
     use super::*;
     use faas_sim::ClusterState;
     use faas_trace::{FunctionProfile, TimePoint};
-    use std::collections::HashMap as Map;
 
     fn harness() -> ClusterState {
         let profiles = vec![FunctionProfile::new(
@@ -130,9 +129,8 @@ mod tests {
         for _ in 0..9 {
             cl.note_arrival(FunctionId(0), TimePoint::ZERO);
         }
-        let busy = Map::new();
         let mut pw = EnsurePrewarm::new();
-        let ctx = PolicyCtx::new(TimePoint::from_secs(1), &cl, &busy);
+        let ctx = cl.policy_ctx(TimePoint::from_secs(1));
         // First observation has no delta baseline: no prewarm.
         assert!(pw.on_tick(&ctx).is_empty());
     }
@@ -140,13 +138,12 @@ mod tests {
     #[test]
     fn burst_buffer_scales_with_sqrt_rate() {
         let mut cl = harness();
-        let busy = Map::new();
         let mut pw = EnsurePrewarm::new();
-        let _ = pw.on_tick(&PolicyCtx::new(TimePoint::from_secs(1), &cl, &busy));
+        let _ = pw.on_tick(&cl.policy_ctx(TimePoint::from_secs(1)));
         for _ in 0..9 {
             cl.note_arrival(FunctionId(0), TimePoint::from_secs(2));
         }
-        let wants = pw.on_tick(&PolicyCtx::new(TimePoint::from_secs(2), &cl, &busy));
+        let wants = pw.on_tick(&cl.policy_ctx(TimePoint::from_secs(2)));
         // rate 9 -> buffer ceil(sqrt(9)) = 3, capped at 2 per tick.
         assert_eq!(wants.len(), 2);
     }
@@ -154,11 +151,10 @@ mod tests {
     #[test]
     fn no_arrivals_no_prewarm() {
         let cl = harness();
-        let busy = Map::new();
         let mut pw = EnsurePrewarm::new();
-        let _ = pw.on_tick(&PolicyCtx::new(TimePoint::from_secs(1), &cl, &busy));
+        let _ = pw.on_tick(&cl.policy_ctx(TimePoint::from_secs(1)));
         assert!(pw
-            .on_tick(&PolicyCtx::new(TimePoint::from_secs(2), &cl, &busy))
+            .on_tick(&cl.policy_ctx(TimePoint::from_secs(2)))
             .is_empty());
     }
 
@@ -167,11 +163,10 @@ mod tests {
         let mut cl = harness();
         let id = cl.begin_provision(FunctionId(0), faas_sim::WorkerId(0), TimePoint::ZERO, false);
         cl.finish_provision(id, TimePoint::ZERO);
-        let busy = Map::new();
         let mut ka = EnsureKeepAlive;
-        let early = PolicyCtx::new(TimePoint::from_secs(60), &cl, &busy);
+        let early = cl.policy_ctx(TimePoint::from_secs(60));
         assert!(ka.expirations(&early).is_empty());
-        let late = PolicyCtx::new(TimePoint::from_secs(IDLE_TIMEOUT_SECS + 1), &cl, &busy);
+        let late = cl.policy_ctx(TimePoint::from_secs(IDLE_TIMEOUT_SECS + 1));
         assert_eq!(ka.expirations(&late), vec![id]);
     }
 }

@@ -51,7 +51,6 @@ mod tests {
     use super::*;
     use faas_sim::{ClusterState, ContainerId, WorkerId};
     use faas_trace::{FunctionId, FunctionProfile, TimeDelta, TimePoint};
-    use std::collections::HashMap as Map;
 
     #[test]
     fn cold_functions_evicted_before_hot() {
@@ -68,8 +67,7 @@ mod tests {
         let cold = cl.begin_provision(FunctionId(1), WorkerId(0), TimePoint::ZERO, false);
         cl.finish_provision(hot, TimePoint::ZERO);
         cl.finish_provision(cold, TimePoint::ZERO);
-        let busy = Map::new();
-        let ctx = PolicyCtx::new(TimePoint::from_secs(60), &cl, &busy);
+        let ctx = cl.policy_ctx(TimePoint::from_secs(60));
         let flame = FlameKeepAlive;
         let ih = ContainerInfo::from(cl.container(hot).expect("live"));
         let ic = ContainerInfo::from(cl.container(cold).expect("live"));
@@ -85,8 +83,7 @@ mod tests {
             TimeDelta::from_millis(100),
         )];
         let cl = ClusterState::new(&[100_000], profiles, 1);
-        let busy = Map::new();
-        let ctx = PolicyCtx::new(TimePoint::from_secs(100), &cl, &busy);
+        let ctx = cl.policy_ctx(TimePoint::from_secs(100));
         let flame = FlameKeepAlive;
         let mk = |used_s: u64| ContainerInfo {
             id: ContainerId(0),

@@ -134,7 +134,6 @@ mod tests {
     use super::*;
     use faas_sim::{ClusterState, WorkerId};
     use faas_trace::{FunctionId, FunctionProfile, TimeDelta, TimePoint};
-    use std::collections::HashMap as Map;
 
     fn setup(warm: &[(u32, usize)], arrivals: &[(u32, usize)]) -> ClusterState {
         let mut ids: Vec<u32> = warm.iter().map(|&(f, _)| f).collect();
@@ -174,8 +173,7 @@ mod tests {
     #[test]
     fn frequency_raises_priority() {
         let cl = setup(&[(0, 1), (1, 1)], &[(0, 10), (1, 1)]);
-        let busy = Map::new();
-        let ctx = PolicyCtx::new(TimePoint::from_secs(1), &cl, &busy);
+        let ctx = cl.policy_ctx(TimePoint::from_secs(1));
         let g = GdsfKeepAlive::faascache();
         assert!(g.priority(&info(&cl, 0), &ctx) > g.priority(&info(&cl, 1), &ctx));
     }
@@ -184,8 +182,7 @@ mod tests {
     fn vanilla_ignores_container_count_c_variant_divides() {
         // Same function stats, but fn0 holds 4 containers vs fn1's 1.
         let cl = setup(&[(0, 4), (1, 1)], &[(0, 8), (1, 8)]);
-        let busy = Map::new();
-        let ctx = PolicyCtx::new(TimePoint::from_secs(1), &cl, &busy);
+        let ctx = cl.policy_ctx(TimePoint::from_secs(1));
         let vanilla = GdsfKeepAlive::faascache();
         // Containers 0..3 belong to fn0, container 4 to fn1.
         assert_eq!(
@@ -203,9 +200,8 @@ mod tests {
     #[test]
     fn eviction_raises_clock_and_ages_cache() {
         let cl = setup(&[(0, 2)], &[(0, 4)]);
-        let busy = Map::new();
         let mut g = GdsfKeepAlive::faascache();
-        let ctx = PolicyCtx::new(TimePoint::from_secs(1), &cl, &busy);
+        let ctx = cl.policy_ctx(TimePoint::from_secs(1));
         assert_eq!(g.clock(), 0.0);
         let i0 = info(&cl, 0);
         let p0 = g.priority(&i0, &ctx);
@@ -220,10 +216,9 @@ mod tests {
     #[test]
     fn reuse_rebases_at_current_clock() {
         let cl = setup(&[(0, 1)], &[(0, 2)]);
-        let busy = Map::new();
         let mut g = GdsfKeepAlive::faascache();
         g.clock = 500.0;
-        let ctx = PolicyCtx::new(TimePoint::from_secs(1), &cl, &busy);
+        let ctx = cl.policy_ctx(TimePoint::from_secs(1));
         let i = info(&cl, 0);
         // Unknown container defaults to current clock.
         let before = g.priority(&i, &ctx);

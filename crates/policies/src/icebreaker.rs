@@ -122,7 +122,6 @@ mod tests {
     use super::*;
     use faas_sim::ClusterState;
     use faas_trace::{FunctionProfile, TimeDelta, TimePoint};
-    use std::collections::HashMap as Map;
 
     fn harness() -> ClusterState {
         let profiles = vec![FunctionProfile::new(
@@ -137,9 +136,8 @@ mod tests {
     #[test]
     fn a_function_without_arrivals_is_prewarmed_to_one_container() {
         let cl = harness();
-        let busy = Map::new();
         let mut pw = IceBreakerPrewarm::new();
-        let ctx = PolicyCtx::new(TimePoint::ZERO, &cl, &busy);
+        let ctx = cl.policy_ctx(TimePoint::ZERO);
         // The first tick records a zero delta: predict([0]) = 1 / (1 / 0.2)
         // = 0.2, which ceils to one container against none warm.
         assert_eq!(pw.on_tick(&ctx), vec![FunctionId(0)]);
@@ -148,20 +146,19 @@ mod tests {
     #[test]
     fn sustained_load_triggers_prewarm() {
         let mut cl = harness();
-        let busy = Map::new();
         let mut pw = IceBreakerPrewarm::new();
         for tick in 1..=5u64 {
             for _ in 0..4 {
                 cl.note_arrival(FunctionId(0), TimePoint::from_secs(tick));
             }
-            let ctx = PolicyCtx::new(TimePoint::from_secs(tick), &cl, &busy);
+            let ctx = cl.policy_ctx(TimePoint::from_secs(tick));
             let _ = pw.on_tick(&ctx);
         }
         // After 5 ticks of 4 arrivals each, prediction ≈ 4 > 0 warm.
         for _ in 0..4 {
             cl.note_arrival(FunctionId(0), TimePoint::from_secs(6));
         }
-        let ctx = PolicyCtx::new(TimePoint::from_secs(6), &cl, &busy);
+        let ctx = cl.policy_ctx(TimePoint::from_secs(6));
         let wants = pw.on_tick(&ctx);
         assert!(!wants.is_empty());
         assert!(wants.len() as u32 <= MAX_PREWARM_PER_TICK);
@@ -188,8 +185,7 @@ mod tests {
         let b = cl.begin_provision(FunctionId(1), faas_sim::WorkerId(0), TimePoint::ZERO, false);
         cl.finish_provision(a, TimePoint::ZERO);
         cl.finish_provision(b, TimePoint::ZERO);
-        let busy = Map::new();
-        let ctx = PolicyCtx::new(TimePoint::from_secs(60), &cl, &busy);
+        let ctx = cl.policy_ctx(TimePoint::from_secs(60));
         let ka = IceBreakerKeepAlive;
         let ia = ContainerInfo::from(cl.container(a).expect("live"));
         let ib = ContainerInfo::from(cl.container(b).expect("live"));

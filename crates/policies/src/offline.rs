@@ -115,7 +115,6 @@ mod tests {
     use super::*;
     use faas_sim::{run, ClusterState, PolicyStack, SimConfig, StartClass, WorkerId};
     use faas_trace::{gen, FunctionProfile, Invocation, TimeDelta, TimePoint};
-    use std::collections::HashMap as Map;
 
     fn two_fn_trace() -> Trace {
         let fs = vec![
@@ -147,8 +146,7 @@ mod tests {
         let b = cl.begin_provision(FunctionId(1), WorkerId(0), TimePoint::ZERO, false);
         cl.finish_provision(a, TimePoint::ZERO);
         cl.finish_provision(b, TimePoint::ZERO);
-        let busy = Map::new();
-        let ctx = PolicyCtx::new(TimePoint::ZERO, &cl, &busy);
+        let ctx = cl.policy_ctx(TimePoint::ZERO);
         let ia = ContainerInfo::from(cl.container(a).expect("live"));
         let ib = ContainerInfo::from(cl.container(b).expect("live"));
         // fn0 reused at t=10s, fn1 at t=100s: evict fn1's container first.

@@ -174,7 +174,6 @@ mod tests {
     use super::*;
     use faas_sim::{ClusterState, WorkerId};
     use faas_trace::FunctionProfile;
-    use std::collections::HashMap as Map;
 
     fn harness() -> ClusterState {
         let profiles = vec![
@@ -196,11 +195,10 @@ mod tests {
     #[test]
     fn user_layer_hit_is_cheapest() {
         let mut cl = harness();
-        let busy = Map::new();
         let mut rc = RainbowCakeKeepAlive::paper_default();
         let info = evicted_info(&mut cl, 0);
-        rc.on_evict(&info, &PolicyCtx::new(TimePoint::ZERO, &cl, &busy));
-        let ctx = PolicyCtx::new(TimePoint::from_secs(10), &cl, &busy);
+        rc.on_evict(&info, &cl.policy_ctx(TimePoint::ZERO));
+        let ctx = cl.policy_ctx(TimePoint::from_secs(10));
         let lat = rc
             .provision_latency(FunctionId(0), &ctx)
             .expect("user layer hit");
@@ -210,37 +208,35 @@ mod tests {
     #[test]
     fn lang_layer_shared_across_functions() {
         let mut cl = harness();
-        let busy = Map::new();
         let mut rc = RainbowCakeKeepAlive::paper_default();
         let info = evicted_info(&mut cl, 0);
-        rc.on_evict(&info, &PolicyCtx::new(TimePoint::ZERO, &cl, &busy));
+        rc.on_evict(&info, &cl.policy_ctx(TimePoint::ZERO));
         // fn8 shares fn0's runtime class but not its user layer.
-        let ctx = PolicyCtx::new(TimePoint::from_secs(10), &cl, &busy);
+        let ctx = cl.policy_ctx(TimePoint::from_secs(10));
         let lat = rc
             .provision_latency(FunctionId(8), &ctx)
             .expect("lang layer hit");
         assert_eq!(lat, TimeDelta::from_millis(750));
         // fn3 is in another class: full cold start.
-        let ctx = PolicyCtx::new(TimePoint::from_secs(10), &cl, &busy);
+        let ctx = cl.policy_ctx(TimePoint::from_secs(10));
         assert_eq!(rc.provision_latency(FunctionId(3), &ctx), None);
     }
 
     #[test]
     fn layers_are_consumed_under_concurrency() {
         let mut cl = harness();
-        let busy = Map::new();
         let mut rc = RainbowCakeKeepAlive::paper_default();
         let info = evicted_info(&mut cl, 0);
-        rc.on_evict(&info, &PolicyCtx::new(TimePoint::ZERO, &cl, &busy));
-        let ctx = PolicyCtx::new(TimePoint::from_secs(1), &cl, &busy);
+        rc.on_evict(&info, &cl.policy_ctx(TimePoint::ZERO));
+        let ctx = cl.policy_ctx(TimePoint::from_secs(1));
         assert!(rc.provision_latency(FunctionId(0), &ctx).is_some());
         // One evicted container yielded one user + one lang layer; a
         // second concurrent cold start gets neither... the user layer is
         // gone, but the lang layer remains for the first asker.
-        let ctx = PolicyCtx::new(TimePoint::from_secs(1), &cl, &busy);
+        let ctx = cl.policy_ctx(TimePoint::from_secs(1));
         let second = rc.provision_latency(FunctionId(0), &ctx);
         assert_eq!(second, Some(TimeDelta::from_millis(750)));
-        let ctx = PolicyCtx::new(TimePoint::from_secs(1), &cl, &busy);
+        let ctx = cl.policy_ctx(TimePoint::from_secs(1));
         assert_eq!(rc.provision_latency(FunctionId(0), &ctx), None);
     }
 
@@ -249,12 +245,11 @@ mod tests {
         // The user layer lives 60 s and the language layer 3 min: a cold
         // start after each TTL falls back one layer, then to a full one.
         let mut cl = harness();
-        let busy = Map::new();
         let info = evicted_info(&mut cl, 0);
         for (secs, want) in [(59, Some(450)), (61, Some(750)), (181, None)] {
             let mut rc = RainbowCakeKeepAlive::paper_default();
-            rc.on_evict(&info, &PolicyCtx::new(TimePoint::ZERO, &cl, &busy));
-            let ctx = PolicyCtx::new(TimePoint::from_secs(secs), &cl, &busy);
+            rc.on_evict(&info, &cl.policy_ctx(TimePoint::ZERO));
+            let ctx = cl.policy_ctx(TimePoint::from_secs(secs));
             assert_eq!(
                 rc.provision_latency(FunctionId(0), &ctx),
                 want.map(TimeDelta::from_millis),
@@ -266,13 +261,12 @@ mod tests {
     #[test]
     fn expires_idle_containers_by_ttl() {
         let mut cl = harness();
-        let busy = Map::new();
         let id = cl.begin_provision(FunctionId(0), WorkerId(0), TimePoint::ZERO, false);
         cl.finish_provision(id, TimePoint::ZERO);
         let mut rc = RainbowCakeKeepAlive::paper_default();
-        let early = PolicyCtx::new(TimePoint::from_secs(30), &cl, &busy);
+        let early = cl.policy_ctx(TimePoint::from_secs(30));
         assert!(rc.expirations(&early).is_empty());
-        let late = PolicyCtx::new(TimePoint::from_secs(120), &cl, &busy);
+        let late = cl.policy_ctx(TimePoint::from_secs(120));
         assert_eq!(rc.expirations(&late), vec![id]);
     }
 }

@@ -72,7 +72,6 @@ mod tests {
     use super::*;
     use faas_sim::{ClusterState, WorkerId};
     use faas_trace::{FunctionId, FunctionProfile, TimePoint};
-    use std::collections::HashMap;
 
     #[test]
     fn expires_idle_after_ttl() {
@@ -85,13 +84,12 @@ mod tests {
         let mut cl = ClusterState::new(&[1000], profiles, 1);
         let id = cl.begin_provision(FunctionId(0), WorkerId(0), TimePoint::ZERO, false);
         cl.finish_provision(id, TimePoint::ZERO);
-        let busy = HashMap::new();
         let mut ttl = TtlKeepAlive::new(TimeDelta::from_secs(60));
 
-        let before = PolicyCtx::new(TimePoint::from_secs(30), &cl, &busy);
+        let before = cl.policy_ctx(TimePoint::from_secs(30));
         assert!(ttl.expirations(&before).is_empty());
 
-        let after = PolicyCtx::new(TimePoint::from_secs(61), &cl, &busy);
+        let after = cl.policy_ctx(TimePoint::from_secs(61));
         assert_eq!(ttl.expirations(&after), vec![id]);
     }
 
@@ -106,10 +104,9 @@ mod tests {
         let mut cl = ClusterState::new(&[1000], profiles, 1);
         let id = cl.begin_provision(FunctionId(0), WorkerId(0), TimePoint::ZERO, false);
         cl.finish_provision(id, TimePoint::ZERO);
-        cl.occupy_thread(id, TimePoint::ZERO);
-        let busy = HashMap::new();
+        cl.occupy_thread(id, TimePoint::ZERO, TimePoint::ZERO);
         let mut ttl = TtlKeepAlive::new(TimeDelta::from_secs(1));
-        let ctx = PolicyCtx::new(TimePoint::from_secs(100), &cl, &busy);
+        let ctx = cl.policy_ctx(TimePoint::from_secs(100));
         assert!(ttl.expirations(&ctx).is_empty());
     }
 
@@ -123,8 +120,7 @@ mod tests {
             TimeDelta::from_millis(50),
         )];
         let cl = ClusterState::new(&[1000], profiles, 1);
-        let busy = HashMap::new();
-        let ctx = PolicyCtx::new(TimePoint::from_secs(10), &cl, &busy);
+        let ctx = cl.policy_ctx(TimePoint::from_secs(10));
         let mk = |ms: u64| ContainerInfo {
             id: ContainerId(0),
             func: FunctionId(0),

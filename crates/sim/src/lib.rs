@@ -153,8 +153,7 @@ mod tests {
             ..older
         };
         let cluster = ClusterState::new(&[100], std::iter::empty(), 1);
-        let busy = std::collections::HashMap::new();
-        let ctx = PolicyCtx::new(TimePoint::from_millis(10), &cluster, &busy);
+        let ctx = cluster.policy_ctx(TimePoint::from_millis(10));
         let lru = LruKeepAlive;
         assert!(lru.priority(&older, &ctx) < lru.priority(&newer, &ctx));
     }

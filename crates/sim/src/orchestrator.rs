@@ -33,14 +33,13 @@
 //! closure, so each driver's sink is inlined into the handlers — no
 //! boxing, no per-step buffer.
 
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
-use faas_core::{EvictionIndex, IdBuildHasher, RoundHeap};
+use faas_core::{EvictionIndex, RoundHeap};
 use faas_obs::{EvictReason, ObsEvent, Recorder, TraceLog};
 use faas_trace::{FunctionId, FunctionProfile, TimeDelta, TimePoint};
 
-use crate::cluster::{ClusterState, FnRuntime, PolicyCtx};
+use crate::cluster::{ClusterState, FnRuntime};
 use crate::config::{ScanMode, SimConfig};
 use crate::container::ContainerInfo;
 use crate::event::Event;
@@ -51,12 +50,12 @@ use crate::report::{RequestRecord, SimReport};
 use crate::request::RequestState;
 
 /// Execution horizon assumed for a running request whose execution time
-/// the driver measures: its `busy_until` entry sits this far ahead, so
-/// oracle queries see the thread as busy for the foreseeable future.
+/// the driver measures: its expected end sits this far ahead, so oracle
+/// queries see the thread as busy for the foreseeable future.
 const UNMEASURED_HORIZON: TimeDelta = TimeDelta::from_secs(3600);
 
 /// When a running request's execution is expected to end — the entry
-/// `busy_until` holds for it meanwhile.
+/// [`FnRuntime::running`] holds for it meanwhile.
 fn busy_end(req: &RequestState) -> TimePoint {
     let exec = if req.measured {
         UNMEASURED_HORIZON
@@ -135,11 +134,6 @@ pub struct Orchestrator<R: Recorder> {
     /// Requests retired from the front of `requests`: the id of
     /// `requests[0]`.
     retired: u64,
-    busy_until: HashMap<ContainerId, Vec<TimePoint>, IdBuildHasher>,
-    /// Emptied `busy_until` vectors, handed back out when a container
-    /// next turns busy: an entry exists exactly while its container is
-    /// busy, so without these every warm start would allocate one.
-    spare_ends: Vec<Vec<TimePoint>>,
     /// Provisions no worker could host, `(func, speculative, attempt)`
     /// in the order they were deferred; each also counts in its
     /// function's `FnRuntime::unplaced`.
@@ -228,8 +222,6 @@ impl<R: Recorder> Orchestrator<R> {
             cluster,
             requests: VecDeque::new(),
             retired: 0,
-            busy_until: HashMap::default(),
-            spare_ends: Vec::new(),
             deferred: VecDeque::new(),
             policies,
             now: TimePoint::ZERO,
@@ -430,12 +422,6 @@ impl<R: Recorder> Orchestrator<R> {
         &self.cluster
     }
 
-    /// Expected completion times of running executions, per container —
-    /// the oracle view [`PolicyCtx`] hands to policies.
-    pub fn busy_until(&self) -> &HashMap<ContainerId, Vec<TimePoint>, IdBuildHasher> {
-        &self.busy_until
-    }
-
     /// Settles the ledger and returns the report with the recorded
     /// trace (empty under [`faas_obs::NoopRecorder`]).
     pub fn finish(mut self) -> (SimReport, TraceLog) {
@@ -475,7 +461,7 @@ impl<R: Recorder> Orchestrator<R> {
             return;
         }
         let info = self.requests[self.slot(rid)].info(rid);
-        let ctx = PolicyCtx::new(self.now, &self.cluster, &self.busy_until);
+        let ctx = self.cluster.policy_ctx(self.now);
         let mut decision = self.policies.scaler.on_blocked(&info, &ctx);
 
         // A pure wait is only meaningful if some container of the function
@@ -605,16 +591,7 @@ impl<R: Recorder> Orchestrator<R> {
         // Retire the request's *own* expected end: the virtual clock
         // delivers ExecDone exactly then (`end == now`), a wall clock
         // delivers it late, and a measured execution never knew it.
-        if let Entry::Occupied(mut entry) = self.busy_until.entry(cid) {
-            let ends = entry.get_mut();
-            if let Some(pos) = ends.iter().position(|&t| t == end) {
-                ends.swap_remove(pos);
-            }
-            if ends.is_empty() {
-                self.spare_ends.push(entry.remove());
-            }
-        }
-        self.cluster.release_thread(cid, self.now);
+        self.cluster.release_thread(cid, self.now, end);
 
         // Work conservation: the freed thread serves the container-local
         // queue first, then the function channel.
@@ -635,7 +612,7 @@ impl<R: Recorder> Orchestrator<R> {
     fn on_tick(&mut self, out: &mut impl FnMut(TimePoint, Event)) {
         // TTL-style expirations.
         let expired = {
-            let ctx = PolicyCtx::new(self.now, &self.cluster, &self.busy_until);
+            let ctx = self.cluster.policy_ctx(self.now);
             self.policies.keepalive.expirations(&ctx)
         };
         for cid in expired {
@@ -651,7 +628,7 @@ impl<R: Recorder> Orchestrator<R> {
         // Prewarming.
         if self.policies.prewarm.is_some() {
             let wants = {
-                let ctx = PolicyCtx::new(self.now, &self.cluster, &self.busy_until);
+                let ctx = self.cluster.policy_ctx(self.now);
                 self.policies
                     .prewarm
                     .as_mut()
@@ -691,7 +668,7 @@ impl<R: Recorder> Orchestrator<R> {
             }
         );
         {
-            let ctx = PolicyCtx::new(self.now, &self.cluster, &self.busy_until);
+            let ctx = self.cluster.policy_ctx(self.now);
             // Drop any policy state keyed on the dead container (e.g.
             // CIP's logical clock).
             self.policies.keepalive.on_evict(&info, &ctx);
@@ -772,7 +749,6 @@ impl<R: Recorder> Orchestrator<R> {
         }
         let mut affected: Vec<FunctionId> = Vec::new();
         for cid in victims {
-            self.busy_until.remove(&cid);
             let (info, local_queued) = self.cluster.crash_evict(cid, self.now);
             obs!(
                 self.rec,
@@ -791,7 +767,7 @@ impl<R: Recorder> Orchestrator<R> {
             for rid in local_queued {
                 requeue.push((info.func, rid));
             }
-            let ctx = PolicyCtx::new(self.now, &self.cluster, &self.busy_until);
+            let ctx = self.cluster.policy_ctx(self.now);
             self.policies.keepalive.on_evict(&info, &ctx);
             // Deliberately no `on_cold_outcome` here: a crash says
             // nothing about whether speculation was wasteful, unlike a
@@ -849,9 +825,6 @@ impl<R: Recorder> Orchestrator<R> {
             let c = self.cluster.container(cid).expect("live container");
             (c.speculative_unused, c.warm_at)
         };
-        self.cluster.occupy_thread(cid, self.now);
-        // A busy container is no longer an eviction candidate.
-        self.evict_index.leave(cid);
         let slot = self.slot(rid);
         let req = &mut self.requests[slot];
         req.class = Some(class);
@@ -863,10 +836,9 @@ impl<R: Recorder> Orchestrator<R> {
         let (func, arrival, exec) = (req.func, req.arrival, req.exec);
         let wait = self.now.saturating_since(arrival);
         let end = busy_end(req);
-        self.busy_until
-            .entry(cid)
-            .or_insert_with(|| self.spare_ends.pop().unwrap_or_default())
-            .push(end);
+        self.cluster.occupy_thread(cid, self.now, end);
+        // A busy container is no longer an eviction candidate.
+        self.evict_index.leave(cid);
         out(end, Event::ExecDone(cid, rid));
         self.records.push(RequestRecord {
             func,
@@ -893,7 +865,7 @@ impl<R: Recorder> Orchestrator<R> {
             .container(cid)
             .map(ContainerInfo::from)
             .expect("live container");
-        let ctx = PolicyCtx::new(self.now, &self.cluster, &self.busy_until);
+        let ctx = self.cluster.policy_ctx(self.now);
         if class != StartClass::Cold {
             self.policies.keepalive.on_reuse(&cinfo, &ctx);
         }
@@ -978,7 +950,7 @@ impl<R: Recorder> Orchestrator<R> {
             let mut round = (!self.use_evict_index).then(|| match self.cluster.scan() {
                 ScanMode::Indexed => {
                     let mut heap = std::mem::take(&mut self.round_heap);
-                    let ctx = PolicyCtx::new(self.now, &self.cluster, &self.busy_until);
+                    let ctx = self.cluster.policy_ctx(self.now);
                     let ka = &self.policies.keepalive;
                     let idle = self.cluster.workers()[usize::from(worker.0)].idle();
                     let candidates = idle.iter().filter(|c| c.local_queue_len == 0);
@@ -1053,7 +1025,7 @@ impl<R: Recorder> Orchestrator<R> {
     fn pop_indexed(&mut self, worker: WorkerId) -> Option<(f64, ContainerId)> {
         let cluster = &self.cluster;
         let ka = &self.policies.keepalive;
-        let ctx = PolicyCtx::new(self.now, cluster, &self.busy_until);
+        let ctx = cluster.policy_ctx(self.now);
         self.evict_index.pop_min(worker, |cid| {
             let c = cluster.container(cid)?;
             if !(c.is_idle() && c.local_queue.is_empty()) {
@@ -1071,7 +1043,7 @@ impl<R: Recorder> Orchestrator<R> {
     /// so taking this snapshot cannot perturb the run. Yielded in no
     /// particular order: every caller orders by `(priority, id)`.
     fn candidates(&self, worker: WorkerId) -> impl Iterator<Item = (f64, ContainerId)> + '_ {
-        let ctx = PolicyCtx::new(self.now, &self.cluster, &self.busy_until);
+        let ctx = self.cluster.policy_ctx(self.now);
         let ka = &self.policies.keepalive;
         let idle = self.cluster.workers()[usize::from(worker.0)].idle();
         let ids = idle.iter().map(|snapshot| snapshot.id);
@@ -1117,7 +1089,7 @@ impl<R: Recorder> Orchestrator<R> {
             .map(ContainerInfo::from)
             .expect("just created");
         let mut cold = {
-            let ctx = PolicyCtx::new(self.now, &self.cluster, &self.busy_until);
+            let ctx = self.cluster.policy_ctx(self.now);
             self.policies.keepalive.on_admit(&cinfo, evicted, &ctx);
             self.policies
                 .keepalive
@@ -1152,7 +1124,7 @@ impl<R: Recorder> Orchestrator<R> {
         }
         let worker = c.worker;
         let priority = {
-            let ctx = PolicyCtx::new(self.now, &self.cluster, &self.busy_until);
+            let ctx = self.cluster.policy_ctx(self.now);
             self.policies
                 .keepalive
                 .priority(&ContainerInfo::from(c), &ctx)
@@ -1182,7 +1154,7 @@ impl<R: Recorder> Orchestrator<R> {
                 note: self.policies.keepalive.explain(),
             }
         );
-        let ctx = PolicyCtx::new(self.now, &self.cluster, &self.busy_until);
+        let ctx = self.cluster.policy_ctx(self.now);
         self.policies.keepalive.on_evict(&info, &ctx);
         if was_unused {
             // A speculative cold start died without serving anyone: the
@@ -1249,6 +1221,7 @@ impl<R: Recorder> Orchestrator<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::PolicyCtx;
     use crate::fault::FaultPlan;
     use crate::policy::{AlwaysCold, KeepAlive, Scaler};
     use crate::request::RequestInfo;

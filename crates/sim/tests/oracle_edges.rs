@@ -3,14 +3,13 @@
 //! saturated-container views, across dead workers, provisioning-only
 //! functions, and the exact saturation boundary — and the two views
 //! of the hashed container table whose order is observable, with the
-//! per-function pool and counts that have no set beside them any more,
-//! and the per-worker idle lists of snapshots.
+//! per-function pool, counts and running executions that have no set
+//! beside them any more, and the per-worker idle lists of snapshots.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use faas_sim::{
-    ClusterState, Container, ContainerId, ContainerInfo, ContainerState, PolicyCtx, ScanMode,
-    WorkerId,
+    ClusterState, Container, ContainerId, ContainerInfo, ContainerState, ScanMode, WorkerId,
 };
 use faas_testkit::{Checker, Gen};
 use faas_trace::{FunctionId, FunctionProfile, TimeDelta, TimePoint};
@@ -39,8 +38,7 @@ fn oracle_earliest_free_is_none_for_provisioning_only_function() {
     let mut cl = ClusterState::new(&[1_000], profiles(1), 1);
     // Provisioning has begun but no container is warm yet.
     let _pending = cl.begin_provision(FunctionId(0), WorkerId(0), TimePoint::ZERO, false);
-    let busy = HashMap::new();
-    let ctx = PolicyCtx::new(TimePoint::from_secs(1), &cl, &busy);
+    let ctx = cl.policy_ctx(TimePoint::from_secs(1));
     assert_eq!(ctx.oracle_free_times(FunctionId(0)).first(), None);
     assert_eq!(ctx.saturated_count(FunctionId(0)), 0);
 }
@@ -48,21 +46,28 @@ fn oracle_earliest_free_is_none_for_provisioning_only_function() {
 #[test]
 fn oracle_earliest_free_picks_global_minimum_across_containers() {
     let mut cl = ClusterState::new(&[1_000], profiles(1), 2);
+    let ms = TimePoint::from_millis;
     let a = warm(&mut cl, 0, 0);
     let b = warm(&mut cl, 0, 0);
-    cl.occupy_thread(a, TimePoint::ZERO);
-    cl.occupy_thread(b, TimePoint::ZERO);
-    let mut busy = HashMap::new();
-    busy.insert(
-        a,
-        vec![TimePoint::from_millis(900), TimePoint::from_millis(400)],
+    let c = warm(&mut cl, 0, 0);
+    // `c`'s two threads end at the same instant.
+    for (id, end) in [(a, 900), (a, 400), (b, 700), (c, 300), (c, 300)] {
+        cl.occupy_thread(id, TimePoint::ZERO, ms(end));
+    }
+    let ctx = cl.policy_ctx(ms(100));
+    assert_eq!(
+        ctx.oracle_free_times(FunctionId(0)),
+        [300, 300, 400, 700, 900].map(ms)
     );
-    busy.insert(b, vec![TimePoint::from_millis(700)]);
-    let ctx = PolicyCtx::new(TimePoint::from_millis(100), &cl, &busy);
+    // One of the twins finishes: the other still holds the minimum.
+    cl.release_thread(c, ms(300), ms(300));
+    let ctx = cl.policy_ctx(ms(300));
     assert_eq!(
         ctx.oracle_free_times(FunctionId(0)).first().copied(),
-        Some(TimePoint::from_millis(400))
+        Some(ms(300))
     );
+    assert_eq!(ctx.oracle_free_times(FunctionId(0)).len(), 4);
+    cl.validate();
 }
 
 #[test]
@@ -70,19 +75,17 @@ fn dead_workers_drop_out_of_oracle_and_saturation_views() {
     let mut cl = ClusterState::new(&[1_000, 1_000], profiles(1), 1);
     let doomed = warm(&mut cl, 0, 0);
     let survivor = warm(&mut cl, 0, 1);
-    cl.occupy_thread(doomed, TimePoint::ZERO);
-    cl.occupy_thread(survivor, TimePoint::ZERO);
-    let mut busy = HashMap::new();
-    busy.insert(doomed, vec![TimePoint::from_millis(200)]);
-    busy.insert(survivor, vec![TimePoint::from_millis(800)]);
+    cl.occupy_thread(doomed, TimePoint::ZERO, TimePoint::from_millis(200));
+    cl.occupy_thread(survivor, TimePoint::ZERO, TimePoint::from_millis(800));
 
+    // The crash alone retires the doomed execution's end.
     cl.mark_worker_down(WorkerId(0));
     for cid in cl.containers_on(WorkerId(0)) {
         let _ = cl.crash_evict(cid, TimePoint::from_millis(100));
-        busy.remove(&cid);
     }
+    cl.validate();
 
-    let ctx = PolicyCtx::new(TimePoint::from_millis(100), &cl, &busy);
+    let ctx = cl.policy_ctx(TimePoint::from_millis(100));
     // The dead worker's container (and its earlier free time) is gone.
     assert_eq!(
         ctx.oracle_free_times(FunctionId(0)).first().copied(),
@@ -99,20 +102,19 @@ fn dead_workers_drop_out_of_oracle_and_saturation_views() {
 fn saturation_flips_exactly_at_thread_capacity() {
     let mut cl = ClusterState::new(&[1_000], profiles(1), 2);
     let id = warm(&mut cl, 0, 0);
-    let busy = HashMap::new();
 
     // 1 of 2 threads: not saturated, still schedulable.
-    cl.occupy_thread(id, TimePoint::ZERO);
+    cl.occupy_thread(id, TimePoint::ZERO, TimePoint::ZERO);
     {
-        let ctx = PolicyCtx::new(TimePoint::ZERO, &cl, &busy);
+        let ctx = cl.policy_ctx(TimePoint::ZERO);
         assert_eq!(ctx.saturated_count(FunctionId(0)), 0);
     }
     assert_eq!(cl.pick_available(FunctionId(0)), Some(id));
 
     // 2 of 2 threads: saturated, invisible to the free-thread pool.
-    cl.occupy_thread(id, TimePoint::ZERO);
+    cl.occupy_thread(id, TimePoint::ZERO, TimePoint::ZERO);
     {
-        let ctx = PolicyCtx::new(TimePoint::ZERO, &cl, &busy);
+        let ctx = cl.policy_ctx(TimePoint::ZERO);
         assert_eq!(ctx.saturated_count(FunctionId(0)), 1);
         let ids: Vec<ContainerId> = ctx.saturated_iter(FunctionId(0)).map(|c| c.id).collect();
         assert_eq!(ids, vec![id]);
@@ -120,9 +122,9 @@ fn saturation_flips_exactly_at_thread_capacity() {
     assert_eq!(cl.pick_available(FunctionId(0)), None);
 
     // Releasing one thread crosses back below the boundary.
-    cl.release_thread(id, TimePoint::ZERO);
+    cl.release_thread(id, TimePoint::ZERO, TimePoint::ZERO);
     {
-        let ctx = PolicyCtx::new(TimePoint::ZERO, &cl, &busy);
+        let ctx = cl.policy_ctx(TimePoint::ZERO);
         assert_eq!(ctx.saturated_count(FunctionId(0)), 0);
     }
     assert_eq!(cl.pick_available(FunctionId(0)), Some(id));
@@ -134,10 +136,9 @@ fn saturated_view_skips_idle_containers_and_absent_functions() {
     let a = warm(&mut cl, 0, 0);
     let _idle = warm(&mut cl, 0, 0);
     let b = warm(&mut cl, 0, 0);
-    cl.occupy_thread(a, TimePoint::ZERO);
-    cl.occupy_thread(b, TimePoint::ZERO);
-    let busy = HashMap::new();
-    let ctx = PolicyCtx::new(TimePoint::ZERO, &cl, &busy);
+    cl.occupy_thread(a, TimePoint::ZERO, TimePoint::ZERO);
+    cl.occupy_thread(b, TimePoint::ZERO, TimePoint::ZERO);
+    let ctx = cl.policy_ctx(TimePoint::ZERO);
     let saturated: Vec<ContainerId> = ctx.saturated_iter(FunctionId(0)).map(|c| c.id).collect();
     assert_eq!(saturated, vec![a, b]);
     // A function with no containers at all yields an empty view.
@@ -145,13 +146,13 @@ fn saturated_view_skips_idle_containers_and_absent_functions() {
 }
 
 /// What the model knows of a live container.
-#[derive(Clone, Copy)]
 struct Tracked {
     worker: WorkerId,
     func: FunctionId,
     warm: bool,
-    /// Threads occupied: a warm container with none is idle.
-    busy: u32,
+    /// The expected end of each occupied thread: a warm container with
+    /// none is idle.
+    ends: Vec<TimePoint>,
 }
 
 /// One of the model's containers for which `wanted` holds, if any.
@@ -174,9 +175,9 @@ fn pick(
 /// Random lifecycles over 1–5 workers, a `BTreeMap` model beside the
 /// cluster; after every step the views equal the model's ascending ids,
 /// each worker's idle list holds fresh snapshots of exactly the model's
-/// idle containers there, the per-function counts equal the model's, the pool's pick equals
-/// the reference scan's for every function, and every bookkeeping
-/// invariant holds.
+/// idle containers there, the per-function counts and oracle ends equal
+/// the model's, the pool's pick equals the reference scan's for every
+/// function, and every bookkeeping invariant holds.
 #[test]
 fn ordered_views_match_a_btreemap_model_through_random_lifecycles() {
     const FUNCTIONS: u32 = 4;
@@ -200,7 +201,7 @@ fn ordered_views_match_a_btreemap_model_through_random_lifecycles() {
                                 worker,
                                 func,
                                 warm: false,
-                                busy: 0,
+                                ends: Vec::new(),
                             },
                         );
                     }
@@ -213,14 +214,17 @@ fn ordered_views_match_a_btreemap_model_through_random_lifecycles() {
                 }
                 21..=27 => {
                     if let Some(id) = pick(g, &cl, &model, Container::has_free_thread) {
-                        cl.occupy_thread(id, now);
-                        model.get_mut(&id).expect("tracked").busy += 1;
+                        // Few distinct ends, so twins are common.
+                        let end = now + TimeDelta::from_millis(g.u64(0..4));
+                        cl.occupy_thread(id, now, end);
+                        model.get_mut(&id).expect("tracked").ends.push(end);
                     }
                 }
                 28..=31 => {
                     if let Some(id) = pick(g, &cl, &model, |c| c.threads_in_use > 0) {
-                        cl.release_thread(id, now);
-                        model.get_mut(&id).expect("tracked").busy -= 1;
+                        let ends = &mut model.get_mut(&id).expect("tracked").ends;
+                        let end = ends.swap_remove(g.usize(0..ends.len()));
+                        cl.release_thread(id, now, end);
                     }
                 }
                 32..=38 => {
@@ -260,7 +264,7 @@ fn ordered_views_match_a_btreemap_model_through_random_lifecycles() {
                 idle.sort_by_key(|c| c.id);
                 let expected: Vec<ContainerInfo> = hosted
                     .iter()
-                    .filter(|id| model[id].warm && model[id].busy == 0)
+                    .filter(|id| model[id].warm && model[id].ends.is_empty())
                     .map(|&id| ContainerInfo::from(cl.container(id).expect("live")))
                     .collect();
                 assert_eq!(idle, expected, "idle list of {w:?}");
@@ -270,10 +274,16 @@ fn ordered_views_match_a_btreemap_model_through_random_lifecycles() {
                     let hit = |t: &&Tracked| t.func == func && t.warm == warm;
                     model.values().filter(hit).count() as u32
                 };
-                let busy = HashMap::new();
-                let ctx = PolicyCtx::new(now, &cl, &busy);
+                let ctx = cl.policy_ctx(now);
                 assert_eq!(ctx.provisioning_count(func), of(false), "{func:?}");
                 assert_eq!(ctx.warm_count(func), of(true), "{func:?}");
+                let mut ends: Vec<TimePoint> = model
+                    .values()
+                    .filter(|t| t.func == func)
+                    .flat_map(|t| t.ends.iter().copied())
+                    .collect();
+                ends.sort_unstable();
+                assert_eq!(ctx.oracle_free_times(func), ends, "{func:?}");
                 let indexed = cl.pick_available(func);
                 cl.set_scan(ScanMode::Reference);
                 let reference = cl.pick_available(func);

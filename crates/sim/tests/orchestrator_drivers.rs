@@ -138,14 +138,32 @@ fn arb_config(g: &mut Gen) -> SimConfig {
         .faults(plan)
 }
 
+/// The expected ends the cluster holds for running executions, gathered
+/// from every function and grouped by container, each group sorted.
+fn running_ends(core: &Orchestrator<NoopRecorder>) -> BTreeMap<ContainerId, Vec<TimePoint>> {
+    let cluster = core.cluster();
+    let mut ends: BTreeMap<ContainerId, Vec<TimePoint>> = BTreeMap::new();
+    for &func in cluster.function_ids() {
+        let rt = cluster.fn_runtime(func).expect("deployed");
+        for &(end, cid) in &rt.running {
+            ends.entry(cid).or_default().push(end);
+        }
+    }
+    for group in ends.values_mut() {
+        group.sort_unstable();
+    }
+    ends
+}
+
 /// Drives `trace` through a fresh core, delivering every scheduled
 /// event up to `max_late` after its deadline. With `measured`, the core
 /// is not told execution times: like `FaasHost`, the driver ends each
 /// execution itself and reports its length through `record_exec`.
 ///
-/// Asserts, after every step: the structural invariants, and that
-/// `busy_until` holds exactly the expected ends of the executions still
-/// running — never one of a finished request. Asserts once the queue
+/// Asserts, after every step: the structural invariants, and that the
+/// cluster's per-function running executions hold exactly the expected
+/// ends of the executions still running, container by container — never
+/// one of a finished or crashed request. Asserts once the queue
 /// has drained: termination, unplaced chains, request conservation,
 /// ledger conservation. Returns the number of steps and the report.
 fn drive_late(
@@ -175,7 +193,7 @@ fn drive_late(
     core.schedule_crashes(&mut |at, ev| events.push(late(at), ev));
 
     // The end the core announced for each running execution, per
-    // container: what `busy_until` must hold, no more and no less.
+    // container: what the cluster must hold, no more and no less.
     let mut running: HashMap<ContainerId, Vec<(RequestId, TimePoint)>> = HashMap::new();
     // The cluster's used memory, integrated between steps (MB·µs): the
     // reference the ledger is held to.
@@ -239,19 +257,15 @@ fn drive_late(
             .iter()
             .map(|(&cid, runs)| (cid, sorted(runs.iter().map(|&(_, end)| end).collect())))
             .collect();
-        let actual: BTreeMap<ContainerId, Vec<TimePoint>> = core
-            .busy_until()
-            .iter()
-            .map(|(&cid, ends)| (cid, sorted(ends.clone())))
-            .collect();
+        let actual = running_ends(&core);
         assert_eq!(
             actual, expected,
-            "{label}: busy_until after {ev:?} at {now:?}"
+            "{label}: running executions after {ev:?} at {now:?}"
         );
     }
     assert_eq!(core.incomplete(), 0, "{label}: the tick chain ended early");
     assert!(
-        core.busy_until().is_empty(),
+        running_ends(&core).is_empty(),
         "{label}: ends outlive the run"
     );
     core.check_drained();

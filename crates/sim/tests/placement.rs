@@ -107,7 +107,7 @@ fn round_robin_skips_full_workers() {
     let a = cl.pick_worker(800).expect("fits");
     let id = cl.begin_provision(FunctionId(0), a, TimePoint::ZERO, false);
     cl.finish_provision(id, TimePoint::ZERO);
-    cl.occupy_thread(id, TimePoint::ZERO); // pin it so it is not evictable
+    cl.occupy_thread(id, TimePoint::ZERO, TimePoint::ZERO); // pin it so it is not evictable
     let b = cl.pick_worker(800).expect("fits");
     assert_eq!(a, WorkerId(0));
     assert_eq!(b, WorkerId(2));
@@ -287,7 +287,7 @@ fn max_free_tie_rules() {
     // 1000 MB are free outright.
     assert_eq!(cl.pick_worker(800), Some(WorkerId(0)));
     // A busy container is not reclaimable: worker 0 falls to 700.
-    cl.occupy_thread(on0, TimePoint::ZERO);
+    cl.occupy_thread(on0, TimePoint::ZERO, TimePoint::ZERO);
     assert_eq!(cl.pick_worker(800), Some(WorkerId(2)));
     assert_eq!(cl.pick_worker(1_001), None);
 }
