@@ -9,15 +9,18 @@
 //! never evicts; the run fails unless the first costs at most
 //! [`MAX_THRASH_RATIO`] times the second per request. Replay rates at
 //! the paper's scale are otherwise `benchmark/`'s job.
+//!
+//! The `event_queue` lane times the event layer alone: push+pop pairs on
+//! an `EventQueue` holding as many events as a replay has in flight.
 
 use std::hint::black_box;
 use std::process::ExitCode;
 
 use cidre_core::{cidre_stack, CidreConfig};
 use faas_policies::faascache_stack;
-use faas_sim::{run, ScanMode, SimConfig};
+use faas_sim::{run, ContainerId, Event, EventQueue, RequestId, ScanMode, SimConfig};
 use faas_testkit::Harness;
-use faas_trace::gen;
+use faas_trace::{gen, TimeDelta, TimePoint};
 
 /// Minimum indexed-over-reference speedup. Both medians come from this
 /// process, back to back; runs on the gate host gave 5.4x to 6.5x.
@@ -28,6 +31,14 @@ const MIN_SPEEDUP: f64 = 2.0;
 /// 44x; with each function's deferred chains counted instead, six
 /// smoke runs gave 2.1x to 3.0x.
 const MAX_THRASH_RATIO: f64 = 8.0;
+
+/// Events in flight in the `event_queue` lane: a replay of one of
+/// `benchmark/`'s three replay workloads holds 79 to 151 on average, with
+/// maxima of 220 to 737.
+const EVENT_DEPTH: u64 = 128;
+
+/// Push+pop pairs per iteration of the `event_queue` lane.
+const EVENT_PAIRS: u64 = 100_000;
 
 fn main() -> ExitCode {
     let mut h = Harness::new("sim_throughput");
@@ -85,6 +96,31 @@ fn main() -> ExitCode {
     let warm = h.bench("replay/thrash_warm", || {
         black_box(run(&paper, &warm_config, faascache_stack()));
     });
+
+    // The event layer at a replay's depth: each pair pops the earliest
+    // event and schedules one an execution-like span (1 µs to 2 s) later.
+    h.throughput_elems(EVENT_PAIRS);
+    let events = h.bench("event_queue", || {
+        let mut q = EventQueue::new();
+        for i in 0..EVENT_DEPTH {
+            q.push(
+                TimePoint::from_micros(i * 3_000),
+                Event::Arrival(RequestId(i)),
+            );
+        }
+        for i in 0..EVENT_PAIRS {
+            let (at, _) = q.pop().expect("the queue keeps its depth");
+            let span = TimeDelta::from_micros(1 + i * 7_919 % 2_000_000);
+            q.push(at + span, Event::ExecDone(ContainerId(i), RequestId(i)));
+        }
+        black_box(q.len());
+    });
+    if let Some(events) = events {
+        println!(
+            "sim_throughput: event queue {:.1} ns per push+pop pair at depth {EVENT_DEPTH}",
+            events.median_ns / EVENT_PAIRS as f64
+        );
+    }
 
     // A name filter that selects one lane of a pair skips its check.
     let mut code = ExitCode::SUCCESS;

@@ -153,10 +153,12 @@ impl<T> PendingQueue<T> {
 /// ascending-sorted `Vec<(threads_in_use, Reverse<id>)>` whose last
 /// element is the scheduler's pick — "most-loaded non-saturated
 /// container, oldest id on ties", the reference scan's
-/// `max_by_key(|c| (threads_in_use(c), Reverse(c)))`. A container is
-/// found by one binary search per distinct load (at most the thread
-/// capacity) and an update shifts the tail, which is cheap because an
-/// update meets about three entries on average (DESIGN.md §7).
+/// `max_by_key(|c| (threads_in_use(c), Reverse(c)))`. A thread
+/// transition knows the container's old and new load, so
+/// [`FreeThreadPool::rekey`] finds it with one binary search; `set`,
+/// which does not, searches each load's run. An update shifts the tail,
+/// which is cheap because it meets about three entries on average
+/// (DESIGN.md §7).
 #[derive(Debug, Default)]
 pub struct FreeThreadPool<C: Ord + Copy> {
     entries: Vec<(u32, Reverse<C>)>,
@@ -192,8 +194,30 @@ impl<C: Ord + Copy> FreeThreadPool<C> {
         self.entries.insert(at, entry);
     }
 
-    /// Remove `c` from the pool (it saturated or was evicted).
-    /// Returns true if it was present.
+    /// Move `c` from load key `from` to load key `to`, `None` meaning
+    /// not pooled: what a thread transition does, since it knows both.
+    /// One binary search finds the old entry and one `partition_point`
+    /// places the new one, where [`FreeThreadPool::set`] first searches
+    /// every load's run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` is `Some` and `c` is not pooled under it.
+    pub fn rekey(&mut self, c: C, from: Option<u32>, to: Option<u32>) {
+        if let Some(load) = from {
+            let at = self.entries.binary_search(&(load, Reverse(c)));
+            self.entries
+                .remove(at.expect("rekey: the container is pooled under its old load"));
+        }
+        if let Some(load) = to {
+            let entry = (load, Reverse(c));
+            let at = self.entries.partition_point(|e| *e < entry);
+            self.entries.insert(at, entry);
+        }
+    }
+
+    /// Remove `c` from the pool, whatever its load key. Returns true if
+    /// it was present.
     pub fn remove(&mut self, c: C) -> bool {
         self.find(c).map(|i| self.entries.remove(i)).is_some()
     }
@@ -201,11 +225,6 @@ impl<C: Ord + Copy> FreeThreadPool<C> {
     /// The most-loaded container, oldest id on ties. O(1).
     pub fn pick(&self) -> Option<C> {
         self.entries.last().map(|&(_, Reverse(c))| c)
-    }
-
-    /// Whether `c` is in the pool.
-    pub fn contains(&self, c: C) -> bool {
-        self.find(c).is_some()
     }
 
     /// The stored load key for `c`, if pooled (for invariant checks).
@@ -603,9 +622,49 @@ mod tests {
             assert_eq!(p.is_empty(), model.is_empty());
             for &id in &ids {
                 assert_eq!(p.key_of(id), model.get(&id).copied(), "key of {id:#x}");
-                assert_eq!(p.contains(id), model.contains_key(&id));
             }
         }
+    }
+
+    /// `rekey` against `set`/`remove`: random provision, occupy, release
+    /// and evict transitions of containers with 1–4 threads, each moving
+    /// the container from the load key it had to the one it gets (`None`
+    /// when saturated or gone), leave the pool where `set` and `remove`
+    /// would.
+    #[test]
+    fn free_thread_pool_rekey_matches_set() {
+        Checker::new("free_thread_pool_rekey_matches_set").run(|g| {
+            let capacity = g.u32(1..5);
+            // Threads in use per container, `None` while not warm.
+            let mut threads: Vec<Option<u32>> = vec![None; g.usize(1..12)];
+            let pooled = |t: Option<u32>| t.filter(|&t| t < capacity);
+            let mut pool: FreeThreadPool<usize> = FreeThreadPool::new();
+            let mut model: FreeThreadPool<usize> = FreeThreadPool::new();
+            for _ in 0..g.usize(0..200) {
+                let c = g.usize(0..threads.len());
+                let before = threads[c];
+                let after = match (g.u32(0..4), before) {
+                    (0, None) => Some(0),
+                    (1, Some(t)) if t < capacity => Some(t + 1),
+                    (2, Some(t)) if t > 0 => Some(t - 1),
+                    (3, Some(0)) => None,
+                    _ => continue,
+                };
+                threads[c] = after;
+                pool.rekey(c, pooled(before), pooled(after));
+                match pooled(after) {
+                    Some(t) => model.set(c, t),
+                    None => {
+                        model.remove(c);
+                    }
+                }
+                assert_eq!(pool.pick(), model.pick());
+                assert_eq!(pool.len(), model.len());
+                for id in 0..threads.len() {
+                    assert_eq!(pool.key_of(id), model.key_of(id), "key of {id}");
+                }
+            }
+        });
     }
 
     #[test]

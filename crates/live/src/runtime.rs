@@ -100,6 +100,9 @@ pub struct LiveStats {
     pub timer_fires: u64,
     /// Real elapsed time of the replay.
     pub wall: Duration,
+    /// The latest any event was stepped after it fell due, in simulated
+    /// time: how late the replay's timers fired at worst.
+    pub max_lateness: TimeDelta,
 }
 
 /// Replays `trace` on the wall clock under `stack`, returning the same
@@ -142,19 +145,23 @@ fn run_on_wall_clock<R: Recorder>(
     let _tight = TightTimers::on_this_thread();
     let mut clock = WallClock::start(config.time_scale);
     let mut timer_fires = 0;
+    let mut max_lateness = TimeDelta::ZERO;
     let (report, log) = faas_sim::run_on_clock(trace, &config.sim, stack, rec, |at| {
         let early = clock.deadline(at).saturating_duration_since(Instant::now());
         if !early.is_zero() {
             std::thread::sleep(early);
             timer_fires += 1;
         }
-        clock.now_at_least(at)
+        let now = clock.now_at_least(at);
+        max_lateness = max_lateness.max(now - at);
+        now
     });
     let stats = LiveStats {
         peak_inflight: peak_inflight(&report),
         peak_tasks: 0,
         timer_fires,
         wall: clock.start.elapsed(),
+        max_lateness,
     };
     (report, log, stats)
 }
@@ -432,6 +439,11 @@ mod tests {
         assert_eq!(stats.peak_tasks, 0);
         assert!(stats.timer_fires > 0, "the replay sleeps until 2 s");
         assert!(stats.wall > Duration::ZERO);
+        // The 200 arrivals fall due together and are stepped one after
+        // another, so the last is stepped late; no event can be later
+        // than the whole replay.
+        assert!(stats.max_lateness > TimeDelta::ZERO);
+        assert!(stats.max_lateness <= WallClock::start(0.02).to_sim(stats.wall));
     }
 
     #[test]

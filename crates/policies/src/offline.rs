@@ -43,10 +43,20 @@ impl OfflineKeepAlive {
         Self { arrivals }
     }
 
-    /// The next arrival of `func` strictly after `now_us`, if any.
-    fn next_use(&self, func: FunctionId, now_us: u64) -> Option<u64> {
+    /// The next arrival of `func` strictly after `now_us`, if any, where
+    /// `stepped` of its arrivals have been stepped. Those are the first
+    /// `stepped` of its list, each at or before `now_us`, so the search
+    /// starts after them; arrivals at `now_us` that are not stepped yet
+    /// are still searched. A count that does not fit the list, or whose
+    /// last arrival lies past `now_us`, falls back to the whole list.
+    fn next_use(&self, func: FunctionId, now_us: u64, stepped: u64) -> Option<u64> {
         let list = self.arrivals.get(&func)?;
-        let idx = list.partition_point(|&t| t <= now_us);
+        let from = usize::try_from(stepped).unwrap_or(usize::MAX);
+        let from = match from.checked_sub(1).map(|last| list.get(last)) {
+            Some(Some(&last)) if last <= now_us => from,
+            _ => 0,
+        };
+        let idx = from + list[from..].partition_point(|&t| t <= now_us);
         list.get(idx).copied()
     }
 }
@@ -57,7 +67,8 @@ impl KeepAlive for OfflineKeepAlive {
     }
 
     fn priority(&self, container: &ContainerInfo, ctx: &PolicyCtx<'_>) -> f64 {
-        match self.next_use(container.func, ctx.now.as_micros()) {
+        let stepped = ctx.invocations(container.func);
+        match self.next_use(container.func, ctx.now.as_micros(), stepped) {
             // Sooner reuse => higher priority; furthest future evicted
             // first; never reused again => minimal priority.
             Some(next) => -(next as f64),
@@ -158,10 +169,42 @@ mod tests {
         let trace = two_fn_trace();
         let oracle = OfflineKeepAlive::new(&trace);
         // After t=100s, fn1 is never used again.
-        assert_eq!(oracle.next_use(FunctionId(1), 200_000_000), None);
-        assert_eq!(oracle.next_use(FunctionId(0), 0), Some(10_000_000));
-        // Boundary: an arrival exactly at `now` is not a future use.
-        assert_eq!(oracle.next_use(FunctionId(0), 10_000_000), None);
+        assert_eq!(oracle.next_use(FunctionId(1), 200_000_000, 1), None);
+        assert_eq!(oracle.next_use(FunctionId(0), 0, 0), Some(10_000_000));
+        // Boundary: an arrival exactly at `now` is not a future use,
+        // whether or not it has been stepped.
+        assert_eq!(oracle.next_use(FunctionId(0), 10_000_000, 0), None);
+        assert_eq!(oracle.next_use(FunctionId(0), 10_000_000, 1), None);
+    }
+
+    /// The search that skips the stepped arrivals finds what a search
+    /// of the whole list finds, at instants that tie with arrivals and
+    /// with any number of the arrivals at `now` stepped.
+    #[test]
+    fn next_use_from_the_stepped_count_matches_the_whole_list() {
+        faas_testkit::Checker::new("offline_next_use_from_stepped").run(|g| {
+            let mut times = g.vec(0..40, |g| g.u64(0..20));
+            times.sort_unstable();
+            let arrivals = HashMap::from_iter([(FunctionId(0), times.clone())]);
+            let oracle = OfflineKeepAlive { arrivals };
+            for now in 0..22 {
+                let whole = times.get(times.partition_point(|&t| t <= now)).copied();
+                // Every arrival before `now` is stepped; of those at
+                // `now`, any prefix may be.
+                let before = times.partition_point(|&t| t < now);
+                let through = times.partition_point(|&t| t <= now);
+                for stepped in before..=through {
+                    let stepped = stepped as u64;
+                    assert_eq!(oracle.next_use(FunctionId(0), now, stepped), whole);
+                }
+            }
+            // A count past the list, or one that includes arrivals after
+            // `now`, still finds the right answer.
+            let after_5 = times.iter().copied().find(|&t| t > 5);
+            for stepped in [u64::MAX, times.len() as u64] {
+                assert_eq!(oracle.next_use(FunctionId(0), 5, stepped), after_5);
+            }
+        });
     }
 
     #[test]

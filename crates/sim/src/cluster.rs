@@ -86,6 +86,19 @@ pub struct FnStats {
     pub first_arrival: Option<TimePoint>,
 }
 
+/// What one dispatch read and left on its container: the value
+/// [`ClusterState::occupy_thread`] returns.
+#[derive(Debug, Clone, Copy)]
+pub struct Dispatch {
+    /// The container's snapshot after the dispatch.
+    pub info: ContainerInfo,
+    /// Whether the container was a speculative one that had served
+    /// nobody until this dispatch.
+    pub was_speculative: bool,
+    /// When the container came up.
+    pub warm_at: TimePoint,
+}
+
 /// Per-function runtime state.
 #[derive(Debug, Default)]
 pub struct FnRuntime {
@@ -391,11 +404,6 @@ impl ClusterState {
         }
     }
 
-    /// Pops the next request from a container's local queue.
-    pub fn dequeue_local(&mut self, id: ContainerId) -> Option<RequestId> {
-        self.containers.get_mut(&id)?.local_queue.pop_front()
-    }
-
     /// Per-function runtime state.
     ///
     /// # Panics
@@ -566,17 +574,19 @@ impl ClusterState {
         self.touch_ledger(now);
         let rt = self.fn_runtime_mut(func);
         rt.provisioning -= 1;
-        rt.free_pool.set(id, 0);
+        rt.free_pool.rekey(id, None, Some(0));
         rt.warm.insert(id);
     }
 
     /// Occupies one execution thread on a warm container for an
-    /// execution expected to end at `end`.
+    /// execution expected to end at `end`, and returns what the dispatch
+    /// read and left there, so its caller looks the container up no
+    /// more.
     ///
     /// # Panics
     ///
     /// Panics if the container has no free thread.
-    pub fn occupy_thread(&mut self, id: ContainerId, now: TimePoint, end: TimePoint) {
+    pub fn occupy_thread(&mut self, id: ContainerId, now: TimePoint, end: TimePoint) -> Dispatch {
         let c = self
             .containers
             .get_mut(&id)
@@ -585,6 +595,7 @@ impl ClusterState {
             c.has_free_thread(),
             "occupy_thread on unavailable container"
         );
+        let (was_speculative, warm_at) = (c.speculative_unused, c.warm_at);
         // The idle phase (if any) ends with this dispatch, and with it
         // the snapshot: everything it froze changes below.
         let idle_slot = c.idle_slot.take();
@@ -593,52 +604,64 @@ impl ClusterState {
         } else {
             0
         };
+        let before = c.threads_in_use;
         c.threads_in_use += 1;
         c.last_used = now;
         c.served += 1;
         c.speculative_unused = false;
-        let (func, worker, threads, saturated) =
-            (c.func, c.worker, c.threads_in_use, c.is_saturated());
+        let info = ContainerInfo::from(&*c);
+        let after = Some(c.threads_in_use).filter(|_| !c.is_saturated());
         self.ledger.idle_mb_us += idle_charge;
         self.ledger.dispatches += 1;
         self.touch_ledger(now);
-        let rt = self.fn_runtime_mut(func);
-        if saturated {
-            rt.free_pool.remove(id);
-        } else {
-            rt.free_pool.set(id, threads);
-        }
+        let rt = self.fn_runtime_mut(info.func);
+        rt.free_pool.rekey(id, Some(before), after);
         rt.running.push((end, id));
         if let Some(slot) = idle_slot {
-            self.detach_idle(worker, slot);
+            self.detach_idle(info.worker, slot);
+        }
+        Dispatch {
+            info,
+            was_speculative,
+            warm_at,
         }
     }
 
     /// Releases the thread of the execution on a busy container that was
     /// expected to end at `end` (the `end` it was occupied with). `now`
     /// opens the ledger's wasted-idle window when the container goes idle.
+    /// Returns the head of the container's local queue, popped: the freed
+    /// thread serves that queue first.
     ///
     /// # Panics
     ///
     /// Panics if the container has no execution expected to end at `end`.
-    pub fn release_thread(&mut self, id: ContainerId, now: TimePoint, end: TimePoint) {
+    pub fn release_thread(
+        &mut self,
+        id: ContainerId,
+        now: TimePoint,
+        end: TimePoint,
+    ) -> Option<RequestId> {
         let c = self
             .containers
             .get_mut(&id)
             .expect("release_thread of unknown container");
         assert!(c.threads_in_use > 0, "release_thread on idle container");
+        let before = Some(c.threads_in_use).filter(|_| !c.is_saturated());
         c.threads_in_use -= 1;
         if c.threads_in_use == 0 {
             c.idle_from = now;
             self.workers[usize::from(c.worker.0)].attach_idle(c);
         }
         let (func, threads) = (c.func, c.threads_in_use);
+        let next = c.local_queue.pop_front();
         self.touch_ledger(now);
         let rt = self.fn_runtime_mut(func);
-        rt.free_pool.set(id, threads);
+        rt.free_pool.rekey(id, before, Some(threads));
         let pos = rt.running.iter().position(|&e| e == (end, id));
         rt.running
             .swap_remove(pos.expect("release_thread of an execution that never started"));
+        next
     }
 
     /// Evicts a fully idle warm container, releasing its memory. Returns
@@ -665,7 +688,7 @@ impl ClusterState {
         self.touch_ledger(now);
         self.containers_evicted += 1;
         let rt = self.fn_runtime_mut(c.func);
-        rt.free_pool.remove(id);
+        rt.free_pool.rekey(id, Some(0), None);
         rt.warm.remove(&id);
         if let Some(slot) = c.idle_slot {
             self.detach_idle(c.worker, slot);
@@ -764,7 +787,8 @@ impl ClusterState {
         match c.state {
             ContainerState::Provisioning => rt.provisioning -= 1,
             ContainerState::Warm => {
-                rt.free_pool.remove(id);
+                let pooled = Some(c.threads_in_use).filter(|_| !c.is_saturated());
+                rt.free_pool.rekey(id, pooled, None);
                 rt.warm.remove(&id);
                 if c.threads_in_use > 0 {
                     rt.running.retain(|&(_, cid)| cid != id);
@@ -1197,6 +1221,28 @@ mod tests {
         cl.release_thread(id, TimePoint::from_millis(2), TimePoint::from_millis(2));
         assert_eq!(cl.pick_available(FunctionId(0)), Some(id));
         assert_eq!(cl.workers()[0].idle.len(), 1);
+    }
+
+    #[test]
+    fn a_dispatch_returns_what_it_read_and_left() {
+        let mut cl = ClusterState::new(&[1000], profiles(), 2);
+        let id = cl.begin_provision(FunctionId(0), WorkerId(0), TimePoint::ZERO, true);
+        cl.finish_provision(id, TimePoint::from_millis(5));
+        let first = cl.occupy_thread(id, TimePoint::from_millis(7), TimePoint::from_millis(9));
+        assert!(first.was_speculative);
+        assert_eq!(first.warm_at, TimePoint::from_millis(5));
+        let snapshot = ContainerInfo::from(cl.container(id).expect("live"));
+        assert_eq!(first.info, snapshot);
+        assert_eq!((first.info.threads_in_use, first.info.served), (1, 1));
+        let second = cl.occupy_thread(id, TimePoint::from_millis(8), TimePoint::from_millis(9));
+        assert!(!second.was_speculative);
+        // The freed thread takes the local queue's head.
+        assert!(cl.enqueue_local(id, RequestId(4)));
+        let next = cl.release_thread(id, TimePoint::from_millis(9), TimePoint::from_millis(9));
+        assert_eq!(next, Some(RequestId(4)));
+        assert_eq!(cl.container(id).expect("live").local_queue.len(), 0);
+        let next = cl.release_thread(id, TimePoint::from_millis(9), TimePoint::from_millis(9));
+        assert_eq!(next, None);
     }
 
     #[test]

@@ -32,6 +32,13 @@ pub enum Event {
 
 /// Time-ordered event queue with deterministic FIFO tie-breaking.
 ///
+/// The heap orders bare `u128` keys, `(µs << 64) | (seq << SLOT_BITS) |
+/// slot`: one integer whose order is the `(at, seq)` lexicographic order,
+/// unique because `seq` counts pushes. The events themselves sit in a
+/// slab, at the `slot` their key names, and the slots of popped events
+/// are reused, so a sift moves 16 bytes and the slab never holds more
+/// slots than the most events ever in flight at once.
+///
 /// # Examples
 ///
 /// ```
@@ -45,45 +52,17 @@ pub enum Event {
 /// ```
 #[derive(Debug, Default)]
 pub struct EventQueue {
-    heap: BinaryHeap<Reverse<Scheduled>>,
+    heap: BinaryHeap<Reverse<u128>>,
+    slab: Vec<Event>,
+    free: Vec<usize>,
     seq: u64,
 }
 
-/// A heap entry. `key` is `(at_micros << 64) | seq`: one integer whose
-/// order is the `(at, seq)` lexicographic order, compared in one step.
-/// It is unique — `seq` counts pushes — so it alone orders entries and
-/// the event rides along uncompared.
-#[derive(Debug, Clone, Copy)]
-struct Scheduled {
-    key: u128,
-    event: Event,
-}
-
-impl Scheduled {
-    fn at(&self) -> TimePoint {
-        TimePoint::from_micros((self.key >> 64) as u64)
-    }
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-
-impl Eq for Scheduled {}
-
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
-    }
-}
+/// Bits of a key's low half that name the event's slab slot; the rest
+/// hold its push number. A queue holds at most 2^24 events at once and
+/// takes fewer than 2^40 pushes over its life; `push` asserts both.
+const SLOT_BITS: u32 = 24;
+const SLOT_MASK: u128 = (1 << SLOT_BITS) - 1;
 
 impl EventQueue {
     /// Creates an empty queue.
@@ -92,20 +71,50 @@ impl EventQueue {
     }
 
     /// Schedules `event` at absolute time `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the 2^40-th push, or when more than 2^24 events would
+    /// be in flight.
     pub fn push(&mut self, at: TimePoint, event: Event) {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot] = event;
+                slot
+            }
+            None => {
+                self.slab.push(event);
+                self.slab.len() - 1
+            }
+        };
         self.seq += 1;
-        let key = (u128::from(at.as_micros()) << 64) | u128::from(self.seq);
-        self.heap.push(Reverse(Scheduled { key, event }));
+        assert!(
+            self.seq >> (64 - SLOT_BITS) == 0,
+            "event queue: push number {} needs more than {} bits",
+            self.seq,
+            64 - SLOT_BITS
+        );
+        assert!(
+            slot >> SLOT_BITS == 0,
+            "event queue: {} events in flight need more than {SLOT_BITS} slot bits",
+            slot + 1
+        );
+        let low = (self.seq << SLOT_BITS) | slot as u64;
+        let key = (u128::from(at.as_micros()) << 64) | u128::from(low);
+        self.heap.push(Reverse(key));
     }
 
     /// Removes and returns the earliest event, FIFO within a timestamp.
     pub fn pop(&mut self) -> Option<(TimePoint, Event)> {
-        self.heap.pop().map(|Reverse(s)| (s.at(), s.event))
+        let Reverse(key) = self.heap.pop()?;
+        let slot = (key & SLOT_MASK) as usize;
+        self.free.push(slot);
+        Some((Self::at(key), self.slab[slot]))
     }
 
     /// Timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<TimePoint> {
-        self.heap.peek().map(|Reverse(s)| s.at())
+        self.heap.peek().map(|&Reverse(key)| Self::at(key))
     }
 
     /// Number of pending events.
@@ -116,6 +125,10 @@ impl EventQueue {
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
+    }
+
+    fn at(key: u128) -> TimePoint {
+        TimePoint::from_micros((key >> 64) as u64)
     }
 }
 
@@ -194,6 +207,28 @@ mod tests {
                 .map(|&(at, n)| (TimePoint::from_micros(at), Event::Arrival(RequestId(n))))
                 .collect();
             assert_eq!(rest, want);
+        });
+    }
+
+    /// Popped slots are reused: over random interleaved pushes and pops,
+    /// the slab never holds more slots than the most events that were
+    /// in flight at once.
+    #[test]
+    fn the_slab_holds_no_more_slots_than_the_peak_in_flight() {
+        faas_testkit::Checker::new("event_queue_slab_peak").run(|g| {
+            let mut q = EventQueue::new();
+            let mut peak = 0;
+            for n in 0..g.u64(0..300) {
+                if g.bool(0.55) {
+                    let at = TimePoint::from_micros(g.u64(0..50));
+                    q.push(at, Event::Arrival(RequestId(n)));
+                } else {
+                    q.pop();
+                }
+                peak = peak.max(q.len());
+                assert_eq!(q.slab.len(), peak);
+                assert_eq!(q.slab.len() - q.free.len(), q.len());
+            }
         });
     }
 

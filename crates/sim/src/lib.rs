@@ -73,7 +73,7 @@ pub mod reference;
 mod report;
 mod request;
 
-pub use cluster::{ClusterState, FnRuntime, FnStats, PolicyCtx, Worker};
+pub use cluster::{ClusterState, Dispatch, FnRuntime, FnStats, PolicyCtx, Worker};
 pub use config::{Placement, ScanMode, SimConfig};
 pub use container::{Container, ContainerInfo, ContainerState};
 pub use engine::{run, run_on_clock, run_traced};

@@ -590,12 +590,10 @@ impl<R: Recorder> Orchestrator<R> {
         }
         // Retire the request's *own* expected end: the virtual clock
         // delivers ExecDone exactly then (`end == now`), a wall clock
-        // delivers it late, and a measured execution never knew it.
-        self.cluster.release_thread(cid, self.now, end);
-
-        // Work conservation: the freed thread serves the container-local
-        // queue first, then the function channel.
-        if let Some(next) = self.cluster.dequeue_local(cid) {
+        // delivers it late, and a measured execution never knew it. Work
+        // conservation: the freed thread serves the container-local queue
+        // first (`release_thread` pops its head), then the function channel.
+        if let Some(next) = self.cluster.release_thread(cid, self.now, end) {
             self.start_exec(cid, next, StartClass::DelayedWarm, out);
             return;
         }
@@ -821,10 +819,6 @@ impl<R: Recorder> Orchestrator<R> {
         class: StartClass,
         out: &mut impl FnMut(TimePoint, Event),
     ) {
-        let (was_speculative, warm_at) = {
-            let c = self.cluster.container(cid).expect("live container");
-            (c.speculative_unused, c.warm_at)
-        };
         let slot = self.slot(rid);
         let req = &mut self.requests[slot];
         req.class = Some(class);
@@ -836,7 +830,7 @@ impl<R: Recorder> Orchestrator<R> {
         let (func, arrival, exec) = (req.func, req.arrival, req.exec);
         let wait = self.now.saturating_since(arrival);
         let end = busy_end(req);
-        self.cluster.occupy_thread(cid, self.now, end);
+        let dispatch = self.cluster.occupy_thread(cid, self.now, end);
         // A busy container is no longer an eviction candidate.
         self.evict_index.leave(cid);
         out(end, Event::ExecDone(cid, rid));
@@ -859,21 +853,16 @@ impl<R: Recorder> Orchestrator<R> {
             }
         );
 
-        let info = self.requests[self.slot(rid)].info(rid);
-        let cinfo = self
-            .cluster
-            .container(cid)
-            .map(ContainerInfo::from)
-            .expect("live container");
+        let info = self.requests[slot].info(rid);
         let ctx = self.cluster.policy_ctx(self.now);
         if class != StartClass::Cold {
-            self.policies.keepalive.on_reuse(&cinfo, &ctx);
+            self.policies.keepalive.on_reuse(&dispatch.info, &ctx);
         }
         self.policies
             .scaler
             .on_start(&info, class, wait, exec, &ctx);
-        if was_speculative {
-            let idle = self.now.saturating_since(warm_at);
+        if dispatch.was_speculative {
+            let idle = self.now.saturating_since(dispatch.warm_at);
             self.policies.scaler.on_cold_outcome(func, Some(idle), &ctx);
         }
     }

@@ -7,7 +7,8 @@
 //!   reorder — what the wall-clock drivers of `faas-live` do to the
 //!   core, reproduced without a wall clock and with a seed. It also
 //!   covers the host's side of the contract: executions whose length
-//!   the driver measures instead of announcing.
+//!   the driver measures instead of announcing. However late an event
+//!   comes, no cold start precedes its own container's provision.
 //! * The **sans-IO property**: the core's behaviour is a function of its
 //!   input sequence alone, so replaying a logged run into a fresh core
 //!   whose sink discards everything reproduces report and trace exactly.
@@ -22,7 +23,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use faas_obs::{NoopRecorder, TraceLog};
+use faas_obs::{NoopRecorder, ObsClass, ObsEvent, Recorder, TraceLog};
 use faas_sim::{
     baseline_lru_stack, run_on_clock, run_traced, ContainerId, ContainerInfo, Event, EventQueue,
     FaultPlan, KeepAlive, LruKeepAlive, Orchestrator, PolicyCtx, PolicyStack, RequestId,
@@ -140,7 +141,7 @@ fn arb_config(g: &mut Gen) -> SimConfig {
 
 /// The expected ends the cluster holds for running executions, gathered
 /// from every function and grouped by container, each group sorted.
-fn running_ends(core: &Orchestrator<NoopRecorder>) -> BTreeMap<ContainerId, Vec<TimePoint>> {
+fn running_ends<R: Recorder>(core: &Orchestrator<R>) -> BTreeMap<ContainerId, Vec<TimePoint>> {
     let cluster = core.cluster();
     let mut ends: BTreeMap<ContainerId, Vec<TimePoint>> = BTreeMap::new();
     for &func in cluster.function_ids() {
@@ -165,8 +166,15 @@ fn running_ends(core: &Orchestrator<NoopRecorder>) -> BTreeMap<ContainerId, Vec<
 /// ends of the executions still running, container by container — never
 /// one of a finished or crashed request. Asserts once the queue
 /// has drained: termination, unplaced chains, request conservation,
-/// ledger conservation. Returns the number of steps and the report.
-fn drive_late(
+/// ledger conservation; and, when `rec` records, that no cold start
+/// precedes its container's provision
+/// ([`assert_cold_starts_follow_their_provision`]). Returns the number
+/// of steps and the report.
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a test driver: each argument is one knob of the property"
+)]
+fn drive_late<R: Recorder>(
     label: &str,
     trace: &Trace,
     config: &SimConfig,
@@ -174,14 +182,14 @@ fn drive_late(
     late: &mut Rng,
     max_late: u64,
     measured: bool,
+    rec: R,
 ) -> (u64, SimReport) {
     let mut late = |at: TimePoint| at + TimeDelta::from_micros(late.u64_below(max_late + 1));
-    let mut core = Orchestrator::new(
-        trace.functions().iter().cloned(),
-        config,
-        stack,
-        NoopRecorder,
-    );
+    // When each provision was due, as the core asked (only when traced:
+    // the soak makes millions).
+    let traced = rec.enabled();
+    let mut due: HashMap<u64, TimePoint> = HashMap::new();
+    let mut core = Orchestrator::new(trace.functions().iter().cloned(), config, stack, rec);
     let mut events = EventQueue::new();
     let invocations = trace.invocations();
     for inv in invocations {
@@ -220,6 +228,9 @@ fn drive_late(
         }
         let mut out = |at: TimePoint, ev: Event| {
             let mut deliver_at = late(at);
+            if let (true, Event::ProvisionDone(cid)) = (traced, ev) {
+                due.insert(cid.0, at);
+            }
             if let Event::ExecDone(cid, rid) = ev {
                 running.entry(cid).or_default().push((rid, at));
                 if measured {
@@ -270,7 +281,8 @@ fn drive_late(
     );
     core.check_drained();
 
-    let (report, _) = core.finish();
+    let (report, log) = core.finish();
+    assert_cold_starts_follow_their_provision(label, trace, &log, &due);
     assert_eq!(report.requests.len(), trace.len(), "{label}: conservation");
     let mut served: BTreeMap<FunctionId, (u64, TimeDelta)> = BTreeMap::new();
     for r in &report.requests {
@@ -294,6 +306,56 @@ fn drive_late(
     (steps, report)
 }
 
+/// No event is stepped before it is due: in `log`, every cold start
+/// comes at or after its own container's `ProvisionEnd`, and that
+/// container was due no sooner than its function's provisioning latency
+/// after it began (`due`, by container) and came up no sooner than due.
+/// This is the check `faas-live`'s `runtime.rs` makes on the other two
+/// clocks, where a provision comes up exactly when due or later.
+fn assert_cold_starts_follow_their_provision(
+    label: &str,
+    trace: &Trace,
+    log: &TraceLog,
+    due: &HashMap<u64, TimePoint>,
+) {
+    let mut begun = BTreeMap::new();
+    let mut up = BTreeMap::new();
+    for event in log.events() {
+        match *event {
+            ObsEvent::ProvisionBegin { at, cid, func, .. } => {
+                begun.insert(cid, (at, func));
+            }
+            ObsEvent::ProvisionEnd { at, cid, ok: true } => {
+                let (began, func) = begun[&cid];
+                let latency = trace.function(func).expect("profile").cold_start;
+                let asked = due[&cid].saturating_since(began);
+                assert!(
+                    asked >= latency,
+                    "{label}: container {cid} was due in {asked:?} < provisioning {latency:?}"
+                );
+                assert!(
+                    at >= due[&cid],
+                    "{label}: container {cid} came up at {at:?}, before it was due"
+                );
+                up.insert(cid, at);
+            }
+            ObsEvent::Start {
+                at,
+                cid,
+                class: ObsClass::Cold,
+                ..
+            } => {
+                let ready = up.get(&cid).copied();
+                assert!(
+                    ready.is_some_and(|ready| at >= ready),
+                    "{label}: cold start at {at:?} on container {cid}, up at {ready:?}"
+                );
+            }
+            _ => {}
+        }
+    }
+}
+
 #[test]
 fn late_clock_driver_terminates_and_conserves() {
     checker("late_clock_driver_terminates_and_conserves").run(|g| {
@@ -305,7 +367,10 @@ fn late_clock_driver_terminates_and_conserves() {
         let measured = g.bool(0.3);
         let mut late = Rng::seed_from_u64(g.u64(0..1 << 32));
         for (label, stack) in stacks() {
-            drive_late(label, &trace, &config, stack, &mut late, max_late, measured);
+            let rec = TraceLog::default();
+            drive_late(
+                label, &trace, &config, stack, &mut late, max_late, measured, rec,
+            );
         }
     });
 }
@@ -340,7 +405,16 @@ fn a_long_faulted_replay_keeps_every_invariant() {
     let config = SimConfig::default().uniform_workers(4, 2_048).faults(plan);
     let race = PolicyStack::new(Box::new(LruKeepAlive), Box::new(AlwaysRace));
     let mut late = Rng::seed_from_u64(40);
-    let (steps, report) = drive_late("soak", &trace, &config, race, &mut late, 20_000, false);
+    let (steps, report) = drive_late(
+        "soak",
+        &trace,
+        &config,
+        race,
+        &mut late,
+        20_000,
+        false,
+        NoopRecorder,
+    );
     assert!(steps >= floor, "soak: {steps} steps, fewer than {floor}");
     assert!(report.provision_failures > 0 && report.crash_evictions > 0);
     assert!(report.containers_evicted > 0);
