@@ -222,6 +222,18 @@ for file in $(grep -l 'PriorityDeps::Function' crates/policies/src/*.rs); do
   done
 done
 
+echo "== guard: one victim source per round =="
+# DESIGN.md §7: a REPLACE round evaluates its priorities once, into a
+# RoundHeap (or, under the reference scan, a sort), and keeps none past
+# the round. The cross-round eviction index and the two priority classes
+# that only it could exploit stay gone; faas-core keeps the index type
+# only for the frozen benchmark/benches/adapter.rs (not searched).
+if grep -rnE 'EvictionIndex|evict_index|pop_indexed|index_candidate' crates/sim/src \
+  || grep -rnE 'PriorityDeps::(ContainerLocal|FunctionFreq)' crates; then
+  echo "a cross-round eviction index is growing back; evaluate each round's priorities into a RoundHeap" >&2
+  exit 1
+fi
+
 echo "== guard: memory is accounted once =="
 # DESIGN.md §11: memory held over time is the cost ledger's, exact in
 # MB·µs. The sampled series beside it and the switch that turned it off

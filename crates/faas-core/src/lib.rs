@@ -10,13 +10,9 @@
 //! * [`pool::FreeThreadPool`] — per-function set of containers with free
 //!   threads, ordered so the "most-loaded non-saturated container, oldest
 //!   id wins ties" pick is O(log n).
-//! * [`pool::EvictionIndex`] — a lazy-deletion binary min-heap of eviction
-//!   candidates with per-entry versions, so a memory-pressure round is
-//!   O(victims · log n) instead of a full recompute-and-sort.
-//! * [`pool::RoundHeap`] — one REPLACE round's victims when priorities
-//!   cannot be cached: integer keys in `total_cmp` order, a linear argmin
-//!   for the first few pops and a binary heap after them.
-//! * [`pool::OrdF64`] — a total order over non-NaN `f64` priorities.
+//! * [`pool::RoundHeap`] — one REPLACE round's victims, from priorities
+//!   evaluated once per round: integer keys in `total_cmp` order, a
+//!   linear argmin for the first few pops and a binary heap after them.
 //! * [`hash::IdHasher`] — the one-multiply hasher of every map keyed by a
 //!   container, worker or function id on a per-event path, these pools'
 //!   own key maps included.
@@ -49,4 +45,4 @@ pub mod hash;
 pub mod pool;
 
 pub use hash::{IdBuildHasher, IdHasher};
-pub use pool::{EvictionIndex, FreeThreadPool, OrdF64, PendingQueue, RoundHeap};
+pub use pool::{EvictionIndex, FreeThreadPool, PendingQueue, RoundHeap};

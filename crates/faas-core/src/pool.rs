@@ -8,8 +8,7 @@
 //! |--------------------|---------------------------------------------|-----|-----|
 //! | [`PendingQueue`]   | `iter().position(\|p\| !p.cold_only)`       | O(n) | O(1) |
 //! | [`FreeThreadPool`] | `max_by_key` over the warm containers       | O(n) | O(1) pick, O(n) update |
-//! | [`EvictionIndex`]  | recompute + full sort per pressure round    | O(n log n) | O(victims · log n) |
-//! | [`RoundHeap`]      | full sort when priorities are not cacheable | O(n log n) | O(n) integer argmin per victim up to four, O(n + victims · log n) beyond |
+//! | [`RoundHeap`]      | full sort of a REPLACE round's candidates   | O(n log n) | O(n) integer argmin per victim up to four, O(n + victims · log n) beyond |
 //!
 //! `MaxFree` worker placement is deliberately not in this table: a
 //! worker's free and reclaimable memory change twice per request and are
@@ -22,7 +21,7 @@ use std::hash::Hash;
 
 use crate::hash::IdBuildHasher;
 
-/// A totally ordered `f64` for use as a heap/set key.
+/// A totally ordered `f64`, the key of the `EvictionIndex` heap.
 ///
 /// Construction panics on NaN with the same message the reference
 /// sort used (`"priorities must not be NaN"`), so swapping a sort for
@@ -32,7 +31,7 @@ use crate::hash::IdBuildHasher;
 /// `partial_cmp`: a total order with no unwrap, and — unlike a
 /// derived `PartialEq` — consistent with itself on `-0.0` vs `0.0`.
 #[derive(Debug, Clone, Copy)]
-pub struct OrdF64(f64);
+struct OrdF64(f64);
 
 impl OrdF64 {
     /// Wrap a priority. Panics if `v` is NaN.
@@ -243,6 +242,9 @@ impl<C: Ord + Copy> FreeThreadPool<C> {
     }
 }
 
+// Unused: REPLACE rounds take their victims from a `RoundHeap`. The
+// frozen `benchmark/benches/adapter.rs` still calls this index; the
+// next `benchmark` PR removes both.
 /// Lazy-deletion min-heap of eviction candidates, grouped per worker.
 ///
 /// Each idle container *enters* the index with a cached priority and a
@@ -260,8 +262,8 @@ impl<C: Ord + Copy> FreeThreadPool<C> {
 /// "monotone staleness"). Under that contract the pop order is
 /// byte-identical to a full recompute-and-sort: a popped cached key is
 /// a lower bound, so an entry is only returned once its fresh value is
-/// itself the minimum. Policies whose priorities can drift downward
-/// while idle must use a per-round [`RoundHeap`] instead.
+/// itself the minimum.
+#[doc(hidden)]
 #[derive(Debug, Default)]
 pub struct EvictionIndex<W, C>
 where
@@ -328,12 +330,6 @@ where
         self.live.len()
     }
 
-    /// Drop all state for a failed worker.
-    pub fn drop_worker(&mut self, w: W) {
-        self.heaps.remove(&w);
-        self.live.retain(|_, &mut (lw, _)| lw != w);
-    }
-
     /// Pop the minimum-(priority, id) candidate on `w`, removing it
     /// from the index (callers evict every popped victim).
     ///
@@ -397,9 +393,9 @@ fn from_total_key(key: u64) -> f64 {
     })
 }
 
-/// Per-round victim order for policies whose priorities are not
-/// cacheable (they depend on clock state or other containers and can
-/// move in either direction mid-idle).
+/// One REPLACE round's victim order: priorities are evaluated once per
+/// round, as the paper's REPLACE (Algorithm 2) does, and never cached
+/// across rounds, so a policy's priority may read anything.
 ///
 /// [`RoundHeap::refill`] stores the frozen per-round snapshot unordered,
 /// each priority as the `u64` whose order is its `total_cmp` order, so a
@@ -837,8 +833,7 @@ mod tests {
         idx.enter(1, 2, 2.0);
         assert_eq!(idx.pop_min(0, |_| Some(1.0)), Some((1.0, 1)));
         assert_eq!(idx.pop_min(0, |_| Some(0.0)), None);
-        idx.drop_worker(1);
-        assert_eq!(idx.pop_min(1, |_| Some(2.0)), None);
+        assert_eq!(idx.pop_min(1, |_| Some(2.0)), Some((2.0, 2)));
         assert_eq!(idx.len_live(), 0);
     }
 

@@ -497,10 +497,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "replay is stuck: 1 unserved request(s)")]
     fn a_request_nothing_can_ever_serve_stops_the_replay() {
-        // The only worker crashes before the request arrives: its
-        // provision is deferred for good. After the next tick the replay
-        // sees that the tick chain is all that is left and says so
-        // instead of ticking forever.
+        // The only worker that can host the function crashes before the
+        // request arrives (the other is too small, and a plan that
+        // crashes every worker is refused up front): its provision is
+        // deferred for good. After the next tick the replay sees that
+        // the tick chain is all that is left and says so instead of
+        // ticking forever.
         let f = FunctionProfile::new(FunctionId(0), "f", 128, TimeDelta::from_millis(100));
         let invs = vec![Invocation {
             func: FunctionId(0),
@@ -509,7 +511,7 @@ mod tests {
         }];
         let trace = Trace::new(vec![f], invs).expect("valid");
         let sim = SimConfig::default()
-            .workers_mb(vec![1024])
+            .workers_mb(vec![1024, 64])
             .tick(TimeDelta::from_millis(500))
             .faults(FaultPlan::none().crash_worker(TimePoint::from_millis(100), WorkerId(0)));
         let config = LiveConfig::default().sim(sim).time_scale(0.02);

@@ -4,7 +4,7 @@
 
 use std::collections::HashMap;
 
-use faas_sim::{ContainerId, ContainerInfo, IdBuildHasher, KeepAlive, PolicyCtx, PriorityDeps};
+use faas_sim::{ContainerId, ContainerInfo, IdBuildHasher, KeepAlive, PolicyCtx};
 
 /// Least-frequently-used keep-alive: priority is the function's total
 /// invocation count. Frequency without recency or cost awareness — the
@@ -27,12 +27,6 @@ impl KeepAlive for LfuKeepAlive {
 
     fn priority(&self, container: &ContainerInfo, ctx: &PolicyCtx<'_>) -> f64 {
         ctx.invocations(container.func) as f64
-    }
-
-    fn priority_deps(&self) -> PriorityDeps {
-        // Invocation counts only grow, so cached priorities are
-        // stale-low at worst.
-        PriorityDeps::FunctionFreq
     }
 }
 
@@ -95,13 +89,6 @@ impl KeepAlive for GreedyDualKeepAlive {
     fn priority(&self, container: &ContainerInfo, _ctx: &PolicyCtx<'_>) -> f64 {
         self.base.get(&container.id).copied().unwrap_or(self.clock)
             + container.cold_start.as_millis_f64()
-    }
-
-    fn priority_deps(&self) -> PriorityDeps {
-        // Every live container has a `base` entry (set on admission,
-        // removed only on eviction), so its priority never reads the
-        // moving clock and is frozen while idle.
-        PriorityDeps::ContainerLocal
     }
 
     fn explain(&self) -> Option<String> {

@@ -38,11 +38,6 @@ impl KeepAlive for EnsureKeepAlive {
         container.last_used.as_micros() as f64
     }
 
-    fn priority_deps(&self) -> faas_sim::PriorityDeps {
-        // LRU under pressure: last-use time is frozen while idle.
-        faas_sim::PriorityDeps::ContainerLocal
-    }
-
     fn expirations(&mut self, ctx: &PolicyCtx<'_>) -> Vec<ContainerId> {
         let timeout = TimeDelta::from_secs(IDLE_TIMEOUT_SECS);
         ctx.all_iter()

@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use faas_sim::{ContainerId, ContainerInfo, IdBuildHasher, KeepAlive, PolicyCtx, PriorityDeps};
+use faas_sim::{ContainerId, ContainerInfo, IdBuildHasher, KeepAlive, PolicyCtx};
 
 /// Greedy-Dual-Size-Frequency keep-alive as used by FaasCache:
 ///
@@ -110,18 +110,6 @@ impl KeepAlive for GdsfKeepAlive {
 
     fn priority(&self, container: &ContainerInfo, ctx: &PolicyCtx<'_>) -> f64 {
         self.compute(container, ctx)
-    }
-
-    fn priority_deps(&self) -> PriorityDeps {
-        if self.concurrency_aware {
-            // Eq. 2 divides by the warm-container count, which shrinks
-            // on evictions — priorities can move either way mid-idle.
-            PriorityDeps::Volatile
-        } else {
-            // Eq. 1: per-container base (always present while live)
-            // plus a term in the ever-growing invocation count.
-            PriorityDeps::FunctionFreq
-        }
     }
 
     fn explain(&self) -> Option<String> {

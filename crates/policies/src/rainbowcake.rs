@@ -105,12 +105,6 @@ impl KeepAlive for RainbowCakeKeepAlive {
         container.last_used.as_micros() as f64
     }
 
-    fn priority_deps(&self) -> faas_sim::PriorityDeps {
-        // Layer pools affect provisioning latency, not priorities;
-        // priority itself is the frozen last-use time.
-        faas_sim::PriorityDeps::ContainerLocal
-    }
-
     fn on_evict(&mut self, container: &ContainerInfo, ctx: &PolicyCtx<'_>) {
         // The evicted container's layers linger, up to the pool caps.
         let user = self.user_layers.entry(container.func).or_default();

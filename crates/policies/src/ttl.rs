@@ -44,11 +44,6 @@ impl KeepAlive for TtlKeepAlive {
         container.last_used.as_micros() as f64
     }
 
-    fn priority_deps(&self) -> faas_sim::PriorityDeps {
-        // Last-use time is frozen while a container sits idle.
-        faas_sim::PriorityDeps::ContainerLocal
-    }
-
     fn expirations(&mut self, ctx: &PolicyCtx<'_>) -> Vec<ContainerId> {
         ctx.all_iter()
             .filter(|c| {

@@ -26,7 +26,7 @@ pub struct Worker {
     /// One snapshot per fully idle (evictable) container on this
     /// worker, unordered: each container's `idle_slot` is its index.
     /// Every field a snapshot holds is frozen while its container idles,
-    /// so a volatile REPLACE round reads priorities' inputs from here
+    /// so a REPLACE round reads priorities' inputs from here
     /// without a table lookup (DESIGN.md §7). Local queues are filled
     /// only on saturated containers, and one that turns idle with a
     /// request still queued starts it, and leaves the list, in the same

@@ -28,7 +28,7 @@ pub enum Placement {
 /// property tests (see `faas_sim::reference` and `tests/equivalence.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScanMode {
-    /// Indexed pools and lazy-deletion eviction heaps (production).
+    /// Indexed pools and per-round eviction heaps (production).
     #[default]
     Indexed,
     /// The retained naive linear scans (differential-test oracle).

@@ -115,7 +115,9 @@ impl FaultPlan {
         self
     }
 
-    /// Schedules a worker crash at `at`.
+    /// Schedules a worker crash at `at`. A plan that crashes every
+    /// worker runs only request-free traces: [`crate::Orchestrator::admit`]
+    /// refuses a request under it.
     pub fn crash_worker(mut self, at: TimePoint, worker: WorkerId) -> Self {
         self.worker_crashes.push((at, worker));
         self

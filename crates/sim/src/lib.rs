@@ -116,11 +116,6 @@ impl KeepAlive for LruKeepAlive {
     fn priority(&self, container: &ContainerInfo, _ctx: &PolicyCtx<'_>) -> f64 {
         container.last_used.as_micros() as f64
     }
-
-    fn priority_deps(&self) -> PriorityDeps {
-        // Last-use time is frozen while a container sits idle.
-        PriorityDeps::ContainerLocal
-    }
 }
 
 /// Convenience: the classic baseline stack — LRU keep-alive with

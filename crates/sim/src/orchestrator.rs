@@ -35,7 +35,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use faas_core::{EvictionIndex, RoundHeap};
+use faas_core::RoundHeap;
 use faas_obs::{EvictReason, ObsEvent, Recorder, TraceLog};
 use faas_trace::{FunctionId, FunctionProfile, TimeDelta, TimePoint};
 
@@ -76,8 +76,8 @@ fn has_flexible(rt: &FnRuntime) -> bool {
     rt.pending.len() > rt.pending.cold_only_len()
 }
 
-/// A REPLACE round's per-round victim source (the cross-round index is
-/// the third): both yield ascending `(priority, id)`.
+/// A REPLACE round's victim source, one per scan mode: both yield
+/// ascending `(priority, id)`.
 enum RoundVictims {
     Heap(RoundHeap<ContainerId>),
     Sorted(std::vec::IntoIter<(f64, ContainerId)>),
@@ -147,22 +147,17 @@ pub struct Orchestrator<R: Recorder> {
     faults: FaultState,
     /// Arrival events processed so far (request-conservation invariant).
     arrived: u64,
-    /// Lazy-deletion heap of eviction candidates per worker, maintained
-    /// across rounds when `use_evict_index` is set.
-    evict_index: EvictionIndex<WorkerId, ContainerId>,
-    /// Whether cached priorities in `evict_index` are sound for the
-    /// configured keep-alive policy: requires [`ScanMode::Indexed`] and
-    /// a [`PriorityDeps::ContainerLocal`] or [`PriorityDeps::FunctionFreq`]
-    /// policy. Volatile policies fill a per-round heap of fresh priorities.
-    use_evict_index: bool,
+    /// Whether the fault plan crashes every worker, so that no request
+    /// can be served after the last crash: `admit` refuses requests.
+    crashes_every_worker: bool,
     /// Whether the policy declares [`PriorityDeps::Function`]: an indexed
     /// round then evaluates one candidate per function (`fn_priority`).
     per_function: bool,
     /// Scratch of a REPLACE round, kept between rounds so that a round
-    /// allocates nothing: the heap of fresh priorities (volatile
-    /// policies), the victims handed to `KeepAlive::on_admit`, and, by
-    /// function slot, the priority a round evaluated for that function,
-    /// stamped with the round (`rounds`) so that no value outlives it.
+    /// allocates nothing: the heap of the round's priorities, the
+    /// victims handed to `KeepAlive::on_admit`, and, by function slot,
+    /// the priority a round evaluated for that function, stamped with
+    /// the round (`rounds`) so that no value outlives it.
     round_heap: RoundHeap<ContainerId>,
     evicted: Vec<ContainerInfo>,
     fn_priority: Vec<(u64, f64)>,
@@ -194,6 +189,10 @@ impl<R: Recorder> Orchestrator<R> {
             "SimConfig::tick must be positive"
         );
         config.faults.validate();
+        let crashes = &config.faults.worker_crashes;
+        let crashed = |w: usize| crashes.iter().any(|&(_, c)| usize::from(c.0) == w);
+        let crashes_every_worker =
+            !config.workers_mb.is_empty() && (0..config.workers_mb.len()).all(crashed);
         let max_worker = config.workers_mb.iter().copied().max().unwrap_or(0);
         let functions = functions.into_iter().inspect(|f| {
             assert!(
@@ -211,12 +210,7 @@ impl<R: Recorder> Orchestrator<R> {
             config.placement,
         );
         cluster.set_scan(config.scan);
-        let deps = policies.keepalive.priority_deps();
-        let use_evict_index = config.scan == ScanMode::Indexed
-            && matches!(
-                deps,
-                PriorityDeps::ContainerLocal | PriorityDeps::FunctionFreq
-            );
+        let per_function = policies.keepalive.priority_deps() == PriorityDeps::Function;
         let fn_priority = vec![(0, 0.0); cluster.function_ids().len()];
         Self {
             cluster,
@@ -230,9 +224,8 @@ impl<R: Recorder> Orchestrator<R> {
             finished_at: TimePoint::ZERO,
             faults: FaultState::new(config.faults.clone()),
             arrived: 0,
-            evict_index: EvictionIndex::new(),
-            use_evict_index,
-            per_function: deps == PriorityDeps::Function,
+            crashes_every_worker,
+            per_function,
             round_heap: RoundHeap::default(),
             evicted: Vec::new(),
             fn_priority,
@@ -247,12 +240,23 @@ impl<R: Recorder> Orchestrator<R> {
     /// hands `ExecDone` to `out` like any other event, but expects it
     /// back whenever the execution really ended, preceded by
     /// [`Orchestrator::record_exec`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fault plan crashes every worker: a request in
+    /// flight at the last crash, or arriving after it, could never be
+    /// served. A core under such a plan runs only request-free traces.
     pub fn admit(
         &mut self,
         func: FunctionId,
         arrival: TimePoint,
         exec: Option<TimeDelta>,
     ) -> RequestId {
+        assert!(
+            !self.crashes_every_worker,
+            "fault plan crashes every worker ({:?}): no request can be served after the last crash",
+            self.faults.plan().worker_crashes
+        );
         let rid = RequestId(self.retired + self.requests.len() as u64);
         self.requests.push_back(RequestState {
             func,
@@ -550,7 +554,6 @@ impl<R: Recorder> Orchestrator<R> {
             // Idle immediately: if speculative, the container may turn out
             // wasted; either way it is now evictable, so deferred
             // provisions may fit.
-            self.index_candidate(cid);
             self.retry_deferred(out);
         }
         self.serve_backlog(func, out);
@@ -602,7 +605,6 @@ impl<R: Recorder> Orchestrator<R> {
             // one: no other thread of the function was free). The
             // container (or one of its threads) idles; idle memory is
             // evictable, so deferred provisions may now fit.
-            self.index_candidate(cid);
             self.retry_deferred(out);
         }
     }
@@ -725,7 +727,6 @@ impl<R: Recorder> Orchestrator<R> {
             return; // duplicate crash event
         }
         self.cluster.mark_worker_down(worker);
-        self.evict_index.drop_worker(worker);
         obs!(
             self.rec,
             ObsEvent::WorkerDown {
@@ -831,8 +832,6 @@ impl<R: Recorder> Orchestrator<R> {
         let wait = self.now.saturating_since(arrival);
         let end = busy_end(req);
         let dispatch = self.cluster.occupy_thread(cid, self.now, end);
-        // A busy container is no longer an eviction candidate.
-        self.evict_index.leave(cid);
         out(end, Event::ExecDone(cid, rid));
         self.records.push(RequestRecord {
             func,
@@ -924,19 +923,16 @@ impl<R: Recorder> Orchestrator<R> {
                     candidates,
                 });
             }
-            // Three victim sources, one eviction order. `None`: the
-            // cross-round index serves (cached priorities, see
-            // `pop_indexed`). Otherwise a per-round snapshot — volatile
-            // priorities cannot be cached across rounds — in a
+            // Two victim sources, one eviction order: a per-round
             // `RoundHeap` (O(n) + O(victims log n)) from the worker's
             // idle list, whose entries are the frozen `ContainerInfo`s
-            // the priority reads, or, under the reference scan, fully
-            // sorted from the container table. Under
+            // the priority reads, or, under the reference scan, a full
+            // sort from the container table. Under
             // `PriorityDeps::Function` the heap reads one priority per
             // function; the reference round and the provenance record
             // still evaluate every candidate, so the oracle checks the
             // declaration.
-            let mut round = (!self.use_evict_index).then(|| match self.cluster.scan() {
+            let mut round = match self.cluster.scan() {
                 ScanMode::Indexed => {
                     let mut heap = std::mem::take(&mut self.round_heap);
                     let ctx = self.cluster.policy_ctx(self.now);
@@ -964,12 +960,11 @@ impl<R: Recorder> Orchestrator<R> {
                     crate::reference::sorted_eviction_candidates(self.candidates(worker).collect())
                         .into_iter(),
                 ),
-            });
+            };
             while self.free_mb(worker) < mem {
                 let victim = match &mut round {
-                    None => self.pop_indexed(worker),
-                    Some(RoundVictims::Heap(heap)) => heap.pop(),
-                    Some(RoundVictims::Sorted(sorted)) => sorted.next(),
+                    RoundVictims::Heap(heap) => heap.pop(),
+                    RoundVictims::Sorted(sorted) => sorted.next(),
                 };
                 // Raced with our own accounting: pick_worker said this
                 // fits, so there must be victims. Defensive fallback:
@@ -977,7 +972,7 @@ impl<R: Recorder> Orchestrator<R> {
                 let Some((_, victim)) = victim else { break };
                 evicted.push(self.evict_container(victim, EvictReason::Replace));
             }
-            if let Some(RoundVictims::Heap(heap)) = round {
+            if let RoundVictims::Heap(heap) = round {
                 self.round_heap = heap;
             }
         }
@@ -1006,22 +1001,6 @@ impl<R: Recorder> Orchestrator<R> {
         );
         self.deferred.push_back((func, speculative, attempt));
         self.cluster.fn_runtime_mut(func).unplaced += 1;
-    }
-
-    /// Pops the next victim off `worker`'s lazy-deletion heap,
-    /// re-validating each cached priority against a fresh evaluation at
-    /// pop time (exact for non-volatile policies, see `PriorityDeps`).
-    fn pop_indexed(&mut self, worker: WorkerId) -> Option<(f64, ContainerId)> {
-        let cluster = &self.cluster;
-        let ka = &self.policies.keepalive;
-        let ctx = cluster.policy_ctx(self.now);
-        self.evict_index.pop_min(worker, |cid| {
-            let c = cluster.container(cid)?;
-            if !(c.is_idle() && c.local_queue.is_empty()) {
-                return None;
-            }
-            Some(ka.priority(&ContainerInfo::from(c), &ctx))
-        })
     }
 
     /// Fresh `(priority, id)` of every eviction candidate on `worker`:
@@ -1098,29 +1077,6 @@ impl<R: Recorder> Orchestrator<R> {
         out(self.now + cold, Event::ProvisionDone(cid));
     }
 
-    /// Enters `cid` into the eviction index if it just became a
-    /// candidate (fully idle, empty local queue), caching its current
-    /// priority. No-op unless cross-round caching is enabled.
-    fn index_candidate(&mut self, cid: ContainerId) {
-        if !self.use_evict_index {
-            return;
-        }
-        let Some(c) = self.cluster.container(cid) else {
-            return;
-        };
-        if !(c.is_idle() && c.local_queue.is_empty()) {
-            return;
-        }
-        let worker = c.worker;
-        let priority = {
-            let ctx = self.cluster.policy_ctx(self.now);
-            self.policies
-                .keepalive
-                .priority(&ContainerInfo::from(c), &ctx)
-        };
-        self.evict_index.enter(worker, cid, priority);
-    }
-
     /// Evicts one idle container, firing policy hooks.
     fn evict_container(&mut self, cid: ContainerId, reason: EvictReason) -> ContainerInfo {
         let was_unused = self
@@ -1128,7 +1084,6 @@ impl<R: Recorder> Orchestrator<R> {
             .container(cid)
             .map(|c| c.speculative_unused)
             .unwrap_or(false);
-        self.evict_index.leave(cid);
         let info = self.cluster.evict(cid, self.now);
         // Provenance note reflects the keep-alive state that drove the
         // choice, so it is taken before `on_evict` mutates it.

@@ -65,38 +65,19 @@ impl From<ScaleDecision> for faas_obs::AdmitDecision {
 }
 
 /// What a keep-alive policy's [`KeepAlive::priority`] depends on, which
-/// determines how much evaluation the engine may skip.
-///
-/// The first two variants let the lazy-deletion eviction index cache a
-/// container's priority when it becomes idle. It trusts the cache only if
-/// a fresh evaluation at pop time agrees (or re-keys and retries if the
-/// fresh value grew). That scheme is exact *only* when priorities never
-/// decrease while a container stays idle — "monotone staleness". The
-/// other two are volatile: each REPLACE round evaluates afresh.
+/// determines how much evaluation a REPLACE round may skip. Every round
+/// evaluates its priorities afresh and keeps none past the round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PriorityDeps {
-    /// Priority is a pure function of the container's own frozen fields
-    /// (last-use time, creation time, per-container base value). It
-    /// cannot change at all while the container sits idle, so cached
-    /// values are always exact.
-    ContainerLocal,
-    /// Priority additionally reads per-function counters that only grow
-    /// (invocation counts, frequency numerators). Cached values can go
-    /// stale but only *low*; the index's re-key-on-mismatch pop remains
-    /// exact.
-    FunctionFreq,
-    /// Volatile, but the priority reads a container only through its
-    /// function: `func`, plus the `mem_mb` and `cold_start` that every
-    /// container copies from its function's profile. Every candidate of
-    /// one function then has the same priority within a round, so the
+    /// The priority reads a container only through its function:
+    /// `func`, plus the `mem_mb` and `cold_start` that every container
+    /// copies from its function's profile. Every candidate of one
+    /// function then has the same priority within a round, so the
     /// indexed round evaluates the first and reuses its value for the
-    /// others; nothing is cached across rounds.
+    /// others.
     Function,
-    /// Priority reads state that can move in either direction while the
-    /// container is idle (warm-container counts, shared clocks divided
-    /// by volatile quantities) and per-container fields. No caching is
-    /// sound; each round evaluates every candidate into a per-round
-    /// victim heap. The safe default.
+    /// The priority may read anything, per-container fields included;
+    /// each round evaluates every candidate. The safe default.
     Volatile,
 }
 
@@ -137,13 +118,12 @@ pub trait KeepAlive {
     fn priority(&self, container: &ContainerInfo, ctx: &PolicyCtx<'_>) -> f64;
 
     /// Declares what [`KeepAlive::priority`] depends on so the engine
-    /// knows whether cached priorities stay valid while a container is
-    /// idle, or can be shared by a function's containers within a round
-    /// (see [`PriorityDeps`]). The default, [`PriorityDeps::Volatile`],
-    /// is always safe: it disables cross-round caching, and each
-    /// memory-pressure round evaluates every candidate. Override only if the
-    /// stated invariant genuinely holds — the differential oracle tests
-    /// will catch a lie, but only on workloads they happen to generate.
+    /// knows whether a function's containers can share one priority
+    /// within a round (see [`PriorityDeps`]). The default,
+    /// [`PriorityDeps::Volatile`], is always safe: each memory-pressure
+    /// round evaluates every candidate. Override only if the stated
+    /// invariant genuinely holds — the differential oracle tests will
+    /// catch a lie, but only on workloads they happen to generate.
     fn priority_deps(&self) -> PriorityDeps {
         PriorityDeps::Volatile
     }

@@ -473,3 +473,20 @@ fn a_crash_refugee_takes_an_idle_container() {
     assert_eq!(refugee.class, StartClass::DelayedWarm);
     assert_eq!(refugee.wait, TimeDelta::from_secs(1));
 }
+
+/// A plan that crashes every worker strands whatever is in flight at
+/// the last crash or arrives after it, so it is refused when the first
+/// request is admitted, before any event is stepped.
+#[test]
+#[should_panic(expected = "fault plan crashes every worker")]
+fn a_plan_that_crashes_every_worker_is_refused() {
+    let arrivals: Vec<u64> = (0..200).collect();
+    let trace = one_fn_trace(&arrivals, 100, 100, 128);
+    let at = TimePoint::from_millis(50);
+    let config = SimConfig::default().workers_mb(vec![1024, 1024]).faults(
+        FaultPlan::none()
+            .crash_worker(at, WorkerId(0))
+            .crash_worker(at, WorkerId(1)),
+    );
+    run(&trace, &config, baseline_lru_stack());
+}

@@ -10,23 +10,22 @@
 //! index maintenance, and the testkit runner shrinks it to a minimal
 //! sequence automatically.
 //!
-//! Policies are chosen to cover every [`cidre::sim::PriorityDeps`]
-//! class: frozen per-container priorities (LRU, TTL, GreedyDual — the
-//! cross-round lazy-deletion heap), monotone function-frequency
-//! priorities (LFU, vanilla FaasCache), volatile priorities read once
-//! per function and round (IceBreaker, CodeCrunch, Offline), and
-//! volatile priorities read once per candidate (FaasCache-C, CIDRE,
-//! Flame). Both volatile kinds fill a per-round heap from the idle
-//! lists' snapshots; the reference round and the provenance record
-//! evaluate every candidate from the container table, so a policy whose
-//! declaration does not hold diverges
-//! (`a_false_per_function_declaration_fails_the_oracle`).
+//! Policies are chosen to cover both [`cidre::sim::PriorityDeps`]
+//! classes and every keep-alive a benchmark workload runs: priorities
+//! read once per function and round (IceBreaker, CodeCrunch, Offline)
+//! and priorities read once per candidate (LRU, TTL, GreedyDual, LFU,
+//! FaasCache, FaasCache-C, CIDRE, Flame, RainbowCake, ENSURE). Both
+//! fill a per-round heap from the idle lists' snapshots; the reference
+//! round and the provenance record evaluate every candidate from the
+//! container table, so a policy whose declaration does not hold
+//! diverges (`a_false_per_function_declaration_fails_the_oracle`).
 
 use cidre::core::{cidre_stack, CidreConfig};
 use cidre::obs::{EvictReason, ObsEvent};
 use cidre::policies::{
-    codecrunch_stack, faascache_stack, flame_stack, icebreaker_stack, offline_stack, GdsfKeepAlive,
-    GreedyDualKeepAlive, IceBreakerKeepAlive, LfuKeepAlive, TtlKeepAlive,
+    codecrunch_stack, ensure_stack, faascache_stack, flame_stack, icebreaker_stack, offline_stack,
+    rainbowcake_stack, GdsfKeepAlive, GreedyDualKeepAlive, IceBreakerKeepAlive, LfuKeepAlive,
+    TtlKeepAlive,
 };
 use cidre::sim::{
     baseline_lru_stack, run, run_traced, AlwaysCold, ContainerInfo, FaultPlan, KeepAlive,
@@ -115,6 +114,8 @@ fn stacks() -> Vec<(&'static str, MakeStack)> {
         ("icebreaker", |_| icebreaker_stack()),
         ("codecrunch", |_| codecrunch_stack()),
         ("offline", offline_stack),
+        ("rainbowcake", |_| rainbowcake_stack()),
+        ("ensure", |_| ensure_stack()),
     ]
 }
 
