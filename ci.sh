@@ -62,15 +62,20 @@ fi
 echo "== guard: one replay loop; the host is a thread =="
 # Trace replay is faas_sim::run_on_clock on a wall clock (DESIGN.md §4):
 # runtime.rs drives no core and no executor of its own. The host is one
-# OS thread that pops its own deadline heap and blocks on a std mpsc
-# channel until the earliest deadline (DESIGN.md §10): no task, no
-# executor, no second channel type, no mailbox future.
+# OS thread that pops faas_sim's EventQueue, in simulated time as the
+# replay does, and blocks on a std mpsc channel until the head's
+# wall-clock deadline (DESIGN.md §10): no task, no executor, no second
+# channel type, no mailbox future, no second event heap.
 if grep -nE 'Orchestrator|exec::' crates/live/src/runtime.rs; then
   echo "crates/live/src/runtime.rs: a second replay loop is growing back; call faas_sim::run_on_clock" >&2
   exit 1
 fi
 if grep -rn 'send_at' crates/live/src; then
-  echo "crates/live/src: send_at is back; push onto the host thread's deadline heap instead" >&2
+  echo "crates/live/src: send_at is back; push onto the host thread's EventQueue instead" >&2
+  exit 1
+fi
+if [ -e crates/live/src/heap.rs ] || grep -rn 'DeadlineHeap' crates/live/src; then
+  echo "crates/live/src: a second event heap is back; the host pops faas_sim's EventQueue" >&2
   exit 1
 fi
 if [ -e crates/live/src/mailbox.rs ] \

@@ -242,13 +242,16 @@ fn main() -> ExitCode {
     let rps = live.requests.len() as f64 / stats.wall.as_secs_f64();
     println!(
         "  live: {} requests in {:.2} s wall = {:.0} req/s sustained; \
-         peak in-flight {}, timer fires {}, max lateness {:.1} ms",
+         peak in-flight {}, timer fires {}, max lateness {:.1} ms \
+         (sleep overshoot {:.1} ms, step work {:.1} ms)",
         live.requests.len(),
         stats.wall.as_secs_f64(),
         rps,
         stats.peak_inflight,
         stats.timer_fires,
         stats.max_lateness.as_millis_f64(),
+        stats.max_overshoot.as_millis_f64(),
+        stats.max_step_work.as_millis_f64(),
     );
 
     let mut ok = true;
@@ -282,8 +285,11 @@ fn main() -> ExitCode {
         if (s - l).abs() > bound {
             eprintln!(
                 "live_load: {label} wait diverged: sim {s:.1} ms vs live {l:.1} ms \
-                 (bound {bound:.0} ms; the latest event was stepped {:.1} ms late)",
-                stats.max_lateness.as_millis_f64()
+                 (bound {bound:.0} ms; the latest event was stepped {:.1} ms late, \
+                 sleep overshoot {:.1} ms, step work {:.1} ms)",
+                stats.max_lateness.as_millis_f64(),
+                stats.max_overshoot.as_millis_f64(),
+                stats.max_step_work.as_millis_f64(),
             );
             ok = false;
         }

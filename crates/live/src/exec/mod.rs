@@ -3,7 +3,7 @@
 //! live host runs handlers on.
 //!
 //! The two halves have different users. [`crate::FaasHost`] is a thread
-//! that blocks on its own channel and deadline heap, and uses one piece
+//! that blocks on its own channel and event queue, and uses one piece
 //! of this module:
 //!
 //! * [`blocking`](self) — a cached thread pool for genuinely blocking
@@ -18,10 +18,9 @@
 //! * [`task`](self) — a slab arena of spawned futures addressed by
 //!   `(slot, generation)`; wakers are `Arc<impl Wake>` handles into it,
 //!   and a fixed pool of worker threads drains the run queue.
-//! * [`reactor`](self) — one thread over a deadline heap
-//!   (`crate::heap::DeadlineHeap`); [`Sleep`] futures register
-//!   `(deadline, waker-slot)` entries and the reactor fires them as
-//!   deadlines pass.
+//! * [`reactor`](self) — one thread over an ordered map of timers keyed
+//!   by `(deadline, registration number)`; [`Sleep`] futures register
+//!   waker slots there and the reactor fires them as deadlines pass.
 //! * [`channel`] — an unbounded MPSC with sync senders and an async
 //!   receiver.
 //!
@@ -38,10 +37,10 @@
 //! 2. **User code never runs under an executor lock.** Futures are
 //!    polled *and dropped* outside the arena lock, blocking jobs run
 //!    outside the pool lock, and timer payloads are sent outside the
-//!    heap lock — so a user panic cannot poison executor state.
+//!    reactor lock — so a user panic cannot poison executor state.
 //! 3. **Stale references are inert, not errors.** Slot generations make
 //!    late wakes of finished tasks no-ops; cancelled sleeps are lazily
-//!    deleted when their heap entry pops.
+//!    deleted when their deadline passes.
 
 mod blocking;
 pub mod channel;

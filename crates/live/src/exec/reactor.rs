@@ -1,15 +1,17 @@
-//! The reactor: one thread owning a [`DeadlineHeap`] of timer
-//! registrations, waking task [`Waker`]s as deadlines pass.
+//! The reactor: one thread owning the timer registrations, ordered by
+//! `(deadline, registration number)`, waking task [`Waker`]s as
+//! deadlines pass; equal deadlines fire in registration order.
 //!
 //! This is the executor's only time source. A [`Sleep`] future
-//! registers `(deadline, slot)` on first poll; the reactor thread
-//! sleeps until the earliest deadline (or a new registration cuts the
-//! wait short), then fires every due slot **outside its own lock** so a
-//! waker can freely take the executor's run-queue lock. Cancelled
-//! sleeps (dropped `Sleep` futures) are lazily deleted: the slot stays
-//! in the heap until its deadline pops, then fires nothing — the same
-//! lazy-deletion discipline as `faas-core`'s eviction index.
+//! registers its slot on first poll; the reactor thread sleeps until
+//! the earliest deadline (or a new registration cuts the wait short),
+//! then fires every due slot **outside its own lock** so a waker can
+//! freely take the executor's run-queue lock. Cancelled sleeps (dropped
+//! `Sleep` futures) are lazily deleted: the slot stays registered until
+//! its deadline passes, then fires nothing — the same lazy-deletion
+//! discipline as `faas-core`'s eviction index.
 
+use std::collections::BTreeMap;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -18,7 +20,6 @@ use std::task::{Context, Poll, Waker};
 use std::time::Instant;
 
 use super::lock::Lock;
-use crate::heap::DeadlineHeap;
 
 /// One registered sleep: shared between the `Sleep` future (which
 /// updates the waker and observes `fired`) and the reactor thread.
@@ -54,11 +55,12 @@ pub(crate) struct ReactorShared {
 }
 
 struct ReactorState {
-    heap: DeadlineHeap<Arc<TimerSlot>>,
-    /// Registrations currently in the heap (fired entries excluded,
-    /// cancelled-but-unpopped entries included).
-    live: usize,
-    /// High-water mark of `live` — the "concurrent timers" statistic.
+    /// Registrations not yet due, cancelled ones included, by deadline
+    /// and registration number.
+    timers: BTreeMap<(Instant, u64), Arc<TimerSlot>>,
+    registered: u64,
+    /// High-water mark of `timers.len()` — the "concurrent timers"
+    /// statistic.
     peak: usize,
     shutdown: bool,
 }
@@ -72,9 +74,10 @@ impl ReactorShared {
         if st.shutdown {
             return false;
         }
-        st.heap.push(deadline, slot);
-        st.live += 1;
-        st.peak = st.peak.max(st.live);
+        st.registered += 1;
+        let key = (deadline, st.registered);
+        st.timers.insert(key, slot);
+        st.peak = st.peak.max(st.timers.len());
         drop(st);
         self.cvar.notify_one();
         true
@@ -99,8 +102,8 @@ impl Reactor {
     pub(crate) fn start() -> Self {
         let shared = Arc::new(ReactorShared {
             state: Lock::new(ReactorState {
-                heap: DeadlineHeap::new(),
-                live: 0,
+                timers: BTreeMap::new(),
+                registered: 0,
                 peak: 0,
                 shutdown: false,
             }),
@@ -151,9 +154,8 @@ fn run_reactor(shared: &ReactorShared) {
         }
         let now = Instant::now();
         let mut due: Vec<Arc<TimerSlot>> = Vec::new();
-        while let Some(slot) = st.heap.pop_due(now) {
-            st.live -= 1;
-            due.push(slot);
+        while let Some(entry) = st.timers.first_entry().filter(|e| e.key().0 <= now) {
+            due.push(entry.remove());
         }
         if !due.is_empty() {
             // Fire outside the reactor lock: wakers take the executor's
@@ -178,8 +180,8 @@ fn run_reactor(shared: &ReactorShared) {
             st = shared.state.lock();
             continue;
         }
-        st = match st.heap.next_deadline() {
-            Some(next) => {
+        st = match st.timers.first_key_value() {
+            Some((&(next, _), _)) => {
                 let wait = next.saturating_duration_since(Instant::now());
                 st.wait_timeout(&shared.cvar, wait).0
             }
@@ -192,7 +194,7 @@ fn run_reactor(shared: &ReactorShared) {
 /// [`crate::exec::Handle::sleep_until`].
 ///
 /// Dropping a `Sleep` before it fires cancels the registration (lazily:
-/// the heap entry is discarded when its deadline pops). If the executor
+/// the registration is discarded when its deadline passes). If the executor
 /// shut down, polling resolves immediately rather than hanging forever.
 pub struct Sleep {
     deadline: Instant,

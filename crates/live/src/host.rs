@@ -9,9 +9,10 @@
 //! the policy produced.
 //!
 //! A running host is one OS thread plus a blocking pool. The thread runs
-//! the orchestrator loop and owns its timers: what is due comes off its
-//! own deadline heap, and otherwise it blocks on its `std::sync::mpsc`
-//! channel — `recv_timeout` until the earliest deadline, `recv` with
+//! the orchestrator loop and owns its timers, a [`faas_sim::EventQueue`]
+//! in simulated time as in trace replay: what is due comes off it, and
+//! otherwise the thread blocks on its `std::sync::mpsc` channel —
+//! `recv_timeout` until the head's wall-clock deadline, `recv` with
 //! nothing scheduled. Invocations, handler returns and shutdown arrive on
 //! that channel. Each *running* invocation occupies a pool thread for as
 //! long as its handler runs (waiting invocations are entries in the
@@ -63,11 +64,12 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use faas_obs::NoopRecorder;
-use faas_sim::{ContainerId, Event, Orchestrator, PolicyStack, RequestId, SimReport, StartClass};
+use faas_sim::{
+    ContainerId, Event, EventQueue, Orchestrator, PolicyStack, RequestId, SimReport, StartClass,
+};
 use faas_trace::{FunctionId, FunctionProfile, TimeDelta, TimePoint};
 
 use crate::exec::{BlockingPool, BLOCKING_CAP};
-use crate::heap::DeadlineHeap;
 use crate::runtime::{LiveConfig, WallClock};
 use crate::slack::TightTimers;
 
@@ -166,7 +168,7 @@ impl FaasHost {
             pool: BlockingPool::new(BLOCKING_CAP),
             tx: tx.clone(),
             clock: WallClock::start(config.time_scale),
-            timers: DeadlineHeap::new(),
+            timers: EventQueue::new(),
             flights: HashMap::new(),
         };
         let tick = config.sim.tick;
@@ -228,7 +230,7 @@ struct Flight {
 }
 
 /// The host's sink: everything needed to act on "deliver this event at
-/// time T". Timed events go into the loop's own deadline heap; an
+/// time T". Timed events go into the loop's own event queue; an
 /// `ExecDone` is not a timer here but a handler to run, and is delivered
 /// (as [`Msg::Returned`]) whenever that handler returns.
 struct Dispatcher {
@@ -236,15 +238,15 @@ struct Dispatcher {
     pool: BlockingPool,
     tx: mpsc::Sender<Msg>,
     clock: WallClock,
-    /// Timed events with the simulated time each is due at.
-    timers: DeadlineHeap<(TimePoint, Event)>,
+    /// Timed events, at the simulated time each is due.
+    timers: EventQueue,
     flights: HashMap<RequestId, Flight>,
 }
 
 impl Dispatcher {
     fn deliver(&mut self, at: TimePoint, event: Event) {
         let Event::ExecDone(cid, rid) = event else {
-            return self.timers.push(self.clock.deadline(at), (at, event));
+            return self.timers.push(at, event);
         };
         // `at` is the core's far-future placeholder for an execution of
         // unknown length; the handler decides when it really ends.
@@ -272,26 +274,29 @@ enum Next {
     Message(Msg),
 }
 
-/// The loop's one blocking point: a scheduled event that is due, else a
-/// message, else a wait for whichever comes first — a message or the
-/// earliest deadline (`recv_timeout`; with nothing scheduled, `recv`).
-/// Due events go first: finitely many are due at any instant, while a
-/// busy channel need never run dry, and a loop kept awake by messages
-/// meets its deadlines by the clock reading it takes per turn. `None`
-/// once every sender is gone.
-fn next(timers: &mut DeadlineHeap<(TimePoint, Event)>, rx: &mpsc::Receiver<Msg>) -> Option<Next> {
+/// The loop's one blocking point: the queue's head once its deadline on
+/// `clock` has passed, else a message, else a wait for whichever comes
+/// first — a message or that deadline (`recv_timeout`; with nothing
+/// scheduled, `recv`). Events come off in the queue's simulated order,
+/// so two that share a real instant are stepped as the replay steps
+/// them. Due events go first: finitely many are due at any instant,
+/// while a busy channel need never run dry, and a loop kept awake by
+/// messages meets its deadlines by the clock reading it takes per turn.
+/// `None` once every sender is gone.
+fn next(timers: &mut EventQueue, clock: &WallClock, rx: &mpsc::Receiver<Msg>) -> Option<Next> {
     loop {
         let now = Instant::now();
-        if let Some((at, event)) = timers.pop_due(now) {
-            return Some(Next::Due(at, event));
+        let deadline = timers.peek_time().map(|at| clock.deadline(at));
+        if deadline.is_some_and(|deadline| deadline <= now) {
+            return timers.pop().map(|(at, event)| Next::Due(at, event));
         }
-        let received = match timers.next_deadline() {
-            Some(deadline) => rx.recv_timeout(deadline.saturating_duration_since(now)),
+        let received = match deadline {
+            Some(deadline) => rx.recv_timeout(deadline - now),
             None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
         };
         match received {
             Ok(msg) => return Some(Next::Message(msg)),
-            // The earliest deadline passed; it pops on the next turn.
+            // The head's deadline passed; it pops on the next turn.
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => return None,
         }
@@ -317,7 +322,7 @@ fn serve(
 ) -> SimReport {
     let mut stopping = false;
     io.deliver(TimePoint::ZERO + tick, Event::Tick);
-    while let Some(woke) = next(&mut io.timers, rx) {
+    while let Some(woke) = next(&mut io.timers, &io.clock, rx) {
         // A due event is stepped at or after `at`, however the reading
         // rounds; a message at the clock's reading, which that floor
         // keeps from going back.
@@ -382,8 +387,14 @@ fn serve(
 mod tests {
     use super::*;
 
-    /// Far enough that a loop waiting it out fails its test visibly.
-    const LATER: Duration = Duration::from_secs(10);
+    /// Far enough that a loop waiting it out fails its test visibly: on
+    /// [`clock`], ten real seconds.
+    const LATER: TimePoint = TimePoint::from_secs(10);
+
+    /// One simulated second per real second.
+    fn clock() -> WallClock {
+        WallClock::start(1.0)
+    }
 
     fn is_shutdown(woke: Option<Next>) -> bool {
         matches!(woke, Some(Next::Message(Msg::Shutdown)))
@@ -399,59 +410,85 @@ mod tests {
 
     #[test]
     fn a_message_beats_a_later_deadline() {
-        let mut timers = DeadlineHeap::new();
-        let (tx, rx) = mpsc::channel();
         let start = Instant::now();
-        timers.push(start + LATER, (TimePoint::ZERO, Event::Tick));
+        let clock = clock();
+        let mut timers = EventQueue::new();
+        let (tx, rx) = mpsc::channel();
+        timers.push(LATER, Event::Tick);
         tx.send(Msg::Shutdown).expect("receiver alive");
-        assert!(is_shutdown(next(&mut timers, &rx)));
+        assert!(is_shutdown(next(&mut timers, &clock, &rx)));
         // Sent while the loop waits for the deadline, a message wakes it.
         let sender = send_soon(tx);
-        assert!(is_shutdown(next(&mut timers, &rx)));
-        assert!(start.elapsed() < LATER / 2);
+        assert!(is_shutdown(next(&mut timers, &clock, &rx)));
+        assert!(start.elapsed() < Duration::from_secs(5));
         sender.join().expect("sender");
-        assert!(!timers.is_empty(), "the timed event is still owed");
+        assert_eq!(timers.len(), 1, "the timed event is still owed");
     }
 
     #[test]
     fn an_earlier_deadline_is_not_held_behind_a_later_one() {
-        let mut timers = DeadlineHeap::new();
-        let (tx, rx) = mpsc::channel();
         let start = Instant::now();
-        timers.push(start + LATER, (TimePoint::ZERO, Event::Tick));
+        let clock = clock();
+        let mut timers = EventQueue::new();
+        let (tx, rx) = mpsc::channel();
+        timers.push(LATER, Event::Tick);
         // The loop has seen the later deadline as its earliest...
         tx.send(Msg::Shutdown).expect("receiver alive");
-        assert!(is_shutdown(next(&mut timers, &rx)));
+        assert!(is_shutdown(next(&mut timers, &clock, &rx)));
         // ...and an earlier one scheduled since is the one it waits for.
         let near = (
             TimePoint::from_millis(20),
             Event::ProvisionDone(ContainerId(1)),
         );
-        timers.push(start + Duration::from_millis(20), near);
-        assert!(matches!(next(&mut timers, &rx), Some(Next::Due(at, e)) if (at, e) == near));
+        timers.push(near.0, near.1);
+        let woke = next(&mut timers, &clock, &rx);
+        assert!(matches!(woke, Some(Next::Due(at, e)) if (at, e) == near));
         let waited = start.elapsed();
-        assert!(waited >= Duration::from_millis(20) && waited < LATER / 2);
-        assert_eq!(timers.next_deadline(), Some(start + LATER));
+        assert!(waited >= Duration::from_millis(20) && waited < Duration::from_secs(5));
+        assert_eq!(timers.peek_time(), Some(LATER));
     }
 
     #[test]
     fn an_empty_heap_waits_on_the_channel() {
-        let mut timers = DeadlineHeap::new();
+        let clock = clock();
+        let mut timers = EventQueue::new();
         let (tx, rx) = mpsc::channel();
         let sender = send_soon(tx);
-        assert!(is_shutdown(next(&mut timers, &rx)));
+        assert!(is_shutdown(next(&mut timers, &clock, &rx)));
         sender.join().expect("sender");
         assert!(timers.is_empty());
     }
 
     #[test]
     fn a_disconnected_channel_yields_none() {
-        let mut timers = DeadlineHeap::new();
+        let clock = clock();
+        let mut timers = EventQueue::new();
         let (tx, rx) = mpsc::channel();
         drop(tx);
-        assert!(next(&mut timers, &rx).is_none());
+        assert!(next(&mut timers, &clock, &rx).is_none());
         // A pending deadline does not keep a loop nobody can reach.
-        timers.push(Instant::now() + LATER, (TimePoint::ZERO, Event::Tick));
-        assert!(next(&mut timers, &rx).is_none());
+        timers.push(LATER, Event::Tick);
+        assert!(next(&mut timers, &clock, &rx).is_none());
+    }
+
+    /// At 1 simulated second per real nanosecond, 1 µs and 2 µs share
+    /// one real instant, already passed: both are due at once, and come
+    /// back in simulated order, not in the order they were pushed.
+    #[test]
+    fn events_on_one_real_instant_come_back_in_simulated_order() {
+        let clock = WallClock::start(1e-9);
+        let (early, late) = (TimePoint::from_micros(1), TimePoint::from_micros(2));
+        assert_eq!(clock.deadline(early), clock.deadline(late));
+        let mut timers = EventQueue::new();
+        let (_tx, rx) = mpsc::channel();
+        timers.push(late, Event::Tick);
+        timers.push(early, Event::ProvisionDone(ContainerId(1)));
+        let mut due = || match next(&mut timers, &clock, &rx) {
+            Some(Next::Due(at, _)) => at,
+            _ => panic!("a due event, not a message"),
+        };
+        assert_eq!(due(), early);
+        assert_eq!(due(), late);
+        assert!(timers.is_empty());
     }
 }

@@ -18,9 +18,10 @@
 //!   invoke them from any thread, and receive outputs together with the
 //!   warm / delayed-warm / cold outcome the policy produced. It drives
 //!   [`faas_sim::Orchestrator`], the sans-IO state machine under both
-//!   loops, from one thread of its own: timed events are entries of that
-//!   thread's deadline heap, it blocks on its channel until the earliest
-//!   of them, and handlers run on a blocking pool the host owns
+//!   loops, from one thread of its own: timed events wait in that
+//!   thread's [`faas_sim::EventQueue`] in simulated time, as in replay,
+//!   it blocks on its channel until the head's wall-clock deadline, and
+//!   handlers run on a blocking pool the host owns
 //!   (`exec::BlockingPool`). The async half of [`exec`] (reactor, task
 //!   arena, channel) serves only the benchmark's frozen `exec.*` probes.
 //!
@@ -64,7 +65,6 @@
 )]
 
 pub mod exec;
-mod heap;
 mod host;
 mod runtime;
 mod slack;

@@ -103,6 +103,14 @@ pub struct LiveStats {
     /// The latest any event was stepped after it fell due, in simulated
     /// time: how late the replay's timers fired at worst.
     pub max_lateness: TimeDelta,
+    /// The latest a step was taken after a sleep that aimed at its
+    /// deadline, in simulated time: how far the OS woke the replay late.
+    pub max_overshoot: TimeDelta,
+    /// The most real time, in simulated units, between one clock call
+    /// returning and the next one being called: the replay's own work
+    /// between two steps, which makes the next step late if it runs
+    /// past that step's deadline.
+    pub max_step_work: TimeDelta,
 }
 
 /// Replays `trace` on the wall clock under `stack`, returning the same
@@ -145,15 +153,25 @@ fn run_on_wall_clock<R: Recorder>(
     let _tight = TightTimers::on_this_thread();
     let mut clock = WallClock::start(config.time_scale);
     let mut timer_fires = 0;
-    let mut max_lateness = TimeDelta::ZERO;
+    let [mut max_lateness, mut max_overshoot, mut max_step_work] = [TimeDelta::ZERO; 3];
+    let mut returned = None;
     let (report, log) = faas_sim::run_on_clock(trace, &config.sim, stack, rec, |at| {
-        let early = clock.deadline(at).saturating_duration_since(Instant::now());
-        if !early.is_zero() {
+        let called = Instant::now();
+        if let Some(returned) = returned {
+            max_step_work = max_step_work.max(clock.to_sim(called - returned));
+        }
+        let early = clock.deadline(at).saturating_duration_since(called);
+        let slept = !early.is_zero();
+        if slept {
             std::thread::sleep(early);
             timer_fires += 1;
         }
         let now = clock.now_at_least(at);
         max_lateness = max_lateness.max(now - at);
+        if slept {
+            max_overshoot = max_overshoot.max(now - at);
+        }
+        returned = Some(Instant::now());
         now
     });
     let stats = LiveStats {
@@ -162,6 +180,8 @@ fn run_on_wall_clock<R: Recorder>(
         timer_fires,
         wall: clock.start.elapsed(),
         max_lateness,
+        max_overshoot,
+        max_step_work,
     };
     (report, log, stats)
 }
@@ -440,10 +460,17 @@ mod tests {
         assert!(stats.timer_fires > 0, "the replay sleeps until 2 s");
         assert!(stats.wall > Duration::ZERO);
         // The 200 arrivals fall due together and are stepped one after
-        // another, so the last is stepped late; no event can be later
-        // than the whole replay.
+        // another, so the last is stepped late; no event can be later,
+        // no sleep overshoot longer and no step's work longer than the
+        // whole replay.
         assert!(stats.max_lateness > TimeDelta::ZERO);
-        assert!(stats.max_lateness <= WallClock::start(0.02).to_sim(stats.wall));
+        let wall = WallClock::start(0.02).to_sim(stats.wall);
+        for late in [stats.max_lateness, stats.max_overshoot, stats.max_step_work] {
+            assert!(
+                (TimeDelta::ZERO..=wall).contains(&late),
+                "{late:?} > {wall:?}"
+            );
+        }
     }
 
     #[test]
@@ -495,14 +522,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "replay is stuck: 1 unserved request(s)")]
-    fn a_request_nothing_can_ever_serve_stops_the_replay() {
+    #[should_panic(expected = "fault plan crashes every worker that can host fn0")]
+    fn a_request_only_crashed_workers_could_serve_is_refused() {
         // The only worker that can host the function crashes before the
-        // request arrives (the other is too small, and a plan that
-        // crashes every worker is refused up front): its provision is
-        // deferred for good. After the next tick the replay sees that
-        // the tick chain is all that is left and says so instead of
-        // ticking forever.
+        // request arrives (the other is too small): no provision for it
+        // could ever be placed, so the request is refused when it is
+        // admitted instead of leaving the replay ticking forever.
         let f = FunctionProfile::new(FunctionId(0), "f", 128, TimeDelta::from_millis(100));
         let invs = vec![Invocation {
             func: FunctionId(0),

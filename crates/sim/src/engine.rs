@@ -50,9 +50,9 @@ use crate::report::SimReport;
 /// # Panics
 ///
 /// Panics if some function's memory footprint exceeds every worker's
-/// capacity, if the fault plan crashes every worker and the trace is not
-/// empty ([`Orchestrator::admit`]), or if an internal invariant is
-/// violated (a bug).
+/// capacity, if the fault plan crashes every worker that can host a
+/// function the trace invokes ([`Orchestrator::admit`]), or if an
+/// internal invariant is violated (a bug).
 ///
 /// # Examples
 ///

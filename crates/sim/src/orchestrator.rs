@@ -147,9 +147,10 @@ pub struct Orchestrator<R: Recorder> {
     faults: FaultState,
     /// Arrival events processed so far (request-conservation invariant).
     arrived: u64,
-    /// Whether the fault plan crashes every worker, so that no request
-    /// can be served after the last crash: `admit` refuses requests.
-    crashes_every_worker: bool,
+    /// Functions, sorted, whose every host the fault plan crashes, so
+    /// that none of their requests can be served after the last such
+    /// crash: `admit` refuses them. Empty without crashes.
+    stranded: Vec<FunctionId>,
     /// Whether the policy declares [`PriorityDeps::Function`]: an indexed
     /// round then evaluates one candidate per function (`fn_priority`).
     per_function: bool,
@@ -189,10 +190,6 @@ impl<R: Recorder> Orchestrator<R> {
             "SimConfig::tick must be positive"
         );
         config.faults.validate();
-        let crashes = &config.faults.worker_crashes;
-        let crashed = |w: usize| crashes.iter().any(|&(_, c)| usize::from(c.0) == w);
-        let crashes_every_worker =
-            !config.workers_mb.is_empty() && (0..config.workers_mb.len()).all(crashed);
         let max_worker = config.workers_mb.iter().copied().max().unwrap_or(0);
         let functions = functions.into_iter().inspect(|f| {
             assert!(
@@ -210,6 +207,18 @@ impl<R: Recorder> Orchestrator<R> {
             config.placement,
         );
         cluster.set_scan(config.scan);
+        let crashes = &config.faults.worker_crashes;
+        let stranded = cluster
+            .profiles()
+            .filter(|f| {
+                cluster
+                    .workers()
+                    .iter()
+                    .filter(|w| w.capacity_mb >= u64::from(f.mem_mb))
+                    .all(|w| crashes.iter().any(|&(_, c)| c == w.id))
+            })
+            .map(|f| f.id)
+            .collect();
         let per_function = policies.keepalive.priority_deps() == PriorityDeps::Function;
         let fn_priority = vec![(0, 0.0); cluster.function_ids().len()];
         Self {
@@ -224,7 +233,7 @@ impl<R: Recorder> Orchestrator<R> {
             finished_at: TimePoint::ZERO,
             faults: FaultState::new(config.faults.clone()),
             arrived: 0,
-            crashes_every_worker,
+            stranded,
             per_function,
             round_heap: RoundHeap::default(),
             evicted: Vec::new(),
@@ -243,9 +252,10 @@ impl<R: Recorder> Orchestrator<R> {
     ///
     /// # Panics
     ///
-    /// Panics if the fault plan crashes every worker: a request in
-    /// flight at the last crash, or arriving after it, could never be
-    /// served. A core under such a plan runs only request-free traces.
+    /// Panics if the fault plan crashes every worker that can host
+    /// `func`: a request for it in flight at the last such crash, or
+    /// arriving after it, could never be served. A core under such a
+    /// plan runs only traces that never invoke `func`.
     pub fn admit(
         &mut self,
         func: FunctionId,
@@ -253,8 +263,9 @@ impl<R: Recorder> Orchestrator<R> {
         exec: Option<TimeDelta>,
     ) -> RequestId {
         assert!(
-            !self.crashes_every_worker,
-            "fault plan crashes every worker ({:?}): no request can be served after the last crash",
+            self.stranded.binary_search(&func).is_err(),
+            "fault plan crashes every worker that can host {func} ({:?}): none of its requests \
+             can be served after the last such crash",
             self.faults.plan().worker_crashes
         );
         let rid = RequestId(self.retired + self.requests.len() as u64);
