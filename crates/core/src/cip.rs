@@ -89,11 +89,13 @@ impl KeepAlive for CipKeepAlive {
     ) {
         // §3.3: inherit the maximum priority among *this admission's*
         // victims, taken from the `evicted` slice itself. Priorities are
-        // looked up from the recorded `on_evict` values (computed at
-        // eviction time, when the victim's function still counted it as
-        // warm); a victim never reported through `on_evict` — a desynced
-        // channel — falls back to recomputing from its snapshot rather
-        // than silently contributing nothing.
+        // looked up from the recorded `on_evict` values. The core calls
+        // `on_evict` after `ClusterState::evict` has taken the victim out
+        // of its function's warm set, so each value reads `|F(c)|` one
+        // lower than the REPLACE round (and its `EvictCandidates` record)
+        // that chose the victim. A victim never reported through
+        // `on_evict` — a desynced channel — falls back to recomputing
+        // from its snapshot rather than silently contributing nothing.
         let clock = evicted
             .iter()
             .map(|v| {

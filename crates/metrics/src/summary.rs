@@ -105,29 +105,6 @@ impl Summary {
     pub fn max(&self) -> Option<f64> {
         (self.count > 0).then_some(self.max)
     }
-
-    /// Merges another summary into this one, as if all of its observations
-    /// had been recorded here.
-    pub fn merge(&mut self, other: &Summary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.count as f64 / total as f64;
-        let m2 = self.m2
-            + other.m2
-            + delta * delta * self.count as f64 * other.count as f64 / total as f64;
-        self.count = total;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 impl Extend<f64> for Summary {
@@ -178,33 +155,6 @@ mod tests {
         let s = Summary::from_samples(data);
         assert!((s.mean() - 5.0).abs() < 1e-12);
         assert!((s.std_dev() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let data = [1.0, 5.0, 2.0, 8.0, 3.0, 3.0];
-        let (a_data, b_data) = data.split_at(2);
-        let mut a = Summary::from_samples(a_data.iter().copied());
-        let b = Summary::from_samples(b_data.iter().copied());
-        a.merge(&b);
-        let all = Summary::from_samples(data);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-12);
-        assert!((a.variance() - all.variance()).abs() < 1e-12);
-        assert_eq!(a.min(), all.min());
-        assert_eq!(a.max(), all.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = Summary::from_samples([1.0, 2.0]);
-        let before = a;
-        a.merge(&Summary::new());
-        assert_eq!(a, before);
-
-        let mut empty = Summary::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
     }
 
     #[test]

@@ -58,8 +58,8 @@ pub enum AdmitDecision {
     EnqueueOn(u64),
 }
 
-/// How a request's execution started. Mirrors the simulator's
-/// `StartClass` without depending on it.
+/// How a request's execution started. The simulator re-exports it as
+/// `StartClass`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ObsClass {
     /// Immediate start on an idle warm container.

@@ -1,10 +1,9 @@
-//! Classic cache-eviction baselines beyond the paper's line-up: LFU and
-//! GreedyDual. Useful reference points when studying how much of
-//! FaasCache's GDSF advantage comes from frequency vs cost awareness.
+//! Classic cache-eviction baselines beyond the paper's line-up: LFU, and
+//! GreedyDual as [`GdsfKeepAlive::greedydual`](crate::GdsfKeepAlive::greedydual).
+//! Useful reference points when studying how much of FaasCache's GDSF
+//! advantage comes from frequency vs cost awareness.
 
-use std::collections::HashMap;
-
-use faas_sim::{ContainerId, ContainerInfo, IdBuildHasher, KeepAlive, PolicyCtx};
+use faas_sim::{ContainerInfo, KeepAlive, PolicyCtx};
 
 /// Least-frequently-used keep-alive: priority is the function's total
 /// invocation count. Frequency without recency or cost awareness — the
@@ -30,76 +29,11 @@ impl KeepAlive for LfuKeepAlive {
     }
 }
 
-/// GreedyDual keep-alive (Young, 1994): cost-aware aging without the
-/// frequency term — `Priority = Clock + Cost(c)`, where the clock rises
-/// to each evicted priority. GDSF (FaasCache) extends this with
-/// frequency and size; comparing the two isolates those terms' value.
-///
-/// # Examples
-///
-/// ```
-/// use faas_policies::GreedyDualKeepAlive;
-/// use faas_sim::KeepAlive;
-/// assert_eq!(GreedyDualKeepAlive::new().name(), "greedydual");
-/// ```
-#[derive(Debug, Default)]
-pub struct GreedyDualKeepAlive {
-    clock: f64,
-    base: HashMap<ContainerId, f64, IdBuildHasher>,
-}
-
-impl GreedyDualKeepAlive {
-    /// Creates the policy with a zero clock.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The current global clock.
-    pub fn clock(&self) -> f64 {
-        self.clock
-    }
-}
-
-impl KeepAlive for GreedyDualKeepAlive {
-    fn name(&self) -> &str {
-        "greedydual"
-    }
-
-    fn on_reuse(&mut self, container: &ContainerInfo, _ctx: &PolicyCtx<'_>) {
-        self.base.insert(container.id, self.clock);
-    }
-
-    fn on_admit(
-        &mut self,
-        container: &ContainerInfo,
-        _evicted: &[ContainerInfo],
-        _ctx: &PolicyCtx<'_>,
-    ) {
-        self.base.insert(container.id, self.clock);
-    }
-
-    fn on_evict(&mut self, container: &ContainerInfo, ctx: &PolicyCtx<'_>) {
-        let p = self.priority(container, ctx);
-        if p > self.clock {
-            self.clock = p;
-        }
-        self.base.remove(&container.id);
-    }
-
-    fn priority(&self, container: &ContainerInfo, _ctx: &PolicyCtx<'_>) -> f64 {
-        self.base.get(&container.id).copied().unwrap_or(self.clock)
-            + container.cold_start.as_millis_f64()
-    }
-
-    fn explain(&self) -> Option<String> {
-        Some(format!("clock={:.3} bases={}", self.clock, self.base.len()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faas_sim::{ClusterState, WorkerId};
+    use crate::GdsfKeepAlive;
+    use faas_sim::{ClusterState, ContainerId, WorkerId};
     use faas_trace::{FunctionId, FunctionProfile, TimeDelta, TimePoint};
 
     fn cluster() -> ClusterState {
@@ -135,7 +69,7 @@ mod tests {
     fn greedydual_prefers_costly_containers() {
         let cl = cluster();
         let ctx = cl.policy_ctx(TimePoint::from_secs(1));
-        let gd = GreedyDualKeepAlive::new();
+        let gd = GdsfKeepAlive::greedydual();
         // fn1's container cost 900 ms > fn0's 100 ms.
         assert!(gd.priority(&info(&cl, 1), &ctx) > gd.priority(&info(&cl, 0), &ctx));
     }
@@ -144,7 +78,7 @@ mod tests {
     fn greedydual_clock_ages_survivors() {
         let cl = cluster();
         let ctx = cl.policy_ctx(TimePoint::from_secs(1));
-        let mut gd = GreedyDualKeepAlive::new();
+        let mut gd = GdsfKeepAlive::greedydual();
         let cheap = info(&cl, 0);
         gd.on_evict(&cheap, &ctx);
         assert!((gd.clock() - 100.0).abs() < 1e-9);
@@ -160,7 +94,7 @@ mod tests {
         let trace = faas_trace::gen::fc(5).functions(8).minutes(1).build();
         for stack in [
             PolicyStack::new(Box::new(LfuKeepAlive), Box::new(AlwaysCold)),
-            PolicyStack::new(Box::new(GreedyDualKeepAlive::new()), Box::new(AlwaysCold)),
+            PolicyStack::new(Box::new(GdsfKeepAlive::greedydual()), Box::new(AlwaysCold)),
         ] {
             let report = run(&trace, &SimConfig::with_cache_gb(6), stack);
             assert_eq!(report.requests.len(), trace.len());

@@ -1,5 +1,6 @@
-//! FaasCache's GDSF keep-alive (Eq. 1) and its concurrency-aware variant
-//! FaasCache-C (Eq. 2) from the paper's what-if study (§2.4).
+//! FaasCache's GDSF keep-alive (Eq. 1), its concurrency-aware variant
+//! FaasCache-C (Eq. 2) from the paper's what-if study (§2.4), and
+//! GreedyDual, GDSF without the frequency and size terms.
 
 use std::collections::HashMap;
 
@@ -10,6 +11,7 @@ use faas_sim::{ContainerId, ContainerInfo, IdBuildHasher, KeepAlive, PolicyCtx};
 /// ```text
 /// Priority(c) = Clock + Freq(F(c)) * Cost(c) / Size(c)          (Eq. 1)
 /// Priority(c) = Clock + Freq(F(c)) * Cost(c) / (Size(c) * K)    (Eq. 2)
+/// Priority(c) = Clock + Cost(c)                                 (GreedyDual)
 /// ```
 ///
 /// where `Freq` is the aggregate number of invocations the function has
@@ -19,7 +21,9 @@ use faas_sim::{ContainerId, ContainerInfo, IdBuildHasher, KeepAlive, PolicyCtx};
 /// cached for the function. The clock is the classic GDSF global logical
 /// clock: it rises to the priority of each evicted container, and
 /// admitted/reused containers take the current clock as their base, which
-/// ages out stale entries.
+/// ages out stale entries. GreedyDual (Young, 1994) is the cost-only
+/// variant: comparing it with FaasCache isolates the value of the
+/// frequency and size terms.
 ///
 /// # Examples
 ///
@@ -29,32 +33,49 @@ use faas_sim::{ContainerId, ContainerInfo, IdBuildHasher, KeepAlive, PolicyCtx};
 ///
 /// assert_eq!(GdsfKeepAlive::faascache().name(), "faascache");
 /// assert_eq!(GdsfKeepAlive::faascache_c().name(), "faascache-c");
+/// assert_eq!(GdsfKeepAlive::greedydual().name(), "greedydual");
 /// ```
 #[derive(Debug, Default)]
 pub struct GdsfKeepAlive {
-    concurrency_aware: bool,
+    variant: Variant,
     clock: f64,
     base: HashMap<ContainerId, f64, IdBuildHasher>,
 }
 
+/// Which of the three priorities a [`GdsfKeepAlive`] computes.
+#[derive(Debug, Clone, Copy, Default)]
+enum Variant {
+    /// Eq. 1.
+    #[default]
+    FaasCache,
+    /// Eq. 2.
+    ConcurrencyAware,
+    /// `Cost(c)` alone.
+    GreedyDual,
+}
+
 impl GdsfKeepAlive {
+    fn with(variant: Variant) -> Self {
+        Self {
+            variant,
+            ..Self::default()
+        }
+    }
+
     /// Vanilla FaasCache (Eq. 1).
     pub fn faascache() -> Self {
-        Self {
-            concurrency_aware: false,
-            clock: 0.0,
-            base: HashMap::default(),
-        }
+        Self::with(Variant::FaasCache)
     }
 
     /// FaasCache-C (Eq. 2): divides the frequency term by the function's
     /// warm-container count.
     pub fn faascache_c() -> Self {
-        Self {
-            concurrency_aware: true,
-            clock: 0.0,
-            base: HashMap::default(),
-        }
+        Self::with(Variant::ConcurrencyAware)
+    }
+
+    /// GreedyDual: the provisioning cost alone on top of the clock.
+    pub fn greedydual() -> Self {
+        Self::with(Variant::GreedyDual)
     }
 
     /// The current global clock value.
@@ -63,25 +84,25 @@ impl GdsfKeepAlive {
     }
 
     fn compute(&self, c: &ContainerInfo, ctx: &PolicyCtx<'_>) -> f64 {
-        let freq = ctx.invocations(c.func) as f64;
         let cost_ms = c.cold_start.as_millis_f64();
-        let size_mb = c.mem_mb.max(1) as f64;
-        let k = if self.concurrency_aware {
-            ctx.warm_count(c.func).max(1) as f64
-        } else {
-            1.0
-        };
         let base = self.base.get(&c.id).copied().unwrap_or(self.clock);
+        let k = match self.variant {
+            Variant::FaasCache => 1.0,
+            Variant::ConcurrencyAware => ctx.warm_count(c.func).max(1) as f64,
+            Variant::GreedyDual => return base + cost_ms,
+        };
+        let freq = ctx.invocations(c.func) as f64;
+        let size_mb = c.mem_mb.max(1) as f64;
         base + freq * cost_ms / (size_mb * k)
     }
 }
 
 impl KeepAlive for GdsfKeepAlive {
     fn name(&self) -> &str {
-        if self.concurrency_aware {
-            "faascache-c"
-        } else {
-            "faascache"
+        match self.variant {
+            Variant::FaasCache => "faascache",
+            Variant::ConcurrencyAware => "faascache-c",
+            Variant::GreedyDual => "greedydual",
         }
     }
 

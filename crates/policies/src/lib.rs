@@ -56,7 +56,7 @@ mod queue_length;
 mod rainbowcake;
 mod ttl;
 
-pub use classic::{GreedyDualKeepAlive, LfuKeepAlive};
+pub use classic::LfuKeepAlive;
 pub use codecrunch::CodeCrunchKeepAlive;
 pub use ensure::{EnsureKeepAlive, EnsurePrewarm};
 pub use flame::FlameKeepAlive;
@@ -97,9 +97,10 @@ pub fn lfu_stack() -> PolicyStack {
     PolicyStack::new(Box::new(LfuKeepAlive), Box::new(AlwaysCold))
 }
 
-/// GreedyDual keep-alive, always-cold scaling (extra classic baseline).
+/// GreedyDual keep-alive (cost-only GDSF), always-cold scaling (extra
+/// classic baseline).
 pub fn greedydual_stack() -> PolicyStack {
-    PolicyStack::new(Box::new(GreedyDualKeepAlive::new()), Box::new(AlwaysCold))
+    PolicyStack::new(Box::new(GdsfKeepAlive::greedydual()), Box::new(AlwaysCold))
 }
 
 /// Vanilla FaasCache: GDSF keep-alive (Eq. 1), always-cold scaling.

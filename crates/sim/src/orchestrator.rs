@@ -858,7 +858,7 @@ impl<R: Recorder> Orchestrator<R> {
                 rid: rid.0,
                 cid: cid.0,
                 func,
-                class: class.into(),
+                class,
                 wait,
             }
         );

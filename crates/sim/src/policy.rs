@@ -33,25 +33,8 @@ pub enum ScaleDecision {
 }
 
 /// How a request came to start executing; determines its measured class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StartClass {
-    /// Served immediately by an idle warm container (zero wait).
-    Warm,
-    /// Waited for a busy container to free up.
-    DelayedWarm,
-    /// Waited for a fresh container to finish provisioning.
-    Cold,
-}
-
-impl From<StartClass> for faas_obs::ObsClass {
-    fn from(c: StartClass) -> Self {
-        match c {
-            StartClass::Warm => faas_obs::ObsClass::Warm,
-            StartClass::DelayedWarm => faas_obs::ObsClass::DelayedWarm,
-            StartClass::Cold => faas_obs::ObsClass::Cold,
-        }
-    }
-}
+/// The provenance stream's `Start` event records the same type.
+pub use faas_obs::ObsClass as StartClass;
 
 impl From<ScaleDecision> for faas_obs::AdmitDecision {
     fn from(d: ScaleDecision) -> Self {

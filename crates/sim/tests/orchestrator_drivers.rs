@@ -21,7 +21,12 @@
 //!   driver byte for byte, with arrivals placed on the very microsecond
 //!   of each kind of scheduled event.
 
+#[path = "common/arb.rs"]
+mod arb;
+
 use std::collections::{BTreeMap, HashMap};
+
+use arb::{arb_config, arb_trace};
 
 use faas_obs::{NoopRecorder, ObsClass, ObsEvent, Recorder, TraceLog};
 use faas_sim::{
@@ -29,7 +34,7 @@ use faas_sim::{
     FaultPlan, KeepAlive, LruKeepAlive, Orchestrator, PolicyCtx, PolicyStack, RequestId,
     RequestInfo, ScaleDecision, Scaler, SimConfig, SimReport, WorkerId,
 };
-use faas_testkit::{Checker, Gen, Rng};
+use faas_testkit::{Checker, Rng};
 use faas_trace::{FunctionId, FunctionProfile, Invocation, TimeDelta, TimePoint, Trace};
 
 fn checker(name: &str) -> Checker {
@@ -77,66 +82,6 @@ fn stacks() -> Vec<(&'static str, PolicyStack)> {
         ("lru+race", PolicyStack::new(lru(), Box::new(AlwaysRace))),
         ("lru+queue", PolicyStack::new(lru(), Box::new(QueueOnBusy))),
     ]
-}
-
-/// A random trace small enough to shrink but hot enough to trigger
-/// REPLACE rounds and deferrals on the tight clusters below.
-fn arb_trace(g: &mut Gen) -> Trace {
-    let fns = g.vec(1..6, |g| (g.u32(64..1024), g.u64(10..2_000)));
-    let invs = g.vec(1..100, |g| {
-        (g.usize(0..6), g.u64(0..60_000), g.u64(1..3_000))
-    });
-    let profiles: Vec<FunctionProfile> = fns
-        .iter()
-        .enumerate()
-        .map(|(i, &(mem, cold))| {
-            FunctionProfile::new(
-                FunctionId(i as u32),
-                format!("f{i}"),
-                mem,
-                TimeDelta::from_millis(cold),
-            )
-        })
-        .collect();
-    let n = profiles.len();
-    let invocations = invs
-        .into_iter()
-        .map(|(f, at, exec)| Invocation {
-            func: FunctionId((f % n) as u32),
-            arrival: TimePoint::from_millis(at),
-            exec: TimeDelta::from_millis(exec),
-        })
-        .collect();
-    Trace::new(profiles, invocations).expect("constructed consistently")
-}
-
-/// A random tight cluster with multi-thread containers, more often than
-/// not under a fault plan: provision failures, and likely one crash (two
-/// workers minimum then, so the crash cannot strand requests).
-fn arb_config(g: &mut Gen) -> SimConfig {
-    let mut workers = g.vec(1..4, |g| g.u64(1_100..4_000));
-    let threads = g.u32(1..4);
-    let mut plan = FaultPlan::none();
-    if g.bool(0.6) {
-        plan = plan
-            .seed(g.u64(0..1 << 32))
-            .provision_failures(g.f64(0.0..0.4))
-            .retry_backoff(TimeDelta::from_millis(20), TimeDelta::from_millis(500));
-        if g.bool(0.6) {
-            if workers.len() < 2 {
-                workers.push(workers[0]);
-            }
-            let worker = g.usize(0..workers.len());
-            plan = plan.crash_worker(
-                TimePoint::from_millis(g.u64(0..45_000)),
-                WorkerId(worker as u16),
-            );
-        }
-    }
-    SimConfig::default()
-        .workers_mb(workers)
-        .container_threads(threads)
-        .faults(plan)
 }
 
 /// The expected ends the cluster holds for running executions, gathered

@@ -10,15 +10,6 @@
 
 use crate::rng::Rng;
 
-/// How successive inter-arrival gaps are drawn.
-#[derive(Debug, Clone)]
-enum Gap {
-    /// Fixed spacing in microseconds (a deterministic pacer).
-    Uniform(f64),
-    /// Exponential gaps (a Poisson process) at `mean_us` microseconds.
-    Poisson { rng: Rng, mean_us: f64 },
-}
-
 /// An infinite, monotone, deterministic stream of arrival timestamps
 /// in microseconds, starting at the first gap after time zero.
 ///
@@ -31,17 +22,15 @@ enum Gap {
 /// let a: Vec<u64> = Arrivals::poisson(7, 1000.0).take(100).collect();
 /// let b: Vec<u64> = Arrivals::poisson(7, 1000.0).take(100).collect();
 /// assert_eq!(a, b);
-///
-/// // A uniform pacer at 10 requests/sec ticks every 100 ms.
-/// let u: Vec<u64> = Arrivals::uniform(10.0).take(3).collect();
-/// assert_eq!(u, vec![100_000, 200_000, 300_000]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Arrivals {
     /// Running clock in fractional microseconds; kept as `f64` so tiny
     /// gaps at high rates accumulate instead of rounding to zero.
     now_us: f64,
-    gap: Gap,
+    rng: Rng,
+    /// Mean inter-arrival gap in microseconds.
+    mean_us: f64,
 }
 
 impl Arrivals {
@@ -58,27 +47,8 @@ impl Arrivals {
         );
         Self {
             now_us: 0.0,
-            gap: Gap::Poisson {
-                rng: Rng::seed_from_u64(seed),
-                mean_us: 1e6 / rate_per_sec,
-            },
-        }
-    }
-
-    /// A deterministic pacer: arrivals exactly `1 / rate_per_sec`
-    /// seconds apart.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate_per_sec` is not strictly positive and finite.
-    pub fn uniform(rate_per_sec: f64) -> Self {
-        assert!(
-            rate_per_sec.is_finite() && rate_per_sec > 0.0,
-            "arrival rate must be positive and finite, got {rate_per_sec}"
-        );
-        Self {
-            now_us: 0.0,
-            gap: Gap::Uniform(1e6 / rate_per_sec),
+            rng: Rng::seed_from_u64(seed),
+            mean_us: 1e6 / rate_per_sec,
         }
     }
 }
@@ -87,11 +57,7 @@ impl Iterator for Arrivals {
     type Item = u64;
 
     fn next(&mut self) -> Option<u64> {
-        let gap = match &mut self.gap {
-            Gap::Uniform(us) => *us,
-            Gap::Poisson { rng, mean_us } => rng.exponential(1.0 / *mean_us),
-        };
-        self.now_us += gap;
+        self.now_us += self.rng.exponential(1.0 / self.mean_us);
         Some(self.now_us as u64)
     }
 }
@@ -123,19 +89,6 @@ mod tests {
         assert!(
             (mean_gap - 200.0).abs() < 10.0,
             "mean gap {mean_gap} us vs expected 200 us"
-        );
-    }
-
-    #[test]
-    fn uniform_pacer_does_not_drift_at_odd_rates() {
-        // 3 req/s has a non-integral microsecond period (333333.3 us);
-        // the f64 clock must not lose the fraction: after 3000 ticks
-        // the schedule sits at ~1000 s, not 999 s.
-        let last = Arrivals::uniform(3.0).take(3_000).last().expect("some");
-        let expected = 3_000.0 * 1e6 / 3.0;
-        assert!(
-            (last as f64 - expected).abs() < 10.0,
-            "tick 3000 at {last} us vs expected {expected} us"
         );
     }
 

@@ -22,9 +22,8 @@
 //! * [`par`] — an ordered, deterministic fork-join map over
 //!   `std::thread::scope`, used to parallelize experiment sweeps while
 //!   keeping result aggregation byte-identical to a sequential run.
-//! * [`arrivals`] — seeded open-loop arrival schedules (Poisson or
-//!   uniform pacing) for load generators; the same seed always yields
-//!   the byte-identical schedule.
+//! * [`arrivals`] — seeded open-loop Poisson arrival schedules for load
+//!   generators; the same seed always yields the byte-identical schedule.
 //!
 //! [`json`] is a tiny validating JSON reader: tests parse the Chrome
 //! trace-event exports with it instead of serde.

@@ -55,19 +55,6 @@ pub fn scale_exec(trace: &Trace, factor: f64) -> Trace {
     Trace::new(functions, invocations).expect("transform preserves consistency")
 }
 
-/// Scales every function's cold-start latency by `factor` (Fig. 9).
-///
-/// # Panics
-///
-/// Panics if `factor` is negative or NaN.
-pub fn scale_cold_start(trace: &Trace, factor: f64) -> Trace {
-    let (mut functions, invocations) = trace.clone().into_parts();
-    for f in &mut functions {
-        f.cold_start = f.cold_start.scale(factor);
-    }
-    Trace::new(functions, invocations).expect("transform preserves consistency")
-}
-
 /// Keeps only invocations arriving in `[start, end)`, re-basing arrivals
 /// so the slice starts at time zero. All profiles are retained.
 pub fn slice_time(trace: &Trace, start: TimePoint, end: TimePoint) -> Trace {
@@ -152,16 +139,6 @@ mod tests {
         let t = scale_exec(&base(), 1.5);
         assert_eq!(t.invocations()[0].exec, TimeDelta::from_millis(6));
         assert_eq!(t.invocations()[0].arrival, TimePoint::from_millis(10));
-    }
-
-    #[test]
-    fn cold_scaling_changes_profiles_only() {
-        let t = scale_cold_start(&base(), 0.25);
-        assert_eq!(
-            t.function(FunctionId(1)).expect("present").cold_start,
-            TimeDelta::from_millis(75)
-        );
-        assert_eq!(t.invocations(), base().invocations());
     }
 
     #[test]

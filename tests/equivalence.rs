@@ -23,63 +23,21 @@
 use cidre::core::{cidre_stack, CidreConfig};
 use cidre::obs::{EvictReason, ObsEvent};
 use cidre::policies::{
-    codecrunch_stack, ensure_stack, faascache_stack, flame_stack, icebreaker_stack, offline_stack,
-    rainbowcake_stack, GdsfKeepAlive, GreedyDualKeepAlive, IceBreakerKeepAlive, LfuKeepAlive,
-    TtlKeepAlive,
+    codecrunch_stack, ensure_stack, faascache_c_stack, faascache_stack, flame_stack,
+    greedydual_stack, icebreaker_stack, lfu_stack, offline_stack, rainbowcake_stack, ttl_stack,
+    IceBreakerKeepAlive,
 };
 use cidre::sim::{
-    baseline_lru_stack, run, run_traced, AlwaysCold, ContainerInfo, FaultPlan, KeepAlive,
-    PolicyCtx, PolicyStack, PriorityDeps, ScanMode, SimConfig, SimReport, WorkerId,
+    baseline_lru_stack, run, run_traced, AlwaysCold, ContainerInfo, KeepAlive, PolicyCtx,
+    PolicyStack, PriorityDeps, ScanMode, SimConfig, SimReport,
 };
 use cidre::trace::{FunctionId, FunctionProfile, Invocation, TimeDelta, TimePoint, Trace};
-use faas_testkit::{Checker, Gen};
+use faas_testkit::Checker;
 
-fn checker(name: &str) -> Checker {
-    Checker::new(name).cases(32).regressions_file(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/equivalence.testkit-regressions"
-    ))
-}
+#[path = "../crates/sim/tests/common/arb.rs"]
+mod arb;
 
-/// A random trace small enough to shrink but hot enough to trigger
-/// REPLACE rounds on the tight clusters below.
-fn arb_trace(g: &mut Gen) -> Trace {
-    let fns = g.vec(1..6, |g| (g.u32(64..1024), g.u64(10..2_000)));
-    let invs = g.vec(1..100, |g| {
-        (g.usize(0..6), g.u64(0..60_000), g.u64(1..3_000))
-    });
-    let profiles: Vec<FunctionProfile> = fns
-        .iter()
-        .enumerate()
-        .map(|(i, &(mem, cold))| {
-            FunctionProfile::new(
-                FunctionId(i as u32),
-                format!("f{i}"),
-                mem,
-                TimeDelta::from_millis(cold),
-            )
-        })
-        .collect();
-    let n = profiles.len();
-    let invocations: Vec<Invocation> = invs
-        .into_iter()
-        .map(|(f, at, exec)| Invocation {
-            func: FunctionId((f % n) as u32),
-            arrival: TimePoint::from_millis(at),
-            exec: TimeDelta::from_millis(exec),
-        })
-        .collect();
-    Trace::new(profiles, invocations).expect("constructed consistently")
-}
-
-/// A random cluster shape tight enough that evictions are routine.
-fn arb_config(g: &mut Gen) -> SimConfig {
-    let workers = g.vec(1..4, |g| g.u64(1_100..4_000));
-    let threads = g.u32(1..4);
-    SimConfig::default()
-        .workers_mb(workers)
-        .container_threads(threads)
-}
+use arb::{arb_config, arb_trace};
 
 type MakeStack = fn(&Trace) -> PolicyStack;
 
@@ -93,22 +51,11 @@ type MakeStack = fn(&Trace) -> PolicyStack;
 fn stacks() -> Vec<(&'static str, MakeStack)> {
     vec![
         ("lru", |_| baseline_lru_stack()),
-        ("ttl", |_| {
-            PolicyStack::new(
-                Box::new(TtlKeepAlive::paper_default()),
-                Box::new(AlwaysCold),
-            )
-        }),
-        ("greedydual", |_| {
-            PolicyStack::new(Box::new(GreedyDualKeepAlive::new()), Box::new(AlwaysCold))
-        }),
-        ("lfu", |_| {
-            PolicyStack::new(Box::new(LfuKeepAlive), Box::new(AlwaysCold))
-        }),
+        ("ttl", |_| ttl_stack()),
+        ("greedydual", |_| greedydual_stack()),
+        ("lfu", |_| lfu_stack()),
         ("faascache", |_| faascache_stack()),
-        ("faascache-c", |_| {
-            PolicyStack::new(Box::new(GdsfKeepAlive::faascache_c()), Box::new(AlwaysCold))
-        }),
+        ("faascache-c", |_| faascache_c_stack()),
         ("cidre", |_| cidre_stack(CidreConfig::default())),
         ("flame", |_| flame_stack()),
         ("icebreaker", |_| icebreaker_stack()),
@@ -224,51 +171,33 @@ fn assert_stack_agrees(label: &str, mk: MakeStack, trace: &Trace, config: &SimCo
     );
 }
 
+/// Random traces on random clusters, fault-free and faulted alike
+/// (`arb_config`); a divergence shrinks to a minimal case.
 #[test]
 fn all_engines_agree_on_random_workloads() {
-    checker("all_engines_agree_on_random_workloads").run(|g| {
-        let trace = arb_trace(g);
-        let config = arb_config(g);
-        assert_engines_agree(&trace, &config);
-    });
-}
-
-#[test]
-fn all_engines_agree_under_faults() {
-    checker("all_engines_agree_under_faults").run(|g| {
-        let trace = arb_trace(g);
-        let mut config = arb_config(g);
-        // Two workers minimum so a crash cannot strand requests.
-        if config.workers_mb.len() < 2 {
-            let mb = config.workers_mb[0];
-            config = config.workers_mb(vec![mb, mb]);
-        }
-        let mut plan = FaultPlan::none()
-            .seed(g.u64(0..1 << 32))
-            .provision_failures(g.f64(0.0..0.4))
-            .retry_backoff(TimeDelta::from_millis(20), TimeDelta::from_millis(500));
-        if g.bool(0.5) {
-            let worker = g.usize(0..config.workers_mb.len());
-            plan = plan.crash_worker(
-                TimePoint::from_millis(g.u64(0..45_000)),
-                WorkerId(worker as u16),
-            );
-        }
-        let config = config.faults(plan);
-        if std::env::var("ORACLE_VERBOSE").is_ok() {
-            eprintln!(
-                "case: invs={} fns={} config={config:?} trace={trace:?}",
-                trace.len(),
-                trace.functions().len(),
-            );
-        }
-        assert_engines_agree(&trace, &config);
-    });
+    Checker::new("all_engines_agree_on_random_workloads")
+        .cases(64)
+        .regressions_file(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/equivalence.testkit-regressions"
+        ))
+        .run(|g| {
+            let trace = arb_trace(g);
+            let config = arb_config(g);
+            if std::env::var("ORACLE_VERBOSE").is_ok() {
+                eprintln!(
+                    "case: invs={} fns={} config={config:?} trace={trace:?}",
+                    trace.len(),
+                    trace.functions().len(),
+                );
+            }
+            assert_engines_agree(&trace, &config);
+        });
 }
 
 /// One pinned seed, a hot two-worker cluster, every policy stack: the
 /// oracle on a generated trace rather than a drawn one. The randomized
-/// properties above cover the space.
+/// property above covers the space.
 #[test]
 fn oracle_smoke() {
     let trace = cidre::trace::gen::azure(42).functions(9).minutes(1).build();

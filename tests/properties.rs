@@ -4,14 +4,18 @@
 //! invariants; the metrics substrate must match naive recomputation.
 
 use cidre::core::{cidre_stack, CidreConfig};
-use cidre::metrics::{Cdf, SlidingWindow, Summary};
+use cidre::metrics::{Cdf, SlidingWindow};
 use cidre::policies::{faascache_queue_stack, faascache_stack};
 use cidre::sim::{run, run_traced, PolicyStack, SimConfig, SimReport, StartClass};
 use cidre::trace::{FunctionId, FunctionProfile, Invocation, TimeDelta, TimePoint, Trace};
-use faas_testkit::{Checker, Gen};
+use faas_testkit::Checker;
 
+#[path = "../crates/sim/tests/common/arb.rs"]
+mod arb;
 #[path = "../crates/sim/tests/common/mod.rs"]
 mod common;
+
+use arb::{arb_config, arb_trace};
 
 /// 48-case checker persisting failing seeds next to this file.
 fn checker(name: &str) -> Checker {
@@ -19,36 +23,6 @@ fn checker(name: &str) -> Checker {
         env!("CARGO_MANIFEST_DIR"),
         "/tests/properties.testkit-regressions"
     ))
-}
-
-/// A random, small, but structurally diverse trace.
-fn arb_trace(g: &mut Gen) -> Trace {
-    let fns = g.vec(1..6, |g| (g.u32(64..1024), g.u64(10..2_000)));
-    let invs = g.vec(1..120, |g| {
-        (g.usize(0..6), g.u64(0..60_000), g.u64(1..3_000))
-    });
-    let profiles: Vec<FunctionProfile> = fns
-        .iter()
-        .enumerate()
-        .map(|(i, &(mem, cold))| {
-            FunctionProfile::new(
-                FunctionId(i as u32),
-                format!("f{i}"),
-                mem,
-                TimeDelta::from_millis(cold),
-            )
-        })
-        .collect();
-    let n = profiles.len();
-    let invocations: Vec<Invocation> = invs
-        .into_iter()
-        .map(|(f, at, exec)| Invocation {
-            func: FunctionId((f % n) as u32),
-            arrival: TimePoint::from_millis(at),
-            exec: TimeDelta::from_millis(exec),
-        })
-        .collect();
-    Trace::new(profiles, invocations).expect("constructed consistently")
 }
 
 fn stacks() -> Vec<PolicyStack> {
@@ -233,7 +207,7 @@ fn none_fault_plan_leaves_ledger_untouched() {
 fn simulator_is_deterministic() {
     checker("simulator_is_deterministic").run(|g| {
         let trace = arb_trace(g);
-        let config = SimConfig::default().workers_mb(vec![1_536]);
+        let config = arb_config(g);
         let a = run(&trace, &config, cidre_stack(CidreConfig::default()));
         let b = run(&trace, &config, cidre_stack(CidreConfig::default()));
         assert_eq!(a.requests, b.requests);
@@ -395,20 +369,6 @@ fn sliding_window_equality_ignores_whether_it_was_queried() {
 }
 
 #[test]
-fn summary_merge_is_associative_enough() {
-    checker("summary_merge_is_associative_enough").run(|g| {
-        let a = g.vec(1..50, |g| g.f64(-1e3..1e3));
-        let b = g.vec(1..50, |g| g.f64(-1e3..1e3));
-        let mut merged = Summary::from_samples(a.iter().copied());
-        merged.merge(&Summary::from_samples(b.iter().copied()));
-        let all: Summary = a.iter().chain(b.iter()).copied().collect();
-        assert_eq!(merged.count(), all.count());
-        assert!((merged.mean() - all.mean()).abs() < 1e-9);
-        assert!((merged.variance() - all.variance()).abs() < 1e-6);
-    });
-}
-
-#[test]
 fn trace_transforms_preserve_length() {
     checker("trace_transforms_preserve_length").run(|g| {
         let trace = arb_trace(g);
@@ -416,9 +376,5 @@ fn trace_transforms_preserve_length() {
         use cidre::trace::transform;
         assert_eq!(transform::scale_iat(&trace, factor).len(), trace.len());
         assert_eq!(transform::scale_exec(&trace, factor).len(), trace.len());
-        assert_eq!(
-            transform::scale_cold_start(&trace, factor).len(),
-            trace.len()
-        );
     });
 }
